@@ -3,8 +3,9 @@ package assoccache
 // The benchmark harness has two layers:
 //
 //   - BenchmarkE* — one benchmark per reproduction experiment (E1–E19, the
-//     per-theorem index in DESIGN.md §3). Each iteration executes the whole
-//     experiment at Quick scale and reports its headline metric, so
+//     per-theorem registry in internal/experiments). Each iteration
+//     executes the whole experiment at Quick scale and reports its
+//     headline metric, so
 //     `go test -bench=E -benchmem` regenerates every "table" of the paper.
 //   - Micro-benchmarks for the hot paths of the library itself (policy
 //     Request, set-associative Access with and without rehashing, hashing,

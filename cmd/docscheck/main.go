@@ -1,8 +1,9 @@
 // Command docscheck is the documentation gate CI runs: it fails when an
 // exported identifier in the given packages lacks a doc comment (the
 // `revive exported` rule, implemented here so CI needs no third-party
-// tool), or when a relative link or intra-document anchor in the given
-// markdown files points nowhere.
+// tool), when a relative link or intra-document anchor in the given
+// markdown files points nowhere, or when a comment in any non-test .go file
+// of the module names a .md file that does not exist.
 //
 // Usage:
 //
@@ -13,7 +14,10 @@
 // its declaration or its spec. Each markdown file's links are resolved
 // relative to the file; http(s) and mailto targets are skipped, `#anchor`
 // fragments are checked against GitHub-style heading slugs of the target
-// document.
+// document. Independently of the arguments, every non-test .go file under
+// the working directory (the module root in CI; nested modules and dot
+// directories are skipped) is scanned for .md file names in comments,
+// each of which must exist at the root or beside the .go file.
 package main
 
 import (
@@ -22,6 +26,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -49,6 +54,11 @@ func main() {
 			problems = append(problems, ps...)
 		}
 	}
+	ps, err := checkCommentRefs(".")
+	if err != nil {
+		fatal(err)
+	}
+	problems = append(problems, ps...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, p)
@@ -117,6 +127,59 @@ func kindOf(tok token.Token) string {
 		return "const"
 	}
 	return "var"
+}
+
+// mdRefRe matches a markdown file named in running text: an optional
+// directory path and a base name ending in .md.
+var mdRefRe = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
+
+// checkCommentRefs walks root for non-test .go files and reports every
+// .md file named in a comment that exists neither relative to root nor
+// relative to the .go file's directory — the doc reference that outlived
+// its document.
+func checkCommentRefs(root string) ([]string, error) {
+	var problems []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == root {
+				return nil
+			}
+			if strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir // a nested module answers for itself
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return fmt.Errorf("parsing %s: %w", path, err)
+		}
+		for _, group := range file.Comments {
+			for _, c := range group.List {
+				for _, ref := range mdRefRe.FindAllString(c.Text, -1) {
+					if _, err := os.Stat(filepath.Join(root, ref)); err == nil {
+						continue
+					}
+					if _, err := os.Stat(filepath.Join(filepath.Dir(path), ref)); err == nil {
+						continue
+					}
+					problems = append(problems, fmt.Sprintf("%s:%d: comment names %s, which does not exist",
+						path, fset.Position(c.Pos()).Line, ref))
+				}
+			}
+		}
+		return nil
+	})
+	return problems, err
 }
 
 var (

@@ -31,8 +31,9 @@
 // motivating concurrent-software-cache use case.
 //
 // The reproduction experiments E1–E19 (one per theorem/lemma/proposition;
-// see DESIGN.md and EXPERIMENTS.md) live in internal/experiments and are
-// runnable via cmd/assocbench or the benchmarks in bench_test.go.
+// the registry is package internal/experiments, one E<n> function each)
+// are runnable via `go run ./cmd/assocbench -run E1,E5` or the benchmarks
+// in bench_test.go.
 //
 // # The cache service
 //

@@ -1,55 +1,62 @@
 package cluster
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/wire"
 )
 
-// TestRouterGetBatchAllocs gates the router's plain GetBatch fan-out at
-// zero heap allocations per batch in steady state: the partition scratch
-// (idxs, byNode map, subBatch structs) is pooled, the member locks are
-// taken without closures, and the wire codec underneath is allocation-free.
-// AllocsPerRun counts process-global mallocs, so the member servers'
-// request handling is inside the gate too.
+// TestRouterGetBatchAllocs gates the router's GetBatch fan-out at zero heap
+// allocations per batch in steady state, at R = 1 and R = 2 alike: the
+// replica count is a setting of the one read pipeline, not a separate
+// lane, so the owner table, the sub-batches and the work lists all live in
+// the pooled batchScratch, the member locks are taken without closures,
+// and the wire codec underneath is allocation-free. AllocsPerRun counts
+// process-global mallocs, so the member servers' request handling is
+// inside the gate too.
 func TestRouterGetBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates per operation; alloc gate runs without -race")
 	}
-	addrs := startCluster(t, 2, 4096, 16)
-	c, err := Dial(addrs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	for _, replicas := range []int{1, 2} {
+		t.Run(fmt.Sprintf("R=%d", replicas), func(t *testing.T) {
+			addrs := startCluster(t, 2, 4096, 16)
+			c, err := Dial(addrs, Options{Replicas: replicas})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
 
-	keys := make([]uint64, 16)
-	for i := range keys {
-		keys[i] = uint64(i)
-		if err := c.Set(keys[i], []byte("payload-64-bytes")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var missed int
-	visit := func(i int, hit bool, value []byte) {
-		if !hit {
-			missed++
-		}
-	}
-	run := func() {
-		if err := c.GetBatch(keys, visit); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 64; i++ {
-		run()
-	}
-	if allocs := testing.AllocsPerRun(200, run); allocs > 0.1 {
-		t.Errorf("GetBatch(16 keys, 2 nodes) allocates %.2f objects/batch, want 0", allocs)
-	}
-	if missed > 0 {
-		t.Errorf("%d unexpected misses on resident keys", missed)
+			keys := make([]uint64, 16)
+			for i := range keys {
+				keys[i] = uint64(i)
+				if err := c.Set(keys[i], []byte("payload-64-bytes")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var missed int
+			visit := func(i int, hit bool, value []byte) {
+				if !hit {
+					missed++
+				}
+			}
+			run := func() {
+				if err := c.GetBatch(keys, visit); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 64; i++ {
+				run()
+			}
+			if allocs := testing.AllocsPerRun(200, run); allocs > 0.1 {
+				t.Errorf("GetBatch(16 keys, 2 nodes, R=%d) allocates %.2f objects/batch, want 0", replicas, allocs)
+			}
+			if missed > 0 {
+				t.Errorf("%d unexpected misses on resident keys", missed)
+			}
+		})
 	}
 }
 

@@ -20,11 +20,6 @@ import (
 // DEL learns the tombstone here instead of resurrecting the value, and
 // the divergence window for any key is bounded by the sweep period.
 
-// aeChunk bounds how many records one pipelined repair round trip
-// carries, keeping peak buffering (chunk × value size) modest — the same
-// ceiling warm-up and migration use.
-const aeChunk = 256
-
 // antiEntropyLoop runs sweeps every interval until Close. Started by
 // Dial when Options.AntiEntropy > 0; Close stops it via aeStop and waits
 // on aeDone.
@@ -50,12 +45,17 @@ type aeRecord struct {
 	holder string
 }
 
+// aeRoute names one repair stream of a sweep: records held by src that
+// dst lacks or holds older.
+type aeRoute struct{ src, dst string }
+
 // AntiEntropySweep runs one full sweep: snapshot every reachable
 // member's record set, determine each key's winning record (highest
 // version, tombstone or live), and repair every owner that is missing it
-// or holds an older version. Tombstone repairs are written directly from
-// the snapshot; live repairs re-read the value from the winning holder
-// first, so the bytes written are at least as fresh as the snapshot.
+// or holds an older version, through copyRecs: tombstones are written
+// directly from the snapshot; live repairs re-read the value from the
+// winning holder first, so the bytes written are at least as fresh as the
+// snapshot.
 // Winning tombstones also invalidate this router's near-cache, so a
 // delete that happened entirely on other routers cannot keep serving
 // here past the sweep.
@@ -115,15 +115,16 @@ func (c *Client) AntiEntropySweep() (repaired int, err error) {
 	}
 
 	// Phase 2: plan. For each key, every owner missing the winning
-	// record (or holding an older version) gets a repair. The ring is
-	// consulted once under the read lock so a concurrent topology change
-	// cannot split the plan across two views.
-	plans := make(map[string][]aeRecord)
+	// record (or holding an older version) gets it from its holder. The
+	// ring is consulted once under the read lock so a concurrent topology
+	// change cannot split the plan across two views.
+	plans := make(map[aeRoute][]wire.KeyRec)
 	c.mu.RLock()
 	for key, b := range best {
 		for _, owner := range c.ring.OwnersFor(key, rf) {
 			if hv, ok := held[key][owner]; !ok || hv < b.rec.Version {
-				plans[owner] = append(plans[owner], b)
+				route := aeRoute{src: b.holder, dst: owner}
+				plans[route] = append(plans[route], b.rec)
 			}
 		}
 	}
@@ -139,98 +140,24 @@ func (c *Client) AntiEntropySweep() (repaired int, err error) {
 		}
 	}
 
-	// Phase 3: repair. Tombstones go straight from the snapshot; live
-	// records are re-read from their winning holder in the same chunk,
-	// then conditionally re-written to the lagging owner.
-	for target, plan := range plans {
-		dst := conns[target]
+	// Phase 3: repair, one copyRecs per route. A record's holder answered
+	// the snapshot, so its connection is open; an owner that did not is
+	// skipped and retried by the next sweep.
+	for route, recs := range plans {
+		dst := conns[route.dst]
 		if dst == nil {
-			continue // owner unreachable; next sweep retries
+			continue
 		}
-		var tombs []wire.KeyRec
-		liveBySrc := make(map[string][]wire.KeyRec)
-		for _, p := range plan {
-			if p.rec.Tombstone {
-				tombs = append(tombs, p.rec)
-			} else {
-				liveBySrc[p.holder] = append(liveBySrc[p.holder], p.rec)
-			}
-		}
-		for off := 0; off < len(tombs); off += aeChunk {
-			end := off + aeChunk
-			if end > len(tombs) {
-				end = len(tombs)
-			}
-			applied, stale, serr := dst.SetBatchRecs(tombs[off:end], wire.SetFlagRepair, nil)
-			c.aeRepairs.Add(uint64(applied))
-			c.aeStale.Add(uint64(stale))
-			repaired += applied
-			if serr != nil {
-				if err == nil {
-					err = fmt.Errorf("cluster: anti-entropy repairing %s: %w", target, serr)
-				}
-				break
-			}
-		}
-		for srcAddr, recs := range liveBySrc {
-			src := conns[srcAddr]
-			if src == nil {
-				continue
-			}
-			n, serr := c.aeRepairLive(src, dst, recs)
-			c.aeRepairs.Add(uint64(n))
-			repaired += n
-			if serr != nil && err == nil {
-				err = fmt.Errorf("cluster: anti-entropy repairing %s from %s: %w", target, srcAddr, serr)
-			}
+		applied, stale, _, cerr := copyRecs(conns[route.src], dst, recs)
+		c.aeRepairs.Add(uint64(applied))
+		c.aeStale.Add(uint64(stale))
+		repaired += applied
+		if cerr != nil && err == nil {
+			err = fmt.Errorf("cluster: anti-entropy repairing %s from %s: %w", route.dst, route.src, cerr)
 		}
 	}
 	c.aeSweeps.Add(1)
 	return repaired, err
-}
-
-// aeRepairLive copies recs' values from src to dst in bounded chunks:
-// re-read each value (with the version it is stored under now, which may
-// be newer than the snapshot's), then conditionally re-write it. A key
-// that misses on src vanished since the snapshot — evicted, or deleted
-// into a tombstone GET does not serve — and is skipped; the next sweep
-// sees the newer state.
-func (c *Client) aeRepairLive(src, dst *wire.Client, recs []wire.KeyRec) (repaired int, err error) {
-	keys := make([]uint64, 0, aeChunk)
-	vers := make([]uint64, 0, aeChunk)
-	vals := make([][]byte, 0, aeChunk)
-	for off := 0; off < len(recs); off += aeChunk {
-		end := off + aeChunk
-		if end > len(recs) {
-			end = len(recs)
-		}
-		keys, vers, vals = keys[:0], vers[:0], vals[:0]
-		chunk := recs[off:end]
-		sub := make([]uint64, len(chunk))
-		for i, rec := range chunk {
-			sub[i] = rec.Key
-		}
-		gerr := src.GetBatchVersions(sub, func(i int, hit bool, ver uint64, val []byte) {
-			if !hit {
-				return
-			}
-			keys = append(keys, sub[i])
-			vers = append(vers, ver)
-			vals = append(vals, append([]byte(nil), val...))
-		})
-		if gerr != nil {
-			return repaired, gerr
-		}
-		applied, stale, serr := dst.SetBatchVersioned(keys, wire.SetFlagRepair,
-			func(i int) uint64 { return vers[i] },
-			func(i int) []byte { return vals[i] })
-		c.aeStale.Add(uint64(stale))
-		repaired += applied
-		if serr != nil {
-			return repaired, serr
-		}
-	}
-	return repaired, nil
 }
 
 // AntiEntropyCounters is the router's sweep tally; see

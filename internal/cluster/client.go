@@ -88,18 +88,33 @@ type Options struct {
 // consistent-hash ring plus the epoch-versioned member list, kept
 // converged with the cluster through piggybacked epoch checks, MEMBERS
 // refreshes and TOPOLOGY pushes — and a transport layer (transport.go),
-// one pipelined wire connection per member, lazily dialed and redialed
-// once on failure. Keys map to members through the ring and STATS/REHASH
-// fan out to every member.
+// one pipelined wire connection per member, lazily dialed. Keys map to
+// members through the ring and STATS/REHASH fan out to every member.
 //
-// With Options.Replicas = R > 1 the Client replicates each key across the
-// ring's first R distinct owners: SETs fan out to all R (W of them must
-// acknowledge), GETs try the primary and fall back through the replica set
-// on a miss or a connection failure, and a fallback hit schedules
-// background read repair — the value is re-SET, flagged as repair traffic,
-// on the owners that missed. Node loss therefore costs availability
-// nothing as long as one owner of each key survives, and the repaired
-// copies regenerate without operator action.
+// Every key has R owners (Options.Replicas; the ring's first R distinct
+// members, one when unreplicated), and every batch operation is built
+// from the same fan-out round: split the keys by owner, flush every
+// member's pipeline, then drain, so a round costs one round trip however
+// many members it spans. GetBatch runs up to R rounds, asking each
+// unresolved key's next owner, and schedules background read repair —
+// the value re-SET, flagged as repair traffic — on the owners that missed
+// before a later one hit. SetBatch and Del run one round over all R
+// owners of every key and need W acknowledgements per key
+// (Options.WriteQuorum). Options.Leases and Options.NearCache add steps to
+// those same two pipelines; no setting selects a different one. Node loss
+// therefore costs availability nothing as long as one owner of each key
+// survives, and the repaired copies regenerate without operator action.
+//
+// The failed-member policy is stated once, in round (transport.go): a
+// member whose connection fails before it delivered any response of its
+// sub-batch is redialed and the sub-batch replayed, once — never after a
+// response was delivered, so no request is double-counted by an observer.
+// A member that still fails answers for none of its undelivered keys and
+// its connection is dropped; the other members' sub-batches are
+// unaffected. Those keys then fail over to their next owner (reads) or
+// count as unacknowledged (writes). With R = 1 there is no next owner, so
+// the error reaches the caller — for exactly the keys whose single owner
+// stayed unreachable after the one redial.
 //
 // A Client is safe for concurrent use. Batches against distinct members
 // proceed in parallel; batches sharing a member serialize on that member's
@@ -108,12 +123,6 @@ type Options struct {
 // migration accounting exact. For peak throughput the load harness opens
 // one Client per worker, exactly as it opens one wire.Client per worker
 // against a single node.
-//
-// A member connection that fails is redialed once per operation; if the
-// redial or the replay fails too, the error surfaces to the caller — or,
-// under replication, the affected keys fail over to the next owner. A
-// replay is only attempted when no response of the failed batch has been
-// delivered, so observers never see a request double-counted.
 type Client struct {
 	dial     DialFunc
 	vnodes   int
@@ -441,204 +450,318 @@ func (c *Client) OwnerSample(n int, seed uint64) (share map[string]int, replicas
 	return c.ring.SampleOwners(n, r, seed), r
 }
 
-// partition splits keys by owning member, building the partition in sc.
-// The returned sub-batches are owned by sc and die at sc.release. Caller
-// holds c.mu (either side).
-func (c *Client) partition(sc *batchScratch, keys []uint64) ([]*subBatch, error) {
-	idxs := sc.idxs[:0]
-	for i := range keys {
-		idxs = append(idxs, i)
+// route fills the owner-table rows of the key indices in idxs and clears
+// the flags. Caller holds c.mu (either side).
+func (c *Client) route(sc *batchScratch, keys []uint64, idxs []int, rf int) error {
+	if rf == 0 {
+		return fmt.Errorf("cluster: empty ring")
 	}
-	sc.idxs = idxs
-	return c.partitionIdx(sc, keys, idxs)
-}
-
-// partitionIdx splits the selected indices of keys by owning member —
-// partition over a subset, for the lease paths that carve a batch into
-// near-served, granted and remote fractions. The returned sub-batches are
-// owned by sc and die at sc.release. Caller holds c.mu (either side).
-func (c *Client) partitionIdx(sc *batchScratch, keys []uint64, idxs []int) ([]*subBatch, error) {
+	sc.owners = resize(sc.owners, len(keys)*rf)
+	sc.flagged = resize(sc.flagged, len(keys)*rf)
 	for _, i := range idxs {
-		addr, ok := c.ring.Node(keys[i])
-		if !ok {
-			return nil, fmt.Errorf("cluster: empty ring")
+		sc.addrs = c.ring.appendOwners(sc.addrs[:0], keys[i], rf)
+		for j, addr := range sc.addrs {
+			sc.owners[i*rf+j] = c.nodes[addr]
 		}
-		nc := c.nodes[addr]
-		sub := sc.byNode[nc]
-		if sub == nil {
-			sub = sc.newSub(nc)
-			sc.byNode[nc] = sub
-			sc.subs = append(sc.subs, sub)
-		}
-		sub.idx = append(sub.idx, i)
 	}
-	sortSubs(sc.subs)
-	return sc.subs, nil
+	return nil
 }
 
-// GetBatch routes one GET per key and calls visit exactly once per key. All
-// members' pipelines are flushed before any response is read, so the batch
-// costs one round trip regardless of how many members it spans; under
-// replication, keys that miss or whose owner is unreachable cost one extra
-// round trip per fallback owner tried. The value passed to visit aliases a
-// connection buffer valid only for the duration of the call. Visit order is
-// unspecified beyond key order within one member's sub-batch.
+// GetBatch routes one GET per key and calls visit exactly once per key,
+// whatever mix of local hits, misses, member failures and fallbacks
+// resolved it. The value passed to visit aliases a connection buffer valid
+// only for the duration of the call. Visit order is unspecified beyond key
+// order within one member's sub-batch.
+//
+// Every configuration runs the same pipeline; R, Leases and NearCache only
+// set how much of it has work to do. A pre-pass serves what the near-cache
+// holds and waits briefly on fills this client itself owns. The rest goes
+// through up to R rounds (readRounds), each one round trip across all the
+// members it spans: round j asks every unresolved key's j-th owner, so a
+// batch costs one round trip plus one per fallback owner tried, and a key
+// is an error only when all of its owners stayed unreachable. Keys whose
+// fill lease another caller holds are then polled until the fill lands
+// (pollWaiters).
 func (c *Client) GetBatch(keys []uint64, visit func(i int, hit bool, value []byte)) error {
 	c.maybeRefresh()
 	bt := c.nextTrace()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if c.leases || c.near != nil {
-		return c.getBatchLeased(keys, bt, visit)
-	}
-	if c.effReplicas() > 1 {
-		return c.getBatchReplicated(keys, bt, nil, visit)
-	}
 	sc := getBatchScratch()
 	defer sc.release()
-	subs, err := c.partition(sc, keys)
-	if err != nil {
+
+	sc.pending = sc.pending[:0]
+	for i := range keys {
+		sc.pending = append(sc.pending, i)
+	}
+	sc.pending = c.serveNear(keys, sc.pending, visit)
+	sc.pending = c.waitLocalGrants(keys, sc.pending, visit)
+	if len(sc.pending) == 0 {
+		return nil
+	}
+	rf := c.effReplicas()
+	if err := c.route(sc, keys, sc.pending, rf); err != nil {
 		return err
 	}
-	lockSubs(subs)
-	defer unlockSubs(subs)
-
-	for _, s := range subs {
-		s.err = s.enqueueGets(c.dial, keys, bt)
+	sc.waiters = sc.waiters[:0]
+	if err := c.readRounds(sc, keys, bt, rf, rf, visit); err != nil {
+		return err
 	}
-	for _, s := range subs {
-		if s.err == nil {
-			s.err = c.readGets(s, keys, visit)
-		}
-		if s.err != nil {
-			if s.delivered > 0 {
-				// Cannot replay without double-delivering; the batch fails
-				// and every flushed connection may hold undrained responses.
-				dropSubs(subs)
-				return s.err
-			}
-			if err := c.replayGets(s, keys, bt, visit); err != nil {
-				dropSubs(subs)
-				return err
-			}
-		}
-	}
-	return nil
+	return c.pollWaiters(sc, keys, bt, rf, visit)
 }
 
-// readGets drains one sub-batch's GET responses, observing the topology
-// epoch each one carries.
-func (c *Client) readGets(s *subBatch, keys []uint64, visit func(i int, hit bool, value []byte)) error {
-	cl := s.nc.cl
-	for _, i := range s.idx {
-		resp, err := cl.ReadResponse()
-		if err != nil {
-			return err
-		}
-		c.observeEpoch(resp.Epoch)
-		hit := false
-		switch resp.Status {
-		case wire.StatusHit:
-			hit = true
-			s.nc.hits.Add(1)
-		case wire.StatusMiss:
-			s.nc.misses.Add(1)
+// readRounds resolves the key indices in sc.pending in up to rounds
+// rounds. Round j sends each still-unresolved key to its j-th owner — as
+// GETL when leases are on and j is 0, else as GET. Only the primary
+// leases: fallback owners may legitimately be empty, and granting fills
+// against them would mint one lease per replica per key. A hit resolves
+// the key and schedules repair of the owners that authoritatively missed
+// before it; a miss (a lease grant is a primary miss plus the fill lease)
+// flags the owner and moves the key to the next round, or resolves it as
+// a miss on the last; a key whose fill lease someone else holds joins
+// sc.waiters. A member that round could not reach (after its one replay)
+// answers for none of its keys: they move to the next round too, and on
+// the last round resolve as misses if some owner authoritatively missed,
+// else count as unreadable. An unreachable owner is never flagged — it
+// may be dead, and aiming repairs at a corpse would grind the repair
+// worker on failed dials. Caller holds c.mu.RLock.
+func (c *Client) readRounds(sc *batchScratch, keys []uint64, bt batchTrace, rf, rounds int, visit func(i int, hit bool, value []byte)) error {
+	var (
+		lease, last bool
+		unresolved  int
+		lastErr     error
+	)
+	send := func(cl *wire.Client, slot int) error {
+		key := keys[slot/rf]
+		switch {
+		case lease && bt.traced:
+			return cl.EnqueueGetLeaseTraced(key, bt.tc)
+		case lease:
+			return cl.EnqueueGetLease(key)
+		case bt.traced:
+			return cl.EnqueueGetTraced(key, bt.tc)
 		default:
-			return fmt.Errorf("cluster: unexpected GET response %v from %s", resp.Status, s.nc.addr)
+			return cl.EnqueueGet(key)
 		}
+	}
+	recv := func(s *subBatch, slot int, resp wire.Response) error {
+		i := slot / rf
+		key := keys[i]
+		hit := false
 		s.nc.gets.Add(1)
-		s.delivered++
-		visit(i, hit, resp.Value)
+		switch st := resp.Status; {
+		case st == wire.StatusHit:
+			s.nc.hits.Add(1)
+			if slot%rf > 0 {
+				c.fallbackHits.Add(1)
+				c.scheduleRepair(key, resp.Version, resp.Value, sc.flaggedAddrs(i, rf), bt)
+			}
+			if c.grantsN.Load() > 0 {
+				// Resident after all (or about to be, through the repair
+				// above): a stray grant must not turn a later user SET of
+				// the key into a discardable fill.
+				c.finishGrant(key)
+			}
+			hit = true
+		case st == wire.StatusMiss:
+			s.nc.misses.Add(1)
+		case st == wire.StatusLease && resp.LeaseToken != 0:
+			s.nc.misses.Add(1)
+			c.recordGrant(key, resp.LeaseToken, resp.LeaseTTL)
+		case st == wire.StatusLease && resp.Stale:
+			s.nc.misses.Add(1)
+			c.staleHints.Add(1)
+			hit = true
+		case st == wire.StatusLease:
+			s.nc.misses.Add(1)
+			sc.waiters = append(sc.waiters, i)
+			return nil
+		default:
+			return fmt.Errorf("cluster: unexpected GET response %v from %s", st, s.nc.addr)
+		}
+		switch {
+		case hit:
+			val := resp.Value
+			if c.near != nil {
+				val, _ = c.near.reconcile(key, resp.Version, val, time.Now())
+			}
+			visit(i, true, val)
+		case last:
+			visit(i, false, nil)
+		default:
+			sc.flagged[slot] = true
+			sc.next = append(sc.next, i)
+		}
+		return nil
+	}
+
+	for j := 0; j < rounds && len(sc.pending) > 0; j++ {
+		lease, last = c.leases && j == 0, j == rounds-1
+		for _, i := range sc.pending {
+			sc.add(i*rf + j)
+		}
+		sc.next = sc.next[:0]
+		c.round(sc, send, recv)
+		for _, s := range sc.subs {
+			if s.err == nil {
+				continue
+			}
+			lastErr = s.err
+			for _, slot := range s.idx[s.delivered:] {
+				i := slot / rf
+				switch {
+				case !last:
+					sc.next = append(sc.next, i)
+				case len(sc.flaggedAddrs(i, rf)) > 0:
+					visit(i, false, nil)
+				default:
+					unresolved++
+				}
+			}
+		}
+		sc.recycle()
+		sc.pending, sc.next = sc.next, sc.pending
+	}
+	if unresolved > 0 {
+		return fmt.Errorf("cluster: %d keys unreadable on all %d owners tried: %w", unresolved, rounds, lastErr)
 	}
 	return nil
 }
 
-// replayGets redials once and replays an entirely undelivered sub-batch.
-func (c *Client) replayGets(s *subBatch, keys []uint64, bt batchTrace, visit func(i int, hit bool, value []byte)) error {
-	s.nc.drop()
-	s.nc.redials.Add(1)
-	if err := s.enqueueGets(c.dial, keys, bt); err != nil {
-		return err
+// routeWrite prepares a write batch: every key's owner row and zeroed
+// tallies. Caller holds c.mu (either side).
+func (c *Client) routeWrite(sc *batchScratch, keys []uint64, rf int) error {
+	sc.pending = sc.pending[:0]
+	for i := range keys {
+		sc.pending = append(sc.pending, i)
 	}
-	return c.readGets(s, keys, visit)
+	sc.acks = resize(sc.acks, len(keys))
+	sc.vers = resize(sc.vers, len(keys))
+	sc.grants = resize(sc.grants, len(keys))
+	return c.route(sc, keys, sc.pending, rf)
+}
+
+// writeRound runs a write batch's one round over the slots already added
+// and flags every slot its member never acknowledged — the owners the
+// write is still owed to. It returns the last member error, for the
+// quorum-shortfall message.
+func (c *Client) writeRound(sc *batchScratch, send func(cl *wire.Client, slot int) error, recv func(s *subBatch, slot int, resp wire.Response) error) (lastErr error) {
+	c.round(sc, send, recv)
+	for _, s := range sc.subs {
+		if s.err != nil {
+			lastErr = s.err
+			for _, slot := range s.idx[s.delivered:] {
+				sc.flagged[slot] = true
+			}
+		}
+	}
+	return lastErr
+}
+
+// ack credits key i with one owner's acknowledgement at version ver.
+func (sc *batchScratch) ack(i int, ver uint64) {
+	sc.acks[i]++
+	sc.vers[i] = max(sc.vers[i], ver)
 }
 
 // SetBatch routes one SET per key, with value(i) producing the i-th
-// payload. Pipelining and recovery mirror GetBatch. Under replication each
-// key is written to all R owners and the batch fails unless every key is
-// acknowledged by at least W of them; owners that failed their write while
-// the key still met quorum are queued for background repair.
+// payload, in one round trip across all the members involved: each key is
+// written to all R of its owners, and the batch fails unless every key is
+// acknowledged by at least W of them. Owners that failed their write
+// while the key still met quorum are queued for background repair at the
+// version the write was stored under, so a transiently dead member
+// converges instead of staying stale. R = 1 is the same round with one
+// owner per key and a quorum of one.
+//
+// A key this client holds a fill lease for (Options.Leases) is sent as
+// the lease fill instead, to its primary alone: applied, it propagates to
+// the other owners as a conditional background repair; refused
+// (LEASE_LOST), it is a successful no-op, because fresher state already
+// won — the read-through contract Options.Leases documents.
 func (c *Client) SetBatch(keys []uint64, value func(i int) []byte) error {
 	c.maybeRefresh()
 	bt := c.nextTrace()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if c.leases || c.near != nil {
-		return c.setBatchLeased(keys, bt, value)
-	}
-	if c.effReplicas() > 1 {
-		return c.setBatchReplicated(keys, bt, value)
-	}
-	return c.setBatchPlain(keys, bt, value)
-}
-
-// setBatchPlain is the unreplicated SET round: pipeline per owner,
-// replay-once recovery. Caller holds c.mu.RLock.
-func (c *Client) setBatchPlain(keys []uint64, bt batchTrace, value func(i int) []byte) error {
 	sc := getBatchScratch()
 	defer sc.release()
-	subs, err := c.partition(sc, keys)
-	if err != nil {
+	rf := c.effReplicas()
+	if err := c.routeWrite(sc, keys, rf); err != nil {
 		return err
 	}
-	lockSubs(subs)
-	defer unlockSubs(subs)
-
-	for _, s := range subs {
-		s.err = s.enqueueSets(c.dial, keys, value, bt)
-	}
-	for _, s := range subs {
-		if s.err == nil {
-			s.err = c.readSets(s, keys, value)
+	held := c.grantsN.Load() > 0
+	for i, k := range keys {
+		fan := rf
+		if held {
+			if sc.grants[i] = c.takeGrant(k); sc.grants[i] != nil {
+				fan = 1
+			}
 		}
-		if s.err != nil {
-			if s.delivered > 0 {
-				dropSubs(subs)
-				return s.err
-			}
-			s.nc.drop()
-			s.nc.redials.Add(1)
-			if err := s.enqueueSets(c.dial, keys, value, bt); err != nil {
-				dropSubs(subs)
-				return err
-			}
-			if err := c.readSets(s, keys, value); err != nil {
-				dropSubs(subs)
-				return err
-			}
+		for j := 0; j < fan; j++ {
+			sc.add(i*rf + j)
 		}
 	}
-	return nil
-}
 
-// readSets drains one sub-batch's SET responses, observing the topology
-// epoch each one carries and (when the near-cache is on) caching each
-// stored value under the version the owner assigned it.
-func (c *Client) readSets(s *subBatch, keys []uint64, value func(i int) []byte) error {
-	cl := s.nc.cl
-	for _, i := range s.idx[s.delivered:] {
-		resp, err := cl.ReadResponse()
-		if err != nil {
-			return err
+	send := func(cl *wire.Client, slot int) error {
+		i := slot / rf
+		g := sc.grants[i]
+		switch {
+		case g != nil && bt.traced:
+			return cl.EnqueueSetLeaseTraced(keys[i], g.token, bt.tc, value(i))
+		case g != nil:
+			return cl.EnqueueSetLease(keys[i], g.token, value(i))
+		case bt.traced:
+			return cl.EnqueueSetFlagsTraced(keys[i], 0, bt.tc, value(i))
+		default:
+			return cl.EnqueueSet(keys[i], value(i))
 		}
-		c.observeEpoch(resp.Epoch)
-		if resp.Status != wire.StatusOK {
+	}
+	recv := func(s *subBatch, slot int, resp wire.Response) error {
+		i := slot / rf
+		switch resp.Status {
+		case wire.StatusOK:
+			sc.ack(i, resp.Version)
+			if sc.grants[i] != nil {
+				// An applied fill is owed to the key's other owners.
+				for r := slot + 1; r < (i+1)*rf; r++ {
+					sc.flagged[r] = true
+				}
+			}
+		case wire.StatusLeaseLost:
+			// Resolved, with nothing stored: vers[i] stays 0.
+			sc.acks[i]++
+			c.leaseLost.Add(1)
+			if c.near != nil {
+				c.near.remove(keys[i])
+			}
+		default:
 			return fmt.Errorf("cluster: unexpected SET response %v from %s", resp.Status, s.nc.addr)
 		}
 		s.nc.sets.Add(1)
-		s.delivered++
+		return nil
+	}
+	lastErr := c.writeRound(sc, send, recv)
+
+	w := c.effQuorum(rf)
+	for i, k := range keys {
+		need := w
+		if sc.grants[i] != nil {
+			need = 1
+		}
+		if sc.acks[i] < need {
+			return fmt.Errorf("cluster: SET %d acknowledged by %d of %d owners, write quorum %d: %w",
+				k, sc.acks[i], rf, need, lastErr)
+		}
+	}
+	for i, k := range keys {
+		if sc.vers[i] == 0 {
+			continue // a lost fill: nothing to propagate or cache
+		}
+		if owed := sc.flaggedAddrs(i, rf); len(owed) > 0 {
+			c.scheduleRepair(k, sc.vers[i], value(i), owed, bt)
+		}
 		if c.near != nil {
-			c.near.store(keys[i], resp.Version, value(i), time.Now())
+			c.near.store(k, sc.vers[i], value(i), time.Now())
 		}
 	}
 	return nil
@@ -665,24 +788,26 @@ func (c *Client) Set(key uint64, value []byte) error {
 	return c.SetBatch([]uint64{key}, func(int) []byte { return value })
 }
 
-// Del deletes key as a versioned write (wire v8): every owner stores a
-// tombstone, and the call reports whether any owner still held a live
-// value. Like SET, the delete succeeds once W owners acknowledge it; an
-// unreachable owner no longer fails the whole call — its tombstone is
-// parked as a hint on a live acknowledged owner (hinted handoff) and
-// replayed when the owner returns, with the anti-entropy sweep as the
-// backstop. Fewer than W reachable owners is an error: the delete is not
-// yet durable by this cluster's own definition of durable.
+// Del deletes key as a versioned write (wire v8) — a one-key write round:
+// every owner is sent the DEL in parallel and stores a tombstone, and the
+// call reports whether any owner still held a live value. Like SET, the
+// delete succeeds once W owners acknowledge it; an unreachable owner does
+// not fail the call — its tombstone is parked as a hint on a live member
+// (hinted handoff) and replayed when the owner returns, with the
+// anti-entropy sweep as the backstop. Fewer than W reachable owners is an
+// error: the delete is not yet durable by this cluster's own definition
+// of durable.
 func (c *Client) Del(key uint64) (bool, error) {
 	c.maybeRefresh()
 	bt := c.nextTrace()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	owners := c.ring.OwnersFor(key, c.effReplicas())
-	if len(owners) == 0 {
-		return false, fmt.Errorf("cluster: empty ring")
+	sc := getBatchScratch()
+	defer sc.release()
+	rf := c.effReplicas()
+	if err := c.routeWrite(sc, []uint64{key}, rf); err != nil {
+		return false, err
 	}
-	w := c.effQuorum(len(owners))
 	// Purge the local edge before and after the fan-out: before, so a
 	// grant can't turn a later SET into a fill of the deleted key; after,
 	// so a concurrent read that repopulated the near-cache mid-delete
@@ -693,53 +818,37 @@ func (c *Client) Del(key uint64) (bool, error) {
 	if c.grantsN.Load() > 0 {
 		c.finishGrant(key)
 	}
+	for slot := 0; slot < rf; slot++ {
+		sc.add(slot)
+	}
 	present := false
-	acked := 0
-	var ver uint64
-	var failed []string
-	var lastErr error
-	for _, addr := range owners {
-		nc := c.nodes[addr]
-		nc.mu.Lock()
-		nc.dels.Add(1)
-		err := nc.withRetry(c.dial, func(cl *wire.Client) error {
-			var p bool
-			var v uint64
-			var err error
+	lastErr := c.writeRound(sc,
+		func(cl *wire.Client, _ int) error {
 			if bt.traced {
-				p, v, err = cl.DelTraced(key, bt.tc)
-			} else {
-				p, v, err = cl.Del(key)
+				return cl.EnqueueDelTraced(key, bt.tc)
 			}
-			if err == nil {
-				present = present || p
-				if v > ver {
-					ver = v
-				}
+			return cl.EnqueueDel(key)
+		},
+		func(s *subBatch, _ int, resp wire.Response) error {
+			if resp.Status != wire.StatusOK {
+				return fmt.Errorf("cluster: unexpected DEL response %v from %s", resp.Status, s.nc.addr)
 			}
-			c.observeEpoch(cl.LastEpoch())
-			return err
+			s.nc.dels.Add(1)
+			present = present || resp.Evicted
+			sc.ack(0, resp.Version)
+			return nil
 		})
-		nc.mu.Unlock()
-		if err != nil {
-			nc.mu.Lock()
-			nc.drop()
-			nc.mu.Unlock()
-			failed = append(failed, addr)
-			lastErr = err
-			continue
-		}
-		acked++
-	}
-	if acked < w {
+	if w := c.effQuorum(rf); sc.acks[0] < w {
 		return present, fmt.Errorf("cluster: DEL %d acknowledged by %d of %d owners, write quorum %d: %w",
-			key, acked, len(owners), w, lastErr)
+			key, sc.acks[0], rf, w, lastErr)
 	}
-	// The quorum holds tombstones at ≥ ver; park one hint per missed owner
-	// so the delete chases it down on rejoin instead of waiting a full
-	// anti-entropy period.
-	for _, addr := range failed {
-		c.hintHandoff(addr, key, true, ver, nil)
+	// The quorum holds tombstones at ≥ vers[0]; park one hint per missed
+	// owner so the delete chases it down on rejoin instead of waiting a
+	// full anti-entropy period.
+	for slot := 0; slot < rf; slot++ {
+		if sc.flagged[slot] {
+			c.hintHandoff(sc.owners[slot].addr, key, true, sc.vers[0], nil)
+		}
 	}
 	if c.near != nil {
 		c.near.remove(key)

@@ -201,63 +201,10 @@ func TestRemoveNodeUnderLiveTraffic(t *testing.T) {
 }
 
 // TestRouterReconnect restarts a member on the same address and checks the
-// router transparently redials it.
+// router transparently redials it, at every point of the settings matrix
+// (the shared body is memberFault, in replication_test.go).
 func TestRouterReconnect(t *testing.T) {
-	cache, err := concurrent.New(concurrent.Config{Capacity: 256, Alpha: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := server.New(cache)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	go srv.Serve(ln)
-
-	ctl, err := Dial([]string{addr, startNode(t, 256, 4, 2)}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctl.Close()
-	if err := ctl.Set(1, []byte("before")); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restart the node on the same port; its cache starts empty.
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	cache2, err := concurrent.New(concurrent.Config{Capacity: 256, Alpha: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2 := server.New(cache2)
-	ln2, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatalf("rebinding %s: %v", addr, err)
-	}
-	go srv2.Serve(ln2)
-	t.Cleanup(func() { srv2.Close() })
-
-	// Every key routes somewhere; operations against the restarted member
-	// must succeed via the redial path rather than surfacing a dead
-	// connection.
-	for k := uint64(0); k < 64; k++ {
-		if err := ctl.Set(k, []byte("after")); err != nil {
-			t.Fatalf("Set(%d) after restart: %v", k, err)
-		}
-		if _, _, err := ctl.Get(k); err != nil {
-			t.Fatalf("Get(%d) after restart: %v", k, err)
-		}
-	}
-	redials := uint64(0)
-	for _, nc := range ctl.Counters() {
-		redials += nc.Redials
-	}
-	if redials == 0 {
-		t.Error("router reported no redials after a member restart")
-	}
+	forEachSetting(t, func(t *testing.T, opts Options) { memberFault(t, opts, false) })
 }
 
 // stallConn freezes reads that occur inside a wall-clock window, emulating

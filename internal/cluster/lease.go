@@ -1,16 +1,12 @@
 package cluster
 
-import (
-	"fmt"
-	"time"
+import "time"
 
-	"repro/internal/wire"
-)
-
-// This file is the client half of the v7 lease protocol: GETL misses, the
-// grant table, the fill path, and the waiter-resolution loop, plus the
+// This file is the client half of the v7 lease protocol: the grant table
+// and the steps leases add to the batch pipelines of client.go — the
 // router-level singleflight that keeps one process from duplicating a
-// fill it already owns. The near-cache (nearcache.go) is its edge: lease
+// fill it already owns, and the poll that resolves keys whose fill
+// someone else holds. The near-cache (nearcache.go) is its edge: lease
 // and stale-hint reads land there, version-reconciled, so a hot key's
 // storm is absorbed locally instead of at the key's primary owner.
 
@@ -118,74 +114,51 @@ func (c *Client) evictGrantsLocked() {
 	}
 }
 
-// getBatchLeased is GetBatch with leases and/or the near-cache on:
-// serve what the near-cache holds, singleflight on fills this client
-// already owns, send the remainder as GETL (plain GET when only the
-// near-cache is enabled), and resolve zero-token waiters by polling the
-// holder. Caller holds c.mu.RLock.
-func (c *Client) getBatchLeased(keys []uint64, bt batchTrace, visit func(i int, hit bool, value []byte)) error {
+// serveNear delivers the keys of idxs the near-cache holds and returns the
+// rest, compacted in place; with the near-cache off that is all of them.
+func (c *Client) serveNear(keys []uint64, idxs []int, visit func(i int, hit bool, value []byte)) []int {
+	if c.near == nil {
+		return idxs
+	}
 	now := time.Now()
-	remote := make([]int, 0, len(keys))
-	for i, k := range keys {
-		if c.near != nil {
-			if val, _, ok := c.near.lookup(k, now); ok {
-				c.nearHits.Add(1)
-				visit(i, true, val)
-				continue
-			}
+	rest := idxs[:0]
+	for _, i := range idxs {
+		if val, _, ok := c.near.lookup(keys[i], now); ok {
+			c.nearHits.Add(1)
+			visit(i, true, val)
+			continue
 		}
-		remote = append(remote, i)
+		rest = append(rest, i)
 	}
-	if len(remote) > 0 && c.near != nil && c.grantsN.Load() > 0 {
-		remote = c.waitLocalGrants(keys, remote, visit)
-	}
-	if len(remote) == 0 {
-		return nil
-	}
-	// The network round runs over the compacted remainder so sub-batch
-	// index bookkeeping stays contiguous; wvisit maps back.
-	rk := make([]uint64, len(remote))
-	for j, i := range remote {
-		rk[j] = keys[i]
-	}
-	wvisit := func(j int, hit bool, value []byte) { visit(remote[j], hit, value) }
-	var waiters []int
-	var err error
-	if c.effReplicas() > 1 {
-		err = c.getBatchReplicated(rk, bt, &waiters, wvisit)
-	} else {
-		all := make([]int, len(rk))
-		for j := range all {
-			all[j] = j
-		}
-		err = c.getBatchDirectLeased(rk, all, bt, &waiters, wvisit)
-	}
-	if err != nil {
-		return err
-	}
-	if len(waiters) > 0 {
-		return c.resolveWaiters(rk, waiters, bt, wvisit)
-	}
-	return nil
+	return rest
 }
 
 // waitLocalGrants is the router singleflight: a key whose fill lease is
-// held by a sibling goroutine of this client waits briefly on that fill
-// instead of sending a duplicate miss, then rechecks the near-cache.
-func (c *Client) waitLocalGrants(keys []uint64, remote []int, visit func(i int, hit bool, value []byte)) []int {
-	still := remote[:0]
-	for _, i := range remote {
+// held by a sibling goroutine of this client waits on that fill instead
+// of sending a duplicate miss, then rechecks the near-cache (without one
+// there is nowhere for the sibling's fill to be seen, so nothing waits).
+// The whole batch shares one leaseLocalWait deadline: the caller holds
+// c.mu.RLock, and a wait per key would park a batch of unfilled grants —
+// and, through the RWMutex's writer queue, every membership change and
+// every reader behind it — for that many timeouts back to back.
+func (c *Client) waitLocalGrants(keys []uint64, idxs []int, visit func(i int, hit bool, value []byte)) []int {
+	if c.near == nil || c.grantsN.Load() == 0 {
+		return idxs
+	}
+	deadline := time.Now().Add(leaseLocalWait)
+	rest := idxs[:0]
+	for _, i := range idxs {
 		g := c.peekGrant(keys[i])
 		if g == nil {
-			still = append(still, i)
+			rest = append(rest, i)
 			continue
 		}
 		c.leaseWaits.Add(1)
-		wait := time.Until(g.expires)
-		if wait > leaseLocalWait {
-			wait = leaseLocalWait
+		until := deadline
+		if g.expires.Before(until) {
+			until = g.expires
 		}
-		if wait > 0 {
+		if wait := time.Until(until); wait > 0 {
 			t := time.NewTimer(wait)
 			select {
 			case <-g.done:
@@ -198,322 +171,32 @@ func (c *Client) waitLocalGrants(keys []uint64, remote []int, visit func(i int, 
 			visit(i, true, val)
 			continue
 		}
-		still = append(still, i)
-	}
-	return still
-}
-
-// getBatchDirectLeased is the unreplicated network round of a leased
-// batch: one GETL per key (plain GET when only the near-cache is on),
-// with the plain path's pipelining and replay-once recovery. Zero-token
-// LEASE responses without a stale hint append their index to waiters for
-// the caller's resolution loop. Caller holds c.mu.RLock.
-func (c *Client) getBatchDirectLeased(keys []uint64, idxs []int, bt batchTrace, waiters *[]int, visit func(i int, hit bool, value []byte)) error {
-	sc := getBatchScratch()
-	defer sc.release()
-	subs, err := c.partitionIdx(sc, keys, idxs)
-	if err != nil {
-		return err
-	}
-	lockSubs(subs)
-	defer unlockSubs(subs)
-
-	for _, s := range subs {
-		s.err = s.enqueueGetsLease(c.dial, keys, bt, c.leases)
-	}
-	for _, s := range subs {
-		if s.err == nil {
-			s.err = c.readGetsLeased(s, keys, waiters, visit)
-		}
-		if s.err != nil {
-			if s.delivered > 0 {
-				dropSubs(subs)
-				return s.err
-			}
-			s.nc.drop()
-			s.nc.redials.Add(1)
-			if err := s.enqueueGetsLease(c.dial, keys, bt, c.leases); err != nil {
-				dropSubs(subs)
-				return err
-			}
-			if err := c.readGetsLeased(s, keys, waiters, visit); err != nil {
-				dropSubs(subs)
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// enqueueGetsLease dials (if needed), pipelines the sub-batch's reads as
-// GETL (lease) or GET, and flushes.
-func (s *subBatch) enqueueGetsLease(dial DialFunc, keys []uint64, bt batchTrace, lease bool) error {
-	if !lease {
-		return s.enqueueGets(dial, keys, bt)
-	}
-	cl, err := s.nc.client(dial)
-	if err != nil {
-		return err
-	}
-	for _, i := range s.idx {
-		if bt.traced {
-			err = cl.EnqueueGetLeaseTraced(keys[i], bt.tc)
-		} else {
-			err = cl.EnqueueGetLease(keys[i])
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return cl.Flush()
-}
-
-// readGetsLeased drains one sub-batch's GETL (or GET) responses: hits
-// reconcile through the near-cache, grants are recorded and reported as
-// misses (the caller's read-through fill carries the token), stale hints
-// are served as hits, and bare zero-token responses join waiters.
-func (c *Client) readGetsLeased(s *subBatch, keys []uint64, waiters *[]int, visit func(i int, hit bool, value []byte)) error {
-	cl := s.nc.cl
-	for _, i := range s.idx[s.delivered:] {
-		resp, err := cl.ReadResponse()
-		if err != nil {
-			return err
-		}
-		c.observeEpoch(resp.Epoch)
-		s.nc.gets.Add(1)
-		s.delivered++
-		switch resp.Status {
-		case wire.StatusHit:
-			s.nc.hits.Add(1)
-			val := resp.Value
-			if c.near != nil {
-				val, _ = c.near.reconcile(keys[i], resp.Version, resp.Value, time.Now())
-			}
-			if c.grantsN.Load() > 0 {
-				// Resident after all: a stray grant must not turn a later
-				// user SET of the key into a discardable fill.
-				c.finishGrant(keys[i])
-			}
-			visit(i, true, val)
-		case wire.StatusMiss:
-			s.nc.misses.Add(1)
-			visit(i, false, nil)
-		case wire.StatusLease:
-			s.nc.misses.Add(1)
-			switch {
-			case resp.LeaseToken != 0:
-				c.recordGrant(keys[i], resp.LeaseToken, resp.LeaseTTL)
-				visit(i, false, nil)
-			case resp.Stale:
-				c.staleHints.Add(1)
-				val := resp.Value
-				if c.near != nil {
-					val, _ = c.near.reconcile(keys[i], resp.Version, resp.Value, time.Now())
-				}
-				visit(i, true, val)
-			default:
-				*waiters = append(*waiters, i)
-			}
-		default:
-			return fmt.Errorf("cluster: unexpected GETL response %v from %s", resp.Status, s.nc.addr)
-		}
-	}
-	return nil
-}
-
-// resolveWaiters polls keys whose lease is held elsewhere: recheck the
-// near-cache, re-GETL the owner under backoff, and past leaseWaitCap
-// resolve as plain misses — the caller's read-through then GETLs again
-// and typically inherits the expired lease. Caller holds c.mu.RLock.
-func (c *Client) resolveWaiters(keys []uint64, waiters []int, bt batchTrace, visit func(i int, hit bool, value []byte)) error {
-	c.leaseWaits.Add(uint64(len(waiters)))
-	deadline := time.Now().Add(leaseWaitCap)
-	backoff := leaseWaitBackoff
-	pending := waiters
-	for {
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > leaseWaitBackoffMax {
-			backoff = leaseWaitBackoffMax
-		}
-		now := time.Now()
-		still := pending[:0]
-		for _, i := range pending {
-			if c.near != nil {
-				if val, _, ok := c.near.lookup(keys[i], now); ok {
-					c.nearHits.Add(1)
-					visit(i, true, val)
-					continue
-				}
-			}
-			still = append(still, i)
-		}
-		if len(still) == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			for _, i := range still {
-				visit(i, false, nil)
-			}
-			return nil
-		}
-		var next []int
-		if err := c.getBatchDirectLeased(keys, still, bt, &next, visit); err != nil {
-			return err
-		}
-		if len(next) == 0 {
-			return nil
-		}
-		pending = next
-	}
-}
-
-// setBatchLeased is SetBatch with leases and/or the near-cache on. Keys
-// this client holds a fill lease for are sent as lease fills to their
-// primary owner — a fill the server refuses (LEASE_LOST) is a successful
-// no-op, because Options.Leases declares the client's SETs read-through
-// fills whenever a lease is held. The rest go down the ordinary user-SET
-// path. Caller holds c.mu.RLock.
-func (c *Client) setBatchLeased(keys []uint64, bt batchTrace, value func(i int) []byte) error {
-	var fills []int
-	var grants map[int]*leaseGrant
-	rest := make([]int, 0, len(keys))
-	for i, k := range keys {
-		if c.grantsN.Load() > 0 {
-			if g := c.takeGrant(k); g != nil {
-				if grants == nil {
-					grants = make(map[int]*leaseGrant)
-				}
-				fills = append(fills, i)
-				grants[i] = g
-				continue
-			}
-		}
 		rest = append(rest, i)
 	}
-	if len(fills) > 0 {
-		if err := c.fillLeases(keys, fills, grants, bt, value); err != nil {
-			return err
-		}
-	}
-	if len(rest) == 0 {
-		return nil
-	}
-	if len(rest) < len(keys) {
-		rk := make([]uint64, len(rest))
-		for j, i := range rest {
-			rk[j] = keys[i]
-		}
-		rvalue := func(j int) []byte { return value(rest[j]) }
-		if c.effReplicas() > 1 {
-			return c.setBatchReplicated(rk, bt, rvalue)
-		}
-		return c.setBatchPlain(rk, bt, rvalue)
-	}
-	if c.effReplicas() > 1 {
-		return c.setBatchReplicated(keys, bt, value)
-	}
-	return c.setBatchPlain(keys, bt, value)
+	return rest
 }
 
-// fillLeases writes lease fills to each key's primary owner, pipelined
-// per member with replay-once recovery. Whatever happens, every grant's
-// done channel is closed on the way out so local waiters re-poll instead
-// of sleeping out their cap. Under replication an applied fill is
-// propagated to the remaining owners as a conditional background repair.
-func (c *Client) fillLeases(keys []uint64, idxs []int, grants map[int]*leaseGrant, bt batchTrace, value func(i int) []byte) error {
-	defer func() {
-		for _, g := range grants {
-			close(g.done)
-		}
-	}()
-	sc := getBatchScratch()
-	defer sc.release()
-	subs, err := c.partitionIdx(sc, keys, idxs)
-	if err != nil {
-		return err
-	}
-	lockSubs(subs)
-	defer unlockSubs(subs)
-
-	for _, s := range subs {
-		s.err = s.enqueueFills(c.dial, keys, grants, value, bt)
-	}
-	rf := c.effReplicas()
-	for _, s := range subs {
-		if s.err == nil {
-			s.err = c.readFills(s, keys, rf, bt, value)
-		}
-		if s.err != nil {
-			if s.delivered > 0 {
-				dropSubs(subs)
-				return s.err
+// pollWaiters resolves sc.waiters, the keys whose fill lease another
+// caller holds: under exponential backoff, recheck the near-cache and
+// re-ask the primary — readRounds capped at one round — until the fill
+// lands, and past leaseWaitCap resolve what is left as plain misses; the
+// caller's read-through then GETLs again and typically inherits the
+// expired lease. Caller holds c.mu.RLock.
+func (c *Client) pollWaiters(sc *batchScratch, keys []uint64, bt batchTrace, rf int, visit func(i int, hit bool, value []byte)) error {
+	c.leaseWaits.Add(uint64(len(sc.waiters)))
+	deadline := time.Now().Add(leaseWaitCap)
+	for backoff := leaseWaitBackoff; len(sc.waiters) > 0; backoff = min(2*backoff, leaseWaitBackoffMax) {
+		time.Sleep(backoff)
+		sc.pending = c.serveNear(keys, append(sc.pending[:0], sc.waiters...), visit)
+		sc.waiters = sc.waiters[:0]
+		if time.Now().After(deadline) {
+			for _, i := range sc.pending {
+				visit(i, false, nil)
 			}
-			s.nc.drop()
-			s.nc.redials.Add(1)
-			if err := s.enqueueFills(c.dial, keys, grants, value, bt); err != nil {
-				dropSubs(subs)
-				return err
-			}
-			if err := c.readFills(s, keys, rf, bt, value); err != nil {
-				dropSubs(subs)
-				return err
-			}
+			return nil
 		}
-	}
-	return nil
-}
-
-// enqueueFills dials (if needed), pipelines the sub-batch's lease fills
-// and flushes.
-func (s *subBatch) enqueueFills(dial DialFunc, keys []uint64, grants map[int]*leaseGrant, value func(i int) []byte, bt batchTrace) error {
-	cl, err := s.nc.client(dial)
-	if err != nil {
-		return err
-	}
-	for _, i := range s.idx {
-		if bt.traced {
-			err = cl.EnqueueSetLeaseTraced(keys[i], grants[i].token, bt.tc, value(i))
-		} else {
-			err = cl.EnqueueSetLease(keys[i], grants[i].token, value(i))
-		}
-		if err != nil {
+		if err := c.readRounds(sc, keys, bt, rf, 1, visit); err != nil {
 			return err
-		}
-	}
-	return cl.Flush()
-}
-
-// readFills drains one sub-batch's lease-fill responses. OK caches the
-// value near (it is the key's current version) and, under replication,
-// schedules its propagation; LEASE_LOST counts and moves on — fresher
-// state won, which is exactly the invariant the lease exists to keep.
-func (c *Client) readFills(s *subBatch, keys []uint64, rf int, bt batchTrace, value func(i int) []byte) error {
-	cl := s.nc.cl
-	for _, i := range s.idx[s.delivered:] {
-		resp, err := cl.ReadResponse()
-		if err != nil {
-			return err
-		}
-		c.observeEpoch(resp.Epoch)
-		s.nc.sets.Add(1)
-		s.delivered++
-		switch resp.Status {
-		case wire.StatusOK:
-			if c.near != nil {
-				c.near.store(keys[i], resp.Version, value(i), time.Now())
-			}
-			if rf > 1 {
-				if owners := c.ring.OwnersFor(keys[i], rf); len(owners) > 1 {
-					c.scheduleRepair(keys[i], resp.Version, value(i), owners[1:], bt)
-				}
-			}
-		case wire.StatusLeaseLost:
-			c.leaseLost.Add(1)
-			if c.near != nil {
-				c.near.remove(keys[i])
-			}
-		default:
-			return fmt.Errorf("cluster: unexpected LEASE SET response %v from %s", resp.Status, s.nc.addr)
 		}
 	}
 	return nil

@@ -171,6 +171,45 @@ func TestLeaseHerdSuppressionReplicated(t *testing.T) {
 	}
 }
 
+// TestLocalGrantWaitSharesOneDeadline pins the bound on the router
+// singleflight: a batch whose keys are all held by a sibling's unfilled
+// grants waits leaseLocalWait once for the whole batch — not once per key,
+// which parked a 16-key batch for ~800ms under c.mu.RLock and, through
+// the RWMutex's writer queue, every membership change behind it — and
+// still visits each key exactly once.
+func TestLocalGrantWaitSharesOneDeadline(t *testing.T) {
+	addrs := startCluster(t, 1, 4096, 16)
+	c, err := Dial(addrs, Options{Leases: true, NearCache: NearCacheOptions{Slots: 64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	keys := make([]uint64, 16)
+	for i := range keys {
+		keys[i] = 0xF111 + uint64(i)
+		c.recordGrant(keys[i], uint64(i)+1, time.Minute) // a sibling's fill that never lands
+	}
+	seen := make([]int, len(keys))
+	start := time.Now()
+	if err := c.GetBatch(keys, func(i int, hit bool, _ []byte) {
+		seen[i]++
+		if hit {
+			t.Errorf("key %d hit; nothing ever stored it", keys[i])
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took >= 2*leaseLocalWait {
+		t.Errorf("GetBatch of %d locally granted keys took %v, want < %v: the local waits ran back to back", len(keys), took, 2*leaseLocalWait)
+	}
+	for i, n := range seen {
+		if n != 1 {
+			t.Errorf("key %d visited %d times, want exactly once", keys[i], n)
+		}
+	}
+}
+
 // TestLeaseFillDiscardedWhenLost pins the documented read-through
 // contract: a SET arriving while the key's lease was superseded by a
 // fresher write is discarded as a successful no-op — the fresher value

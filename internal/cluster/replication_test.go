@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -141,41 +143,139 @@ func TestReadRepair(t *testing.T) {
 	}
 }
 
-// TestReplicatedKillNodeZeroLostReads is the availability acceptance test:
-// 3 nodes, R=2, one node killed (crashed, not retired) in the middle of
-// live read traffic. No read may fail and no preloaded key may be lost —
-// every key's surviving replica serves it. Afterwards RemoveNode cleans the
-// dead member out of the ring without contacting it.
-func TestReplicatedKillNodeZeroLostReads(t *testing.T) {
+// forEachSetting runs body once per point of the settings matrix
+// R ∈ {1, 2, 3} × Leases × NearCache. The settings are inputs of one read
+// pipeline and one write pipeline, so one body must hold at all of them.
+func forEachSetting(t *testing.T, body func(t *testing.T, opts Options)) {
+	for _, r := range []int{1, 2, 3} {
+		for _, leases := range []bool{false, true} {
+			for _, near := range []bool{false, true} {
+				opts := Options{Replicas: r, WriteQuorum: 1, Leases: leases}
+				if near {
+					// A short TTL: the near-cache may absorb a dead owner's
+					// keys only briefly, so the fault stays observable.
+					opts.NearCache = NearCacheOptions{Slots: 64, TTL: 5 * time.Millisecond}
+				}
+				t.Run(fmt.Sprintf("R=%d/leases=%v/near=%v", r, leases, near), func(t *testing.T) {
+					t.Parallel()
+					body(t, opts)
+				})
+			}
+		}
+	}
+}
+
+// memberFault drives the batch pipelines' contract through the loss of
+// one of three members, either restarted empty on its own address or
+// crashed for good:
+//
+//   - every index of a GetBatch is visited exactly once — at most once,
+//     and never only for a key whose every owner is the crashed member,
+//     when the batch returns an error;
+//   - a hit returns the last acknowledged value;
+//   - a restarted member is redialed transparently: every later operation
+//     succeeds;
+//   - with R ≥ 2 a crashed member loses no read, and can be retired
+//     without being contacted;
+//   - with R = 1 an error is returned only for a batch holding a key
+//     whose single owner stays unreachable after the one redial.
+func memberFault(t *testing.T, opts Options, crash bool) {
 	const (
 		k     = 8192
 		alpha = 32
-		nkeys = 1500
+		nkeys = 600
 	)
 	addrs := make([]string, 3)
 	servers := make([]*server.Server, 3)
 	for i := range addrs {
 		addrs[i], servers[i] = startNodeWithServer(t, k, alpha, uint64(i+1))
 	}
-	ctl, err := Dial(addrs, Options{Replicas: 2, WriteQuorum: 1})
+	victim := addrs[0]
+	ctl, err := Dial(addrs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
 
 	keys := make([]uint64, nkeys)
+	want := make(map[uint64][]byte, nkeys) // last acknowledged value per key
 	for i := range keys {
 		keys[i] = uint64(i) + 1
+		want[keys[i]] = load.Payload(keys[i], 32)
 	}
-	if err := ctl.SetBatch(keys, func(i int) []byte { return load.Payload(keys[i], 32) }); err != nil {
+	if err := ctl.SetBatch(keys, func(i int) []byte { return want[keys[i]] }); err != nil {
 		t.Fatal(err)
 	}
+	// lost reports whether key has no owner but the victim.
+	lost := func(key uint64) bool {
+		o := ctl.Owners(key)
+		return len(o) == 1 && o[0] == victim
+	}
+	// read issues one GetBatch and checks the visit contract on it.
+	read := func(batch []uint64) (hits int, err error) {
+		seen := make([]int, len(batch))
+		err = ctl.GetBatch(batch, func(i int, hit bool, v []byte) {
+			seen[i]++
+			if hit {
+				hits++
+				if !bytes.Equal(v, want[batch[i]]) {
+					t.Errorf("key %d: hit returned %q, last acknowledged value is %q", batch[i], v, want[batch[i]])
+				}
+			}
+		})
+		for i, n := range seen {
+			if n > 1 || (n == 0 && (err == nil || !lost(batch[i]))) {
+				t.Errorf("key %d visited %d times (batch error: %v)", batch[i], n, err)
+			}
+		}
+		return hits, err
+	}
+	if hits, err := read(keys); err != nil || hits != nkeys {
+		t.Fatalf("before the fault: %d of %d keys hit, err %v", hits, nkeys, err)
+	}
 
-	// Live GET traffic through the shared router while a member dies.
+	if !crash {
+		// Restart the victim on its own address; its cache starts empty.
+		if err := servers[0].Close(); err != nil {
+			t.Fatal(err)
+		}
+		cache, err := concurrent.New(concurrent.Config{Capacity: k, Alpha: alpha, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := server.New(cache)
+		ln, err := net.Listen("tcp", victim)
+		if err != nil {
+			t.Fatalf("rebinding %s: %v", victim, err)
+		}
+		go srv.Serve(ln)
+		t.Cleanup(func() { srv.Close() })
+
+		// Every key routes somewhere; operations against the restarted
+		// member must succeed via the redial rather than surfacing a dead
+		// connection.
+		for _, key := range keys[:64] {
+			want[key] = load.Payload(key, 48)
+			if err := ctl.Set(key, want[key]); err != nil {
+				t.Fatalf("Set(%d) after restart: %v", key, err)
+			}
+			if hits, err := read([]uint64{key}); err != nil || hits != 1 {
+				t.Fatalf("Get(%d) after restart: hit=%d err=%v", key, hits, err)
+			}
+		}
+		if _, err := read(keys); err != nil {
+			t.Fatalf("sweep after restart: %v", err)
+		}
+		if ctl.Counters()[victim].Redials == 0 {
+			t.Error("router reported no redials after a member restart")
+		}
+		return
+	}
+
+	// Live GET traffic through the shared router while the victim dies.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var liveMisses atomic.Uint64
-	trafficErr := make(chan error, 4)
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -187,49 +287,59 @@ func TestReplicatedKillNodeZeroLostReads(t *testing.T) {
 					return
 				default:
 				}
+				doomed := false
 				for j := range batch {
 					batch[j] = keys[(w*31+i*16+j)%nkeys]
+					doomed = doomed || lost(batch[j])
 				}
-				if err := ctl.GetBatch(batch, func(_ int, hit bool, _ []byte) {
-					if !hit {
-						liveMisses.Add(1)
-					}
-				}); err != nil {
-					trafficErr <- err
+				hits, err := read(batch)
+				if err != nil && !doomed {
+					t.Errorf("read failed during the crash though every key had a live owner: %v", err)
 					return
+				}
+				if err == nil {
+					liveMisses.Add(uint64(len(batch) - hits))
 				}
 			}
 		}(w)
 	}
-
 	time.Sleep(50 * time.Millisecond)
-	victim := addrs[0]
 	if err := servers[0].Close(); err != nil { // crash, no drain, no goodbye
 		t.Fatal(err)
 	}
 	time.Sleep(150 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-	select {
-	case err := <-trafficErr:
-		t.Fatalf("read failed during node crash: %v", err)
-	default:
+
+	if opts.Replicas == 1 {
+		// The keys split by whether their single owner survived: the
+		// survivors' keys all read, in one batch, without error; a batch
+		// holding a lost key fails.
+		var alive, dead []uint64
+		for _, key := range keys {
+			if lost(key) {
+				dead = append(dead, key)
+			} else {
+				alive = append(alive, key)
+			}
+		}
+		if len(alive) == 0 || len(dead) == 0 {
+			t.Fatalf("degenerate ring: %d keys on survivors, %d on the victim", len(alive), len(dead))
+		}
+		if hits, err := read(alive); err != nil || hits != len(alive) {
+			t.Errorf("keys of surviving owners: %d of %d hit, err %v", hits, len(alive), err)
+		}
+		if _, err := read(append(dead[:1:1], alive...)); err == nil {
+			t.Error("a batch holding a key whose only owner is dead returned no error")
+		}
+		return
 	}
+
 	if n := liveMisses.Load(); n != 0 {
 		t.Errorf("%d reads missed during the crash; surviving replicas should have served all of them", n)
 	}
-
-	// Full sweep: every preloaded key must still be readable.
-	present := 0
-	if err := ctl.GetBatch(keys, func(_ int, hit bool, _ []byte) {
-		if hit {
-			present++
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if present != nkeys {
-		t.Errorf("lost %d of %d keys to a single node crash with R=2", nkeys-present, nkeys)
+	if hits, err := read(keys); err != nil || hits != nkeys {
+		t.Errorf("after the crash: %d of %d keys hit, err %v", hits, nkeys, err)
 	}
 	if rep := ctl.Replication(); rep.FallbackHits == 0 {
 		t.Error("no fallback hits counted; the crash should have exercised replica fallback")
@@ -246,17 +356,20 @@ func TestReplicatedKillNodeZeroLostReads(t *testing.T) {
 	if got := len(ctl.Nodes()); got != 2 {
 		t.Fatalf("cluster has %d members after RemoveNode, want 2", got)
 	}
-	present = 0
-	if err := ctl.GetBatch(keys, func(_ int, hit bool, _ []byte) {
-		if hit {
-			present++
-		}
-	}); err != nil {
-		t.Fatal(err)
+	if hits, err := read(keys); err != nil || hits != nkeys {
+		t.Errorf("after retiring the crashed member: %d of %d keys hit, err %v", hits, nkeys, err)
 	}
-	if present != nkeys {
-		t.Errorf("lost %d of %d keys after retiring the crashed member", nkeys-present, nkeys)
-	}
+}
+
+// TestReplicatedKillNodeZeroLostReads is the availability acceptance test:
+// one of 3 nodes killed (crashed, not retired) in the middle of live read
+// traffic, at every point of the settings matrix. With R ≥ 2 no read may
+// fail and no preloaded key may be lost — every key's surviving replica
+// serves it — and RemoveNode then cleans the dead member out of the ring
+// without contacting it; R = 1 is the same pipeline with nowhere to fall
+// back to, so exactly the dead member's keys are unreadable.
+func TestReplicatedKillNodeZeroLostReads(t *testing.T) {
+	forEachSetting(t, func(t *testing.T, opts Options) { memberFault(t, opts, true) })
 }
 
 // TestWriteQuorum pins the W-of-R write contract: with one of 3 members

@@ -156,21 +156,24 @@ func (r *Ring) search(key uint64) int {
 // whole nodes, and membership changes perturb owner sets by at most one
 // member per key.
 func (r *Ring) OwnersFor(key uint64, n int) []string {
-	if len(r.points) == 0 || n <= 0 {
+	if n = min(n, len(r.nodes)); n <= 0 {
 		return nil
 	}
-	if n > len(r.nodes) {
-		n = len(r.nodes)
-	}
-	owners := make([]string, 0, n)
+	return r.appendOwners(make([]string, 0, n), key, n)
+}
+
+// appendOwners is OwnersFor appending into an empty dst, so the batch
+// router can fill its pooled owner table without a slice per key. n must
+// not exceed the member count.
+func (r *Ring) appendOwners(dst []string, key uint64, n int) []string {
 	start := r.search(key)
-	for i := 0; len(owners) < n; i++ {
+	for i := 0; len(dst) < n; i++ {
 		node := r.points[(start+i)%len(r.points)].node
-		if !contains(owners, node) {
-			owners = append(owners, node)
+		if !contains(dst, node) {
+			dst = append(dst, node)
 		}
 	}
-	return owners
+	return dst
 }
 
 // contains reports whether owners already lists node. Replica sets are tiny

@@ -28,16 +28,16 @@ import (
 // repairs, never lost acknowledged data beyond what the R/W quorum
 // already permits.
 
-// warmupChunk bounds how many keys a warm-up copies per pipelined round
-// trip, mirroring migrateChunk.
-const warmupChunk = 256
+// copyChunk bounds how many records copyRecs moves per pipelined round
+// trip, keeping peak buffering (chunk × value size) modest.
+const copyChunk = 256
 
 // chunkScratch is the reusable buffer set for readChunkValues: the
 // per-chunk vals/vers/hits slices plus a byte arena the copied values pack
-// into. One scratch serves a whole warm-up or migration loop, so after the
-// first few chunks grow it to the working set's chunk footprint the copy
-// loop stops allocating per chunk. Everything readChunkValues returns
-// aliases the scratch and is overwritten by the next call on it.
+// into. One scratch serves a whole copyRecs call, so after the first few
+// chunks grow it to the working set's chunk footprint the copy loop stops
+// allocating per chunk. Everything readChunkValues returns aliases the
+// scratch and is overwritten by the next call on it.
 type chunkScratch struct {
 	vals [][]byte
 	vers []uint64
@@ -49,26 +49,18 @@ type chunkScratch struct {
 // reset sizes the scratch for an n-key chunk, clearing the previous
 // chunk's state.
 func (sc *chunkScratch) reset(n int) {
-	if cap(sc.vals) < n {
-		sc.vals = make([][]byte, n)
-		sc.vers = make([]uint64, n)
-		sc.offs = make([][2]int, n)
-	}
-	sc.vals = sc.vals[:n]
-	sc.vers = sc.vers[:n]
-	sc.offs = sc.offs[:n]
-	clear(sc.vals)
-	clear(sc.vers)
+	sc.vals = resize(sc.vals, n)
+	sc.vers = resize(sc.vers, n)
+	sc.offs = resize(sc.offs, n)
 	sc.hits = sc.hits[:0]
 	sc.data = sc.data[:0]
 }
 
 // readChunkValues reads one chunk of keys from cl in a pipelined batch,
 // returning copies of the surviving values, the versions they were
-// observed at, and the chunk indices that hit. Both maintenance copy paths
-// — warm-up and the migration drain — read through it, so the value-copy
-// rule (connection buffers alias) and the survivors-versus-vanished split
-// live in one place. The observed versions make the subsequent re-SETs
+// observed at, and the chunk indices that hit: the value-copy rule
+// (connection buffers alias) and the survivors-versus-vanished split live
+// here. The observed versions make copyRecs' subsequent re-SETs
 // conditional (wire.SetFlagVersioned): a copy can never overwrite a value
 // newer than the one it actually read. The returned slices live in sc and
 // are valid only until the next call on the same scratch; the copies pack
@@ -90,6 +82,62 @@ func readChunkValues(cl *wire.Client, chunk []uint64, sc *chunkScratch) (vals []
 		sc.vals[i] = sc.data[o[0]:o[1]]
 	}
 	return sc.vals, sc.vers, sc.hits, err
+}
+
+// copyRecs is the one bulk maintenance primitive: it moves the listed
+// records from src to dst as conditional versioned writes flagged as
+// repair traffic, copyChunk at a time. Warm-up, the R = 1 migration drain
+// and the anti-entropy repair phase all copy through it. A tombstone is
+// written straight from its record — no value to read, so src may be nil
+// when recs holds nothing else. A live record's value is re-read from src
+// first and written at the version it is stored under now, which may be
+// newer than the listed one: a copy can never supersede anything newer
+// than what it actually read, and every write stays synchronous (no
+// ASYNC flag), so the counts mean settled at dst, not queued.
+//
+// applied counts writes dst stored. stale counts writes it refused
+// because it already held something strictly newer — for a maintenance
+// copy that is success by other means: the record is there, fresher than
+// the copy. vanished counts live records src no longer served — evicted,
+// or deleted, between listing and read; whatever replaced them is the
+// next listing's business. A nil error means applied+stale+vanished ==
+// len(recs); on an error the counts cover the chunks completed.
+func copyRecs(src, dst *wire.Client, recs []wire.KeyRec) (applied, stale, vanished int, err error) {
+	var (
+		sc   chunkScratch
+		keys []uint64      // the chunk's live keys, to read from src
+		out  []wire.KeyRec // what the chunk writes to dst ...
+		vals [][]byte      // ... and each record's value (nil for a tombstone)
+	)
+	for len(recs) > 0 {
+		chunk := recs[:min(len(recs), copyChunk)]
+		recs = recs[len(chunk):]
+		keys, out, vals = keys[:0], out[:0], vals[:0]
+		for _, rec := range chunk {
+			if rec.Tombstone {
+				out, vals = append(out, rec), append(vals, nil)
+			} else {
+				keys = append(keys, rec.Key)
+			}
+		}
+		if len(keys) > 0 {
+			read, vers, hits, err := readChunkValues(src, keys, &sc)
+			if err != nil {
+				return applied, stale, vanished, fmt.Errorf("reading values: %w", err)
+			}
+			vanished += len(keys) - len(hits)
+			for _, i := range hits {
+				out = append(out, wire.KeyRec{Key: keys[i], Version: vers[i]})
+				vals = append(vals, read[i])
+			}
+		}
+		a, st, err := dst.SetBatchRecs(out, wire.SetFlagRepair, func(i int) []byte { return vals[i] })
+		applied, stale = applied+a, stale+st
+		if err != nil {
+			return applied, stale, vanished, fmt.Errorf("writing records: %w", err)
+		}
+	}
+	return applied, stale, vanished, nil
 }
 
 // observeEpoch records a topology epoch seen in a response. An epoch above
@@ -554,11 +602,9 @@ func (c *Client) runWarmup(w *Warmup, newcomer string, sources []string, rf int)
 }
 
 // warmFromSource enumerates one source member via the chunked KEYS stream,
-// keeps the keys whose post-join owner set includes the newcomer, and
-// copies their values over in bounded pipelined chunks, flagged as repair
-// traffic. Every copy is conditional on the version it was read at
-// (VERSIONED), so a user SET racing the warm-up can never be overwritten
-// by the older value in flight.
+// keeps the records whose post-join owner set includes the newcomer, and
+// copies them over with copyRecs — deletion records first, so the newcomer
+// learns every delete before it could serve an older copy.
 func (c *Client) warmFromSource(w *Warmup, dst *wire.Client, newcomer, src string, rf int) error {
 	srcCl, err := c.warmupDial(src)
 	if err != nil {
@@ -566,21 +612,18 @@ func (c *Client) warmFromSource(w *Warmup, dst *wire.Client, newcomer, src strin
 	}
 	defer c.warmupRelease(srcCl)
 
-	var wanted []uint64
-	var tombs []wire.KeyRec
+	var live, tombs []wire.KeyRec
 	err = srcCl.KeysStream(func(chunk []wire.KeyRec) error {
 		w.stats.Streamed += len(chunk)
 		c.mu.RLock()
 		for _, rec := range chunk {
-			if contains(c.ring.OwnersFor(rec.Key, rf), newcomer) {
-				if rec.Tombstone {
-					// A deletion record needs no value read: it is copied
-					// straight from the stream, so the newcomer learns the
-					// delete before it could serve (or accept) an older copy.
-					tombs = append(tombs, rec)
-				} else {
-					wanted = append(wanted, rec.Key)
-				}
+			if !contains(c.ring.OwnersFor(rec.Key, rf), newcomer) {
+				continue
+			}
+			if rec.Tombstone {
+				tombs = append(tombs, rec)
+			} else {
+				live = append(live, rec)
 			}
 		}
 		c.mu.RUnlock()
@@ -590,60 +633,28 @@ func (c *Client) warmFromSource(w *Warmup, dst *wire.Client, newcomer, src strin
 		return fmt.Errorf("cluster: warm-up KEYS %s: %w", src, err)
 	}
 
-	for off := 0; off < len(tombs); off += warmupChunk {
-		if c.closed.Load() {
-			return nil
-		}
-		end := off + warmupChunk
-		if end > len(tombs) {
-			end = len(tombs)
-		}
-		applied, stale, err := dst.SetBatchRecs(tombs[off:end], wire.SetFlagRepair, nil)
-		if err != nil {
-			return fmt.Errorf("cluster: warm-up writing tombstones to %s: %w", newcomer, err)
-		}
-		w.stats.Tombstones += applied
-		w.stats.Stale += stale
-		c.staleRepairs.Add(uint64(stale))
+	// Close interrupts the copy by closing both connections: the next read
+	// or write errors out and runWarmup recognises the interrupt.
+	buried, stale, _, err := copyRecs(srcCl, dst, tombs)
+	var copied, vanished int
+	if err == nil {
+		var staleLive int
+		copied, staleLive, vanished, err = copyRecs(srcCl, dst, live)
+		stale += staleLive
 	}
-
-	var rsc chunkScratch
-	for off := 0; off < len(wanted); off += warmupChunk {
-		if c.closed.Load() {
-			return nil
-		}
-		end := off + warmupChunk
-		if end > len(wanted) {
-			end = len(wanted)
-		}
-		chunk := wanted[off:end]
-		vals, vers, hits, err := readChunkValues(srcCl, chunk, &rsc)
-		if err != nil {
-			return fmt.Errorf("cluster: warm-up reading %s: %w", src, err)
-		}
-		w.stats.Vanished += len(chunk) - len(hits)
-		if len(hits) == 0 {
-			continue
-		}
-		sub := make([]uint64, len(hits))
-		for j, i := range hits {
-			sub[j] = chunk[i]
-		}
-		applied, stale, err := dst.SetBatchVersioned(sub, wire.SetFlagRepair,
-			func(j int) uint64 { return vers[hits[j]] },
-			func(j int) []byte { return vals[hits[j]] })
-		if err != nil {
-			return fmt.Errorf("cluster: warm-up writing %s: %w", newcomer, err)
-		}
-		w.stats.Copied += applied
-		w.stats.Stale += stale
-		c.staleRepairs.Add(uint64(stale))
-		c.mu.RLock()
-		nc := c.nodes[newcomer]
-		c.mu.RUnlock()
-		if nc != nil {
-			nc.repairs.Add(uint64(applied))
-		}
+	w.stats.Tombstones += buried
+	w.stats.Copied += copied
+	w.stats.Vanished += vanished
+	w.stats.Stale += stale
+	c.staleRepairs.Add(uint64(stale))
+	c.mu.RLock()
+	nc := c.nodes[newcomer]
+	c.mu.RUnlock()
+	if nc != nil {
+		nc.repairs.Add(uint64(copied))
+	}
+	if err != nil {
+		return fmt.Errorf("cluster: warm-up copying %s to %s: %w", src, newcomer, err)
 	}
 	return nil
 }
@@ -707,10 +718,6 @@ func (c *Client) AddNode(addr string) (*Warmup, error) {
 	return w, nil
 }
 
-// migrateChunk bounds how many keys RemoveNode drains per pipelined round
-// trip, keeping peak buffering (chunk × value size) modest.
-const migrateChunk = 256
-
 // RemoveNode retires a member and bumps the topology epoch, pushing the
 // shrunk view to every survivor so routers and peers converge on their own.
 //
@@ -718,8 +725,10 @@ const migrateChunk = 256
 // to their new owners: the cluster-level analogue of the paper's
 // incremental rehash, where no entry is lost except by accounted eviction.
 // The resident set is enumerated through the chunked KEYS stream, so a
-// node with many millions of residents drains in bounded frames. moved
-// counts entries re-stored on their new owner (which may evict there — the
+// node with many millions of residents drains in bounded frames, and
+// copied owner by owner with copyRecs — tombstones included, so a key's
+// new owner keeps refusing resurrection until the tombstone is reaped.
+// moved counts entries re-stored on their new owner (which may evict there — the
 // destination's eviction counters account for it); dropped counts entries
 // that vanished between the key snapshot and the drain.
 //
@@ -764,21 +773,8 @@ func (c *Client) RemoveNode(addr string) (moved, dropped int, err error) {
 	}); err != nil {
 		return 0, 0, fmt.Errorf("cluster: KEYS %s: %w", addr, err)
 	}
-	// Split the resident set: live keys drain through the value-read path
-	// below; deletion records move as-is (no value to read) so the key's
-	// new owner keeps refusing resurrection until the tombstone is reaped.
-	keys := make([]uint64, 0, len(recs))
-	var tombs []wire.KeyRec
-	for _, rec := range recs {
-		if rec.Tombstone {
-			tombs = append(tombs, rec)
-		} else {
-			keys = append(keys, rec.Key)
-		}
-	}
-
 	// Reroute first so owners are computed against the post-removal ring,
-	// then drain the departing member chunk by chunk. If the drain fails
+	// then drain the departing member owner by owner. If the drain fails
 	// the member is restored: leaving it removed would orphan its
 	// undrained residents outside both the moved and dropped counts. Only
 	// a completed drain bumps and pushes the epoch.
@@ -796,103 +792,33 @@ func (c *Client) RemoveNode(addr string) (moved, dropped int, err error) {
 		}
 	}()
 
-	src := nc.cl
-	var rsc chunkScratch
-	for off := 0; off < len(keys); off += migrateChunk {
-		end := off + migrateChunk
-		if end > len(keys) {
-			end = len(keys)
-		}
-		chunk := keys[off:end]
-
-		vals, vers, hits, err := readChunkValues(src, chunk, &rsc)
-		if err != nil {
-			return moved, dropped, fmt.Errorf("cluster: draining %s: %w", addr, err)
-		}
-		dropped += len(chunk) - len(hits)
-
-		// Partition the chunk's survivors by new owner and re-store them.
-		byOwner := make(map[*nodeConn][]int)
-		for _, i := range hits {
-			owner, ok := c.ring.Node(chunk[i])
-			if !ok {
-				return moved, dropped, fmt.Errorf("cluster: empty ring during migration")
-			}
-			byOwner[c.nodes[owner]] = append(byOwner[c.nodes[owner]], i)
-		}
-		for dst, idx := range byOwner {
-			dst.mu.Lock()
-			var applied, stale int
-			err := dst.withRetry(c.dial, func(cl *wire.Client) error {
-				sub := make([]uint64, len(idx))
-				for j, i := range idx {
-					sub[j] = chunk[i]
-				}
-				// Migration writes carry the repair flag (replica
-				// maintenance, not user traffic) and are conditional on the
-				// version each value was drained at, so a user SET racing
-				// the migration onto the new owner keeps its newer value.
-				// They stay synchronous (no ASYNC flag): the moved count
-				// must mean settled at the destination, not queued.
-				var err error
-				applied, stale, err = cl.SetBatchVersioned(sub, wire.SetFlagRepair,
-					func(j int) uint64 { return vers[idx[j]] },
-					func(j int) []byte { return vals[idx[j]] })
-				return err
-			})
-			if err == nil {
-				dst.repairs.Add(uint64(applied))
-				c.staleRepairs.Add(uint64(stale))
-			}
-			dst.mu.Unlock()
-			if err != nil {
-				return moved, dropped, fmt.Errorf("cluster: migrating to %s: %w", dst.addr, err)
-			}
-			// A stale rejection counts as moved: the destination proved it
-			// holds a strictly newer value for the key, so the resident is
-			// settled there — just not by this copy.
-			moved += len(idx)
-		}
+	byOwner := make(map[*nodeConn][]wire.KeyRec)
+	for _, rec := range recs {
+		owner, _ := c.ring.Node(rec.Key)
+		byOwner[c.nodes[owner]] = append(byOwner[c.nodes[owner]], rec)
 	}
-
-	for off := 0; off < len(tombs); off += migrateChunk {
-		end := off + migrateChunk
-		if end > len(tombs) {
-			end = len(tombs)
+	for dst, share := range byOwner {
+		dst.mu.Lock()
+		// A retry after a redial re-copies the whole share; the writes are
+		// conditional on their versions, so the replay is idempotent and
+		// the counts of the attempt that completed are the ones kept.
+		var applied, stale, vanished int
+		err := dst.withRetry(c.dial, func(cl *wire.Client) error {
+			var err error
+			applied, stale, vanished, err = copyRecs(nc.cl, cl, share)
+			return err
+		})
+		dst.mu.Unlock()
+		if err != nil {
+			return moved, dropped, fmt.Errorf("cluster: migrating %s to %s: %w", addr, dst.addr, err)
 		}
-		chunk := tombs[off:end]
-		byOwner := make(map[*nodeConn][]int)
-		for i := range chunk {
-			owner, ok := c.ring.Node(chunk[i].Key)
-			if !ok {
-				return moved, dropped, fmt.Errorf("cluster: empty ring during migration")
-			}
-			byOwner[c.nodes[owner]] = append(byOwner[c.nodes[owner]], i)
-		}
-		for dst, idx := range byOwner {
-			dst.mu.Lock()
-			var applied, stale int
-			err := dst.withRetry(c.dial, func(cl *wire.Client) error {
-				sub := make([]wire.KeyRec, len(idx))
-				for j, i := range idx {
-					sub[j] = chunk[i]
-				}
-				var err error
-				applied, stale, err = cl.SetBatchRecs(sub, wire.SetFlagRepair, nil)
-				return err
-			})
-			if err == nil {
-				dst.repairs.Add(uint64(applied))
-				c.staleRepairs.Add(uint64(stale))
-			}
-			dst.mu.Unlock()
-			if err != nil {
-				return moved, dropped, fmt.Errorf("cluster: migrating tombstones to %s: %w", dst.addr, err)
-			}
-			// Stale counts as moved here too: the destination already holds
-			// a newer write for the key, which supersedes this delete.
-			moved += len(idx)
-		}
+		dst.repairs.Add(uint64(applied))
+		c.staleRepairs.Add(uint64(stale))
+		// A stale rejection counts as moved: the destination proved it
+		// holds something strictly newer for the key, so the resident is
+		// settled there — just not by this copy.
+		moved += applied + stale
+		dropped += vanished
 	}
 	drained = true
 	return moved, dropped, nil

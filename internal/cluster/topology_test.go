@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"fmt"
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/concurrent"
 	"repro/internal/load"
 	"repro/internal/server"
 	"repro/internal/wire"
@@ -494,6 +496,122 @@ func TestWarmupKillsFallbacks(t *testing.T) {
 	}
 	if fb := ctl.Replication().FallbackHits - rep0.FallbackHits; fb != 0 {
 		t.Errorf("%d fallback reads in the post-warm-up sweep; warm-up should have filled every new primary", fb)
+	}
+}
+
+// TestCopyRecs pins the one bulk maintenance primitive directly, over two
+// in-process servers: live records copy with their versions, tombstones
+// copy without a value read, a destination holding a newer version
+// reports stale and keeps its value, and a record evicted from the source
+// between listing and read counts as vanished.
+func TestCopyRecs(t *testing.T) {
+	srcCache, err := concurrent.New(concurrent.Config{Capacity: 1024, Alpha: 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcSrv := server.New(srcCache)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srcSrv.Serve(ln)
+	t.Cleanup(func() { srcSrv.Close() })
+	src, err := wire.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	dst, err := wire.Dial(startNode(t, 1024, 16, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+
+	const live, contested, deleted, evicted = uint64(1), uint64(2), uint64(3), uint64(4)
+	set := func(cl *wire.Client, key uint64, val string) {
+		t.Helper()
+		if _, err := cl.Set(key, []byte(val)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Versions are assigned from the wall clock, so the order of these
+	// writes is the order of their versions: dst's copy of the deleted key
+	// predates the source's delete, its copy of the contested key postdates
+	// the source's.
+	set(dst, deleted, "dst-older-than-the-delete")
+	for _, key := range []uint64{live, contested, deleted, evicted} {
+		set(src, key, fmt.Sprintf("src-%d", key))
+	}
+	if _, _, err := src.Del(deleted); err != nil {
+		t.Fatal(err)
+	}
+	set(dst, contested, "dst-newer")
+
+	recs, err := src.Keys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 4 {
+		t.Fatalf("source lists %d records, want 4 (three live, one tombstone)", len(recs))
+	}
+	listed := make(map[uint64]wire.KeyRec, len(recs))
+	for _, rec := range recs {
+		listed[rec.Key] = rec
+	}
+	if !listed[deleted].Tombstone {
+		t.Fatalf("record of the deleted key is not a tombstone: %+v", listed[deleted])
+	}
+	srcCache.Delete(evicted) // gone between listing and read, no tombstone left
+
+	before, err := src.Stats(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applied, stale, vanished, err := copyRecs(src, dst, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if applied != 2 || stale != 1 || vanished != 1 {
+		t.Errorf("copyRecs = applied %d, stale %d, vanished %d; want 2 (live + tombstone), 1 (contested), 1 (evicted)", applied, stale, vanished)
+	}
+	after, err := src.Stats(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reads := (after.Hits + after.Misses) - (before.Hits + before.Misses); reads != 3 {
+		t.Errorf("copyRecs read %d values from the source, want 3: a tombstone is copied from its record", reads)
+	}
+
+	got := make(map[uint64]string)
+	vers := make(map[uint64]uint64)
+	probe := []uint64{live, contested, deleted, evicted}
+	if err := dst.GetBatchVersions(probe, func(i int, hit bool, ver uint64, val []byte) {
+		if hit {
+			got[probe[i]], vers[probe[i]] = string(val), ver
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got[live] != "src-1" || vers[live] != listed[live].Version {
+		t.Errorf("live record arrived as %q at version %d, want %q at the source's version %d", got[live], vers[live], "src-1", listed[live].Version)
+	}
+	if got[contested] != "dst-newer" {
+		t.Errorf("destination's newer value was replaced by %q", got[contested])
+	}
+	if v, ok := got[deleted]; ok {
+		t.Errorf("deleted key still serves %q on the destination; the tombstone did not land", v)
+	}
+	if v, ok := got[evicted]; ok {
+		t.Errorf("vanished key was copied as %q", v)
+	}
+	dstRecs, err := dst.Keys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range dstRecs {
+		if rec.Key == deleted && (!rec.Tombstone || rec.Version != listed[deleted].Version) {
+			t.Errorf("destination holds %+v for the deleted key, want the source's tombstone %+v", rec, listed[deleted])
+		}
 	}
 }
 

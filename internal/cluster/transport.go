@@ -9,11 +9,11 @@ import (
 )
 
 // This file is the transport layer of the router: one pipelined wire
-// connection per member, lazily dialed, redialed once on failure, and the
-// sub-batch machinery that fans one logical batch out across members under
-// a deadlock-free lock order. It knows nothing about rings, epochs or
-// replication — that is the topology layer (topology.go) and the routing
-// client (client.go, replication.go).
+// connection per member, lazily dialed, and round, the one engine that
+// fans a batch out across members under a deadlock-free lock order and
+// decides what a failed member costs it. It knows nothing about rings,
+// epochs or replication — that is the topology layer (topology.go) and
+// the routing client (client.go).
 
 // DialFunc establishes the wire connection to one member. The default is
 // wire.Dial; tests substitute wrappers (stall injection) and deployments
@@ -85,135 +85,189 @@ type batchTrace struct {
 	traced bool
 }
 
-// subBatch is the slice of one batch owned by a single member.
+// subBatch is the slice of one fan-out round bound for a single member.
 type subBatch struct {
 	nc        *nodeConn
-	idx       []int // positions in the original batch, in enqueue order
+	idx       []int // owner-table slots (see batchScratch), in enqueue order
 	err       error
 	delivered int
 }
 
-// batchScratch is the per-batch partition state — the identity index list,
-// the member→sub-batch map, the ordered sub-batch slice and a freelist of
-// recycled subBatch structs (with their idx capacity retained). Pooled so a
-// steady-state GetBatch/SetBatch allocates none of it. A scratch is private
-// to one batch from getBatchScratch until release, so no locking is needed
-// beyond sync.Pool's own.
+// batchScratch is everything one batch needs besides the wire: the owner
+// table, the round's sub-batches, the read pipeline's work lists and the
+// write pipeline's tallies. Pooled, so a steady-state batch allocates none
+// of it whatever R is. A scratch is private to one batch from
+// getBatchScratch until release.
+//
+// The owner table is flat with stride R: slot i*R+j is key i's j-th owner,
+// primary first. Sub-batches carry slots, so a response handler recovers
+// both the key's position in the caller's batch (slot/R) and which of its
+// owners answered (slot%R). flagged has the same shape: on the read side
+// it marks owners that authoritatively missed, on the write side owners
+// whose write is still owed; both become background-repair targets.
 type batchScratch struct {
-	idxs   []int
-	byNode map[*nodeConn]*subBatch
-	subs   []*subBatch
-	free   []*subBatch
+	owners  []*nodeConn
+	flagged []bool
+	addrs   []string // scratch for one key's owner addresses
+
+	subs []*subBatch
+	free []*subBatch // recycled subBatch structs, idx capacity retained
+
+	pending, next, waiters []int // reads: key indices awaiting this round, the next one, a lease holder
+
+	acks   []int         // writes: owners that acknowledged each key
+	vers   []uint64      // writes: highest version any owner stored each key under
+	grants []*leaseGrant // writes: the fill lease taken for each key, if any
 }
 
-var batchScratchPool = sync.Pool{
-	New: func() any { return &batchScratch{byNode: make(map[*nodeConn]*subBatch, 8)} },
-}
+var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 func getBatchScratch() *batchScratch { return batchScratchPool.Get().(*batchScratch) }
 
-// release recycles the sub-batches and returns the scratch to the pool.
-// Callers must be done with every *subBatch and idx slice handed out from
-// this scratch: they are reused verbatim by the next batch.
-func (sc *batchScratch) release() {
-	clear(sc.byNode)
+// resize returns s with length n and every element zero, reusing its
+// backing array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// add routes one owner-table slot to its member's sub-batch, opening the
+// sub-batch on first use. The scan is linear because a round involves a
+// handful of members at most.
+func (sc *batchScratch) add(slot int) {
+	nc := sc.owners[slot]
 	for _, s := range sc.subs {
-		s.nc = nil
-		s.idx = s.idx[:0]
-		s.err = nil
-		s.delivered = 0
+		if s.nc == nc {
+			s.idx = append(s.idx, slot)
+			return
+		}
+	}
+	var s *subBatch
+	if n := len(sc.free); n > 0 {
+		s, sc.free = sc.free[n-1], sc.free[:n-1]
+	} else {
+		s = new(subBatch)
+	}
+	s.nc = nc
+	s.idx = append(s.idx, slot)
+	sc.subs = append(sc.subs, s)
+}
+
+// flaggedAddrs lists the flagged owners of key i. The result aliases the
+// scratch and is valid until the next call.
+func (sc *batchScratch) flaggedAddrs(i, rf int) []string {
+	sc.addrs = sc.addrs[:0]
+	for slot := i * rf; slot < (i+1)*rf; slot++ {
+		if sc.flagged[slot] {
+			sc.addrs = append(sc.addrs, sc.owners[slot].addr)
+		}
+	}
+	return sc.addrs
+}
+
+// recycle retires the finished round's sub-batches to the freelist.
+func (sc *batchScratch) recycle() {
+	for _, s := range sc.subs {
+		s.nc, s.idx, s.err, s.delivered = nil, s.idx[:0], nil, 0
 		sc.free = append(sc.free, s)
 	}
 	sc.subs = sc.subs[:0]
+}
+
+// release resolves every fill lease the batch took — whatever became of
+// the fill, local waiters must re-read rather than sleep out their cap —
+// and returns the scratch to the pool.
+func (sc *batchScratch) release() {
+	for i, g := range sc.grants {
+		if g != nil {
+			close(g.done)
+			sc.grants[i] = nil
+		}
+	}
+	sc.recycle()
 	batchScratchPool.Put(sc)
 }
 
-// newSub hands out a sub-batch for nc, reusing a recycled struct when one
-// is available.
-func (sc *batchScratch) newSub(nc *nodeConn) *subBatch {
-	if n := len(sc.free); n > 0 {
-		s := sc.free[n-1]
-		sc.free = sc.free[:n-1]
-		s.nc = nc
-		return s
-	}
-	return &subBatch{nc: nc}
-}
-
-// sortSubs orders sub-batches by member address. Lock acquisition must be
-// totally ordered to stay deadlock-free across concurrent batches.
-// Insertion sort rather than sort.Slice: sub-batch counts are tiny (one
-// per involved member) and sort.Slice allocates its closure and reflect
-// swapper on every call, which the batch hot path cannot afford.
-func sortSubs(subs []*subBatch) {
+// round is the one place a batch meets the network. It takes the
+// sub-batches sc.add built, locks their members in address order (a total
+// order, so concurrent batches cannot deadlock), has send enqueue every
+// slot and flushes once per member, then drains the responses through
+// recv, so a round costs one round trip however many members it spans.
+//
+// It also owns the failed-member policy. A sub-batch that fails before any
+// of its responses was delivered is replayed once on a fresh connection —
+// never after, so no response is delivered twice. A sub-batch that fails
+// for good gets its connection dropped (it may hold undrained responses)
+// and keeps err and delivered set: idx[delivered:] are the slots the
+// member never answered, and what becomes of those keys — the next owner,
+// a quorum shortfall — is the calling pipeline's one decision. The other
+// sub-batches are unaffected.
+func (c *Client) round(sc *batchScratch, send func(cl *wire.Client, slot int) error, recv func(s *subBatch, slot int, resp wire.Response) error) {
+	subs := sc.subs
+	// Insertion sort: sub-batch counts are tiny and sort.Slice allocates.
 	for i := 1; i < len(subs); i++ {
 		for j := i; j > 0 && subs[j].nc.addr < subs[j-1].nc.addr; j-- {
 			subs[j], subs[j-1] = subs[j-1], subs[j]
 		}
 	}
-}
-
-// lockSubs acquires every involved member connection in address order;
-// unlockSubs releases them. A plain function pair instead of a returned
-// closure keeps the batch hot path allocation-free.
-func lockSubs(subs []*subBatch) {
 	for _, s := range subs {
 		s.nc.mu.Lock()
 	}
-}
-
-// unlockSubs releases the member connections lockSubs acquired.
-func unlockSubs(subs []*subBatch) {
+	for _, s := range subs {
+		s.err = s.enqueue(c.dial, send)
+	}
+	for _, s := range subs {
+		if s.err == nil {
+			s.err = c.drain(s, recv)
+		}
+		if s.err != nil && s.delivered == 0 {
+			s.nc.drop()
+			s.nc.redials.Add(1)
+			if s.err = s.enqueue(c.dial, send); s.err == nil {
+				s.err = c.drain(s, recv)
+			}
+		}
+		if s.err != nil {
+			s.nc.drop()
+		}
+	}
 	for _, s := range subs {
 		s.nc.mu.Unlock()
 	}
 }
 
-// dropSubs discards every involved member connection after a failed batch:
-// some were flushed but never fully drained, and reusing one would hand a
-// later batch the stale responses of this one. Callers hold the node locks.
-func dropSubs(subs []*subBatch) {
-	for _, s := range subs {
-		s.nc.drop()
-	}
-}
-
-// enqueueGets dials (if needed), pipelines the sub-batch's GETs and
-// flushes, stamping the batch's trace context on each when traced.
-func (s *subBatch) enqueueGets(dial DialFunc, keys []uint64, bt batchTrace) error {
+// enqueue dials the member if needed, pipelines the sub-batch's requests
+// and flushes them as one write. Caller holds s.nc.mu.
+func (s *subBatch) enqueue(dial DialFunc, send func(cl *wire.Client, slot int) error) error {
 	cl, err := s.nc.client(dial)
 	if err != nil {
 		return err
 	}
-	for _, i := range s.idx {
-		if bt.traced {
-			err = cl.EnqueueGetTraced(keys[i], bt.tc)
-		} else {
-			err = cl.EnqueueGet(keys[i])
-		}
-		if err != nil {
+	for _, slot := range s.idx {
+		if err := send(cl, slot); err != nil {
 			return err
 		}
 	}
 	return cl.Flush()
 }
 
-// enqueueSets dials (if needed), pipelines the sub-batch's SETs and
-// flushes, stamping the batch's trace context on each when traced.
-func (s *subBatch) enqueueSets(dial DialFunc, keys []uint64, value func(i int) []byte, bt batchTrace) error {
-	cl, err := s.nc.client(dial)
-	if err != nil {
-		return err
-	}
-	for _, i := range s.idx {
-		if bt.traced {
-			err = cl.EnqueueSetFlagsTraced(keys[i], 0, bt.tc, value(i))
-		} else {
-			err = cl.EnqueueSet(keys[i], value(i))
-		}
+// drain reads the sub-batch's outstanding responses in order, observing
+// the topology epoch each carries. Caller holds s.nc.mu.
+func (c *Client) drain(s *subBatch, recv func(s *subBatch, slot int, resp wire.Response) error) error {
+	for _, slot := range s.idx[s.delivered:] {
+		resp, err := s.nc.cl.ReadResponse()
 		if err != nil {
 			return err
 		}
+		c.observeEpoch(resp.Epoch)
+		if err := recv(s, slot, resp); err != nil {
+			return err
+		}
+		s.delivered++
 	}
-	return cl.Flush()
+	return nil
 }

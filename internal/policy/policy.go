@@ -145,7 +145,8 @@ func (k Kind) Lazy() bool { return k != FlushWhenFullKind }
 // evict each other, giving 4 misses on the window B C B C, which has only 2
 // distinct items. internal/stability's randomized search finds such
 // witnesses immediately, so we classify LFU as non-conservative; see
-// EXPERIMENTS.md (E10) for the discrepancy discussion. LRU-K (K ≥ 2),
+// experiment E10 (internal/experiments, `go run ./cmd/assocbench -run E10`)
+// for the discrepancy discussion. LRU-K (K ≥ 2),
 // reuse-distance and random are likewise not conservative.
 func (k Kind) Conservative() bool {
 	switch k {

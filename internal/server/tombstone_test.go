@@ -64,10 +64,14 @@ func TestDelLeavesVersionedTombstone(t *testing.T) {
 
 	// A strictly newer tombstone-flagged write applies; an older one is
 	// refused — deletes obey the same conditional rule as values.
-	if applied, _, err := c.SetTombstone(key, wire.SetFlagRepair, verTomb+1); err != nil || !applied {
+	tombstone := func(ver uint64) (applied int, err error) {
+		applied, _, err = c.SetBatchRecs([]wire.KeyRec{{Key: key, Version: ver, Tombstone: true}}, wire.SetFlagRepair, nil)
+		return applied, err
+	}
+	if applied, err := tombstone(verTomb + 1); err != nil || applied != 1 {
 		t.Fatalf("newer TOMBSTONE SET = applied=%v, %v; want applied", applied, err)
 	}
-	if applied, _, err := c.SetTombstone(key, wire.SetFlagRepair, verOld); err != nil || applied {
+	if applied, err := tombstone(verOld); err != nil || applied != 0 {
 		t.Fatalf("older TOMBSTONE SET = applied=%v, %v; want stale refusal", applied, err)
 	}
 

@@ -126,18 +126,11 @@ func (c *Client) EnqueueSetTombstone(key uint64, flags SetFlags, version uint64)
 	})
 }
 
-// EnqueueHint buffers a HINT without flushing (v8): it parks a hinted
-// handoff — a versioned write (tombstone=true for a delete, with a nil
-// value) whose intended owner target was unreachable — on the receiving
-// server, which replays it to target as a conditional versioned write
-// once target is reachable again.
-func (c *Client) EnqueueHint(target string, key uint64, tombstone bool, version uint64, value []byte) error {
-	return c.w.WriteRequest(Request{
-		Op: OpHint, Target: target, Key: key, Tombstone: tombstone, Version: version, Value: value,
-	})
-}
-
-// Hint issues one HINT round trip; see EnqueueHint.
+// Hint issues one HINT round trip (v8): it parks a hinted handoff — a
+// versioned write (tombstone=true for a delete, with a nil value) whose
+// intended owner target was unreachable — on the receiving server, which
+// replays it to target as a conditional versioned write once target is
+// reachable again.
 func (c *Client) Hint(target string, key uint64, tombstone bool, version uint64, value []byte) error {
 	resp, err := c.roundTrip(Request{
 		Op: OpHint, Target: target, Key: key, Tombstone: tombstone, Version: version, Value: value,
@@ -300,28 +293,6 @@ func (c *Client) SetVersioned(key uint64, flags SetFlags, version uint64, value 
 	}
 }
 
-// SetTombstone issues one conditional maintenance delete round trip (v8):
-// a SET carrying SetFlagTombstone, SetFlagVersioned and an empty value.
-// The target stores a tombstone under version iff it is strictly newer
-// than what it holds. flags must include SetFlagRepair. Return values
-// mirror SetVersioned.
-func (c *Client) SetTombstone(key uint64, flags SetFlags, version uint64) (applied bool, stored uint64, err error) {
-	resp, err := c.roundTrip(Request{
-		Op: OpSet, Key: key, Flags: flags | SetFlagVersioned | SetFlagTombstone, Version: version,
-	})
-	if err != nil {
-		return false, 0, err
-	}
-	switch resp.Status {
-	case StatusOK:
-		return true, resp.Version, nil
-	case StatusVersionStale:
-		return false, resp.Version, nil
-	default:
-		return false, 0, fmt.Errorf("wire: unexpected TOMBSTONE SET response %v", resp.Status)
-	}
-}
-
 // SetVersionedTraced is SetVersioned with a trace context attached — the
 // synchronous form the cluster's repair applier uses so the repair write
 // carries its originating request's trace end to end.
@@ -426,18 +397,6 @@ func (c *Client) SetLease(key, token uint64, value []byte) (filled bool, stored 
 // version.
 func (c *Client) Del(key uint64) (present bool, version uint64, err error) {
 	resp, err := c.roundTrip(Request{Op: OpDel, Key: key})
-	if err != nil {
-		return false, 0, err
-	}
-	if resp.Status != StatusOK {
-		return false, 0, fmt.Errorf("wire: unexpected DEL response %v", resp.Status)
-	}
-	return resp.Evicted, resp.Version, nil
-}
-
-// DelTraced is Del with a trace context attached.
-func (c *Client) DelTraced(key uint64, tc TraceContext) (present bool, version uint64, err error) {
-	resp, err := c.roundTrip(Request{Op: OpDel, Key: key, Trace: tc, Traced: true})
 	if err != nil {
 		return false, 0, err
 	}
@@ -564,7 +523,7 @@ func (c *Client) GetBatch(keys []uint64, visit func(i int, hit bool, value []byt
 // GetBatchVersions is GetBatch with the stored version of each hit passed
 // through to visit — the read side of the versioned-maintenance loop: the
 // cluster router reads values with their versions here and re-writes them
-// elsewhere with SetBatchVersioned, so a copy can never supersede a value
+// elsewhere with SetBatchRecs, so a copy can never supersede a value
 // newer than the one it observed. The value passed to visit aliases an
 // internal buffer valid only for the duration of the call.
 func (c *Client) GetBatchVersions(keys []uint64, visit func(i int, hit bool, version uint64, value []byte)) error {
@@ -622,47 +581,16 @@ func (c *Client) SetBatchFlags(keys []uint64, flags SetFlags, value func(i int) 
 	return nil
 }
 
-// SetBatchVersioned pipelines one conditional maintenance SET per key
-// (flags must include SetFlagRepair; SetFlagVersioned is added implicitly),
-// with version(i) and value(i) producing the i-th observed version and
-// payload. It reports how many writes applied and how many were rejected
-// as stale — a stale rejection means the destination already held a
-// strictly newer value, which for a maintenance copy is success: the data
-// is there, fresher than the copy in flight.
-func (c *Client) SetBatchVersioned(keys []uint64, flags SetFlags, version func(i int) uint64, value func(i int) []byte) (applied, stale int, err error) {
-	for i, k := range keys {
-		if err := c.EnqueueSetVersioned(k, flags, version(i), value(i)); err != nil {
-			return applied, stale, err
-		}
-	}
-	if err := c.Flush(); err != nil {
-		return applied, stale, err
-	}
-	for range keys {
-		resp, err := c.ReadResponse()
-		if err != nil {
-			return applied, stale, err
-		}
-		switch resp.Status {
-		case StatusOK:
-			applied++
-		case StatusVersionStale:
-			stale++
-		default:
-			return applied, stale, fmt.Errorf("wire: unexpected VERSIONED SET response %v", resp.Status)
-		}
-	}
-	return applied, stale, nil
-}
-
 // SetBatchRecs pipelines one conditional maintenance write per record —
 // a TOMBSTONE SET for tombstone records (value(i) is ignored), a plain
 // VERSIONED SET otherwise — with each write carrying its record's
 // version. flags must include SetFlagRepair; SetFlagVersioned (and, per
-// record, SetFlagTombstone) is added implicitly. It reports applied and
-// stale counts exactly like SetBatchVersioned; a stale tombstone means
-// the destination holds something strictly newer than the delete, which
-// by the versioned-repair invariant is the state that should win.
+// record, SetFlagTombstone) is added implicitly. It reports how many
+// writes applied and how many were rejected as stale — the destination
+// already held something strictly newer, which for a maintenance copy is
+// success: the record is there, fresher than the copy in flight (for a
+// tombstone: something newer than the delete, which by the
+// versioned-repair invariant is the state that should win).
 func (c *Client) SetBatchRecs(recs []KeyRec, flags SetFlags, value func(i int) []byte) (applied, stale int, err error) {
 	for i, rec := range recs {
 		if rec.Tombstone {
