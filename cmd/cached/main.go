@@ -57,6 +57,20 @@ import (
 	"repro/internal/wire"
 )
 
+// defaultPolicy is the -policy default.
+const defaultPolicy = "lru"
+
+// bucketPolicy is the concurrent.Config.Policy for kind: nil for LRU, which
+// the cache keeps natively in its slot arrays. A factory — an LRU one
+// included — would put a policy object beside every bucket and take the
+// daemon off the store path the standing benchmark measures.
+func bucketPolicy(kind policy.Kind, seed uint64) policy.Factory {
+	if kind == policy.LRUKind {
+		return nil
+	}
+	return policy.NewFactory(kind, seed)
+}
+
 func main() {
 	var (
 		addr       = flag.String("addr", ":7070", "listen address")
@@ -64,7 +78,7 @@ func main() {
 		join       = flag.String("join", "", "seed address of an existing member: fetch its topology, add self, push to all members")
 		k          = flag.Int("k", 1<<16, "total cache capacity")
 		alpha      = flag.Int("alpha", 16, "set size α (must divide k); the paper recommends slightly above log₂ k")
-		polName    = flag.String("policy", "lru", "per-bucket replacement policy: lru|fifo|clock|lfu|lru2|lru3|reusedist|random|mru")
+		polName    = flag.String("policy", defaultPolicy, "per-bucket replacement policy: lru|fifo|clock|lfu|lru2|lru3|reusedist|random|mru")
 		seed       = flag.Uint64("seed", 1, "hash seed")
 		rehashEv   = flag.Uint64("rehash-every", 0, "start an online incremental rehash every N misses (0 disables)")
 		rehashAuto = flag.Bool("rehash-auto", false, "derive the rehash-every period from k (k·⌈log₂k⌉ misses, the paper's poly(k) guidance)")
@@ -95,7 +109,7 @@ func main() {
 		Capacity:             *k,
 		Alpha:                *alpha,
 		Seed:                 *seed,
-		Policy:               policy.NewFactory(kind, *seed),
+		Policy:               bucketPolicy(kind, *seed),
 		RehashEveryMisses:    every,
 		RehashEveryConflicts: *rehashConf,
 		MigrationPerMiss:     *migPerMiss,

@@ -2,8 +2,12 @@ package concurrent
 
 import (
 	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/hashfn"
+	"repro/internal/trace"
 )
 
 // BenchmarkAlphaSweepParallel measures parallel Get/Put throughput as α
@@ -107,5 +111,55 @@ func BenchmarkRehashDuringLoad(b *testing.B) {
 				}
 			})
 		})
+	}
+}
+
+// BenchmarkFindScanVsIndex is the measurement behind scanMax: the same
+// single-threaded hit / miss / evicting-insert loops at each α with find
+// forced onto the key-array scan and onto the key → slot map, whatever
+// scanMax says. k and the value size are the standing benchmark's, so the
+// slot arrays and the values do not all fit in cache and a probe pays the
+// memory latency it pays there.
+func BenchmarkFindScanVsIndex(b *testing.B) {
+	const k = 1 << 15
+	var val interface{} = make([]byte, 1024)
+	store := func(interface{}, bool) (interface{}, bool) { return val, true }
+	for _, alpha := range []int{8, 16, 32, 64, 128, 256, 1024} {
+		for _, mode := range []string{"scan", "index"} {
+			b.Run(fmt.Sprintf("alpha=%d/%s", alpha, mode), func(b *testing.B) {
+				c, err := New(Config{Capacity: k, Alpha: alpha, Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for i := range c.buckets {
+					c.buckets[i].index = nil
+					if mode == "index" {
+						c.buckets[i].index = make(map[trace.Item]int32, alpha)
+					}
+				}
+				for key := uint64(0); key < 4*k; key++ {
+					c.Update(hashfn.Mix64(key), store)
+				}
+				resident := c.Keys()
+				rand.New(rand.NewSource(1)).Shuffle(len(resident), func(i, j int) {
+					resident[i], resident[j] = resident[j], resident[i]
+				})
+				fresh := uint64(1) << 40
+				for _, op := range []struct {
+					name string
+					fn   func(i int)
+				}{
+					{"hit", func(i int) { c.Get(resident[i%len(resident)]) }},
+					{"miss", func(i int) { c.Get(fresh + uint64(i)) }},
+					{"insert", func(i int) { fresh++; c.Update(hashfn.Mix64(fresh), store) }},
+				} {
+					b.Run(op.name, func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							op.fn(i)
+						}
+					})
+				}
+			})
+		}
 	}
 }

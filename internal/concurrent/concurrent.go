@@ -8,6 +8,16 @@
 // library's miss-cost analysis (experiments E1/E2) quantifies the other
 // side.
 //
+// A bucket is the paper's set taken literally: α slots in flat arrays (keys,
+// values, recency links, one awaiting-remap bit each), the same layout for
+// every α and every policy — see the bucket type. A Get hit hashes once,
+// locks one bucket, scans its keys, reads one value and relinks one slot; it
+// allocates nothing and writes no cache line that another bucket's requests
+// read. Inserts, evictions and deletes reuse slots in place and allocate
+// nothing either. LRU is native to the layout (Config.Policy == nil builds
+// no policy object); any other policy is handed the same request stream and
+// only names the victims.
+//
 // The cache also supports *online* incremental rehashing: the ⟨LRU⟩IF
 // algorithm of Section 6.1, ported from internal/core to the concurrent
 // setting. A rehash draws a fresh indexing hash while the old one stays
@@ -16,9 +26,9 @@
 // stop-the-world flush is ever needed and no entry is dropped except by
 // eviction. Rehash *initiation* does pause concurrent operations briefly —
 // marking every resident as awaiting remapping takes the cache-wide write
-// lock for O(residents) — but the migration itself runs under per-bucket
-// locks amortized across subsequent traffic. At most two hash functions
-// are live at any time.
+// lock while it fills each bucket's bit set — but the migration itself runs
+// under per-bucket locks amortized across subsequent traffic. At most two
+// hash functions are live at any time.
 package concurrent
 
 import (
@@ -48,7 +58,8 @@ type Cache struct {
 	// to run entirely before the rehash is visible (and its entries are then
 	// marked by the pass like any other resident) or to detect the swap and
 	// retry on the slow path. Reads therefore touch no shared cache line
-	// beyond their own bucket while the cache is stable.
+	// beyond their own bucket while the cache is stable: the pair is only
+	// loaded, and a hit is counted in its bucket, never cache-wide.
 	pair atomic.Pointer[hasherPair]
 
 	// rehashMu serializes the slow path against rehash initiation and
@@ -60,7 +71,8 @@ type Cache struct {
 	// migrating mirrors oldHasher != nil so the post-operation fast path can
 	// check for migration completion without taking rehashMu.
 	migrating atomic.Bool
-	// pending counts items still resident under the old hash.
+	// pending counts items still resident under the old hash: the sum of
+	// the buckets' nOld.
 	pending atomic.Int64
 	// sweepCursor is the next bucket index the forced-eviction sweep visits.
 	sweepCursor atomic.Int64
@@ -69,9 +81,9 @@ type Cache struct {
 	rehashEveryConflicts uint64
 	migrationPerMiss     int
 
-	hits              atomic.Uint64
+	// misses is cache-wide because it drives the RehashEveryMisses
+	// schedule; hits and evictions are summed from the buckets on demand.
 	misses            atomic.Uint64
-	evictions         atomic.Uint64
 	conflictEvictions atomic.Uint64
 	flushEvictions    atomic.Uint64
 	rehashes          atomic.Uint64
@@ -81,7 +93,9 @@ type Cache struct {
 }
 
 // hasherPair is one immutable snapshot of the live indexing function(s).
-// old is non-nil exactly while an incremental migration is in progress.
+// old is non-nil exactly while an incremental migration is in progress:
+// residents placed by old carry their bucket's awaiting-remap bit, and a
+// key lives in at most one slot across the two hashes' buckets.
 type hasherPair struct {
 	hasher *hashfn.Random
 	old    *hashfn.Random
@@ -91,22 +105,6 @@ type hasherPair struct {
 // It exists only so the before/after benchmark can measure what the atomic
 // snapshot buys; it is never set outside tests.
 var disableFastPath bool
-
-type bucket struct {
-	mu     sync.Mutex
-	pol    policy.Policy
-	values map[trace.Item]interface{}
-	// old marks residents that have not been remapped since the last rehash
-	// began. Items in old are indexed by the *previous* hash function.
-	old map[trace.Item]struct{}
-
-	// Per-shard Get counters, guarded by mu.
-	hits      uint64
-	misses    uint64
-	evictions uint64
-
-	_ [32]byte // pad to keep hot buckets off shared cache lines
-}
 
 // Config describes a concurrent cache.
 type Config struct {
@@ -150,10 +148,6 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.Alpha <= 0 || cfg.Alpha > cfg.Capacity || cfg.Capacity%cfg.Alpha != 0 {
 		return nil, fmt.Errorf("concurrent: alpha %d must divide capacity %d", cfg.Alpha, cfg.Capacity)
 	}
-	factory := cfg.Policy
-	if factory == nil {
-		factory = func(c int) policy.Policy { return policy.NewLRU(c) }
-	}
 	n := cfg.Capacity / cfg.Alpha
 	c := &Cache{
 		buckets:              make([]bucket, n),
@@ -167,9 +161,26 @@ func New(cfg Config) (*Cache, error) {
 		c.migrationPerMiss = 1
 	}
 	c.pair.Store(&hasherPair{hasher: hashfn.NewRandom(c.seeds.Next(), n)})
+	// One array per slot column for the whole cache; bucket i owns the
+	// window [i·α, (i+1)·α) of each.
+	a, words := cfg.Alpha, (cfg.Alpha+63)/64
+	keys := make([]trace.Item, cfg.Capacity)
+	vals := make([]interface{}, cfg.Capacity)
+	order := make([]link, cfg.Capacity)
+	old := make([]uint64, n*words)
 	for i := range c.buckets {
-		c.buckets[i].pol = factory(cfg.Alpha)
-		c.buckets[i].values = make(map[trace.Item]interface{}, cfg.Alpha)
+		b := &c.buckets[i]
+		b.head, b.tail = none, none
+		b.keys = keys[i*a : (i+1)*a : (i+1)*a]
+		b.vals = vals[i*a : (i+1)*a : (i+1)*a]
+		b.order = order[i*a : (i+1)*a : (i+1)*a]
+		b.old = old[i*words : (i+1)*words : (i+1)*words]
+		if a > scanMax {
+			b.index = make(map[trace.Item]int32, a)
+		}
+		if cfg.Policy != nil {
+			b.pol = cfg.Policy(a)
+		}
 	}
 	return c, nil
 }
@@ -192,119 +203,29 @@ func DefaultEveryMisses(k int) uint64 {
 	return uint64(k) * uint64(log)
 }
 
-// Get returns the value cached under key, if any, updating recency. During a
-// migration a hit on a not-yet-remapped item moves it to its new bucket, and
-// a miss force-evicts up to MigrationPerMiss old residents (Section 6.1).
-func (c *Cache) Get(key uint64) (interface{}, bool) {
-	item := trace.Item(key)
-	v, ok, fast := c.getFast(item)
-	if !fast {
-		c.rehashMu.RLock()
-		p := c.pair.Load()
-		v, ok = c.lookup(p, item)
-		if !ok && p.old != nil {
-			c.migrateSteps()
-		}
-		c.rehashMu.RUnlock()
-		c.maybeFinishMigration()
-	}
-
-	if ok {
-		c.hits.Add(1)
-		return v, true
-	}
-	m := c.misses.Add(1)
-	if c.rehashEveryMisses > 0 && m%c.rehashEveryMisses == 0 {
-		// Initiate asynchronously so the request that trips the schedule
-		// does not absorb the O(residents) marking pause itself. At most
-		// one goroutine per period crossing; Rehash serializes internally.
-		go c.Rehash()
-	}
-	return nil, false
+// access is one operation's hold on the bucket(s) its key can live in: bn
+// under the live hash and, while a migration is in flight, bo under the
+// previous one (bo == bn otherwise).
+type access struct {
+	bn, bo *bucket
+	// slow reports that rehashMu.RLock is held; migrating, possible only
+	// then, that the pair had an old hasher.
+	slow, migrating bool
 }
 
-// getFast is the single-bucket fast path: valid only while no migration is
-// in flight. The pair re-validation under the bucket lock is what makes it
-// safe; see the pair field comment. The third return reports whether the
-// fast path applied at all.
-func (c *Cache) getFast(item trace.Item) (interface{}, bool, bool) {
-	p := c.pair.Load()
-	if p.old != nil || disableFastPath {
-		return nil, false, false
-	}
-	b := &c.buckets[p.hasher.Bucket(item)]
-	b.mu.Lock()
-	if c.pair.Load() != p {
-		b.mu.Unlock()
-		return nil, false, false
-	}
-	v, ok := b.values[item]
-	if !ok {
-		b.misses++
-		b.mu.Unlock()
-		return nil, false, true
-	}
-	b.pol.Request(item)
-	b.hits++
-	b.mu.Unlock()
-	return v, true, true
-}
-
-// lookup finds item under the live hash function(s) of pair p. Caller holds
-// rehashMu.RLock, under which p is stable.
-func (c *Cache) lookup(p *hasherPair, item trace.Item) (interface{}, bool) {
-	nb := p.hasher.Bucket(item)
-	ob := nb
-	if p.old != nil {
-		ob = p.old.Bucket(item)
-	}
-	if ob == nb {
-		b := &c.buckets[nb]
+// enter locks the bucket(s) item can live in. While the cache is stable
+// that is the single-bucket fast path — no rehashMu, made safe by
+// re-validating the pair under the bucket lock (see the pair field).
+// Otherwise it takes rehashMu.RLock, under which the pair is stable, and
+// locks both buckets in index order.
+func (c *Cache) enter(item trace.Item) access {
+	if p := c.pair.Load(); p.old == nil && !disableFastPath {
+		b := &c.buckets[p.hasher.Bucket(item)]
 		b.mu.Lock()
-		defer b.mu.Unlock()
-		v, ok := b.values[item]
-		if !ok {
-			b.misses++
-			return nil, false
+		if c.pair.Load() == p {
+			return access{bn: b, bo: b}
 		}
-		c.clearOldMark(b, item)
-		b.pol.Request(item)
-		b.hits++
-		return v, true
-	}
-
-	bn, bo := &c.buckets[nb], &c.buckets[ob]
-	c.lockPair(nb, ob)
-	defer c.unlockPair(nb, ob)
-
-	if v, ok := bn.values[item]; ok {
-		bn.pol.Request(item)
-		bn.hits++
-		return v, true
-	}
-	if _, isOld := bo.old[item]; isOld {
-		// Hit on a non-remapped item: move it to its new bucket, which may
-		// evict from there (Section 6.1).
-		v := bo.values[item]
-		bo.pol.Delete(item)
-		delete(bo.values, item)
-		delete(bo.old, item)
-		c.pending.Add(-1)
-		c.occupancy.Add(-1)
-		c.insertLocked(bn, item, v)
-		bn.hits++
-		return v, true
-	}
-	bn.misses++
-	return nil, false
-}
-
-// Put caches value under key, evicting from the target bucket if needed.
-// It returns the evicted key and whether an eviction happened.
-func (c *Cache) Put(key uint64, value interface{}) (evictedKey uint64, evicted bool) {
-	item := trace.Item(key)
-	if victim, didEvict, fast := c.putFast(item, value); fast {
-		return uint64(victim), didEvict
+		b.mu.Unlock()
 	}
 	c.rehashMu.RLock()
 	p := c.pair.Load()
@@ -313,117 +234,136 @@ func (c *Cache) Put(key uint64, value interface{}) (evictedKey uint64, evicted b
 	if p.old != nil {
 		ob = p.old.Bucket(item)
 	}
-	var victim trace.Item
-	var didEvict bool
-	if ob == nb {
-		b := &c.buckets[nb]
-		b.mu.Lock()
-		c.clearOldMark(b, item)
-		victim, didEvict = c.insertLocked(b, item, value)
-		b.mu.Unlock()
-	} else {
-		bn, bo := &c.buckets[nb], &c.buckets[ob]
-		c.lockPair(nb, ob)
-		if _, isOld := bo.old[item]; isOld {
-			// Overwrite of a non-remapped item: drop the stale resident and
-			// store fresh in the new bucket.
-			bo.pol.Delete(item)
-			delete(bo.values, item)
-			delete(bo.old, item)
-			c.pending.Add(-1)
-			c.occupancy.Add(-1)
-		}
-		victim, didEvict = c.insertLocked(bn, item, value)
-		c.unlockPair(nb, ob)
+	// Index order avoids deadlock between operations whose old/new buckets
+	// cross.
+	c.buckets[min(nb, ob)].mu.Lock()
+	if ob != nb {
+		c.buckets[max(nb, ob)].mu.Lock()
+	}
+	return access{bn: &c.buckets[nb], bo: &c.buckets[ob], slow: true, migrating: p.old != nil}
+}
+
+// leave releases what enter took. A Get miss during a migration owes its
+// forced evictions, which run between the bucket locks and rehashMu.
+func (c *Cache) leave(a access, missed bool) {
+	a.bn.mu.Unlock()
+	if a.bo != a.bn {
+		a.bo.mu.Unlock()
+	}
+	if !a.slow {
+		return
+	}
+	if missed && a.migrating {
+		c.migrateSteps()
 	}
 	c.rehashMu.RUnlock()
 	c.maybeFinishMigration()
-	return uint64(victim), didEvict
 }
 
-// putFast is Put's single-bucket fast path; see getFast.
-func (c *Cache) putFast(item trace.Item, value interface{}) (victim trace.Item, didEvict, fast bool) {
-	p := c.pair.Load()
-	if p.old != nil || disableFastPath {
-		return 0, false, false
+// find locates item: in its bucket under the live hash, else — still
+// awaiting remap — in its bucket under the previous one. It returns none
+// with bn when item is not cached.
+func (a access) find(item trace.Item) (*bucket, int32) {
+	if i := a.bn.find(item); i != none || a.bo == a.bn {
+		return a.bn, i
 	}
-	b := &c.buckets[p.hasher.Bucket(item)]
-	b.mu.Lock()
-	if c.pair.Load() != p {
-		b.mu.Unlock()
-		return 0, false, false
+	if i := a.bo.find(item); i != none {
+		return a.bo, i
 	}
-	victim, didEvict = c.insertLocked(b, item, value)
-	b.mu.Unlock()
-	return victim, didEvict, true
+	return a.bn, none
 }
 
-// insertLocked stores item→value in bucket b, whose mutex the caller holds,
-// handling eviction bookkeeping. It returns the (single) reported victim.
-func (c *Cache) insertLocked(b *bucket, item trace.Item, value interface{}) (victim trace.Item, didEvict bool) {
-	hit, victim, didEvict := b.pol.Request(item)
-	if didEvict {
-		delete(b.values, victim)
-		c.clearOldMark(b, victim)
-		b.evictions++
-		c.evictions.Add(1)
-		// Occupancy is unchanged (one out, one in); if the cache as a whole
-		// still has free slots, this eviction is a pure conflict eviction —
-		// the associativity restriction, not capacity, caused it.
-		if c.occupancy.Load() < int64(c.Capacity()) {
-			cv := c.conflictEvictions.Add(1)
-			if c.rehashEveryConflicts > 0 && cv%c.rehashEveryConflicts == 0 {
-				// Adaptive schedule: a burst of conflict evictions means the
-				// current hash is being exploited; redraw it. Asynchronous
-				// for the same reason as the miss-count trigger.
-				go c.Rehash()
-			}
+// Get returns the value cached under key, if any, updating recency. During a
+// migration a hit on a not-yet-remapped item moves it to its new bucket, and
+// a miss force-evicts up to MigrationPerMiss old residents (Section 6.1).
+func (c *Cache) Get(key uint64) (interface{}, bool) {
+	item := trace.Item(key)
+	a := c.enter(item)
+	b, i := a.find(item)
+	if i == none {
+		a.bn.misses++
+		c.leave(a, true)
+		m := c.misses.Add(1)
+		if c.rehashEveryMisses > 0 && m%c.rehashEveryMisses == 0 {
+			// Initiate asynchronously so the request that trips the schedule
+			// does not absorb the marking pause itself. At most one
+			// goroutine per period crossing; Rehash serializes internally.
+			go c.Rehash()
 		}
-	} else if !hit {
-		c.occupancy.Add(1)
+		return nil, false
 	}
-	// Non-lazy policies (flush-when-full) may evict a whole batch beyond the
-	// single reported victim.
-	if be, ok := b.pol.(policy.BatchEvictions); ok {
-		for _, ev := range be.TakeEvictions() {
-			if _, present := b.values[ev]; present {
-				delete(b.values, ev)
-				c.clearOldMark(b, ev)
-				b.evictions++
-				c.evictions.Add(1)
-				c.occupancy.Add(-1)
-			}
-		}
+	v := b.vals[i]
+	if b == a.bn {
+		c.touchLocked(b, i)
+	} else {
+		// Hit on a non-remapped item: move it to its new bucket, which may
+		// evict from there (Section 6.1).
+		c.removeLocked(b, i)
+		c.storeLocked(a.bn, none, item, v)
 	}
-	b.values[item] = value
-	return victim, didEvict
+	a.bn.hits++
+	c.leave(a, false)
+	return v, true
 }
 
-// clearOldMark removes item's awaiting-remap marker, if present. Caller
-// holds b.mu.
-func (c *Cache) clearOldMark(b *bucket, item trace.Item) {
-	if b.old == nil {
-		return
-	}
-	if _, ok := b.old[item]; ok {
-		delete(b.old, item)
+// Put caches value under key, evicting from the target bucket if needed.
+// It returns the evicted key and whether an eviction happened.
+func (c *Cache) Put(key uint64, value interface{}) (evictedKey uint64, evicted bool) {
+	_, evictedKey, evicted = c.Update(key, func(interface{}, bool) (interface{}, bool) { return value, true })
+	return evictedKey, evicted
+}
+
+// touchLocked records a request for the resident in slot i of b, which
+// also remaps it if it was waiting. Caller holds b.mu.
+func (c *Cache) touchLocked(b *bucket, i int32) {
+	if b.clearOld(i) {
 		c.pending.Add(-1)
 	}
+	b.touch(i)
 }
 
-// lockPair locks two distinct buckets in index order, avoiding deadlock
-// between operations whose old/new buckets cross.
-func (c *Cache) lockPair(i, j int) {
-	if i > j {
-		i, j = j, i
+// removeLocked removes the resident in slot i of b. Caller holds b.mu.
+func (c *Cache) removeLocked(b *bucket, i int32) {
+	if b.remove(i) {
+		c.pending.Add(-1)
 	}
-	c.buckets[i].mu.Lock()
-	c.buckets[j].mu.Lock()
+	c.occupancy.Add(-1)
 }
 
-func (c *Cache) unlockPair(i, j int) {
-	c.buckets[i].mu.Unlock()
-	c.buckets[j].mu.Unlock()
+// storeLocked stores item→value in bucket b, whose mutex the caller holds,
+// handling eviction bookkeeping; i is item's slot in b, or none. It returns
+// the (single) reported victim.
+func (c *Cache) storeLocked(b *bucket, i int32, item trace.Item, value interface{}) (victim trace.Item, didEvict bool) {
+	if i != none {
+		b.vals[i] = value
+		c.touchLocked(b, i)
+		return 0, false
+	}
+	n, nOld := b.n, b.nOld
+	victim, didEvict = b.insert(item, value)
+	// Occupancy is unchanged by a single eviction (one out, one in); if the
+	// cache as a whole still has free slots, this eviction is a pure
+	// conflict eviction — the associativity restriction, not capacity,
+	// caused it.
+	if didEvict && c.occupancy.Load() < int64(c.Capacity()) {
+		cv := c.conflictEvictions.Add(1)
+		if c.rehashEveryConflicts > 0 && cv%c.rehashEveryConflicts == 0 {
+			// Adaptive schedule: a burst of conflict evictions means the
+			// current hash is being exploited; redraw it. Asynchronous
+			// for the same reason as the miss-count trigger.
+			go c.Rehash()
+		}
+	}
+	// Whatever the insert displaced — the victim, and a non-lazy policy's
+	// (flush-when-full) batch beyond it — shows in the bucket's counts.
+	b.evictions += uint64(n + 1 - b.n)
+	if b.n != n {
+		c.occupancy.Add(int64(b.n - n))
+	}
+	if b.nOld != nOld {
+		c.pending.Add(int64(b.nOld - nOld))
+	}
+	return victim, didEvict
 }
 
 // Update atomically reads and conditionally replaces the value cached
@@ -437,85 +377,32 @@ func (c *Cache) unlockPair(i, j int) {
 // atomic or the lost-update race they exist to kill reopens at bucket
 // scale.
 //
-// fn must not call back into the cache, and it may be invoked more than
-// once for a single Update (a concurrent rehash can force the fast path to
-// retry), so it must behave as a pure function of its argument. Update
+// fn must not call back into the cache, and Update reserves the right to
+// invoke it more than once (an implementation may retry after a concurrent
+// rehash), so it must behave as a pure function of its argument. Update
 // returns whether a store happened and, when it did, Put's eviction
 // report.
 func (c *Cache) Update(key uint64, fn func(old interface{}, present bool) (interface{}, bool)) (stored bool, evictedKey uint64, evicted bool) {
 	item := trace.Item(key)
-	if st, victim, didEvict, fast := c.updateFast(item, fn); fast {
-		return st, uint64(victim), didEvict
-	}
-	c.rehashMu.RLock()
-	p := c.pair.Load()
-	nb := p.hasher.Bucket(item)
-	ob := nb
-	if p.old != nil {
-		ob = p.old.Bucket(item)
+	a := c.enter(item)
+	b, i := a.find(item)
+	var old interface{}
+	if i != none {
+		old = b.vals[i]
 	}
 	var victim trace.Item
-	var didEvict bool
-	if ob == nb {
-		b := &c.buckets[nb]
-		b.mu.Lock()
-		old, present := b.values[item]
-		if v, store := fn(old, present); store {
-			stored = true
-			c.clearOldMark(b, item)
-			victim, didEvict = c.insertLocked(b, item, v)
+	v, stored := fn(old, i != none)
+	if stored {
+		if b != a.bn {
+			// Overwrite of a non-remapped item: drop the stale resident and
+			// store fresh in the new bucket.
+			c.removeLocked(b, i)
+			i = none
 		}
-		b.mu.Unlock()
-	} else {
-		bn, bo := &c.buckets[nb], &c.buckets[ob]
-		c.lockPair(nb, ob)
-		old, present := bn.values[item]
-		inOld := false
-		if !present {
-			if _, isOld := bo.old[item]; isOld {
-				old, present = bo.values[item], true
-				inOld = true
-			}
-		}
-		if v, store := fn(old, present); store {
-			stored = true
-			if inOld {
-				// Overwrite of a non-remapped item: drop the stale resident
-				// and store fresh in the new bucket, exactly like Put.
-				bo.pol.Delete(item)
-				delete(bo.values, item)
-				delete(bo.old, item)
-				c.pending.Add(-1)
-				c.occupancy.Add(-1)
-			}
-			victim, didEvict = c.insertLocked(bn, item, v)
-		}
-		c.unlockPair(nb, ob)
+		victim, evicted = c.storeLocked(a.bn, i, item, v)
 	}
-	c.rehashMu.RUnlock()
-	c.maybeFinishMigration()
-	return stored, uint64(victim), didEvict
-}
-
-// updateFast is Update's single-bucket fast path; see getFast.
-func (c *Cache) updateFast(item trace.Item, fn func(old interface{}, present bool) (interface{}, bool)) (stored bool, victim trace.Item, didEvict, fast bool) {
-	p := c.pair.Load()
-	if p.old != nil || disableFastPath {
-		return false, 0, false, false
-	}
-	b := &c.buckets[p.hasher.Bucket(item)]
-	b.mu.Lock()
-	if c.pair.Load() != p {
-		b.mu.Unlock()
-		return false, 0, false, false
-	}
-	old, present := b.values[item]
-	if v, store := fn(old, present); store {
-		stored = true
-		victim, didEvict = c.insertLocked(b, item, v)
-	}
-	b.mu.Unlock()
-	return stored, victim, didEvict, true
+	c.leave(a, false)
+	return stored, uint64(victim), evicted
 }
 
 // GetOrLoad returns the cached value for key, or runs load exactly once (per
@@ -536,75 +423,7 @@ func (c *Cache) GetOrLoad(key uint64, load func() (interface{}, error)) (interfa
 
 // Delete removes key, reporting whether it was present.
 func (c *Cache) Delete(key uint64) bool {
-	item := trace.Item(key)
-	if ok, fast := c.deleteFast(item); fast {
-		return ok
-	}
-	ok := c.delete(item)
-	c.maybeFinishMigration()
-	return ok
-}
-
-// deleteFast is Delete's single-bucket fast path; see getFast.
-func (c *Cache) deleteFast(item trace.Item) (ok, fast bool) {
-	p := c.pair.Load()
-	if p.old != nil || disableFastPath {
-		return false, false
-	}
-	b := &c.buckets[p.hasher.Bucket(item)]
-	b.mu.Lock()
-	if c.pair.Load() != p {
-		b.mu.Unlock()
-		return false, false
-	}
-	if !b.pol.Delete(item) {
-		b.mu.Unlock()
-		return false, true
-	}
-	delete(b.values, item)
-	c.occupancy.Add(-1)
-	b.mu.Unlock()
-	return true, true
-}
-
-func (c *Cache) delete(item trace.Item) bool {
-	c.rehashMu.RLock()
-	defer c.rehashMu.RUnlock()
-	p := c.pair.Load()
-	nb := p.hasher.Bucket(item)
-	ob := nb
-	if p.old != nil {
-		ob = p.old.Bucket(item)
-	}
-	if ob == nb {
-		b := &c.buckets[nb]
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		if !b.pol.Delete(item) {
-			return false
-		}
-		delete(b.values, item)
-		c.clearOldMark(b, item)
-		c.occupancy.Add(-1)
-		return true
-	}
-	bn, bo := &c.buckets[nb], &c.buckets[ob]
-	c.lockPair(nb, ob)
-	defer c.unlockPair(nb, ob)
-	if bn.pol.Delete(item) {
-		delete(bn.values, item)
-		c.occupancy.Add(-1)
-		return true
-	}
-	if _, isOld := bo.old[item]; isOld {
-		bo.pol.Delete(item)
-		delete(bo.values, item)
-		delete(bo.old, item)
-		c.pending.Add(-1)
-		c.occupancy.Add(-1)
-		return true
-	}
-	return false
+	return c.DeleteIf(key, func(interface{}) bool { return true })
 }
 
 // Rehash begins an online incremental rehash: a fresh indexing hash is
@@ -616,8 +435,8 @@ func (c *Cache) delete(item trace.Item) bool {
 // next one begins").
 //
 // Rehash blocks all cache operations for the duration of the marking pass
-// (O(residents) under the write lock); the migration that follows is fully
-// concurrent. See the package comment.
+// (one bit-fill per bucket under the write lock, no allocation); the
+// migration that follows is fully concurrent. See the package comment.
 func (c *Cache) Rehash() {
 	c.rehashMu.Lock()
 	defer c.rehashMu.Unlock()
@@ -626,16 +445,12 @@ func (c *Cache) Rehash() {
 		for i := range c.buckets {
 			b := &c.buckets[i]
 			b.mu.Lock()
-			for it := range b.old {
-				b.pol.Delete(it)
-				delete(b.values, it)
-				c.occupancy.Add(-1)
+			for s := b.nextOld(); s != none; s = b.nextOld() {
+				c.removeLocked(b, s)
 				c.flushEvictions.Add(1)
 			}
-			b.old = nil
 			b.mu.Unlock()
 		}
-		c.pending.Store(0)
 		p = &hasherPair{hasher: p.hasher}
 		c.pair.Store(p)
 		c.migrating.Store(false)
@@ -656,12 +471,7 @@ func (c *Cache) Rehash() {
 	for i := range c.buckets {
 		b := &c.buckets[i]
 		b.mu.Lock()
-		items := b.pol.Items()
-		b.old = make(map[trace.Item]struct{}, len(items))
-		for _, it := range items {
-			b.old[it] = struct{}{}
-		}
-		total += len(items)
+		total += b.markOld()
 		b.mu.Unlock()
 	}
 	c.rehashes.Add(1)
@@ -677,8 +487,8 @@ func (c *Cache) Rehash() {
 }
 
 // migrateSteps force-evicts up to migrationPerMiss not-yet-remapped items,
-// sweeping buckets in order. Caller holds rehashMu.RLock and no bucket
-// locks.
+// sweeping buckets in order and each bucket from its least recently used
+// resident. Caller holds rehashMu.RLock and no bucket locks.
 func (c *Cache) migrateSteps() {
 	n := int64(len(c.buckets))
 	for done := 0; done < c.migrationPerMiss; {
@@ -688,22 +498,13 @@ func (c *Cache) migrateSteps() {
 		}
 		b := &c.buckets[i]
 		b.mu.Lock()
-		evicted := false
-		for it := range b.old {
-			b.pol.Delete(it)
-			delete(b.values, it)
-			delete(b.old, it)
-			c.pending.Add(-1)
-			c.occupancy.Add(-1)
+		if s := b.nextOld(); s != none {
+			c.removeLocked(b, s)
 			c.flushEvictions.Add(1)
-			evicted = true
-			break
-		}
-		drained := len(b.old) == 0
-		b.mu.Unlock()
-		if evicted {
 			done++
 		}
+		drained := b.nOld == 0
+		b.mu.Unlock()
 		if drained {
 			c.sweepCursor.CompareAndSwap(i, i+1)
 		}
@@ -736,7 +537,7 @@ func (c *Cache) Len() int {
 	for i := range c.buckets {
 		b := &c.buckets[i]
 		b.mu.Lock()
-		total += b.pol.Len()
+		total += int(b.n)
 		b.mu.Unlock()
 	}
 	return total
@@ -747,14 +548,7 @@ func (c *Cache) Len() int {
 // appear; no key is reported twice.
 func (c *Cache) Keys() []uint64 {
 	out := make([]uint64, 0, c.occupancy.Load())
-	for i := range c.buckets {
-		b := &c.buckets[i]
-		b.mu.Lock()
-		for it := range b.values {
-			out = append(out, uint64(it))
-		}
-		b.mu.Unlock()
-	}
+	c.Entries(func(key uint64, _ interface{}) { out = append(out, key) })
 	return out
 }
 
@@ -769,9 +563,7 @@ func (c *Cache) Entries(visit func(key uint64, v interface{})) {
 	for i := range c.buckets {
 		b := &c.buckets[i]
 		b.mu.Lock()
-		for it, v := range b.values {
-			visit(uint64(it), v)
-		}
+		b.each(visit)
 		b.mu.Unlock()
 	}
 }
@@ -784,58 +576,15 @@ func (c *Cache) Entries(visit func(key uint64, v interface{})) {
 // tombstone reaping: "delete this tombstone unless someone revived the key
 // since I scanned it" must be atomic or the reap races a reviving write.
 func (c *Cache) DeleteIf(key uint64, fn func(v interface{}) bool) bool {
-	ok := c.deleteIf(trace.Item(key), fn)
-	c.maybeFinishMigration()
+	item := trace.Item(key)
+	a := c.enter(item)
+	b, i := a.find(item)
+	ok := i != none && fn(b.vals[i])
+	if ok {
+		c.removeLocked(b, i)
+	}
+	c.leave(a, false)
 	return ok
-}
-
-func (c *Cache) deleteIf(item trace.Item, fn func(v interface{}) bool) bool {
-	c.rehashMu.RLock()
-	defer c.rehashMu.RUnlock()
-	p := c.pair.Load()
-	nb := p.hasher.Bucket(item)
-	ob := nb
-	if p.old != nil {
-		ob = p.old.Bucket(item)
-	}
-	if ob == nb {
-		b := &c.buckets[nb]
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		v, present := b.values[item]
-		if !present || !fn(v) {
-			return false
-		}
-		b.pol.Delete(item)
-		delete(b.values, item)
-		c.clearOldMark(b, item)
-		c.occupancy.Add(-1)
-		return true
-	}
-	bn, bo := &c.buckets[nb], &c.buckets[ob]
-	c.lockPair(nb, ob)
-	defer c.unlockPair(nb, ob)
-	if v, present := bn.values[item]; present {
-		if !fn(v) {
-			return false
-		}
-		bn.pol.Delete(item)
-		delete(bn.values, item)
-		c.occupancy.Add(-1)
-		return true
-	}
-	if _, isOld := bo.old[item]; isOld {
-		if !fn(bo.values[item]) {
-			return false
-		}
-		bo.pol.Delete(item)
-		delete(bo.values, item)
-		delete(bo.old, item)
-		c.pending.Add(-1)
-		c.occupancy.Add(-1)
-		return true
-	}
-	return false
 }
 
 // Capacity returns the total entry capacity k.
@@ -849,7 +598,8 @@ func (c *Cache) NumBuckets() int { return len(c.buckets) }
 
 // Stats returns cumulative hit/miss counters for Get calls.
 func (c *Cache) Stats() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
+	s := c.Snapshot()
+	return s.Hits, s.Misses
 }
 
 // Snapshot is a point-in-time view of the cache's cumulative counters.
@@ -887,20 +637,26 @@ func (s Snapshot) MissRatio() float64 {
 
 // Snapshot returns the cache-wide counter snapshot.
 func (c *Cache) Snapshot() Snapshot {
-	return Snapshot{
-		Hits:              c.hits.Load(),
+	s := Snapshot{
 		Misses:            c.misses.Load(),
-		Evictions:         c.evictions.Load(),
 		ConflictEvictions: c.conflictEvictions.Load(),
 		FlushEvictions:    c.flushEvictions.Load(),
 		Rehashes:          c.rehashes.Load(),
 		Migrating:         c.migrating.Load(),
 		Pending:           int(c.pending.Load()),
-		Len:               c.Len(),
 		Capacity:          c.Capacity(),
 		Alpha:             c.alpha,
 		Buckets:           len(c.buckets),
 	}
+	for i := range c.buckets {
+		b := &c.buckets[i]
+		b.mu.Lock()
+		s.Hits += b.hits
+		s.Evictions += b.evictions
+		s.Len += int(b.n)
+		b.mu.Unlock()
+	}
+	return s
 }
 
 // ShardStat is one bucket's view of the load: its Get hits and misses, the
@@ -920,7 +676,7 @@ func (c *Cache) ShardStats() []ShardStat {
 	for i := range c.buckets {
 		b := &c.buckets[i]
 		b.mu.Lock()
-		out[i] = ShardStat{Hits: b.hits, Misses: b.misses, Evictions: b.evictions, Len: b.pol.Len()}
+		out[i] = ShardStat{Hits: b.hits, Misses: b.misses, Evictions: b.evictions, Len: int(b.n)}
 		b.mu.Unlock()
 	}
 	return out

@@ -1,0 +1,445 @@
+package concurrent
+
+import (
+	"fmt"
+	"math/bits"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/hashfn"
+	"repro/internal/policy"
+	"repro/internal/trace"
+)
+
+// model is the store's specification, written the plain way: per bucket a
+// policy.Policy, a value map and an awaiting-remap set, single-threaded,
+// with the same hash seeds as the Cache it shadows. It is what the Cache
+// was before its buckets became slot arrays, plus the one thing that store
+// left to map iteration order: a forced eviction takes the bucket's least
+// recently used awaiting-remap resident (rec keeps that order under any
+// policy).
+type model struct {
+	buckets      []modelBucket
+	seeds        *hashfn.SeedSequence
+	hasher, old  *hashfn.Random
+	capacity     int
+	perMiss      int
+	cursor       int
+	pending, occ int
+	snap         Snapshot // the counters, maintained exactly as documented
+}
+
+type modelBucket struct {
+	pol  policy.Policy
+	vals map[trace.Item]interface{}
+	old  map[trace.Item]struct{}
+	rec  []trace.Item // most recently used first
+}
+
+func newModel(cfg Config) *model {
+	factory := cfg.Policy
+	if factory == nil {
+		factory = func(c int) policy.Policy { return policy.NewLRU(c) }
+	}
+	n := cfg.Capacity / cfg.Alpha
+	m := &model{
+		buckets:  make([]modelBucket, n),
+		seeds:    hashfn.NewSeedSequence(cfg.Seed),
+		capacity: cfg.Capacity,
+		perMiss:  max(cfg.MigrationPerMiss, 1),
+	}
+	m.hasher = hashfn.NewRandom(m.seeds.Next(), n)
+	for i := range m.buckets {
+		m.buckets[i] = modelBucket{
+			pol:  factory(cfg.Alpha),
+			vals: map[trace.Item]interface{}{},
+			old:  map[trace.Item]struct{}{},
+		}
+	}
+	return m
+}
+
+func (b *modelBucket) forget(x trace.Item) {
+	if i := slices.Index(b.rec, x); i >= 0 {
+		b.rec = slices.Delete(b.rec, i, i+1)
+	}
+}
+
+// request is one policy request for x, mirrored into the recency order.
+func (b *modelBucket) request(x trace.Item) (hit bool, victim trace.Item, evicted bool) {
+	hit, victim, evicted = b.pol.Request(x)
+	if evicted {
+		b.forget(victim)
+	}
+	b.forget(x)
+	b.rec = slices.Insert(b.rec, 0, x)
+	return hit, victim, evicted
+}
+
+// drop removes resident x of b, which is not an eviction.
+func (m *model) drop(b *modelBucket, x trace.Item) {
+	b.pol.Delete(x)
+	b.forget(x)
+	delete(b.vals, x)
+	m.clearOld(b, x)
+	m.occ--
+}
+
+func (m *model) clearOld(b *modelBucket, x trace.Item) {
+	if _, ok := b.old[x]; ok {
+		delete(b.old, x)
+		m.pending--
+	}
+}
+
+// store is the documented insert: overwrite in place, or insert and report
+// the policy's victim, classifying the eviction as a conflict when the
+// cache as a whole had room.
+func (m *model) store(b *modelBucket, x trace.Item, v interface{}) (victim trace.Item, evicted bool) {
+	m.clearOld(b, x)
+	hit, victim, evicted := b.request(x)
+	if evicted {
+		delete(b.vals, victim)
+		m.clearOld(b, victim)
+		m.snap.Evictions++
+		if m.occ < m.capacity {
+			m.snap.ConflictEvictions++
+		}
+	} else if !hit {
+		m.occ++
+	}
+	b.vals[x] = v
+	return victim, evicted
+}
+
+// where locates x: its bucket under the live hash, and the bucket holding
+// it (nil when absent) — the live one, or the previous hash's while x
+// still awaits remapping.
+func (m *model) where(x trace.Item) (bn, at *modelBucket) {
+	bn = &m.buckets[m.hasher.Bucket(x)]
+	if _, ok := bn.vals[x]; ok {
+		return bn, bn
+	}
+	if m.old != nil {
+		bo := &m.buckets[m.old.Bucket(x)]
+		if _, ok := bo.old[x]; ok {
+			return bn, bo
+		}
+	}
+	return bn, nil
+}
+
+func (m *model) finish() {
+	if m.old != nil && m.pending == 0 {
+		m.old = nil
+	}
+}
+
+func (m *model) get(x trace.Item) (interface{}, bool) {
+	defer m.finish()
+	bn, at := m.where(x)
+	if at == nil {
+		m.snap.Misses++
+		if m.old != nil {
+			m.forcedEvictions()
+		}
+		return nil, false
+	}
+	m.snap.Hits++
+	v := at.vals[x]
+	if at == bn {
+		m.clearOld(bn, x)
+		bn.request(x)
+	} else {
+		m.drop(at, x)
+		m.store(bn, x, v)
+	}
+	return v, true
+}
+
+func (m *model) forcedEvictions() {
+	for done := 0; done < m.perMiss && m.cursor < len(m.buckets); {
+		b := &m.buckets[m.cursor]
+		for i := len(b.rec) - 1; i >= 0; i-- {
+			if _, ok := b.old[b.rec[i]]; ok {
+				m.drop(b, b.rec[i])
+				m.snap.FlushEvictions++
+				done++
+				break
+			}
+		}
+		if len(b.old) == 0 {
+			m.cursor++
+		}
+	}
+}
+
+func (m *model) update(x trace.Item, fn func(interface{}, bool) (interface{}, bool)) (stored bool, victim trace.Item, evicted bool) {
+	defer m.finish()
+	bn, at := m.where(x)
+	var cur interface{}
+	if at != nil {
+		cur = at.vals[x]
+	}
+	v, stored := fn(cur, at != nil)
+	if !stored {
+		return false, 0, false
+	}
+	if at != nil && at != bn {
+		m.drop(at, x)
+	}
+	victim, evicted = m.store(bn, x, v)
+	return true, victim, evicted
+}
+
+func (m *model) deleteIf(x trace.Item, fn func(interface{}) bool) bool {
+	defer m.finish()
+	_, at := m.where(x)
+	if at == nil || !fn(at.vals[x]) {
+		return false
+	}
+	m.drop(at, x)
+	return true
+}
+
+func (m *model) rehash() {
+	if m.old != nil {
+		for i := range m.buckets {
+			b := &m.buckets[i]
+			for x := range b.old {
+				m.drop(b, x)
+				m.snap.FlushEvictions++
+			}
+		}
+	}
+	m.old = m.hasher
+	m.hasher = hashfn.NewRandom(m.seeds.Next(), len(m.buckets))
+	for i := range m.buckets {
+		b := &m.buckets[i]
+		for x := range b.vals {
+			b.old[x] = struct{}{}
+		}
+	}
+	m.snap.Rehashes++
+	m.cursor = 0
+	m.pending = m.occ
+	m.finish()
+}
+
+// checkAgainst compares everything observable, and the bucket internals,
+// with the Cache the model shadows.
+func (m *model) checkAgainst(c *Cache) error {
+	want := m.snap
+	want.Migrating, want.Pending, want.Len = m.old != nil, m.pending, m.occ
+	want.Capacity, want.Alpha, want.Buckets = c.Capacity(), c.Alpha(), c.NumBuckets()
+	if got := c.Snapshot(); got != want {
+		return fmt.Errorf("Snapshot = %+v, model %+v", got, want)
+	}
+	if got := c.Len(); got != m.occ {
+		return fmt.Errorf("Len = %d, model %d", got, m.occ)
+	}
+	if got := int(c.occupancy.Load()); got != m.occ {
+		return fmt.Errorf("occupancy = %d, model %d", got, m.occ)
+	}
+	// Every resident is enumerated once, with the model's value; the
+	// buckets' own key sets are compared slot by slot in checkBucket.
+	var bad error
+	visited := 0
+	c.Entries(func(k uint64, v interface{}) {
+		visited++
+		if _, at := m.where(trace.Item(k)); at == nil || at.vals[trace.Item(k)] != v {
+			bad = fmt.Errorf("Entries visits %d → %v, which the model does not hold", k, v)
+		}
+	})
+	keys := c.Keys()
+	slices.Sort(keys)
+	if bad != nil || visited != m.occ || len(slices.Compact(keys)) != m.occ {
+		return fmt.Errorf("Entries visited %d and Keys has %d distinct keys for %d residents (%v)", visited, len(slices.Compact(keys)), m.occ, bad)
+	}
+	for i := range m.buckets {
+		if err := checkBucket(&c.buckets[i], &m.buckets[i]); err != nil {
+			return fmt.Errorf("bucket %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// checkBucket holds one bucket's slot arrays to the layout's invariants and
+// to the model's bucket: dense slots, no value past n, an exact recency
+// list, the awaiting-remap bits and their count, the index.
+func checkBucket(b *bucket, mb *modelBucket) error {
+	if int(b.n) != len(mb.vals) {
+		return fmt.Errorf("n = %d, model holds %d", b.n, len(mb.vals))
+	}
+	for i := int(b.n); i < len(b.vals); i++ {
+		if b.vals[i] != nil {
+			return fmt.Errorf("free slot %d still holds %v", i, b.vals[i])
+		}
+	}
+	marked := 0
+	for i := range b.old {
+		marked += bits.OnesCount64(b.old[i])
+	}
+	if marked != int(b.nOld) || marked != len(mb.old) {
+		return fmt.Errorf("%d slots marked, nOld = %d, model %d", marked, b.nOld, len(mb.old))
+	}
+	var order []trace.Item
+	prev := none
+	for i := b.head; i != none; prev, i = i, b.order[i].next {
+		if i >= b.n || b.order[i].prev != prev || len(order) > int(b.n) {
+			return fmt.Errorf("recency list broken at slot %d", i)
+		}
+		x := b.keys[i]
+		order = append(order, x)
+		if b.vals[i] != mb.vals[x] {
+			return fmt.Errorf("key %d holds %v, model %v", x, b.vals[i], mb.vals[x])
+		}
+		isOld := b.old[i>>6]&(1<<(i&63)) != 0
+		if _, want := mb.old[x]; isOld != want {
+			return fmt.Errorf("key %d: awaiting-remap bit %v, model %v", x, isOld, want)
+		}
+		if isOld && len(order) <= int(b.n-b.nOld) {
+			return fmt.Errorf("key %d awaits remap but is not among the %d least recent", x, b.nOld)
+		}
+		if b.find(x) != i {
+			return fmt.Errorf("find(%d) = %d, want slot %d", x, b.find(x), i)
+		}
+	}
+	if prev != b.tail || !slices.Equal(order, mb.rec) {
+		return fmt.Errorf("recency order %v (tail %d), model %v", order, b.tail, mb.rec)
+	}
+	if (b.index != nil) != (len(b.keys) > scanMax) || (b.index != nil && len(b.index) != int(b.n)) {
+		return fmt.Errorf("index has %d keys for %d residents at α = %d", len(b.index), b.n, len(b.keys))
+	}
+	return nil
+}
+
+// TestDifferentialModel drives seeded random operation streams through the
+// Cache and the model side by side, on both sides of scanMax and under a
+// delegated policy, and requires every return value, every counter, the
+// resident set and each bucket's exact recency order to agree after every
+// step — mid-migration included.
+func TestDifferentialModel(t *testing.T) {
+	rows := []struct {
+		alpha, capacity int
+		policy          policy.Factory
+	}{
+		{1, 16, nil},
+		{2, 16, nil},
+		{16, 128, nil},
+		{scanMax, 4 * scanMax, nil},
+		{scanMax + 1, 4 * (scanMax + 1), nil},
+		{256, 512, nil},
+		{512, 512, nil}, // α = k: one bucket
+		{16, 128, policy.NewFactory(policy.ClockKind, 0)},
+		{scanMax + 1, 2 * (scanMax + 1), policy.NewFactory(policy.ClockKind, 0)},
+	}
+	for _, r := range rows {
+		name := fmt.Sprintf("alpha=%d/k=%d/native=%v", r.alpha, r.capacity, r.policy == nil)
+		t.Run(name, func(t *testing.T) {
+			seeds := uint64(3)
+			if raceEnabled {
+				seeds = 1 // single-threaded: nothing for the detector, ten times the wall clock
+			}
+			for seed := uint64(1); seed <= seeds; seed++ {
+				cfg := Config{Capacity: r.capacity, Alpha: r.alpha, Seed: seed, Policy: r.policy, MigrationPerMiss: int(seed)}
+				c, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.policy == nil && c.buckets[0].pol != nil {
+					t.Fatal("LRU built a policy object")
+				}
+				runDifferential(t, c, newModel(cfg), seed)
+			}
+		})
+	}
+}
+
+func runDifferential(t *testing.T, c *Cache, m *model, seed uint64) {
+	rng := rand.New(rand.NewSource(int64(seed)))
+	// Sized so that between two rehashes the cache refills and evicts, and
+	// that some rehashes land while the previous migration is still
+	// draining.
+	universe := 2 * c.Capacity()
+	steps := max(6000, 14*c.Capacity())
+	rehashEvery := 4*c.Capacity() + 100
+	even := func(v interface{}) bool { return v.(int)%2 == 0 }
+	for step := 0; step < steps; step++ {
+		key := uint64(rng.Intn(universe))
+		x := trace.Item(key)
+		var got, want string
+		switch op := rng.Intn(100); {
+		case step%rehashEvery == rehashEvery-1, step%(2*rehashEvery) == c.Capacity()/2:
+			c.Rehash()
+			m.rehash()
+		case op < 45:
+			v, ok := c.Get(key)
+			mv, mok := m.get(x)
+			got, want = fmt.Sprint("get ", v, ok), fmt.Sprint("get ", mv, mok)
+		case op < 70:
+			victim, ev := c.Put(key, step)
+			_, mvictim, mev := m.update(x, func(interface{}, bool) (interface{}, bool) { return step, true })
+			got, want = fmt.Sprint("put ", victim, ev), fmt.Sprint("put ", uint64(mvictim), mev)
+		case op < 88:
+			// Store over an odd value or into a hole, decline otherwise.
+			fn := func(old interface{}, present bool) (interface{}, bool) {
+				return step, !present || !even(old)
+			}
+			st, victim, ev := c.Update(key, fn)
+			mst, mvictim, mev := m.update(x, fn)
+			got, want = fmt.Sprint("update ", st, victim, ev), fmt.Sprint("update ", mst, uint64(mvictim), mev)
+		case op < 94:
+			always := func(interface{}) bool { return true }
+			got, want = fmt.Sprint("delete ", c.Delete(key)), fmt.Sprint("delete ", m.deleteIf(x, always))
+		default:
+			got, want = fmt.Sprint("deleteIf ", c.DeleteIf(key, even)), fmt.Sprint("deleteIf ", m.deleteIf(x, even))
+		}
+		if got != want {
+			t.Fatalf("seed %d step %d key %d: cache says %q, model %q", seed, step, key, got, want)
+		}
+		if err := m.checkAgainst(c); err != nil {
+			t.Fatalf("seed %d step %d key %d (%s): %v", seed, step, key, got, err)
+		}
+	}
+	if m.snap.Rehashes < 2 || m.snap.FlushEvictions == 0 || m.snap.Evictions == 0 || m.snap.Hits == 0 {
+		t.Fatalf("seed %d: stream exercised too little: %+v", seed, m.snap)
+	}
+}
+
+// TestBatchEvictingPolicy covers the one insert the model does not: a
+// non-lazy policy (flush-when-full) that empties the bucket around the new
+// item, here mid-migration so the flushed residents were all awaiting
+// remap. Which of them Request reports is the policy's map order; the
+// counts are not.
+func TestBatchEvictingPolicy(t *testing.T) {
+	for _, alpha := range []int{4, scanMax + 1} {
+		c, err := New(Config{Capacity: alpha, Alpha: alpha, Seed: 1, Policy: policy.NewFactory(policy.FlushWhenFullKind, 0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 1; k <= alpha; k++ {
+			c.Put(uint64(k), k)
+		}
+		c.Rehash()
+		if c.PendingMigration() != alpha {
+			t.Fatalf("α = %d: pending %d after rehash of a full bucket", alpha, c.PendingMigration())
+		}
+		victim, evicted := c.Put(1000, "new")
+		snap := c.Snapshot()
+		if !evicted || victim < 1 || victim > uint64(alpha) {
+			t.Errorf("α = %d: Put reported victim %d, %v", alpha, victim, evicted)
+		}
+		if snap.Len != 1 || snap.Evictions != uint64(alpha) || snap.Pending != 0 || snap.Migrating {
+			t.Errorf("α = %d: after the flush %+v", alpha, snap)
+		}
+		if v, ok := c.Get(1000); !ok || v != "new" || !slices.Equal(c.Keys(), []uint64{1000}) {
+			t.Errorf("α = %d: Get = %v, %v; Keys = %v", alpha, v, ok, c.Keys())
+		}
+		b := &c.buckets[0]
+		if b.head != 0 || b.tail != 0 || b.vals[1] != nil || int(c.occupancy.Load()) != 1 {
+			t.Errorf("α = %d: bucket head %d tail %d, slot 1 holds %v, occupancy %d", alpha, b.head, b.tail, b.vals[1], c.occupancy.Load())
+		}
+	}
+}

@@ -12,6 +12,7 @@ package hashfn
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/trace"
 )
@@ -56,7 +57,7 @@ func (r *Random) Bucket(x trace.Item) int {
 	h := Mix64(uint64(x) ^ r.seed)
 	// Lemire's multiply-shift maps h uniformly onto [0, buckets) without the
 	// modulo bias of h % buckets.
-	hi, _ := mul64(h, uint64(r.buckets))
+	hi, _ := bits.Mul64(h, uint64(r.buckets))
 	return int(hi)
 }
 
@@ -65,18 +66,6 @@ func (r *Random) Buckets() int { return r.buckets }
 
 // Seed returns the seed this hasher was built with.
 func (r *Random) Seed() uint64 { return r.seed }
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return hi, lo
-}
 
 // Modulo is the weak indexer x mod n (plus a fixed offset so that seed-like
 // variation is possible). It is *not* fully random: contiguous universes

@@ -31,6 +31,7 @@ package telemetry
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,38 +59,9 @@ func bucketIndex(v uint64) int {
 	if v < SubBuckets {
 		return int(v)
 	}
-	exp := 63 - leadingZeros(v)
+	exp := bits.Len64(v) - 1
 	sub := (v >> (uint(exp) - SubBits)) & (SubBuckets - 1)
 	return (exp-SubBits+1)*SubBuckets + int(sub)
-}
-
-// leadingZeros is bits.LeadingZeros64 without the import.
-func leadingZeros(v uint64) int {
-	n := 0
-	if v>>32 == 0 {
-		n += 32
-		v <<= 32
-	}
-	if v>>48 == 0 {
-		n += 16
-		v <<= 16
-	}
-	if v>>56 == 0 {
-		n += 8
-		v <<= 8
-	}
-	if v>>60 == 0 {
-		n += 4
-		v <<= 4
-	}
-	if v>>62 == 0 {
-		n += 2
-		v <<= 2
-	}
-	if v>>63 == 0 {
-		n++
-	}
-	return n
 }
 
 // BucketLow returns the smallest nanosecond value that lands in bucket i.
