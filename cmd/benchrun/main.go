@@ -567,26 +567,23 @@ func serverDelta(before, after map[string]*wire.Metrics) svrSide {
 		BytesIn:  aggA.Counter(wire.CounterBytesIn) - aggB.Counter(wire.CounterBytesIn),
 		BytesOut: aggA.Counter(wire.CounterBytesOut) - aggB.Counter(wire.CounterBytesOut),
 	}
-	// Reads travel as GET or, on the leased row, GETL; the two service-time
-	// histograms merge bucket-wise into one read column.
-	h := histDelta(aggA.Hist(byte(wire.OpGet)), aggB.Hist(byte(wire.OpGet)))
-	if hl := histDelta(aggA.Hist(byte(wire.OpGetLease)), aggB.Hist(byte(wire.OpGetLease))); hl != nil && hl.Count > 0 {
-		if h == nil {
-			h = hl
-		} else {
-			h.Count += hl.Count
-			h.Sum += hl.Sum
-			for i := range h.Buckets {
-				h.Buckets[i] += hl.Buckets[i]
+	// Reads travel as GET or, on the leased row, GETL, and that row's
+	// writes as FILL instead of SET; each pair of service-time histograms
+	// merges bucket-wise into one column.
+	column := func(ops ...wire.Op) histNs {
+		var h telemetry.HistogramSnapshot
+		for _, op := range ops {
+			if d := histDelta(aggA.Hist(byte(op)), aggB.Hist(byte(op))); d != nil {
+				h.Merge(d)
 			}
 		}
+		if h.Count == 0 {
+			return histNs{}
+		}
+		return histNs{Count: h.Count, MeanNs: int64(h.Mean()), P50Ns: int64(h.Quantile(0.50)), P99Ns: int64(h.Quantile(0.99))}
 	}
-	if h != nil && h.Count > 0 {
-		sv.Get = histNs{Count: h.Count, MeanNs: int64(h.Mean()), P50Ns: int64(h.Quantile(0.50)), P99Ns: int64(h.Quantile(0.99))}
-	}
-	if h := histDelta(aggA.Hist(byte(wire.OpSet)), aggB.Hist(byte(wire.OpSet))); h != nil && h.Count > 0 {
-		sv.Set = histNs{Count: h.Count, MeanNs: int64(h.Mean()), P50Ns: int64(h.Quantile(0.50)), P99Ns: int64(h.Quantile(0.99))}
-	}
+	sv.Get = column(wire.OpGet, wire.OpGetLease)
+	sv.Set = column(wire.OpSet, wire.OpFill)
 	return sv
 }
 

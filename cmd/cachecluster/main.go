@@ -356,15 +356,15 @@ func printTraceJoin(all map[string]*wire.Metrics, agg *wire.Metrics) {
 }
 
 // printServerLatency merges every member's METRICS histograms and prints
-// the run's server-side GET/SET service-time percentiles — what the
-// servers spent per op between decoding a request and encoding its
+// the run's server-side service-time percentiles per data-path op — what
+// the servers spent per op between decoding a request and encoding its
 // response. Read next to the client latency line: the client numbers are
 // per pipelined batch and include the network and any queueing, so the gap
 // between the two is transport and batching, not cache work.
 func printServerLatency(before, after map[string]*wire.Metrics) {
 	aggB, aggA := cluster.AggregateMetrics(before), cluster.AggregateMetrics(after)
 	parts := []string{}
-	for _, op := range []wire.Op{wire.OpGet, wire.OpSet} {
+	for _, op := range []wire.Op{wire.OpGet, wire.OpGetLease, wire.OpSet, wire.OpFill, wire.OpPut} {
 		d := histDelta(aggA.Hist(byte(op)), aggB.Hist(byte(op)))
 		if d == nil || d.Count == 0 {
 			continue

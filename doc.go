@@ -68,8 +68,8 @@
 // lives on the ring's first R distinct owners, SETs fan out to all R (a
 // configurable write quorum W must acknowledge), GETs fall back through
 // the replica set on a miss or node failure, and stale replicas are
-// re-SET in the background (read repair, flagged on the wire so servers
-// count it apart from user traffic). A node crash then loses no reads —
+// re-written in the background (read repair, its own wire operation so
+// servers count it apart from user traffic). A node crash then loses no reads —
 // surviving owners keep serving, and RemoveNode retires the corpse
 // without contacting it. R buys that availability at the price of R×
 // resident memory and write fan-out, the cluster-level analogue of the

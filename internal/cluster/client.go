@@ -97,8 +97,8 @@ type Options struct {
 // member's pipeline, then drain, so a round costs one round trip however
 // many members it spans. GetBatch runs up to R rounds, asking each
 // unresolved key's next owner, and schedules background read repair —
-// the value re-SET, flagged as repair traffic — on the owners that missed
-// before a later one hit. SetBatch and Del run one round over all R
+// the value re-written as a PUT, maintenance traffic — on the owners that
+// missed before a later one hit. SetBatch and Del run one round over all R
 // owners of every key and need W acknowledgements per key
 // (Options.WriteQuorum). Options.Leases and Options.NearCache add steps to
 // those same two pipelines; no setting selects a different one. Node loss
@@ -168,7 +168,7 @@ type Client struct {
 	warmupWG    sync.WaitGroup
 
 	// Read-repair machinery: detected-stale replicas are queued here and a
-	// single background goroutine re-SETs them with wire.SetFlagRepair.
+	// single background goroutine re-writes them as queued PUTs.
 	repairCh     chan repairTask
 	repairDone   chan struct{}
 	repairClosed bool // guarded by mu; set once by Close
@@ -532,17 +532,11 @@ func (c *Client) readRounds(sc *batchScratch, keys []uint64, bt batchTrace, rf, 
 		lastErr     error
 	)
 	send := func(cl *wire.Client, slot int) error {
-		key := keys[slot/rf]
-		switch {
-		case lease && bt.traced:
-			return cl.EnqueueGetLeaseTraced(key, bt.tc)
-		case lease:
-			return cl.EnqueueGetLease(key)
-		case bt.traced:
-			return cl.EnqueueGetTraced(key, bt.tc)
-		default:
-			return cl.EnqueueGet(key)
+		op := wire.OpGet
+		if lease {
+			op = wire.OpGetLease
 		}
+		return cl.Enqueue(bt.stamp(wire.Request{Op: op, Key: keys[slot/rf]}))
 	}
 	recv := func(s *subBatch, slot int, resp wire.Response) error {
 		i := slot / rf
@@ -704,17 +698,11 @@ func (c *Client) SetBatch(keys []uint64, value func(i int) []byte) error {
 
 	send := func(cl *wire.Client, slot int) error {
 		i := slot / rf
-		g := sc.grants[i]
-		switch {
-		case g != nil && bt.traced:
-			return cl.EnqueueSetLeaseTraced(keys[i], g.token, bt.tc, value(i))
-		case g != nil:
-			return cl.EnqueueSetLease(keys[i], g.token, value(i))
-		case bt.traced:
-			return cl.EnqueueSetFlagsTraced(keys[i], 0, bt.tc, value(i))
-		default:
-			return cl.EnqueueSet(keys[i], value(i))
+		req := wire.Request{Op: wire.OpSet, Key: keys[i], Value: value(i)}
+		if g := sc.grants[i]; g != nil {
+			req.Op, req.LeaseToken = wire.OpFill, g.token
 		}
+		return cl.Enqueue(bt.stamp(req))
 	}
 	recv := func(s *subBatch, slot int, resp wire.Response) error {
 		i := slot / rf
@@ -824,10 +812,7 @@ func (c *Client) Del(key uint64) (bool, error) {
 	present := false
 	lastErr := c.writeRound(sc,
 		func(cl *wire.Client, _ int) error {
-			if bt.traced {
-				return cl.EnqueueDelTraced(key, bt.tc)
-			}
-			return cl.EnqueueDel(key)
+			return cl.Enqueue(bt.stamp(wire.Request{Op: wire.OpDel, Key: key}))
 		},
 		func(s *subBatch, _ int, resp wire.Response) error {
 			if resp.Status != wire.StatusOK {

@@ -17,8 +17,8 @@ import "repro/internal/wire"
 //     authoritative MISS resolves the key as a miss, one hit resolves it as
 //     a hit.
 //   - A write errors only when fewer than W owners acknowledged it.
-//   - Every repair write carries wire.SetFlagRepair, so server-side and
-//     router-side counters never mix maintenance churn into user traffic.
+//   - Every repair write is a PUT, so server-side and router-side counters
+//     never mix maintenance churn into user traffic.
 
 // repairQueueDepth bounds the background read-repair queue. When the queue
 // is full new repairs are shed (and counted) rather than blocking the read
@@ -26,10 +26,10 @@ import "repro/internal/wire"
 // same key.
 const repairQueueDepth = 1024
 
-// repairTask asks the repair worker to re-SET key=val on the owners that
+// repairTask asks the repair worker to PUT key=val on the owners that
 // were seen missing or unreachable. ver is the version the value was
 // observed at (a fallback hit) or stored under (a quorum write); the
-// repair carries it as a conditional VERSIONED write, so however long the
+// PUT carries it and is stored only if strictly newer, so however long the
 // task queues, it can never overwrite a value a concurrent user SET stored
 // after this one was observed.
 type repairTask struct {
@@ -55,7 +55,7 @@ type ReplicationCounters struct {
 	// RepairsScheduled counts repair tasks queued by fallback hits and
 	// partially-acknowledged writes.
 	RepairsScheduled uint64
-	// RepairsApplied counts repair SETs acknowledged by the stale owner.
+	// RepairsApplied counts repair PUTs acknowledged by the stale owner.
 	RepairsApplied uint64
 	// RepairsDropped counts repairs shed because the queue was full.
 	RepairsDropped uint64
@@ -88,7 +88,7 @@ func (c *Client) RepairsDone() uint64 { return c.repairsApplied.Load() }
 // destination as version-stale; it implements load.StaleReporter.
 func (c *Client) StaleRepairs() uint64 { return c.staleRepairs.Load() }
 
-// scheduleRepair queues a background re-SET of key=val, observed at ver,
+// scheduleRepair queues a background PUT of key=val, observed at ver,
 // at addrs. Caller holds c.mu (either side); val may alias a connection
 // buffer and is copied here.
 func (c *Client) scheduleRepair(key, ver uint64, val []byte, addrs []string, bt batchTrace) {
@@ -111,7 +111,7 @@ func (c *Client) scheduleRepair(key, ver uint64, val []byte, addrs []string, bt 
 }
 
 // repairLoop is the background worker: it drains the repair queue until
-// Close, re-SETting stale replicas with the repair flag.
+// Close, PUTting the queued records on their stale replicas.
 func (c *Client) repairLoop() {
 	defer close(c.repairDone)
 	for t := range c.repairCh {
@@ -132,8 +132,8 @@ func (c *Client) repairLoop() {
 // membership change — and, through the RWMutex's writer queue, every other
 // read and write on the client — for a connect timeout. The price is that
 // a member removed concurrently with the lookup may receive one final
-// repair write, which is harmless: it is a flagged cache SET to a node
-// already out of the ring.
+// repair write, which is harmless: it is a PUT to a node already out of
+// the ring.
 func (c *Client) applyRepair(t repairTask) {
 	for _, addr := range t.addrs {
 		c.mu.RLock()
@@ -146,22 +146,16 @@ func (c *Client) applyRepair(t repairTask) {
 			continue
 		}
 		nc.mu.Lock()
-		// Repair carries the ASYNC flag too: the server applies it through
-		// its bounded maintenance queue (and may shed it under overload),
-		// which is fine — a shed repair is retried by the next fallback
-		// read of the key, exactly like one shed from this router's own
-		// queue. It also carries the observed version (VERSIONED), checked
-		// by the server when the queue drains: a repair that queued behind
-		// a user SET of the same key is rejected as stale instead of
-		// reinstating the older value, however deep either queue ran.
+		// Repair is a queued PUT: the server applies it through its bounded
+		// maintenance queue (and may shed it under overload), which is fine
+		// — a shed repair is retried by the next fallback read of the key,
+		// exactly like one shed from this router's own queue. The observed
+		// version it carries is checked by the server when the queue
+		// drains: a repair that queued behind a user SET of the same key is
+		// rejected as stale instead of reinstating the older value, however
+		// deep either queue ran.
 		err := nc.withRetry(c.dial, func(cl *wire.Client) error {
-			flags := wire.SetFlagRepair | wire.SetFlagAsync
-			var err error
-			if t.bt.traced {
-				_, _, err = cl.SetVersionedTraced(t.key, flags, t.ver, t.bt.tc, t.val)
-			} else {
-				_, _, err = cl.SetVersioned(t.key, flags, t.ver, t.val)
-			}
+			_, _, err := cl.Put(t.bt.stamp(wire.Request{Key: t.key, Version: t.ver, Value: t.val, Queued: true}))
 			return err
 		})
 		if err == nil {

@@ -523,7 +523,7 @@ func TestRepairCannotReinstateOldValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if applied, _, err := primaryCl.SetVersioned(key, wire.SetFlagRepair|wire.SetFlagAsync, verOld, []byte("old")); err != nil || !applied {
+	if applied, _, err := primaryCl.Put(wire.Request{Key: key, Version: verOld, Queued: true, Value: []byte("old")}); err != nil || !applied {
 		t.Fatalf("async replay accept = %v, %v", applied, err)
 	}
 	for {

@@ -60,8 +60,8 @@ func (sc *chunkScratch) reset(n int) {
 // returning copies of the surviving values, the versions they were
 // observed at, and the chunk indices that hit: the value-copy rule
 // (connection buffers alias) and the survivors-versus-vanished split live
-// here. The observed versions make copyRecs' subsequent re-SETs
-// conditional (wire.SetFlagVersioned): a copy can never overwrite a value
+// here. The observed versions are what copyRecs' subsequent PUTs carry:
+// a copy can never overwrite a value
 // newer than the one it actually read. The returned slices live in sc and
 // are valid only until the next call on the same scratch; the copies pack
 // into sc's arena, recorded as offsets during the batch and sliced out
@@ -85,15 +85,14 @@ func readChunkValues(cl *wire.Client, chunk []uint64, sc *chunkScratch) (vals []
 }
 
 // copyRecs is the one bulk maintenance primitive: it moves the listed
-// records from src to dst as conditional versioned writes flagged as
-// repair traffic, copyChunk at a time. Warm-up, the R = 1 migration drain
+// records from src to dst as PUTs, copyChunk at a time. Warm-up, the R = 1 migration drain
 // and the anti-entropy repair phase all copy through it. A tombstone is
 // written straight from its record — no value to read, so src may be nil
 // when recs holds nothing else. A live record's value is re-read from src
 // first and written at the version it is stored under now, which may be
 // newer than the listed one: a copy can never supersede anything newer
-// than what it actually read, and every write stays synchronous (no
-// ASYNC flag), so the counts mean settled at dst, not queued.
+// than what it actually read, and every PUT is synchronous (not queued),
+// so the counts mean settled at dst, not queued.
 //
 // applied counts writes dst stored. stale counts writes it refused
 // because it already held something strictly newer — for a maintenance
@@ -131,7 +130,7 @@ func copyRecs(src, dst *wire.Client, recs []wire.KeyRec) (applied, stale, vanish
 				vals = append(vals, read[i])
 			}
 		}
-		a, st, err := dst.SetBatchRecs(out, wire.SetFlagRepair, func(i int) []byte { return vals[i] })
+		a, st, err := dst.PutBatch(out, func(i int) []byte { return vals[i] })
 		applied, stale = applied+a, stale+st
 		if err != nil {
 			return applied, stale, vanished, fmt.Errorf("writing records: %w", err)

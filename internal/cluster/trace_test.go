@@ -89,11 +89,11 @@ func TestTraceEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The repair's drain-time span is the only SET span with a queue
+		// The repair's drain-time span is the only PUT span with a queue
 		// wait on the primary; its trace ID is the original GET's.
 		var tid telemetry.TraceID
 		for _, sp := range all[primary].Spans {
-			if sp.Op == byte(wire.OpSet) && sp.QueueWaitNanos > 0 {
+			if sp.Op == byte(wire.OpPut) && sp.QueueWaitNanos > 0 {
 				tid = sp.TraceID
 			}
 		}

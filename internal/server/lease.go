@@ -3,7 +3,6 @@ package server
 import (
 	"time"
 
-	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -31,8 +30,8 @@ const maxLeases = 4096
 //
 // The invariant the table maintains: a lease is granted only on a miss,
 // and its fill applies only while the key still has no versioned value.
-// Any write that lands in between either kills the token here (store's
-// invalidation hook) or leaves a nonzero version the fill's conditional
+// Any write that lands in between either kills the token here
+// (supersedeLease) or leaves a nonzero version the fill's conditional
 // store refuses — so at most one fill lands per lease, and never over
 // fresher state.
 type lease struct {
@@ -102,15 +101,15 @@ func (s *Server) leaseMiss(key uint64) wire.Response {
 	return wire.Response{Status: wire.StatusLease, LeaseTTL: remaining}
 }
 
-// leaseFill applies a LEASE-flagged SET: the fill lands only while the
-// carried token is the key's outstanding lease and the key still has no
-// versioned value (see the lease invariant above). val must already be a
-// copy the server owns.
-func (s *Server) leaseFill(key, token uint64, val []byte) wire.Response {
+// leaseFill applies a FILL: the fill lands only while the carried token is
+// the key's outstanding lease and the key still has no versioned value
+// (see the lease invariant above). rec's value must already be a copy the
+// server owns.
+func (s *Server) leaseFill(token uint64, rec record) wire.Response {
 	now := time.Now()
 	s.leaseMu.Lock()
 	defer s.leaseMu.Unlock()
-	ls := s.leases[key]
+	ls := s.leases[rec.Key]
 	if ls == nil {
 		// The winning version is unknown without re-reading the cache
 		// (which would skew its hit/miss counters); 0 says "unknown".
@@ -130,60 +129,21 @@ func (s *Server) leaseFill(key, token uint64, val []byte) wire.Response {
 	}
 	ls.token = 0
 	s.leaseLive.Add(-1)
-	applied, ver, evicted := s.storeLeaseFill(key, val)
+	// leaseMu is held: write never re-enters the lease table, and the
+	// stale copy is updated here rather than through supersedeLease.
+	applied, ver, evicted, _ := s.write(ifNoValue, rec)
 	if !applied {
 		return wire.Response{Status: wire.StatusLeaseLost, Version: ver}
 	}
-	ls.staleVer, ls.staleVal = ver, val
+	ls.staleVer, ls.staleVal = ver, rec.val
 	return wire.Response{Status: wire.StatusOK, Evicted: evicted, Version: ver}
 }
 
-// storeLeaseFill stores a fill conditionally: only while the key has no
-// live versioned value — it was absent (or a tombstone) when the lease was
-// granted, and any write since would have left a nonzero version (or
-// killed the token before this ran). A resident tombstone does not refuse
-// the fill: the lease it fills was granted *after* the delete (DEL drops
-// the key's lease entry before its tombstone lands), so the fill is a
-// fresh post-delete origin load, stored at a version above the
-// tombstone's so it wins replication everywhere the tombstone went.
-// Called with leaseMu held; it must not re-enter the lease table
-// (invalidateLease would deadlock), and it need not — the caller updates
-// the stale copy itself.
-func (s *Server) storeLeaseFill(key uint64, val []byte) (applied bool, ver uint64, evicted bool) {
-	var wasTomb bool
-	stored, _, evicted := s.cache.Update(key, func(old interface{}, present bool) (interface{}, bool) {
-		var floor uint64
-		wasTomb = false
-		if present {
-			if e, ok := old.(*entry); ok {
-				if !e.tomb() && e.ver != 0 {
-					ver = e.ver
-					return nil, false
-				}
-				wasTomb = e.tomb()
-				floor = e.ver
-			}
-		}
-		ver = uint64(time.Now().UnixNano())
-		if ver <= floor {
-			ver = floor + 1
-		}
-		return &entry{ver: ver, val: val}, true
-	})
-	if !stored {
-		return false, ver, false
-	}
-	s.noteTombstoneFlip(false, wasTomb)
-	if evicted {
-		s.hotKeys[wire.HotEvict].Record(telemetry.HashKey(key))
-	}
-	return true, ver, evicted
-}
-
-// invalidateLease is store's hook: an applied non-fill write supersedes
-// whatever fill is in flight, so kill the key's outstanding token (its
-// fill will answer LEASE_LOST) and refresh the stale copy. Gated by the
-// caller on leaseEntries, so workloads that never GETL pay nothing.
+// invalidateLease is supersedeLease's value half: an applied SET or PUT
+// supersedes whatever fill is in flight, so kill the key's outstanding
+// token (its fill will answer LEASE_LOST) and refresh the stale copy.
+// Gated by the caller on leaseEntries, so workloads that never GETL pay
+// nothing.
 func (s *Server) invalidateLease(key, ver uint64, val []byte) {
 	s.leaseMu.Lock()
 	defer s.leaseMu.Unlock()
@@ -200,10 +160,11 @@ func (s *Server) invalidateLease(key, ver uint64, val []byte) {
 	}
 }
 
-// dropLease is DEL's hook: remove the key's lease entry entirely — token
-// and stale copy — *before* the cache delete, so neither an in-flight
-// fill nor a later stale hint can resurrect the deleted value. Gated by
-// the caller on leaseEntries.
+// dropLease is the delete hook: remove the key's lease entry entirely —
+// token and stale copy — so neither an in-flight fill nor a later stale
+// hint can resurrect the deleted value. DEL calls it *before* its
+// tombstone store, an applied tombstone PUT after (supersedeLease). Gated
+// by the caller on leaseEntries.
 func (s *Server) dropLease(key uint64) {
 	s.leaseMu.Lock()
 	defer s.leaseMu.Unlock()

@@ -46,7 +46,7 @@ func TestLeaseGrantFillServe(t *testing.T) {
 		t.Fatalf("concurrent GETL = %+v, want a bare zero-token wait", waiter)
 	}
 
-	filled, ver, err := c.SetLease(key, ls.Token, []byte("origin-value"))
+	filled, ver, err := c.Fill(key, ls.Token, []byte("origin-value"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestLeaseStaleHint(t *testing.T) {
 	if err != nil || ls.Token == 0 {
 		t.Fatalf("grant: %+v err=%v", ls, err)
 	}
-	if ok, _, err := c.SetLease(key, ls.Token, []byte("v1")); err != nil || !ok {
+	if ok, _, err := c.Fill(key, ls.Token, []byte("v1")); err != nil || !ok {
 		t.Fatalf("fill: ok=%v err=%v", ok, err)
 	}
 
@@ -144,7 +144,7 @@ func TestLeaseExpiredFillRefused(t *testing.T) {
 		t.Fatalf("grant: %+v err=%v", ls, err)
 	}
 	time.Sleep(20 * time.Millisecond)
-	filled, _, err := c.SetLease(key, ls.Token, []byte("too-late"))
+	filled, _, err := c.Fill(key, ls.Token, []byte("too-late"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestLeaseFillLosesToUserSet(t *testing.T) {
 	if _, err := c.Set(key, []byte("user-write")); err != nil {
 		t.Fatalf("user SET: %v", err)
 	}
-	filled, lostVer, err := c.SetLease(key, ls.Token, []byte("stale-fill"))
+	filled, lostVer, err := c.Fill(key, ls.Token, []byte("stale-fill"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestLeaseFillAfterDelRefused(t *testing.T) {
 	if _, _, err := c.Del(key); err != nil {
 		t.Fatal(err)
 	}
-	filled, _, err := c.SetLease(key, ls.Token, []byte("zombie"))
+	filled, _, err := c.Fill(key, ls.Token, []byte("zombie"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestLeaseStressNeverOverwritesUserWrite(t *testing.T) {
 							// Dawdle past the TTL so the fill races expiry.
 							time.Sleep(3 * time.Millisecond)
 						}
-						if _, _, err := c.SetLease(key, ls.Token, []byte(fmt.Sprintf("fill-%d", key))); err != nil {
+						if _, _, err := c.Fill(key, ls.Token, []byte(fmt.Sprintf("fill-%d", key))); err != nil {
 							errc <- err
 							return
 						}

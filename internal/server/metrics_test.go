@@ -84,6 +84,63 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestMetricsCoversEveryOpcode drives each request opcode once and then
+// round-trips METRICS: whatever op the server counts a histogram for must
+// be exportable (a histogram ID the METRICS codec refuses kills the
+// connection), so a node that has served any mix of traffic stays
+// observable.
+func TestMetricsCoversEveryOpcode(t *testing.T) {
+	_, addr := startServer(t, concurrent.Config{Capacity: 64, Alpha: 4, Seed: 1})
+	c, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	ls, err := c.GetLease(1)
+	if err != nil || ls.Token == 0 {
+		t.Fatalf("GETL = %+v/%v, want a grant", ls, err)
+	}
+	steps := map[wire.Op]func() error{
+		wire.OpGetLease: func() error { return nil }, // driven above, for the token
+		wire.OpFill:     func() error { _, _, err := c.Fill(1, ls.Token, []byte("fill")); return err },
+		wire.OpGet:      func() error { _, _, err := c.Get(1); return err },
+		wire.OpSet:      func() error { _, err := c.Set(2, []byte("set")); return err },
+		wire.OpPut:      func() error { _, _, err := c.Put(wire.Request{Key: 3, Version: 9, Value: []byte("put")}); return err },
+		wire.OpDel:      func() error { _, _, err := c.Del(2); return err },
+		wire.OpHint:     func() error { return c.Hint("127.0.0.1:1", 4, false, 9, []byte("hint")) },
+		wire.OpStats:    func() error { _, err := c.Stats(false); return err },
+		wire.OpRehash:   c.Rehash,
+		wire.OpKeys:     func() error { _, err := c.Keys(); return err },
+		wire.OpMembers:  func() error { _, err := c.Members(); return err },
+		wire.OpTopology: func() error { _, err := c.PushTopology(wire.Topology{Epoch: 1, Members: []string{addr}}); return err },
+		// METRICS is observed after its response is written, so the first
+		// call seeds the histogram the second one carries.
+		wire.OpMetrics: func() error { _, err := c.Metrics(wire.MetricsCounters); return err },
+	}
+	for op := wire.OpGet; op <= wire.OpLast; op++ {
+		step, ok := steps[op]
+		if !ok {
+			t.Fatalf("no step drives %v: extend this test with the new opcode", op)
+		}
+		if err := step(); err != nil {
+			t.Fatalf("%v: %v", op, err)
+		}
+	}
+	m, err := c.Metrics(wire.MetricsHistograms)
+	if err != nil {
+		t.Fatalf("METRICS after every opcode was served: %v", err)
+	}
+	for op := wire.OpGet; op <= wire.OpLast; op++ {
+		if h := m.Hist(byte(op)); h == nil || h.Count == 0 {
+			t.Errorf("no %v histogram in the METRICS response", op)
+		}
+	}
+	if _, _, err := c.Get(1); err != nil {
+		t.Fatalf("connection unusable after METRICS: %v", err)
+	}
+}
+
 // TestSlowOpLog drops the threshold to zero-distance so every op is
 // "slow", then checks the ring retains op, key hash, duration and
 // version — and that the key never appears verbatim.
@@ -165,7 +222,7 @@ func TestRepairQueueHighWater(t *testing.T) {
 	defer c.Close()
 
 	for i := 0; i < 50; i++ {
-		if _, err := c.SetFlags(uint64(i), wire.SetFlagRepair|wire.SetFlagAsync, []byte("r")); err != nil {
+		if _, _, err := c.Put(wire.Request{Key: uint64(i), Version: 1, Queued: true, Value: []byte("r")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -200,7 +257,7 @@ func TestRepairWaitHistogram(t *testing.T) {
 
 	const n = 20
 	for i := 0; i < n; i++ {
-		if _, err := c.SetFlags(uint64(i), wire.SetFlagRepair|wire.SetFlagAsync, []byte("r")); err != nil {
+		if _, _, err := c.Put(wire.Request{Key: uint64(i), Version: 1, Queued: true, Value: []byte("r")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,12 +299,12 @@ func TestSpansAndHotKeys(t *testing.T) {
 	if _, err := c.Set(hotKey, []byte("hot")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.EnqueueGetTraced(hotKey, tc); err != nil {
+	if err := c.Enqueue(wire.Request{Op: wire.OpGet, Key: hotKey, Trace: tc, Traced: true}); err != nil {
 		t.Fatal(err)
 	}
 	unsampled := wire.TraceContext{}
 	unsampled.ID[0] = 0xCD
-	if err := c.EnqueueGetTraced(hotKey, unsampled); err != nil {
+	if err := c.Enqueue(wire.Request{Op: wire.OpGet, Key: hotKey, Trace: unsampled, Traced: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
@@ -320,7 +377,7 @@ func TestSlowOpTraceJoin(t *testing.T) {
 
 	tc := wire.TraceContext{Flags: wire.TraceFlagSampled}
 	tc.ID[5] = 0x77
-	if err := c.EnqueueSetFlagsTraced(9, 0, tc, []byte("v")); err != nil {
+	if err := c.Enqueue(wire.Request{Op: wire.OpSet, Key: 9, Trace: tc, Traced: true, Value: []byte("v")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
@@ -355,7 +412,7 @@ func TestSlowOpTraceJoin(t *testing.T) {
 }
 
 // TestRepairDrainSpan pins trace propagation across the async
-// maintenance queue: a sampled VERSIONED|ASYNC write records a span at
+// maintenance queue: a sampled queued PUT records a span at
 // drain time that joins the originating trace ID and separates queue
 // wait from apply time.
 func TestRepairDrainSpan(t *testing.T) {
@@ -368,8 +425,7 @@ func TestRepairDrainSpan(t *testing.T) {
 
 	tc := wire.TraceContext{Flags: wire.TraceFlagSampled}
 	tc.ID[1] = 0x44
-	flags := wire.SetFlagRepair | wire.SetFlagAsync
-	if err := c.EnqueueSetVersionedTraced(123, flags, 7, tc, []byte("r")); err != nil {
+	if err := c.Enqueue(wire.Request{Op: wire.OpPut, Key: 123, Version: 7, Queued: true, Trace: tc, Traced: true, Value: []byte("r")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
@@ -379,7 +435,7 @@ func TestRepairDrainSpan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Two spans must appear: the accept (the SET request itself) and the
+	// Two spans must appear: the accept (the PUT request itself) and the
 	// drain-time apply, both under the same trace ID, the drain one with
 	// a queue wait.
 	deadline := time.Now().Add(2 * time.Second)
@@ -393,8 +449,8 @@ func TestRepairDrainSpan(t *testing.T) {
 			if sp.TraceID != telemetry.TraceID(tc.ID) {
 				t.Fatalf("span with foreign trace ID %s", sp.TraceID)
 			}
-			if sp.Op != byte(wire.OpSet) {
-				t.Fatalf("span op = %d, want SET", sp.Op)
+			if sp.Op != byte(wire.OpPut) {
+				t.Fatalf("span op = %d, want PUT", sp.Op)
 			}
 			if sp.QueueWaitNanos == 0 {
 				accept = true

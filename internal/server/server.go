@@ -15,11 +15,11 @@
 //
 // Every stored value carries a monotonically increasing per-key version
 // (protocol v4). User SETs assign versions and always win; maintenance
-// SETs flagged VERSIONED carry the version their writer observed and are
-// applied atomically only when strictly newer than the stored one —
-// rejections answer VERSION_STALE and count in STATS StaleRepairs. The
-// async maintenance queue applies its entries through the same check, so
-// its depth no longer widens the window in which a delayed repair could
+// writes (PUT) carry the version their writer observed and are applied
+// atomically only when strictly newer than the stored one — rejections
+// answer VERSION_STALE and count in STATS StaleRepairs. The queue that
+// queued PUTs drain through applies its entries through the same check,
+// so its depth does not widen the window in which a delayed repair could
 // reinstate a value a concurrent user SET already replaced.
 //
 // The server also holds the node's view of the cluster topology: a member
@@ -46,8 +46,8 @@ import (
 	"repro/internal/wire"
 )
 
-// DefaultRepairQueue is the depth of the bounded queue that async
-// maintenance writes (SET with the ASYNC flag) drain through. Deep enough
+// DefaultRepairQueue is the depth of the bounded queue that queued
+// maintenance writes (PUT with the queued byte set) drain through. Deep enough
 // that read repair never sheds in healthy operation. The bound is a
 // count, not a byte budget: worst-case queued memory is depth × value
 // size, so operators running large values should size it down with
@@ -91,15 +91,15 @@ const DefaultSlowOpThreshold = 10 * time.Millisecond
 // plus a monotonically increasing per-key version, or — when born is
 // nonzero — a tombstone: the versioned fact that the key was deleted, kept
 // so no older copy of the value can be reinstated by delayed maintenance.
-// Unconditional (user) SETs assign max(wall-clock nanos, stored+1) —
-// per-key monotonic by construction, and wall-clock anchored so versions
-// assigned on different nodes for successive writes of the same key
-// compare the way their real-time order did. Conditional (VERSIONED)
-// writes carry the version the writer observed and store it verbatim, so a
-// value keeps its origin version as maintenance copies it between nodes.
-// DEL is just the unconditional-write rule producing a tombstone, and a
-// replicated tombstone (SET TOMBSTONE) is the conditional rule producing
-// one — deletes compete in the same version order as every other write.
+// Which version a write stores under is its rule (see write): SET and DEL
+// assign max(wall-clock nanos, stored+1) — per-key monotonic by
+// construction, and wall-clock anchored so versions assigned on different
+// nodes for successive writes of the same key compare the way their
+// real-time order did — while PUT stores the version its record carries
+// verbatim, so a record keeps its origin version as maintenance copies it
+// between nodes. DEL is just SET's rule producing a tombstone, and a PUT
+// of a tombstone record is how a delete replicates — deletes compete in
+// the same version order as every other write.
 type entry struct {
 	ver uint64
 	// born is zero for a live value; for a tombstone it is the wall-clock
@@ -114,18 +114,34 @@ type entry struct {
 // tomb reports whether the record is a tombstone.
 func (e *entry) tomb() bool { return e.born != 0 }
 
-// repairWrite is one queued async maintenance write. It keeps the SET's
-// flags and observed version so the version check runs when the queue
+// record is a maintenance record as the server holds one outside the
+// cache — in the queued-PUT queue, in the hint queue — and hands one to
+// write: the wire's {key, version, tombstone} plus a value the server
+// owns.
+type record struct {
+	wire.KeyRec
+	val []byte
+}
+
+// ownRecord lifts req's record out of the request: the value aliases the
+// reader's scratch buffer and is copied before it escapes into the cache
+// or a queue. (SET and FILL requests make a record with no version: their
+// rule assigns one.)
+func ownRecord(req wire.Request) record {
+	return record{
+		KeyRec: wire.KeyRec{Key: req.Key, Version: req.Version, Tombstone: req.Tombstone},
+		val:    append([]byte(nil), req.Value...),
+	}
+}
+
+// repairWrite is one queued PUT. The version check runs when the queue
 // drains — the apply, however delayed, goes through the same conditional
-// path as a synchronous write, which is what keeps queue depth from
+// path as a synchronous PUT, which is what keeps queue depth from
 // widening the lost-update window. enq stamps admission so the drain can
 // record how long the write waited (the REPAIR_WAIT histogram).
 type repairWrite struct {
-	key   uint64
-	val   []byte
-	flags wire.SetFlags
-	ver   uint64
-	enq   time.Time
+	rec record
+	enq time.Time
 
 	// traced/trace carry the originating request's trace context across
 	// the queue, so the drain-time apply of a sampled write still records
@@ -138,12 +154,13 @@ type repairWrite struct {
 type Server struct {
 	cache *concurrent.Cache
 
-	// sets and repairSets split write traffic by the SET flag byte: user
-	// writes versus replica maintenance (read repair, warm-up, migration).
-	// Keeping them at the server rather than in the cache means repair
-	// churn never skews the cache-level counters the α experiments read.
-	// staleRepairs counts VERSIONED writes rejected because the stored
-	// version was newer — each one a lost-update race the check won.
+	// sets and repairSets split write traffic by operation: user writes
+	// (SET, FILL) versus replica maintenance (PUT: read repair, warm-up,
+	// migration, hint replay, anti-entropy). Keeping them at the server
+	// rather than in the cache means repair churn never skews the
+	// cache-level counters the α experiments read. staleRepairs counts
+	// PUTs rejected because the stored version was newer — each one a
+	// lost-update race the check won.
 	sets         atomic.Uint64
 	repairSets   atomic.Uint64
 	staleRepairs atomic.Uint64
@@ -158,7 +175,7 @@ type Server struct {
 	// tests shrink it to exercise multi-chunk streams cheaply.
 	keysChunk atomic.Int64
 
-	// Async maintenance queue (SET ASYNC): created lazily on first use so
+	// Queued-PUT maintenance queue: created lazily on first use so
 	// its depth is configurable, drained by one background goroutine,
 	// shedding (and counting) when full so maintenance floods never stall
 	// user traffic. repairCh holds a chan repairWrite once created (an
@@ -179,7 +196,7 @@ type Server struct {
 	// RepairQueueDepth misses between polls). All recording is lock-free
 	// and allocation-free (internal/telemetry), so it stays on even under
 	// benchmark load.
-	opHists       [int(wire.OpHint) + 1]telemetry.Histogram
+	opHists       [int(wire.OpLast) + 1]telemetry.Histogram
 	repairWait    telemetry.Histogram
 	queueHigh     telemetry.HighWater
 	bytesIn       telemetry.Counter
@@ -190,7 +207,7 @@ type Server struct {
 
 	// Lease table (protocol v7, see lease.go): per-key fill-lease state
 	// under its own mutex. leaseLive (outstanding tokens) and leaseEntries
-	// (table size) are mirrored in atomics so the SET and DEL hot paths
+	// (table size) are mirrored in atomics so the write hot paths
 	// can skip the mutex entirely while no lease exists — a workload that
 	// never sends GETL pays one atomic load per write, nothing more.
 	leaseMu       sync.Mutex
@@ -218,7 +235,7 @@ type Server struct {
 
 	// Hinted-handoff state (protocol v8): writes a router could not land
 	// on a dead owner, parked here by a live peer (HINT op) and replayed —
-	// as conditional versioned writes — when the owner answers again. One
+	// as PUTs — when the owner answers again. One
 	// FIFO across targets under hintMu, byte-budgeted, oldest dropped at
 	// the budget. The replayer goroutine starts lazily on the first hint.
 	hintMu        sync.Mutex
@@ -312,7 +329,7 @@ func (s *Server) SetSlowOpThreshold(d time.Duration) { s.slowThreshold.Store(int
 func (s *Server) SetKeysChunk(n int) { s.keysChunk.Store(int64(n)) }
 
 // SetRepairQueue configures the async maintenance queue depth. n > 0 sets
-// the depth, n == 0 disables the queue entirely so every ASYNC write is
+// the depth, n == 0 disables the queue entirely so every queued PUT is
 // shed (a test hook for the backpressure path). Must be called before the
 // server receives traffic; the default is DefaultRepairQueue.
 func (s *Server) SetRepairQueue(n int) {
@@ -473,7 +490,18 @@ func (s *Server) handleConn(conn net.Conn) {
 	for {
 		req, err := r.ReadRequest()
 		if err != nil {
-			return // clean EOF or protocol error; either way the conn is done
+			// readFrame returns io.EOF bare for a clean close between
+			// frames. Anything else is an ill-formed or truncated frame:
+			// say why in its response slot and flush the answers to the
+			// valid requests pipelined ahead of it (withheld so far because
+			// more input was buffered) — then the conn is done either way.
+			if err != io.EOF {
+				w.WriteResponse(wire.Response{
+					Status: wire.StatusError, Epoch: s.epoch.Load(), Err: err.Error(),
+				})
+				w.Flush()
+			}
+			return
 		}
 		// Service time: request decoded → response encoded. The clock
 		// starts after ReadRequest so idle wait between pipelined requests
@@ -570,13 +598,14 @@ func (s *Server) observe(req wire.Request, status wire.Status, ver uint64, d tim
 	case wire.OpGet, wire.OpGetLease:
 		kh = telemetry.HashKey(req.Key)
 		s.hotKeys[wire.HotGet].Record(kh)
-	case wire.OpSet:
+	case wire.OpSet, wire.OpFill:
 		kh = telemetry.HashKey(req.Key)
-		// The SET class tracks user traffic; maintenance re-SETs of a key
-		// the cluster already ranked hot would double-count it.
-		if req.Flags&wire.SetFlagRepair == 0 {
-			s.hotKeys[wire.HotSet].Record(kh)
-		}
+		s.hotKeys[wire.HotSet].Record(kh)
+	case wire.OpPut:
+		// No hot-key class: the SET class tracks user traffic, and a
+		// maintenance copy of a key the cluster already ranked hot would
+		// double-count it.
+		kh = telemetry.HashKey(req.Key)
 	case wire.OpDel:
 		kh = telemetry.HashKey(req.Key)
 		s.hotKeys[wire.HotDel].Record(kh)
@@ -713,30 +742,27 @@ func (s *Server) apply(req wire.Request) wire.Response {
 				Err: fmt.Sprintf("non-wire value of type %T cached under key %d", v, req.Key)}
 		}
 	case wire.OpSet:
-		if req.Flags&wire.SetFlagRepair != 0 {
-			s.repairSets.Add(1)
-		} else {
-			s.sets.Add(1)
-		}
-		// The request value aliases the reader's scratch buffer; copy before
-		// it escapes into the cache or the maintenance queue.
-		val := append([]byte(nil), req.Value...)
-		if req.Flags&wire.SetFlagLease != 0 {
-			return s.leaseFill(req.Key, req.LeaseToken, val)
-		}
-		if req.Flags&wire.SetFlagAsync != 0 {
+		s.sets.Add(1)
+		rec := ownRecord(req)
+		_, ver, evicted, _ := s.write(assign, rec)
+		s.supersedeLease(rec, ver)
+		return wire.Response{Status: wire.StatusOK, Evicted: evicted, Version: ver}
+	case wire.OpFill:
+		s.sets.Add(1)
+		return s.leaseFill(req.LeaseToken, ownRecord(req))
+	case wire.OpPut:
+		s.repairSets.Add(1)
+		rec := ownRecord(req)
+		if req.Queued {
 			// OK means accepted: the write is applied (or shed) by the
 			// background worker, so maintenance floods never stall the
 			// request path. Eviction and the version outcome are unknowable
-			// here; a VERSIONED write rejected at drain time still counts in
+			// here; a write rejected at drain time still counts in
 			// StaleRepairs.
-			s.enqueueRepair(repairWrite{
-				key: req.Key, val: val, flags: req.Flags, ver: req.Version, enq: time.Now(),
-				traced: req.Traced, trace: req.Trace,
-			})
+			s.enqueueRepair(repairWrite{rec: rec, enq: time.Now(), traced: req.Traced, trace: req.Trace})
 			return wire.Response{Status: wire.StatusOK}
 		}
-		applied, ver, evicted := s.store(req.Key, req.Flags, req.Version, val)
+		applied, ver, evicted := s.put(rec)
 		if !applied {
 			return wire.Response{Status: wire.StatusVersionStale, Version: ver}
 		}
@@ -747,19 +773,19 @@ func (s *Server) apply(req wire.Request) wire.Response {
 		// pre-delete world can land after the delete, and the retained
 		// stale copy can never be hinted again. (A lease granted *after*
 		// the tombstone is a fresh post-delete load and is allowed to
-		// overwrite it — see storeLeaseFill.)
+		// overwrite it — see the ifNoValue rule.)
 		if s.leaseEntries.Load() > 0 {
 			s.dropLease(req.Key)
 		}
-		return s.applyDel(req.Key)
+		// DEL always answers OK; Evicted reports whether a live value was
+		// present. The tombstone is written even when the key was absent
+		// here: this replica may simply be the one that missed the write,
+		// and the tombstone is what stops anti-entropy from copying the
+		// value back from a replica that has it.
+		_, ver, _, live := s.write(assign, record{KeyRec: wire.KeyRec{Key: req.Key, Tombstone: true}})
+		return wire.Response{Status: wire.StatusOK, Evicted: live, Version: ver}
 	case wire.OpHint:
-		// The value aliases the reader's scratch buffer; copy before it
-		// outlives this request in the hint queue.
-		var val []byte
-		if len(req.Value) > 0 {
-			val = append([]byte(nil), req.Value...)
-		}
-		s.queueHint(req.Target, req.Key, req.Tombstone, req.Version, val)
+		s.queueHint(hint{target: req.Target, rec: ownRecord(req)})
 		return wire.Response{Status: wire.StatusOK}
 	case wire.OpStats:
 		return wire.Response{Status: wire.StatusStats, Stats: s.stats(req.Detail)}
@@ -777,113 +803,104 @@ func (s *Server) apply(req wire.Request) wire.Response {
 	}
 }
 
-// store applies one SET to the cache as a single atomic read-check-write
-// under the owning bucket's lock (concurrent.Cache.Update), so no
-// concurrent write can interleave between the version comparison and the
-// overwrite.
-//
-// An unconditional SET (no VERSIONED flag) always stores, assigning the
-// key the version max(wall-clock nanos, stored+1) — strictly above
-// everything this node ever held for the key, and above any version an
-// earlier write of the key was assigned elsewhere whose real-time order
-// precedes this one. A VERSIONED SET stores its carried version verbatim,
-// and only when that is strictly newer than the stored one; a rejection
-// reports the winning version and bumps staleRepairs. A TOMBSTONE SET is
-// the VERSIONED rule storing a tombstone record instead of a value —
-// replicated deletes lose to anything newer, exactly like replicated
-// writes.
-func (s *Server) store(key uint64, flags wire.SetFlags, reqVer uint64, val []byte) (applied bool, ver uint64, evicted bool) {
-	conditional := flags&wire.SetFlagVersioned != 0
-	tombstone := flags&wire.SetFlagTombstone != 0
+// writeRule is the one thing that differs between the server's writes:
+// whether the record is stored, and under which version.
+type writeRule int
+
+const (
+	// assign (SET, DEL) always stores, under max(wall-clock nanos,
+	// stored+1) — strictly above everything this node ever held for the
+	// key, and above any version an earlier write of the key was assigned
+	// elsewhere whose real-time order precedes this one.
+	assign writeRule = iota
+	// ifNewer (PUT) stores the record's carried version verbatim, and only
+	// when it is strictly newer than the stored one. A tombstone record
+	// obeys it like a value: replicated deletes lose to anything newer,
+	// exactly like replicated writes.
+	ifNewer
+	// ifNoValue (FILL) stores under assign's version, but only while the
+	// key has no live versioned value — it was absent (or a tombstone)
+	// when the lease was granted, and any write since would have left a
+	// nonzero version (or killed the token first). A resident tombstone
+	// does not refuse the fill: the lease it fills was granted *after* the
+	// delete (DEL drops the key's lease entry before its tombstone lands),
+	// so the fill is a fresh post-delete origin load, stored above the
+	// tombstone's version so it wins replication everywhere the tombstone
+	// went.
+	ifNoValue
+)
+
+// write applies one record to the cache under rule, as a single atomic
+// read-check-write under the owning bucket's lock
+// (concurrent.Cache.Update), so no concurrent write can interleave
+// between the version comparison and the overwrite. It reports whether
+// the record was stored, the version the key holds afterwards (the
+// winning one on a refusal), whether storing displaced a resident, and
+// whether the key held a live (non-tombstone) value before. It never
+// touches the lease table, so leaseFill may call it with leaseMu held.
+func (s *Server) write(rule writeRule, rec record) (applied bool, ver uint64, evicted, live bool) {
 	now := time.Now().UnixNano()
 	var wasTomb bool
-	stored, _, evicted := s.cache.Update(key, func(old interface{}, present bool) (interface{}, bool) {
+	applied, _, evicted = s.cache.Update(rec.Key, func(old interface{}, present bool) (interface{}, bool) {
 		var cur uint64
-		wasTomb = false
-		if present {
-			if e, ok := old.(*entry); ok {
-				cur = e.ver
-				wasTomb = e.tomb()
-			}
+		wasTomb, live = false, present
+		if e, ok := old.(*entry); ok {
+			cur, wasTomb, live = e.ver, e.tomb(), !e.tomb()
 		}
-		if conditional {
-			if present && reqVer <= cur {
-				ver = cur
-				return nil, false
-			}
-			ver = reqVer
-			if tombstone {
-				return &entry{ver: ver, born: now}, true
-			}
-			return &entry{ver: ver, val: val}, true
+		switch {
+		case rule == ifNewer && present && rec.Version <= cur,
+			rule == ifNoValue && live && cur != 0:
+			ver = cur
+			return nil, false
+		case rule == ifNewer:
+			ver = rec.Version
+		default:
+			ver = max(uint64(now), cur+1)
 		}
-		ver = uint64(now)
-		if ver <= cur {
-			ver = cur + 1
+		if rec.Tombstone {
+			return &entry{ver: ver, born: now}, true
 		}
-		return &entry{ver: ver, val: val}, true
+		return &entry{ver: ver, val: rec.val}, true
 	})
-	if !stored {
-		s.staleRepairs.Add(1)
-		return false, ver, false
+	if !applied {
+		return false, ver, false, live
 	}
-	s.noteTombstoneFlip(tombstone, wasTomb)
+	s.noteTombstoneFlip(rec.Tombstone, wasTomb)
 	if evicted {
 		// Conflict-pressure attribution: the EVICT class ranks keys whose
 		// writes displace residents, the observable proxy for bucket
 		// conflict pressure (the α tradeoff, seen per key).
-		s.hotKeys[wire.HotEvict].Record(telemetry.HashKey(key))
+		s.hotKeys[wire.HotEvict].Record(telemetry.HashKey(rec.Key))
 	}
-	// An applied write supersedes any fill lease in flight for the key:
-	// kill its token and refresh the retained stale copy (lease.go) — or,
-	// for an applied tombstone, drop the entry outright (delete semantics:
-	// nothing the table retains may outlive the deletion). The atomic gate
-	// keeps lease-free workloads off the table mutex.
-	if s.leaseEntries.Load() > 0 {
-		if tombstone {
-			s.dropLease(key)
-		} else {
-			s.invalidateLease(key, ver, val)
-		}
+	return true, ver, evicted, live
+}
+
+// put applies one PUT — synchronous, or draining out of the queue.
+func (s *Server) put(rec record) (applied bool, ver uint64, evicted bool) {
+	applied, ver, evicted, _ = s.write(ifNewer, rec)
+	if !applied {
+		s.staleRepairs.Add(1)
+		return false, ver, false
 	}
+	s.supersedeLease(rec, ver)
 	return true, ver, evicted
 }
 
-// applyDel executes DEL as an unconditional versioned write of a
-// tombstone: the key's history ends in a record that says "deleted at
-// version v" rather than in silence, so any maintenance copy of an older
-// value — delayed repair, warm-up chunk, replayed hint, anti-entropy —
-// loses the version comparison instead of resurrecting the value. DEL
-// always answers OK; Evicted reports whether a live value was present, and
-// Version carries the tombstone's assigned version. The tombstone is
-// written even when the key was absent here: this replica may simply be
-// the one that missed the write, and the tombstone is what stops
-// anti-entropy from copying the value back from a replica that has it.
-func (s *Server) applyDel(key uint64) wire.Response {
-	now := time.Now().UnixNano()
-	var present, wasTomb bool
-	var ver uint64
-	_, _, evicted := s.cache.Update(key, func(old interface{}, has bool) (interface{}, bool) {
-		var cur uint64
-		wasTomb = false
-		if has {
-			if e, ok := old.(*entry); ok {
-				cur = e.ver
-				wasTomb = e.tomb()
-			}
-		}
-		present = has && !wasTomb
-		ver = uint64(now)
-		if ver <= cur {
-			ver = cur + 1
-		}
-		return &entry{ver: ver, born: now}, true
-	})
-	s.noteTombstoneFlip(true, wasTomb)
-	if evicted {
-		s.hotKeys[wire.HotEvict].Record(telemetry.HashKey(key))
+// supersedeLease is the lease hook of an applied SET or PUT: the write
+// supersedes any fill lease in flight for the key, so kill its token and
+// refresh the retained stale copy (lease.go) — or, for an applied
+// tombstone, drop the entry outright (delete semantics: nothing the table
+// retains may outlive the deletion). The atomic gate keeps lease-free
+// workloads off the table mutex.
+func (s *Server) supersedeLease(rec record, ver uint64) {
+	if s.leaseEntries.Load() == 0 {
+		return
 	}
-	return wire.Response{Status: wire.StatusOK, Evicted: present, Version: ver}
+	if rec.Tombstone {
+		s.dropLease(rec.Key)
+	} else {
+		s.invalidateLease(rec.Key, ver, rec.val)
+	}
 }
 
 // noteTombstoneFlip maintains the tombstone gauge across an applied write
@@ -960,32 +977,28 @@ func (s *Server) ReapTombstones() int {
 	return n
 }
 
-// hint is one parked write awaiting a dead owner's return: the target
-// that should hold it, and the versioned record (value or tombstone) to
-// replay there as a conditional versioned write. Replay is idempotent —
-// the target's version check rejects anything it already has newer.
+// hint is one parked record awaiting a dead owner's return: the target
+// that should hold it, and the record to replay there as a PUT. Replay is
+// idempotent — the target's version check rejects anything it already has
+// newer.
 type hint struct {
 	target string
-	key    uint64
-	ver    uint64
-	tomb   bool
-	val    []byte
+	rec    record
 }
 
 // hintCost is a hint's accounting size against the byte budget: the value
 // plus a fixed overhead so a flood of tiny (or tombstone) hints cannot
 // queue unboundedly just because the values are empty.
-func hintCost(h hint) int { return len(h.val) + 64 }
+func hintCost(h hint) int { return len(h.rec.val) + 64 }
 
-// queueHint parks one hinted write for target, dropping the oldest queued
-// hints when the byte budget is exceeded (dropping is safe: anti-entropy
-// repairs whatever a hint would have). Starts the replayer on first use.
-func (s *Server) queueHint(target string, key uint64, tomb bool, ver uint64, val []byte) {
+// queueHint parks one hint, dropping the oldest queued hints when the
+// byte budget is exceeded (dropping is safe: anti-entropy repairs
+// whatever a hint would have). Starts the replayer on first use.
+func (s *Server) queueHint(h hint) {
 	budget := s.hintBudget
 	if !s.hintBudgetSet {
 		budget = DefaultHintBudget
 	}
-	h := hint{target: target, key: key, ver: ver, tomb: tomb, val: val}
 	s.hintMu.Lock()
 	s.hints = append(s.hints, h)
 	s.hintBytes += hintCost(h)
@@ -1057,8 +1070,7 @@ func (s *Server) hintTargets() []string {
 
 // takeHints removes and returns every queued hint for target, preserving
 // order. The caller replays them outside the lock and requeues on failure
-// — conditional versioned replay makes a duplicate or reordered delivery
-// harmless, so crashing between take and replay costs only the hints.
+// — replaying as PUTs makes a duplicate or reordered delivery harmless, so crashing between take and replay costs only the hints.
 func (s *Server) takeHints(target string) []hint {
 	s.hintMu.Lock()
 	defer s.hintMu.Unlock()
@@ -1088,8 +1100,8 @@ func (s *Server) requeueHints(hints []hint) {
 }
 
 // replayTarget delivers target's queued hints as one pipelined batch of
-// conditional versioned maintenance writes, returning how many were
-// acknowledged. Any transport failure requeues the whole batch.
+// PUTs, returning how many were acknowledged. Whatever a transport failure
+// left unacknowledged is requeued.
 func (s *Server) replayTarget(target string) int {
 	hints := s.takeHints(target)
 	if len(hints) == 0 {
@@ -1101,31 +1113,17 @@ func (s *Server) replayTarget(target string) int {
 		return 0
 	}
 	defer cl.Close()
-	for _, h := range hints {
-		if h.tomb {
-			err = cl.EnqueueSetTombstone(h.key, wire.SetFlagRepair, h.ver)
-		} else {
-			err = cl.EnqueueSetVersioned(h.key, wire.SetFlagRepair, h.ver, h.val)
-		}
-		if err != nil {
-			s.requeueHints(hints)
-			return 0
-		}
+	recs := make([]wire.KeyRec, len(hints))
+	for i, h := range hints {
+		recs[i] = h.rec.KeyRec
 	}
-	if err := cl.Flush(); err != nil {
-		s.requeueHints(hints)
-		return 0
-	}
-	for i := range hints {
-		if _, err := cl.ReadResponse(); err != nil {
-			s.requeueHints(hints[i:])
-			n := i
-			s.hintsReplayed.Add(uint64(n))
-			return n
-		}
-	}
-	s.hintsReplayed.Add(uint64(len(hints)))
-	return len(hints)
+	// The error needs no handling of its own: the counts say how many
+	// hints were acknowledged before it, and the rest are requeued.
+	applied, stale, _ := cl.PutBatch(recs, func(i int) []byte { return hints[i].rec.val })
+	n := applied + stale
+	s.requeueHints(hints[n:])
+	s.hintsReplayed.Add(uint64(n))
+	return n
 }
 
 // HintBacklog reports the queued hint count and byte total (test hook).
@@ -1135,14 +1133,14 @@ func (s *Server) HintBacklog() (n, bytes int) {
 	return len(s.hints), s.hintBytes
 }
 
-// repairQueue returns the async maintenance channel, or nil when none was
-// created (no async write arrived yet, or the queue is disabled).
+// repairQueue returns the queued-PUT channel, or nil when none was
+// created (no queued PUT arrived yet, or the queue is disabled).
 func (s *Server) repairQueue() chan repairWrite {
 	ch, _ := s.repairCh.Load().(chan repairWrite)
 	return ch
 }
 
-// enqueueRepair hands an async maintenance write to the background worker,
+// enqueueRepair hands a queued PUT to the background worker,
 // shedding it (counted) when the queue is full or disabled.
 func (s *Server) enqueueRepair(w repairWrite) {
 	s.repairOnce.Do(func() {
@@ -1151,7 +1149,7 @@ func (s *Server) enqueueRepair(w repairWrite) {
 			depth = DefaultRepairQueue
 		}
 		if depth <= 0 {
-			return // queue disabled: every async write sheds
+			return // queue disabled: every queued PUT sheds
 		}
 		ch := make(chan repairWrite, depth)
 		s.repairCh.Store(ch)
@@ -1178,11 +1176,11 @@ func (s *Server) enqueueRepair(w repairWrite) {
 	}
 }
 
-// repairLoop drains the async maintenance queue until Close, then applies
+// repairLoop drains the queued-PUT queue until Close, then applies
 // whatever is already queued and exits. Queued writes go through the same
-// conditional store as synchronous ones, so a VERSIONED entry that sat in
+// conditional store as synchronous ones (put), so an entry that sat in
 // the queue while a user SET superseded it is rejected at drain time — the
-// queue delays maintenance writes, it no longer widens the window in which
+// queue delays maintenance writes, it does not widen the window in which
 // they can clobber fresher state.
 func (s *Server) repairLoop(ch chan repairWrite) {
 	defer close(s.repairDone)
@@ -1203,7 +1201,7 @@ func (s *Server) repairLoop(ch chan repairWrite) {
 	}
 }
 
-// drainRepair applies one queued async maintenance write. When the
+// drainRepair applies one queued PUT. When the
 // originating request was sampled, the apply records a span joined to
 // that request's trace ID, with QueueWaitNanos separating time spent
 // sitting in the queue from the apply itself — the deferred half of a
@@ -1212,17 +1210,17 @@ func (s *Server) drainRepair(w repairWrite) {
 	wait := time.Since(w.enq)
 	s.repairWait.Record(wait)
 	t0 := time.Now()
-	applied, _, _ := s.store(w.key, w.flags, w.ver, w.val)
+	applied, _, _ := s.put(w.rec)
 	if w.traced && w.trace.Sampled() {
 		status := wire.StatusOK
 		if !applied {
 			status = wire.StatusVersionStale
 		}
 		s.spans.Append(telemetry.Span{
-			Op:             byte(wire.OpSet),
+			Op:             byte(wire.OpPut),
 			Status:         byte(status),
 			TraceID:        w.trace.ID,
-			KeyHash:        telemetry.HashKey(w.key),
+			KeyHash:        telemetry.HashKey(w.rec.Key),
 			QueueWaitNanos: uint64(wait),
 			DurationNanos:  uint64(time.Since(t0)),
 			UnixNanos:      uint64(time.Now().UnixNano()),

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -49,7 +51,7 @@ func TestRepairSetAccounting(t *testing.T) {
 	if _, err := c.Set(2, []byte("user")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.SetFlags(3, wire.SetFlagRepair, []byte("repair")); err != nil {
+	if _, _, err := c.Put(wire.Request{Key: 3, Version: 1, Value: []byte("repair")}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := c.Stats(false)
@@ -218,7 +220,7 @@ func TestAsyncRepairApplied(t *testing.T) {
 	}
 	defer c.Close()
 
-	if _, err := c.SetFlags(7, wire.SetFlagRepair|wire.SetFlagAsync, []byte("queued")); err != nil {
+	if _, _, err := c.Put(wire.Request{Key: 7, Version: 1, Queued: true, Value: []byte("queued")}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -261,11 +263,11 @@ func TestAsyncRepairShed(t *testing.T) {
 	defer c.Close()
 
 	for k := uint64(0); k < 5; k++ {
-		if _, err := c.SetFlags(k, wire.SetFlagRepair|wire.SetFlagAsync, []byte("shed")); err != nil {
+		if _, _, err := c.Put(wire.Request{Key: k, Version: 1, Queued: true, Value: []byte("shed")}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.SetFlags(99, wire.SetFlagRepair, []byte("sync")); err != nil {
+	if _, _, err := c.Put(wire.Request{Key: 99, Version: 1, Value: []byte("sync")}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := c.Stats(false)
@@ -531,7 +533,7 @@ func TestPipelinedMixedBatch(t *testing.T) {
 
 	const n = 500
 	for i := uint64(0); i < n; i++ {
-		if err := c.EnqueueSet(i, load.Payload(i, 16)); err != nil {
+		if err := c.Enqueue(wire.Request{Op: wire.OpSet, Key: i, Value: load.Payload(i, 16)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -619,7 +621,7 @@ func TestVersionedSetLifecycle(t *testing.T) {
 	}
 
 	// A conditional write at the observed-old version must lose.
-	applied, stored, err := c.SetVersioned(1, wire.SetFlagRepair, ver1, []byte("stale"))
+	applied, stored, err := c.Put(wire.Request{Key: 1, Version: ver1, Value: []byte("stale")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -631,12 +633,12 @@ func TestVersionedSetLifecycle(t *testing.T) {
 	}
 
 	// Equal version must lose too (strictly newer only).
-	if applied, _, err = c.SetVersioned(1, wire.SetFlagRepair, ver2, []byte("equal")); err != nil || applied {
+	if applied, _, err = c.Put(wire.Request{Key: 1, Version: ver2, Value: []byte("equal")}); err != nil || applied {
 		t.Fatalf("equal-version SET applied=%v, err=%v; want rejected", applied, err)
 	}
 
 	// Strictly newer applies and stores the carried version verbatim.
-	if applied, stored, err = c.SetVersioned(1, wire.SetFlagRepair, ver2+50, []byte("newer")); err != nil || !applied || stored != ver2+50 {
+	if applied, stored, err = c.Put(wire.Request{Key: 1, Version: ver2 + 50, Value: []byte("newer")}); err != nil || !applied || stored != ver2+50 {
 		t.Fatalf("newer VERSIONED SET = (%v, %d, %v), want applied at %d", applied, stored, err, ver2+50)
 	}
 	ver3, val, _ := getVersion(t, c, 1)
@@ -645,7 +647,7 @@ func TestVersionedSetLifecycle(t *testing.T) {
 	}
 
 	// A VERSIONED write to an absent key populates it (warm-up's case).
-	if applied, _, err = c.SetVersioned(2, wire.SetFlagRepair, 123, []byte("seeded")); err != nil || !applied {
+	if applied, _, err = c.Put(wire.Request{Key: 2, Version: 123, Value: []byte("seeded")}); err != nil || !applied {
 		t.Fatalf("VERSIONED SET on absent key = (%v, %v), want applied", applied, err)
 	}
 	if ver, _, _ := getVersion(t, c, 2); ver != 123 {
@@ -689,7 +691,7 @@ func TestLostUpdateRaceAsyncRepair(t *testing.T) {
 	}
 	// ...then the delayed maintenance write of the old value arrives via
 	// the async queue (accepted, applied in the background).
-	if applied, _, err := c.SetVersioned(9, wire.SetFlagRepair|wire.SetFlagAsync, verOld, []byte("old")); err != nil || !applied {
+	if applied, _, err := c.Put(wire.Request{Key: 9, Version: verOld, Queued: true, Value: []byte("old")}); err != nil || !applied {
 		t.Fatalf("ASYNC repair accept = (%v, %v)", applied, err)
 	}
 
@@ -760,11 +762,7 @@ func TestVersionedRepairStress(t *testing.T) {
 				return
 			}
 			lastVer = ver
-			flags := wire.SetFlagRepair
-			if i%2 == 1 {
-				flags |= wire.SetFlagAsync
-			}
-			if _, _, err := maint.SetVersioned(key, flags, ver, val); err != nil {
+			if _, _, err := maint.Put(wire.Request{Key: key, Version: ver, Queued: i%2 == 1, Value: val}); err != nil {
 				done <- err
 				return
 			}
@@ -844,5 +842,56 @@ func TestOldClientVersionError(t *testing.T) {
 	}
 	if !strings.Contains(resp.Err, "unsupported protocol version") {
 		t.Fatalf("error message %q does not name the version mismatch", resp.Err)
+	}
+}
+
+// TestMalformedFrameBehindPipelinedRequests: an ill-formed frame must not
+// cost the valid requests pipelined ahead of it their answers, and must
+// be explained. The server answers the GET, then an ERROR naming the
+// decode fault in the bad frame's slot, then closes.
+func TestMalformedFrameBehindPipelinedRequests(t *testing.T) {
+	_, addr := startServer(t, concurrent.Config{Capacity: 64, Alpha: 4, Seed: 1})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+
+	// Preamble, a valid GET and a zero-token FILL, in one segment.
+	var seg bytes.Buffer
+	w := wire.NewWriter(&seg)
+	if err := w.WritePreamble(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteRequest(wire.Request{Op: wire.OpGet, Key: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	fill := append([]byte{byte(wire.OpFill)}, make([]byte, 16)...) // key, token = 0
+	seg.Write(binary.LittleEndian.AppendUint32(nil, uint32(len(fill))))
+	seg.Write(fill)
+	if _, err := conn.Write(seg.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+
+	r := wire.NewReader(conn)
+	resp, err := r.ReadResponse()
+	if err != nil || resp.Status != wire.StatusMiss {
+		t.Fatalf("the GET ahead of the malformed frame got %v/%v, want MISS", resp.Status, err)
+	}
+	resp, err = r.ReadResponse()
+	if err != nil || resp.Status != wire.StatusError {
+		t.Fatalf("the malformed frame's slot got %v/%v, want ERROR", resp.Status, err)
+	}
+	if !strings.Contains(resp.Err, "zero token") {
+		t.Fatalf("error message %q does not name the decode fault", resp.Err)
+	}
+	if _, err := r.ReadResponse(); err != io.EOF {
+		t.Fatalf("after the ERROR the server must close the connection; got %v", err)
 	}
 }

@@ -48,7 +48,7 @@ func TestDelLeavesVersionedTombstone(t *testing.T) {
 	// The delayed repair: the old value at its observed version, arriving
 	// after the delete. Through v7 this stored the value; the tombstone
 	// must now refuse it as stale.
-	applied, winning, err := c.SetVersioned(key, wire.SetFlagRepair, verOld, []byte("live"))
+	applied, winning, err := c.Put(wire.Request{Key: key, Version: verOld, Value: []byte("live")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestDelLeavesVersionedTombstone(t *testing.T) {
 	// A strictly newer tombstone-flagged write applies; an older one is
 	// refused — deletes obey the same conditional rule as values.
 	tombstone := func(ver uint64) (applied int, err error) {
-		applied, _, err = c.SetBatchRecs([]wire.KeyRec{{Key: key, Version: ver, Tombstone: true}}, wire.SetFlagRepair, nil)
+		applied, _, err = c.PutBatch([]wire.KeyRec{{Key: key, Version: ver, Tombstone: true}}, nil)
 		return applied, err
 	}
 	if applied, err := tombstone(verTomb + 1); err != nil || applied != 1 {
@@ -287,7 +287,7 @@ func TestTombstoneBlocksGetLease(t *testing.T) {
 	if ls.Token == 0 || ls.Stale {
 		t.Fatalf("GETL over tombstone = %+v; want a fresh grant with no stale hint", ls)
 	}
-	filled, ver, err := c.SetLease(key, ls.Token, []byte("fresh"))
+	filled, ver, err := c.Fill(key, ls.Token, []byte("fresh"))
 	if err != nil || !filled {
 		t.Fatalf("post-delete fill = %v, %v; want applied", filled, err)
 	}

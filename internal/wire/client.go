@@ -17,10 +17,14 @@ const DefaultDialTimeout = 3 * time.Second
 // Client speaks the wire protocol over one connection. A Client is NOT safe
 // for concurrent use; the load harness opens one per worker goroutine.
 //
-// The simple methods (Get, Set, Del, Stats, Rehash) are synchronous: one
-// round trip each. For batched pipelining, enqueue requests with the
-// Enqueue* methods, Flush once, then read the responses in order with
-// ReadResponse.
+// There is one method per operation, and each is one synchronous round
+// trip that decodes exactly the statuses its operation can answer: Get,
+// Set, Del, GetLease, Fill, Put, Hint, and the admin calls. For batched
+// pipelining, Enqueue any number of requests, Flush once, then read the
+// responses in order with ReadResponse (GetBatch, SetBatch and PutBatch
+// are that loop for one operation). What varies within an operation is a
+// field of the Request, never another method: a trace context is
+// Request.Trace/Traced, a queued PUT is Request.Queued.
 type Client struct {
 	conn io.ReadWriteCloser
 	r    *Reader
@@ -65,124 +69,13 @@ func NewClient(conn io.ReadWriteCloser) (*Client, error) {
 // Close tears down the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
+// Enqueue buffers one request without flushing; every field of req goes
+// out as given, trace context included.
+func (c *Client) Enqueue(req Request) error { return c.w.WriteRequest(req) }
+
 // EnqueueGet buffers a GET without flushing.
 func (c *Client) EnqueueGet(key uint64) error {
 	return c.w.WriteRequest(Request{Op: OpGet, Key: key})
-}
-
-// EnqueueSet buffers a user SET (no flags) without flushing.
-func (c *Client) EnqueueSet(key uint64, value []byte) error {
-	return c.EnqueueSetFlags(key, 0, value)
-}
-
-// EnqueueSetFlags buffers a SET carrying the given flag byte without
-// flushing. The cluster router sets SetFlagRepair on read-repair and
-// migration writes so servers do not count them as user traffic.
-func (c *Client) EnqueueSetFlags(key uint64, flags SetFlags, value []byte) error {
-	return c.w.WriteRequest(Request{Op: OpSet, Key: key, Flags: flags, Value: value})
-}
-
-// EnqueueSetVersioned buffers a conditional maintenance SET without
-// flushing: the write carries version (the version the caller observed the
-// value at) and the server applies it only when that is strictly newer
-// than the version it holds, answering VERSION_STALE otherwise.
-// SetFlagVersioned is added to flags implicitly; flags must include
-// SetFlagRepair.
-func (c *Client) EnqueueSetVersioned(key uint64, flags SetFlags, version uint64, value []byte) error {
-	return c.w.WriteRequest(Request{
-		Op: OpSet, Key: key, Flags: flags | SetFlagVersioned, Version: version, Value: value,
-	})
-}
-
-// EnqueueGetLease buffers a GETL without flushing: GET with lease
-// semantics on a miss (v7). A resident key answers HIT exactly like GET;
-// a miss answers LEASE, electing at most one concurrent misser to load
-// the origin.
-func (c *Client) EnqueueGetLease(key uint64) error {
-	return c.w.WriteRequest(Request{Op: OpGetLease, Key: key})
-}
-
-// EnqueueSetLease buffers a lease fill without flushing: a user SET
-// carrying SetFlagLease and the nonzero token a LEASE grant handed this
-// caller. The server applies it only while that lease is still
-// outstanding, answering LEASE_LOST otherwise.
-func (c *Client) EnqueueSetLease(key, token uint64, value []byte) error {
-	return c.w.WriteRequest(Request{Op: OpSet, Key: key, Flags: SetFlagLease, LeaseToken: token, Value: value})
-}
-
-// EnqueueDel buffers a DEL without flushing.
-func (c *Client) EnqueueDel(key uint64) error {
-	return c.w.WriteRequest(Request{Op: OpDel, Key: key})
-}
-
-// EnqueueSetTombstone buffers a conditional maintenance delete without
-// flushing (v8): a SET carrying SetFlagTombstone, SetFlagVersioned and an
-// empty value. The server stores a tombstone under version iff it is
-// strictly newer than what it holds, answering VERSION_STALE otherwise.
-// flags must include SetFlagRepair.
-func (c *Client) EnqueueSetTombstone(key uint64, flags SetFlags, version uint64) error {
-	return c.w.WriteRequest(Request{
-		Op: OpSet, Key: key, Flags: flags | SetFlagVersioned | SetFlagTombstone, Version: version,
-	})
-}
-
-// Hint issues one HINT round trip (v8): it parks a hinted handoff — a
-// versioned write (tombstone=true for a delete, with a nil value) whose
-// intended owner target was unreachable — on the receiving server, which
-// replays it to target as a conditional versioned write once target is
-// reachable again.
-func (c *Client) Hint(target string, key uint64, tombstone bool, version uint64, value []byte) error {
-	resp, err := c.roundTrip(Request{
-		Op: OpHint, Target: target, Key: key, Tombstone: tombstone, Version: version, Value: value,
-	})
-	if err != nil {
-		return err
-	}
-	if resp.Status != StatusOK {
-		return fmt.Errorf("wire: unexpected HINT response %v", resp.Status)
-	}
-	return nil
-}
-
-// EnqueueGetTraced is EnqueueGet with a trace context attached (v6): the
-// server propagates tc into its telemetry for this request, recording a
-// span when tc is sampled.
-func (c *Client) EnqueueGetTraced(key uint64, tc TraceContext) error {
-	return c.w.WriteRequest(Request{Op: OpGet, Key: key, Trace: tc, Traced: true})
-}
-
-// EnqueueSetFlagsTraced is EnqueueSetFlags with a trace context attached.
-func (c *Client) EnqueueSetFlagsTraced(key uint64, flags SetFlags, tc TraceContext, value []byte) error {
-	return c.w.WriteRequest(Request{Op: OpSet, Key: key, Flags: flags, Trace: tc, Traced: true, Value: value})
-}
-
-// EnqueueSetVersionedTraced is EnqueueSetVersioned with a trace context
-// attached; for ASYNC writes the context rides the server's repair queue
-// and is recorded when the entry drains, so the span's queue wait names
-// the originating request even seconds later.
-func (c *Client) EnqueueSetVersionedTraced(key uint64, flags SetFlags, version uint64, tc TraceContext, value []byte) error {
-	return c.w.WriteRequest(Request{
-		Op: OpSet, Key: key, Flags: flags | SetFlagVersioned, Version: version,
-		Trace: tc, Traced: true, Value: value,
-	})
-}
-
-// EnqueueGetLeaseTraced is EnqueueGetLease with a trace context attached.
-func (c *Client) EnqueueGetLeaseTraced(key uint64, tc TraceContext) error {
-	return c.w.WriteRequest(Request{Op: OpGetLease, Key: key, Trace: tc, Traced: true})
-}
-
-// EnqueueSetLeaseTraced is EnqueueSetLease with a trace context attached.
-func (c *Client) EnqueueSetLeaseTraced(key, token uint64, tc TraceContext, value []byte) error {
-	return c.w.WriteRequest(Request{
-		Op: OpSet, Key: key, Flags: SetFlagLease, LeaseToken: token,
-		Trace: tc, Traced: true, Value: value,
-	})
-}
-
-// EnqueueDelTraced is EnqueueDel with a trace context attached.
-func (c *Client) EnqueueDelTraced(key uint64, tc TraceContext) error {
-	return c.w.WriteRequest(Request{Op: OpDel, Key: key, Trace: tc, Traced: true})
 }
 
 // Flush sends all buffered requests.
@@ -249,16 +142,10 @@ func (c *Client) GetShared(key uint64) ([]byte, bool, error) {
 	}
 }
 
-// Set stores value under key as user traffic, reporting whether an entry
+// Set stores value under key as a user write, reporting whether an entry
 // was evicted.
 func (c *Client) Set(key uint64, value []byte) (evicted bool, err error) {
-	return c.SetFlags(key, 0, value)
-}
-
-// SetFlags stores value under key with the given SET flag byte, reporting
-// whether an entry was evicted.
-func (c *Client) SetFlags(key uint64, flags SetFlags, value []byte) (evicted bool, err error) {
-	resp, err := c.roundTrip(Request{Op: OpSet, Key: key, Flags: flags, Value: value})
+	resp, err := c.roundTrip(Request{Op: OpSet, Key: key, Value: value})
 	if err != nil {
 		return false, err
 	}
@@ -268,18 +155,17 @@ func (c *Client) SetFlags(key uint64, flags SetFlags, value []byte) (evicted boo
 	return resp.Evicted, nil
 }
 
-// SetVersioned stores value under key conditionally: the write carries the
-// version the caller observed the value at (plus flags, which must include
-// SetFlagRepair; SetFlagVersioned is added implicitly) and applies only
-// when that version is strictly newer than the stored one. It returns
-// whether the write applied and the version the server holds after the
-// call — the carried version when applied, the newer winning version when
-// not. With SetFlagAsync the write is only accepted (applied=true means
-// queued) and the version check happens when the queue drains.
-func (c *Client) SetVersioned(key uint64, flags SetFlags, version uint64, value []byte) (applied bool, stored uint64, err error) {
-	resp, err := c.roundTrip(Request{
-		Op: OpSet, Key: key, Flags: flags | SetFlagVersioned, Version: version, Value: value,
-	})
+// Put issues one PUT round trip — a maintenance write of the record req
+// names (Key, Version, Tombstone, Value; Op is set here). It reports
+// whether the record was stored and the version the server holds after
+// the call: the carried version when stored, the newer winning version
+// when refused as stale — which for a maintenance copy is success by
+// other means. With req.Queued the record is only accepted (applied=true
+// means queued, stored is 0): the version check happens when the server's
+// maintenance queue drains, and the write may be shed.
+func (c *Client) Put(req Request) (applied bool, stored uint64, err error) {
+	req.Op = OpPut
+	resp, err := c.roundTrip(req)
 	if err != nil {
 		return false, 0, err
 	}
@@ -289,29 +175,25 @@ func (c *Client) SetVersioned(key uint64, flags SetFlags, version uint64, value 
 	case StatusVersionStale:
 		return false, resp.Version, nil
 	default:
-		return false, 0, fmt.Errorf("wire: unexpected VERSIONED SET response %v", resp.Status)
+		return false, 0, fmt.Errorf("wire: unexpected PUT response %v", resp.Status)
 	}
 }
 
-// SetVersionedTraced is SetVersioned with a trace context attached — the
-// synchronous form the cluster's repair applier uses so the repair write
-// carries its originating request's trace end to end.
-func (c *Client) SetVersionedTraced(key uint64, flags SetFlags, version uint64, tc TraceContext, value []byte) (applied bool, stored uint64, err error) {
+// Hint issues one HINT round trip (v8): it parks a record (tombstone=true
+// for a delete, with a nil value) whose intended owner target was
+// unreachable on the receiving server, which replays it to target as a
+// PUT once target is reachable again.
+func (c *Client) Hint(target string, key uint64, tombstone bool, version uint64, value []byte) error {
 	resp, err := c.roundTrip(Request{
-		Op: OpSet, Key: key, Flags: flags | SetFlagVersioned, Version: version,
-		Trace: tc, Traced: true, Value: value,
+		Op: OpHint, Target: target, Key: key, Tombstone: tombstone, Version: version, Value: value,
 	})
 	if err != nil {
-		return false, 0, err
+		return err
 	}
-	switch resp.Status {
-	case StatusOK:
-		return true, resp.Version, nil
-	case StatusVersionStale:
-		return false, resp.Version, nil
-	default:
-		return false, 0, fmt.Errorf("wire: unexpected VERSIONED SET response %v", resp.Status)
+	if resp.Status != StatusOK {
+		return fmt.Errorf("wire: unexpected HINT response %v", resp.Status)
 	}
+	return nil
 }
 
 // Lease is the decoded outcome of a GETL round trip.
@@ -320,7 +202,7 @@ type Lease struct {
 	// (exactly a GET hit) and no lease state was touched.
 	Hit bool
 	// Token, when nonzero, grants this caller the fill lease for the key;
-	// it must accompany the fill SET (SetLease/EnqueueSetLease).
+	// it must accompany the fill (Fill).
 	Token uint64
 	// TTL is how long the lease (own or, for a zero-token response, the
 	// current holder's) remains outstanding.
@@ -328,9 +210,8 @@ type Lease struct {
 	// Stale marks a zero-token response carrying the last value the lease
 	// machinery saw for the key in Version/Value — possibly superseded.
 	Stale bool
-	// Version and Value are set on a Hit or a Stale hint. GetLease returns
-	// Value as a copy, safe to retain; GetLeaseShared returns it aliasing
-	// the client's receive buffer, valid until the next call.
+	// Version and Value are set on a Hit or a Stale hint; Value is a copy,
+	// safe to retain.
 	Version uint64
 	Value   []byte
 }
@@ -339,44 +220,30 @@ type Lease struct {
 // miss. See Lease for the three outcomes (hit, grant, zero-token
 // wait/stale-hint).
 func (c *Client) GetLease(key uint64) (Lease, error) {
-	l, err := c.GetLeaseShared(key)
-	if len(l.Value) > 0 {
-		l.Value = append([]byte(nil), l.Value...)
-	}
-	return l, err
-}
-
-// GetLeaseShared is GetLease without the defensive copy: a hit's or stale
-// hint's Value aliases the client's receive buffer and is valid only
-// until the next operation on this client (the GetShared ownership rule).
-func (c *Client) GetLeaseShared(key uint64) (Lease, error) {
 	resp, err := c.roundTrip(Request{Op: OpGetLease, Key: key})
 	if err != nil {
 		return Lease{}, err
 	}
-	switch resp.Status {
-	case StatusHit:
-		return Lease{Hit: true, Version: resp.Version, Value: resp.Value}, nil
-	case StatusLease:
-		l := Lease{Token: resp.LeaseToken, TTL: resp.LeaseTTL, Stale: resp.Stale}
-		if resp.Stale {
-			l.Version = resp.Version
-			l.Value = resp.Value
-		}
-		return l, nil
+	switch {
+	case resp.Status == StatusHit:
+		return Lease{Hit: true, Version: resp.Version, Value: append([]byte(nil), resp.Value...)}, nil
+	case resp.Status == StatusLease && resp.Stale:
+		return Lease{TTL: resp.LeaseTTL, Stale: true, Version: resp.Version, Value: append([]byte(nil), resp.Value...)}, nil
+	case resp.Status == StatusLease:
+		return Lease{Token: resp.LeaseToken, TTL: resp.LeaseTTL}, nil
 	default:
 		return Lease{}, fmt.Errorf("wire: unexpected GETL response %v", resp.Status)
 	}
 }
 
-// SetLease issues one lease fill round trip: a user SET carrying
-// SetFlagLease and token. It reports whether the fill landed and the
-// version the server holds after the call — the fill's new version when
-// it applied, the stored winning version (0 when the key is absent or
+// Fill issues one FILL round trip: the write half of GetLease, carrying
+// the token a grant handed this caller. It reports whether the fill landed
+// and the version the server holds after the call — the fill's new version
+// when it applied, the stored winning version (0 when the key is absent or
 // unknown) when the lease was lost. A lost lease is a successful no-op:
 // someone fresher already owns the key's state.
-func (c *Client) SetLease(key, token uint64, value []byte) (filled bool, stored uint64, err error) {
-	resp, err := c.roundTrip(Request{Op: OpSet, Key: key, Flags: SetFlagLease, LeaseToken: token, Value: value})
+func (c *Client) Fill(key, token uint64, value []byte) (filled bool, stored uint64, err error) {
+	resp, err := c.roundTrip(Request{Op: OpFill, Key: key, LeaseToken: token, Value: value})
 	if err != nil {
 		return false, 0, err
 	}
@@ -386,7 +253,7 @@ func (c *Client) SetLease(key, token uint64, value []byte) (filled bool, stored 
 	case StatusLeaseLost:
 		return false, resp.Version, nil
 	default:
-		return false, 0, fmt.Errorf("wire: unexpected LEASE SET response %v", resp.Status)
+		return false, 0, fmt.Errorf("wire: unexpected FILL response %v", resp.Status)
 	}
 }
 
@@ -523,7 +390,7 @@ func (c *Client) GetBatch(keys []uint64, visit func(i int, hit bool, value []byt
 // GetBatchVersions is GetBatch with the stored version of each hit passed
 // through to visit — the read side of the versioned-maintenance loop: the
 // cluster router reads values with their versions here and re-writes them
-// elsewhere with SetBatchRecs, so a copy can never supersede a value
+// elsewhere with PutBatch, so a copy can never supersede a value
 // newer than the one it observed. The value passed to visit aliases an
 // internal buffer valid only for the duration of the call.
 func (c *Client) GetBatchVersions(keys []uint64, visit func(i int, hit bool, version uint64, value []byte)) error {
@@ -555,14 +422,8 @@ func (c *Client) GetBatchVersions(keys []uint64, visit func(i int, hit bool, ver
 // SetBatch pipelines one user SET per key, with value(i) producing the i-th
 // payload.
 func (c *Client) SetBatch(keys []uint64, value func(i int) []byte) error {
-	return c.SetBatchFlags(keys, 0, value)
-}
-
-// SetBatchFlags pipelines one SET per key carrying the given flag byte,
-// with value(i) producing the i-th payload.
-func (c *Client) SetBatchFlags(keys []uint64, flags SetFlags, value func(i int) []byte) error {
 	for i, k := range keys {
-		if err := c.EnqueueSetFlags(k, flags, value(i)); err != nil {
+		if err := c.Enqueue(Request{Op: OpSet, Key: k, Value: value(i)}); err != nil {
 			return err
 		}
 	}
@@ -581,29 +442,26 @@ func (c *Client) SetBatchFlags(keys []uint64, flags SetFlags, value func(i int) 
 	return nil
 }
 
-// SetBatchRecs pipelines one conditional maintenance write per record —
-// a TOMBSTONE SET for tombstone records (value(i) is ignored), a plain
-// VERSIONED SET otherwise — with each write carrying its record's
-// version. flags must include SetFlagRepair; SetFlagVersioned (and, per
-// record, SetFlagTombstone) is added implicitly. It reports how many
-// writes applied and how many were rejected as stale — the destination
-// already held something strictly newer, which for a maintenance copy is
-// success: the record is there, fresher than the copy in flight (for a
-// tombstone: something newer than the delete, which by the
-// versioned-repair invariant is the state that should win).
-func (c *Client) SetBatchRecs(recs []KeyRec, flags SetFlags, value func(i int) []byte) (applied, stale int, err error) {
+// PutBatch pipelines one synchronous PUT per record — value(i) is the
+// i-th record's value, ignored for a tombstone — each carrying its
+// record's version. It reports how many were stored and how many were
+// refused as stale — the destination already held something strictly
+// newer, which for a maintenance copy is success: the record is there,
+// fresher than the copy in flight (for a tombstone: something newer than
+// the delete, which by the versioned-repair invariant is the state that
+// should win). On an error the counts cover the responses read, in order.
+func (c *Client) PutBatch(recs []KeyRec, value func(i int) []byte) (applied, stale int, err error) {
 	for i, rec := range recs {
-		if rec.Tombstone {
-			err = c.EnqueueSetTombstone(rec.Key, flags, rec.Version)
-		} else {
-			err = c.EnqueueSetVersioned(rec.Key, flags, rec.Version, value(i))
+		req := Request{Op: OpPut, Key: rec.Key, Version: rec.Version, Tombstone: rec.Tombstone}
+		if !rec.Tombstone {
+			req.Value = value(i)
 		}
-		if err != nil {
-			return applied, stale, err
+		if err := c.Enqueue(req); err != nil {
+			return 0, 0, err
 		}
 	}
 	if err := c.Flush(); err != nil {
-		return applied, stale, err
+		return 0, 0, err
 	}
 	for range recs {
 		resp, err := c.ReadResponse()
@@ -616,7 +474,7 @@ func (c *Client) SetBatchRecs(recs []KeyRec, flags SetFlags, value func(i int) [
 		case StatusVersionStale:
 			stale++
 		default:
-			return applied, stale, fmt.Errorf("wire: unexpected VERSIONED SET response %v", resp.Status)
+			return applied, stale, fmt.Errorf("wire: unexpected PUT response %v", resp.Status)
 		}
 	}
 	return applied, stale, nil

@@ -7,15 +7,15 @@ import (
 	"time"
 )
 
-// TestLeaseRequestRoundTrip pins the v7 request shapes: GETL frames and
-// LEASE-flagged SETs carrying the fill token, traced and untraced.
+// TestLeaseRequestRoundTrip pins the lease request shapes: GETL frames and
+// FILLs carrying the fill token, traced and untraced.
 func TestLeaseRequestRoundTrip(t *testing.T) {
 	reqs := []Request{
 		{Op: OpGetLease, Key: 42},
 		{Op: OpGetLease, Key: 1 << 60, Traced: true, Trace: TraceContext{ID: testTraceID(9), Flags: TraceFlagSampled}},
-		{Op: OpSet, Key: 7, Flags: SetFlagLease, LeaseToken: 1, Value: []byte("fill")},
-		{Op: OpSet, Key: 8, Flags: SetFlagLease, LeaseToken: 1 << 63, Value: nil}, // empty fill is legal
-		{Op: OpSet, Key: 9, Flags: SetFlagLease, LeaseToken: 3, Value: []byte("traced fill"),
+		{Op: OpFill, Key: 7, LeaseToken: 1, Value: []byte("fill")},
+		{Op: OpFill, Key: 8, LeaseToken: 1 << 63, Value: nil}, // empty fill is legal
+		{Op: OpFill, Key: 9, LeaseToken: 3, Value: []byte("traced fill"),
 			Traced: true, Trace: TraceContext{ID: testTraceID(10), Flags: TraceFlagSampled}},
 	}
 	var buf bytes.Buffer
@@ -34,7 +34,7 @@ func TestLeaseRequestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
-		if got.Op != want.Op || got.Key != want.Key || got.Flags != want.Flags || got.LeaseToken != want.LeaseToken {
+		if got.Op != want.Op || got.Key != want.Key || got.LeaseToken != want.LeaseToken {
 			t.Fatalf("request %d = %+v, want %+v", i, got, want)
 		}
 		if got.Traced != want.Traced || got.Trace != want.Trace {
@@ -87,8 +87,8 @@ func TestLeaseResponseRoundTrip(t *testing.T) {
 }
 
 // TestMalformedLeaseRequestRejected pins the decoder's and encoder's
-// refusal of every ill-formed lease request: zero tokens, the undefined
-// LEASE flag combinations, and truncated token fields.
+// refusal of every ill-formed lease request: zero tokens and truncated
+// token fields.
 func TestMalformedLeaseRequestRejected(t *testing.T) {
 	frame := func(body []byte) *Reader {
 		var buf bytes.Buffer
@@ -102,42 +102,25 @@ func TestMalformedLeaseRequestRejected(t *testing.T) {
 	if _, err := frame([]byte{byte(OpGetLease), 1, 2, 3}).ReadRequest(); err == nil {
 		t.Fatal("short GETL accepted")
 	}
-	// A LEASE SET with a zero token is a protocol error: the server never
+	// A FILL with a zero token is a protocol error: the server never
 	// grants token 0, so a zero can only be an encoding bug.
-	body := append([]byte{byte(OpSet)}, make([]byte, 8)...) // key
-	body = append(body, byte(SetFlagLease))
-	body = append(body, make([]byte, 8)...) // token = 0
+	body := append([]byte{byte(OpFill)}, make([]byte, 8)...) // key
+	body = append(body, make([]byte, 8)...)                  // token = 0
 	body = append(body, 'v')
 	if _, err := frame(body).ReadRequest(); err == nil {
-		t.Fatal("LEASE SET with a zero token accepted")
+		t.Fatal("FILL with a zero token accepted")
 	}
-	// A LEASE SET whose body ends before the token field.
-	body = append([]byte{byte(OpSet)}, make([]byte, 8)...)
-	body = append(body, byte(SetFlagLease), 1, 2, 3)
+	// A FILL whose body ends before the token field.
+	body = append([]byte{byte(OpFill)}, make([]byte, 8)...)
+	body = append(body, 1, 2, 3)
 	if _, err := frame(body).ReadRequest(); err == nil {
-		t.Fatal("LEASE SET with a truncated token field accepted")
+		t.Fatal("FILL with a truncated token field accepted")
 	}
-	// LEASE combines with nothing: a fill is not maintenance traffic.
-	for _, flags := range []SetFlags{
-		SetFlagLease | SetFlagRepair,
-		SetFlagLease | SetFlagRepair | SetFlagAsync,
-		SetFlagLease | SetFlagRepair | SetFlagVersioned,
-	} {
-		body = append([]byte{byte(OpSet)}, make([]byte, 8)...)
-		body = append(body, byte(flags))
-		body = append(body, make([]byte, 17)...) // more than enough field bytes
-		if _, err := frame(body).ReadRequest(); err == nil {
-			t.Fatalf("LEASE SET with flags %#02x accepted", byte(flags))
-		}
-	}
-	// The encoder refuses the same ill-formed requests.
+	// The encoder refuses the zero token too.
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	if err := w.WriteRequest(Request{Op: OpSet, Flags: SetFlagLease, LeaseToken: 0, Value: []byte("v")}); err == nil {
+	if err := w.WriteRequest(Request{Op: OpFill, LeaseToken: 0, Value: []byte("v")}); err == nil {
 		t.Fatal("encoder accepted a zero lease token")
-	}
-	if err := w.WriteRequest(Request{Op: OpSet, Flags: SetFlagLease | SetFlagRepair, LeaseToken: 1}); err == nil {
-		t.Fatal("encoder accepted LEASE|REPAIR")
 	}
 }
 
@@ -213,14 +196,19 @@ func TestMalformedLeaseResponseRejected(t *testing.T) {
 	}
 }
 
-// TestLeaseHistogramNames pins the GETL row of the per-op histogram ID
-// space: metrics collected for GETL must name and validate like any
-// other opcode's.
-func TestLeaseHistogramNames(t *testing.T) {
-	if !validHistID(byte(OpGetLease)) {
-		t.Fatal("GETL opcode is not a valid histogram ID")
+// TestHistogramNames pins the per-op histogram ID space to the opcode
+// space: metrics collected for any opcode must name and validate, so a
+// server that counts an op can always export it.
+func TestHistogramNames(t *testing.T) {
+	for op := OpGet; op <= OpLast; op++ {
+		if !validHistID(byte(op)) {
+			t.Errorf("%v opcode is not a valid histogram ID", op)
+		}
+		if got := HistName(byte(op)); got != op.String() {
+			t.Errorf("HistName(%v) = %q", op, got)
+		}
 	}
-	if got := HistName(byte(OpGetLease)); got != "GETL" {
-		t.Fatalf("HistName(GETL) = %q", got)
+	if validHistID(0) || validHistID(byte(OpLast)+1) {
+		t.Error("histogram IDs outside the opcode space validate")
 	}
 }

@@ -36,7 +36,7 @@ const (
 	MetricsSlowOps MetricsFlags = 1 << 2
 	// MetricsTraces selects the sampled-span ring (v6), oldest first:
 	// one record per sampled traced request the server observed,
-	// including writes applied from the async repair queue.
+	// including queued PUTs applied when the maintenance queue drains.
 	MetricsTraces MetricsFlags = 1 << 3
 	// MetricsHotKeys selects the per-op-class hot-key sketches (v6):
 	// space-saving top-K summaries of which (scrambled) keys each op
@@ -60,27 +60,30 @@ func (f MetricsFlags) validate() error {
 }
 
 // Histogram IDs. Per-op service-time histograms reuse the request opcode
-// byte as their ID (GET=1 … GETL=10); IDs from 32 up name histograms
-// that are not tied to one opcode.
+// byte as their ID (GET=1 … OpLast); IDs from 32 up name histograms that
+// are not tied to one opcode.
 const (
-	// HistRepairWait is the queue-wait-time histogram of async maintenance
-	// writes: enqueue to the moment the drain goroutine applies them.
+	// HistRepairWait is the queue-wait-time histogram of queued PUTs:
+	// enqueue to the moment the drain goroutine applies them.
 	HistRepairWait byte = 32
 )
 
 // HistName names a histogram ID for display.
 func HistName(id byte) string {
-	if id == HistRepairWait {
+	switch {
+	case id == HistRepairWait:
 		return "REPAIR_WAIT"
+	case validHistID(id):
+		return Op(id).String()
+	default:
+		return fmt.Sprintf("Hist(%d)", id)
 	}
-	if op := Op(id); op >= OpGet && op <= OpGetLease {
-		return op.String()
-	}
-	return fmt.Sprintf("Hist(%d)", id)
 }
 
+// validHistID accepts every opcode — whatever the server can count, a
+// METRICS response must be able to carry — and HistRepairWait.
 func validHistID(id byte) bool {
-	return (Op(id) >= OpGet && Op(id) <= OpGetLease) || id == HistRepairWait
+	return (Op(id) >= OpGet && Op(id) <= OpLast) || id == HistRepairWait
 }
 
 // Counter IDs.

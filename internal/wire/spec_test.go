@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"fmt"
 	"os"
 	"regexp"
 	"strconv"
@@ -12,8 +13,8 @@ import (
 
 // These tests pin the wire-protocol specification in ARCHITECTURE.md to the
 // implementation: every constant the document states — magic, version,
-// frame cap, opcode and status codes, SET flag bits, and the STATS payload
-// field order — is parsed out of the markdown tables and compared against
+// frame cap, opcode and status codes, request body layouts, and the STATS
+// payload field order — is parsed out of the markdown tables and compared against
 // the package. Charge the spec, forget the code (or vice versa), and CI
 // fails.
 
@@ -85,11 +86,15 @@ func TestSpecPreambleAndLimits(t *testing.T) {
 
 func TestSpecOpcodes(t *testing.T) {
 	codes := tableCodes(specSection(t, specDoc(t), "### Request opcodes"))
-	want := []Op{OpGet, OpSet, OpDel, OpStats, OpRehash, OpKeys, OpMembers, OpTopology, OpMetrics, OpGetLease, OpHint}
-	if len(codes) != len(want) {
-		t.Errorf("spec lists %d opcodes, implementation has %d", len(codes), len(want))
+	if len(codes) != int(OpLast) {
+		t.Errorf("spec lists %d opcodes, implementation has %d", len(codes), int(OpLast))
 	}
-	for _, op := range want {
+	// Every opcode up to OpLast — the range telemetry is sized and
+	// validated by — must be named and documented.
+	for op := OpGet; op <= OpLast; op++ {
+		if strings.HasPrefix(op.String(), "Op(") {
+			t.Errorf("opcode %d has no name in opNames", int(op))
+		}
 		if got, ok := codes[op.String()]; !ok || got != int(op) {
 			t.Errorf("spec %s = %d (listed=%v), implementation %d", op, got, ok, int(op))
 		}
@@ -109,50 +114,28 @@ func TestSpecStatuses(t *testing.T) {
 	}
 }
 
-func TestSpecSetFlags(t *testing.T) {
-	section := specSection(t, specDoc(t), "### SET flag bits")
-	for _, f := range []struct {
-		name string
-		impl SetFlags
-	}{
-		{"REPAIR", SetFlagRepair},
-		{"ASYNC", SetFlagAsync},
-		{"VERSIONED", SetFlagVersioned},
-		{"LEASE", SetFlagLease},
-		{"TOMBSTONE", SetFlagTombstone},
-	} {
-		row := regexp.MustCompile(`\|\s*` + f.name + `\s*\|\s*0x([0-9a-fA-F]+)\s*\|`).FindStringSubmatch(section)
-		if row == nil {
-			t.Fatalf("spec lacks the %s flag row", f.name)
-		}
-		bit, err := strconv.ParseUint(row[1], 16, 8)
-		if err != nil || SetFlags(bit) != f.impl {
-			t.Errorf("spec %s = 0x%s, implementation %#02x", f.name, row[1], byte(f.impl))
-		}
-	}
-	// Every defined flag must be documented: if a new bit joins
-	// setFlagsDefined, this forces a spec row for it.
-	if setFlagsDefined != SetFlagRepair|SetFlagAsync|SetFlagVersioned|SetFlagLease|SetFlagTombstone {
-		t.Error("setFlagsDefined grew; document the new flag bit in ARCHITECTURE.md and extend this test")
-	}
-}
-
-// TestSpecTombstones pins the v8 normative text: the DEL-as-versioned-
-// write semantics, the 17-byte KEYS record layout, the HINT request
-// body, the TOMBSTONE flag's combination rule, and the deletion
-// invariant section the whole layer rests on.
+// TestSpecTombstones pins the normative text of deletion: the
+// DEL-as-versioned-write semantics, the 17-byte KEYS record layout, the
+// record PUT and HINT share (and its one rule), and the deletion invariant
+// section the whole layer rests on.
 func TestSpecTombstones(t *testing.T) {
 	doc := specDoc(t)
 
 	ops := specSection(t, doc, "### Request opcodes")
-	if !regexp.MustCompile(`HINT\s*\|\s*11\s*\|\s*target-len byte, target bytes, key uint64, tombstone byte \(0 or 1\), version uint64, value bytes`).MatchString(ops) {
-		t.Error("spec HINT row must document the full hint body layout")
+	if !regexp.MustCompile(`HINT\s*\|\s*11\s*\|\s*target-len byte, target bytes, record`).MatchString(ops) {
+		t.Error("spec HINT row must document the hint body: target, then the record")
+	}
+	if !regexp.MustCompile(`(?is)record.*?key uint64,\s+version uint64,\s+tombstone byte \(0 or 1\),\s+value bytes`).MatchString(ops) {
+		t.Error("spec must document the record layout PUT and HINT share")
 	}
 	if !regexp.MustCompile(`(?is)DEL.*?since v8.*?versioned write, not an erasure`).MatchString(ops) {
 		t.Error("spec must state that DEL is a versioned write since v8")
 	}
 	if !regexp.MustCompile(`(?i)zero version is a protocol error`).MatchString(ops) {
-		t.Error("spec must state that a zero-version HINT is a protocol error")
+		t.Error("spec must state that a zero-version record is a protocol error")
+	}
+	if !regexp.MustCompile(`(?i)tombstone\s+record carrying a value`).MatchString(ops) {
+		t.Error("spec must state that a tombstone record carrying a value is rejected")
 	}
 
 	statuses := specSection(t, doc, "### Response statuses")
@@ -161,14 +144,6 @@ func TestSpecTombstones(t *testing.T) {
 	}
 	if !regexp.MustCompile(`key uint64, version uint64, tombstone byte \(17 bytes each\)`).MatchString(statuses) {
 		t.Error("spec KEYS row must document the 17-byte record layout")
-	}
-
-	flags := specSection(t, doc, "### SET flag bits")
-	if !regexp.MustCompile(`(?i)only valid together with VERSIONED`).MatchString(flags) {
-		t.Error("spec must state TOMBSTONE is only valid together with VERSIONED")
-	}
-	if !regexp.MustCompile(`(?i)TOMBSTONE SET carrying a value`).MatchString(flags) {
-		t.Error("spec must state that a TOMBSTONE SET carrying a value is rejected")
 	}
 
 	inv := specSection(t, doc, "### Deletion invariant")
@@ -185,21 +160,31 @@ func TestSpecTombstones(t *testing.T) {
 	}
 }
 
-// TestSpecVersionedWrites pins the v4 normative sentences: the SET request
-// row documents the conditional version field, HIT responses carry the
-// stored version, and VERSION_STALE replies with the winning version.
+// TestSpecVersionedWrites pins the three write operations' rows and the
+// normative sentences of versioning: SET carries no version, PUT carries
+// the record's, HIT responses carry the stored version, and VERSION_STALE
+// replies to a PUT with the winning version.
 func TestSpecVersionedWrites(t *testing.T) {
 	doc := specDoc(t)
 	ops := specSection(t, doc, "### Request opcodes")
-	if !regexp.MustCompile(`SET\s*\|\s*2\s*\|\s*key uint64, flags byte, \[version uint64\], \[token uint64\], value bytes`).MatchString(ops) {
-		t.Error("spec SET row must document the conditional version and token fields: key, flags, [version], [token], value")
+	for _, row := range []string{
+		`SET\s*\|\s*2\s*\|\s*key uint64, value bytes\s*\|`,
+		`FILL\s*\|\s*12\s*\|\s*key uint64, token uint64, value bytes\s*\|`,
+		`PUT\s*\|\s*13\s*\|\s*queued byte \(0 or 1\), record\s*\|`,
+	} {
+		if !regexp.MustCompile(row).MatchString(ops) {
+			t.Errorf("spec request table must have the row %q", row)
+		}
 	}
-	if !regexp.MustCompile(`(?i)version field is present exactly when the flags carry VERSIONED`).MatchString(ops) {
-		t.Error("spec must state when the SET version field is present")
+	if !regexp.MustCompile(`(?is)PUT.*?stored verbatim.*?strictly newer`).MatchString(ops) {
+		t.Error("spec must state PUT's strictly-newer store rule")
 	}
 	statuses := specSection(t, doc, "### Response statuses")
 	if !regexp.MustCompile(`HIT\s*\|\s*1\s*\|\s*version uint64, value bytes`).MatchString(statuses) {
 		t.Error("spec HIT row must document the leading version field")
+	}
+	if !regexp.MustCompile(`VERSION_STALE\s*\|\s*8\s*\|\s*stored version uint64\s*\|\s*PUT\s*\|`).MatchString(statuses) {
+		t.Error("spec VERSION_STALE row must reply to PUT")
 	}
 	if !regexp.MustCompile(`(?is)VERSION_STALE.*?not strictly newer`).MatchString(statuses) {
 		t.Error("spec must state VERSION_STALE's strictly-newer rejection rule")
@@ -244,7 +229,7 @@ func TestSpecEpochInResponses(t *testing.T) {
 }
 
 // TestSpecMetricsFlags pins the METRICS detail-flag bits against the
-// implementation, the same way TestSpecSetFlags pins the SET bits.
+// implementation.
 func TestSpecMetricsFlags(t *testing.T) {
 	section := specSection(t, specDoc(t), "### METRICS detail flags")
 	for _, f := range []struct {
@@ -329,8 +314,8 @@ func TestSpecMetricsPayload(t *testing.T) {
 	}
 
 	// Per-op histogram IDs are the opcode bytes; the spec states the range.
-	if !regexp.MustCompile(`GET\s*=\s*1\s*…\s*GETL\s*=\s*10`).MatchString(section) {
-		t.Errorf("spec must state per-op histogram IDs GET = 1 … GETL = %d", byte(OpGetLease))
+	if want := fmt.Sprintf("GET = 1 … %v = %d", OpLast, int(OpLast)); !strings.Contains(section, want) {
+		t.Errorf("spec must state per-op histogram IDs %s", want)
 	}
 
 	// Span record field order (rows marked "per span").
@@ -484,11 +469,11 @@ func TestSpecLeasePayload(t *testing.T) {
 	}
 
 	statuses := specSection(t, doc, "### Response statuses")
-	if !regexp.MustCompile(`LEASE_LOST\s*\|\s*11\s*\|\s*winning version uint64 \(0 = unknown\)`).MatchString(statuses) {
-		t.Error("spec LEASE_LOST row must document the winning-version body with 0 = unknown")
+	if !regexp.MustCompile(`LEASE_LOST\s*\|\s*11\s*\|\s*winning version uint64 \(0 = unknown\)\s*\|\s*FILL\s*\|`).MatchString(statuses) {
+		t.Error("spec LEASE_LOST row must document the winning-version body with 0 = unknown, replying to FILL")
 	}
-	if !regexp.MustCompile(`(?is)LEASE SET\s+carrying a zero token, is rejected`).MatchString(specSection(t, doc, "### Request opcodes")) {
-		t.Error("spec must state that a LEASE SET with a zero token is rejected")
+	if !regexp.MustCompile(`(?is)FILL\s+carrying a zero token is rejected`).MatchString(specSection(t, doc, "### Request opcodes")) {
+		t.Error("spec must state that a FILL with a zero token is rejected")
 	}
 
 	inv := specSection(t, doc, "### Lease invariant")

@@ -10,7 +10,7 @@
 // with a 8-byte client preamble:
 //
 //	magic   [4]byte  "SACW" (Set-Associative Cache Wire)
-//	version uint32   8
+//	version uint32   9
 //
 // after which both directions carry length-prefixed frames:
 //
@@ -31,13 +31,13 @@
 //	GET      key uint64                        → Hit version, value | Miss
 //	GETL     key uint64                        → Hit version, value |
 //	                                             Lease token, TTL [, stale hint]
-//	SET      key uint64, flags byte,
-//	         [version uint64 if VERSIONED],
-//	         [token uint64 if LEASE],
-//	         value                             → OK evicted, version |
-//	                                             VersionStale stored version |
+//	SET      key uint64, value                 → OK evicted, version
+//	FILL     key uint64, token uint64, value   → OK evicted, version |
 //	                                             LeaseLost stored version
+//	PUT      queued byte, record               → OK evicted, version |
+//	                                             VersionStale stored version
 //	DEL      key uint64                        → OK evicted, version
+//	HINT     target addr, record               → OK
 //	STATS    detail byte(0|1)                  → Stats payload (see Stats)
 //	REHASH                                     → OK
 //	KEYS                                       → stream of Keys frames of
@@ -47,129 +47,51 @@
 //	MEMBERS                                    → Members topology payload
 //	TOPOLOGY topology payload                  → Members (the view after apply)
 //	METRICS  flags byte                        → Metrics payload (see Metrics)
-//	HINT     target addr, key uint64,
-//	         tombstone byte, version uint64,
-//	         value                             → OK
 //
-// Version 2 added the SET flags byte between key and value. Its first
-// defined bit, SetFlagRepair, marks replica-maintenance writes — read
-// repair, warm-up and migration re-SETs issued by the cluster router — so
-// servers can account for them separately from user traffic (Stats.Sets vs
-// Stats.RepairSets) instead of recounting internal churn as load.
+// A record is the store's own {key, version, tombstone} — the 17 bytes of
+// one KEYS stream entry (KeyRec) — followed by the value; PUT and HINT
+// carry it through one codec (appendRecord, parseRecord).
 //
-// Version 3 made cluster topology a first-class wire concept:
+// Every write is one of three operations, and the operation is the rule:
 //
-//   - Every response carries the server's topology epoch right after the
-//     status byte, so a router piggybacks staleness detection on normal
-//     traffic: a response epoch above its own means the membership changed
-//     and a MEMBERS refresh is due.
-//   - MEMBERS returns the server's current member list plus epoch, and
-//     TOPOLOGY pushes one at it (adopted only if it is newer; the response
-//     reports the view the server actually holds). See Topology.
-//   - KEYS became a stream of bounded chunk frames ending in a terminator
-//     (count 0), so enumerating a node is no longer capped by MaxFrame —
-//     migration and warm-up scale past millions of residents.
-//   - SetFlagAsync (valid only with SetFlagRepair) lets maintenance writes
-//     be applied through the server's bounded background queue, shed under
-//     overload, so repair floods never stall user traffic.
+//   - SET is a user write. It always stores, and the server assigns the
+//     version max(wall-clock ns, stored+1), so a user write is strictly
+//     newer than everything the node ever held for the key.
+//   - FILL is the write half of GETL: it carries the nonzero token a LEASE
+//     grant handed this caller and lands only while that exact lease is
+//     outstanding and the key still has no live versioned value. A fill
+//     that lost its lease answers LEASE_LOST with the stored version (0
+//     when unknown) and changes nothing.
+//   - PUT is a maintenance write — read repair, warm-up, migration, hint
+//     replay, anti-entropy: the record a copy of the key was observed at,
+//     stored verbatim iff its version is strictly newer than the stored
+//     one, VERSION_STALE (counted in Stats.StaleRepairs) otherwise. Both
+//     refusals are successes by other means: fresher state already won.
+//     queued = 1 sends the record through the server's bounded background
+//     queue instead: OK then means accepted, the version check runs when
+//     the queue drains, and the write may be shed under overload
+//     (Stats.RepairsShed) — so only callers that re-issue by construction
+//     (the router's read repair) queue.
 //
-// KEYS is the migration and warm-up primitive for the cluster router
-// (internal/cluster): removing a node enumerates its residents and re-SETs
-// them on their new owners; adding one streams the newcomer's share into
-// it. The snapshot is racy — concurrent traffic may add or evict entries
-// while it is taken.
+// DEL is SET's rule storing a tombstone — the versioned fact that the key
+// was deleted, reaped after a TTL — and a PUT whose record is a tombstone
+// is how replicas learn a delete, so no older live copy can ever win.
+// HINT parks a record for an unreachable owner on a live member, which
+// replays it to the target as a PUT once it answers again.
 //
-// Version 4 made values versioned so maintenance writes can no longer
-// reinstate a value a concurrent user SET already superseded (the
-// lost-update race the v3 spec documented as a deliberate caveat):
-//
-//   - Every stored value carries a monotonically increasing per-key
-//     version, assigned by the server on unconditional SETs. HIT responses
-//     carry the stored version before the value; OK responses to a SET
-//     carry the version the write was stored under.
-//   - SetFlagVersioned (valid only with SetFlagRepair) makes a SET
-//     conditional: the request carries the version the writer observed,
-//     and the server applies it only when that version is strictly newer
-//     than the one it holds. A rejected write answers VERSION_STALE (with
-//     the newer stored version) and is counted in Stats.StaleRepairs.
-//     User SETs stay unconditional last-writer-wins.
-//
-// Version 5 put the server's flight recorder on the wire:
-//
-//   - METRICS returns server-side telemetry — per-op service-time
-//     histograms (log-linear buckets, see internal/telemetry), scalar
-//     counters (bytes in/out, connections, slow-op total), and the
-//     slow-op ring — with a detail-flag byte selecting sections, so
-//     latency distributions are observable per node and mergeable into a
-//     cluster view without client-side inference.
-//   - The STATS payload gained RepairQueueHighWater, the maximum async
-//     maintenance queue depth since start, because the point-in-time
-//     RepairQueueDepth hides shed-risk peaks between polls.
-//
-// Version 6 made requests traceable end to end:
-//
-//   - Any request may carry a trace context (OpFlagTraced on the opcode
-//     byte, then TraceContext: a 16-byte ID and a flag byte whose
-//     TraceFlagSampled bit asks servers to record spans). The cluster
-//     router mints one context per sampled batch and propagates it across
-//     fan-out, fallback reads, quorum writes, and async repair-queue
-//     entries, so a repair applied seconds later still names the request
-//     that caused it.
-//   - METRICS gained the TRACES section (the server's sampled-span ring;
-//     see telemetry.Span) and the HOTKEYS section (per-op-class
-//     space-saving sketches of the hottest keys; see telemetry.TopK).
-//   - The slow-op record grew a trailing 16-byte trace ID (all-zero when
-//     the slow op was untraced), joining slow ops to their cluster-side
-//     cause.
-//
-// Version 7 added the lease/singleflight miss path — memcached-style herd
-// suppression for hot keys (Nishtala et al., NSDI'13):
-//
-//   - GETL (OpGetLease) is GET with lease semantics on a miss: the first
-//     misser is handed a LEASE response carrying a nonzero token and the
-//     lease TTL, making it the one caller entitled to load the origin and
-//     fill the key. Concurrent missers get LEASE with token 0 — either
-//     bare (back off briefly and retry; the filler is coming) or with a
-//     stale hint: the last value the lease machinery saw for the key,
-//     flagged stale, with its version, so a storm of missers is served
-//     *something* without stampeding the origin. GETL on a resident key is
-//     byte-identical to GET: it answers HIT and touches no lease state.
-//   - SetFlagLease marks a SET as a lease fill: the request carries the
-//     nonzero token between the flags byte and the value, and the server
-//     applies the write only while that exact lease is outstanding and the
-//     key's version is still what the grant observed. A fill that lost its
-//     lease — expired, invalidated by a concurrent user SET or DEL, or
-//     superseded by a newer grant — answers LEASE_LOST with the stored
-//     version (0 when unknown) and changes nothing: like VERSION_STALE it
-//     is a refusal, not a failure.
-//   - The STATS payload gained LeasesGranted, LeasesExpired and
-//     StaleServes.
-//
-// Version 8 made delete a versioned write, closing the last documented
-// resurrection path and unblocking the availability layers built on it:
-//
-//   - DEL no longer erases history: the server stores a tombstone record
-//     under a freshly assigned version (reaped after a TTL), and the DEL
-//     response is always OK — the evicted byte reports whether a live
-//     value was present, and the version field carries the tombstone's
-//     assigned version, so routers can propagate the delete to replicas
-//     and hints as an ordinary conditional versioned write.
-//   - SetFlagTombstone (valid only with VERSIONED, hence REPAIR) makes a
-//     maintenance SET carry a delete instead of a value: the body has an
-//     empty value and the server stores a tombstone under the carried
-//     version iff it is strictly newer than what it holds. Replica
-//     repair, hint replay and anti-entropy use it so a delete can never
-//     lose to an older live copy.
-//   - KEYS frames stream {key uint64, version uint64, tombstone byte}
-//     records instead of bare keys, so replica comparison — the
-//     anti-entropy sweep, warm-up, migration — is one pass with no
-//     per-key version round trips, and tombstones travel with the rest.
-//   - HINT (OpHint) queues a hinted-handoff record on the receiving
-//     server: a write (or delete) that could not reach its intended
-//     owner, stored under a byte budget and replayed to the target — as
-//     a conditional versioned write — when it becomes reachable again.
-//   - The STATS payload gained Tombstones, TombstonesReaped, HintsQueued
-//     and HintsReplayed.
+// The other protocol features, by the revision that introduced them:
+// every response carries the server's topology epoch, MEMBERS/TOPOLOGY
+// move member lists, and KEYS streams in bounded chunk frames (v3);
+// values are versioned (v4); METRICS exports the server's flight recorder
+// (v5); requests may carry a trace context, and METRICS gained the TRACES
+// and HOTKEYS sections (v6); GETL and the LEASE/LEASE_LOST statuses (v7);
+// tombstones, {key, version, tombstone} KEYS records and HINT (v8).
+// Version 9 removed the SET flags byte — five bits and a legality table
+// that encoded exactly the three operations above — in favour of the
+// FILL and PUT opcodes, and made the decoders strict enough that every
+// accepted frame re-encodes to itself (FuzzReadRequest,
+// FuzzReadResponse). Peers of other versions are rejected at the
+// preamble.
 package wire
 
 import (
@@ -200,27 +122,9 @@ const (
 	// Magic is the 4-byte connection preamble prefix.
 	Magic = "SACW"
 	// Version is the protocol revision; the preamble carries it and servers
-	// reject mismatches. Version 2 added the SET flags byte and the
-	// Sets/RepairSets counters in the STATS payload; version 3 added the
-	// topology epoch to every response, the MEMBERS and TOPOLOGY ops,
-	// chunked KEYS streaming, the ASYNC SET flag, and the
-	// RepairQueueDepth/RepairsShed counters; version 4 added per-key value
-	// versions (in HIT and OK responses), the VERSIONED SET flag with the
-	// VERSION_STALE status for conditional maintenance writes, and the
-	// StaleRepairs counter; version 5 added the METRICS op (server-side
-	// latency histograms, counters, and the slow-op log) and the
-	// RepairQueueHighWater STATS counter; version 6 added the per-request
-	// trace context (OpFlagTraced), the TRACES and HOTKEYS METRICS
-	// sections, and the slow-op record's trailing trace ID; version 7
-	// added the lease miss path — the GETL op, the LEASE and LEASE_LOST
-	// statuses, the LEASE SET flag with its token field, and the
-	// LeasesGranted/LeasesExpired/StaleServes counters; version 8 made
-	// delete a versioned write — DEL answers OK with the assigned
-	// tombstone version, the TOMBSTONE SET flag carries deletes through
-	// maintenance writes, KEYS streams {key, version, tombstone} records,
-	// the HINT op queues hinted handoffs, and the STATS payload gained
-	// the Tombstones/TombstonesReaped/HintsQueued/HintsReplayed counters.
-	Version = 8
+	// reject mismatches, so a bump needs no compatibility path. The package
+	// comment and ARCHITECTURE.md list what each revision changed.
+	Version = 9
 	// MaxFrame bounds a frame body; it caps both value sizes and the damage
 	// a corrupt length prefix can do.
 	MaxFrame = 16 << 20
@@ -318,68 +222,6 @@ func parseTopology(body []byte) (Topology, error) {
 	return t, nil
 }
 
-// SetFlags is the flag byte carried by every SET request; it is a bit set.
-type SetFlags byte
-
-// The defined SET flag bits. Servers reject frames with undefined bits set,
-// so the remaining bits stay available for future revisions.
-const (
-	// SetFlagRepair marks a SET as replica maintenance — a read-repair,
-	// warm-up or migration write issued by the cluster router — rather
-	// than user traffic. Servers apply it normally but count it under
-	// Stats.RepairSets instead of Stats.Sets.
-	SetFlagRepair SetFlags = 1 << 0
-
-	// SetFlagAsync, valid only alongside SetFlagRepair, asks the server to
-	// apply the write through its bounded background maintenance queue:
-	// the OK response means accepted, not yet applied, and the write may
-	// be shed (counted in Stats.RepairsShed) when the queue is full.
-	// Callers must therefore be prepared to re-issue it later — which the
-	// cluster router's read repair is by construction, since the next
-	// fallback read of the key schedules a fresh repair. Migration and
-	// warm-up writes stay synchronous: their accounting ("every key moved
-	// or accounted for") cannot tolerate a silent shed.
-	SetFlagAsync SetFlags = 1 << 1
-
-	// SetFlagVersioned, valid only alongside SetFlagRepair, makes the SET
-	// conditional on the version the writer observed: the request body
-	// carries that version between the flags byte and the value, the server
-	// stores the value under it only when it is strictly newer than the
-	// version it holds for the key, and a rejected write answers
-	// VERSION_STALE instead of OK (counted in Stats.StaleRepairs). This is
-	// what keeps a maintenance write — read repair, warm-up, migration, or
-	// an entry draining out of the async queue — from reinstating a value a
-	// concurrent user SET already superseded. User SETs never carry it:
-	// they stay unconditional last-writer-wins and always advance the key's
-	// version.
-	SetFlagVersioned SetFlags = 1 << 2
-
-	// SetFlagLease marks the SET as a lease fill (v7): the request carries
-	// the nonzero lease token — handed to this writer by a LEASE response —
-	// between the flags byte and the value, and the server applies the
-	// write only while that exact lease is still outstanding and the key's
-	// version is unchanged since the grant. A fill whose lease is gone
-	// answers LEASE_LOST and stores nothing. A lease fill is user traffic
-	// loading the origin on a miss, not replica maintenance, so the flag is
-	// invalid in combination with SetFlagRepair (and therefore with ASYNC
-	// and VERSIONED).
-	SetFlagLease SetFlags = 1 << 3
-
-	// SetFlagTombstone (v8), valid only alongside SetFlagVersioned (and
-	// therefore SetFlagRepair), makes the conditional SET carry a delete:
-	// the body's value is empty, and the server stores a *tombstone*
-	// record under the carried version iff it is strictly newer than the
-	// version it holds — exactly the VERSIONED rule, applied to a delete.
-	// This is how replica repair, hint replay, the anti-entropy sweep and
-	// migration propagate deletes without ever letting an older live copy
-	// win. User deletes never carry it: DEL assigns the tombstone's
-	// version itself, like a user SET.
-	SetFlagTombstone SetFlags = 1 << 4
-
-	// setFlagsDefined masks the bits a conforming frame may set.
-	setFlagsDefined = SetFlagRepair | SetFlagAsync | SetFlagVersioned | SetFlagLease | SetFlagTombstone
-)
-
 // OpFlagTraced is the frame flag on the request opcode byte (its high
 // bit) marking that a TraceContext — TraceContextLen bytes — follows the
 // opcode byte before the opcode-specific fields. The low 7 bits stay the
@@ -435,9 +277,14 @@ func (tc TraceContext) validate() error {
 // Op is a request opcode.
 type Op byte
 
-// The request opcodes.
+// The request opcodes. Per-op telemetry (the server's service-time
+// histograms, METRICS histogram IDs) is indexed by the opcode byte and
+// sized by OpLast, so an opcode added to this block is countable,
+// nameable and exportable by construction.
 const (
 	OpGet Op = iota + 1
+	// OpSet (SET) is a user write: the server always stores the value and
+	// assigns its version. The response is OK.
 	OpSet
 	OpDel
 	OpStats
@@ -453,44 +300,45 @@ const (
 	// same 8-byte key as GET.
 	OpGetLease
 	// OpHint (HINT, v8) hands the receiving server a hinted-handoff
-	// record: a versioned write (or, with the tombstone byte set, a
-	// delete) whose intended owner — the target address in the body — was
+	// record whose intended owner — the target address in the body — was
 	// unreachable. The server queues it under a byte budget and replays
-	// it to the target as a conditional versioned write once the target
-	// is reachable again; over budget, the oldest hints for that target
-	// are dropped (the anti-entropy sweep is the backstop). The response
-	// is OK.
+	// it to the target as a PUT once the target is reachable again; over
+	// budget, the oldest hints are dropped (the anti-entropy sweep is the
+	// backstop). The response is OK.
 	OpHint
+	// OpFill (FILL, v9) is a lease fill, the write half of GETL: the body
+	// carries the nonzero token a LEASE grant handed this caller, and the
+	// server stores the value only while that lease is outstanding and
+	// the key has no live versioned value. The response is OK or
+	// LEASE_LOST.
+	OpFill
+	// OpPut (PUT, v9) is a maintenance write: a record — a value or a
+	// tombstone at the version its writer observed — stored verbatim iff
+	// strictly newer than what the server holds. The response is OK or
+	// VERSION_STALE; a queued PUT is only accepted (OK), version-checked
+	// when the server's maintenance queue drains, and may be shed.
+	OpPut
+
+	opEnd // one past the last opcode
 )
+
+// OpLast is the highest defined opcode.
+const OpLast = opEnd - 1
+
+// opNames is indexed by opcode; TestSpecOpcodes requires a name (and an
+// ARCHITECTURE.md row) for every opcode up to OpLast.
+var opNames = [opEnd]string{
+	OpGet: "GET", OpSet: "SET", OpDel: "DEL", OpStats: "STATS", OpRehash: "REHASH",
+	OpKeys: "KEYS", OpMembers: "MEMBERS", OpTopology: "TOPOLOGY", OpMetrics: "METRICS",
+	OpGetLease: "GETL", OpHint: "HINT", OpFill: "FILL", OpPut: "PUT",
+}
 
 // String implements fmt.Stringer.
 func (o Op) String() string {
-	switch o {
-	case OpGet:
-		return "GET"
-	case OpSet:
-		return "SET"
-	case OpDel:
-		return "DEL"
-	case OpStats:
-		return "STATS"
-	case OpRehash:
-		return "REHASH"
-	case OpKeys:
-		return "KEYS"
-	case OpMembers:
-		return "MEMBERS"
-	case OpTopology:
-		return "TOPOLOGY"
-	case OpMetrics:
-		return "METRICS"
-	case OpGetLease:
-		return "GETL"
-	case OpHint:
-		return "HINT"
-	default:
-		return fmt.Sprintf("Op(%d)", byte(o))
+	if o < opEnd && opNames[o] != "" {
+		return opNames[o]
 	}
+	return fmt.Sprintf("Op(%d)", byte(o))
 }
 
 // Status is a response status code.
@@ -505,8 +353,8 @@ const (
 	StatusError
 	StatusKeys
 	StatusMembers
-	// StatusVersionStale rejects a VERSIONED SET whose carried version was
-	// not strictly newer than the stored one; the body reports the stored
+	// StatusVersionStale rejects a PUT whose carried version was not
+	// strictly newer than the stored one; the body reports the stored
 	// (winning) version. It is a refusal, not a failure: the invariant the
 	// writer wanted — never overwrite fresher state — held, so callers
 	// treat it as a successful no-op.
@@ -515,14 +363,14 @@ const (
 	StatusMetrics
 	// StatusLease answers a GETL miss (v7). A nonzero token grants this
 	// caller the lease: it alone should load the origin and fill the key
-	// with a LEASE-flagged SET carrying the token, within the TTL. A zero
+	// with a FILL carrying the token, within the TTL. A zero
 	// token means another caller already holds the lease; the body then
 	// either carries a stale hint — the last value the lease machinery saw
 	// for the key, with its version, flagged stale — or nothing, in which
 	// case the caller should back off briefly and retry while the holder
 	// fills.
 	StatusLease
-	// StatusLeaseLost rejects a LEASE fill whose lease is no longer
+	// StatusLeaseLost rejects a FILL whose lease is no longer
 	// outstanding — expired, invalidated by a concurrent write or DEL, or
 	// superseded — or whose key changed version since the grant. The body
 	// reports the stored version (0 when the key is absent or the version
@@ -566,27 +414,27 @@ func (s Status) String() string {
 type Request struct {
 	// Op is the request opcode.
 	Op Op
-	// Key is the cache key of a GET, SET or DEL.
+	// Key is the cache key of a GET, GETL, SET, FILL, DEL, PUT or HINT.
 	Key uint64
-	// Value is the payload of a SET. It aliases the reader's scratch buffer
-	// and is only valid until the next Read call.
+	// Value is the payload of a SET, FILL, PUT or HINT. It aliases the
+	// reader's scratch buffer and is only valid until the next Read call.
 	Value []byte
-	// Flags is the SET flag byte (zero for user writes).
-	Flags SetFlags
-	// Version is the observed value version a VERSIONED SET carries; it is
-	// encoded on the wire only when Flags has SetFlagVersioned.
+	// Version is the version a PUT's or HINT's record is stored under at
+	// its source; a conforming frame never carries zero.
 	Version uint64
-	// LeaseToken is the fill token a LEASE SET carries; it is encoded on
-	// the wire only when Flags has SetFlagLease, and a conforming frame
-	// never carries a zero token (zero is the "no lease" sentinel in LEASE
-	// responses).
+	// Tombstone marks a PUT or HINT whose record is a delete; the Value is
+	// then empty.
+	Tombstone bool
+	// Queued asks the server to apply a PUT through its bounded background
+	// maintenance queue: OK means accepted, the version check runs when the
+	// queue drains, and the write may be shed under overload.
+	Queued bool
+	// LeaseToken is the fill token a FILL carries; a conforming frame never
+	// carries zero (the "no lease" sentinel in LEASE responses).
 	LeaseToken uint64
 	// Target is the intended owner address of a HINT: the member the
-	// hinted write could not reach and should be replayed to.
+	// record could not reach and should be replayed to.
 	Target string
-	// Tombstone marks a HINT whose hinted write is a delete; the Value is
-	// then empty and the replay carries SetFlagTombstone.
-	Tombstone bool
 	// Detail asks STATS to include per-shard counters.
 	Detail bool
 	// Topology is the payload of a TOPOLOGY push.
@@ -625,12 +473,13 @@ type Response struct {
 	// Value is a GET hit's payload; valid until the next Read call.
 	Value []byte
 	// Version is the stored value version: in a HIT it is the version of
-	// the value returned, in an OK replying to an applied SET it is the
-	// version the value was stored under (0 when the write was queued —
-	// ASYNC — or when replying to DEL or REHASH), and in a VERSION_STALE
-	// it is the newer version that won.
+	// the value returned, in an OK replying to an applied write (SET, FILL,
+	// PUT, DEL) it is the version the record was stored under (0 replying
+	// to a queued PUT, REHASH or HINT), and in a VERSION_STALE or
+	// LEASE_LOST it is the version that won.
 	Version uint64
-	// Evicted reports whether a SET displaced an entry.
+	// Evicted reports whether a write displaced an entry — or, replying to
+	// DEL, whether a live value was present.
 	Evicted bool
 	// Stats is the payload of a STATS response.
 	Stats *Stats
@@ -643,8 +492,7 @@ type Response struct {
 	// Metrics is the payload of a METRICS response.
 	Metrics *Metrics
 	// LeaseToken is a LEASE response's fill token: nonzero grants this
-	// caller the lease, zero means another caller holds it. In a LEASE
-	// SET's LEASE_LOST reply the stored version rides in Version instead.
+	// caller the lease, zero means another caller holds it.
 	LeaseToken uint64
 	// LeaseTTL is how long the lease (or, for a zero-token LEASE, the
 	// current holder's lease) remains outstanding; the wire carries it as
@@ -661,15 +509,15 @@ type Response struct {
 // Stats is the wire form of the server's counter snapshot; see
 // concurrent.Snapshot for the cache-level field semantics. Sets and
 // RepairSets are tracked by the server itself: they split write traffic
-// into user SETs and replica-maintenance SETs (SetFlagRepair), so repair
+// into user writes (SET and FILL) and maintenance writes (PUT), so repair
 // churn never inflates the apparent user load. RepairQueueDepth and
-// RepairsShed expose the server's bounded queue of async maintenance
-// writes (SetFlagAsync), making repair backpressure observable: a rising
+// RepairsShed expose the server's bounded queue of queued PUTs, making
+// repair backpressure observable: a rising
 // depth means maintenance is arriving faster than it drains, and a shed
 // is a repair the server dropped to protect user traffic; because depth is
 // point-in-time and peaks fall between polls, RepairQueueHighWater (v5)
 // reports the maximum depth since start. StaleRepairs
-// counts VERSIONED writes the server rejected because it already held a
+// counts PUTs the server rejected because it already held a
 // strictly newer version — each one is a lost-update race the version
 // check won (under v3 semantics the stale value would have been stored).
 type Stats struct {
@@ -713,8 +561,8 @@ type Stats struct {
 	// HintsQueued counts hinted-handoff records accepted via HINT (v8) —
 	// writes to an unreachable owner parked on this server for replay.
 	HintsQueued uint64
-	// HintsReplayed counts queued hints delivered to their target as
-	// conditional versioned writes (a VERSION_STALE refusal counts: the
+	// HintsReplayed counts queued hints delivered to their target as PUTs
+	// (a VERSION_STALE refusal counts: the
 	// target provably holds something newer, which is all a hint wants).
 	HintsReplayed uint64
 	Migrating     bool
@@ -775,9 +623,81 @@ type ShardStat struct {
 
 const statsFixedLen = 24*8 + 1 // 24 uint64 counters (statsFields) + migrating byte
 
-// keyRecLen is the encoded size of one KEYS stream record: key uint64,
-// version uint64, tombstone byte.
+// keyRecLen is the encoded size of a KeyRec: key uint64, version uint64,
+// tombstone byte.
 const keyRecLen = 17
+
+// boolByte is the wire form of a flag field: exactly 0 or 1.
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+// parseBool decodes a flag field, refusing anything but 0 and 1 so every
+// accepted frame has exactly one encoding.
+func parseBool(b byte, field string) (bool, error) {
+	if b > 1 {
+		return false, fmt.Errorf("wire: %s byte %#02x, want 0 or 1", field, b)
+	}
+	return b == 1, nil
+}
+
+// appendKeyRec encodes rec in its keyRecLen-byte wire form — one entry of
+// a KEYS stream frame, and the head of a PUT's or HINT's record.
+func appendKeyRec(b []byte, rec KeyRec) []byte {
+	b = binary.LittleEndian.AppendUint64(b, rec.Key)
+	b = binary.LittleEndian.AppendUint64(b, rec.Version)
+	return append(b, boolByte(rec.Tombstone))
+}
+
+// parseKeyRec decodes the keyRecLen bytes at the head of b.
+func parseKeyRec(b []byte) (KeyRec, error) {
+	tomb, err := parseBool(b[16], "tombstone")
+	return KeyRec{
+		Key:       binary.LittleEndian.Uint64(b),
+		Version:   binary.LittleEndian.Uint64(b[8:]),
+		Tombstone: tomb,
+	}, err
+}
+
+// appendRecord encodes the record a PUT or HINT carries: req's {Key,
+// Version, Tombstone} as a KeyRec, to be followed by the value as the rest
+// of the frame. With parseRecord it is the record's one codec, and
+// checkRecord its one rule, so the two ops cannot drift apart.
+func appendRecord(b []byte, req *Request) ([]byte, error) {
+	if err := checkRecord(req); err != nil {
+		return b, err
+	}
+	return appendKeyRec(b, KeyRec{Key: req.Key, Version: req.Version, Tombstone: req.Tombstone}), nil
+}
+
+// parseRecord decodes body — a KeyRec, then the value — into req.
+func parseRecord(body []byte, req *Request) error {
+	if len(body) < keyRecLen {
+		return fmt.Errorf("wire: %v record %d bytes, want ≥%d", req.Op, len(body), keyRecLen)
+	}
+	rec, err := parseKeyRec(body)
+	if err != nil {
+		return err
+	}
+	req.Key, req.Version, req.Tombstone, req.Value = rec.Key, rec.Version, rec.Tombstone, body[keyRecLen:]
+	return checkRecord(req)
+}
+
+// checkRecord enforces what makes a record well formed: a nonzero version
+// (the server never assigns zero, so zero can only be an encoding bug —
+// and, stored, would lose to everything), and no value on a tombstone.
+func checkRecord(req *Request) error {
+	if req.Version == 0 {
+		return fmt.Errorf("wire: %v with a zero version", req.Op)
+	}
+	if req.Tombstone && len(req.Value) != 0 {
+		return fmt.Errorf("wire: tombstone %v carries a value", req.Op)
+	}
+	return nil
+}
 
 // Codec buffer tuning. The shrink policy keeps one large frame (a KEYS
 // chunk, a METRICS snapshot, a big value) from pinning its buffer on a
@@ -793,8 +713,8 @@ const (
 	// oversized buffer survives before shrinking — large enough that a
 	// periodic KEYS/METRICS poll doesn't thrash the allocation.
 	codecIdleFrames = 64
-	// zeroCopyMin is the value length from which WriteRequest (SET) and
-	// WriteResponse (HIT) stop copying the value into the frame buffer
+	// zeroCopyMin is the value length from which WriteRequest (any op
+	// carrying a value) and WriteResponse (HIT) stop copying the value into the frame buffer
 	// and instead send it as its own vectored-write segment. Below it the
 	// memcpy is cheaper than an extra iovec entry.
 	zeroCopyMin = 4 << 10
@@ -813,7 +733,7 @@ type BuffersWriter interface {
 // Writer encodes frames into an owned buffer and sends a whole flush in
 // one (vectored) write. It is not safe for concurrent use.
 //
-// Values at least zeroCopyMin long passed to WriteRequest (SET) or
+// Values at least zeroCopyMin long passed to WriteRequest or
 // WriteResponse (HIT) are not copied: the slice is referenced until the
 // next Flush, so the caller must not modify its contents in between.
 // Both servers (immutable stored values) and clients (values held across
@@ -939,8 +859,8 @@ func (w *Writer) abortFrame(off int, err error) error {
 }
 
 // WriteRequest encodes one request frame (buffered; call Flush to send).
-// A SET Value at least zeroCopyMin long is referenced, not copied, and
-// must stay unmodified until Flush.
+// A Value at least zeroCopyMin long is referenced, not copied, and must
+// stay unmodified until Flush.
 func (w *Writer) WriteRequest(req Request) error {
 	if w.err != nil {
 		return w.err
@@ -956,64 +876,39 @@ func (w *Writer) WriteRequest(req Request) error {
 	} else {
 		w.chunk = append(w.chunk, byte(req.Op))
 	}
-	external := 0
+	var (
+		value []byte // the frame's trailing value field, for the ops that have one
+		err   error
+	)
 	switch req.Op {
 	case OpGet, OpDel, OpGetLease:
 		w.chunk = binary.LittleEndian.AppendUint64(w.chunk, req.Key)
 	case OpSet:
 		w.chunk = binary.LittleEndian.AppendUint64(w.chunk, req.Key)
-		w.chunk = append(w.chunk, byte(req.Flags))
-		if req.Flags&SetFlagTombstone != 0 {
-			if req.Flags&SetFlagVersioned == 0 {
-				return w.abortFrame(off, fmt.Errorf("wire: SET flag TOMBSTONE is only valid with VERSIONED"))
-			}
-			if len(req.Value) != 0 {
-				return w.abortFrame(off, fmt.Errorf("wire: TOMBSTONE SET carries a value"))
-			}
+		value = req.Value
+	case OpFill:
+		if req.LeaseToken == 0 {
+			err = fmt.Errorf("wire: FILL with a zero token")
+			break
 		}
-		if req.Flags&SetFlagVersioned != 0 {
-			w.chunk = binary.LittleEndian.AppendUint64(w.chunk, req.Version)
-		}
-		if req.Flags&SetFlagLease != 0 {
-			if req.Flags&SetFlagRepair != 0 {
-				return w.abortFrame(off, fmt.Errorf("wire: SET flag LEASE is not valid with REPAIR"))
-			}
-			if req.LeaseToken == 0 {
-				return w.abortFrame(off, fmt.Errorf("wire: LEASE SET with a zero token"))
-			}
-			w.chunk = binary.LittleEndian.AppendUint64(w.chunk, req.LeaseToken)
-		}
-		if len(req.Value) >= zeroCopyMin {
-			external = len(req.Value)
-		} else {
-			w.chunk = append(w.chunk, req.Value...)
-		}
+		w.chunk = binary.LittleEndian.AppendUint64(w.chunk, req.Key)
+		w.chunk = binary.LittleEndian.AppendUint64(w.chunk, req.LeaseToken)
+		value = req.Value
+	case OpPut:
+		w.chunk = append(w.chunk, boolByte(req.Queued))
+		w.chunk, err = appendRecord(w.chunk, &req)
+		value = req.Value
 	case OpHint:
 		if req.Target == "" || len(req.Target) > MaxAddrLen {
-			return w.abortFrame(off, fmt.Errorf("wire: HINT target address %d bytes, want 1..%d", len(req.Target), MaxAddrLen))
-		}
-		if req.Version == 0 {
-			return w.abortFrame(off, fmt.Errorf("wire: HINT with a zero version"))
-		}
-		if req.Tombstone && len(req.Value) != 0 {
-			return w.abortFrame(off, fmt.Errorf("wire: tombstone HINT carries a value"))
+			err = fmt.Errorf("wire: HINT target address %d bytes, want 1..%d", len(req.Target), MaxAddrLen)
+			break
 		}
 		w.chunk = append(w.chunk, byte(len(req.Target)))
 		w.chunk = append(w.chunk, req.Target...)
-		w.chunk = binary.LittleEndian.AppendUint64(w.chunk, req.Key)
-		tb := byte(0)
-		if req.Tombstone {
-			tb = 1
-		}
-		w.chunk = append(w.chunk, tb)
-		w.chunk = binary.LittleEndian.AppendUint64(w.chunk, req.Version)
-		w.chunk = append(w.chunk, req.Value...)
+		w.chunk, err = appendRecord(w.chunk, &req)
+		value = req.Value
 	case OpStats:
-		d := byte(0)
-		if req.Detail {
-			d = 1
-		}
-		w.chunk = append(w.chunk, d)
+		w.chunk = append(w.chunk, boolByte(req.Detail))
 	case OpRehash, OpKeys, OpMembers:
 	case OpMetrics:
 		if err := req.MetricsFlags.validate(); err != nil {
@@ -1029,13 +924,22 @@ func (w *Writer) WriteRequest(req Request) error {
 		}
 		w.chunk = appendTopology(w.chunk, req.Topology)
 	default:
-		return w.abortFrame(off, fmt.Errorf("wire: unknown request op %v", req.Op))
+		err = fmt.Errorf("wire: unknown request op %v", req.Op)
+	}
+	if err != nil {
+		return w.abortFrame(off, err)
+	}
+	external := 0
+	if len(value) >= zeroCopyMin {
+		external = len(value)
+	} else {
+		w.chunk = append(w.chunk, value...)
 	}
 	if err := w.endFrame(off, external); err != nil {
 		return err
 	}
 	if external > 0 {
-		w.sealValue(req.Value)
+		w.sealValue(value)
 	}
 	return nil
 }
@@ -1063,11 +967,7 @@ func (w *Writer) WriteResponse(resp Response) error {
 		}
 	case StatusMiss:
 	case StatusOK:
-		e := byte(0)
-		if resp.Evicted {
-			e = 1
-		}
-		w.chunk = append(w.chunk, e)
+		w.chunk = append(w.chunk, boolByte(resp.Evicted))
 		w.chunk = binary.LittleEndian.AppendUint64(w.chunk, resp.Version)
 	case StatusVersionStale:
 		w.chunk = binary.LittleEndian.AppendUint64(w.chunk, resp.Version)
@@ -1083,11 +983,7 @@ func (w *Writer) WriteResponse(resp Response) error {
 			ms = math.MaxUint32
 		}
 		w.chunk = binary.LittleEndian.AppendUint32(w.chunk, uint32(ms))
-		st := byte(0)
-		if resp.Stale {
-			st = 1
-		}
-		w.chunk = append(w.chunk, st)
+		w.chunk = append(w.chunk, boolByte(resp.Stale))
 		if resp.Stale {
 			w.chunk = binary.LittleEndian.AppendUint64(w.chunk, resp.Version)
 			w.chunk = append(w.chunk, resp.Value...)
@@ -1104,13 +1000,7 @@ func (w *Writer) WriteResponse(resp Response) error {
 	case StatusKeys:
 		w.chunk = binary.LittleEndian.AppendUint32(w.chunk, uint32(len(resp.Keys)))
 		for _, rec := range resp.Keys {
-			w.chunk = binary.LittleEndian.AppendUint64(w.chunk, rec.Key)
-			w.chunk = binary.LittleEndian.AppendUint64(w.chunk, rec.Version)
-			tb := byte(0)
-			if rec.Tombstone {
-				tb = 1
-			}
-			w.chunk = append(w.chunk, tb)
+			w.chunk = appendKeyRec(w.chunk, rec)
 		}
 	case StatusMembers:
 		if err := resp.Topology.Validate(); err != nil {
@@ -1141,11 +1031,7 @@ func appendStats(body []byte, s *Stats) []byte {
 	for _, f := range statsFields {
 		body = binary.LittleEndian.AppendUint64(body, *f.get(s))
 	}
-	m := byte(0)
-	if s.Migrating {
-		m = 1
-	}
-	body = append(body, m)
+	body = append(body, boolByte(s.Migrating))
 	body = binary.LittleEndian.AppendUint32(body, uint32(len(s.Shards)))
 	for _, sh := range s.Shards {
 		body = binary.LittleEndian.AppendUint64(body, sh.Hits)
@@ -1266,85 +1152,46 @@ func (r *Reader) ReadRequest() (Request, error) {
 		}
 		req.Key = binary.LittleEndian.Uint64(body)
 	case OpSet:
-		if len(body) < 9 {
-			return Request{}, fmt.Errorf("wire: SET body %d bytes, want ≥9", len(body))
+		if len(body) < 8 {
+			return Request{}, fmt.Errorf("wire: SET body %d bytes, want ≥8", len(body))
 		}
 		req.Key = binary.LittleEndian.Uint64(body)
-		req.Flags = SetFlags(body[8])
-		if req.Flags&^setFlagsDefined != 0 {
-			return Request{}, fmt.Errorf("wire: SET flags %#02x has undefined bits", byte(req.Flags))
+		req.Value = body[8:]
+	case OpFill:
+		if len(body) < 16 {
+			return Request{}, fmt.Errorf("wire: FILL body %d bytes, want ≥16 (key + token)", len(body))
 		}
-		if req.Flags&SetFlagAsync != 0 && req.Flags&SetFlagRepair == 0 {
-			return Request{}, fmt.Errorf("wire: SET flag ASYNC is only valid with REPAIR")
+		req.Key = binary.LittleEndian.Uint64(body)
+		if req.LeaseToken = binary.LittleEndian.Uint64(body[8:]); req.LeaseToken == 0 {
+			return Request{}, fmt.Errorf("wire: FILL with a zero token")
 		}
-		body = body[9:]
-		if req.Flags&SetFlagVersioned != 0 {
-			if req.Flags&SetFlagRepair == 0 {
-				return Request{}, fmt.Errorf("wire: SET flag VERSIONED is only valid with REPAIR")
-			}
-			if len(body) < 8 {
-				return Request{}, fmt.Errorf("wire: VERSIONED SET body lacks the version field")
-			}
-			req.Version = binary.LittleEndian.Uint64(body)
-			body = body[8:]
-		}
-		if req.Flags&SetFlagLease != 0 {
-			if req.Flags&SetFlagRepair != 0 {
-				return Request{}, fmt.Errorf("wire: SET flag LEASE is not valid with REPAIR")
-			}
-			if len(body) < 8 {
-				return Request{}, fmt.Errorf("wire: LEASE SET body lacks the token field")
-			}
-			req.LeaseToken = binary.LittleEndian.Uint64(body)
-			if req.LeaseToken == 0 {
-				return Request{}, fmt.Errorf("wire: LEASE SET with a zero token")
-			}
-			body = body[8:]
-		}
-		if req.Flags&SetFlagTombstone != 0 {
-			if req.Flags&SetFlagVersioned == 0 {
-				return Request{}, fmt.Errorf("wire: SET flag TOMBSTONE is only valid with VERSIONED")
-			}
-			if len(body) != 0 {
-				return Request{}, fmt.Errorf("wire: TOMBSTONE SET carries a value")
-			}
-		}
-		req.Value = body
-	case OpHint:
+		req.Value = body[16:]
+	case OpPut:
 		if len(body) < 1 {
-			return Request{}, fmt.Errorf("wire: HINT body %d bytes, want ≥1", len(body))
+			return Request{}, fmt.Errorf("wire: PUT body lacks the queued byte")
 		}
-		al := int(body[0])
-		body = body[1:]
-		if al == 0 {
-			return Request{}, fmt.Errorf("wire: HINT with an empty target address")
+		if req.Queued, err = parseBool(body[0], "PUT queued"); err != nil {
+			return Request{}, err
 		}
-		if len(body) < al+17 {
-			return Request{}, fmt.Errorf("wire: HINT body truncated (target %d bytes, %d remain)", al, len(body))
+		if err = parseRecord(body[1:], &req); err != nil {
+			return Request{}, err
 		}
-		req.Target = string(body[:al])
-		body = body[al:]
-		req.Key = binary.LittleEndian.Uint64(body)
-		switch body[8] {
-		case 0:
-		case 1:
-			req.Tombstone = true
-		default:
-			return Request{}, fmt.Errorf("wire: HINT tombstone byte %#02x, want 0 or 1", body[8])
+	case OpHint:
+		if len(body) < 1 || body[0] == 0 || len(body) < 1+int(body[0]) {
+			return Request{}, fmt.Errorf("wire: HINT body %d bytes lacks a target address", len(body))
 		}
-		req.Version = binary.LittleEndian.Uint64(body[9:])
-		if req.Version == 0 {
-			return Request{}, fmt.Errorf("wire: HINT with a zero version")
-		}
-		req.Value = body[17:]
-		if req.Tombstone && len(req.Value) != 0 {
-			return Request{}, fmt.Errorf("wire: tombstone HINT carries a value")
+		al := 1 + int(body[0])
+		req.Target = string(body[1:al])
+		if err = parseRecord(body[al:], &req); err != nil {
+			return Request{}, err
 		}
 	case OpStats:
 		if len(body) != 1 {
 			return Request{}, fmt.Errorf("wire: STATS body %d bytes, want 1", len(body))
 		}
-		req.Detail = body[0] != 0
+		if req.Detail, err = parseBool(body[0], "STATS detail"); err != nil {
+			return Request{}, err
+		}
 	case OpRehash, OpKeys, OpMembers:
 		if len(body) != 0 {
 			return Request{}, fmt.Errorf("wire: %v body %d bytes, want 0", req.Op, len(body))
@@ -1397,19 +1244,17 @@ func (r *Reader) ReadResponse() (Response, error) {
 		resp.Version = binary.LittleEndian.Uint64(body)
 		resp.Value = body[8:]
 	case StatusMiss:
-	case StatusOK:
-		// Empty (DEL/REHASH replies may omit the fields), evicted byte
-		// alone, or evicted byte + stored version.
-		switch len(body) {
-		case 0:
-		case 1:
-			resp.Evicted = body[0] != 0
-		case 9:
-			resp.Evicted = body[0] != 0
-			resp.Version = binary.LittleEndian.Uint64(body[1:])
-		default:
-			return Response{}, fmt.Errorf("wire: OK body %d bytes, want 0, 1 or 9", len(body))
+		if len(body) != 0 {
+			return Response{}, fmt.Errorf("wire: MISS body %d bytes, want 0", len(body))
 		}
+	case StatusOK:
+		if len(body) != 9 {
+			return Response{}, fmt.Errorf("wire: OK body %d bytes, want 9", len(body))
+		}
+		if resp.Evicted, err = parseBool(body[0], "OK evicted"); err != nil {
+			return Response{}, err
+		}
+		resp.Version = binary.LittleEndian.Uint64(body[1:])
 	case StatusVersionStale:
 		if len(body) != 8 {
 			return Response{}, fmt.Errorf("wire: VERSION_STALE body %d bytes, want 8", len(body))
@@ -1425,23 +1270,21 @@ func (r *Reader) ReadResponse() (Response, error) {
 			return Response{}, fmt.Errorf("wire: LEASE with a zero TTL")
 		}
 		resp.LeaseTTL = time.Duration(ms) * time.Millisecond
-		switch body[12] {
-		case 0:
+		if resp.Stale, err = parseBool(body[12], "LEASE stale"); err != nil {
+			return Response{}, err
+		}
+		switch {
+		case !resp.Stale:
 			if len(body) != 13 {
 				return Response{}, fmt.Errorf("wire: LEASE body %d bytes, want 13 without a stale hint", len(body))
 			}
-		case 1:
-			if resp.LeaseToken != 0 {
-				return Response{}, fmt.Errorf("wire: LEASE grant cannot carry a stale hint")
-			}
-			if len(body) < 21 {
-				return Response{}, fmt.Errorf("wire: stale LEASE body %d bytes, want ≥21 (hint version)", len(body))
-			}
-			resp.Stale = true
+		case resp.LeaseToken != 0:
+			return Response{}, fmt.Errorf("wire: LEASE grant cannot carry a stale hint")
+		case len(body) < 21:
+			return Response{}, fmt.Errorf("wire: stale LEASE body %d bytes, want ≥21 (hint version)", len(body))
+		default:
 			resp.Version = binary.LittleEndian.Uint64(body[13:])
 			resp.Value = body[21:]
-		default:
-			return Response{}, fmt.Errorf("wire: LEASE stale byte %#02x, want 0 or 1", body[12])
 		}
 	case StatusLeaseLost:
 		if len(body) != 8 {
@@ -1473,16 +1316,8 @@ func (r *Reader) ReadResponse() (Response, error) {
 			}
 			resp.Keys = r.keys[:n]
 			for i := range resp.Keys {
-				rec := body[keyRecLen*i:]
-				switch rec[16] {
-				case 0, 1:
-				default:
-					return Response{}, fmt.Errorf("wire: keys record %d tombstone byte %#02x, want 0 or 1", i, rec[16])
-				}
-				resp.Keys[i] = KeyRec{
-					Key:       binary.LittleEndian.Uint64(rec),
-					Version:   binary.LittleEndian.Uint64(rec[8:]),
-					Tombstone: rec[16] == 1,
+				if resp.Keys[i], err = parseKeyRec(body[keyRecLen*i:]); err != nil {
+					return Response{}, fmt.Errorf("keys record %d: %w", i, err)
 				}
 			}
 		}
@@ -1514,7 +1349,10 @@ func parseStats(body []byte) (*Stats, error) {
 		*f.get(s) = binary.LittleEndian.Uint64(body[off:])
 		off += 8
 	}
-	s.Migrating = body[off] != 0
+	var err error
+	if s.Migrating, err = parseBool(body[off], "STATS migrating"); err != nil {
+		return nil, err
+	}
 	off++
 	nShards := int(binary.LittleEndian.Uint32(body[off:]))
 	off += 4

@@ -22,11 +22,12 @@ func TestRequestRoundTrip(t *testing.T) {
 	reqs := []Request{
 		{Op: OpGet, Key: 42},
 		{Op: OpSet, Key: 7, Value: []byte("hello world")},
-		{Op: OpSet, Key: 8, Value: nil},                                                   // empty value is legal
-		{Op: OpSet, Key: 9, Flags: SetFlagRepair, Value: []byte("repair")},                // flagged maintenance write
-		{Op: OpSet, Key: 10, Flags: SetFlagRepair | SetFlagAsync, Value: []byte("async")}, // queued maintenance write
-		{Op: OpSet, Key: 11, Flags: SetFlagRepair | SetFlagVersioned, Version: 1 << 50, Value: []byte("conditional")},
-		{Op: OpSet, Key: 12, Flags: SetFlagRepair | SetFlagAsync | SetFlagVersioned, Version: 7, Value: nil},
+		{Op: OpSet, Key: 8, Value: nil}, // empty value is legal
+		{Op: OpPut, Key: 11, Version: 1 << 50, Value: []byte("maintenance")},
+		{Op: OpPut, Key: 12, Version: 7, Queued: true, Value: nil},
+		{Op: OpPut, Key: 13, Version: 8, Tombstone: true},
+		{Op: OpHint, Target: "10.0.0.7:7070", Key: 14, Version: 9, Value: []byte("parked")},
+		{Op: OpHint, Target: "n", Key: 15, Version: 10, Tombstone: true},
 		{Op: OpDel, Key: 1 << 60},
 		{Op: OpStats, Detail: true},
 		{Op: OpStats, Detail: false},
@@ -38,7 +39,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpGet, Key: 42, Traced: true, Trace: TraceContext{ID: testTraceID(1), Flags: TraceFlagSampled}},
 		{Op: OpGet, Key: 43, Traced: true, Trace: TraceContext{ID: testTraceID(2)}}, // propagated, unsampled
 		{Op: OpSet, Key: 44, Value: []byte("traced"), Traced: true, Trace: TraceContext{ID: testTraceID(3), Flags: TraceFlagSampled}},
-		{Op: OpSet, Key: 45, Flags: SetFlagRepair | SetFlagAsync | SetFlagVersioned, Version: 9,
+		{Op: OpPut, Key: 45, Version: 9, Queued: true,
 			Value: []byte("traced repair"), Traced: true, Trace: TraceContext{ID: testTraceID(4), Flags: TraceFlagSampled}},
 		{Op: OpDel, Key: 46, Traced: true, Trace: TraceContext{ID: testTraceID(5), Flags: TraceFlagSampled}},
 	}
@@ -58,7 +59,8 @@ func TestRequestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
-		if got.Op != want.Op || got.Key != want.Key || got.Detail != want.Detail || got.Flags != want.Flags || got.Version != want.Version {
+		if got.Op != want.Op || got.Key != want.Key || got.Detail != want.Detail || got.Version != want.Version ||
+			got.Tombstone != want.Tombstone || got.Queued != want.Queued || got.Target != want.Target {
 			t.Fatalf("request %d = %+v, want %+v", i, got, want)
 		}
 		if got.Traced != want.Traced || got.Trace != want.Trace {
@@ -92,7 +94,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		{Status: StatusHit, Epoch: 5, Version: 1 << 40, Value: []byte("versioned payload")},
 		{Status: StatusMiss, Epoch: 1 << 50},
 		{Status: StatusOK, Evicted: true},
-		{Status: StatusOK, Evicted: false, Epoch: 9},
+		{Status: StatusOK, Evicted: false, Epoch: 9}, // a queued PUT's, REHASH's or HINT's: version 0
 		{Status: StatusOK, Evicted: true, Epoch: 9, Version: 12345},
 		{Status: StatusVersionStale, Epoch: 2, Version: 1 << 41},
 		{Status: StatusStats, Stats: stats, Epoch: 3},
@@ -179,39 +181,56 @@ func TestMalformedRequestRejected(t *testing.T) {
 	if _, err := frame([]byte{byte(OpGet), 1, 2, 3}).ReadRequest(); err == nil {
 		t.Fatal("short GET accepted")
 	}
-	// A SET without a flags byte (the version-1 layout) must be rejected.
-	if _, err := frame(append([]byte{byte(OpSet)}, make([]byte, 8)...)).ReadRequest(); err == nil {
-		t.Fatal("flagless SET accepted")
+	// A SET whose body ends inside the key.
+	if _, err := frame([]byte{byte(OpSet), 1, 2, 3}).ReadRequest(); err == nil {
+		t.Fatal("short SET accepted")
 	}
-	// A SET with undefined flag bits must be rejected.
-	body := append([]byte{byte(OpSet)}, make([]byte, 8)...)
-	body = append(body, 0x80, 'v')
-	if _, err := frame(body).ReadRequest(); err == nil {
-		t.Fatal("SET with undefined flag bits accepted")
+	// rec builds a PUT or HINT body from its prefix (the PUT's queued byte,
+	// the HINT's target) and the record fields.
+	rec := func(op Op, prefix []byte, version uint64, tomb byte, value string) []byte {
+		body := append([]byte{byte(op)}, prefix...)
+		body = binary.LittleEndian.AppendUint64(body, 7) // key
+		body = binary.LittleEndian.AppendUint64(body, version)
+		return append(append(body, tomb), value...)
 	}
-	// ASYNC is only defined together with REPAIR.
-	body = append([]byte{byte(OpSet)}, make([]byte, 8)...)
-	body = append(body, byte(SetFlagAsync), 'v')
-	if _, err := frame(body).ReadRequest(); err == nil {
-		t.Fatal("SET with ASYNC but not REPAIR accepted")
+	for _, op := range []struct {
+		op     Op
+		prefix []byte
+	}{{OpPut, []byte{0}}, {OpHint, []byte("\x03a:1")}} {
+		// The rules of a record, shared by PUT and HINT through one helper.
+		if _, err := frame(rec(op.op, op.prefix, 5, 0, "v")).ReadRequest(); err != nil {
+			t.Fatalf("well-formed %v rejected: %v", op.op, err)
+		}
+		if _, err := frame(rec(op.op, op.prefix, 0, 0, "v")).ReadRequest(); err == nil {
+			t.Fatalf("%v with a zero version accepted", op.op)
+		}
+		if _, err := frame(rec(op.op, op.prefix, 5, 2, "")).ReadRequest(); err == nil {
+			t.Fatalf("%v with tombstone byte 2 accepted", op.op)
+		}
+		if _, err := frame(rec(op.op, op.prefix, 5, 1, "v")).ReadRequest(); err == nil {
+			t.Fatalf("tombstone %v carrying a value accepted", op.op)
+		}
+		short := rec(op.op, op.prefix, 5, 0, "")
+		if _, err := frame(short[:len(short)-3]).ReadRequest(); err == nil {
+			t.Fatalf("%v with a truncated record accepted", op.op)
+		}
 	}
-	// VERSIONED is only defined together with REPAIR: user SETs must stay
-	// unconditional, so a conditional user write is a protocol error.
-	body = append([]byte{byte(OpSet)}, make([]byte, 8)...)
-	body = append(body, byte(SetFlagVersioned))
-	body = append(body, make([]byte, 8)...) // version
-	body = append(body, 'v')
-	if _, err := frame(body).ReadRequest(); err == nil {
-		t.Fatal("SET with VERSIONED but not REPAIR accepted")
+	// The per-op prefixes: a queued byte that is not 0/1, an empty target.
+	if _, err := frame(rec(OpPut, []byte{2}, 5, 0, "v")).ReadRequest(); err == nil {
+		t.Fatal("PUT with queued byte 2 accepted")
 	}
-	// A VERSIONED SET whose body ends before the version field.
-	body = append([]byte{byte(OpSet)}, make([]byte, 8)...)
-	body = append(body, byte(SetFlagRepair|SetFlagVersioned), 1, 2, 3)
-	if _, err := frame(body).ReadRequest(); err == nil {
-		t.Fatal("VERSIONED SET with a truncated version field accepted")
+	if _, err := frame(rec(OpHint, []byte{0}, 5, 0, "v")).ReadRequest(); err == nil {
+		t.Fatal("HINT with an empty target accepted")
+	}
+	if _, err := frame([]byte{byte(OpHint), 9, 'a'}).ReadRequest(); err == nil {
+		t.Fatal("HINT with a truncated target accepted")
+	}
+	// A STATS detail byte is 0 or 1: every accepted frame has one encoding.
+	if _, err := frame([]byte{byte(OpStats), 2}).ReadRequest(); err == nil {
+		t.Fatal("STATS with detail byte 2 accepted")
 	}
 	// A traced frame whose body ends inside the trace context.
-	body = []byte{byte(OpGet) | OpFlagTraced, 1, 2, 3}
+	body := []byte{byte(OpGet) | OpFlagTraced, 1, 2, 3}
 	if _, err := frame(body).ReadRequest(); err == nil {
 		t.Fatal("traced GET with a truncated trace context accepted")
 	}
@@ -229,9 +248,20 @@ func TestMalformedRequestRejected(t *testing.T) {
 	if _, err := frame(body).ReadRequest(); err == nil {
 		t.Fatal("trace context with undefined flag bits accepted")
 	}
-	// The encoder refuses the same two.
+	// The encoder refuses the same ill-formed requests.
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
+	for _, req := range []Request{
+		{Op: OpPut, Key: 1, Value: []byte("v")},                              // zero version
+		{Op: OpPut, Key: 1, Version: 5, Tombstone: true, Value: []byte("v")}, // tombstone with a value
+		{Op: OpHint, Target: "a:1", Key: 1},                                  // zero version
+		{Op: OpHint, Target: "a:1", Key: 1, Version: 5, Tombstone: true, Value: []byte("v")},
+		{Op: OpHint, Key: 1, Version: 5}, // no target
+	} {
+		if err := w.WriteRequest(req); err == nil {
+			t.Fatalf("encoder accepted %+v", req)
+		}
+	}
 	if err := w.WriteRequest(Request{Op: OpGet, Traced: true}); err == nil {
 		t.Fatal("encoder accepted a zero trace ID")
 	}
