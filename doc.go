@@ -54,7 +54,7 @@
 //
 // The service also scales horizontally. internal/cluster puts a
 // consistent-hash ring (virtual nodes) in front of any number of cached
-// nodes and routes through one pipelined connection per member
+// nodes and routes through pipelined connections to each member
 // (cmd/cachecluster, examples/cluster). The ring is the rehash story one
 // level up: where a single node redraws its intra-node hash and migrates
 // bucket contents incrementally, the cluster redraws its inter-node key

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/load"
 	"repro/internal/wire"
 )
 
@@ -60,6 +61,58 @@ func TestRouterGetBatchAllocs(t *testing.T) {
 	}
 }
 
+// TestRouterSetBatchAllocs is the SET twin: what a SetBatch allocates does
+// not grow with R beyond the member servers' own two objects per stored
+// copy, because each payload is produced once per key — not once per
+// owner, and not again for the repair or the near-cache. The producer here
+// allocates a fresh payload per call, as a read-through caller's does, so
+// a second call per key shows both in the call count and in the gate.
+func TestRouterSetBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime allocates per operation; alloc gate runs without -race")
+	}
+	for _, replicas := range []int{1, 2} {
+		t.Run(fmt.Sprintf("R=%d", replicas), func(t *testing.T) {
+			addrs := startCluster(t, 2, 4096, 16)
+			c, err := Dial(addrs, Options{Replicas: replicas})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+
+			keys := make([]uint64, 16)
+			for i := range keys {
+				keys[i] = uint64(i)
+			}
+			var produced int
+			value := func(i int) []byte {
+				produced++
+				return load.Payload(keys[i], 64)
+			}
+			run := func() {
+				if err := c.SetBatch(keys, value); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 64; i++ {
+				run()
+			}
+			produced = 0
+			const runs = 200
+			allocs := testing.AllocsPerRun(runs, run)
+			// AllocsPerRun makes one warm-up call besides the measured ones.
+			if want := (runs + 1) * len(keys); produced != want {
+				t.Errorf("R=%d: %d payloads produced for %d SETs, want one per key", replicas, produced, want)
+			}
+			// One payload per key from the producer, two objects per stored
+			// copy in the servers (TestSetRoundTripAllocs), nothing else.
+			if limit := float64(len(keys)*(1+2*replicas)) + 0.5; allocs > limit {
+				t.Errorf("SetBatch(16 keys, 2 nodes, R=%d) allocates %.2f objects/batch, want ≤ %.0f", replicas, allocs, limit)
+			}
+		})
+	}
+}
+
 // TestLeaseRedialUsesConfiguredDialer pins the Options.Dial plumbing — and
 // with it Options.DialTimeout, which Dial folds into the default dialer —
 // on the lease replay path: when a leased batch loses its connection and
@@ -94,11 +147,14 @@ func TestLeaseRedialUsesConfiguredDialer(t *testing.T) {
 	// leased read fails its flush and must replay through a redial.
 	c.mu.RLock()
 	for _, nc := range c.nodes {
-		nc.mu.Lock()
-		if nc.cl != nil {
-			nc.cl.Close()
+		for i := range nc.lanes {
+			ln := &nc.lanes[i]
+			ln.mu.Lock()
+			if ln.cl != nil {
+				ln.cl.Close()
+			}
+			ln.mu.Unlock()
 		}
-		nc.mu.Unlock()
 	}
 	c.mu.RUnlock()
 	if _, ok, err := c.Get(1); err != nil || !ok {

@@ -88,8 +88,9 @@ type Options struct {
 // consistent-hash ring plus the epoch-versioned member list, kept
 // converged with the cluster through piggybacked epoch checks, MEMBERS
 // refreshes and TOPOLOGY pushes — and a transport layer (transport.go),
-// one pipelined wire connection per member, lazily dialed. Keys map to
-// members through the ring and STATS/REHASH fan out to every member.
+// a few pipelined wire connections (lanes) per member, each dialed on
+// first use. Keys map to members through the ring and STATS/REHASH fan out
+// to every member.
 //
 // Every key has R owners (Options.Replicas; the ring's first R distinct
 // members, one when unreplicated), and every batch operation is built
@@ -110,19 +111,22 @@ type Options struct {
 // sub-batch is redialed and the sub-batch replayed, once — never after a
 // response was delivered, so no request is double-counted by an observer.
 // A member that still fails answers for none of its undelivered keys and
-// its connection is dropped; the other members' sub-batches are
-// unaffected. Those keys then fail over to their next owner (reads) or
-// count as unacknowledged (writes). With R = 1 there is no next owner, so
-// the error reaches the caller — for exactly the keys whose single owner
-// stayed unreachable after the one redial.
+// that connection is dropped; the other members' sub-batches, and other
+// callers' batches on the member's other lanes, are unaffected. Those keys
+// then fail over to their next owner (reads) or count as unacknowledged
+// (writes). With R = 1 there is no next owner, so the error reaches the
+// caller — for exactly the keys whose single owner stayed unreachable
+// after the one redial.
 //
-// A Client is safe for concurrent use. Batches against distinct members
-// proceed in parallel; batches sharing a member serialize on that member's
-// connection. Membership changes (AddNode, RemoveNode, an adopted refresh)
-// exclude all traffic for their duration, which is what makes RemoveNode's
-// migration accounting exact. For peak throughput the load harness opens
-// one Client per worker, exactly as it opens one wire.Client per worker
-// against a single node.
+// A Client is safe for concurrent use, and concurrent batches proceed in
+// parallel even where they share members: each takes its own lane of a
+// member, and only more concurrent callers than a member has lanes wait
+// for one. Calls one goroutine makes in sequence stay ordered (a call
+// returns after its acknowledgements); concurrent calls reach a key's
+// owners in no particular order, as calls from two routers do, and
+// converge the same way — last writer wins by version. Membership changes
+// (AddNode, RemoveNode, an adopted refresh) exclude all traffic for their
+// duration, which is what makes RemoveNode's migration accounting exact.
 type Client struct {
 	dial     DialFunc
 	vnodes   int
@@ -278,7 +282,7 @@ func Dial(addrs []string, opts Options) (*Client, error) {
 		// whose whole design (replica fallback, drainless RemoveNode of a
 		// dead address) tolerates it.
 		if !opts.Bootstrap {
-			if _, err := nc.client(dial); err != nil {
+			if err := nc.connect(dial); err != nil {
 				c.Close()
 				return nil, err
 			}
@@ -292,15 +296,12 @@ func Dial(addrs []string, opts Options) (*Client, error) {
 		// view, else advance past every reported epoch and push.
 		views := make(map[string]wire.Topology, len(members))
 		for _, a := range members {
-			nc := c.nodes[a]
-			nc.mu.Lock()
 			var t wire.Topology
-			err := nc.withRetry(dial, func(cl *wire.Client) error {
+			err := c.nodes[a].do(dial, func(cl *wire.Client) error {
 				var err error
 				t, err = cl.Members()
 				return err
 			})
-			nc.mu.Unlock()
 			if err != nil {
 				c.Close()
 				return nil, fmt.Errorf("cluster: MEMBERS %s: %w", a, err)
@@ -347,9 +348,7 @@ func (c *Client) Close() error {
 		wait = true
 	}
 	for _, nc := range c.nodes {
-		nc.mu.Lock()
-		nc.drop()
-		nc.mu.Unlock()
+		nc.dropAll()
 	}
 	c.mu.Unlock()
 	if wait {
@@ -359,9 +358,7 @@ func (c *Client) Close() error {
 		// reopen connections.
 		c.mu.Lock()
 		for _, nc := range c.nodes {
-			nc.mu.Lock()
-			nc.drop()
-			nc.mu.Unlock()
+			nc.dropAll()
 		}
 		c.mu.Unlock()
 	}
@@ -683,8 +680,13 @@ func (c *Client) SetBatch(keys []uint64, value func(i int) []byte) error {
 	if err := c.routeWrite(sc, keys, rf); err != nil {
 		return err
 	}
+	// Each payload is produced once, whatever R is: every owner's request,
+	// the repair and the near-cache below all take the same bytes, which
+	// the zero-copy rule already keeps unmodified until the flush.
+	sc.vals = resize(sc.vals, len(keys))
 	held := c.grantsN.Load() > 0
 	for i, k := range keys {
+		sc.vals[i] = value(i)
 		fan := rf
 		if held {
 			if sc.grants[i] = c.takeGrant(k); sc.grants[i] != nil {
@@ -698,7 +700,7 @@ func (c *Client) SetBatch(keys []uint64, value func(i int) []byte) error {
 
 	send := func(cl *wire.Client, slot int) error {
 		i := slot / rf
-		req := wire.Request{Op: wire.OpSet, Key: keys[i], Value: value(i)}
+		req := wire.Request{Op: wire.OpSet, Key: keys[i], Value: sc.vals[i]}
 		if g := sc.grants[i]; g != nil {
 			req.Op, req.LeaseToken = wire.OpFill, g.token
 		}
@@ -746,10 +748,10 @@ func (c *Client) SetBatch(keys []uint64, value func(i int) []byte) error {
 			continue // a lost fill: nothing to propagate or cache
 		}
 		if owed := sc.flaggedAddrs(i, rf); len(owed) > 0 {
-			c.scheduleRepair(k, sc.vers[i], value(i), owed, bt)
+			c.scheduleRepair(k, sc.vers[i], sc.vals[i], owed, bt)
 		}
 		if c.near != nil {
-			c.near.store(k, sc.vers[i], value(i), time.Now())
+			c.near.store(k, sc.vers[i], sc.vals[i], time.Now())
 		}
 	}
 	return nil
@@ -868,11 +870,9 @@ func (c *Client) hintHandoff(target string, key uint64, tomb bool, ver uint64, v
 		if nc == nil {
 			continue
 		}
-		nc.mu.Lock()
-		err := nc.withRetry(c.dial, func(cl *wire.Client) error {
+		err := nc.do(c.dial, func(cl *wire.Client) error {
 			return cl.Hint(target, key, tomb, ver, val)
 		})
-		nc.mu.Unlock()
 		if err == nil {
 			c.hintsSent.Add(1)
 			return true
@@ -904,9 +904,7 @@ func (c *Client) StatsAll(detail bool) (map[string]*wire.Stats, error) {
 	defer c.mu.RUnlock()
 	out := make(map[string]*wire.Stats, len(c.nodes))
 	for _, addr := range c.ring.Nodes() {
-		nc := c.nodes[addr]
-		nc.mu.Lock()
-		err := nc.withRetry(c.dial, func(cl *wire.Client) error {
+		err := c.nodes[addr].do(c.dial, func(cl *wire.Client) error {
 			st, err := cl.Stats(detail)
 			if err == nil {
 				out[addr] = st
@@ -914,7 +912,6 @@ func (c *Client) StatsAll(detail bool) (map[string]*wire.Stats, error) {
 			}
 			return err
 		})
-		nc.mu.Unlock()
 		if err != nil {
 			return nil, fmt.Errorf("cluster: STATS %s: %w", addr, err)
 		}
@@ -929,10 +926,7 @@ func (c *Client) RehashAll() error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for _, addr := range c.ring.Nodes() {
-		nc := c.nodes[addr]
-		nc.mu.Lock()
-		err := nc.withRetry(c.dial, func(cl *wire.Client) error { return cl.Rehash() })
-		nc.mu.Unlock()
+		err := c.nodes[addr].do(c.dial, func(cl *wire.Client) error { return cl.Rehash() })
 		if err != nil {
 			return fmt.Errorf("cluster: REHASH %s: %w", addr, err)
 		}

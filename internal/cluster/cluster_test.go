@@ -14,7 +14,7 @@ import (
 )
 
 // startNode boots one cached node on loopback and returns its address.
-func startNode(t *testing.T, k, alpha int, seed uint64) string {
+func startNode(t testing.TB, k, alpha int, seed uint64) string {
 	t.Helper()
 	cache, err := concurrent.New(concurrent.Config{Capacity: k, Alpha: alpha, Seed: seed})
 	if err != nil {
@@ -30,7 +30,7 @@ func startNode(t *testing.T, k, alpha int, seed uint64) string {
 	return ln.Addr().String()
 }
 
-func startCluster(t *testing.T, n, k, alpha int) []string {
+func startCluster(t testing.TB, n, k, alpha int) []string {
 	t.Helper()
 	addrs := make([]string, n)
 	for i := range addrs {

@@ -19,9 +19,7 @@ func (c *Client) MetricsAll(flags wire.MetricsFlags) (map[string]*wire.Metrics, 
 	defer c.mu.RUnlock()
 	out := make(map[string]*wire.Metrics, len(c.nodes))
 	for _, addr := range c.ring.Nodes() {
-		nc := c.nodes[addr]
-		nc.mu.Lock()
-		err := nc.withRetry(c.dial, func(cl *wire.Client) error {
+		err := c.nodes[addr].do(c.dial, func(cl *wire.Client) error {
 			m, err := cl.Metrics(flags)
 			if err == nil {
 				out[addr] = m
@@ -29,7 +27,6 @@ func (c *Client) MetricsAll(flags wire.MetricsFlags) (map[string]*wire.Metrics, 
 			}
 			return err
 		})
-		nc.mu.Unlock()
 		if err != nil {
 			return nil, fmt.Errorf("cluster: METRICS %s: %w", addr, err)
 		}

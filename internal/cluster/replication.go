@@ -145,7 +145,6 @@ func (c *Client) applyRepair(t repairTask) {
 		if nc == nil {
 			continue
 		}
-		nc.mu.Lock()
 		// Repair is a queued PUT: the server applies it through its bounded
 		// maintenance queue (and may shed it under overload), which is fine
 		// — a shed repair is retried by the next fallback read of the key,
@@ -154,7 +153,7 @@ func (c *Client) applyRepair(t repairTask) {
 		// drains: a repair that queued behind a user SET of the same key is
 		// rejected as stale instead of reinstating the older value, however
 		// deep either queue ran.
-		err := nc.withRetry(c.dial, func(cl *wire.Client) error {
+		err := nc.do(c.dial, func(cl *wire.Client) error {
 			_, _, err := cl.Put(t.bt.stamp(wire.Request{Key: t.key, Version: t.ver, Value: t.val, Queued: true}))
 			return err
 		})
@@ -162,7 +161,6 @@ func (c *Client) applyRepair(t repairTask) {
 			nc.repairs.Add(1)
 			c.repairsApplied.Add(1)
 		}
-		nc.mu.Unlock()
 		if err != nil {
 			c.mu.RLock()
 			if !c.repairClosed {

@@ -171,8 +171,8 @@ func (c *Client) maybeRefresh() {
 // across network I/O would park every routed batch behind each member's
 // dial — a single dead member used to stall all traffic for a connect
 // timeout per refresh attempt. Instead the member snapshot is taken under
-// a read lock, the fetch fan-out runs unlocked (serialized per member by
-// its own connection lock, single-flighted across callers by c.refreshing
+// a read lock, the fetch fan-out runs unlocked (each fetch holding only a
+// lane of its member, single-flighted across callers by c.refreshing
 // so a stale epoch doesn't trigger one fan-out per concurrent batch), and
 // the lock is re-taken only to adopt and push the winning view. Traffic
 // keeps flowing on the stale view in the meantime, which is exactly the
@@ -200,14 +200,12 @@ func (c *Client) refreshTopology() {
 	var best wire.Topology
 	unreachable := make(map[string]bool)
 	for _, nc := range conns {
-		nc.mu.Lock()
 		var t wire.Topology
-		err := nc.withRetry(c.dial, func(cl *wire.Client) error {
+		err := nc.do(c.dial, func(cl *wire.Client) error {
 			var err error
 			t, err = cl.Members()
 			return err
 		})
-		nc.mu.Unlock()
 		if err != nil {
 			unreachable[nc.addr] = true
 			continue
@@ -248,9 +246,7 @@ func (c *Client) adoptLocked(t wire.Topology) {
 		}
 	}
 	for _, nc := range old {
-		nc.mu.Lock()
-		nc.drop()
-		nc.mu.Unlock()
+		nc.dropAll()
 	}
 	c.ring = NewRing(c.vnodes, t.Members...)
 	c.epoch = t.Epoch
@@ -281,15 +277,12 @@ func (c *Client) pushTopologyLocked(skip map[string]bool) {
 			if skip[addr] {
 				continue
 			}
-			nc := c.nodes[addr]
-			nc.mu.Lock()
 			var held wire.Topology
-			err := nc.withRetry(c.dial, func(cl *wire.Client) error {
+			err := c.nodes[addr].do(c.dial, func(cl *wire.Client) error {
 				var err error
 				held, err = cl.PushTopology(t)
 				return err
 			})
-			nc.mu.Unlock()
 			if err != nil || len(held.Members) == 0 {
 				continue
 			}
@@ -686,7 +679,7 @@ func (c *Client) AddNode(addr string) (*Warmup, error) {
 		return nil, fmt.Errorf("cluster: node %s already a member", addr)
 	}
 	nc := &nodeConn{addr: addr}
-	if _, err := nc.client(c.dial); err != nil {
+	if err := nc.connect(c.dial); err != nil {
 		c.mu.Unlock()
 		return nil, err
 	}
@@ -751,9 +744,7 @@ func (c *Client) RemoveNode(addr string) (moved, dropped int, err error) {
 		return 0, 0, fmt.Errorf("cluster: cannot remove the last member %s", addr)
 	}
 	if c.effReplicas() > 1 {
-		nc.mu.Lock()
-		nc.drop()
-		nc.mu.Unlock()
+		nc.dropAll()
 		delete(c.nodes, addr)
 		c.ring.Remove(addr)
 		c.epoch++
@@ -762,10 +753,8 @@ func (c *Client) RemoveNode(addr string) (moved, dropped int, err error) {
 		return 0, 0, nil
 	}
 
-	nc.mu.Lock()
-	defer nc.mu.Unlock()
 	var recs []wire.KeyRec
-	if err := nc.withRetry(c.dial, func(cl *wire.Client) error {
+	if err := nc.do(c.dial, func(cl *wire.Client) error {
 		var err error
 		recs, err = cl.Keys()
 		return err
@@ -781,7 +770,7 @@ func (c *Client) RemoveNode(addr string) (moved, dropped int, err error) {
 	drained := false
 	defer func() {
 		if drained {
-			nc.drop()
+			nc.dropAll()
 			delete(c.nodes, addr)
 			c.epoch++
 			c.curEpoch.Store(c.epoch)
@@ -797,17 +786,20 @@ func (c *Client) RemoveNode(addr string) (moved, dropped int, err error) {
 		byOwner[c.nodes[owner]] = append(byOwner[c.nodes[owner]], rec)
 	}
 	for dst, share := range byOwner {
-		dst.mu.Lock()
-		// A retry after a redial re-copies the whole share; the writes are
-		// conditional on their versions, so the replay is idempotent and
-		// the counts of the attempt that completed are the ones kept.
+		// One lane of the departing member and one of the destination for
+		// the copy (c.mu excludes every batch, so the order is free). A
+		// retry after a redial of either re-copies the whole share; the
+		// writes are conditional on their versions, so the replay is
+		// idempotent and the counts of the attempt that completed are the
+		// ones kept.
 		var applied, stale, vanished int
-		err := dst.withRetry(c.dial, func(cl *wire.Client) error {
-			var err error
-			applied, stale, vanished, err = copyRecs(nc.cl, cl, share)
-			return err
+		err := nc.do(c.dial, func(src *wire.Client) error {
+			return dst.do(c.dial, func(cl *wire.Client) error {
+				var err error
+				applied, stale, vanished, err = copyRecs(src, cl, share)
+				return err
+			})
 		})
-		dst.mu.Unlock()
 		if err != nil {
 			return moved, dropped, fmt.Errorf("cluster: migrating %s to %s: %w", addr, dst.addr, err)
 		}

@@ -8,71 +8,129 @@ import (
 	"repro/internal/wire"
 )
 
-// This file is the transport layer of the router: one pipelined wire
-// connection per member, lazily dialed, and round, the one engine that
-// fans a batch out across members under a deadlock-free lock order and
-// decides what a failed member costs it. It knows nothing about rings,
-// epochs or replication — that is the topology layer (topology.go) and
-// the routing client (client.go).
+// This file is the transport layer of the router: a small fixed set of
+// pipelined wire connections per member — lanes, each lazily dialed — and
+// round, the one engine that fans a batch out across members under a
+// deadlock-free lock order and decides what a failed member costs it.
+// Everything that talks to a member holds exactly one of its lanes for the
+// duration: a batch through round, every single round trip through
+// nodeConn.do. It knows nothing about rings, epochs or replication — that
+// is the topology layer (topology.go) and the routing client (client.go).
 
 // DialFunc establishes the wire connection to one member. The default is
 // wire.Dial; tests substitute wrappers (stall injection) and deployments
 // can layer TLS here.
 type DialFunc func(addr string) (*wire.Client, error)
 
-// nodeConn is one member's connection state plus the router's per-member
-// traffic counters. The connection is dialed lazily on first use, so
-// members discovered through a topology refresh cost nothing until traffic
-// routes to them.
+// maxLanes is how many connections the router will open to one member.
+// Concurrent batches that meet at a member take separate lanes instead of
+// queueing behind one mutex for a whole round trip each; only contention
+// opens a lane past the first, so the constant bounds sockets per member,
+// it does not set them. Four, not two: at R > 1 the repair worker takes
+// lanes as well, and two callers queue behind it when a member has only two
+// (hypotheses/H8-router-lanes.md: 83k against 99k GET/s on cluster-r2).
+const maxLanes = 4
+
+// lanes is maxLanes everywhere but in H8's ablated control, which sets it
+// to 1 to reproduce the one-connection router; never set outside tests.
+var lanes = maxLanes
+
+// lane is one wire connection to a member and the mutex that owns it: held
+// from acquire to release, across the whole round trip, because a
+// wire.Client is a single ordered pipeline.
+type lane struct {
+	mu sync.Mutex
+	cl *wire.Client
+}
+
+// nodeConn is one member's lanes plus the router's per-member traffic
+// counters. Lanes dial on first use, so a member discovered through a
+// topology refresh costs nothing until traffic routes to it, and a router
+// with one caller holds one connection per member.
 type nodeConn struct {
-	addr string
-	mu   sync.Mutex // serializes use of cl
-	cl   *wire.Client
+	addr  string
+	lanes [maxLanes]lane
 
 	gets, hits, misses, sets, dels, redials, repairs atomic.Uint64
 }
 
-// client returns the live connection, dialing if needed. Caller holds nc.mu.
-func (nc *nodeConn) client(dial DialFunc) (*wire.Client, error) {
-	if nc.cl != nil {
-		return nc.cl, nil
+// acquire returns a locked lane: the first one free in index order — so
+// the low lanes stay warm and the high ones are dialed only under
+// contention — or, when all are busy, the first once it frees up.
+func (nc *nodeConn) acquire() *lane {
+	for i := range nc.lanes[:lanes] {
+		if ln := &nc.lanes[i]; ln.mu.TryLock() {
+			return ln
+		}
 	}
-	cl, err := dial(nc.addr)
+	nc.lanes[0].mu.Lock()
+	return &nc.lanes[0]
+}
+
+// client returns the lane's live connection to addr, dialing if needed.
+// Caller holds the lane.
+func (ln *lane) client(addr string, dial DialFunc) (*wire.Client, error) {
+	if ln.cl != nil {
+		return ln.cl, nil
+	}
+	cl, err := dial(addr)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: dial %s: %w", nc.addr, err)
+		return nil, fmt.Errorf("cluster: dial %s: %w", addr, err)
 	}
-	nc.cl = cl
+	ln.cl = cl
 	return cl, nil
 }
 
-// drop discards the connection after an error. Caller holds nc.mu.
-func (nc *nodeConn) drop() {
-	if nc.cl != nil {
-		nc.cl.Close()
-		nc.cl = nil
+// drop discards the lane's connection after an error. Caller holds the
+// lane.
+func (ln *lane) drop() {
+	if ln.cl != nil {
+		ln.cl.Close()
+		ln.cl = nil
 	}
 }
 
-// withRetry runs op against the member connection, redialing once on
-// failure. Caller holds nc.mu. Only safe for idempotent round trips.
-func (nc *nodeConn) withRetry(dial DialFunc, op func(cl *wire.Client) error) error {
-	cl, err := nc.client(dial)
+// connect dials the member now instead of on first use, so a bad address
+// fails fast.
+func (nc *nodeConn) connect(dial DialFunc) error {
+	ln := nc.acquire()
+	defer ln.mu.Unlock()
+	_, err := ln.client(nc.addr, dial)
+	return err
+}
+
+// do runs op as one round trip on a lane of the member, redialing once on
+// failure. Only safe for idempotent round trips.
+func (nc *nodeConn) do(dial DialFunc, op func(cl *wire.Client) error) error {
+	ln := nc.acquire()
+	defer ln.mu.Unlock()
+	cl, err := ln.client(nc.addr, dial)
 	if err == nil {
 		if err = op(cl); err == nil {
 			return nil
 		}
 	}
-	nc.drop()
+	ln.drop()
 	nc.redials.Add(1)
-	cl, err2 := nc.client(dial)
+	cl, err2 := ln.client(nc.addr, dial)
 	if err2 != nil {
 		return fmt.Errorf("%w (redial: %v)", err, err2)
 	}
 	if err := op(cl); err != nil {
-		nc.drop()
+		ln.drop()
 		return err
 	}
 	return nil
+}
+
+// dropAll closes every lane's connection, waiting out whoever holds one.
+func (nc *nodeConn) dropAll() {
+	for i := range nc.lanes {
+		ln := &nc.lanes[i]
+		ln.mu.Lock()
+		ln.drop()
+		ln.mu.Unlock()
+	}
 }
 
 // batchTrace is one batch's trace context. The zero value means untraced:
@@ -94,6 +152,7 @@ func (bt batchTrace) stamp(req wire.Request) wire.Request {
 // subBatch is the slice of one fan-out round bound for a single member.
 type subBatch struct {
 	nc        *nodeConn
+	ln        *lane // the lane of nc this round holds; set and cleared by round
 	idx       []int // owner-table slots (see batchScratch), in enqueue order
 	err       error
 	delivered int
@@ -124,6 +183,7 @@ type batchScratch struct {
 	acks   []int         // writes: owners that acknowledged each key
 	vers   []uint64      // writes: highest version any owner stored each key under
 	grants []*leaseGrant // writes: the fill lease taken for each key, if any
+	vals   [][]byte      // SETs: each key's payload, produced once for all its owners
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -186,7 +246,8 @@ func (sc *batchScratch) recycle() {
 
 // release resolves every fill lease the batch took — whatever became of
 // the fill, local waiters must re-read rather than sleep out their cap —
-// and returns the scratch to the pool.
+// drops the caller's payloads so the pool does not pin them, and returns
+// the scratch to the pool.
 func (sc *batchScratch) release() {
 	for i, g := range sc.grants {
 		if g != nil {
@@ -194,24 +255,29 @@ func (sc *batchScratch) release() {
 			sc.grants[i] = nil
 		}
 	}
+	clear(sc.vals)
 	sc.recycle()
 	batchScratchPool.Put(sc)
 }
 
 // round is the one place a batch meets the network. It takes the
-// sub-batches sc.add built, locks their members in address order (a total
-// order, so concurrent batches cannot deadlock), has send enqueue every
-// slot and flushes once per member, then drains the responses through
-// recv, so a round costs one round trip however many members it spans.
+// sub-batches sc.add built, locks a lane of each member in address order —
+// a batch holds at most one lane per member and members are totally
+// ordered, so concurrent batches cannot deadlock, and two batches that
+// meet at a member take different lanes rather than turns — has send
+// enqueue every slot and flushes once per member, then drains the
+// responses through recv, so a round costs one round trip however many
+// members it spans.
 //
-// It also owns the failed-member policy. A sub-batch that fails before any
-// of its responses was delivered is replayed once on a fresh connection —
-// never after, so no response is delivered twice. A sub-batch that fails
-// for good gets its connection dropped (it may hold undrained responses)
-// and keeps err and delivered set: idx[delivered:] are the slots the
-// member never answered, and what becomes of those keys — the next owner,
-// a quorum shortfall — is the calling pipeline's one decision. The other
-// sub-batches are unaffected.
+// It also owns the failed-member policy, which is per lane. A sub-batch
+// that fails before any of its responses was delivered is replayed once on
+// a fresh connection in the same lane — never after, so no response is
+// delivered twice. A sub-batch that fails for good gets its lane's
+// connection dropped (it may hold undrained responses) and keeps err and
+// delivered set: idx[delivered:] are the slots the member never answered,
+// and what becomes of those keys — the next owner, a quorum shortfall — is
+// the calling pipeline's one decision. The other sub-batches, and other
+// batches on the member's other lanes, are unaffected.
 func (c *Client) round(sc *batchScratch, send func(cl *wire.Client, slot int) error, recv func(s *subBatch, slot int, resp wire.Response) error) {
 	subs := sc.subs
 	// Insertion sort: sub-batch counts are tiny and sort.Slice allocates.
@@ -221,7 +287,7 @@ func (c *Client) round(sc *batchScratch, send func(cl *wire.Client, slot int) er
 		}
 	}
 	for _, s := range subs {
-		s.nc.mu.Lock()
+		s.ln = s.nc.acquire()
 	}
 	for _, s := range subs {
 		s.err = s.enqueue(c.dial, send)
@@ -231,25 +297,26 @@ func (c *Client) round(sc *batchScratch, send func(cl *wire.Client, slot int) er
 			s.err = c.drain(s, recv)
 		}
 		if s.err != nil && s.delivered == 0 {
-			s.nc.drop()
+			s.ln.drop()
 			s.nc.redials.Add(1)
 			if s.err = s.enqueue(c.dial, send); s.err == nil {
 				s.err = c.drain(s, recv)
 			}
 		}
 		if s.err != nil {
-			s.nc.drop()
+			s.ln.drop()
 		}
 	}
 	for _, s := range subs {
-		s.nc.mu.Unlock()
+		s.ln.mu.Unlock()
+		s.ln = nil
 	}
 }
 
-// enqueue dials the member if needed, pipelines the sub-batch's requests
-// and flushes them as one write. Caller holds s.nc.mu.
+// enqueue dials the lane if needed, pipelines the sub-batch's requests
+// and flushes them as one write. Caller holds s.ln.
 func (s *subBatch) enqueue(dial DialFunc, send func(cl *wire.Client, slot int) error) error {
-	cl, err := s.nc.client(dial)
+	cl, err := s.ln.client(s.nc.addr, dial)
 	if err != nil {
 		return err
 	}
@@ -262,10 +329,10 @@ func (s *subBatch) enqueue(dial DialFunc, send func(cl *wire.Client, slot int) e
 }
 
 // drain reads the sub-batch's outstanding responses in order, observing
-// the topology epoch each carries. Caller holds s.nc.mu.
+// the topology epoch each carries. Caller holds s.ln.
 func (c *Client) drain(s *subBatch, recv func(s *subBatch, slot int, resp wire.Response) error) error {
 	for _, slot := range s.idx[s.delivered:] {
-		resp, err := s.nc.cl.ReadResponse()
+		resp, err := s.ln.cl.ReadResponse()
 		if err != nil {
 			return err
 		}
