@@ -16,8 +16,8 @@
 //	benchrun -short -baseline BENCH_7.json   # CI smoke: seconds, not minutes
 //
 // The alloc columns are a gate, not a report: if any hot-path telemetry
-// operation (histogram Record, counter Add, high-water Set, slow-op
-// Append, hot-key sketch Record, span-ring Append) allocates, benchrun
+// operation (histogram Record, counter Add, slow-op Append, hot-key
+// sketch Record, span-ring Append) allocates, benchrun
 // exits nonzero. The same discipline covers the wire hot path itself: a
 // round_trip section prices one steady-state loopback GET/SET round trip
 // with testing.AllocsPerRun — which counts process-global mallocs, so
@@ -97,7 +97,6 @@ type telemetryR struct {
 	RecordNsPerOp      float64 `json:"record_ns_per_op"`
 	RecordAllocsPerOp  float64 `json:"record_allocs_per_op"`
 	CounterAllocsPerOp float64 `json:"counter_allocs_per_op"`
-	HighWaterAllocs    float64 `json:"highwater_allocs_per_op"`
 	SlowLogAllocs      float64 `json:"slowlog_allocs_per_op"`
 	TopKRecordNsPerOp  float64 `json:"topk_record_ns_per_op"`
 	TopKAllocsPerOp    float64 `json:"topk_allocs_per_op"`
@@ -180,12 +179,12 @@ func main() {
 	}
 	rep.Telemetry = benchTelemetry()
 	if rep.Telemetry.RecordAllocsPerOp != 0 || rep.Telemetry.CounterAllocsPerOp != 0 ||
-		rep.Telemetry.HighWaterAllocs != 0 || rep.Telemetry.SlowLogAllocs != 0 ||
+		rep.Telemetry.SlowLogAllocs != 0 ||
 		rep.Telemetry.TopKAllocsPerOp != 0 || rep.Telemetry.SpanAllocsPerOp != 0 {
 		emit(rep, *out)
-		fatal(fmt.Errorf("telemetry hot path allocates (record=%.1f counter=%.1f highwater=%.1f slowlog=%.1f topk=%.1f span=%.1f allocs/op); the flight recorder must be allocation-free",
+		fatal(fmt.Errorf("telemetry hot path allocates (record=%.1f counter=%.1f slowlog=%.1f topk=%.1f span=%.1f allocs/op); the flight recorder must be allocation-free",
 			rep.Telemetry.RecordAllocsPerOp, rep.Telemetry.CounterAllocsPerOp,
-			rep.Telemetry.HighWaterAllocs, rep.Telemetry.SlowLogAllocs,
+			rep.Telemetry.SlowLogAllocs,
 			rep.Telemetry.TopKAllocsPerOp, rep.Telemetry.SpanAllocsPerOp))
 	}
 
@@ -391,7 +390,6 @@ func benchTelemetry() telemetryR {
 		}
 	})
 	var c telemetry.Counter
-	var hw telemetry.HighWater
 	sl := telemetry.NewSlowLog(0)
 	tk := telemetry.NewTopK(0)
 	ring := telemetry.NewSpanRing(0)
@@ -420,7 +418,6 @@ func benchTelemetry() telemetryR {
 		RecordNsPerOp:      float64(rec.NsPerOp()),
 		RecordAllocsPerOp:  testing.AllocsPerRun(1000, func() { h.Record(time.Millisecond) }),
 		CounterAllocsPerOp: testing.AllocsPerRun(1000, func() { c.Add(7) }),
-		HighWaterAllocs:    testing.AllocsPerRun(1000, func() { hw.Set(9) }),
 		SlowLogAllocs: testing.AllocsPerRun(1000, func() {
 			sl.Append(telemetry.SlowOp{Op: 1, KeyHash: 2, DurationNanos: 3})
 		}),

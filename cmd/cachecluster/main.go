@@ -7,12 +7,12 @@
 // path) or points at already-running cached daemons (-addrs), drives them
 // with the library's workload generators through the routing client, and
 // reports aggregate throughput/latency plus a per-node table: replica-set
-// ownership share, each node's own STATS deltas, its repair-write count
-// and repair-queue high-water mark — the direct check that consistent
-// hashing spreads both keys and load. A "server:" line merges every
-// member's METRICS histograms (wire v5) into run-only GET/SET service-time
-// p50/p99, printed next to the client-observed latency so transport cost
-// and cache cost can be told apart.
+// ownership share, each node's own STATS deltas and its repair-write
+// count — the direct check that consistent hashing spreads both keys and
+// load. A "server:" line merges every member's METRICS histograms (wire
+// v5) into run-only GET/SET service-time p50/p99, printed next to the
+// client-observed latency so transport cost and cache cost can be told
+// apart.
 //
 // Usage:
 //
@@ -248,10 +248,9 @@ func main() {
 	printBalance(ctl, before, after)
 
 	agg := cluster.AggregateStats(after)
-	fmt.Printf("  aggregate:  len=%d/%d evictions=%d conflict=%d flush=%d rehashes=%d sets=%d repairs=%d stale=%d qhi=%d migrating=%v\n",
+	fmt.Printf("  aggregate:  len=%d/%d evictions=%d conflict=%d flush=%d rehashes=%d sets=%d repairs=%d stale=%d migrating=%v\n",
 		agg.Len, agg.Capacity, agg.Evictions, agg.ConflictEvictions,
-		agg.FlushEvictions, agg.Rehashes, agg.Sets, agg.RepairSets, agg.StaleRepairs,
-		agg.RepairQueueHighWater, agg.Migrating)
+		agg.FlushEvictions, agg.Rehashes, agg.Sets, agg.RepairSets, agg.StaleRepairs, agg.Migrating)
 	if agg.LeasesGranted+agg.LeasesExpired+agg.StaleServes > 0 {
 		fmt.Printf("  srv leases: granted=%d expired=%d staleserves=%d (summed over cluster)\n",
 			agg.LeasesGranted, agg.LeasesExpired, agg.StaleServes)
@@ -295,10 +294,8 @@ func printHotKeys(agg *wire.Metrics) {
 // printTraceJoin reconstructs one sampled request's cross-node path: it
 // picks the slowest slow op that carries a trace ID, collects every span
 // recorded under that ID on any member, and prints them in time order
-// with the node that served each hop. An async repair hop shows its
-// queue wait separately from its apply time — the deferred half of a
-// traced write. Nothing prints if no traced op crossed the slow-op
-// threshold and no spans were sampled.
+// with the node that served each hop. Nothing prints if no traced op
+// crossed the slow-op threshold and no spans were sampled.
 func printTraceJoin(all map[string]*wire.Metrics, agg *wire.Metrics) {
 	var tid telemetry.TraceID
 	var worst uint64
@@ -346,12 +343,8 @@ func printTraceJoin(all map[string]*wire.Metrics, agg *wire.Metrics) {
 		hops = hops[:maxHops]
 	}
 	for _, h := range hops {
-		line := fmt.Sprintf("    %-22s %-4s %-13s %10v", h.node,
+		fmt.Printf("    %-22s %-4s %-13s %10v\n", h.node,
 			wire.Op(h.sp.Op), wire.Status(h.sp.Status), time.Duration(h.sp.DurationNanos))
-		if h.sp.QueueWaitNanos > 0 {
-			line += fmt.Sprintf("  after %v in the repair queue", time.Duration(h.sp.QueueWaitNanos))
-		}
-		fmt.Println(line)
 	}
 }
 
@@ -400,9 +393,7 @@ func histDelta(a, b *telemetry.HistogramSnapshot) *telemetry.HistogramSnapshot {
 // key sample against the traffic the servers actually absorbed during the
 // run. Shares are per replica-set slot — divided by samples × R, not by
 // samples — so they sum to 100% even when every key resides on R members;
-// a per-key denominator would report R× the true residency share. qhi is
-// the repair queue's high-water mark since the daemon started (a level,
-// not a delta — it proves the queue was occupied even after it drained).
+// a per-key denominator would report R× the true residency share.
 // The table header carries the topology epoch the view was sampled at, and the
 // members come from the router's current view (which under -bootstrap, or
 // after a mid-run membership change, is the discovered one rather than the
@@ -411,7 +402,7 @@ func printBalance(ctl *cluster.Client, before, after map[string]*wire.Stats) {
 	const samples = 1 << 16
 	share, replicas := ctl.OwnerSample(samples, 42)
 	fmt.Printf("  balance at topology epoch %d:\n", ctl.Epoch())
-	fmt.Printf("  %-22s %7s %12s %12s %10s %8s %6s %10s\n", "node", "share%", "Δhits", "Δmisses", "Δrepairs", "Δstale", "qhi", "len")
+	fmt.Printf("  %-22s %7s %12s %12s %10s %8s %10s\n", "node", "share%", "Δhits", "Δmisses", "Δrepairs", "Δstale", "len")
 	for _, m := range ctl.Nodes() {
 		b, a := before[m], after[m]
 		if b == nil || a == nil {
@@ -419,26 +410,15 @@ func printBalance(ctl *cluster.Client, before, after map[string]*wire.Stats) {
 				m, 100*float64(share[m])/float64(samples*replicas))
 			continue
 		}
-		fmt.Printf("  %-22s %6.1f%% %12d %12d %10d %8d %6d %10d\n",
+		fmt.Printf("  %-22s %6.1f%% %12d %12d %10d %8d %10d\n",
 			m, 100*float64(share[m])/float64(samples*replicas),
 			a.Hits-b.Hits, a.Misses-b.Misses, a.RepairSets-b.RepairSets,
-			a.StaleRepairs-b.StaleRepairs, a.RepairQueueHighWater, a.Len)
+			a.StaleRepairs-b.StaleRepairs, a.Len)
 	}
 }
 
 // defaultPolicy is the -policy default.
 const defaultPolicy = "lru"
-
-// bucketPolicy is the concurrent.Config.Policy for kind: nil for LRU, which
-// the cache keeps natively in its slot arrays. A factory — an LRU one
-// included — would put a policy object beside every bucket and take the
-// daemon off the store path the standing benchmark measures.
-func bucketPolicy(kind policy.Kind, seed uint64) policy.Factory {
-	if kind == policy.LRUKind {
-		return nil
-	}
-	return policy.NewFactory(kind, seed)
-}
 
 // buildMembers spawns in-process nodes or parses -addrs.
 func buildMembers(spawn int, addrs string, k, alpha int, polName string, seed uint64) ([]string, func(), error) {
@@ -461,7 +441,7 @@ func buildMembers(spawn int, addrs string, k, alpha int, polName string, seed ui
 			Capacity: k,
 			Alpha:    alpha,
 			Seed:     seed + uint64(i),
-			Policy:   bucketPolicy(kind, seed+uint64(i)),
+			Policy:   policy.BucketFactory(kind, seed+uint64(i)),
 		})
 		if err != nil {
 			cleanup()

@@ -18,7 +18,7 @@ func TestDefaultPolicyIsNative(t *testing.T) {
 		if err != nil || parsed != kind {
 			t.Fatalf("ParseKind(%q) = %v, %v", name, parsed, err)
 		}
-		f := bucketPolicy(parsed, 1)
+		f := policy.BucketFactory(parsed, 1)
 		if native := name == defaultPolicy; (f == nil) != native {
 			t.Errorf("-policy %s: factory nil = %v, want %v", name, f == nil, native)
 		}

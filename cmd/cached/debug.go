@@ -54,13 +54,12 @@ type debugSlowOp struct {
 }
 
 type debugSpan struct {
-	Op        string `json:"op"`
-	Status    string `json:"status"`
-	TraceID   string `json:"trace_id"`
-	KeyHash   uint64 `json:"key_hash"`
-	QueueWait int64  `json:"queue_wait_ns"`
-	Duration  int64  `json:"duration_ns"`
-	Unix      uint64 `json:"unix_nanos"`
+	Op       string `json:"op"`
+	Status   string `json:"status"`
+	TraceID  string `json:"trace_id"`
+	KeyHash  uint64 `json:"key_hash"`
+	Duration int64  `json:"duration_ns"`
+	Unix     uint64 `json:"unix_nanos"`
 }
 
 type debugHotKey struct {
@@ -103,13 +102,12 @@ func debugMetrics(srv *server.Server) map[string]any {
 	spans := make([]debugSpan, len(m.Spans))
 	for i, sp := range m.Spans {
 		spans[i] = debugSpan{
-			Op:        wire.Op(sp.Op).String(),
-			Status:    wire.Status(sp.Status).String(),
-			TraceID:   sp.TraceID.String(),
-			KeyHash:   sp.KeyHash,
-			QueueWait: int64(sp.QueueWaitNanos),
-			Duration:  int64(sp.DurationNanos),
-			Unix:      sp.UnixNanos,
+			Op:       wire.Op(sp.Op).String(),
+			Status:   wire.Status(sp.Status).String(),
+			TraceID:  sp.TraceID.String(),
+			KeyHash:  sp.KeyHash,
+			Duration: int64(sp.DurationNanos),
+			Unix:     sp.UnixNanos,
 		}
 	}
 	// Hot keys: the top 10 per class is what an operator scans; the full

@@ -60,17 +60,6 @@ import (
 // defaultPolicy is the -policy default.
 const defaultPolicy = "lru"
 
-// bucketPolicy is the concurrent.Config.Policy for kind: nil for LRU, which
-// the cache keeps natively in its slot arrays. A factory — an LRU one
-// included — would put a policy object beside every bucket and take the
-// daemon off the store path the standing benchmark measures.
-func bucketPolicy(kind policy.Kind, seed uint64) policy.Factory {
-	if kind == policy.LRUKind {
-		return nil
-	}
-	return policy.NewFactory(kind, seed)
-}
-
 func main() {
 	var (
 		addr       = flag.String("addr", ":7070", "listen address")
@@ -109,7 +98,7 @@ func main() {
 		Capacity:             *k,
 		Alpha:                *alpha,
 		Seed:                 *seed,
-		Policy:               bucketPolicy(kind, *seed),
+		Policy:               policy.BucketFactory(kind, *seed),
 		RehashEveryMisses:    every,
 		RehashEveryConflicts: *rehashConf,
 		MigrationPerMiss:     *migPerMiss,

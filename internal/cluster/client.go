@@ -151,10 +151,10 @@ type Client struct {
 	refreshing atomic.Bool
 	closed     atomic.Bool
 
-	// staleRepairs counts this router's synchronous maintenance writes
-	// (warm-up and migration copies) that a destination rejected as
-	// version-stale — the destination already held a strictly newer value,
-	// so the copy was superseded rather than lost.
+	// staleRepairs counts this router's maintenance writes (read repairs,
+	// warm-up, migration and anti-entropy copies) that a destination
+	// rejected as version-stale — the destination already held a strictly
+	// newer value, so the copy was superseded rather than lost.
 	staleRepairs atomic.Uint64
 
 	// Tracing (Options.TraceSample): every traceSample-th batch is minted
@@ -172,7 +172,7 @@ type Client struct {
 	warmupWG    sync.WaitGroup
 
 	// Read-repair machinery: detected-stale replicas are queued here and a
-	// single background goroutine re-writes them as queued PUTs.
+	// single background goroutine re-writes them as PUTs.
 	repairCh     chan repairTask
 	repairDone   chan struct{}
 	repairClosed bool // guarded by mu; set once by Close
@@ -937,9 +937,6 @@ func (c *Client) RehashAll() error {
 // AggregateStats sums per-member snapshots into one cluster-wide view.
 // Alpha is carried over only when all members agree (0 otherwise), and
 // Migrating reports whether any member is mid-rehash.
-// RepairQueueHighWater is the maximum across members, not the sum: it
-// answers "how close did any node come to shedding", and summing
-// independent peaks would invent a depth no queue ever held.
 func AggregateStats(stats map[string]*wire.Stats) wire.Stats {
 	var agg wire.Stats
 	first := true
@@ -952,8 +949,6 @@ func AggregateStats(stats map[string]*wire.Stats) wire.Stats {
 		agg.Rehashes += st.Rehashes
 		agg.Sets += st.Sets
 		agg.RepairSets += st.RepairSets
-		agg.RepairQueueDepth += st.RepairQueueDepth
-		agg.RepairsShed += st.RepairsShed
 		agg.StaleRepairs += st.StaleRepairs
 		agg.LeasesGranted += st.LeasesGranted
 		agg.LeasesExpired += st.LeasesExpired
@@ -962,9 +957,6 @@ func AggregateStats(stats map[string]*wire.Stats) wire.Stats {
 		agg.TombstonesReaped += st.TombstonesReaped
 		agg.HintsQueued += st.HintsQueued
 		agg.HintsReplayed += st.HintsReplayed
-		if st.RepairQueueHighWater > agg.RepairQueueHighWater {
-			agg.RepairQueueHighWater = st.RepairQueueHighWater
-		}
 		agg.Pending += st.Pending
 		agg.Len += st.Len
 		agg.Capacity += st.Capacity

@@ -30,8 +30,8 @@ const repairQueueDepth = 1024
 // were seen missing or unreachable. ver is the version the value was
 // observed at (a fallback hit) or stored under (a quorum write); the
 // PUT carries it and is stored only if strictly newer, so however long the
-// task queues, it can never overwrite a value a concurrent user SET stored
-// after this one was observed.
+// task waits in the queue, it can never overwrite a value a concurrent user
+// SET stored after this one was observed.
 type repairTask struct {
 	key   uint64
 	ver   uint64
@@ -55,15 +55,15 @@ type ReplicationCounters struct {
 	// RepairsScheduled counts repair tasks queued by fallback hits and
 	// partially-acknowledged writes.
 	RepairsScheduled uint64
-	// RepairsApplied counts repair PUTs acknowledged by the stale owner.
+	// RepairsApplied counts read-repair PUTs the stale owner stored (it
+	// answered OK).
 	RepairsApplied uint64
 	// RepairsDropped counts repairs shed because the queue was full.
 	RepairsDropped uint64
-	// RepairsStale counts synchronous maintenance copies (warm-up,
-	// migration) a destination rejected as version-stale because it
-	// already held a strictly newer value — lost-update races the version
-	// check won. Async read repairs rejected at the server's queue are
-	// visible in the servers' STATS StaleRepairs instead.
+	// RepairsStale counts maintenance writes (read repair, warm-up,
+	// migration, anti-entropy) a destination rejected as version-stale
+	// because it already held a strictly newer value — lost-update races
+	// the version check won.
 	RepairsStale uint64
 }
 
@@ -145,28 +145,28 @@ func (c *Client) applyRepair(t repairTask) {
 		if nc == nil {
 			continue
 		}
-		// Repair is a queued PUT: the server applies it through its bounded
-		// maintenance queue (and may shed it under overload), which is fine
-		// — a shed repair is retried by the next fallback read of the key,
-		// exactly like one shed from this router's own queue. The observed
-		// version it carries is checked by the server when the queue
-		// drains: a repair that queued behind a user SET of the same key is
-		// rejected as stale instead of reinstating the older value, however
-		// deep either queue ran.
-		err := nc.do(c.dial, func(cl *wire.Client) error {
-			_, _, err := cl.Put(t.bt.stamp(wire.Request{Key: t.key, Version: t.ver, Value: t.val, Queued: true}))
+		// The server checks the observed version the PUT carries where it
+		// applies the record: a repair that waited in this router's queue
+		// behind a user SET of the same key is answered VERSION_STALE
+		// instead of reinstating the older value, however deep the queue
+		// ran.
+		var applied bool
+		err := nc.do(c.dial, func(cl *wire.Client) (err error) {
+			applied, _, err = cl.Put(t.bt.stamp(wire.Request{Key: t.key, Version: t.ver, Value: t.val}))
 			return err
 		})
-		if err == nil {
-			nc.repairs.Add(1)
-			c.repairsApplied.Add(1)
-		}
-		if err != nil {
+		switch {
+		case err != nil:
 			c.mu.RLock()
 			if !c.repairClosed {
 				c.hintHandoff(addr, t.key, false, t.ver, t.val)
 			}
 			c.mu.RUnlock()
+		case applied:
+			nc.repairs.Add(1)
+			c.repairsApplied.Add(1)
+		default:
+			c.staleRepairs.Add(1)
 		}
 	}
 }

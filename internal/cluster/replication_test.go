@@ -423,13 +423,16 @@ func TestWriteQuorum(t *testing.T) {
 
 // TestRepairCannotReinstateOldValue is the cluster-level acceptance for
 // the v4 lost-update fix, exercising the organic repair pipeline end to
-// end: a fallback hit observes the old value and queues an async repair
-// of it at the primary, a user SET of a new value races that queued
-// repair, and whatever interleaving the queues produce, the new value
-// must survive on every owner. A final deterministic replay — the old
-// value at its observed version, delivered REPAIR|ASYNC after the user
-// SET, the exact interleaving that stored the old value under v3 — pins
-// the rejection with the primary's StaleRepairs counter.
+// end: a fallback hit observes the old value and queues a repair of it
+// at the primary, a user SET of a new value races that queued repair,
+// and whatever interleaving the queue produces, the new value must
+// survive on every owner. The primary holds something newer either way
+// (the direct DEL's tombstone, then the SET), so the router's repair is
+// answered VERSION_STALE and must count in the router's RepairsStale,
+// not RepairsApplied. A final deterministic replay — the old value at
+// its observed version, delivered after the user SET, the exact
+// interleaving that stored the old value under v3 — pins the rejection
+// with the primary's StaleRepairs counter.
 func TestRepairCannotReinstateOldValue(t *testing.T) {
 	addrs := startCluster(t, 3, 4096, 16)
 	ctl, err := Dial(addrs, Options{Replicas: 2})
@@ -464,9 +467,9 @@ func TestRepairCannotReinstateOldValue(t *testing.T) {
 		t.Fatal("backup holds no versioned copy of the preloaded key")
 	}
 
-	// Wipe the primary, fallback-read through the router (schedules an
-	// async repair of the OLD value at the primary), then immediately land
-	// a user SET of the NEW value.
+	// Delete at the primary alone, fallback-read through the router
+	// (schedules a repair of the OLD value at the primary), then
+	// immediately land a user SET of the NEW value.
 	primaryCl, err := wire.Dial(primary)
 	if err != nil {
 		t.Fatal(err)
@@ -482,24 +485,23 @@ func TestRepairCannotReinstateOldValue(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Drain both queues: the router's repair worker, then the primary's
-	// async maintenance queue.
+	// Drain the router's repair queue: every scheduled repair has been
+	// answered (or shed).
 	deadline := time.Now().Add(5 * time.Second)
+	var rep ReplicationCounters
 	for {
-		rep := ctl.Replication()
-		st, err := primaryCl.Stats(false)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep = ctl.Replication()
 		if rep.RepairsScheduled > 0 &&
-			rep.RepairsScheduled == rep.RepairsApplied+rep.RepairsDropped &&
-			st.RepairQueueDepth == 0 {
+			rep.RepairsScheduled == rep.RepairsApplied+rep.RepairsStale+rep.RepairsDropped {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("repair pipeline did not drain: %+v, depth=%d", rep, st.RepairQueueDepth)
+			t.Fatalf("repair queue did not drain: %+v", rep)
 		}
 		time.Sleep(time.Millisecond)
+	}
+	if rep.RepairsStale != 1 || rep.RepairsApplied != 0 {
+		t.Errorf("router counted the rejected repair as %+v, want RepairsStale=1 RepairsApplied=0", rep)
 	}
 
 	// However the queued repair interleaved with the user SET, the newer
@@ -517,27 +519,21 @@ func TestRepairCannotReinstateOldValue(t *testing.T) {
 	}
 
 	// The deterministic replay: deliver the old value at its observed
-	// version AFTER the user SET, through the async queue — v3 semantics
-	// stored it; v4 must reject it and count the win.
+	// version AFTER the user SET — v3 semantics stored it; v4 must reject
+	// it and count the win.
 	before, err := primaryCl.Stats(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if applied, _, err := primaryCl.Put(wire.Request{Key: key, Version: verOld, Queued: true, Value: []byte("old")}); err != nil || !applied {
-		t.Fatalf("async replay accept = %v, %v", applied, err)
+	if applied, _, err := primaryCl.Put(wire.Request{Key: key, Version: verOld, Value: []byte("old")}); err != nil || applied {
+		t.Fatalf("replayed stale repair: applied=%v, err=%v; want VERSION_STALE", applied, err)
 	}
-	for {
-		st, err := primaryCl.Stats(false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.StaleRepairs == before.StaleRepairs+1 && st.RepairQueueDepth == 0 {
-			break
-		}
-		if time.Now().After(deadline.Add(5 * time.Second)) {
-			t.Fatalf("replayed stale repair not rejected: StaleRepairs %d → %d", before.StaleRepairs, st.StaleRepairs)
-		}
-		time.Sleep(time.Millisecond)
+	st, err := primaryCl.Stats(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.StaleRepairs != before.StaleRepairs+1 {
+		t.Fatalf("replayed stale repair not counted: StaleRepairs %d → %d", before.StaleRepairs, st.StaleRepairs)
 	}
 	if v, hit, err := ctl.Get(key); err != nil || !hit || string(v) != "new" {
 		t.Fatalf("final read = %q, %v, %v; want the user SET to survive the delayed repair", v, hit, err)

@@ -91,8 +91,8 @@ func readChunkValues(cl *wire.Client, chunk []uint64, sc *chunkScratch) (vals []
 // when recs holds nothing else. A live record's value is re-read from src
 // first and written at the version it is stored under now, which may be
 // newer than the listed one: a copy can never supersede anything newer
-// than what it actually read, and every PUT is synchronous (not queued),
-// so the counts mean settled at dst, not queued.
+// than what it actually read, and every PUT is answered after it was
+// applied, so the counts mean settled at dst.
 //
 // applied counts writes dst stored. stale counts writes it refused
 // because it already held something strictly newer — for a maintenance

@@ -13,9 +13,9 @@ import (
 
 // TestTraceEndToEnd pins the tentpole acceptance path on a live 2-node
 // replicated cluster: a traced read whose primary is stale takes the
-// full route — router → primary (MISS) → fallback owner (HIT) → async
-// repair queued back at the primary — and every hop, including the
-// deferred repair drain, records a span under the same trace ID.
+// full route — router → primary (MISS) → fallback owner (HIT) → read
+// repair PUT back at the primary — and every hop, including the repair
+// the router sends after answering, records a span under the same trace ID.
 // Joining the per-node METRICS on that ID reconstructs the cross-node
 // path, the primary's slow-op ring joins to it too, and the HOTKEYS
 // section ranks the planted hot key first on every owner.
@@ -68,7 +68,7 @@ func TestTraceEndToEnd(t *testing.T) {
 
 	// Make the primary stale behind the router's back, then read: the
 	// traced GET misses the primary, hits the fallback owner, and queues
-	// an async repair of the primary under the same trace.
+	// a read repair of the primary under the same trace.
 	direct, err := wire.Dial(primary)
 	if err != nil {
 		t.Fatal(err)
@@ -89,17 +89,17 @@ func TestTraceEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The repair's drain-time span is the only PUT span with a queue
-		// wait on the primary; its trace ID is the original GET's.
+		// The repair is the only PUT the primary ever served; its span's
+		// trace ID is the original GET's.
 		var tid telemetry.TraceID
 		for _, sp := range all[primary].Spans {
-			if sp.Op == byte(wire.OpPut) && sp.QueueWaitNanos > 0 {
+			if sp.Op == byte(wire.OpPut) {
 				tid = sp.TraceID
 			}
 		}
 		if tid.IsZero() {
 			if time.Now().After(deadline) {
-				t.Fatalf("the repair drain span never appeared on the primary (%d spans there)", len(all[primary].Spans))
+				t.Fatalf("the repair's PUT span never appeared on the primary (%d spans there)", len(all[primary].Spans))
 			}
 			time.Sleep(10 * time.Millisecond)
 			continue
@@ -121,7 +121,7 @@ func TestTraceEndToEnd(t *testing.T) {
 		}
 
 		// The aggregate groups the trace's spans contiguously; the full
-		// path is at least MISS + HIT + repair drain.
+		// path is at least MISS + HIT + repair PUT.
 		agg := AggregateMetrics(all)
 		var pathLen int
 		for _, sp := range agg.Spans {

@@ -210,77 +210,11 @@ func TestSlowOpLog(t *testing.T) {
 	}
 }
 
-// TestRepairQueueHighWater pins the STATS satellite: after async
-// maintenance traffic the high-water mark is nonzero and at least the
-// instantaneous depth, and it survives the queue draining back to empty.
-func TestRepairQueueHighWater(t *testing.T) {
-	_, addr := startServer(t, concurrent.Config{Capacity: 256, Alpha: 4, Seed: 1})
-	c, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	for i := 0; i < 50; i++ {
-		if _, _, err := c.Put(wire.Request{Key: uint64(i), Version: 1, Queued: true, Value: []byte("r")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The queue may have drained entirely by now; the high-water mark must
-	// still prove it was occupied.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		st, err := c.Stats(false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.RepairQueueHighWater >= 1 && st.RepairQueueHighWater >= st.RepairQueueDepth {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("RepairQueueHighWater = %d (depth %d), want ≥1 and ≥depth",
-				st.RepairQueueHighWater, st.RepairQueueDepth)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestRepairWaitHistogram: async maintenance writes must land in the
-// REPAIR_WAIT histogram when they drain.
-func TestRepairWaitHistogram(t *testing.T) {
-	_, addr := startServer(t, concurrent.Config{Capacity: 256, Alpha: 4, Seed: 1})
-	c, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	const n = 20
-	for i := 0; i < n; i++ {
-		if _, _, err := c.Put(wire.Request{Key: uint64(i), Version: 1, Queued: true, Value: []byte("r")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		m, err := c.Metrics(wire.MetricsHistograms)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h := m.Hist(wire.HistRepairWait); h != nil && h.Count == n {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("REPAIR_WAIT histogram never reached %d samples", n)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // TestSpansAndHotKeys drives a mix of traced and untraced traffic at a
 // server and checks the v6 flight-recorder additions: only sampled
 // requests land in the span ring (with op, status, key hash, and the
-// propagated trace ID), and the hot-key sketches rank a planted hot key
+// propagated trace ID) — a maintenance PUT sent on a trace's behalf
+// included — and the hot-key sketches rank a planted hot key
 // first in its class while never spelling the raw key.
 func TestSpansAndHotKeys(t *testing.T) {
 	_, addr := startServer(t, concurrent.Config{Capacity: 256, Alpha: 4, Seed: 1})
@@ -294,8 +228,9 @@ func TestSpansAndHotKeys(t *testing.T) {
 	tc := wire.TraceContext{Flags: wire.TraceFlagSampled}
 	tc.ID[0] = 0xAB
 
-	// One sampled traced GET, one traced-but-unsampled GET, and a pile of
-	// untraced GETs skewed at the hot key.
+	// One sampled traced GET, one traced-but-unsampled GET, the sampled
+	// trace's read repair (a PUT on another key), and a pile of untraced
+	// GETs skewed at the hot key.
 	if _, err := c.Set(hotKey, []byte("hot")); err != nil {
 		t.Fatal(err)
 	}
@@ -307,10 +242,14 @@ func TestSpansAndHotKeys(t *testing.T) {
 	if err := c.Enqueue(wire.Request{Op: wire.OpGet, Key: hotKey, Trace: unsampled, Traced: true}); err != nil {
 		t.Fatal(err)
 	}
+	const repairedKey = 123
+	if err := c.Enqueue(wire.Request{Op: wire.OpPut, Key: repairedKey, Version: 7, Trace: tc, Traced: true, Value: []byte("r")}); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		if _, err := c.ReadResponse(); err != nil {
 			t.Fatal(err)
 		}
@@ -329,13 +268,20 @@ func TestSpansAndHotKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Spans) != 1 {
-		t.Fatalf("span ring holds %d spans, want exactly the sampled request", len(m.Spans))
+	if len(m.Spans) != 2 {
+		t.Fatalf("span ring holds %d spans, want exactly the two sampled requests", len(m.Spans))
+	}
+	for _, sp := range m.Spans {
+		if sp.TraceID != telemetry.TraceID(tc.ID) {
+			t.Errorf("span trace ID = %s, want %s", sp.TraceID, telemetry.TraceID(tc.ID))
+		}
+	}
+	if put := m.Spans[1]; put.Op != byte(wire.OpPut) || put.Status != byte(wire.StatusOK) ||
+		put.KeyHash != telemetry.HashKey(repairedKey) {
+		t.Errorf("PUT span = op %d status %d key hash %d, want PUT/OK/%d",
+			put.Op, put.Status, put.KeyHash, telemetry.HashKey(repairedKey))
 	}
 	sp := m.Spans[0]
-	if sp.TraceID != telemetry.TraceID(tc.ID) {
-		t.Errorf("span trace ID = %s, want %s", sp.TraceID, telemetry.TraceID(tc.ID))
-	}
 	if sp.Op != byte(wire.OpGet) || sp.Status != byte(wire.StatusHit) {
 		t.Errorf("span op/status = %d/%d, want GET/HIT", sp.Op, sp.Status)
 	}
@@ -408,65 +354,5 @@ func TestSlowOpTraceJoin(t *testing.T) {
 	}
 	if !untraced {
 		t.Error("the untraced GET's slow-op record should carry a zero trace ID")
-	}
-}
-
-// TestRepairDrainSpan pins trace propagation across the async
-// maintenance queue: a sampled queued PUT records a span at
-// drain time that joins the originating trace ID and separates queue
-// wait from apply time.
-func TestRepairDrainSpan(t *testing.T) {
-	_, addr := startServer(t, concurrent.Config{Capacity: 256, Alpha: 4, Seed: 1})
-	c, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	tc := wire.TraceContext{Flags: wire.TraceFlagSampled}
-	tc.ID[1] = 0x44
-	if err := c.Enqueue(wire.Request{Op: wire.OpPut, Key: 123, Version: 7, Queued: true, Trace: tc, Traced: true, Value: []byte("r")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.ReadResponse(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Two spans must appear: the accept (the PUT request itself) and the
-	// drain-time apply, both under the same trace ID, the drain one with
-	// a queue wait.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		m, err := c.Metrics(wire.MetricsTraces)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var accept, drain bool
-		for _, sp := range m.Spans {
-			if sp.TraceID != telemetry.TraceID(tc.ID) {
-				t.Fatalf("span with foreign trace ID %s", sp.TraceID)
-			}
-			if sp.Op != byte(wire.OpPut) {
-				t.Fatalf("span op = %d, want PUT", sp.Op)
-			}
-			if sp.QueueWaitNanos == 0 {
-				accept = true
-			} else {
-				drain = true
-				if sp.KeyHash != telemetry.HashKey(123) {
-					t.Errorf("drain span key hash = %d, want scrambled %d", sp.KeyHash, telemetry.HashKey(123))
-				}
-			}
-		}
-		if accept && drain {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("drain span never appeared (accept=%v drain=%v, %d spans)", accept, drain, len(m.Spans))
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }

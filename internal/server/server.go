@@ -17,10 +17,10 @@
 // (protocol v4). User SETs assign versions and always win; maintenance
 // writes (PUT) carry the version their writer observed and are applied
 // atomically only when strictly newer than the stored one — rejections
-// answer VERSION_STALE and count in STATS StaleRepairs. The queue that
-// queued PUTs drain through applies its entries through the same check,
-// so its depth does not widen the window in which a delayed repair could
-// reinstate a value a concurrent user SET already replaced.
+// answer VERSION_STALE and count in STATS StaleRepairs. The check runs
+// where the record is applied, so however long a repair was delayed on its
+// way here, it cannot reinstate a value a concurrent user SET already
+// replaced.
 //
 // The server also holds the node's view of the cluster topology: a member
 // list stamped with a monotonically increasing epoch, pushed at it by the
@@ -45,14 +45,6 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
-
-// DefaultRepairQueue is the depth of the bounded queue that queued
-// maintenance writes (PUT with the queued byte set) drain through. Deep enough
-// that read repair never sheds in healthy operation. The bound is a
-// count, not a byte budget: worst-case queued memory is depth × value
-// size, so operators running large values should size it down with
-// SetRepairQueue.
-const DefaultRepairQueue = 4096
 
 // DefaultTombstoneTTL is how long a tombstone outlives the DEL that made
 // it before the reaper removes it. The TTL bounds the window in which a
@@ -115,9 +107,8 @@ type entry struct {
 func (e *entry) tomb() bool { return e.born != 0 }
 
 // record is a maintenance record as the server holds one outside the
-// cache — in the queued-PUT queue, in the hint queue — and hands one to
-// write: the wire's {key, version, tombstone} plus a value the server
-// owns.
+// cache — in the hint queue — and hands one to write: the wire's {key,
+// version, tombstone} plus a value the server owns.
 type record struct {
 	wire.KeyRec
 	val []byte
@@ -125,29 +116,13 @@ type record struct {
 
 // ownRecord lifts req's record out of the request: the value aliases the
 // reader's scratch buffer and is copied before it escapes into the cache
-// or a queue. (SET and FILL requests make a record with no version: their
-// rule assigns one.)
+// or the hint queue. (SET and FILL requests make a record with no version:
+// their rule assigns one.)
 func ownRecord(req wire.Request) record {
 	return record{
 		KeyRec: wire.KeyRec{Key: req.Key, Version: req.Version, Tombstone: req.Tombstone},
 		val:    append([]byte(nil), req.Value...),
 	}
-}
-
-// repairWrite is one queued PUT. The version check runs when the queue
-// drains — the apply, however delayed, goes through the same conditional
-// path as a synchronous PUT, which is what keeps queue depth from
-// widening the lost-update window. enq stamps admission so the drain can
-// record how long the write waited (the REPAIR_WAIT histogram).
-type repairWrite struct {
-	rec record
-	enq time.Time
-
-	// traced/trace carry the originating request's trace context across
-	// the queue, so the drain-time apply of a sampled write still records
-	// a span joined to the request that caused it — queue wait included.
-	traced bool
-	trace  wire.TraceContext
 }
 
 // Server serves a concurrent.Cache over TCP.
@@ -175,30 +150,15 @@ type Server struct {
 	// tests shrink it to exercise multi-chunk streams cheaply.
 	keysChunk atomic.Int64
 
-	// Queued-PUT maintenance queue: created lazily on first use so
-	// its depth is configurable, drained by one background goroutine,
-	// shedding (and counting) when full so maintenance floods never stall
-	// user traffic. repairCh holds a chan repairWrite once created (an
-	// atomic.Value because STATS reads its depth concurrently with the
-	// lazy creation); repairStop/repairDone bracket the worker's lifetime.
-	repairOnce     sync.Once
-	repairCh       atomic.Value
-	repairDepth    int
-	repairDepthSet bool
-	repairsShed    atomic.Uint64
-	repairStop     chan struct{}
-	repairDone     chan struct{}
+	// stop is closed by Close; the background goroutines (tombstone
+	// reaper, hint replayer) exit on it.
+	stop chan struct{}
 
 	// Flight recorder (protocol v5). opHists holds one service-time
-	// histogram per opcode, indexed by the op byte; repairWait measures
-	// enqueue→apply of async maintenance writes; queueHigh tracks the
-	// maintenance queue's high-water depth (the peak STATS' point-in-time
-	// RepairQueueDepth misses between polls). All recording is lock-free
-	// and allocation-free (internal/telemetry), so it stays on even under
-	// benchmark load.
+	// histogram per opcode, indexed by the op byte. All recording is
+	// lock-free and allocation-free (internal/telemetry), so it stays on
+	// even under benchmark load.
 	opHists       [int(wire.OpLast) + 1]telemetry.Histogram
-	repairWait    telemetry.Histogram
-	queueHigh     telemetry.HighWater
 	bytesIn       telemetry.Counter
 	bytesOut      telemetry.Counter
 	connsAccepted telemetry.Counter
@@ -252,10 +212,10 @@ type Server struct {
 	hintDial      func(addr string) (*wire.Client, error)
 
 	// Tracing and hot-key attribution (protocol v6). spans retains one
-	// record per *sampled* traced request (plus drained async writes on a
-	// sampled trace's behalf); hotKeys holds one always-on space-saving
-	// sketch per traffic class, indexed by the wire hot-key class byte.
-	// Both record allocation-free, like the rest of the flight recorder.
+	// record per *sampled* traced request; hotKeys holds one always-on
+	// space-saving sketch per traffic class, indexed by the wire hot-key
+	// class byte. Both record allocation-free, like the rest of the flight
+	// recorder.
 	spans   *telemetry.SpanRing
 	hotKeys [int(wire.HotEvict) + 1]*telemetry.TopK
 
@@ -270,15 +230,14 @@ type Server struct {
 // users; the server adds no locking of its own beyond the cache's.
 func New(cache *concurrent.Cache) *Server {
 	s := &Server{
-		cache:      cache,
-		conns:      make(map[net.Conn]struct{}),
-		repairStop: make(chan struct{}),
-		repairDone: make(chan struct{}),
-		reapDone:   make(chan struct{}),
-		hintDone:   make(chan struct{}),
-		hintDial:   wire.Dial,
-		slowLog:    telemetry.NewSlowLog(0),
-		spans:      telemetry.NewSpanRing(0),
+		cache:    cache,
+		conns:    make(map[net.Conn]struct{}),
+		stop:     make(chan struct{}),
+		reapDone: make(chan struct{}),
+		hintDone: make(chan struct{}),
+		hintDial: wire.Dial,
+		slowLog:  telemetry.NewSlowLog(0),
+		spans:    telemetry.NewSpanRing(0),
 	}
 	for class := wire.HotGet; class <= wire.HotEvict; class++ {
 		s.hotKeys[class] = telemetry.NewTopK(0)
@@ -327,15 +286,6 @@ func (s *Server) SetSlowOpThreshold(d time.Duration) { s.slowThreshold.Store(int
 // restores wire.DefaultKeysChunk). Tests shrink it to exercise multi-chunk
 // streams without millions of residents.
 func (s *Server) SetKeysChunk(n int) { s.keysChunk.Store(int64(n)) }
-
-// SetRepairQueue configures the async maintenance queue depth. n > 0 sets
-// the depth, n == 0 disables the queue entirely so every queued PUT is
-// shed (a test hook for the backpressure path). Must be called before the
-// server receives traffic; the default is DefaultRepairQueue.
-func (s *Server) SetRepairQueue(n int) {
-	s.repairDepth = n
-	s.repairDepthSet = true
-}
 
 // Topology returns the server's current cluster view. A server that was
 // never told one reports epoch 0 and no members.
@@ -431,8 +381,8 @@ func (s *Server) Addr() net.Addr {
 }
 
 // Close stops accepting, closes all live connections, and waits for their
-// handlers — and the async maintenance worker, if one ever started — to
-// finish.
+// handlers — and the tombstone reaper and hint replayer, if either ever
+// started — to finish.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -450,10 +400,7 @@ func (s *Server) Close() error {
 		err = ln.Close()
 	}
 	s.wg.Wait()
-	close(s.repairStop)
-	if s.repairQueue() != nil {
-		<-s.repairDone
-	}
+	close(s.stop)
 	if s.reapStarted.Load() {
 		<-s.reapDone
 	}
@@ -645,9 +592,6 @@ func (s *Server) MetricsSnapshot(flags wire.MetricsFlags) *wire.Metrics {
 				m.Hists = append(m.Hists, wire.OpHist{ID: byte(op), Snap: snap})
 			}
 		}
-		if snap := s.repairWait.Snapshot(); snap.Count > 0 {
-			m.Hists = append(m.Hists, wire.OpHist{ID: wire.HistRepairWait, Snap: snap})
-		}
 	}
 	if flags&wire.MetricsCounters != 0 {
 		m.Counters = []wire.MetricCounter{
@@ -753,19 +697,12 @@ func (s *Server) apply(req wire.Request) wire.Response {
 	case wire.OpPut:
 		s.repairSets.Add(1)
 		rec := ownRecord(req)
-		if req.Queued {
-			// OK means accepted: the write is applied (or shed) by the
-			// background worker, so maintenance floods never stall the
-			// request path. Eviction and the version outcome are unknowable
-			// here; a write rejected at drain time still counts in
-			// StaleRepairs.
-			s.enqueueRepair(repairWrite{rec: rec, enq: time.Now(), traced: req.Traced, trace: req.Trace})
-			return wire.Response{Status: wire.StatusOK}
-		}
-		applied, ver, evicted := s.put(rec)
+		applied, ver, evicted, _ := s.write(ifNewer, rec)
 		if !applied {
+			s.staleRepairs.Add(1)
 			return wire.Response{Status: wire.StatusVersionStale, Version: ver}
 		}
+		s.supersedeLease(rec, ver)
 		return wire.Response{Status: wire.StatusOK, Evicted: evicted, Version: ver}
 	case wire.OpDel:
 		// Drop the key's lease state *before* the tombstone store: killing
@@ -875,17 +812,6 @@ func (s *Server) write(rule writeRule, rec record) (applied bool, ver uint64, ev
 	return true, ver, evicted, live
 }
 
-// put applies one PUT — synchronous, or draining out of the queue.
-func (s *Server) put(rec record) (applied bool, ver uint64, evicted bool) {
-	applied, ver, evicted, _ = s.write(ifNewer, rec)
-	if !applied {
-		s.staleRepairs.Add(1)
-		return false, ver, false
-	}
-	s.supersedeLease(rec, ver)
-	return true, ver, evicted
-}
-
 // supersedeLease is the lease hook of an applied SET or PUT: the write
 // supersedes any fill lease in flight for the key, so kill its token and
 // refresh the retained stale copy (lease.go) — or, for an applied
@@ -929,7 +855,7 @@ func (s *Server) startReaper() {
 				select {
 				case <-t.C:
 					s.ReapTombstones()
-				case <-s.repairStop:
+				case <-s.stop:
 					return
 				}
 			}
@@ -1024,7 +950,7 @@ func (s *Server) startHintReplayer() {
 				select {
 				case <-t.C:
 					s.ReplayHints()
-				case <-s.repairStop:
+				case <-s.stop:
 					return
 				}
 			}
@@ -1133,133 +1059,33 @@ func (s *Server) HintBacklog() (n, bytes int) {
 	return len(s.hints), s.hintBytes
 }
 
-// repairQueue returns the queued-PUT channel, or nil when none was
-// created (no queued PUT arrived yet, or the queue is disabled).
-func (s *Server) repairQueue() chan repairWrite {
-	ch, _ := s.repairCh.Load().(chan repairWrite)
-	return ch
-}
-
-// enqueueRepair hands a queued PUT to the background worker,
-// shedding it (counted) when the queue is full or disabled.
-func (s *Server) enqueueRepair(w repairWrite) {
-	s.repairOnce.Do(func() {
-		depth := s.repairDepth
-		if !s.repairDepthSet {
-			depth = DefaultRepairQueue
-		}
-		if depth <= 0 {
-			return // queue disabled: every queued PUT sheds
-		}
-		ch := make(chan repairWrite, depth)
-		s.repairCh.Store(ch)
-		go s.repairLoop(ch)
-	})
-	ch := s.repairQueue()
-	if ch == nil {
-		s.repairsShed.Add(1)
-		return
-	}
-	select {
-	case ch <- w:
-		// High-water sample. len(ch) can already read 0 if the worker
-		// drained instantly, but the depth was ≥1 the moment the send
-		// landed, so clamp — the mark deterministically reflects that the
-		// queue was ever occupied and never overcounts.
-		d := uint64(len(ch))
-		if d == 0 {
-			d = 1
-		}
-		s.queueHigh.Set(d)
-	default:
-		s.repairsShed.Add(1)
-	}
-}
-
-// repairLoop drains the queued-PUT queue until Close, then applies
-// whatever is already queued and exits. Queued writes go through the same
-// conditional store as synchronous ones (put), so an entry that sat in
-// the queue while a user SET superseded it is rejected at drain time — the
-// queue delays maintenance writes, it does not widen the window in which
-// they can clobber fresher state.
-func (s *Server) repairLoop(ch chan repairWrite) {
-	defer close(s.repairDone)
-	for {
-		select {
-		case w := <-ch:
-			s.drainRepair(w)
-		case <-s.repairStop:
-			for {
-				select {
-				case w := <-ch:
-					s.drainRepair(w)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// drainRepair applies one queued PUT. When the
-// originating request was sampled, the apply records a span joined to
-// that request's trace ID, with QueueWaitNanos separating time spent
-// sitting in the queue from the apply itself — the deferred half of a
-// traced write's cluster-wide path.
-func (s *Server) drainRepair(w repairWrite) {
-	wait := time.Since(w.enq)
-	s.repairWait.Record(wait)
-	t0 := time.Now()
-	applied, _, _ := s.put(w.rec)
-	if w.traced && w.trace.Sampled() {
-		status := wire.StatusOK
-		if !applied {
-			status = wire.StatusVersionStale
-		}
-		s.spans.Append(telemetry.Span{
-			Op:             byte(wire.OpPut),
-			Status:         byte(status),
-			TraceID:        w.trace.ID,
-			KeyHash:        telemetry.HashKey(w.rec.Key),
-			QueueWaitNanos: uint64(wait),
-			DurationNanos:  uint64(time.Since(t0)),
-			UnixNanos:      uint64(time.Now().UnixNano()),
-		})
-	}
-}
-
 func (s *Server) stats(detail bool) *wire.Stats {
 	snap := s.cache.Snapshot()
 	st := &wire.Stats{
-		Hits:                 snap.Hits,
-		Misses:               snap.Misses,
-		Evictions:            snap.Evictions,
-		ConflictEvictions:    snap.ConflictEvictions,
-		FlushEvictions:       snap.FlushEvictions,
-		Rehashes:             snap.Rehashes,
-		Pending:              uint64(snap.Pending),
-		Len:                  uint64(snap.Len),
-		Capacity:             uint64(snap.Capacity),
-		Alpha:                uint64(snap.Alpha),
-		Buckets:              uint64(snap.Buckets),
-		Sets:                 s.sets.Load(),
-		RepairSets:           s.repairSets.Load(),
-		RepairsShed:          s.repairsShed.Load(),
-		StaleRepairs:         s.staleRepairs.Load(),
-		RepairQueueHighWater: s.queueHigh.High(),
-		LeasesGranted:        s.leasesGranted.Load(),
-		LeasesExpired:        s.leasesExpired.Load(),
-		StaleServes:          s.staleServes.Load(),
-		TombstonesReaped:     s.tombstonesReaped.Load(),
-		HintsQueued:          s.hintsQueued.Load(),
-		HintsReplayed:        s.hintsReplayed.Load(),
-		Migrating:            snap.Migrating,
+		Hits:              snap.Hits,
+		Misses:            snap.Misses,
+		Evictions:         snap.Evictions,
+		ConflictEvictions: snap.ConflictEvictions,
+		FlushEvictions:    snap.FlushEvictions,
+		Rehashes:          snap.Rehashes,
+		Pending:           uint64(snap.Pending),
+		Len:               uint64(snap.Len),
+		Capacity:          uint64(snap.Capacity),
+		Alpha:             uint64(snap.Alpha),
+		Buckets:           uint64(snap.Buckets),
+		Sets:              s.sets.Load(),
+		RepairSets:        s.repairSets.Load(),
+		StaleRepairs:      s.staleRepairs.Load(),
+		LeasesGranted:     s.leasesGranted.Load(),
+		LeasesExpired:     s.leasesExpired.Load(),
+		StaleServes:       s.staleServes.Load(),
+		TombstonesReaped:  s.tombstonesReaped.Load(),
+		HintsQueued:       s.hintsQueued.Load(),
+		HintsReplayed:     s.hintsReplayed.Load(),
+		Migrating:         snap.Migrating,
 	}
 	if t := s.tombstones.Load(); t > 0 {
 		st.Tombstones = uint64(t)
-	}
-	if ch := s.repairQueue(); ch != nil {
-		st.RepairQueueDepth = uint64(len(ch))
 	}
 	if detail {
 		shards := s.cache.ShardStats()

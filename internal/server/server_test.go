@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -35,8 +36,9 @@ func startServer(t *testing.T, cfg concurrent.Config) (*Server, string) {
 	return srv, ln.Addr().String()
 }
 
-// TestRepairSetAccounting: SETs split into user and repair counts by the
-// flag byte, so replica maintenance never inflates apparent user load.
+// TestRepairSetAccounting: writes split into user (SET) and repair (PUT)
+// counts by opcode, so replica maintenance never inflates apparent user
+// load.
 func TestRepairSetAccounting(t *testing.T) {
 	_, addr := startServer(t, concurrent.Config{Capacity: 64, Alpha: 4, Seed: 1})
 	c, err := wire.Dial(addr)
@@ -61,9 +63,9 @@ func TestRepairSetAccounting(t *testing.T) {
 	if st.Sets != 2 || st.RepairSets != 1 {
 		t.Errorf("Sets/RepairSets = %d/%d, want 2/1", st.Sets, st.RepairSets)
 	}
-	// The repair-flagged value is stored normally.
+	// The PUT is applied by the time it is answered.
 	if v, ok, err := c.Get(3); err != nil || !ok || string(v) != "repair" {
-		t.Errorf("Get(3) = %q, %v, %v; repair SET must store normally", v, ok, err)
+		t.Errorf("Get(3) = %q, %v, %v; a PUT must store normally", v, ok, err)
 	}
 }
 
@@ -207,86 +209,6 @@ func TestKeysStreamChunks(t *testing.T) {
 		if !got[k] {
 			t.Errorf("key %d missing from stream", k)
 		}
-	}
-}
-
-// TestAsyncRepairApplied: an ASYNC repair SET is acknowledged on accept and
-// applied by the background worker shortly after.
-func TestAsyncRepairApplied(t *testing.T) {
-	_, addr := startServer(t, concurrent.Config{Capacity: 64, Alpha: 4, Seed: 1})
-	c, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if _, _, err := c.Put(wire.Request{Key: 7, Version: 1, Queued: true, Value: []byte("queued")}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		v, ok, err := c.Get(7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			if string(v) != "queued" {
-				t.Fatalf("async repair stored %q, want %q", v, "queued")
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("async repair not applied within deadline")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	st, err := c.Stats(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.RepairSets != 1 || st.RepairsShed != 0 {
-		t.Errorf("RepairSets/RepairsShed = %d/%d, want 1/0", st.RepairSets, st.RepairsShed)
-	}
-}
-
-// TestAsyncRepairShed: with the maintenance queue disabled every ASYNC
-// write is shed — acknowledged, dropped, and counted — while synchronous
-// repair writes still apply. This is the backpressure contract: shedding
-// is visible in STATS, never silent.
-func TestAsyncRepairShed(t *testing.T) {
-	srv, addr := startServer(t, concurrent.Config{Capacity: 64, Alpha: 4, Seed: 1})
-	srv.SetRepairQueue(0)
-	c, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	for k := uint64(0); k < 5; k++ {
-		if _, _, err := c.Put(wire.Request{Key: k, Version: 1, Queued: true, Value: []byte("shed")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, err := c.Put(wire.Request{Key: 99, Version: 1, Value: []byte("sync")}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.Stats(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.RepairsShed != 5 {
-		t.Errorf("RepairsShed = %d, want 5", st.RepairsShed)
-	}
-	if st.RepairSets != 6 {
-		t.Errorf("RepairSets = %d, want 6 (shed writes still count as received repairs)", st.RepairSets)
-	}
-	for k := uint64(0); k < 5; k++ {
-		if _, ok, err := c.Get(k); err != nil || ok {
-			t.Errorf("shed key %d present = %v, %v; want dropped", k, ok, err)
-		}
-	}
-	if v, ok, err := c.Get(99); err != nil || !ok || string(v) != "sync" {
-		t.Errorf("synchronous repair = %q, %v, %v; must apply regardless of the queue", v, ok, err)
 	}
 }
 
@@ -663,14 +585,16 @@ func TestVersionedSetLifecycle(t *testing.T) {
 	}
 }
 
-// TestLostUpdateRaceAsyncRepair is the e2e acceptance for the v4 bugfix:
-// a REPAIR|ASYNC write of an older value that drains from the maintenance
-// queue *after* a user SET of the same key must be rejected, not
+// TestLostUpdateRaceDelayedRepair is the e2e acceptance for the v4
+// bugfix: a read repair of an older value that reaches the server *after*
+// a user SET of the same key — the router observed (old, ver), queued the
+// repair, and its worker sent the PUT late — must be rejected, not
 // reinstate the old value. Under v3 semantics this exact interleaving
 // stored the old value (the documented lost-update caveat); the
-// StaleRepairs bump is the proof the write would have applied and was
-// refused by the version check alone.
-func TestLostUpdateRaceAsyncRepair(t *testing.T) {
+// VERSION_STALE answer carrying the winning version, and the StaleRepairs
+// bump, are the proof the write would have applied and was refused by
+// the version check alone.
+func TestLostUpdateRaceDelayedRepair(t *testing.T) {
 	_, addr := startServer(t, concurrent.Config{Capacity: 64, Alpha: 4, Seed: 1})
 	c, err := wire.Dial(addr)
 	if err != nil {
@@ -689,25 +613,21 @@ func TestLostUpdateRaceAsyncRepair(t *testing.T) {
 	if _, err := c.Set(9, []byte("new")); err != nil {
 		t.Fatal(err)
 	}
-	// ...then the delayed maintenance write of the old value arrives via
-	// the async queue (accepted, applied in the background).
-	if applied, _, err := c.Put(wire.Request{Key: 9, Version: verOld, Queued: true, Value: []byte("old")}); err != nil || !applied {
-		t.Fatalf("ASYNC repair accept = (%v, %v)", applied, err)
+	verNew, _, _ := getVersion(t, c, 9)
+	// ...then the delayed maintenance write of the old value arrives.
+	applied, stored, err := c.Put(wire.Request{Key: 9, Version: verOld, Value: []byte("old")})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st, err := c.Stats(false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.StaleRepairs == 1 && st.RepairQueueDepth == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("queued stale repair not processed: StaleRepairs=%d depth=%d", st.StaleRepairs, st.RepairQueueDepth)
-		}
-		time.Sleep(time.Millisecond)
+	if applied || stored != verNew {
+		t.Fatalf("delayed repair: applied=%v stored=%d, want VERSION_STALE naming the user SET's version %d", applied, stored, verNew)
+	}
+	st, err := c.Stats(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.StaleRepairs != 1 {
+		t.Errorf("StaleRepairs = %d, want 1", st.StaleRepairs)
 	}
 	if _, val, _ := getVersion(t, c, 9); string(val) != "new" {
 		t.Fatalf("value after delayed repair = %q; the user SET was overwritten by the older value", val)
@@ -715,11 +635,14 @@ func TestLostUpdateRaceAsyncRepair(t *testing.T) {
 }
 
 // TestVersionedRepairStress races a user writer against a maintenance
-// loop that perpetually re-writes whatever it last observed (half
-// synchronous, half through the async queue) — the generalized lost-update
-// scenario, run under -race in CI. Whatever the interleaving, the final
-// user write must survive every replay of older state, and the versions
-// the maintenance loop observes must never go backwards.
+// loop that perpetually re-writes whatever it observed — the generalized
+// lost-update scenario, run under -race in CI. Half the replays go out at
+// once; the other half are held back and sent one observation late, the
+// way a read repair waits in the router's queue while newer writes land,
+// and the last held one is sent after the final user write. Whatever the
+// interleaving, the final user write must survive every replay of older
+// state, and the versions the maintenance loop observes must never go
+// backwards.
 func TestVersionedRepairStress(t *testing.T) {
 	_, addr := startServer(t, concurrent.Config{Capacity: 256, Alpha: 8, Seed: 1})
 	user, err := wire.Dial(addr)
@@ -736,6 +659,7 @@ func TestVersionedRepairStress(t *testing.T) {
 	const key = 5
 	stop := make(chan struct{})
 	done := make(chan error, 1)
+	var held *wire.Request // the delayed replay; read after done is received
 	go func() {
 		var lastVer uint64
 		for i := 0; ; i++ {
@@ -762,7 +686,14 @@ func TestVersionedRepairStress(t *testing.T) {
 				return
 			}
 			lastVer = ver
-			if _, _, err := maint.Put(wire.Request{Key: key, Version: ver, Queued: i%2 == 1, Value: val}); err != nil {
+			replay := &wire.Request{Key: key, Version: ver, Value: val}
+			if i%2 == 1 {
+				replay, held = held, replay
+				if replay == nil {
+					continue
+				}
+			}
+			if _, _, err := maint.Put(*replay); err != nil {
 				done <- err
 				return
 			}
@@ -779,35 +710,82 @@ func TestVersionedRepairStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The final write: every maintenance observation precedes it, so no
-	// replay — queued or in flight — may ever displace it.
+	// replay — the held one included — may ever displace it.
 	if _, err := user.Set(key, []byte("final")); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, val, hit := getVersion(t, user, key)
-		if !hit {
-			t.Fatal("key vanished under stress")
+	if held != nil {
+		if applied, _, err := maint.Put(*held); err != nil || applied {
+			t.Fatalf("held replay after the final SET: applied=%v, err=%v; want VERSION_STALE", applied, err)
 		}
-		if string(val) != "final" {
-			t.Fatalf("value = %q; an older maintenance replay displaced the final user SET", val)
-		}
-		st, err := user.Stats(false)
+	}
+	_, val, hit := getVersion(t, user, key)
+	if !hit {
+		t.Fatal("key vanished under stress")
+	}
+	if string(val) != "final" {
+		t.Fatalf("value = %q; an older maintenance replay displaced the final user SET", val)
+	}
+	st, err := user.Stats(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("stress: %d repair sets, %d rejected as stale", st.RepairSets, st.StaleRepairs)
+}
+
+// TestServerCloseLeavesNothingBehind counts goroutines, the server-side
+// twin of the router's TestCloseLeavesNothingBehind: with client
+// connections still open, a tombstone resident (the reaper is running) and
+// a hint parked for an unreachable target (the replayer is running and
+// redialing), Close must take the process back to its pre-New goroutine
+// count — every connection handler, both background workers and the
+// accept loop.
+func TestServerCloseLeavesNothingBehind(t *testing.T) {
+	// An address nothing listens on, so the replayer keeps its hint.
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := dead.Addr().String()
+	dead.Close()
+
+	baseline := runtime.NumGoroutine()
+	srv, addr := startServer(t, concurrent.Config{Capacity: 64, Alpha: 4, Seed: 1})
+	srv.SetHintReplayInterval(time.Millisecond)
+	for i := 0; i < 4; i++ {
+		c, err := wire.Dial(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.RepairQueueDepth == 0 {
-			t.Logf("stress: %d repair sets, %d rejected as stale", st.RepairSets, st.StaleRepairs)
-			break
+		defer c.Close() // after srv.Close: the server must not wait for its peers
+		if _, err := c.Set(uint64(i), []byte("v")); err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("async repair queue did not drain")
+		if i == 0 {
+			if _, _, err := c.Del(0); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Hint(deadAddr, 9, false, 100, []byte("parked")); err != nil {
+				t.Fatal(err)
+			}
 		}
+	}
+	if st := srv.stats(false); st.Tombstones != 1 || st.HintsQueued != 1 {
+		t.Fatalf("set-up left %d tombstones and %d hints, want 1 and 1", st.Tombstones, st.HintsQueued)
+	}
+
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Close waits for the handlers and both workers; only the accept loop
+	// (started by this test's helper) may still be returning.
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) && runtime.NumGoroutine() > baseline {
 		time.Sleep(time.Millisecond)
 	}
-	// Re-check after the drain: nothing that drained displaced the final.
-	if _, val, _ := getVersion(t, user, key); string(val) != "final" {
-		t.Fatalf("value after drain = %q, want final", val)
+	if n := runtime.NumGoroutine(); n > baseline {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines after Close, %d before New\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 
 // TraceID is a 16-byte request trace identifier, minted by the cluster
 // router and carried end to end through the wire v6 trace context — across
-// batch fan-out, fallback reads, quorum writes, and async repair-queue
-// entries. The zero value means "untraced".
+// batch fan-out, fallback reads, quorum writes, and the read repairs they
+// schedule. The zero value means "untraced".
 type TraceID [16]byte
 
 // IsZero reports whether the ID is the untraced zero value.
@@ -26,22 +26,17 @@ func (id TraceID) String() string { return hex.EncodeToString(id[:]) }
 // as a scrambled hash (HashKey), never verbatim. Spans from different
 // nodes that share a TraceID are the same logical request seen at each
 // hop — joining them reconstructs the request's cluster-side path,
-// including repairs applied from the async queue seconds later.
+// including the read repairs the router sent after answering.
 type Span struct {
 	// Op is the wire opcode byte the node served.
 	Op byte
-	// Status is the wire status byte of the response (or of the applied
-	// queued write).
+	// Status is the wire status byte of the response.
 	Status byte
 	// TraceID identifies the originating request.
 	TraceID TraceID
 	// KeyHash is HashKey of the operation's key (0 for keyless ops).
 	KeyHash uint64
-	// QueueWaitNanos is time spent queued before service — nonzero only
-	// for writes applied from the async repair queue, where it measures
-	// how far the repair lagged its originating request.
-	QueueWaitNanos uint64
-	// DurationNanos is the service time proper (queue wait excluded).
+	// DurationNanos is the service time.
 	DurationNanos uint64
 	// UnixNanos is the wall-clock completion time.
 	UnixNanos uint64

@@ -1,15 +1,15 @@
 // Package telemetry is the server-side flight recorder: allocation-free,
 // atomics-only primitives for recording what a hot request path did —
-// log-bucketed latency histograms, monotonic counters, high-water-mark
-// gauges, and a ring-buffered slow-op log — cheap enough to run always-on
-// in the cached request loop.
+// log-bucketed latency histograms, monotonic counters, and a
+// ring-buffered slow-op log — cheap enough to run always-on in the cached
+// request loop.
 //
 // The design constraints, in order:
 //
 //   - Recording must be lock-free and allocation-free. Histogram.Record is
-//     a bucket-index computation plus one atomic add; Counter.Add and
-//     HighWater.Set are one or two atomics. A test pins 0 allocs/op and CI
-//     fails on regression (cmd/benchrun).
+//     a bucket-index computation plus one atomic add; Counter.Add is one
+//     atomic. A test pins 0 allocs/op and CI fails on regression
+//     (cmd/benchrun).
 //   - Snapshots must be mergeable: the cluster router fans METRICS out to
 //     every member and merges the per-node histograms into one cluster
 //     view, so HistogramSnapshot.Merge(a, b) of two nodes' snapshots must
@@ -22,7 +22,7 @@
 //     1/SubBuckets (6.25%) — accurate enough to tell a 100µs p99 from a
 //     10ms one, which is the job.
 //
-// The recording side (Histogram, Counter, HighWater, SlowLog) is written
+// The recording side (Histogram, Counter, SlowLog) is written
 // against concurrent writers; the snapshot side is weakly consistent (a
 // snapshot taken during concurrent recording may tear between buckets) but
 // every count lands in exactly one bucket, so nothing is lost or double
@@ -196,32 +196,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
-
-// HighWater is a gauge that additionally remembers the highest value ever
-// set — the fix for point-in-time gauges (like a queue depth) whose peaks
-// fall between polls. The zero value is ready to use.
-type HighWater struct {
-	cur atomic.Uint64
-	hi  atomic.Uint64
-}
-
-// Set records the gauge's current value, raising the high-water mark when
-// v exceeds it.
-func (g *HighWater) Set(v uint64) {
-	g.cur.Store(v)
-	for {
-		hi := g.hi.Load()
-		if v <= hi || g.hi.CompareAndSwap(hi, v) {
-			return
-		}
-	}
-}
-
-// Cur returns the most recently set value.
-func (g *HighWater) Cur() uint64 { return g.cur.Load() }
-
-// High returns the highest value ever set.
-func (g *HighWater) High() uint64 { return g.hi.Load() }
 
 // SlowOp is one flight-recorder entry: an operation whose service time
 // crossed the slow threshold. The key is retained as a scrambled hash

@@ -202,7 +202,7 @@ func TestConcurrentRecordSnapshot(t *testing.T) {
 	}
 }
 
-func TestCounterAndHighWater(t *testing.T) {
+func TestCounter(t *testing.T) {
 	var c Counter
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -217,28 +217,6 @@ func TestCounterAndHighWater(t *testing.T) {
 	wg.Wait()
 	if c.Load() != 8000 {
 		t.Fatalf("Counter = %d, want 8000", c.Load())
-	}
-
-	var g HighWater
-	g.Set(3)
-	g.Set(10)
-	g.Set(4)
-	if g.Cur() != 4 || g.High() != 10 {
-		t.Fatalf("HighWater cur=%d high=%d, want 4/10", g.Cur(), g.High())
-	}
-	// Concurrent Sets: high water must end at the global max.
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(base uint64) {
-			defer wg.Done()
-			for j := uint64(0); j < 500; j++ {
-				g.Set(base*1000 + j)
-			}
-		}(uint64(i))
-	}
-	wg.Wait()
-	if g.High() != 7499 {
-		t.Fatalf("HighWater high = %d, want 7499", g.High())
 	}
 }
 
@@ -298,10 +276,6 @@ func TestRecordZeroAllocs(t *testing.T) {
 	var c Counter
 	if n := testing.AllocsPerRun(1000, func() { c.Add(1) }); n != 0 {
 		t.Fatalf("Counter.Add allocates %.1f/op, want 0", n)
-	}
-	var g HighWater
-	if n := testing.AllocsPerRun(1000, func() { g.Set(7) }); n != 0 {
-		t.Fatalf("HighWater.Set allocates %.1f/op, want 0", n)
 	}
 	l := NewSlowLog(64)
 	if n := testing.AllocsPerRun(1000, func() { l.Append(SlowOp{Op: 1}) }); n != 0 {

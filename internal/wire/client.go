@@ -24,7 +24,7 @@ const DefaultDialTimeout = 3 * time.Second
 // responses in order with ReadResponse (GetBatch, SetBatch and PutBatch
 // are that loop for one operation). What varies within an operation is a
 // field of the Request, never another method: a trace context is
-// Request.Trace/Traced, a queued PUT is Request.Queued.
+// Request.Trace/Traced.
 type Client struct {
 	conn io.ReadWriteCloser
 	r    *Reader
@@ -160,9 +160,7 @@ func (c *Client) Set(key uint64, value []byte) (evicted bool, err error) {
 // whether the record was stored and the version the server holds after
 // the call: the carried version when stored, the newer winning version
 // when refused as stale — which for a maintenance copy is success by
-// other means. With req.Queued the record is only accepted (applied=true
-// means queued, stored is 0): the version check happens when the server's
-// maintenance queue drains, and the write may be shed.
+// other means.
 func (c *Client) Put(req Request) (applied bool, stored uint64, err error) {
 	req.Op = OpPut
 	resp, err := c.roundTrip(req)

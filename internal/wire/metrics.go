@@ -26,8 +26,7 @@ type MetricsFlags byte
 // The defined METRICS detail flags. A request must select at least one
 // section; undefined bits are rejected on both ends.
 const (
-	// MetricsHistograms selects the per-op service-time histograms and the
-	// repair-queue wait histogram.
+	// MetricsHistograms selects the per-op service-time histograms.
 	MetricsHistograms MetricsFlags = 1 << 0
 	// MetricsCounters selects the scalar telemetry counters (bytes in/out,
 	// slow-op total, connections served).
@@ -35,8 +34,7 @@ const (
 	// MetricsSlowOps selects the slow-op ring contents, oldest first.
 	MetricsSlowOps MetricsFlags = 1 << 2
 	// MetricsTraces selects the sampled-span ring (v6), oldest first:
-	// one record per sampled traced request the server observed,
-	// including queued PUTs applied when the maintenance queue drains.
+	// one record per sampled traced request the server observed.
 	MetricsTraces MetricsFlags = 1 << 3
 	// MetricsHotKeys selects the per-op-class hot-key sketches (v6):
 	// space-saving top-K summaries of which (scrambled) keys each op
@@ -59,31 +57,20 @@ func (f MetricsFlags) validate() error {
 	return nil
 }
 
-// Histogram IDs. Per-op service-time histograms reuse the request opcode
-// byte as their ID (GET=1 … OpLast); IDs from 32 up name histograms that
-// are not tied to one opcode.
-const (
-	// HistRepairWait is the queue-wait-time histogram of queued PUTs:
-	// enqueue to the moment the drain goroutine applies them.
-	HistRepairWait byte = 32
-)
-
-// HistName names a histogram ID for display.
+// HistName names a histogram ID for display. Every histogram is a per-op
+// service-time histogram, and its ID is the request opcode byte (GET=1 …
+// OpLast).
 func HistName(id byte) string {
-	switch {
-	case id == HistRepairWait:
-		return "REPAIR_WAIT"
-	case validHistID(id):
+	if validHistID(id) {
 		return Op(id).String()
-	default:
-		return fmt.Sprintf("Hist(%d)", id)
 	}
+	return fmt.Sprintf("Hist(%d)", id)
 }
 
-// validHistID accepts every opcode — whatever the server can count, a
-// METRICS response must be able to carry — and HistRepairWait.
+// validHistID accepts every opcode: whatever the server can count, a
+// METRICS response must be able to carry.
 func validHistID(id byte) bool {
-	return (Op(id) >= OpGet && Op(id) <= OpLast) || id == HistRepairWait
+	return Op(id) >= OpGet && Op(id) <= OpLast
 }
 
 // Counter IDs.
@@ -132,9 +119,9 @@ const MaxSpans = 8192
 const MaxHotKeys = 8192
 
 // spanRecLen is the encoded size of one TRACES record: op and status
-// bytes, 16-byte trace ID, then key hash, queue wait, duration and
-// completion time as uint64s.
-const spanRecLen = 1 + 1 + 16 + 8 + 8 + 8 + 8
+// bytes, 16-byte trace ID, then key hash, duration and completion time as
+// uint64s.
+const spanRecLen = 1 + 1 + 16 + 8 + 8 + 8
 
 // slowOpRecLen is the encoded size of one slow-op record: the op byte,
 // key hash, duration, version and completion time, then (v6) the 16-byte
@@ -313,7 +300,6 @@ func appendMetrics(body []byte, m *Metrics) ([]byte, error) {
 			body = append(body, s.Op, s.Status)
 			body = append(body, s.TraceID[:]...)
 			body = binary.LittleEndian.AppendUint64(body, s.KeyHash)
-			body = binary.LittleEndian.AppendUint64(body, s.QueueWaitNanos)
 			body = binary.LittleEndian.AppendUint64(body, s.DurationNanos)
 			body = binary.LittleEndian.AppendUint64(body, s.UnixNanos)
 		}
@@ -482,9 +468,8 @@ func parseMetrics(body []byte) (*Metrics, error) {
 			s.Status = body[1]
 			copy(s.TraceID[:], body[2:])
 			s.KeyHash = binary.LittleEndian.Uint64(body[18:])
-			s.QueueWaitNanos = binary.LittleEndian.Uint64(body[26:])
-			s.DurationNanos = binary.LittleEndian.Uint64(body[34:])
-			s.UnixNanos = binary.LittleEndian.Uint64(body[42:])
+			s.DurationNanos = binary.LittleEndian.Uint64(body[26:])
+			s.UnixNanos = binary.LittleEndian.Uint64(body[34:])
 			if s.TraceID.IsZero() {
 				return nil, fmt.Errorf("wire: METRICS span %d has a zero trace ID", i)
 			}

@@ -11,19 +11,19 @@ import (
 )
 
 func sampleMetrics() *Metrics {
-	var get, set, wait telemetry.Histogram
+	var get, set, put telemetry.Histogram
 	for i := 0; i < 1000; i++ {
 		get.Record(time.Duration(i) * time.Microsecond)
 	}
 	set.Record(3 * time.Millisecond)
-	wait.Record(40 * time.Microsecond)
-	wait.Record(90 * time.Second) // extreme octave must survive the trip
+	put.Record(40 * time.Microsecond)
+	put.Record(90 * time.Second) // extreme octave must survive the trip
 	return &Metrics{
 		Flags: MetricsAll,
 		Hists: []OpHist{
 			{ID: byte(OpGet), Snap: get.Snapshot()},
 			{ID: byte(OpSet), Snap: set.Snapshot()},
-			{ID: HistRepairWait, Snap: wait.Snapshot()},
+			{ID: byte(OpPut), Snap: put.Snapshot()},
 		},
 		Counters: []MetricCounter{
 			{ID: CounterBytesIn, Value: 1 << 40},
@@ -37,7 +37,7 @@ func sampleMetrics() *Metrics {
 		},
 		Spans: []telemetry.Span{
 			{Op: byte(OpGet), Status: byte(StatusHit), TraceID: testTraceID(9), KeyHash: telemetry.HashKey(42), DurationNanos: 5e6, UnixNanos: 1700000000e9},
-			{Op: byte(OpSet), Status: byte(StatusOK), TraceID: testTraceID(9), KeyHash: telemetry.HashKey(42), QueueWaitNanos: 2e9, DurationNanos: 1e3, UnixNanos: 1700000002e9},
+			{Op: byte(OpSet), Status: byte(StatusOK), TraceID: testTraceID(9), KeyHash: telemetry.HashKey(42), DurationNanos: 1e3, UnixNanos: 1700000002e9},
 		},
 		HotKeys: []HotKeyClass{
 			{Class: HotGet, Keys: telemetry.TopKSnapshot{
@@ -141,7 +141,7 @@ func TestMetricsRoundTrip(t *testing.T) {
 
 	// Accessors on the full payload.
 	m := sampleMetrics()
-	if m.Hist(byte(OpGet)) == nil || m.Hist(HistRepairWait) == nil || m.Hist(byte(OpDel)) != nil {
+	if m.Hist(byte(OpGet)) == nil || m.Hist(byte(OpPut)) == nil || m.Hist(byte(OpDel)) != nil {
 		t.Error("Hist accessor wrong")
 	}
 	if m.Counter(CounterBytesIn) != 1<<40 || m.Counter(250) != 0 {

@@ -170,7 +170,7 @@ func TestSpecVersionedWrites(t *testing.T) {
 	for _, row := range []string{
 		`SET\s*\|\s*2\s*\|\s*key uint64, value bytes\s*\|`,
 		`FILL\s*\|\s*12\s*\|\s*key uint64, token uint64, value bytes\s*\|`,
-		`PUT\s*\|\s*13\s*\|\s*queued byte \(0 or 1\), record\s*\|`,
+		`PUT\s*\|\s*13\s*\|\s*record\s*\|`,
 	} {
 		if !regexp.MustCompile(row).MatchString(ops) {
 			t.Errorf("spec request table must have the row %q", row)
@@ -275,7 +275,6 @@ func TestSpecMetricsPayload(t *testing.T) {
 		name string
 		impl byte
 	}{
-		{"REPAIR_WAIT", HistRepairWait},
 		{"BYTES_IN", CounterBytesIn},
 		{"BYTES_OUT", CounterBytesOut},
 		{"SLOW_OPS", CounterSlowOps},
@@ -324,7 +323,7 @@ func TestSpecMetricsPayload(t *testing.T) {
 	for _, r := range spanRows {
 		fields = append(fields, r[1]+":"+r[2])
 	}
-	want = []string{"Op:byte", "Status:byte", "TraceID:byte", "KeyHash:uint64", "QueueWaitNanos:uint64", "DurationNanos:uint64", "UnixNanos:uint64"}
+	want = []string{"Op:byte", "Status:byte", "TraceID:byte", "KeyHash:uint64", "DurationNanos:uint64", "UnixNanos:uint64"}
 	if len(fields) != len(want) {
 		t.Fatalf("spec span record lists %v, want %v", fields, want)
 	}

@@ -34,7 +34,7 @@
 //	SET      key uint64, value                 → OK evicted, version
 //	FILL     key uint64, token uint64, value   → OK evicted, version |
 //	                                             LeaseLost stored version
-//	PUT      queued byte, record               → OK evicted, version |
+//	PUT      record                            → OK evicted, version |
 //	                                             VersionStale stored version
 //	DEL      key uint64                        → OK evicted, version
 //	HINT     target addr, record               → OK
@@ -67,11 +67,6 @@
 //     stored verbatim iff its version is strictly newer than the stored
 //     one, VERSION_STALE (counted in Stats.StaleRepairs) otherwise. Both
 //     refusals are successes by other means: fresher state already won.
-//     queued = 1 sends the record through the server's bounded background
-//     queue instead: OK then means accepted, the version check runs when
-//     the queue drains, and the write may be shed under overload
-//     (Stats.RepairsShed) — so only callers that re-issue by construction
-//     (the router's read repair) queue.
 //
 // DEL is SET's rule storing a tombstone — the versioned fact that the key
 // was deleted, reaped after a TTL — and a PUT whose record is a tombstone
@@ -90,8 +85,10 @@
 // that encoded exactly the three operations above — in favour of the
 // FILL and PUT opcodes, and made the decoders strict enough that every
 // accepted frame re-encodes to itself (FuzzReadRequest,
-// FuzzReadResponse). Peers of other versions are rejected at the
-// preamble.
+// FuzzReadResponse). Version 10 removed the server's queued-PUT path:
+// PUT's queued byte (a PUT body is exactly one record), three STATS rows,
+// the REPAIR_WAIT histogram and the span record's queue-wait field. Peers
+// of other versions are rejected at the preamble.
 package wire
 
 import (
@@ -124,7 +121,7 @@ const (
 	// Version is the protocol revision; the preamble carries it and servers
 	// reject mismatches, so a bump needs no compatibility path. The package
 	// comment and ARCHITECTURE.md list what each revision changed.
-	Version = 9
+	Version = 10
 	// MaxFrame bounds a frame body; it caps both value sizes and the damage
 	// a corrupt length prefix can do.
 	MaxFrame = 16 << 20
@@ -251,8 +248,8 @@ const (
 
 // TraceContext is the per-request trace identity carried by v6 frames:
 // minted once by the cluster router, then attached to every wire request
-// the original request fans out into — including async repair-queue
-// entries applied long after the response went out.
+// the original request fans out into — including the read repairs the
+// router sends after the response went out.
 type TraceContext struct {
 	// ID is the 16-byte trace identifier; a conforming frame never
 	// carries a zero ID.
@@ -315,8 +312,7 @@ const (
 	// OpPut (PUT, v9) is a maintenance write: a record — a value or a
 	// tombstone at the version its writer observed — stored verbatim iff
 	// strictly newer than what the server holds. The response is OK or
-	// VERSION_STALE; a queued PUT is only accepted (OK), version-checked
-	// when the server's maintenance queue drains, and may be shed.
+	// VERSION_STALE.
 	OpPut
 
 	opEnd // one past the last opcode
@@ -425,10 +421,6 @@ type Request struct {
 	// Tombstone marks a PUT or HINT whose record is a delete; the Value is
 	// then empty.
 	Tombstone bool
-	// Queued asks the server to apply a PUT through its bounded background
-	// maintenance queue: OK means accepted, the version check runs when the
-	// queue drains, and the write may be shed under overload.
-	Queued bool
 	// LeaseToken is the fill token a FILL carries; a conforming frame never
 	// carries zero (the "no lease" sentinel in LEASE responses).
 	LeaseToken uint64
@@ -475,7 +467,7 @@ type Response struct {
 	// Version is the stored value version: in a HIT it is the version of
 	// the value returned, in an OK replying to an applied write (SET, FILL,
 	// PUT, DEL) it is the version the record was stored under (0 replying
-	// to a queued PUT, REHASH or HINT), and in a VERSION_STALE or
+	// to REHASH or HINT), and in a VERSION_STALE or
 	// LEASE_LOST it is the version that won.
 	Version uint64
 	// Evicted reports whether a write displaced an entry — or, replying to
@@ -510,16 +502,10 @@ type Response struct {
 // concurrent.Snapshot for the cache-level field semantics. Sets and
 // RepairSets are tracked by the server itself: they split write traffic
 // into user writes (SET and FILL) and maintenance writes (PUT), so repair
-// churn never inflates the apparent user load. RepairQueueDepth and
-// RepairsShed expose the server's bounded queue of queued PUTs, making
-// repair backpressure observable: a rising
-// depth means maintenance is arriving faster than it drains, and a shed
-// is a repair the server dropped to protect user traffic; because depth is
-// point-in-time and peaks fall between polls, RepairQueueHighWater (v5)
-// reports the maximum depth since start. StaleRepairs
-// counts PUTs the server rejected because it already held a
-// strictly newer version — each one is a lost-update race the version
-// check won (under v3 semantics the stale value would have been stored).
+// churn never inflates the apparent user load. StaleRepairs counts PUTs
+// the server rejected because it already held a strictly newer version —
+// each one is a lost-update race the version check won (under v3
+// semantics the stale value would have been stored).
 type Stats struct {
 	Hits              uint64
 	Misses            uint64
@@ -534,13 +520,7 @@ type Stats struct {
 	Buckets           uint64
 	Sets              uint64
 	RepairSets        uint64
-	RepairQueueDepth  uint64
-	RepairsShed       uint64
 	StaleRepairs      uint64
-	// RepairQueueHighWater is the maximum RepairQueueDepth observed since
-	// the server started — the shed-risk signal the point-in-time depth
-	// hides between polls.
-	RepairQueueHighWater uint64
 	// LeasesGranted counts GETL misses answered with a nonzero token —
 	// each one is a caller elected to load the origin for a key.
 	LeasesGranted uint64
@@ -591,10 +571,7 @@ var statsFields = []struct {
 	{"Buckets", func(s *Stats) *uint64 { return &s.Buckets }},
 	{"Sets", func(s *Stats) *uint64 { return &s.Sets }},
 	{"RepairSets", func(s *Stats) *uint64 { return &s.RepairSets }},
-	{"RepairQueueDepth", func(s *Stats) *uint64 { return &s.RepairQueueDepth }},
-	{"RepairsShed", func(s *Stats) *uint64 { return &s.RepairsShed }},
 	{"StaleRepairs", func(s *Stats) *uint64 { return &s.StaleRepairs }},
-	{"RepairQueueHighWater", func(s *Stats) *uint64 { return &s.RepairQueueHighWater }},
 	{"LeasesGranted", func(s *Stats) *uint64 { return &s.LeasesGranted }},
 	{"LeasesExpired", func(s *Stats) *uint64 { return &s.LeasesExpired }},
 	{"StaleServes", func(s *Stats) *uint64 { return &s.StaleServes }},
@@ -621,7 +598,7 @@ type ShardStat struct {
 	Len       uint64
 }
 
-const statsFixedLen = 24*8 + 1 // 24 uint64 counters (statsFields) + migrating byte
+const statsFixedLen = 21*8 + 1 // 21 uint64 counters (statsFields) + migrating byte
 
 // keyRecLen is the encoded size of a KeyRec: key uint64, version uint64,
 // tombstone byte.
@@ -895,7 +872,6 @@ func (w *Writer) WriteRequest(req Request) error {
 		w.chunk = binary.LittleEndian.AppendUint64(w.chunk, req.LeaseToken)
 		value = req.Value
 	case OpPut:
-		w.chunk = append(w.chunk, boolByte(req.Queued))
 		w.chunk, err = appendRecord(w.chunk, &req)
 		value = req.Value
 	case OpHint:
@@ -1167,13 +1143,7 @@ func (r *Reader) ReadRequest() (Request, error) {
 		}
 		req.Value = body[16:]
 	case OpPut:
-		if len(body) < 1 {
-			return Request{}, fmt.Errorf("wire: PUT body lacks the queued byte")
-		}
-		if req.Queued, err = parseBool(body[0], "PUT queued"); err != nil {
-			return Request{}, err
-		}
-		if err = parseRecord(body[1:], &req); err != nil {
+		if err = parseRecord(body, &req); err != nil {
 			return Request{}, err
 		}
 	case OpHint:

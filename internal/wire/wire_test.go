@@ -24,7 +24,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpSet, Key: 7, Value: []byte("hello world")},
 		{Op: OpSet, Key: 8, Value: nil}, // empty value is legal
 		{Op: OpPut, Key: 11, Version: 1 << 50, Value: []byte("maintenance")},
-		{Op: OpPut, Key: 12, Version: 7, Queued: true, Value: nil},
+		{Op: OpPut, Key: 12, Version: 7, Value: nil},
 		{Op: OpPut, Key: 13, Version: 8, Tombstone: true},
 		{Op: OpHint, Target: "10.0.0.7:7070", Key: 14, Version: 9, Value: []byte("parked")},
 		{Op: OpHint, Target: "n", Key: 15, Version: 10, Tombstone: true},
@@ -39,7 +39,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpGet, Key: 42, Traced: true, Trace: TraceContext{ID: testTraceID(1), Flags: TraceFlagSampled}},
 		{Op: OpGet, Key: 43, Traced: true, Trace: TraceContext{ID: testTraceID(2)}}, // propagated, unsampled
 		{Op: OpSet, Key: 44, Value: []byte("traced"), Traced: true, Trace: TraceContext{ID: testTraceID(3), Flags: TraceFlagSampled}},
-		{Op: OpPut, Key: 45, Version: 9, Queued: true,
+		{Op: OpPut, Key: 45, Version: 9,
 			Value: []byte("traced repair"), Traced: true, Trace: TraceContext{ID: testTraceID(4), Flags: TraceFlagSampled}},
 		{Op: OpDel, Key: 46, Traced: true, Trace: TraceContext{ID: testTraceID(5), Flags: TraceFlagSampled}},
 	}
@@ -60,7 +60,7 @@ func TestRequestRoundTrip(t *testing.T) {
 			t.Fatalf("read %d: %v", i, err)
 		}
 		if got.Op != want.Op || got.Key != want.Key || got.Detail != want.Detail || got.Version != want.Version ||
-			got.Tombstone != want.Tombstone || got.Queued != want.Queued || got.Target != want.Target {
+			got.Tombstone != want.Tombstone || got.Target != want.Target {
 			t.Fatalf("request %d = %+v, want %+v", i, got, want)
 		}
 		if got.Traced != want.Traced || got.Trace != want.Trace {
@@ -82,7 +82,7 @@ func TestResponseRoundTrip(t *testing.T) {
 	stats := &Stats{
 		Hits: 10, Misses: 3, Evictions: 2, ConflictEvictions: 1, FlushEvictions: 5,
 		Rehashes: 1, Pending: 7, Len: 90, Capacity: 128, Alpha: 8, Buckets: 16,
-		RepairQueueDepth: 12, RepairsShed: 2,
+		RepairSets: 12, StaleRepairs: 2,
 		Migrating: true,
 		Shards: []ShardStat{
 			{Hits: 4, Misses: 1, Evictions: 1, Len: 8},
@@ -94,7 +94,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		{Status: StatusHit, Epoch: 5, Version: 1 << 40, Value: []byte("versioned payload")},
 		{Status: StatusMiss, Epoch: 1 << 50},
 		{Status: StatusOK, Evicted: true},
-		{Status: StatusOK, Evicted: false, Epoch: 9}, // a queued PUT's, REHASH's or HINT's: version 0
+		{Status: StatusOK, Evicted: false, Epoch: 9}, // REHASH's or HINT's: version 0
 		{Status: StatusOK, Evicted: true, Epoch: 9, Version: 12345},
 		{Status: StatusVersionStale, Epoch: 2, Version: 1 << 41},
 		{Status: StatusStats, Stats: stats, Epoch: 3},
@@ -185,8 +185,8 @@ func TestMalformedRequestRejected(t *testing.T) {
 	if _, err := frame([]byte{byte(OpSet), 1, 2, 3}).ReadRequest(); err == nil {
 		t.Fatal("short SET accepted")
 	}
-	// rec builds a PUT or HINT body from its prefix (the PUT's queued byte,
-	// the HINT's target) and the record fields.
+	// rec builds a PUT or HINT body from its prefix (the HINT's target; a
+	// PUT body is exactly one record) and the record fields.
 	rec := func(op Op, prefix []byte, version uint64, tomb byte, value string) []byte {
 		body := append([]byte{byte(op)}, prefix...)
 		body = binary.LittleEndian.AppendUint64(body, 7) // key
@@ -196,10 +196,14 @@ func TestMalformedRequestRejected(t *testing.T) {
 	for _, op := range []struct {
 		op     Op
 		prefix []byte
-	}{{OpPut, []byte{0}}, {OpHint, []byte("\x03a:1")}} {
+	}{{OpPut, nil}, {OpHint, []byte("\x03a:1")}} {
 		// The rules of a record, shared by PUT and HINT through one helper.
-		if _, err := frame(rec(op.op, op.prefix, 5, 0, "v")).ReadRequest(); err != nil {
+		req, err := frame(rec(op.op, op.prefix, 5, 0, "v")).ReadRequest()
+		if err != nil {
 			t.Fatalf("well-formed %v rejected: %v", op.op, err)
+		}
+		if req.Key != 7 || req.Version != 5 || req.Tombstone || string(req.Value) != "v" {
+			t.Fatalf("%v record decoded as %+v", op.op, req)
 		}
 		if _, err := frame(rec(op.op, op.prefix, 0, 0, "v")).ReadRequest(); err == nil {
 			t.Fatalf("%v with a zero version accepted", op.op)
@@ -215,10 +219,7 @@ func TestMalformedRequestRejected(t *testing.T) {
 			t.Fatalf("%v with a truncated record accepted", op.op)
 		}
 	}
-	// The per-op prefixes: a queued byte that is not 0/1, an empty target.
-	if _, err := frame(rec(OpPut, []byte{2}, 5, 0, "v")).ReadRequest(); err == nil {
-		t.Fatal("PUT with queued byte 2 accepted")
-	}
+	// HINT's prefix: an empty target, a truncated one.
 	if _, err := frame(rec(OpHint, []byte{0}, 5, 0, "v")).ReadRequest(); err == nil {
 		t.Fatal("HINT with an empty target accepted")
 	}
