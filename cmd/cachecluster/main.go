@@ -1,27 +1,41 @@
-// Command cachecluster runs cached as a horizontally scaled cluster: keys
-// route to member nodes through a consistent-hash ring (internal/cluster)
-// and each node is an independent α-way set-associative cache, so the
-// paper's intra-node α tradeoff composes with inter-node balance.
+// Command cachecluster is the load driver for cached: keys route to member
+// nodes through a consistent-hash ring (internal/cluster) and each node is
+// an independent α-way set-associative cache, so the paper's intra-node α
+// tradeoff composes with inter-node balance. One member is simply a 1-node
+// ring, which is how a single daemon is driven.
 //
 // It either spawns N in-process nodes on loopback (-spawn, the zero-setup
 // path) or points at already-running cached daemons (-addrs), drives them
-// with the library's workload generators through the routing client, and
-// reports aggregate throughput/latency plus a per-node table: replica-set
-// ownership share, each node's own STATS deltas and its repair-write
-// count — the direct check that consistent hashing spreads both keys and
-// load. A "server:" line merges every member's METRICS histograms (wire
-// v5) into run-only GET/SET service-time p50/p99, printed next to the
-// client-observed latency so transport cost and cache cost can be told
-// apart.
+// with the library's workload generators (uniform, zipf, scan, the Theorem
+// 4 adversarial cycler) or a recorded .satr trace through the routing
+// client, and reports aggregate throughput/latency plus a per-node table:
+// replica-set ownership share, each node's own STATS deltas and its
+// repair-write count — the direct check that consistent hashing spreads
+// both keys and load, and, for one member, that the server's Δhits/Δmisses
+// equal the client's hits/misses. A "server:" line merges every member's
+// METRICS histograms (wire v5) into run-only GET/SET service-time p50/p99,
+// printed next to the client-observed latency so transport cost and cache
+// cost can be told apart, and a "shards:" line per member gives its bucket
+// occupancy spread.
 //
 // Usage:
 //
 //	cachecluster -spawn 3 -k 65536 -alpha 16 -workload zipf -ops 1000000
 //	cachecluster -addrs h1:7070,h2:7070,h3:7070 -workload uniform -conns 8
+//	cachecluster -addrs :7070 -workload zipf -universe 200000 -ops 1000000 -conns 8
+//	cachecluster -addrs :7070 -workload adversarial -ops 500000 -conns 4
+//	cachecluster -addrs :7070 -trace workload.satr -ops 1000000
+//	cachecluster -addrs :7070 -rehash            # online rehash, migrating under the run
 //	cachecluster -spawn 4 -open -rate 200000 -duration 30s
 //	cachecluster -spawn 3 -replicas 2 -write-quorum 1 -workload zipf
 //	cachecluster -addrs h1:7070 -bootstrap -workload zipf
 //	cachecluster -spawn 3 -workload zipf -zipf-s 1.4 -leases -near-slots 1024
+//
+// The adversarial workload reads the members' capacities via STATS and
+// builds the Theorem 4 cyclic sequence for their sum k: s disjoint sets of
+// (1−δ)k items, each replayed t times. Against a small-α server this
+// manufactures conflict misses on every cycle; watch the conflict counter
+// in the aggregate line.
 //
 // With -bootstrap the -addrs list is treated as seeds only: the actual
 // membership is discovered from the highest-epoch MEMBERS view any seed
@@ -50,18 +64,23 @@
 // a "leases:" line (client-side tallies) and a "srv leases:" line (the
 // members' grant/expiry/stale-serve counters).
 //
-// With -open -rate R the harness uses the open-loop rate-paced schedule
-// with coordinated-omission-safe percentiles (see internal/load). -rehash
-// fans an online REHASH out to every member before the run.
+// The default mode is closed-loop (offered load adapts to server latency;
+// right for "how fast can it go"). With -open -rate R the harness uses the
+// open-loop rate-paced schedule with coordinated-omission-safe percentiles
+// (right for "what is p99 at R ops/s"; see internal/load). -rehash fans an
+// online REHASH out to every member before the run.
 //
 // With -trace-sample N every worker stamps every N-th of its batches
 // with a sampled trace context (wire v6): each member records a span per
 // hop it served, and after the run the harness joins the slowest traced
 // slow op's spans across nodes — the cross-node path of one sampled
-// request, queue waits included. Independently of sampling, every run
-// ends with the cluster-wide hot-key table: the merged top-K key sketch
-// per op class (GET/SET/DEL/EVICT), which is where a hot-key storm or a
+// request. Independently of sampling, every run ends with the cluster-wide
+// hot-key table: the merged top-K key sketch per op class
+// (GET/SET/DEL/EVICT), which is where a hot-key storm or a
 // conflict-pressure key shows up by name (well, by key hash).
+//
+// Invalid flags are rejected before any node is spawned, and a run that
+// read a hit carrying another key's payload (corrupt > 0) exits nonzero.
 package main
 
 import (
@@ -73,54 +92,76 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/adversary"
 	"repro/internal/cluster"
 	"repro/internal/concurrent"
 	"repro/internal/load"
 	"repro/internal/policy"
 	"repro/internal/server"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
-func main() {
-	var (
-		spawn    = flag.Int("spawn", 0, "spawn this many in-process nodes on loopback")
-		addrs    = flag.String("addrs", "", "comma-separated addresses of running cached nodes (alternative to -spawn)")
-		boot     = flag.Bool("bootstrap", false, "treat -addrs as seeds: discover the membership via MEMBERS")
-		vnodes   = flag.Int("vnodes", 0, "virtual nodes per member on the ring (0 = default)")
-		replicas = flag.Int("replicas", 0, "owners per key R (0 or 1 = unreplicated)")
-		quorum   = flag.Int("write-quorum", 0, "owners that must ack a SET, W of R (0 = all R)")
-		k        = flag.Int("k", 1<<16, "per-node cache capacity (spawned nodes)")
-		alpha    = flag.Int("alpha", 16, "per-node set size α (spawned nodes)")
-		polName  = flag.String("policy", defaultPolicy, "per-bucket replacement policy (spawned nodes)")
-		seed     = flag.Uint64("seed", 1, "hash/workload seed")
-		conns    = flag.Int("conns", 4, "concurrent router clients (workers)")
-		ops      = flag.Int("ops", 1_000_000, "total GET operations")
-		pipeline = flag.Int("pipeline", 16, "requests per round trip")
-		valSize  = flag.Int("valsize", 64, "value payload bytes for read-through SETs")
-		wl       = flag.String("workload", "zipf", "uniform|zipf|scan")
-		universe = flag.Int("universe", 1<<18, "workload universe size")
-		zipfS    = flag.Float64("zipf-s", 0.99, "zipf skew exponent")
-		readThru = flag.Bool("readthrough", true, "SET every missed key (read-through)")
-		verify   = flag.Bool("verify", true, "verify hit payloads carry their key")
-		rehash   = flag.Bool("rehash", false, "fan REHASH out to all members before the run")
-		open     = flag.Bool("open", false, "open-loop mode: rate-paced arrivals, coordinated-omission-safe percentiles")
-		rate     = flag.Float64("rate", 0, "intended aggregate GET rate in ops/sec (open-loop mode, required)")
-		duration = flag.Duration("duration", 0, "stop issuing after this long (open-loop mode; 0 = when ops are exhausted)")
-		traceSm  = flag.Int("trace-sample", 0, "stamp every Nth batch per worker with a sampled trace context (0 = tracing off)")
-		leases   = flag.Bool("leases", false, "lease/singleflight misses (wire v7 GETL): one fill per cold key cluster-wide, concurrent missers wait or eat a stale hint")
-		nearSl   = flag.Int("near-slots", 0, "per-worker near-cache slots (0 = off): serve repeat reads in-process, version-invalidated")
-		nearTTL  = flag.Duration("near-ttl", 0, "near-cache entry TTL (0 = default); the staleness budget granted to the client edge")
-		antiEnt  = flag.Duration("anti-entropy", 0, "background anti-entropy sweep period (wire v8, 0 = off): compare replica record sets and repair divergence, tombstones included")
-	)
-	flag.Parse()
+// config is the parsed command line.
+type config struct {
+	spawn, vnodes, replicas, quorum, k, alpha    int
+	addrs, polName, wl, traceIn                  string
+	boot, readThru, verify, rehash, open, leases bool
+	seed                                         uint64
+	conns, ops, pipeline, valSize, universe      int
+	zipfS, advDelta, rate                        float64
+	advSets, advReps, traceSample, nearSlots     int
+	duration, nearTTL, antiEntropy               time.Duration
+}
 
-	if err := validateFlags(*spawn, *addrs, *boot, *replicas, *quorum, *vnodes, *conns, *ops, *pipeline, *valSize, *universe, *open, *rate, *duration); err != nil {
+// defineFlags registers every flag on fs and returns the config they fill.
+func defineFlags(fs *flag.FlagSet) *config {
+	c := &config{}
+	fs.IntVar(&c.spawn, "spawn", 0, "spawn this many in-process nodes on loopback")
+	fs.StringVar(&c.addrs, "addrs", "", "comma-separated addresses of running cached nodes (alternative to -spawn)")
+	fs.BoolVar(&c.boot, "bootstrap", false, "treat -addrs as seeds: discover the membership via MEMBERS")
+	fs.IntVar(&c.vnodes, "vnodes", 0, "virtual nodes per member on the ring (0 = default)")
+	fs.IntVar(&c.replicas, "replicas", 0, "owners per key R (0 or 1 = unreplicated)")
+	fs.IntVar(&c.quorum, "write-quorum", 0, "owners that must ack a SET, W of R (0 = all R)")
+	fs.IntVar(&c.k, "k", 1<<16, "per-node cache capacity (spawned nodes)")
+	fs.IntVar(&c.alpha, "alpha", 16, "per-node set size α (spawned nodes)")
+	fs.StringVar(&c.polName, "policy", defaultPolicy, "per-bucket replacement policy (spawned nodes)")
+	fs.Uint64Var(&c.seed, "seed", 1, "hash/workload seed")
+	fs.IntVar(&c.conns, "conns", 4, "concurrent router clients (workers)")
+	fs.IntVar(&c.ops, "ops", 1_000_000, "total GET operations")
+	fs.IntVar(&c.pipeline, "pipeline", 16, "requests per round trip")
+	fs.IntVar(&c.valSize, "valsize", 64, "value payload bytes for read-through SETs")
+	fs.StringVar(&c.wl, "workload", "zipf", "uniform|zipf|scan|adversarial")
+	fs.IntVar(&c.universe, "universe", 1<<18, "workload universe size")
+	fs.Float64Var(&c.zipfS, "zipf-s", 0.99, "zipf skew exponent")
+	fs.Float64Var(&c.advDelta, "adv-delta", 0.1, "adversarial capacity gap δ")
+	fs.IntVar(&c.advSets, "adv-sets", 4, "adversarial disjoint set count s")
+	fs.IntVar(&c.advReps, "adv-reps", 8, "adversarial replays per set t")
+	fs.StringVar(&c.traceIn, "trace", "", "replay a .satr trace instead of a generator")
+	fs.BoolVar(&c.readThru, "readthrough", true, "SET every missed key (read-through)")
+	fs.BoolVar(&c.verify, "verify", true, "verify hit payloads carry their key")
+	fs.BoolVar(&c.rehash, "rehash", false, "fan REHASH out to all members before the run")
+	fs.BoolVar(&c.open, "open", false, "open-loop mode: rate-paced arrivals, coordinated-omission-safe percentiles")
+	fs.Float64Var(&c.rate, "rate", 0, "intended aggregate GET rate in ops/sec (open-loop mode, required)")
+	fs.DurationVar(&c.duration, "duration", 0, "stop issuing after this long (open-loop mode; 0 = when ops are exhausted)")
+	fs.IntVar(&c.traceSample, "trace-sample", 0, "stamp every Nth batch per worker with a sampled trace context (0 = tracing off)")
+	fs.BoolVar(&c.leases, "leases", false, "lease/singleflight misses (wire v7 GETL): one fill per cold key cluster-wide, concurrent missers wait or eat a stale hint")
+	fs.IntVar(&c.nearSlots, "near-slots", 0, "per-worker near-cache slots (0 = off): serve repeat reads in-process, version-invalidated")
+	fs.DurationVar(&c.nearTTL, "near-ttl", 0, "near-cache entry TTL (0 = default); the staleness budget granted to the client edge")
+	fs.DurationVar(&c.antiEntropy, "anti-entropy", 0, "background anti-entropy sweep period (wire v8, 0 = off): compare replica record sets and repair divergence, tombstones included")
+	return c
+}
+
+func main() {
+	c := defineFlags(flag.CommandLine)
+	flag.Parse()
+	if err := validateFlags(c); err != nil {
 		fatal(err)
 	}
 
-	members, cleanup, err := buildMembers(*spawn, *addrs, *k, *alpha, *polName, *seed)
+	members, cleanup, err := buildMembers(c.spawn, c.addrs, c.k, c.alpha, c.polName, c.seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -129,30 +170,18 @@ func main() {
 	// The replication configuration was validated against the member count
 	// up front (validateFlags); under -bootstrap the membership is only
 	// known after discovery, so cluster.Dial re-checks it there.
-	if *traceSm < 0 {
-		fatal(fmt.Errorf("-trace-sample %d: sampling interval must not be negative", *traceSm))
-	}
-	if *nearSl < 0 {
-		fatal(fmt.Errorf("-near-slots %d: slot count must not be negative", *nearSl))
-	}
-	if *nearTTL < 0 {
-		fatal(fmt.Errorf("-near-ttl %v: TTL must not be negative", *nearTTL))
-	}
-	if *antiEnt < 0 {
-		fatal(fmt.Errorf("-anti-entropy %v: sweep period must not be negative", *antiEnt))
-	}
 	opts := cluster.Options{
-		VNodes: *vnodes, Replicas: *replicas, WriteQuorum: *quorum, Bootstrap: *boot,
-		TraceSample: *traceSm, Leases: *leases,
-		NearCache:   cluster.NearCacheOptions{Slots: *nearSl, TTL: *nearTTL},
-		AntiEntropy: *antiEnt,
+		VNodes: c.vnodes, Replicas: c.replicas, WriteQuorum: c.quorum, Bootstrap: c.boot,
+		TraceSample: c.traceSample, Leases: c.leases,
+		NearCache:   cluster.NearCacheOptions{Slots: c.nearSlots, TTL: c.nearTTL},
+		AntiEntropy: c.antiEntropy,
 	}
 	ctl, err := cluster.Dial(members, opts)
 	if err != nil {
 		fatal(err)
 	}
 	defer ctl.Close()
-	if *rehash {
+	if c.rehash {
 		if err := ctl.RehashAll(); err != nil {
 			fatal(err)
 		}
@@ -171,30 +200,23 @@ func main() {
 		fatal(err)
 	}
 
-	var gen workload.Generator
-	switch *wl {
-	case "uniform":
-		gen = workload.Uniform{Universe: *universe}
-	case "zipf":
-		gen = workload.Zipf{Universe: *universe, S: *zipfS, Shuffle: true}
-	case "scan":
-		gen = workload.Scan{Universe: *universe}
-	default:
-		fatal(fmt.Errorf("unknown workload %q", *wl))
+	gen, err := generator(c, int(cluster.AggregateStats(before).Capacity))
+	if err != nil {
+		fatal(err)
 	}
-	keys := gen.Generate(*ops, *seed)
+	keys := gen.Generate(c.ops, c.seed)
 
 	res, err := load.Run(load.Config{
 		Dial:        func() (load.Conn, error) { return cluster.Dial(members, opts) },
-		Conns:       *conns,
+		Conns:       c.conns,
 		Keys:        keys,
-		Pipeline:    *pipeline,
-		ValueSize:   *valSize,
-		ReadThrough: *readThru,
-		Verify:      *verify,
-		OpenLoop:    *open,
-		Rate:        *rate,
-		Duration:    *duration,
+		Pipeline:    c.pipeline,
+		ValueSize:   c.valSize,
+		ReadThrough: c.readThru,
+		Verify:      c.verify,
+		OpenLoop:    c.open,
+		Rate:        c.rate,
+		Duration:    c.duration,
 	})
 	if err != nil {
 		fatal(err)
@@ -204,33 +226,33 @@ func main() {
 	if res.OpenLoop {
 		mode = fmt.Sprintf("open-loop @ %.0f ops/s intended", res.IntendedRate)
 	}
-	if *replicas > 1 {
-		w := *quorum
+	if c.replicas > 1 {
+		w := c.quorum
 		if w == 0 {
-			w = *replicas
+			w = c.replicas
 		}
-		mode += fmt.Sprintf(", R=%d W=%d", *replicas, w)
+		mode += fmt.Sprintf(", R=%d W=%d", c.replicas, w)
 	}
-	if *leases {
+	if c.leases {
 		mode += ", leases"
 	}
-	if *nearSl > 0 {
-		mode += fmt.Sprintf(", near=%d", *nearSl)
+	if c.nearSlots > 0 {
+		mode += fmt.Sprintf(", near=%d", c.nearSlots)
 	}
 	fmt.Printf("cluster of %d nodes, workload %s: %d ops over %d conns (pipeline %d, %s) in %v\n",
-		len(members), gen.Name(), res.Ops, *conns, *pipeline, mode, res.Elapsed.Round(time.Millisecond))
+		len(members), gen.Name(), res.Ops, c.conns, c.pipeline, mode, res.Elapsed.Round(time.Millisecond))
 	fmt.Printf("  throughput: %12.0f GET/s\n", res.Throughput)
 	lat := ""
 	if res.OpenLoop {
 		lat = ", from intended send time"
 	}
 	fmt.Printf("  latency:    p50=%v p90=%v p99=%v max=%v (per %d-deep batch%s)\n",
-		res.Latency.P50, res.Latency.P90, res.Latency.P99, res.Latency.Max, *pipeline, lat)
+		res.Latency.P50, res.Latency.P90, res.Latency.P99, res.Latency.Max, c.pipeline, lat)
 	fmt.Printf("  client:     hits=%d misses=%d (miss ratio %.4f) sets=%d repairs=%d stale=%d refreshes=%d corrupt=%d\n",
 		res.Hits, res.Misses, res.MissRatio(), res.Sets, res.Repairs, res.StaleRepairs, res.Refreshes, res.Corrupt)
 	fmt.Printf("  memory:     %.2f allocs/op, gc-pause %v (harness process)\n",
 		res.AllocsPerOp, res.GCPause.Round(time.Microsecond))
-	if *leases || *nearSl > 0 {
+	if c.leases || c.nearSlots > 0 {
 		fmt.Printf("  leases:     nearhits=%d stalehints=%d grants=%d lost=%d waits=%d\n",
 			res.NearHits, res.StaleHints, res.LeaseGrants, res.LeaseLost, res.LeaseWaits)
 	}
@@ -241,16 +263,17 @@ func main() {
 	}
 	printServerLatency(msBefore, msAfter)
 
-	after, err := ctl.StatsAll(false)
+	after, err := ctl.StatsAll(true)
 	if err != nil {
 		fatal(err)
 	}
 	printBalance(ctl, before, after)
+	printShards(ctl.Nodes(), after)
 
 	agg := cluster.AggregateStats(after)
-	fmt.Printf("  aggregate:  len=%d/%d evictions=%d conflict=%d flush=%d rehashes=%d sets=%d repairs=%d stale=%d migrating=%v\n",
-		agg.Len, agg.Capacity, agg.Evictions, agg.ConflictEvictions,
-		agg.FlushEvictions, agg.Rehashes, agg.Sets, agg.RepairSets, agg.StaleRepairs, agg.Migrating)
+	fmt.Printf("  aggregate:  len=%d/%d evictions=%d conflict=%d flush=%d sets=%d repairs=%d stale=%d rehashes=%d migrating=%v pending=%d\n",
+		agg.Len, agg.Capacity, agg.Evictions, agg.ConflictEvictions, agg.FlushEvictions,
+		agg.Sets, agg.RepairSets, agg.StaleRepairs, agg.Rehashes, agg.Migrating, agg.Pending)
 	if agg.LeasesGranted+agg.LeasesExpired+agg.StaleServes > 0 {
 		fmt.Printf("  srv leases: granted=%d expired=%d staleserves=%d (summed over cluster)\n",
 			agg.LeasesGranted, agg.LeasesExpired, agg.StaleServes)
@@ -264,9 +287,48 @@ func main() {
 	}
 	aggHot := cluster.AggregateMetrics(msHot)
 	printHotKeys(aggHot)
-	if *traceSm > 0 {
+	if c.traceSample > 0 {
 		printTraceJoin(msHot, aggHot)
 	}
+	if res.Corrupt > 0 {
+		fatal(fmt.Errorf("%d hits carried another key's payload", res.Corrupt))
+	}
+}
+
+// generator builds the key stream's source: a replayed .satr trace, the
+// Theorem 4 cycler sized to capacity (the members' summed k), or one of
+// the synthetic generators.
+func generator(c *config, capacity int) (workload.Generator, error) {
+	if c.traceIn != "" {
+		f, err := os.Open(c.traceIn)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		seq, err := trace.Read(f)
+		if err != nil {
+			return nil, err
+		}
+		return workload.Fixed{Label: fmt.Sprintf("trace(%s)", c.traceIn), Seq: seq}, nil
+	}
+	switch c.wl {
+	case "uniform":
+		return workload.Uniform{Universe: c.universe}, nil
+	case "zipf":
+		return workload.Zipf{Universe: c.universe, S: c.zipfS, Shuffle: true}, nil
+	case "scan":
+		return workload.Scan{Universe: c.universe}, nil
+	case "adversarial":
+		adv := adversary.Theorem4{K: capacity, Delta: c.advDelta, Sets: c.advSets, Reps: c.advReps}
+		if err := adv.Validate(); err != nil {
+			return nil, err
+		}
+		return workload.Fixed{
+			Label: fmt.Sprintf("theorem4(k=%d,δ=%.2f,s=%d,t=%d)", adv.K, c.advDelta, c.advSets, c.advReps),
+			Seq:   adv.Build(),
+		}, nil
+	}
+	return nil, fmt.Errorf("unknown workload %q", c.wl)
 }
 
 // printHotKeys tabulates the merged space-saving sketch per op class: the
@@ -417,6 +479,22 @@ func printBalance(ctl *cluster.Client, before, after map[string]*wire.Stats) {
 	}
 }
 
+// printShards prints, per member, how evenly its indexing hash filled its
+// k/α buckets: the occupancy spread behind the node's conflict evictions.
+func printShards(nodes []string, stats map[string]*wire.Stats) {
+	for _, m := range nodes {
+		st := stats[m]
+		if st == nil || len(st.Shards) == 0 {
+			continue
+		}
+		minL, maxL := st.Shards[0].Len, st.Shards[0].Len
+		for _, sh := range st.Shards {
+			minL, maxL = min(minL, sh.Len), max(maxL, sh.Len)
+		}
+		fmt.Printf("  shards:     %-22s %d buckets, occupancy min=%d max=%d\n", m, len(st.Shards), minL, maxL)
+	}
+}
+
 // defaultPolicy is the -policy default.
 const defaultPolicy = "lru"
 
@@ -462,36 +540,51 @@ func buildMembers(spawn int, addrs string, k, alpha int, polName string, seed ui
 	return members, cleanup, nil
 }
 
-// validateFlags rejects nonsensical parameters up front with a clear
-// error — including the replication configuration against the member
-// count, which used to surface only as a late cluster.Dial error after the
-// nodes had already been spawned; the harness flags shared with cacheload
-// are checked by load.ValidateHarnessFlags.
-func validateFlags(spawn int, addrs string, boot bool, replicas, quorum, vnodes, conns, ops, pipeline, valSize, universe int, open bool, rate float64, duration time.Duration) error {
+// validateFlags rejects nonsensical parameters with a clear error before
+// any node is spawned — including the replication configuration against
+// the member count; the harness flags are checked by
+// load.ValidateHarnessFlags.
+func validateFlags(c *config) error {
 	switch {
-	case spawn < 0:
-		return fmt.Errorf("-spawn %d: node count must not be negative", spawn)
-	case spawn == 0 && addrs == "":
+	case c.spawn < 0:
+		return fmt.Errorf("-spawn %d: node count must not be negative", c.spawn)
+	case c.spawn == 0 && c.addrs == "":
 		return fmt.Errorf("need members: -spawn N or -addrs a,b,c")
-	case spawn > 0 && addrs != "":
+	case c.spawn > 0 && c.addrs != "":
 		return fmt.Errorf("-spawn and -addrs are mutually exclusive")
-	case boot && addrs == "":
+	case c.boot && c.addrs == "":
 		return fmt.Errorf("-bootstrap needs seed addresses: -addrs a[,b,...]")
-	case vnodes < 0:
-		return fmt.Errorf("-vnodes %d: virtual node count must not be negative", vnodes)
+	case c.vnodes < 0:
+		return fmt.Errorf("-vnodes %d: virtual node count must not be negative", c.vnodes)
+	case c.traceSample < 0:
+		return fmt.Errorf("-trace-sample %d: sampling interval must not be negative", c.traceSample)
+	case c.nearSlots < 0:
+		return fmt.Errorf("-near-slots %d: slot count must not be negative", c.nearSlots)
+	case c.nearTTL < 0:
+		return fmt.Errorf("-near-ttl %v: TTL must not be negative", c.nearTTL)
+	case c.antiEntropy < 0:
+		return fmt.Errorf("-anti-entropy %v: sweep period must not be negative", c.antiEntropy)
+	case c.wl != "uniform" && c.wl != "zipf" && c.wl != "scan" && c.wl != "adversarial":
+		return fmt.Errorf("-workload %q: want uniform, zipf, scan or adversarial", c.wl)
+	case c.advDelta <= 0 || c.advDelta >= 1:
+		return fmt.Errorf("-adv-delta %v: capacity gap must be in (0, 1)", c.advDelta)
+	case c.advSets <= 0:
+		return fmt.Errorf("-adv-sets %d: set count must be positive", c.advSets)
+	case c.advReps <= 0:
+		return fmt.Errorf("-adv-reps %d: replay count must be positive", c.advReps)
 	}
-	if !boot {
+	if !c.boot {
 		// Under -bootstrap the membership is discovered, not declared, so
 		// only cluster.Dial can check R/W against it.
-		n := spawn
-		if addrs != "" {
-			n = len(strings.Split(addrs, ","))
+		n := c.spawn
+		if c.addrs != "" {
+			n = len(strings.Split(c.addrs, ","))
 		}
-		if err := cluster.ValidateReplication(replicas, quorum, n); err != nil {
+		if err := cluster.ValidateReplication(c.replicas, c.quorum, n); err != nil {
 			return err
 		}
 	}
-	return load.ValidateHarnessFlags(conns, ops, pipeline, valSize, universe, open, rate, duration)
+	return load.ValidateHarnessFlags(c.conns, c.ops, c.pipeline, c.valSize, c.universe, c.open, c.rate, c.duration)
 }
 
 func fatal(err error) {

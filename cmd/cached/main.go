@@ -28,7 +28,7 @@
 // concurrent.DefaultEveryMisses), and -rehash-conflicts M adds the adaptive
 // trigger: rehash every M conflict evictions, so an adversarially exploited
 // hash is redrawn long before the miss-count schedule would fire. Clients
-// can also force a rehash with the REHASH opcode (cacheload -rehash). STATS
+// can also force a rehash with the REHASH opcode (cachecluster -rehash). STATS
 // exposes hit/miss/conflict counters and, on request, per-shard snapshots.
 //
 // With -debug-addr the daemon additionally serves an operator side-channel

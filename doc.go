@@ -41,7 +41,7 @@
 // networked sharded cache. internal/wire defines a compact length-prefixed
 // binary protocol (GET/SET/DEL/STATS/REHASH, batched pipelining);
 // internal/server serves a concurrent.Cache over TCP; cmd/cached is the
-// daemon and cmd/cacheload the closed-loop load generator, driven by
+// daemon and cmd/cachecluster the closed-loop load driver, driven by
 // internal/workload generators or recorded traces via internal/load. The
 // concurrent cache supports *online* incremental rehashing — the Section
 // 6.1 algorithm under per-bucket locks, so a live service can apply the

@@ -275,8 +275,8 @@ func (cfg Config) Validate() error {
 }
 
 // ValidateHarnessFlags rejects nonsensical harness command-line parameters
-// with flag-style error messages; cmd/cacheload and cmd/cachecluster share
-// it so the rules cannot drift. Config.Validate re-checks the subset that
+// with flag-style error messages for cmd/cachecluster; keeping them here
+// keeps the rules from drifting. Config.Validate re-checks the subset that
 // reaches Run.
 func ValidateHarnessFlags(conns, ops, pipeline, valSize, universe int, open bool, rate float64, duration time.Duration) error {
 	switch {

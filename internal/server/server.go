@@ -7,7 +7,7 @@
 // the shared cache, so cross-connection contention is exactly per-bucket
 // lock contention, and the α-tradeoff (fewer slots per bucket → more
 // buckets → less contention, but more conflict misses) is measurable from
-// the outside with cmd/cacheload.
+// the outside with cmd/cachecluster.
 //
 // An online REHASH can be requested over the wire at any time; it uses the
 // cache's incremental migration (Section 6.1 of the paper), so live traffic

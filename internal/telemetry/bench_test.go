@@ -8,7 +8,7 @@ import (
 )
 
 // BenchmarkRecord measures the hot-path cost of one histogram sample —
-// the number cmd/benchrun reports as record_ns_per_op and compares to the
+// the number TestRecordShareOfGetP50 (internal/server) compares to the
 // per-op service time to bound instrumentation overhead.
 func BenchmarkRecord(b *testing.B) {
 	var h Histogram

@@ -9,7 +9,7 @@
 //   - Recording must be lock-free and allocation-free. Histogram.Record is
 //     a bucket-index computation plus one atomic add; Counter.Add is one
 //     atomic. A test pins 0 allocs/op and CI fails on regression
-//     (cmd/benchrun).
+//     (TestRecordZeroAllocs).
 //   - Snapshots must be mergeable: the cluster router fans METRICS out to
 //     every member and merges the per-node histograms into one cluster
 //     view, so HistogramSnapshot.Merge(a, b) of two nodes' snapshots must
@@ -105,7 +105,7 @@ func (h *Histogram) Record(d time.Duration) {
 // RecordNanos adds one sample of ns nanoseconds. It is a single atomic
 // add — the sample's sum contribution is reconstructed from the bucket
 // midpoint at snapshot time, trading exact means for half the hot-path
-// cost (the overhead budget cmd/benchrun enforces against GET p50).
+// cost (the overhead budget TestRecordShareOfGetP50 holds against GET p50).
 func (h *Histogram) RecordNanos(ns uint64) {
 	h.counts[bucketIndex(ns)].Add(1)
 }

@@ -1,6 +1,6 @@
 // Package wire defines the compact binary protocol spoken between the
 // cached server (internal/server, cmd/cached) and its clients
-// (cmd/cacheload, the cluster router in internal/cluster, and the load
+// (cmd/cachecluster through the cluster router in internal/cluster, and the load
 // harness in internal/load). The authoritative byte-level specification
 // lives in ARCHITECTURE.md at the repository root; a spec test
 // (spec_test.go) keeps that document and this package in lockstep.
