@@ -49,7 +49,9 @@ func benchClient(tb testing.TB) *wire.Client {
 // is inside the gate, not just the client codec. GetShared is the
 // zero-copy read; plain Get adds exactly the one documented copy; a
 // 16-deep GetBatch on the direct client is allocation-free per batch (the
-// router's batches are TestRouterGetBatchAllocs's).
+// router's batches are TestRouterGetBatchAllocs's), also when every value
+// is 4 KiB and so travels as its own zero-copy segment of the server's
+// vectored write.
 func TestGetRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates per operation; alloc gate runs without -race")
@@ -58,19 +60,35 @@ func TestGetRoundTripAllocs(t *testing.T) {
 	if _, err := c.Set(42, wirePayload(64)); err != nil {
 		t.Fatal(err)
 	}
-	batch := make([]uint64, 16)
-	for i := range batch {
-		batch[i] = uint64(i)
-		if _, err := c.Set(batch[i], wirePayload(64)); err != nil {
-			t.Fatal(err)
+	// batch(base, size) stores 16 keys from base with size-byte values.
+	batch := func(base uint64, size int) []uint64 {
+		keys := make([]uint64, 16)
+		for i := range keys {
+			keys[i] = base + uint64(i)
+			if _, err := c.Set(keys[i], wirePayload(size)); err != nil {
+				t.Fatal(err)
+			}
 		}
+		return keys
 	}
+	small, large := batch(0, 64), batch(100, 4<<10)
 	hit := func(v []byte, ok bool, err error) {
 		if err != nil || !ok || len(v) != 64 {
 			t.Fatalf("get: ok=%v len=%d err=%v", ok, len(v), err)
 		}
 	}
-	visit := func(i int, ok bool, v []byte) { hit(v, ok, nil) }
+	getBatch := func(keys []uint64, size int) func() {
+		visit := func(i int, ok bool, v []byte) {
+			if !ok || len(v) != size {
+				t.Fatalf("get %d: ok=%v len=%d, want %d", keys[i], ok, len(v), size)
+			}
+		}
+		return func() {
+			if err := c.GetBatch(keys, visit); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	for _, row := range []struct {
 		name string
 		want float64 // allocations per call
@@ -78,11 +96,8 @@ func TestGetRoundTripAllocs(t *testing.T) {
 	}{
 		{"GetShared", 0, func() { hit(c.GetShared(42)) }},
 		{"Get", 1, func() { hit(c.Get(42)) }},
-		{"GetBatch16", 0, func() {
-			if err := c.GetBatch(batch, visit); err != nil {
-				t.Fatal(err)
-			}
-		}},
+		{"GetBatch16", 0, getBatch(small, 64)},
+		{"GetBatch16/4KiB", 0, getBatch(large, 4<<10)},
 	} {
 		// Warm the path: the first vectored write allocates the connection's
 		// iovec array, and the codec buffers grow to their steady size.
@@ -195,23 +210,26 @@ func TestRecordShareOfGetP50(t *testing.T) {
 
 // TestSetRoundTripAllocs pins the SET round trip at the server's two
 // inherent allocations — the copy that retains the value and the entry
-// header — with zero on the client side.
+// header — with zero on the client side, also for a 4 KiB value, which
+// the client sends as its own zero-copy segment of a vectored write.
 func TestSetRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates per operation; alloc gate runs without -race")
 	}
 	c := benchClient(t)
-	val := wirePayload(64)
-	set := func() {
-		if _, err := c.Set(42, val); err != nil {
-			t.Fatal(err)
+	for _, size := range []int{64, 4 << 10} {
+		val := wirePayload(size)
+		set := func() {
+			if _, err := c.Set(42, val); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for i := 0; i < 128; i++ {
-		set()
-	}
-	if allocs := testing.AllocsPerRun(400, set); allocs > 2.1 {
-		t.Errorf("SET round trip allocates %.2f objects/op, want ≤2 (server copy-to-retain + entry)", allocs)
+		for i := 0; i < 128; i++ {
+			set()
+		}
+		if allocs := testing.AllocsPerRun(400, set); allocs > 2.1 {
+			t.Errorf("%d B SET round trip allocates %.2f objects/op, want ≤2 (server copy-to-retain + entry)", size, allocs)
+		}
 	}
 }
 

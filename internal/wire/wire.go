@@ -725,6 +725,7 @@ type Writer struct {
 	out   io.Writer
 	chunk []byte      // frames encoded in place; chunk[mark:] is not yet sealed
 	segs  net.Buffers // sealed flush segments: chunk regions + zero-copy values
+	send  net.Buffers // segs' header as a vectored write consumes it
 	mark  int         // start of the unsealed tail of chunk
 	err   error       // sticky flush error
 	idle  int         // consecutive small flushes with an oversized chunk
@@ -758,10 +759,13 @@ func (w *Writer) Flush() error {
 	case 1:
 		_, err = w.out.Write(w.segs[0])
 	default:
+		// Both writes consume the slice header they are handed, so they get
+		// send, not segs, whose capacity must outlive the flush.
+		w.send = w.segs
 		if bw, ok := w.out.(BuffersWriter); ok {
-			_, err = bw.WriteBuffers(&w.segs)
+			_, err = bw.WriteBuffers(&w.send)
 		} else {
-			_, err = w.segs.WriteTo(w.out)
+			_, err = w.send.WriteTo(w.out)
 		}
 	}
 	// Drop segment references either way: on success they are sent, on

@@ -76,8 +76,8 @@ func (u Uniform) Generate(n int, seed uint64) trace.Sequence {
 
 // Zipf draws requests from a Zipf distribution over a finite universe:
 // item rank i (1-based) has probability proportional to 1/i^S. It uses an
-// exact inverse-CDF sampler with binary search, valid for any S ≥ 0
-// (S = 0 degenerates to uniform).
+// exact inverse-CDF sampler (zipfSampler), valid for any S ≥ 0 (S = 0
+// degenerates to uniform).
 type Zipf struct {
 	Universe int
 	S        float64
@@ -96,7 +96,7 @@ func (z Zipf) Generate(n int, seed uint64) trace.Sequence {
 	if z.Universe <= 0 {
 		panic("workload: Zipf.Universe must be positive")
 	}
-	cdf := zipfCDF(z.Universe, z.S)
+	zs := newZipfSampler(z.Universe, z.S)
 	r := newRNG(seed)
 
 	perm := identityPerm(z.Universe)
@@ -106,15 +106,25 @@ func (z Zipf) Generate(n int, seed uint64) trace.Sequence {
 
 	out := make(trace.Sequence, n)
 	for i := range out {
-		u := r.float64()
-		rank := searchCDF(cdf, u)
-		out[i] = z.Base + trace.Item(perm[rank])
+		out[i] = z.Base + trace.Item(perm[zs.rank(r.float64())])
 	}
 	return out
 }
 
-// zipfCDF returns the cumulative distribution over ranks 0..universe-1.
-func zipfCDF(universe int, s float64) []float64 {
+// zipfSampler inverts the Zipf CDF over ranks 0..universe-1 exactly:
+// rank(u) is the smallest i with cdf[i] > u. A guide table (Chen & Asau,
+// "On generating random variates from an empirical distribution", AIIE
+// Trans. 1974) starts the search near the answer instead of binary
+// searching the whole CDF: guide[j] is the smallest i whose own bucket
+// int(cdf[i]*m) is at least j. Since cdf[rank(u)] > u, the answer's bucket
+// is at least u's, so guide[int(u*m)] never overshoots it; with
+// m = universe the forward scan from there averages about two comparisons.
+type zipfSampler struct {
+	cdf   []float64
+	guide []int32
+}
+
+func newZipfSampler(universe int, s float64) zipfSampler {
 	cdf := make([]float64, universe)
 	total := 0.0
 	for i := 0; i < universe; i++ {
@@ -124,22 +134,26 @@ func zipfCDF(universe int, s float64) []float64 {
 	for i := range cdf {
 		cdf[i] /= total
 	}
-	cdf[universe-1] = 1 // guard against rounding
-	return cdf
+	cdf[universe-1] = 1 // guard against rounding; also ends every scan
+	guide := make([]int32, universe)
+	m, i := float64(universe), 0
+	for j := range guide {
+		for int(cdf[i]*m) < j {
+			i++
+		}
+		guide[j] = int32(i)
+	}
+	return zipfSampler{cdf: cdf, guide: guide}
 }
 
-// searchCDF returns the smallest index i with cdf[i] > u.
-func searchCDF(cdf []float64, u float64) int {
-	lo, hi := 0, len(cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cdf[mid] > u {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+// rank maps u in [0, 1) to its rank. u*m rounds below m for every u < 1,
+// so int(u*m) indexes the guide table.
+func (z zipfSampler) rank(u float64) int {
+	i := int(z.guide[int(u*float64(len(z.guide)))])
+	for z.cdf[i] <= u {
+		i++
 	}
-	return lo
+	return i
 }
 
 func identityPerm(n int) []int {
@@ -240,7 +254,7 @@ func (z ZipfWithScans) Generate(n int, seed uint64) trace.Sequence {
 	if z.HotUniverse <= 0 || z.BurstEvery <= 0 || z.BurstLen < 0 {
 		panic("workload: invalid ZipfWithScans parameters")
 	}
-	cdf := zipfCDF(z.HotUniverse, z.S)
+	zs := newZipfSampler(z.HotUniverse, z.S)
 	r := newRNG(seed)
 	out := make(trace.Sequence, 0, n)
 	// Cold items start above the hot universe and are never repeated.
@@ -255,7 +269,7 @@ func (z ZipfWithScans) Generate(n int, seed uint64) trace.Sequence {
 			}
 			continue
 		}
-		out = append(out, z.Base+trace.Item(searchCDF(cdf, r.float64())))
+		out = append(out, z.Base+trace.Item(zs.rank(r.float64())))
 		sinceBurst++
 	}
 	return out
