@@ -50,7 +50,9 @@ type bucket struct {
 	n, nOld    int32 // slots in use; of those, awaiting remap
 	head, tail int32 // most / least recently used slot, none when empty
 	keys       []trace.Item
-	// Per-shard Get counters.
+	// Per-shard Get counters, written under mu: counting here rather than
+	// cache-wide keeps a miss, like a hit, off every line another bucket's
+	// requests write.
 	hits   uint64
 	misses uint64
 
@@ -62,8 +64,11 @@ type bucket struct {
 	// pol, when non-nil, chooses victims in place of the recency list.
 	pol       policy.Policy
 	evictions uint64
+	// conflictEvictions is the subset of evictions made while the cache as
+	// a whole had free slots (see Snapshot.ConflictEvictions).
+	conflictEvictions uint64
 
-	_ [24]byte // pad to three cache lines, keeping hot buckets off shared ones
+	_ [16]byte // pad to three cache lines, keeping hot buckets off shared ones
 }
 
 // find returns the slot holding item, or none.

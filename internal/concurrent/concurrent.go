@@ -81,8 +81,11 @@ type Cache struct {
 	rehashEveryConflicts uint64
 	migrationPerMiss     int
 
-	// misses is cache-wide because it drives the RehashEveryMisses
-	// schedule; hits and evictions are summed from the buckets on demand.
+	// Hits, misses, evictions and conflict evictions are counted per bucket
+	// and summed on demand. misses and conflictEvictions count cache-wide
+	// too, but only while RehashEveryMisses / RehashEveryConflicts is set:
+	// each drives its schedule off an exact total, and without a schedule
+	// nobody pays for a write every core shares.
 	misses            atomic.Uint64
 	conflictEvictions atomic.Uint64
 	flushEvictions    atomic.Uint64
@@ -283,8 +286,7 @@ func (c *Cache) Get(key uint64) (interface{}, bool) {
 	if i == none {
 		a.bn.misses++
 		c.leave(a, true)
-		m := c.misses.Add(1)
-		if c.rehashEveryMisses > 0 && m%c.rehashEveryMisses == 0 {
+		if c.rehashEveryMisses > 0 && c.misses.Add(1)%c.rehashEveryMisses == 0 {
 			// Initiate asynchronously so the request that trips the schedule
 			// does not absorb the marking pause itself. At most one
 			// goroutine per period crossing; Rehash serializes internally.
@@ -346,8 +348,8 @@ func (c *Cache) storeLocked(b *bucket, i int32, item trace.Item, value interface
 	// conflict eviction — the associativity restriction, not capacity,
 	// caused it.
 	if didEvict && c.occupancy.Load() < int64(c.Capacity()) {
-		cv := c.conflictEvictions.Add(1)
-		if c.rehashEveryConflicts > 0 && cv%c.rehashEveryConflicts == 0 {
+		b.conflictEvictions++
+		if c.rehashEveryConflicts > 0 && c.conflictEvictions.Add(1)%c.rehashEveryConflicts == 0 {
 			// Adaptive schedule: a burst of conflict evictions means the
 			// current hash is being exploited; redraw it. Asynchronous
 			// for the same reason as the miss-count trigger.
@@ -638,21 +640,21 @@ func (s Snapshot) MissRatio() float64 {
 // Snapshot returns the cache-wide counter snapshot.
 func (c *Cache) Snapshot() Snapshot {
 	s := Snapshot{
-		Misses:            c.misses.Load(),
-		ConflictEvictions: c.conflictEvictions.Load(),
-		FlushEvictions:    c.flushEvictions.Load(),
-		Rehashes:          c.rehashes.Load(),
-		Migrating:         c.migrating.Load(),
-		Pending:           int(c.pending.Load()),
-		Capacity:          c.Capacity(),
-		Alpha:             c.alpha,
-		Buckets:           len(c.buckets),
+		FlushEvictions: c.flushEvictions.Load(),
+		Rehashes:       c.rehashes.Load(),
+		Migrating:      c.migrating.Load(),
+		Pending:        int(c.pending.Load()),
+		Capacity:       c.Capacity(),
+		Alpha:          c.alpha,
+		Buckets:        len(c.buckets),
 	}
 	for i := range c.buckets {
 		b := &c.buckets[i]
 		b.mu.Lock()
 		s.Hits += b.hits
+		s.Misses += b.misses
 		s.Evictions += b.evictions
+		s.ConflictEvictions += b.conflictEvictions
 		s.Len += int(b.n)
 		b.mu.Unlock()
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 func mustNew(t *testing.T, capacity, alpha int) *Cache {
@@ -15,6 +16,16 @@ func mustNew(t *testing.T, capacity, alpha int) *Cache {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// TestBucketSize pins a bucket at three cache lines. The padding keeps one
+// bucket's lock and counters off the lines its neighbours write; a field
+// added without taking its bytes from the pad would shift every later
+// bucket across a line boundary.
+func TestBucketSize(t *testing.T) {
+	if got := unsafe.Sizeof(bucket{}); got != 192 {
+		t.Fatalf("bucket is %d bytes, want 192 (three 64-byte lines)", got)
+	}
 }
 
 func TestBasicPutGet(t *testing.T) {

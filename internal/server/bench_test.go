@@ -4,11 +4,48 @@ import (
 	"fmt"
 	"net"
 	"testing"
+	"time"
 
 	"repro/internal/concurrent"
 	"repro/internal/load"
+	"repro/internal/telemetry"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
+
+// BenchmarkObserve prices what the request loop spends per GET on
+// watching it, the way handleConn spends it at pipeline 16: one
+// monotonic clock read per request plus one for each batch's first, then
+// Server.observe — histogram Record, the sampler, and for the taken
+// requests HashKey and the weighted sketch Record — over a seeded Zipf
+// key stream as wide as TestObserveShareOfGetP50's pass.
+func BenchmarkObserve(b *testing.B) {
+	srv := New(nil) // observe touches only the flight recorder
+	keys := workload.Zipf{Universe: 2 * shareK, S: 0.99, Shuffle: true}.Generate(1<<16, 2)
+	req, resp := wire.Request{Op: wire.OpGet}, wire.Response{Status: wire.StatusHit}
+	smp := telemetry.NewSampler(1)
+	b.ResetTimer()
+	var end int64
+	for i := 0; i < b.N; i++ {
+		start := end
+		if i%16 == 0 {
+			start = monoNow()
+		}
+		req.Key = uint64(keys[i&(1<<16-1)])
+		end = monoNow()
+		srv.observe(&smp, &req, &resp, false, time.Duration(end-start))
+	}
+}
+
+// BenchmarkMonoNow prices the one clock read per request that
+// BenchmarkObserve includes.
+func BenchmarkMonoNow(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		monoSink = monoNow()
+	}
+}
+
+var monoSink int64
 
 // BenchmarkAlphaSweep is the end-to-end measurement of the paper's
 // α-tradeoff: at fixed capacity k, each sub-benchmark serves a zipf

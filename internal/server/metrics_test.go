@@ -214,8 +214,9 @@ func TestSlowOpLog(t *testing.T) {
 // server and checks the v6 flight-recorder additions: only sampled
 // requests land in the span ring (with op, status, key hash, and the
 // propagated trace ID) — a maintenance PUT sent on a trace's behalf
-// included — and the hot-key sketches rank a planted hot key
-// first in its class while never spelling the raw key.
+// included — and the sampled hot-key sketches rank a planted hot key
+// first in its class, with every top count within its stated bound,
+// while never spelling the raw key.
 func TestSpansAndHotKeys(t *testing.T) {
 	_, addr := startServer(t, concurrent.Config{Capacity: 256, Alpha: 4, Seed: 1})
 	c, err := wire.Dial(addr)
@@ -227,13 +228,15 @@ func TestSpansAndHotKeys(t *testing.T) {
 	const hotKey = 42
 	tc := wire.TraceContext{Flags: wire.TraceFlagSampled}
 	tc.ID[0] = 0xAB
+	gets, sets := make(map[uint64]uint64), make(map[uint64]uint64)
 
 	// One sampled traced GET, one traced-but-unsampled GET, the sampled
-	// trace's read repair (a PUT on another key), and a pile of untraced
-	// GETs skewed at the hot key.
+	// trace's read repair (a PUT on another key), and piles of untraced
+	// GETs and SETs skewed at the hot key.
 	if _, err := c.Set(hotKey, []byte("hot")); err != nil {
 		t.Fatal(err)
 	}
+	sets[telemetry.HashKey(hotKey)]++
 	if err := c.Enqueue(wire.Request{Op: wire.OpGet, Key: hotKey, Trace: tc, Traced: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -242,6 +245,7 @@ func TestSpansAndHotKeys(t *testing.T) {
 	if err := c.Enqueue(wire.Request{Op: wire.OpGet, Key: hotKey, Trace: unsampled, Traced: true}); err != nil {
 		t.Fatal(err)
 	}
+	gets[telemetry.HashKey(hotKey)] += 2
 	const repairedKey = 123
 	if err := c.Enqueue(wire.Request{Op: wire.OpPut, Key: repairedKey, Version: 7, Trace: tc, Traced: true, Value: []byte("r")}); err != nil {
 		t.Fatal(err)
@@ -254,15 +258,26 @@ func TestSpansAndHotKeys(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 200; i++ {
-		k := uint64(i % 10)
-		if i%2 == 0 {
-			k = hotKey
-		}
-		if _, _, err := c.Get(k); err != nil {
-			t.Fatal(err)
+	skewed := func(n int, exact map[uint64]uint64, send func([]uint64) error) {
+		keys := make([]uint64, 0, 16)
+		for i := 0; i < n; i++ {
+			k := uint64(i % 10)
+			if i%2 == 0 {
+				k = hotKey
+			}
+			exact[telemetry.HashKey(k)]++
+			if keys = append(keys, k); len(keys) == cap(keys) {
+				if err := send(keys); err != nil {
+					t.Fatal(err)
+				}
+				keys = keys[:0]
+			}
 		}
 	}
+	skewed(6400, gets, func(keys []uint64) error { return c.GetBatch(keys, func(int, bool, []byte) {}) })
+	skewed(1600, sets, func(keys []uint64) error {
+		return c.SetBatch(keys, func(int) []byte { return []byte("v") })
+	})
 
 	m, err := c.Metrics(wire.MetricsTraces | wire.MetricsHotKeys)
 	if err != nil {
@@ -292,20 +307,37 @@ func TestSpansAndHotKeys(t *testing.T) {
 		t.Error("span lost its timing")
 	}
 
-	gets := m.HotClass(wire.HotGet)
-	if len(gets) == 0 {
-		t.Fatal("no GET hot-key entries after 200 GETs")
-	}
-	if gets[0].Key != telemetry.HashKey(hotKey) {
-		t.Errorf("hottest GET key = %d, want scrambled %d", gets[0].Key, telemetry.HashKey(hotKey))
-	}
-	for _, e := range gets {
+	checkHotClass(t, "GET", m.HotClass(wire.HotGet), gets)
+	checkHotClass(t, "SET", m.HotClass(wire.HotSet), sets)
+	for _, e := range m.HotClass(wire.HotGet) {
 		if e.Key == hotKey {
 			t.Error("hot-key sketch stores the raw key, want a scrambled hash")
 		}
 	}
-	if sets := m.HotClass(wire.HotSet); len(sets) == 0 {
-		t.Error("the SET never reached its hot-key class")
+}
+
+// checkHotClass holds one class of a sampled hot-key sketch to what the
+// server documents, against exact, the true occurrences per scrambled
+// key: a key with the most occurrences ranks first, and each of the top
+// 10 entries brackets its true count n as Count − Err − SampleSlack(n) ≤
+// n ≤ Count + SampleSlack(n).
+func checkHotClass(t *testing.T, class string, got telemetry.TopKSnapshot, exact map[uint64]uint64) {
+	t.Helper()
+	if len(got) == 0 {
+		t.Fatalf("%s hot-key class is empty", class)
+	}
+	var hotN uint64
+	for _, n := range exact {
+		hotN = max(hotN, n)
+	}
+	if exact[got[0].Key] != hotN {
+		t.Errorf("%s class ranks %x first (Count %d, %d occurrences), want a key with the most, %d", class, got[0].Key, got[0].Count, exact[got[0].Key], hotN)
+	}
+	for i, e := range got.Top(10) {
+		n, slack := exact[e.Key], telemetry.SampleSlack(exact[e.Key])
+		if float64(n) > float64(e.Count)+slack || float64(n) < float64(e.Count)-float64(e.Err)-slack {
+			t.Errorf("%s class entry %d (%x): Count %d Err %d, true %d outside the bound (slack %.0f)", class, i, e.Key, e.Count, e.Err, n, slack)
+		}
 	}
 }
 

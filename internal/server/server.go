@@ -115,10 +115,10 @@ type record struct {
 }
 
 // ownRecord lifts req's record out of the request: the value aliases the
-// reader's scratch buffer and is copied before it escapes into the cache
-// or the hint queue. (SET and FILL requests make a record with no version:
+// reader's buffers and is copied before it escapes into the cache or the
+// hint queue. (SET and FILL requests make a record with no version:
 // their rule assigns one.)
-func ownRecord(req wire.Request) record {
+func ownRecord(req *wire.Request) record {
 	return record{
 		KeyRec: wire.KeyRec{Key: req.Key, Version: req.Version, Tombstone: req.Tombstone},
 		val:    append([]byte(nil), req.Value...),
@@ -214,8 +214,9 @@ type Server struct {
 	// Tracing and hot-key attribution (protocol v6). spans retains one
 	// record per *sampled* traced request; hotKeys holds one always-on
 	// space-saving sketch per traffic class, indexed by the wire hot-key
-	// class byte. Both record allocation-free, like the rest of the flight
-	// recorder.
+	// class byte, fed a 1-in-telemetry.SampleWeight sample of the requests
+	// (see observe). Both record allocation-free, like the rest of the
+	// flight recorder.
 	spans   *telemetry.SpanRing
 	hotKeys [int(wire.HotEvict) + 1]*telemetry.TopK
 
@@ -346,7 +347,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.ln = ln
 	s.mu.Unlock()
 
-	for {
+	for seq := uint64(1); ; seq++ {
 		conn, err := ln.Accept()
 		if err != nil {
 			s.mu.Lock()
@@ -366,7 +367,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.conns[conn] = struct{}{}
 		s.wg.Add(1)
 		s.mu.Unlock()
-		go s.handleConn(conn)
+		go s.handleConn(conn, seq)
 	}
 }
 
@@ -410,7 +411,9 @@ func (s *Server) Close() error {
 	return err
 }
 
-func (s *Server) handleConn(conn net.Conn) {
+// handleConn serves one connection; seq numbers it among the listener's
+// connections and seeds its hot-key sampler.
+func (s *Server) handleConn(conn net.Conn, seq uint64) {
 	defer func() {
 		conn.Close()
 		s.mu.Lock()
@@ -434,6 +437,14 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		return
 	}
+	var (
+		smp  = telemetry.NewSampler(seq)
+		resp wire.Response
+		// end is when the previous response was encoded; queued says the
+		// next request was already buffered behind it then.
+		end    int64
+		queued bool
+	)
 	for {
 		req, err := r.ReadRequest()
 		if err != nil {
@@ -450,36 +461,50 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 			return
 		}
-		// Service time: request decoded → response encoded. The clock
-		// starts after ReadRequest so idle wait between pipelined requests
-		// never pollutes the histograms.
-		t0 := time.Now()
-		var ver uint64
-		status := wire.StatusKeys
+		// Service time: request decoded → response encoded, on one
+		// monotonic clock read per request. A request that was already
+		// buffered when its predecessor's response was encoded starts
+		// where that one ended, so its time includes its own decode; any
+		// other request starts when it has been decoded, so idle wait
+		// between requests never pollutes the histograms.
+		start := end
+		if !queued {
+			start = monoNow()
+		}
+		resp = wire.Response{}
+		var displaced bool
 		if req.Op == wire.OpKeys {
 			// KEYS answers with a stream of chunk frames, not one response.
+			resp.Status = wire.StatusKeys
 			if err := s.streamKeys(w); err != nil {
 				return
 			}
 		} else {
-			resp := s.apply(req)
+			displaced = s.apply(req, &resp)
 			resp.Epoch = s.epoch.Load()
-			ver = resp.Version
-			status = resp.Status
-			if err := w.WriteResponse(resp); err != nil {
+			if err := w.Respond(&resp); err != nil {
 				return
 			}
 		}
-		s.observe(req, status, ver, time.Since(t0))
+		end = monoNow()
+		s.observe(&smp, req, &resp, displaced, time.Duration(end-start))
 		// Pipelining: only pay the syscall when the client has no more
 		// requests already buffered.
-		if r.Buffered() == 0 {
+		if queued = r.Buffered() > 0; !queued {
 			if err := w.Flush(); err != nil {
 				return
 			}
 		}
 	}
 }
+
+// monoBase anchors monoNow. time.Since on a Time that carries a
+// monotonic reading reads only the monotonic clock, half of what
+// time.Now costs.
+var monoBase = time.Now()
+
+// monoNow returns monotonic nanoseconds since monoBase.
+func monoNow() int64 { return int64(time.Since(monoBase)) }
 
 // connReadBufSize sizes each connection's wire.Reader stream buffer.
 // Chosen from measurement, not defaults (PR 9 / hypotheses/H3): request
@@ -530,52 +555,72 @@ func (cw countingWriter) WriteBuffers(v *net.Buffers) (int64, error) {
 	return n, err
 }
 
-// observe records one request's service time into the per-op histogram,
-// its key into the op class's hot-key sketch, a span when the request
-// was sampled, and — when it crossed the slow threshold — a slow-op
-// record carrying the trace ID (all-zero when untraced).
-func (s *Server) observe(req wire.Request, status wire.Status, ver uint64, d time.Duration) {
+// observe records one request's service time into the per-op histogram
+// and, only for the requests that need it, looks further. A request smp
+// takes feeds its key into its op class's hot-key sketch — and, when its
+// write displaced a resident, into the EVICT class's — with weight
+// telemetry.SampleWeight, so the sketches estimate true counts within
+// telemetry.SampleSlack. A traced, sampled request leaves a span; one over
+// the slow threshold leaves a slow-op record carrying the trace ID
+// (all-zero when untraced). The key is hashed only for those three, so
+// the common request pays one histogram add and one sampler decrement.
+func (s *Server) observe(smp *telemetry.Sampler, req *wire.Request, resp *wire.Response, displaced bool, d time.Duration) {
 	op := int(req.Op)
 	if op <= 0 || op >= len(s.opHists) {
 		return // unknown op: answered with ERROR, nothing to attribute
 	}
 	s.opHists[op].Record(d)
+	sampled := smp.Take()
+	traced := req.Traced && req.Trace.Sampled()
+	thr := s.slowThreshold.Load()
+	slow := thr > 0 && int64(d) >= thr
+	if !sampled && !traced && !slow {
+		return
+	}
 	var kh uint64
+	var class byte
 	switch req.Op {
 	case wire.OpGet, wire.OpGetLease:
-		kh = telemetry.HashKey(req.Key)
-		s.hotKeys[wire.HotGet].Record(kh)
+		kh, class = telemetry.HashKey(req.Key), wire.HotGet
 	case wire.OpSet, wire.OpFill:
-		kh = telemetry.HashKey(req.Key)
-		s.hotKeys[wire.HotSet].Record(kh)
+		kh, class = telemetry.HashKey(req.Key), wire.HotSet
 	case wire.OpPut:
 		// No hot-key class: the SET class tracks user traffic, and a
 		// maintenance copy of a key the cluster already ranked hot would
 		// double-count it.
 		kh = telemetry.HashKey(req.Key)
 	case wire.OpDel:
-		kh = telemetry.HashKey(req.Key)
-		s.hotKeys[wire.HotDel].Record(kh)
+		kh, class = telemetry.HashKey(req.Key), wire.HotDel
 	}
-	if req.Traced && req.Trace.Sampled() {
+	if sampled {
+		if class != 0 {
+			s.hotKeys[class].Record(kh, telemetry.SampleWeight)
+		}
+		if displaced {
+			// Conflict-pressure attribution: the EVICT class ranks keys whose
+			// writes displace residents, the observable proxy for bucket
+			// conflict pressure (the α tradeoff, seen per key).
+			s.hotKeys[wire.HotEvict].Record(kh, telemetry.SampleWeight)
+		}
+	}
+	if traced {
 		s.spans.Append(telemetry.Span{
 			Op:            byte(req.Op),
-			Status:        byte(status),
+			Status:        byte(resp.Status),
 			TraceID:       req.Trace.ID,
 			KeyHash:       kh,
 			DurationNanos: uint64(d),
 			UnixNanos:     uint64(time.Now().UnixNano()),
 		})
 	}
-	thr := s.slowThreshold.Load()
-	if thr <= 0 || int64(d) < thr {
+	if !slow {
 		return
 	}
 	s.slowLog.Append(telemetry.SlowOp{
 		Op:            byte(req.Op),
 		KeyHash:       kh,
 		DurationNanos: uint64(d),
-		Version:       ver,
+		Version:       resp.Version,
 		UnixNanos:     uint64(time.Now().UnixNano()),
 		TraceID:       req.Trace.ID,
 	})
@@ -652,58 +697,66 @@ func (s *Server) streamKeys(w *wire.Writer) error {
 	return w.WriteResponse(wire.Response{Status: wire.StatusKeys, Epoch: s.epoch.Load()})
 }
 
-// apply executes one request against the cache.
-func (s *Server) apply(req wire.Request) wire.Response {
+// apply executes one request against the cache, answering in resp, which
+// the caller passes zeroed. It reports whether the request's write
+// displaced a resident: the EVICT hot-key class's event, which a DEL's
+// response does not carry (its Evicted means a live value was present).
+func (s *Server) apply(req *wire.Request, resp *wire.Response) (displaced bool) {
 	switch req.Op {
 	case wire.OpGet, wire.OpGetLease:
 		v, ok := s.cache.Get(req.Key)
-		if !ok {
-			if req.Op == wire.OpGetLease {
-				return s.leaseMiss(req.Key)
-			}
-			return wire.Response{Status: wire.StatusMiss}
-		}
-		switch e := v.(type) {
-		case *entry:
-			if e.tomb() {
+		if ok {
+			switch e := v.(type) {
+			case *entry:
+				if !e.tomb() {
+					resp.Status, resp.Value, resp.Version = wire.StatusHit, e.val, e.ver
+					return false
+				}
 				// A tombstone is a resident record of an absence: reads see a
 				// miss (and may take a fresh fill lease — a post-delete load
 				// from the origin is a legitimate new write, it is only
 				// pre-delete copies the tombstone exists to block).
-				if req.Op == wire.OpGetLease {
-					return s.leaseMiss(req.Key)
-				}
-				return wire.Response{Status: wire.StatusMiss}
+			case []byte:
+				// Values stored by in-process embedders sharing the cache carry
+				// no version; serve them at version 0 so any versioned write
+				// supersedes them.
+				resp.Status, resp.Value = wire.StatusHit, e
+				return false
+			default:
+				resp.Status = wire.StatusError
+				resp.Err = fmt.Sprintf("non-wire value of type %T cached under key %d", v, req.Key)
+				return false
 			}
-			return wire.Response{Status: wire.StatusHit, Value: e.val, Version: e.ver}
-		case []byte:
-			// Values stored by in-process embedders sharing the cache carry
-			// no version; serve them at version 0 so any versioned write
-			// supersedes them.
-			return wire.Response{Status: wire.StatusHit, Value: e}
-		default:
-			return wire.Response{Status: wire.StatusError,
-				Err: fmt.Sprintf("non-wire value of type %T cached under key %d", v, req.Key)}
 		}
+		if req.Op == wire.OpGetLease {
+			*resp = s.leaseMiss(req.Key)
+		} else {
+			resp.Status = wire.StatusMiss
+		}
+		return false
 	case wire.OpSet:
 		s.sets.Add(1)
 		rec := ownRecord(req)
 		_, ver, evicted, _ := s.write(assign, rec)
 		s.supersedeLease(rec, ver)
-		return wire.Response{Status: wire.StatusOK, Evicted: evicted, Version: ver}
+		resp.Status, resp.Evicted, resp.Version = wire.StatusOK, evicted, ver
+		return evicted
 	case wire.OpFill:
 		s.sets.Add(1)
-		return s.leaseFill(req.LeaseToken, ownRecord(req))
+		*resp = s.leaseFill(req.LeaseToken, ownRecord(req))
+		return resp.Evicted
 	case wire.OpPut:
 		s.repairSets.Add(1)
 		rec := ownRecord(req)
 		applied, ver, evicted, _ := s.write(ifNewer, rec)
 		if !applied {
 			s.staleRepairs.Add(1)
-			return wire.Response{Status: wire.StatusVersionStale, Version: ver}
+			resp.Status, resp.Version = wire.StatusVersionStale, ver
+			return false
 		}
 		s.supersedeLease(rec, ver)
-		return wire.Response{Status: wire.StatusOK, Evicted: evicted, Version: ver}
+		resp.Status, resp.Evicted, resp.Version = wire.StatusOK, evicted, ver
+		return evicted
 	case wire.OpDel:
 		// Drop the key's lease state *before* the tombstone store: killing
 		// the outstanding token first means no fill that observed the
@@ -719,25 +772,27 @@ func (s *Server) apply(req wire.Request) wire.Response {
 		// here: this replica may simply be the one that missed the write,
 		// and the tombstone is what stops anti-entropy from copying the
 		// value back from a replica that has it.
-		_, ver, _, live := s.write(assign, record{KeyRec: wire.KeyRec{Key: req.Key, Tombstone: true}})
-		return wire.Response{Status: wire.StatusOK, Evicted: live, Version: ver}
+		_, ver, evicted, live := s.write(assign, record{KeyRec: wire.KeyRec{Key: req.Key, Tombstone: true}})
+		resp.Status, resp.Evicted, resp.Version = wire.StatusOK, live, ver
+		return evicted
 	case wire.OpHint:
 		s.queueHint(hint{target: req.Target, rec: ownRecord(req)})
-		return wire.Response{Status: wire.StatusOK}
+		resp.Status = wire.StatusOK
 	case wire.OpStats:
-		return wire.Response{Status: wire.StatusStats, Stats: s.stats(req.Detail)}
+		resp.Status, resp.Stats = wire.StatusStats, s.stats(req.Detail)
 	case wire.OpRehash:
 		s.cache.Rehash()
-		return wire.Response{Status: wire.StatusOK}
+		resp.Status = wire.StatusOK
 	case wire.OpMembers:
-		return wire.Response{Status: wire.StatusMembers, Topology: s.Topology()}
+		resp.Status, resp.Topology = wire.StatusMembers, s.Topology()
 	case wire.OpTopology:
-		return wire.Response{Status: wire.StatusMembers, Topology: s.OfferTopology(req.Topology)}
+		resp.Status, resp.Topology = wire.StatusMembers, s.OfferTopology(req.Topology)
 	case wire.OpMetrics:
-		return wire.Response{Status: wire.StatusMetrics, Metrics: s.MetricsSnapshot(req.MetricsFlags)}
+		resp.Status, resp.Metrics = wire.StatusMetrics, s.MetricsSnapshot(req.MetricsFlags)
 	default:
-		return wire.Response{Status: wire.StatusError, Err: fmt.Sprintf("unknown op %v", req.Op)}
+		resp.Status, resp.Err = wire.StatusError, fmt.Sprintf("unknown op %v", req.Op)
 	}
+	return false
 }
 
 // writeRule is the one thing that differs between the server's writes:
@@ -803,12 +858,6 @@ func (s *Server) write(rule writeRule, rec record) (applied bool, ver uint64, ev
 		return false, ver, false, live
 	}
 	s.noteTombstoneFlip(rec.Tombstone, wasTomb)
-	if evicted {
-		// Conflict-pressure attribution: the EVICT class ranks keys whose
-		// writes displace residents, the observable proxy for bucket
-		// conflict pressure (the α tradeoff, seen per key).
-		s.hotKeys[wire.HotEvict].Record(telemetry.HashKey(rec.Key))
-	}
 	return true, ver, evicted, live
 }
 

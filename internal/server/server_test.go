@@ -8,6 +8,8 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -492,6 +494,105 @@ func TestPipelinedMixedBatch(t *testing.T) {
 	if hits == 0 {
 		t.Fatal("no hits in pipelined batch")
 	}
+}
+
+// TestPipelinedBatchOneFlush: a 16-deep pipelined GET batch costs the
+// server exactly one flush, counted as writes on a wrapped connection. The
+// reader decodes each frame in place and holds it in the stream buffer
+// until the next read, so this is what Buffered must get right: counting
+// the held frame would withhold the batch's flush forever (the client
+// times out), and undercounting what is queued behind it would flush per
+// request.
+func TestPipelinedBatchOneFlush(t *testing.T) {
+	cache, err := concurrent.New(concurrent.Config{Capacity: 1024, Alpha: 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(cache)
+	client, server := net.Pipe() // one client Write reaches one server Read whole
+	var writes atomic.Int64
+	ln := &oneConnListener{conns: make(chan net.Conn, 1), done: make(chan struct{})}
+	ln.conns <- writeCountingConn{server, &writes}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	c, err := wire.NewClient(client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	keys := make([]uint64, 16)
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	const batches = 50
+	before := int64(-1)
+	done := make(chan error, 1)
+	go func() {
+		if err := c.SetBatch(keys, func(i int) []byte { return load.Payload(keys[i], 64) }); err != nil {
+			done <- err
+			return
+		}
+		before = writes.Load()
+		misses := 0
+		for b := 0; b < batches; b++ {
+			if err := c.GetBatch(keys, func(_ int, hit bool, _ []byte) {
+				if !hit {
+					misses++
+				}
+			}); err != nil {
+				done <- err
+				return
+			}
+		}
+		if misses > 0 {
+			done <- fmt.Errorf("%d GETs of stored keys missed", misses)
+			return
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a pipelined batch never got its flush")
+	}
+	if got := writes.Load() - before; got != batches {
+		t.Errorf("%d 16-deep GET batches cost the server %d writes, want one flush each", batches, got)
+	}
+}
+
+// oneConnListener hands Serve one prepared connection, then blocks until
+// closed.
+type oneConnListener struct {
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+}
+
+func (l *oneConnListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *oneConnListener) Close() error   { l.once.Do(func() { close(l.done) }); return nil }
+func (l *oneConnListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+// writeCountingConn counts the writes made on a connection.
+type writeCountingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c writeCountingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
 }
 
 // getVersion reads key with its stored version over c.

@@ -16,12 +16,16 @@ const topKStripes = 8
 
 // TopK is a space-saving heavy-hitters sketch: it tracks an approximate
 // top-K of the keys fed to Record using bounded memory, with the classic
-// guarantees — a tracked key's Count never undercounts its true
-// occurrences and overcounts by at most its Err, and any key whose true
-// count exceeds N/K (per stripe) is tracked. Record is allocation-free
-// and lock-striped; the sketch feeds the METRICS HOTKEYS section, one
-// instance per op class, so "which keys are hot" is answerable per node
-// and — because snapshots merge — per cluster.
+// guarantees, which carry over to weighted updates (Metwally, Agrawal &
+// El Abbadi, ICDT 2005) — a tracked key's Count never undercounts the
+// weight recorded for it and overcounts by at most its Err, and any key
+// whose recorded weight exceeds N/K (per stripe, N the total weight) is
+// tracked. Record is allocation-free and lock-striped; the sketch feeds
+// the METRICS HOTKEYS section, one instance per op class, so "which keys
+// are hot" is answerable per node and — because snapshots merge — per
+// cluster. The server records a sampled stream (Sampler, weight
+// SampleWeight), so its counts estimate occurrences within SampleSlack
+// on top of Err.
 //
 // Keys are opaque uint64s: the server feeds HashKey-scrambled keys so the
 // sketch, like the slow-op log, never retains raw keys.
@@ -79,10 +83,11 @@ func (t *TopK) Cap() int {
 	return n
 }
 
-// Record counts one occurrence of key. It takes one stripe mutex and
+// Record counts weight occurrences of key: 1 for an exact stream,
+// SampleWeight for an event a Sampler took. It takes one stripe mutex and
 // performs no allocation; the common case (key already tracked) is one
-// index probe and an increment.
-func (t *TopK) Record(key uint64) {
+// index probe and an add.
+func (t *TopK) Record(key, weight uint64) {
 	h := HashKey(key)
 	s := &t.stripes[h>>(64-3)]
 	hh := uint32(h)
@@ -91,12 +96,12 @@ func (t *TopK) Record(key uint64) {
 		s.rebuild()
 	}
 	if slot := s.find(key, hh); slot >= 0 {
-		s.counts[slot]++
+		s.counts[slot] += weight
 	} else if s.used < len(s.keys) {
 		slot = s.used
 		s.used++
 		s.keys[slot] = key
-		s.counts[slot] = 1
+		s.counts[slot] = weight
 		s.errs[slot] = 0
 		s.insert(hh, slot)
 	} else {
@@ -107,7 +112,7 @@ func (t *TopK) Record(key uint64) {
 		s.del(uint32(HashKey(s.keys[slot])), slot)
 		s.keys[slot] = key
 		s.errs[slot] = min
-		s.counts[slot] = min + 1
+		s.counts[slot] = min + weight
 		s.insert(hh, slot)
 	}
 	s.mu.Unlock()
@@ -192,12 +197,12 @@ func (s *topKStripe) argMin() int {
 }
 
 // TopKEntry is one tracked key in a snapshot. Count obeys the
-// space-saving bounds: Count−Err ≤ true occurrences ≤ Count.
+// space-saving bounds: Count−Err ≤ recorded weight ≤ Count.
 type TopKEntry struct {
 	// Key is the key as recorded (scrambled by the server before
 	// recording, so it joins against slow-op and span key hashes).
 	Key uint64
-	// Count is the tracked occurrence count (an overestimate).
+	// Count is the tracked weight (an overestimate of the weight recorded).
 	Count uint64
 	// Err is the maximum overestimation: the minimum count the entry
 	// inherited when it displaced another key.

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -17,7 +18,7 @@ func zipfStream(t *TopK, n, universe int, seed int64) map[uint64]uint64 {
 		k := HashKey(z.Uint64())
 		exact[k]++
 		if t != nil {
-			t.Record(k)
+			t.Record(k, 1)
 		}
 	}
 	return exact
@@ -118,9 +119,9 @@ func TestTopKEviction(t *testing.T) {
 	const hot = uint64(0xdeadbeef)
 	for i := 0; i < 100000; i++ {
 		if i%4 == 0 {
-			sk.Record(hot)
+			sk.Record(hot, 1)
 		} else {
-			sk.Record(rng.Uint64()) // one-off churn keys
+			sk.Record(rng.Uint64(), 1) // one-off churn keys
 		}
 	}
 	snap := sk.Snapshot()
@@ -145,7 +146,7 @@ func TestTopKConcurrent(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 20000; i++ {
-				sk.Record(rng.Uint64() % 1000)
+				sk.Record(rng.Uint64()%1000, 1)
 			}
 		}(int64(w))
 	}
@@ -168,15 +169,83 @@ func TestTopKConcurrent(t *testing.T) {
 }
 
 // TestTopKZeroAllocs pins the sketch's hot path: recording — tracked key
-// or eviction — must not allocate (the tracing-off GET path feeds every
-// request through it).
+// or eviction, unit or sampled weight — and the sampling decision in front
+// of it must not allocate (the tracing-off GET path feeds every request
+// through the Sampler and every taken one through Record).
 func TestTopKZeroAllocs(t *testing.T) {
 	sk := NewTopK(64)
 	var i uint64
-	if n := testing.AllocsPerRun(5000, func() { i++; sk.Record(i) }); n != 0 {
+	if n := testing.AllocsPerRun(5000, func() { i++; sk.Record(i, 1) }); n != 0 {
 		t.Fatalf("TopK.Record (evicting) allocates %.1f/op, want 0", n)
 	}
-	if n := testing.AllocsPerRun(5000, func() { sk.Record(42) }); n != 0 {
+	if n := testing.AllocsPerRun(5000, func() { sk.Record(42, 1) }); n != 0 {
 		t.Fatalf("TopK.Record (tracked) allocates %.1f/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(5000, func() { i++; sk.Record(i, SampleWeight) }); n != 0 {
+		t.Fatalf("TopK.Record (weighted, evicting) allocates %.1f/op, want 0", n)
+	}
+	smp := NewSampler(1)
+	if n := testing.AllocsPerRun(5000, func() {
+		if smp.Take() {
+			sk.Record(42, SampleWeight)
+		}
+	}); n != 0 {
+		t.Fatalf("Sampler.Take + weighted Record allocates %.1f/op, want 0", n)
+	}
+}
+
+// TestTopKWeightedBounds: weighted updates keep the space-saving bounds
+// against the weight recorded per key, through evictions.
+func TestTopKWeightedBounds(t *testing.T) {
+	sk := NewTopK(64)
+	rng := rand.New(rand.NewSource(3))
+	z := rand.NewZipf(rng, 1.1, 1, 4999)
+	exact := make(map[uint64]uint64)
+	for i := 0; i < 100000; i++ {
+		k, w := HashKey(z.Uint64()), uint64(1+rng.Intn(SampleWeight))
+		exact[k] += w
+		sk.Record(k, w)
+	}
+	for _, e := range sk.Snapshot() {
+		if e.Count < exact[e.Key] || e.Count-e.Err > exact[e.Key] {
+			t.Errorf("key %x: Count %d Err %d, recorded weight %d outside [Count−Err, Count]", e.Key, e.Count, e.Err, exact[e.Key])
+		}
+	}
+}
+
+// TestSamplerRateAndSlack checks the sampler against the bound the sketch
+// documents: over n events the weighted count of taken ones is within
+// SampleSlack(n) of n — for the whole stream, and for every residue class
+// of a period-16 stream, which is where every-Nth counting would put all
+// its samples on one class and none on the others.
+func TestSamplerRateAndSlack(t *testing.T) {
+	const period, rounds = 16, 20000
+	s := NewSampler(7)
+	var per [period]uint64
+	for i := 0; i < period*rounds; i++ {
+		if s.Take() {
+			per[i%period] += SampleWeight
+		}
+	}
+	var total uint64
+	for class, w := range per {
+		total += w
+		if d := math.Abs(float64(w) - rounds); d > SampleSlack(rounds) {
+			t.Errorf("class %d of a period-%d stream: weighted count %d, want %d ± %.0f", class, period, w, rounds, SampleSlack(rounds))
+		}
+	}
+	if n := uint64(period * rounds); math.Abs(float64(total)-float64(n)) > SampleSlack(n) {
+		t.Errorf("weighted count %d over %d events, want within ±%.0f", total, n, SampleSlack(n))
+	}
+	// Two seeds must not make the same choices.
+	a, b := NewSampler(1), NewSampler(2)
+	same := 0
+	for i := 0; i < 4096; i++ {
+		if a.Take() == b.Take() {
+			same++
+		}
+	}
+	if same == 4096 {
+		t.Error("samplers with distinct seeds made identical choices")
 	}
 }

@@ -71,11 +71,11 @@ func (c *Client) Close() error { return c.conn.Close() }
 
 // Enqueue buffers one request without flushing; every field of req goes
 // out as given, trace context included.
-func (c *Client) Enqueue(req Request) error { return c.w.WriteRequest(req) }
+func (c *Client) Enqueue(req Request) error { return c.w.writeRequest(&req) }
 
 // EnqueueGet buffers a GET without flushing.
 func (c *Client) EnqueueGet(key uint64) error {
-	return c.w.WriteRequest(Request{Op: OpGet, Key: key})
+	return c.w.writeRequest(&Request{Op: OpGet, Key: key})
 }
 
 // Flush sends all buffered requests.
@@ -84,9 +84,20 @@ func (c *Client) Flush() error { return c.w.Flush() }
 // ReadResponse reads the next pipelined response. The response Value
 // aliases an internal buffer valid until the next read.
 func (c *Client) ReadResponse() (Response, error) {
+	resp, err := c.next()
+	if resp == nil {
+		return Response{}, err
+	}
+	return *resp, err
+}
+
+// next is ReadResponse without the copy: the Reader's own Response, valid
+// until the next read. It records the epoch, and an ERROR response comes
+// back with the server's message as the error.
+func (c *Client) next() (*Response, error) {
 	resp, err := c.r.ReadResponse()
 	if err != nil {
-		return resp, err
+		return nil, err
 	}
 	c.lastEpoch = resp.Epoch
 	if resp.Status == StatusError {
@@ -101,14 +112,14 @@ func (c *Client) ReadResponse() (Response, error) {
 // staleness detection on ordinary traffic.
 func (c *Client) LastEpoch() uint64 { return c.lastEpoch }
 
-func (c *Client) roundTrip(req Request) (Response, error) {
-	if err := c.w.WriteRequest(req); err != nil {
-		return Response{}, err
+func (c *Client) roundTrip(req *Request) (*Response, error) {
+	if err := c.w.writeRequest(req); err != nil {
+		return nil, err
 	}
 	if err := c.w.Flush(); err != nil {
-		return Response{}, err
+		return nil, err
 	}
-	return c.ReadResponse()
+	return c.next()
 }
 
 // Get fetches key. The returned value is a copy and safe to retain.
@@ -128,7 +139,7 @@ func (c *Client) Get(key uint64) ([]byte, bool, error) {
 // immediately get an allocation-free hit. See "Buffer ownership and
 // aliasing" in ARCHITECTURE.md.
 func (c *Client) GetShared(key uint64) ([]byte, bool, error) {
-	resp, err := c.roundTrip(Request{Op: OpGet, Key: key})
+	resp, err := c.roundTrip(&Request{Op: OpGet, Key: key})
 	if err != nil {
 		return nil, false, err
 	}
@@ -145,7 +156,7 @@ func (c *Client) GetShared(key uint64) ([]byte, bool, error) {
 // Set stores value under key as a user write, reporting whether an entry
 // was evicted.
 func (c *Client) Set(key uint64, value []byte) (evicted bool, err error) {
-	resp, err := c.roundTrip(Request{Op: OpSet, Key: key, Value: value})
+	resp, err := c.roundTrip(&Request{Op: OpSet, Key: key, Value: value})
 	if err != nil {
 		return false, err
 	}
@@ -163,7 +174,7 @@ func (c *Client) Set(key uint64, value []byte) (evicted bool, err error) {
 // other means.
 func (c *Client) Put(req Request) (applied bool, stored uint64, err error) {
 	req.Op = OpPut
-	resp, err := c.roundTrip(req)
+	resp, err := c.roundTrip(&req)
 	if err != nil {
 		return false, 0, err
 	}
@@ -182,7 +193,7 @@ func (c *Client) Put(req Request) (applied bool, stored uint64, err error) {
 // unreachable on the receiving server, which replays it to target as a
 // PUT once target is reachable again.
 func (c *Client) Hint(target string, key uint64, tombstone bool, version uint64, value []byte) error {
-	resp, err := c.roundTrip(Request{
+	resp, err := c.roundTrip(&Request{
 		Op: OpHint, Target: target, Key: key, Tombstone: tombstone, Version: version, Value: value,
 	})
 	if err != nil {
@@ -218,7 +229,7 @@ type Lease struct {
 // miss. See Lease for the three outcomes (hit, grant, zero-token
 // wait/stale-hint).
 func (c *Client) GetLease(key uint64) (Lease, error) {
-	resp, err := c.roundTrip(Request{Op: OpGetLease, Key: key})
+	resp, err := c.roundTrip(&Request{Op: OpGetLease, Key: key})
 	if err != nil {
 		return Lease{}, err
 	}
@@ -241,7 +252,7 @@ func (c *Client) GetLease(key uint64) (Lease, error) {
 // unknown) when the lease was lost. A lost lease is a successful no-op:
 // someone fresher already owns the key's state.
 func (c *Client) Fill(key, token uint64, value []byte) (filled bool, stored uint64, err error) {
-	resp, err := c.roundTrip(Request{Op: OpFill, Key: key, LeaseToken: token, Value: value})
+	resp, err := c.roundTrip(&Request{Op: OpFill, Key: key, LeaseToken: token, Value: value})
 	if err != nil {
 		return false, 0, err
 	}
@@ -261,7 +272,7 @@ func (c *Client) Fill(key, token uint64, value []byte) (filled bool, stored uint
 // reports whether a live value was present and the tombstone's assigned
 // version.
 func (c *Client) Del(key uint64) (present bool, version uint64, err error) {
-	resp, err := c.roundTrip(Request{Op: OpDel, Key: key})
+	resp, err := c.roundTrip(&Request{Op: OpDel, Key: key})
 	if err != nil {
 		return false, 0, err
 	}
@@ -274,7 +285,7 @@ func (c *Client) Del(key uint64) (present bool, version uint64, err error) {
 // Stats fetches the server's counter snapshot; detail includes per-shard
 // counters.
 func (c *Client) Stats(detail bool) (*Stats, error) {
-	resp, err := c.roundTrip(Request{Op: OpStats, Detail: detail})
+	resp, err := c.roundTrip(&Request{Op: OpStats, Detail: detail})
 	if err != nil {
 		return nil, err
 	}
@@ -288,7 +299,7 @@ func (c *Client) Stats(detail bool) (*Stats, error) {
 // the payload sections (MetricsAll for everything) and must name at least
 // one.
 func (c *Client) Metrics(flags MetricsFlags) (*Metrics, error) {
-	resp, err := c.roundTrip(Request{Op: OpMetrics, MetricsFlags: flags})
+	resp, err := c.roundTrip(&Request{Op: OpMetrics, MetricsFlags: flags})
 	if err != nil {
 		return nil, err
 	}
@@ -323,7 +334,7 @@ func (c *Client) Keys() ([]KeyRec, error) {
 // remaining frames are drained (so the connection stays usable for the
 // next request) and that error is returned.
 func (c *Client) KeysStream(visit func(chunk []KeyRec) error) error {
-	if err := c.w.WriteRequest(Request{Op: OpKeys}); err != nil {
+	if err := c.w.writeRequest(&Request{Op: OpKeys}); err != nil {
 		return err
 	}
 	if err := c.w.Flush(); err != nil {
@@ -331,7 +342,7 @@ func (c *Client) KeysStream(visit func(chunk []KeyRec) error) error {
 	}
 	var verr error
 	for {
-		resp, err := c.ReadResponse()
+		resp, err := c.next()
 		if err != nil {
 			return err
 		}
@@ -351,7 +362,7 @@ func (c *Client) KeysStream(visit func(chunk []KeyRec) error) error {
 // and epoch. A server that was never told a topology reports epoch 0 and
 // no members.
 func (c *Client) Members() (Topology, error) {
-	resp, err := c.roundTrip(Request{Op: OpMembers})
+	resp, err := c.roundTrip(&Request{Op: OpMembers})
 	if err != nil {
 		return Topology{}, err
 	}
@@ -366,7 +377,7 @@ func (c *Client) Members() (Topology, error) {
 // returned topology is the server's view after the push — equal to t when
 // it was adopted, the server's newer view when the push lost the race.
 func (c *Client) PushTopology(t Topology) (Topology, error) {
-	resp, err := c.roundTrip(Request{Op: OpTopology, Topology: t})
+	resp, err := c.roundTrip(&Request{Op: OpTopology, Topology: t})
 	if err != nil {
 		return Topology{}, err
 	}
@@ -401,7 +412,7 @@ func (c *Client) GetBatchVersions(keys []uint64, visit func(i int, hit bool, ver
 		return err
 	}
 	for i := range keys {
-		resp, err := c.ReadResponse()
+		resp, err := c.next()
 		if err != nil {
 			return err
 		}
@@ -429,7 +440,7 @@ func (c *Client) SetBatch(keys []uint64, value func(i int) []byte) error {
 		return err
 	}
 	for range keys {
-		resp, err := c.ReadResponse()
+		resp, err := c.next()
 		if err != nil {
 			return err
 		}
@@ -462,7 +473,7 @@ func (c *Client) PutBatch(recs []KeyRec, value func(i int) []byte) (applied, sta
 		return 0, 0, err
 	}
 	for range recs {
-		resp, err := c.ReadResponse()
+		resp, err := c.next()
 		if err != nil {
 			return applied, stale, err
 		}
@@ -480,7 +491,7 @@ func (c *Client) PutBatch(recs []KeyRec, value func(i int) []byte) (applied, sta
 
 // Rehash asks the server to begin an online incremental rehash.
 func (c *Client) Rehash() error {
-	resp, err := c.roundTrip(Request{Op: OpRehash})
+	resp, err := c.roundTrip(&Request{Op: OpRehash})
 	if err != nil {
 		return err
 	}

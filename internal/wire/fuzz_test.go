@@ -33,8 +33,8 @@ func FuzzReadRequest(f *testing.F) {
 		}
 		var out bytes.Buffer
 		w := NewWriter(&out)
-		if err := w.WriteRequest(req); err != nil {
-			t.Fatalf("accepted frame %x decodes to %+v, which the encoder refuses: %v", frameOf(b), req, err)
+		if err := w.WriteRequest(*req); err != nil {
+			t.Fatalf("accepted frame %x decodes to %+v, which the encoder refuses: %v", frameOf(b), *req, err)
 		}
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
@@ -57,7 +57,7 @@ func FuzzReadResponse(f *testing.F) {
 		}
 		var out bytes.Buffer
 		w := NewWriter(&out)
-		if err := w.WriteResponse(resp); err != nil {
+		if err := w.Respond(resp); err != nil {
 			t.Fatalf("accepted %v frame %x is one the encoder refuses: %v", resp.Status, frameOf(b), err)
 		}
 		if err := w.Flush(); err != nil {

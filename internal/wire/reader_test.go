@@ -1,0 +1,107 @@
+package wire
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"testing"
+	"time"
+)
+
+// The Reader decodes a frame that fits its stream buffer in place and
+// copies a larger one into its scratch body. These tests hold the two
+// paths to one behaviour: the same decoded frames, the same errors, and a
+// Buffered count that never includes the frame just decoded.
+
+// encodeSets returns one SET frame per value, in order.
+func encodeSets(t *testing.T, vals [][]byte) []byte {
+	t.Helper()
+	var stream bytes.Buffer
+	w := NewWriter(&stream)
+	for i, v := range vals {
+		if err := w.WriteRequest(Request{Op: OpSet, Key: uint64(i), Value: v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return stream.Bytes()
+}
+
+// TestReaderFrameSizesAcrossBuffer decodes SET frames whose length sits
+// on both sides of the stream buffer's size — in place, exactly filling
+// it, one byte over, far over — interleaved so each path runs right after
+// the other, and checks every frame decodes to what was sent.
+func TestReaderFrameSizesAcrossBuffer(t *testing.T) {
+	const size = 64 // bufio's minimum is 16; a frame here is 13 bytes + value
+	var vals [][]byte
+	for _, n := range []int{0, 1, size - 14, size - 13, size - 12, size, 3 * size, 2, 10 * size, size - 13} {
+		v := make([]byte, n)
+		for i := range v {
+			v[i] = byte(n + i)
+		}
+		vals = append(vals, v)
+	}
+	r := NewReaderSize(bytes.NewReader(encodeSets(t, vals)), size)
+	for i, want := range vals {
+		req, err := r.ReadRequest()
+		if err != nil {
+			t.Fatalf("frame %d (%d-byte value): %v", i, len(want), err)
+		}
+		if req.Op != OpSet || req.Key != uint64(i) || !bytes.Equal(req.Value, want) {
+			t.Fatalf("frame %d decoded op %v key %d %d-byte value, want SET %d with its %d bytes", i, req.Op, req.Key, len(req.Value), i, len(want))
+		}
+	}
+	if _, err := r.ReadRequest(); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
+	}
+}
+
+// TestReaderTruncatedFrame cuts a stream at every byte of a frame that
+// fits the buffer and of one that does not: a cut before the frame's
+// first byte is a clean io.EOF, any other cut an io.ErrUnexpectedEOF —
+// returned, not waited on.
+func TestReaderTruncatedFrame(t *testing.T) {
+	for _, valLen := range []int{5, 200} { // in place, then scratch, at size 64
+		stream := encodeSets(t, [][]byte{make([]byte, valLen)})
+		for cut := 0; cut < len(stream); cut++ {
+			done := make(chan error, 1)
+			go func() {
+				_, err := NewReaderSize(bytes.NewReader(stream[:cut]), 64).ReadRequest()
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				want := io.ErrUnexpectedEOF
+				if cut == 0 {
+					want = io.EOF
+				}
+				if !errors.Is(err, want) {
+					t.Errorf("%d-byte value cut at %d of %d bytes: %v, want %v", valLen, cut, len(stream), err, want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%d-byte value cut at %d: ReadRequest hangs", valLen, cut)
+			}
+		}
+	}
+}
+
+// TestReaderBufferedExcludesHeldFrame: the server flushes when Buffered
+// reads 0, so the frame just decoded in place — still in the stream
+// buffer until the next read — must not count, and every frame behind it
+// must.
+func TestReaderBufferedExcludesHeldFrame(t *testing.T) {
+	stream := encodeSets(t, [][]byte{[]byte("a"), []byte("bb"), []byte("ccc")})
+	r := NewReader(bytes.NewReader(stream))
+	rest := len(stream)
+	for i := 1; i <= 3; i++ {
+		if _, err := r.ReadRequest(); err != nil {
+			t.Fatal(err)
+		}
+		rest -= 4 + 1 + 8 + i // length prefix, opcode, key, value
+		if got := r.Buffered(); got != rest {
+			t.Fatalf("after frame %d: Buffered %d, want %d", i, got, rest)
+		}
+	}
+}

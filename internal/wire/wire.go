@@ -842,7 +842,11 @@ func (w *Writer) abortFrame(off int, err error) error {
 // WriteRequest encodes one request frame (buffered; call Flush to send).
 // A Value at least zeroCopyMin long is referenced, not copied, and must
 // stay unmodified until Flush.
-func (w *Writer) WriteRequest(req Request) error {
+func (w *Writer) WriteRequest(req Request) error { return w.writeRequest(&req) }
+
+// writeRequest is WriteRequest on a request the caller keeps, so the
+// client's enqueue paths hand it over without copying the struct.
+func (w *Writer) writeRequest(req *Request) error {
 	if w.err != nil {
 		return w.err
 	}
@@ -876,7 +880,7 @@ func (w *Writer) WriteRequest(req Request) error {
 		w.chunk = binary.LittleEndian.AppendUint64(w.chunk, req.LeaseToken)
 		value = req.Value
 	case OpPut:
-		w.chunk, err = appendRecord(w.chunk, &req)
+		w.chunk, err = appendRecord(w.chunk, req)
 		value = req.Value
 	case OpHint:
 		if req.Target == "" || len(req.Target) > MaxAddrLen {
@@ -885,7 +889,7 @@ func (w *Writer) WriteRequest(req Request) error {
 		}
 		w.chunk = append(w.chunk, byte(len(req.Target)))
 		w.chunk = append(w.chunk, req.Target...)
-		w.chunk, err = appendRecord(w.chunk, &req)
+		w.chunk, err = appendRecord(w.chunk, req)
 		value = req.Value
 	case OpStats:
 		w.chunk = append(w.chunk, boolByte(req.Detail))
@@ -929,7 +933,12 @@ func (w *Writer) WriteRequest(req Request) error {
 // after the status byte. A HIT Value at least zeroCopyMin long is
 // referenced, not copied, and must stay unmodified until Flush — which a
 // server whose stored values are immutable satisfies by construction.
-func (w *Writer) WriteResponse(resp Response) error {
+func (w *Writer) WriteResponse(resp Response) error { return w.Respond(&resp) }
+
+// Respond is WriteResponse for a Response the caller keeps: the server's
+// request loop builds each answer in place and hands it over by pointer,
+// so no response struct is copied on the way to the frame buffer.
+func (w *Writer) Respond(resp *Response) error {
 	if w.err != nil {
 		return w.err
 	}
@@ -1024,15 +1033,24 @@ func appendStats(body []byte, s *Stats) []byte {
 
 // Reader decodes frames from a buffered stream. It is not safe for
 // concurrent use.
+//
+// A frame that fits the stream buffer is decoded where it lies: readFrame
+// peeks it, the decoded Value aliases the stream buffer, and the frame is
+// discarded at the next read. A larger frame is copied into body. Either
+// way a decoded frame is valid until the next read, and so are the
+// Request or Response the Reader decoded it into.
 type Reader struct {
 	br   *bufio.Reader
 	body []byte
-	// hdr backs the fixed-size length and preamble reads; a struct field
-	// rather than a stack array so passing it through io.ReadFull's
-	// interface does not allocate per frame.
-	hdr [8]byte
+	// held is the length of the frame last decoded in place: still in br's
+	// buffer, discarded at the next read, and not counted by Buffered.
+	held int
 	// keys backs Response.Keys across calls, like body backs Value.
 	keys []KeyRec
+	// req and resp are what ReadRequest and ReadResponse decode into and
+	// return, so a decoded frame is never copied as a struct.
+	req  Request
+	resp Response
 	// idle counts consecutive frames that fit codecShrinkCap while body
 	// was grown beyond it (shrink-on-idle, mirroring the Writer).
 	idle int
@@ -1052,10 +1070,11 @@ func NewReaderSize(r io.Reader, size int) *Reader {
 
 // ReadPreamble validates the connection preamble (server side, once).
 func (r *Reader) ReadPreamble() error {
-	pre := r.hdr[:8]
-	if _, err := io.ReadFull(r.br, pre); err != nil {
+	pre, err := r.br.Peek(8)
+	if err != nil {
 		return fmt.Errorf("wire: reading preamble: %w", err)
 	}
+	r.br.Discard(8)
 	if string(pre[:4]) != Magic {
 		return fmt.Errorf("wire: bad magic %q", pre[:4])
 	}
@@ -1065,14 +1084,25 @@ func (r *Reader) ReadPreamble() error {
 	return nil
 }
 
-// Buffered returns the number of bytes already readable without blocking;
-// the server uses it to decide when to flush responses.
-func (r *Reader) Buffered() int { return r.br.Buffered() }
+// Buffered returns the number of bytes already readable without blocking,
+// not counting the frame just decoded; the server uses it to decide when
+// to flush responses.
+func (r *Reader) Buffered() int { return r.br.Buffered() - r.held }
 
+// readFrame returns the next frame's body. io.EOF before the first byte of
+// a frame means a clean close; a stream that ends mid-frame is
+// io.ErrUnexpectedEOF.
 func (r *Reader) readFrame() ([]byte, error) {
-	ln := r.hdr[:4]
-	if _, err := io.ReadFull(r.br, ln); err != nil {
-		return nil, err // io.EOF between frames means a clean close
+	if r.held > 0 {
+		r.br.Discard(r.held) // already buffered: cannot fail
+		r.held = 0
+	}
+	ln, err := r.br.Peek(4)
+	if len(ln) < 4 {
+		if len(ln) > 0 && err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
 	}
 	n := int(binary.LittleEndian.Uint32(ln))
 	if n > MaxFrame {
@@ -1090,35 +1120,53 @@ func (r *Reader) readFrame() ([]byte, error) {
 	} else {
 		r.idle = 0
 	}
-	if cap(r.body) < n {
-		r.body = make([]byte, n)
+	// A frame that fits the stream buffer is decoded where it lies and
+	// discarded at the next read; a larger one is copied into body.
+	var body []byte
+	if 4+n <= r.br.Size() {
+		var frame []byte
+		if frame, err = r.br.Peek(4 + n); err == nil {
+			r.held, body = 4+n, frame[4:]
+		}
+	} else {
+		r.br.Discard(4)
+		if cap(r.body) < n {
+			r.body = make([]byte, n)
+		}
+		r.body = r.body[:n]
+		_, err = io.ReadFull(r.br, r.body)
+		body = r.body
 	}
-	r.body = r.body[:n]
-	if _, err := io.ReadFull(r.br, r.body); err != nil {
+	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, fmt.Errorf("wire: reading frame body: %w", err)
 	}
-	return r.body, nil
+	return body, nil
 }
 
 // ReadRequest decodes the next request frame (server side). The returned
-// Value aliases an internal buffer valid until the next call.
-func (r *Reader) ReadRequest() (Request, error) {
+// Request is the Reader's own, and it and its Value are valid until the
+// next call.
+func (r *Reader) ReadRequest() (*Request, error) {
 	body, err := r.readFrame()
 	if err != nil {
-		return Request{}, err
+		return nil, err
 	}
 	if len(body) < 1 {
-		return Request{}, fmt.Errorf("wire: empty request frame")
+		return nil, fmt.Errorf("wire: empty request frame")
 	}
-	req := Request{Op: Op(body[0] &^ OpFlagTraced)}
+	req := &r.req
+	*req = Request{Op: Op(body[0] &^ OpFlagTraced)}
 	if body[0]&OpFlagTraced != 0 {
 		if len(body) < 1+TraceContextLen {
-			return Request{}, fmt.Errorf("wire: traced %v frame %d bytes, too short for a trace context", req.Op, len(body))
+			return nil, fmt.Errorf("wire: traced %v frame %d bytes, too short for a trace context", req.Op, len(body))
 		}
 		copy(req.Trace.ID[:], body[1:])
 		req.Trace.Flags = TraceFlags(body[1+len(req.Trace.ID)])
 		if err := req.Trace.validate(); err != nil {
-			return Request{}, err
+			return nil, err
 		}
 		req.Traced = true
 		body = body[1+TraceContextLen:]
@@ -1128,60 +1176,60 @@ func (r *Reader) ReadRequest() (Request, error) {
 	switch req.Op {
 	case OpGet, OpDel, OpGetLease:
 		if len(body) != 8 {
-			return Request{}, fmt.Errorf("wire: %v body %d bytes, want 8", req.Op, len(body))
+			return nil, fmt.Errorf("wire: %v body %d bytes, want 8", req.Op, len(body))
 		}
 		req.Key = binary.LittleEndian.Uint64(body)
 	case OpSet:
 		if len(body) < 8 {
-			return Request{}, fmt.Errorf("wire: SET body %d bytes, want ≥8", len(body))
+			return nil, fmt.Errorf("wire: SET body %d bytes, want ≥8", len(body))
 		}
 		req.Key = binary.LittleEndian.Uint64(body)
 		req.Value = body[8:]
 	case OpFill:
 		if len(body) < 16 {
-			return Request{}, fmt.Errorf("wire: FILL body %d bytes, want ≥16 (key + token)", len(body))
+			return nil, fmt.Errorf("wire: FILL body %d bytes, want ≥16 (key + token)", len(body))
 		}
 		req.Key = binary.LittleEndian.Uint64(body)
 		if req.LeaseToken = binary.LittleEndian.Uint64(body[8:]); req.LeaseToken == 0 {
-			return Request{}, fmt.Errorf("wire: FILL with a zero token")
+			return nil, fmt.Errorf("wire: FILL with a zero token")
 		}
 		req.Value = body[16:]
 	case OpPut:
-		if err = parseRecord(body, &req); err != nil {
-			return Request{}, err
+		if err = parseRecord(body, req); err != nil {
+			return nil, err
 		}
 	case OpHint:
 		if len(body) < 1 || body[0] == 0 || len(body) < 1+int(body[0]) {
-			return Request{}, fmt.Errorf("wire: HINT body %d bytes lacks a target address", len(body))
+			return nil, fmt.Errorf("wire: HINT body %d bytes lacks a target address", len(body))
 		}
 		al := 1 + int(body[0])
 		req.Target = string(body[1:al])
-		if err = parseRecord(body[al:], &req); err != nil {
-			return Request{}, err
+		if err = parseRecord(body[al:], req); err != nil {
+			return nil, err
 		}
 	case OpStats:
 		if len(body) != 1 {
-			return Request{}, fmt.Errorf("wire: STATS body %d bytes, want 1", len(body))
+			return nil, fmt.Errorf("wire: STATS body %d bytes, want 1", len(body))
 		}
 		if req.Detail, err = parseBool(body[0], "STATS detail"); err != nil {
-			return Request{}, err
+			return nil, err
 		}
 	case OpRehash, OpKeys, OpMembers:
 		if len(body) != 0 {
-			return Request{}, fmt.Errorf("wire: %v body %d bytes, want 0", req.Op, len(body))
+			return nil, fmt.Errorf("wire: %v body %d bytes, want 0", req.Op, len(body))
 		}
 	case OpMetrics:
 		if len(body) != 1 {
-			return Request{}, fmt.Errorf("wire: METRICS body %d bytes, want 1", len(body))
+			return nil, fmt.Errorf("wire: METRICS body %d bytes, want 1", len(body))
 		}
 		req.MetricsFlags = MetricsFlags(body[0])
 		if err := req.MetricsFlags.validate(); err != nil {
-			return Request{}, err
+			return nil, err
 		}
 	case OpTopology:
 		t, err := parseTopology(body)
 		if err != nil {
-			return Request{}, err
+			return nil, err
 		}
 		// An empty MEMBERS response is legitimate (a fresh server knows no
 		// topology), but an empty *push* is not: adopting it would leave
@@ -1189,98 +1237,100 @@ func (r *Reader) ReadRequest() (Request, error) {
 		// any later epoch could "win" — a rollback of the monotonic-epoch
 		// invariant through one malformed frame.
 		if len(t.Members) == 0 {
-			return Request{}, fmt.Errorf("wire: TOPOLOGY push with no members")
+			return nil, fmt.Errorf("wire: TOPOLOGY push with no members")
 		}
 		req.Topology = t
 	default:
-		return Request{}, fmt.Errorf("wire: unknown request op %d", byte(req.Op))
+		return nil, fmt.Errorf("wire: unknown request op %d", byte(req.Op))
 	}
 	return req, nil
 }
 
 // ReadResponse decodes the next response frame (client side). The returned
-// Value and Keys alias internal buffers valid until the next call.
-func (r *Reader) ReadResponse() (Response, error) {
+// Response is the Reader's own, and it, its Value and its Keys are valid
+// until the next call.
+func (r *Reader) ReadResponse() (*Response, error) {
 	body, err := r.readFrame()
 	if err != nil {
-		return Response{}, err
+		return nil, err
 	}
 	if len(body) < 9 {
-		return Response{}, fmt.Errorf("wire: response frame %d bytes, want ≥9 (status + epoch)", len(body))
+		return nil, fmt.Errorf("wire: response frame %d bytes, want ≥9 (status + epoch)", len(body))
 	}
-	resp := Response{Status: Status(body[0]), Epoch: binary.LittleEndian.Uint64(body[1:])}
+	resp := &r.resp
+	*resp = Response{Status: Status(body[0]), Epoch: binary.LittleEndian.Uint64(body[1:])}
 	body = body[9:]
 	switch resp.Status {
 	case StatusHit:
 		if len(body) < 8 {
-			return Response{}, fmt.Errorf("wire: HIT body %d bytes, want ≥8 (version)", len(body))
+			return nil, fmt.Errorf("wire: HIT body %d bytes, want ≥8 (version)", len(body))
 		}
 		resp.Version = binary.LittleEndian.Uint64(body)
 		resp.Value = body[8:]
 	case StatusMiss:
 		if len(body) != 0 {
-			return Response{}, fmt.Errorf("wire: MISS body %d bytes, want 0", len(body))
+			return nil, fmt.Errorf("wire: MISS body %d bytes, want 0", len(body))
 		}
 	case StatusOK:
 		if len(body) != 9 {
-			return Response{}, fmt.Errorf("wire: OK body %d bytes, want 9", len(body))
+			return nil, fmt.Errorf("wire: OK body %d bytes, want 9", len(body))
 		}
 		if resp.Evicted, err = parseBool(body[0], "OK evicted"); err != nil {
-			return Response{}, err
+			return nil, err
 		}
 		resp.Version = binary.LittleEndian.Uint64(body[1:])
 	case StatusVersionStale:
 		if len(body) != 8 {
-			return Response{}, fmt.Errorf("wire: VERSION_STALE body %d bytes, want 8", len(body))
+			return nil, fmt.Errorf("wire: VERSION_STALE body %d bytes, want 8", len(body))
 		}
 		resp.Version = binary.LittleEndian.Uint64(body)
 	case StatusLease:
 		if len(body) < 13 {
-			return Response{}, fmt.Errorf("wire: LEASE body %d bytes, want ≥13 (token + ttl + stale)", len(body))
+			return nil, fmt.Errorf("wire: LEASE body %d bytes, want ≥13 (token + ttl + stale)", len(body))
 		}
 		resp.LeaseToken = binary.LittleEndian.Uint64(body)
 		ms := binary.LittleEndian.Uint32(body[8:])
 		if ms == 0 {
-			return Response{}, fmt.Errorf("wire: LEASE with a zero TTL")
+			return nil, fmt.Errorf("wire: LEASE with a zero TTL")
 		}
 		resp.LeaseTTL = time.Duration(ms) * time.Millisecond
 		if resp.Stale, err = parseBool(body[12], "LEASE stale"); err != nil {
-			return Response{}, err
+			return nil, err
 		}
 		switch {
 		case !resp.Stale:
 			if len(body) != 13 {
-				return Response{}, fmt.Errorf("wire: LEASE body %d bytes, want 13 without a stale hint", len(body))
+				return nil, fmt.Errorf("wire: LEASE body %d bytes, want 13 without a stale hint", len(body))
 			}
 		case resp.LeaseToken != 0:
-			return Response{}, fmt.Errorf("wire: LEASE grant cannot carry a stale hint")
+			return nil, fmt.Errorf("wire: LEASE grant cannot carry a stale hint")
 		case len(body) < 21:
-			return Response{}, fmt.Errorf("wire: stale LEASE body %d bytes, want ≥21 (hint version)", len(body))
+			return nil, fmt.Errorf("wire: stale LEASE body %d bytes, want ≥21 (hint version)", len(body))
 		default:
 			resp.Version = binary.LittleEndian.Uint64(body[13:])
 			resp.Value = body[21:]
 		}
 	case StatusLeaseLost:
 		if len(body) != 8 {
-			return Response{}, fmt.Errorf("wire: LEASE_LOST body %d bytes, want 8", len(body))
+			return nil, fmt.Errorf("wire: LEASE_LOST body %d bytes, want 8", len(body))
 		}
 		resp.Version = binary.LittleEndian.Uint64(body)
 	case StatusStats:
 		st, err := parseStats(body)
 		if err != nil {
-			return Response{}, err
+			return nil, err
 		}
 		resp.Stats = st
 	case StatusError:
 		resp.Err = string(body)
 	case StatusKeys:
 		if len(body) < 4 {
-			return Response{}, fmt.Errorf("wire: keys payload %d bytes, want ≥4", len(body))
+			return nil, fmt.Errorf("wire: keys payload %d bytes, want ≥4", len(body))
 		}
 		n := int(binary.LittleEndian.Uint32(body))
 		body = body[4:]
 		if len(body) != keyRecLen*n {
-			return Response{}, fmt.Errorf("wire: keys payload %d bytes, want %d", len(body), keyRecLen*n)
+			return nil, fmt.Errorf("wire: keys payload %d bytes, want %d", len(body), keyRecLen*n)
 		}
 		if n > 0 {
 			// Like Value, Keys aliases reader-owned memory valid until
@@ -1291,24 +1341,24 @@ func (r *Reader) ReadResponse() (Response, error) {
 			resp.Keys = r.keys[:n]
 			for i := range resp.Keys {
 				if resp.Keys[i], err = parseKeyRec(body[keyRecLen*i:]); err != nil {
-					return Response{}, fmt.Errorf("keys record %d: %w", i, err)
+					return nil, fmt.Errorf("keys record %d: %w", i, err)
 				}
 			}
 		}
 	case StatusMembers:
 		t, err := parseTopology(body)
 		if err != nil {
-			return Response{}, err
+			return nil, err
 		}
 		resp.Topology = t
 	case StatusMetrics:
 		m, err := parseMetrics(body)
 		if err != nil {
-			return Response{}, err
+			return nil, err
 		}
 		resp.Metrics = m
 	default:
-		return Response{}, fmt.Errorf("wire: unknown response status %d", byte(resp.Status))
+		return nil, fmt.Errorf("wire: unknown response status %d", byte(resp.Status))
 	}
 	return resp, nil
 }
