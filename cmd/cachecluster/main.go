@@ -62,8 +62,10 @@
 // per-worker near-cache, version-invalidated by the piggybacked per-key
 // versions, which absorbs a hot key's repeat reads before they reach the
 // wire at all; -near-ttl bounds its staleness budget. The run report adds
-// a "leases:" line (client-side tallies) and a "srv leases:" line (the
-// members' grant/expiry/stale-serve counters).
+// a "leases:" line (client-side tallies), a "near:" line (what the
+// workers' near-caches hold, summed: lookups that found an entry past its
+// deadline, clock evictions, resident entries) and a "srv leases:" line
+// (the members' grant/expiry/stale-serve counters).
 //
 // The default mode is closed-loop (offered load adapts to server latency;
 // right for "how fast can it go"). With -open -rate R the harness uses the
@@ -92,6 +94,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/adversary"
@@ -204,8 +207,22 @@ func main() {
 	}
 	keys := gen.Generate(c.ops, c.seed)
 
+	// The workers' routers are kept for their near-cache counters.
+	var (
+		routersMu sync.Mutex
+		routers   []*cluster.Client
+	)
+	dial := func() (load.Conn, error) {
+		r, err := cluster.Dial(members, opts)
+		if err == nil {
+			routersMu.Lock()
+			routers = append(routers, r)
+			routersMu.Unlock()
+		}
+		return r, err
+	}
 	res, err := load.Run(load.Config{
-		Dial:        func() (load.Conn, error) { return cluster.Dial(members, opts) },
+		Dial:        dial,
 		Conns:       c.conns,
 		Keys:        keys,
 		Pipeline:    c.pipeline,
@@ -253,6 +270,17 @@ func main() {
 	if c.leases || c.nearSlots > 0 {
 		fmt.Printf("  leases:     nearhits=%d stalehints=%d grants=%d lost=%d waits=%d\n",
 			res.NearHits, res.StaleHints, res.LeaseGrants, res.LeaseLost, res.LeaseWaits)
+	}
+	if c.nearSlots > 0 {
+		// Hits are the leases: line's nearhits; print what it lacks.
+		var expired, evicts uint64
+		var resident int
+		for _, r := range routers {
+			st := r.NearCacheStats()
+			expired, evicts, resident = expired+st.Expired, evicts+st.Evicts, resident+st.Len
+		}
+		fmt.Printf("  near:       expired=%d evicts=%d resident=%d (summed over %d routers)\n",
+			expired, evicts, resident, len(routers))
 	}
 
 	// Hot keys are recorded regardless of sampling; spans and the trace

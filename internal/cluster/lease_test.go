@@ -273,10 +273,24 @@ func seqOf(v []byte) uint64 { return binary.LittleEndian.Uint64(v) }
 // sequence numbers non-decreasing: the version-invalidated near-cache
 // never serves an older value after a newer one has been observed
 // through the same client. Run with -race, this is also the data-race
-// check on the near-cache and grant table.
+// check on the near-cache and grant table. The plain R = 2 row is the
+// path where one SET leaves its owners at different versions.
 func TestNearCacheMonotonicUnderWrites(t *testing.T) {
+	near := NearCacheOptions{Slots: 128, TTL: 5 * time.Millisecond}
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"leases", Options{Leases: true, NearCache: near}},
+		{"r2-plain", Options{Replicas: 2, NearCache: near}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testNearCacheMonotonic(t, tc.opts) })
+	}
+}
+
+func testNearCacheMonotonic(t *testing.T, opts Options) {
 	addrs := startCluster(t, 3, 4096, 16)
-	c, err := Dial(addrs, Options{Leases: true, NearCache: NearCacheOptions{Slots: 128, TTL: 5 * time.Millisecond}})
+	c, err := Dial(addrs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

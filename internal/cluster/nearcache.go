@@ -51,7 +51,7 @@ type nearCache struct {
 	ring    []uint64 // resident keys, swept by the clock hand
 	hand    int
 
-	hits, misses, stores, evicts uint64 // under mu; see snapshot
+	hits, misses, expired, stores, evicts uint64 // under mu; see snapshot
 }
 
 func newNearCache(o NearCacheOptions) *nearCache {
@@ -77,6 +77,9 @@ func (n *nearCache) lookup(key uint64, now time.Time) ([]byte, uint64, bool) {
 	e := n.entries[key]
 	if e == nil || now.After(e.expires) {
 		n.misses++
+		if e != nil {
+			n.expired++
+		}
 		return nil, 0, false
 	}
 	e.used = true
@@ -123,17 +126,22 @@ func (n *nearCache) store(key, ver uint64, val []byte, now time.Time) {
 	n.mu.Unlock()
 }
 
-// reconcile merges a response (ver, val) for key with the resident entry
-// and returns the fresher of the two — what the caller should deliver.
-// When the near-cache already holds a strictly newer version (a write
-// through this client raced the read), that value wins; otherwise the
-// response is cached and served. Either way the caller delivers a value
-// at least as new as anything this client has observed for the key.
+// reconcile merges a read's response (ver, val) for key with the resident
+// entry and returns the fresher of the two — what the caller should
+// deliver. A response at or below the resident version cannot replace
+// the entry under version order, so the resident value is served and its
+// TTL restarts: the TTL counts from the last such revalidation. An older
+// answer is the norm after a plain replicated SET, whose owners each
+// stamp their own version. Any other response is cached and served.
+// Either way the caller delivers a value at least as new as anything
+// this client has observed for the key.
 func (n *nearCache) reconcile(key, ver uint64, val []byte, now time.Time) ([]byte, uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if e := n.entries[key]; e != nil && e.ver > ver {
+	if e := n.entries[key]; e != nil && e.ver >= ver {
+		e.expires = now.Add(n.ttl)
 		e.used = true
+		n.stores++
 		return e.val, e.ver
 	}
 	n.storeLocked(key, ver, val, now)
@@ -192,12 +200,13 @@ func (n *nearCache) evictLocked() {
 }
 
 // NearCacheCounters is the near-cache's serving tally; see
-// Client.NearCache.
+// Client.NearCacheStats.
 type NearCacheCounters struct {
-	// Hits and Misses count lookup outcomes (a miss includes expired
-	// entries); Stores counts values cached or refreshed; Evicts counts
-	// entries displaced by the clock.
-	Hits, Misses, Stores, Evicts uint64
+	// Hits and Misses count lookup outcomes; Expired is the part of
+	// Misses that found a resident entry past its deadline. Stores counts
+	// values cached, replaced or revalidated; Evicts counts entries
+	// displaced by the clock.
+	Hits, Misses, Expired, Stores, Evicts uint64
 	// Len is the current resident entry count.
 	Len int
 }
@@ -206,7 +215,7 @@ func (n *nearCache) snapshot() NearCacheCounters {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return NearCacheCounters{
-		Hits: n.hits, Misses: n.misses, Stores: n.stores, Evicts: n.evicts,
-		Len: len(n.entries),
+		Hits: n.hits, Misses: n.misses, Expired: n.expired,
+		Stores: n.stores, Evicts: n.evicts, Len: len(n.entries),
 	}
 }
