@@ -101,7 +101,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/concurrent"
 	"repro/internal/load"
-	"repro/internal/policy"
 	"repro/internal/server"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -112,7 +111,7 @@ import (
 // config is the parsed command line.
 type config struct {
 	spawn, vnodes, replicas, quorum, k, alpha    int
-	addrs, polName, wl, traceIn                  string
+	addrs, wl, traceIn                           string
 	boot, readThru, verify, rehash, open, leases bool
 	seed                                         uint64
 	conns, ops, pipeline, valSize, universe      int
@@ -132,7 +131,6 @@ func defineFlags(fs *flag.FlagSet) *config {
 	fs.IntVar(&c.quorum, "write-quorum", 0, "owners that must ack a SET, W of R (0 = all R)")
 	fs.IntVar(&c.k, "k", 1<<16, "per-node cache capacity (spawned nodes)")
 	fs.IntVar(&c.alpha, "alpha", 16, "per-node set size α (spawned nodes)")
-	fs.StringVar(&c.polName, "policy", defaultPolicy, "per-bucket replacement policy (spawned nodes)")
 	fs.Uint64Var(&c.seed, "seed", 1, "hash/workload seed")
 	fs.IntVar(&c.conns, "conns", 4, "concurrent router clients (workers)")
 	fs.IntVar(&c.ops, "ops", 1_000_000, "total GET operations")
@@ -166,7 +164,7 @@ func main() {
 		fatal(err)
 	}
 
-	members, cleanup, err := buildMembers(c.spawn, c.addrs, c.k, c.alpha, c.polName, c.seed)
+	members, cleanup, err := buildMembers(c.spawn, c.addrs, c.k, c.alpha, c.seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -507,17 +505,10 @@ func printShards(nodes []string, ms map[string]*wire.Metrics) {
 	}
 }
 
-// defaultPolicy is the -policy default.
-const defaultPolicy = "lru"
-
 // buildMembers spawns in-process nodes or parses -addrs.
-func buildMembers(spawn int, addrs string, k, alpha int, polName string, seed uint64) ([]string, func(), error) {
+func buildMembers(spawn int, addrs string, k, alpha int, seed uint64) ([]string, func(), error) {
 	if addrs != "" {
 		return strings.Split(addrs, ","), func() {}, nil
-	}
-	kind, err := policy.ParseKind(polName)
-	if err != nil {
-		return nil, nil, err
 	}
 	var members []string
 	var servers []*server.Server
@@ -531,7 +522,6 @@ func buildMembers(spawn int, addrs string, k, alpha int, polName string, seed ui
 			Capacity: k,
 			Alpha:    alpha,
 			Seed:     seed + uint64(i),
-			Policy:   policy.BucketFactory(kind, seed+uint64(i)),
 		})
 		if err != nil {
 			cleanup()
@@ -547,8 +537,8 @@ func buildMembers(spawn int, addrs string, k, alpha int, polName string, seed ui
 		servers = append(servers, srv)
 		members = append(members, ln.Addr().String())
 	}
-	fmt.Printf("spawned %d in-process nodes (k=%d α=%d policy=%s each): %s\n",
-		spawn, k, alpha, kind, strings.Join(members, " "))
+	fmt.Printf("spawned %d in-process nodes (k=%d α=%d each): %s\n",
+		spawn, k, alpha, strings.Join(members, " "))
 	return members, cleanup, nil
 }
 

@@ -2,10 +2,9 @@ package main
 
 import (
 	"flag"
+	"io"
 	"strings"
 	"testing"
-
-	"repro/internal/policy"
 )
 
 // TestValidateFlags holds the command line to its checks before anything
@@ -55,24 +54,15 @@ func TestValidateFlags(t *testing.T) {
 	}
 }
 
-// TestDefaultPolicyIsNative pins the daemon to the store path the standing
-// benchmark measures: the default -policy hands concurrent.New no factory,
-// so its buckets order themselves (internal/concurrent's tests hold that a
-// nil Config.Policy builds no policy object), and every other kind still
-// gets one.
-func TestDefaultPolicyIsNative(t *testing.T) {
-	for _, kind := range policy.AllKinds() {
-		name := kind.String()
-		parsed, err := policy.ParseKind(name)
-		if err != nil || parsed != kind {
-			t.Fatalf("ParseKind(%q) = %v, %v", name, parsed, err)
-		}
-		f := policy.BucketFactory(parsed, 1)
-		if native := name == defaultPolicy; (f == nil) != native {
-			t.Errorf("-policy %s: factory nil = %v, want %v", name, f == nil, native)
-		}
-		if f != nil && f(16).Capacity() != 16 {
-			t.Errorf("-policy %s: factory builds capacity %d, want 16", name, f(16).Capacity())
-		}
+// TestPolicyFlagRetired holds the spawned stores to their one replacement
+// policy: -policy is not a flag, so a command line that asks for another
+// fails to parse instead of being quietly ignored.
+func TestPolicyFlagRetired(t *testing.T) {
+	fs := flag.NewFlagSet("cachecluster", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	defineFlags(fs)
+	err := fs.Parse([]string{"-spawn", "2", "-policy", "clock"})
+	if err == nil || !strings.Contains(err.Error(), "not defined: -policy") {
+		t.Fatalf("-policy clock: parse error %v, want an undefined flag", err)
 	}
 }

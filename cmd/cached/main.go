@@ -5,7 +5,6 @@
 // Usage:
 //
 //	cached -addr :7070 -k 65536 -alpha 16
-//	cached -addr :7070 -k 65536 -alpha 16 -policy clock
 //	cached -addr :7070 -k 65536 -alpha 16 -rehash-every 1048576
 //	cached -addr :7070 -k 65536 -alpha 16 -rehash-auto -rehash-conflicts 4096
 //	cached -addr :7071 -advertise host2:7071 -join host1:7070
@@ -53,13 +52,9 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/concurrent"
-	"repro/internal/policy"
 	"repro/internal/server"
 	"repro/internal/wire"
 )
-
-// defaultPolicy is the -policy default.
-const defaultPolicy = "lru"
 
 func main() {
 	var (
@@ -68,7 +63,6 @@ func main() {
 		join       = flag.String("join", "", "seed address of an existing member: fetch its topology, add self, push to all members")
 		k          = flag.Int("k", 1<<16, "total cache capacity")
 		alpha      = flag.Int("alpha", 16, "set size α (must divide k); the paper proves α = ω(log k) matches full associativity and α = o(log k) does not, and the default sits at the threshold, log₂ 65536 = 16")
-		polName    = flag.String("policy", defaultPolicy, "per-bucket replacement policy: lru|fifo|clock|lfu|lru2|lru3|reusedist|random|mru")
 		seed       = flag.Uint64("seed", 1, "hash seed")
 		rehashEv   = flag.Uint64("rehash-every", 0, "start an online incremental rehash every N misses (0 disables)")
 		rehashAuto = flag.Bool("rehash-auto", false, "derive the rehash-every period from k (k·⌈log₂k⌉ misses, the paper's poly(k) guidance)")
@@ -83,10 +77,6 @@ func main() {
 	)
 	flag.Parse()
 
-	kind, err := policy.ParseKind(*polName)
-	if err != nil {
-		fatal(err)
-	}
 	every := *rehashEv
 	if *rehashAuto {
 		if every != 0 {
@@ -99,7 +89,6 @@ func main() {
 		Capacity:             *k,
 		Alpha:                *alpha,
 		Seed:                 *seed,
-		Policy:               policy.BucketFactory(kind, *seed),
 		RehashEveryMisses:    every,
 		RehashEveryConflicts: *rehashConf,
 		MigrationPerMiss:     *migPerMiss,
@@ -146,8 +135,8 @@ func main() {
 		// this self-seed.
 		srv.SetTopology(wire.Topology{Epoch: 0, Members: []string{self}})
 	}
-	log.Printf("cached: serving k=%d α=%d (%d buckets) policy=%s on %s",
-		*k, *alpha, cache.NumBuckets(), kind, *addr)
+	log.Printf("cached: serving k=%d α=%d (%d buckets) on %s",
+		*k, *alpha, cache.NumBuckets(), *addr)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

@@ -30,11 +30,14 @@
 // request. Act one disables warm-up (cluster.Options.DisableWarmup) on
 // purpose, to show the burst that warm-up exists to kill.
 //
-// Act four is the observability sequel: one member is secretly slowed (a
-// stall injected under its bucket lock), the client's blended latency can
-// only say *something* is wrong, and the per-node METRICS fan-out (wire
-// v5) localizes the hot member from its own service-time histogram — with
-// its slow-op ring naming the ops that paid — without a shell on any box.
+// Act four is the observability sequel: one member is secretly stuck in
+// back-to-back rehashes (the paper's own slow path: every one flushes the
+// last migration's stragglers and marks the whole cache awaiting remap, so
+// that member's requests queue behind it and miss), the client's blended
+// latency can only say *something* is wrong, and the per-node METRICS
+// fan-out (wire v5) localizes the hot member from its own service-time
+// histogram — with its slow-op ring naming the ops that paid — without a
+// shell on any box.
 //
 // Run with: go run ./examples/cluster
 package main
@@ -49,7 +52,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/concurrent"
 	"repro/internal/load"
-	"repro/internal/policy"
 	"repro/internal/server"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -63,11 +65,7 @@ const (
 )
 
 func startNode(seed uint64) (string, *server.Server) {
-	return startNodeWithConfig(concurrent.Config{Capacity: kPerNode, Alpha: 16, Seed: seed})
-}
-
-func startNodeWithConfig(cfg concurrent.Config) (string, *server.Server) {
-	cache, err := concurrent.New(cfg)
+	cache, err := concurrent.New(concurrent.Config{Capacity: kPerNode, Alpha: 16, Seed: seed})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -359,41 +357,21 @@ func actThree() {
 		len(sweep), misses, fb)
 }
 
-// slowPolicy wraps a replacement policy and dawdles on every request — an
-// injected stall standing in for a failing disk, a noisy neighbour, or a
-// GC-pausing co-tenant. It runs under the bucket lock, exactly where real
-// per-item slowness would sit, so the victim node's *service time*
-// genuinely inflates; nothing about the wire or the client is touched.
-type slowPolicy struct {
-	policy.Policy
-	delay time.Duration
-}
-
-func (p slowPolicy) Request(x trace.Item) (bool, trace.Item, bool) {
-	time.Sleep(p.delay)
-	return p.Policy.Request(x)
-}
-
 // actFour is the observability act: one of three members is secretly slow,
 // and the client's blended numbers cannot say which. The per-node METRICS
 // fan-out can — each member's flight recorder holds its own service-time
 // histogram, so the hot node is the row whose tail is orders of magnitude
 // off, and its slow-op ring names the ops that paid for it.
 func actFour() {
-	const stall = 500 * time.Microsecond
+	const slowOp = 10 * time.Microsecond
 	var servers []*server.Server
 	var addrs []string
 	for i := 0; i < 3; i++ {
-		cfg := concurrent.Config{Capacity: kPerNode, Alpha: 16, Seed: uint64(i + 30)}
-		if i == 2 {
-			cfg.Policy = func(c int) policy.Policy {
-				return slowPolicy{Policy: policy.NewLRU(c), delay: stall}
-			}
-		}
-		addr, srv := startNodeWithConfig(cfg)
-		// Drop the flight recorder's slow-op threshold below the injected
-		// stall so the victim's ring fills while healthy rings stay empty.
-		srv.SetSlowOpThreshold(stall / 2)
+		addr, srv := startNode(uint64(i + 30))
+		// Drop the flight recorder's slow-op threshold to a few healthy
+		// GET p99s, so the victim's ring fills; a healthy ring holds only
+		// the odd scheduler hiccup.
+		srv.SetSlowOpThreshold(slowOp)
 		addrs = append(addrs, addr)
 		servers = append(servers, srv)
 	}
@@ -404,12 +382,32 @@ func actFour() {
 	}()
 	culprit := addrs[2]
 
+	// The culprit rehashes back to back until the act ends: nothing about
+	// the wire, the client or the other members is touched.
+	stopRehash, rehashDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(rehashDone)
+		cache := servers[2].Cache()
+		for {
+			select {
+			case <-stopRehash:
+				return
+			default:
+				cache.Rehash()
+			}
+		}
+	}()
+	defer func() {
+		close(stopRehash)
+		<-rehashDone
+	}()
+
 	ctl, err := cluster.Dial(addrs, cluster.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer ctl.Close()
-	fmt.Printf("\nact four — same cluster, but one member is secretly slow (%v per request, under the bucket lock)\n\n", stall)
+	fmt.Printf("\nact four — same cluster, but one member is secretly slow (stuck in back-to-back rehashes)\n\n")
 
 	keys := workload.Zipf{Universe: universe, S: 0.9, Shuffle: true}.Generate(1<<20, 17)
 	tr := startTraffic(ctl, keys)
@@ -443,11 +441,11 @@ func actFour() {
 		"cluster (merged)", cg.Quantile(0.50), cg.Quantile(0.99))
 
 	if hot != culprit {
-		log.Fatalf("diagnosis picked %s, but the stall was injected into %s", hot, culprit)
+		log.Fatalf("diagnosis picked %s, but the rehash loop ran on %s", hot, culprit)
 	}
 	ring := per[hot].SlowOps
 	fmt.Printf("\ndiagnosis: %s is the hot member — and its slow-op ring has the receipts: %d ops over the %v threshold",
-		hot, len(ring), stall/2)
+		hot, len(ring), slowOp)
 	if len(ring) > 0 {
 		last := ring[len(ring)-1]
 		fmt.Printf(", e.g. %s of key-hash %016x taking %v",

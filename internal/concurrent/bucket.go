@@ -3,7 +3,6 @@ package concurrent
 import (
 	"sync"
 
-	"repro/internal/policy"
 	"repro/internal/trace"
 )
 
@@ -37,10 +36,8 @@ type link struct{ prev, next int32 }
 // lines at α = 16), one value and the links of the slot and its two
 // neighbours — no hash-map probe and no pointer chase.
 //
-// The recency list is exact LRU and is kept under every policy. With
-// pol == nil it also names the victim (tail), so LRU needs no policy object;
-// a non-nil pol sees the same Request/Delete stream it always did and names
-// the victim instead, and the list then only orders forced evictions.
+// The recency list is exact LRU and is the only victim chooser: a full
+// bucket evicts its tail, and forced evictions take the tail too.
 // Awaiting-remap slots are never touched (a touch remaps), so they are
 // exactly the nOld least recent ones: nextOld is the tail.
 //
@@ -60,15 +57,13 @@ type bucket struct {
 	order []link
 	old   []uint64
 	// index maps key → slot when α > scanMax, nil otherwise.
-	index map[trace.Item]int32
-	// pol, when non-nil, chooses victims in place of the recency list.
-	pol       policy.Policy
+	index     map[trace.Item]int32
 	evictions uint64
 	// conflictEvictions is the subset of evictions made while the cache as
 	// a whole had free slots (see Snapshot.ConflictEvictions).
 	conflictEvictions uint64
 
-	_ [16]byte // pad to three cache lines, keeping hot buckets off shared ones
+	_ [32]byte // pad to three cache lines, keeping hot buckets off shared ones
 }
 
 // find returns the slot holding item, or none.
@@ -89,9 +84,6 @@ func (b *bucket) find(item trace.Item) int32 {
 
 // touch records a request for the resident in slot i.
 func (b *bucket) touch(i int32) {
-	if b.pol != nil {
-		b.pol.Request(b.keys[i])
-	}
 	if b.head != i {
 		b.unlink(i)
 		b.pushFront(i)
@@ -99,19 +91,12 @@ func (b *bucket) touch(i int32) {
 }
 
 // insert stores item, which the bucket must not hold, as its most recent
-// resident. When the bucket (or its policy) is full the victim's slot is
-// reused in place and the victim reported; a non-lazy policy's further
-// evictions are removed as well and show only in n.
+// resident. When the bucket is full the tail is the victim: its slot is
+// reused in place and the victim reported.
 func (b *bucket) insert(item trace.Item, val interface{}) (victim trace.Item, evicted bool) {
 	i := b.n
-	if b.pol != nil {
-		if _, victim, evicted = b.pol.Request(item); evicted {
-			i = b.find(victim)
-		}
-	} else if int(i) == len(b.keys) {
+	if int(i) == len(b.keys) {
 		i, victim, evicted = b.tail, b.keys[b.tail], true
-	}
-	if evicted {
 		b.vacate(i)
 	} else {
 		b.n++
@@ -121,13 +106,6 @@ func (b *bucket) insert(item trace.Item, val interface{}) (victim trace.Item, ev
 		b.index[item] = i
 	}
 	b.pushFront(i)
-	if be, ok := b.pol.(policy.BatchEvictions); ok {
-		for _, ev := range be.TakeEvictions() {
-			if j := b.find(ev); j != none {
-				b.remove(j)
-			}
-		}
-	}
 	return victim, evicted
 }
 
@@ -135,9 +113,6 @@ func (b *bucket) insert(item trace.Item, val interface{}) (victim trace.Item, ev
 // remap. The last used slot moves into i, so slot numbers do not survive a
 // remove.
 func (b *bucket) remove(i int32) (wasOld bool) {
-	if b.pol != nil {
-		b.pol.Delete(b.keys[i])
-	}
 	wasOld = b.vacate(i)
 	last := b.n - 1
 	if i != last {

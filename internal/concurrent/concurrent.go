@@ -10,13 +10,12 @@
 //
 // A bucket is the paper's set taken literally: α slots in flat arrays (keys,
 // values, recency links, one awaiting-remap bit each), the same layout for
-// every α and every policy — see the bucket type. A Get hit hashes once,
-// locks one bucket, scans its keys, reads one value and relinks one slot; it
-// allocates nothing and writes no cache line that another bucket's requests
-// read. Inserts, evictions and deletes reuse slots in place and allocate
-// nothing either. LRU is native to the layout (Config.Policy == nil builds
-// no policy object); any other policy is handed the same request stream and
-// only names the victims.
+// every α — see the bucket type. A Get hit hashes once, locks one bucket,
+// scans its keys, reads one value and relinks one slot; it allocates nothing
+// and writes no cache line that another bucket's requests read. Inserts,
+// evictions and deletes reuse slots in place and allocate nothing either.
+// Replacement is the paper's α-way LRU and nothing else: a bucket's recency
+// list is the only victim chooser, and the victim is always its tail.
 //
 // The cache also supports *online* incremental rehashing: the ⟨LRU⟩IF
 // algorithm of Section 6.1, ported from internal/core to the concurrent
@@ -37,7 +36,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/hashfn"
-	"repro/internal/policy"
 	"repro/internal/trace"
 )
 
@@ -115,9 +113,6 @@ type Config struct {
 	Alpha int
 	// Seed drives the indexing hash and the rehash seed schedule.
 	Seed uint64
-	// Policy stamps out one replacement-policy instance per bucket.
-	// Nil means LRU.
-	Policy policy.Factory
 	// RehashEveryMisses, when nonzero, starts an online incremental rehash
 	// every RehashEveryMisses Get misses — the paper's "rehash every poly(k)
 	// misses" schedule (Section 6), which keeps the cache competitive on
@@ -175,9 +170,6 @@ func New(cfg Config) (*Cache, error) {
 		b.old = old[i*words : (i+1)*words : (i+1)*words]
 		if a > scanMax {
 			b.index = make(map[trace.Item]int32, a)
-		}
-		if cfg.Policy != nil {
-			b.pol = cfg.Policy(a)
 		}
 	}
 	return c, nil
@@ -329,19 +321,23 @@ func (c *Cache) removeLocked(b *bucket, i int32) {
 
 // storeLocked stores item→value in bucket b, whose mutex the caller holds,
 // handling eviction bookkeeping; i is item's slot in b, or none. It returns
-// the (single) reported victim.
+// the victim, if the insert evicted one.
 func (c *Cache) storeLocked(b *bucket, i int32, item trace.Item, value interface{}) (victim trace.Item, didEvict bool) {
 	if i != none {
 		b.vals[i] = value
 		c.touchLocked(b, i)
 		return 0, false
 	}
-	n, nOld := b.n, b.nOld
+	nOld := b.nOld
 	victim, didEvict = b.insert(item, value)
-	// Occupancy is unchanged by a single eviction (one out, one in); if the
-	// cache as a whole still has free slots, this eviction is a pure
-	// conflict eviction — the associativity restriction, not capacity,
-	// caused it.
+	if !didEvict {
+		c.occupancy.Add(1)
+	} else {
+		b.evictions++
+	}
+	// Occupancy is unchanged by an eviction (one out, one in); if the cache
+	// as a whole still has free slots, this eviction is a pure conflict
+	// eviction — the associativity restriction, not capacity, caused it.
 	if didEvict && c.occupancy.Load() < int64(c.Capacity()) {
 		b.conflictEvictions++
 		if c.rehashEveryConflicts > 0 && c.conflictEvictions.Add(1)%c.rehashEveryConflicts == 0 {
@@ -351,12 +347,7 @@ func (c *Cache) storeLocked(b *bucket, i int32, item trace.Item, value interface
 			go c.Rehash()
 		}
 	}
-	// Whatever the insert displaced — the victim, and a non-lazy policy's
-	// (flush-when-full) batch beyond it — shows in the bucket's counts.
-	b.evictions += uint64(n + 1 - b.n)
-	if b.n != n {
-		c.occupancy.Add(int64(b.n - n))
-	}
+	// An evicted tail may have been awaiting remap.
 	if b.nOld != nOld {
 		c.pending.Add(int64(b.nOld - nOld))
 	}
@@ -555,7 +546,7 @@ func (c *Cache) Keys() []uint64 {
 // but carrying the values, so callers enumerating versioned records need
 // not re-read each key. visit runs under a bucket lock: it must be cheap,
 // must not block, and must not call back into the cache. The walk touches
-// no policy state, so an enumeration never perturbs recency.
+// no recency state, so an enumeration never perturbs recency.
 func (c *Cache) Entries(visit func(key uint64, v interface{})) {
 	for i := range c.buckets {
 		b := &c.buckets[i]
@@ -603,7 +594,7 @@ func (c *Cache) Stats() (hits, misses uint64) {
 type Snapshot struct {
 	Hits   uint64
 	Misses uint64
-	// Evictions counts policy evictions caused by insertions.
+	// Evictions counts the LRU evictions caused by insertions.
 	Evictions uint64
 	// ConflictEvictions is the subset of Evictions that happened while the
 	// cache as a whole still had free slots: pure associativity conflicts,

@@ -13,12 +13,11 @@ import (
 )
 
 // model is the store's specification, written the plain way: per bucket a
-// policy.Policy, a value map and an awaiting-remap set, single-threaded,
-// with the same hash seeds as the Cache it shadows. It is what the Cache
-// was before its buckets became slot arrays, plus the one thing that store
-// left to map iteration order: a forced eviction takes the bucket's least
-// recently used awaiting-remap resident (rec keeps that order under any
-// policy).
+// policy.LRU, a value map and an awaiting-remap set, single-threaded, with
+// the same hash seeds as the Cache it shadows. It is what the Cache was
+// before its buckets became slot arrays, plus the one thing that store left
+// to map iteration order: a forced eviction takes the bucket's least
+// recently used awaiting-remap resident (rec keeps that order).
 type model struct {
 	buckets      []modelBucket
 	seeds        *hashfn.SeedSequence
@@ -38,10 +37,6 @@ type modelBucket struct {
 }
 
 func newModel(cfg Config) *model {
-	factory := cfg.Policy
-	if factory == nil {
-		factory = func(c int) policy.Policy { return policy.NewLRU(c) }
-	}
 	n := cfg.Capacity / cfg.Alpha
 	m := &model{
 		buckets:  make([]modelBucket, n),
@@ -52,7 +47,7 @@ func newModel(cfg Config) *model {
 	m.hasher = hashfn.NewRandom(m.seeds.Next(), n)
 	for i := range m.buckets {
 		m.buckets[i] = modelBucket{
-			pol:  factory(cfg.Alpha),
+			pol:  policy.NewLRU(cfg.Alpha),
 			vals: map[trace.Item]interface{}{},
 			old:  map[trace.Item]struct{}{},
 		}
@@ -316,40 +311,32 @@ func checkBucket(b *bucket, mb *modelBucket) error {
 }
 
 // TestDifferentialModel drives seeded random operation streams through the
-// Cache and the model side by side, on both sides of scanMax and under a
-// delegated policy, and requires every return value, every counter, the
+// Cache and the model side by side, on both sides of scanMax, and requires every return value, every counter, the
 // resident set and each bucket's exact recency order to agree after every
 // step — mid-migration included.
 func TestDifferentialModel(t *testing.T) {
-	rows := []struct {
-		alpha, capacity int
-		policy          policy.Factory
-	}{
-		{1, 16, nil},
-		{2, 16, nil},
-		{16, 128, nil},
-		{scanMax, 4 * scanMax, nil},
-		{scanMax + 1, 4 * (scanMax + 1), nil},
-		{256, 512, nil},
-		{512, 512, nil}, // α = k: one bucket
-		{16, 128, policy.NewFactory(policy.ClockKind, 0)},
-		{scanMax + 1, 2 * (scanMax + 1), policy.NewFactory(policy.ClockKind, 0)},
+	rows := []struct{ alpha, capacity int }{
+		{1, 16},
+		{2, 16},
+		{16, 128},
+		{scanMax, 4 * scanMax},
+		{scanMax + 1, 4 * (scanMax + 1)},
+		{256, 512},
+		{512, 512}, // α = k: one bucket
 	}
 	for _, r := range rows {
-		name := fmt.Sprintf("alpha=%d/k=%d/native=%v", r.alpha, r.capacity, r.policy == nil)
+		// "native" names the store's own LRU, the only replacement it has.
+		name := fmt.Sprintf("alpha=%d/k=%d/native=true", r.alpha, r.capacity)
 		t.Run(name, func(t *testing.T) {
 			seeds := uint64(3)
 			if raceEnabled {
 				seeds = 1 // single-threaded: nothing for the detector, ten times the wall clock
 			}
 			for seed := uint64(1); seed <= seeds; seed++ {
-				cfg := Config{Capacity: r.capacity, Alpha: r.alpha, Seed: seed, Policy: r.policy, MigrationPerMiss: int(seed)}
+				cfg := Config{Capacity: r.capacity, Alpha: r.alpha, Seed: seed, MigrationPerMiss: int(seed)}
 				c, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if r.policy == nil && c.buckets[0].pol != nil {
-					t.Fatal("LRU built a policy object")
 				}
 				runDifferential(t, c, newModel(cfg), seed)
 			}
@@ -405,41 +392,5 @@ func runDifferential(t *testing.T, c *Cache, m *model, seed uint64) {
 	}
 	if m.snap.Rehashes < 2 || m.snap.FlushEvictions == 0 || m.snap.Evictions == 0 || m.snap.Hits == 0 {
 		t.Fatalf("seed %d: stream exercised too little: %+v", seed, m.snap)
-	}
-}
-
-// TestBatchEvictingPolicy covers the one insert the model does not: a
-// non-lazy policy (flush-when-full) that empties the bucket around the new
-// item, here mid-migration so the flushed residents were all awaiting
-// remap. Which of them Request reports is the policy's map order; the
-// counts are not.
-func TestBatchEvictingPolicy(t *testing.T) {
-	for _, alpha := range []int{4, scanMax + 1} {
-		c, err := New(Config{Capacity: alpha, Alpha: alpha, Seed: 1, Policy: policy.NewFactory(policy.FlushWhenFullKind, 0)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := 1; k <= alpha; k++ {
-			c.Put(uint64(k), k)
-		}
-		c.Rehash()
-		if c.PendingMigration() != alpha {
-			t.Fatalf("α = %d: pending %d after rehash of a full bucket", alpha, c.PendingMigration())
-		}
-		victim, evicted := c.Put(1000, "new")
-		snap := c.Snapshot()
-		if !evicted || victim < 1 || victim > uint64(alpha) {
-			t.Errorf("α = %d: Put reported victim %d, %v", alpha, victim, evicted)
-		}
-		if snap.Len != 1 || snap.Evictions != uint64(alpha) || snap.Pending != 0 || snap.Migrating {
-			t.Errorf("α = %d: after the flush %+v", alpha, snap)
-		}
-		if v, ok := c.Get(1000); !ok || v != "new" || !slices.Equal(c.Keys(), []uint64{1000}) {
-			t.Errorf("α = %d: Get = %v, %v; Keys = %v", alpha, v, ok, c.Keys())
-		}
-		b := &c.buckets[0]
-		if b.head != 0 || b.tail != 0 || b.vals[1] != nil || int(c.occupancy.Load()) != 1 {
-			t.Errorf("α = %d: bucket head %d tail %d, slot 1 holds %v, occupancy %d", alpha, b.head, b.tail, b.vals[1], c.occupancy.Load())
-		}
 	}
 }

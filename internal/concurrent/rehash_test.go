@@ -4,8 +4,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/policy"
 )
 
 // TestRehashPreservesReachableEntries fills a cache, rehashes, and checks
@@ -252,32 +250,5 @@ func TestConcurrentRehashStress(t *testing.T) {
 	// Occupancy bookkeeping must agree with a fresh bucket-by-bucket count.
 	if got := c.Len(); got != int(c.occupancy.Load()) {
 		t.Fatalf("occupancy counter %d != recount %d", c.occupancy.Load(), got)
-	}
-}
-
-// TestRehashWithNonLRUPolicy exercises migration under a different bucket
-// policy (clock), covering the Policy-factory path.
-func TestRehashWithNonLRUPolicy(t *testing.T) {
-	c, err := New(Config{
-		Capacity: 64, Alpha: 4, Seed: 9,
-		Policy: policy.NewFactory(policy.ClockKind, 9),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 64; i++ {
-		c.Put(i, i)
-	}
-	c.Rehash()
-	for i := uint64(0); i < 64; i++ {
-		if v, ok := c.Get(i); ok && v != i {
-			t.Fatalf("Get(%d) = %v", i, v)
-		}
-	}
-	for i := uint64(0); c.Migrating(); i++ {
-		c.Get(1_000_000 + i)
-	}
-	if c.Len() > c.Capacity() {
-		t.Fatalf("Len %d > capacity", c.Len())
 	}
 }

@@ -217,17 +217,6 @@ func NewFactory(kind Kind, seed uint64) Factory {
 	}
 }
 
-// BucketFactory is the concurrent.Config.Policy for kind: nil for LRU,
-// which the concurrent cache keeps natively in its slot arrays. A factory —
-// an LRU one included — would put a policy object beside every bucket and
-// take a daemon off the store path the standing benchmark measures.
-func BucketFactory(kind Kind, seed uint64) Factory {
-	if kind == LRUKind {
-		return nil
-	}
-	return NewFactory(kind, seed)
-}
-
 // AllKinds lists every supported policy family, in a stable order.
 func AllKinds() []Kind {
 	return []Kind{
