@@ -16,7 +16,10 @@
 // METRICS histograms (wire v5) into run-only GET/SET service-time p50/p99,
 // printed next to the client-observed latency so transport cost and cache
 // cost can be told apart, and a "shards:" line per member gives its bucket
-// occupancy spread.
+// occupancy spread. The "client:" line's hits, misses, sets and corrupt
+// count are the harness's own; its repairs, stale and refreshes, and the
+// "leases:" and "near:" lines, sum cluster.Client.Snapshot over the
+// workers' routers, read after the run has closed every one of them.
 //
 // Usage:
 //
@@ -205,7 +208,8 @@ func main() {
 	}
 	keys := gen.Generate(c.ops, c.seed)
 
-	// The workers' routers are kept for their near-cache counters.
+	// The workers' routers are kept for their counters: once Run returns
+	// every one is closed, so the sums below are final.
 	var (
 		routersMu sync.Mutex
 		routers   []*cluster.Client
@@ -261,24 +265,33 @@ func main() {
 	}
 	fmt.Printf("  latency:    p50=%v p90=%v p99=%v max=%v (per %d-deep batch%s)\n",
 		res.Latency.P50, res.Latency.P90, res.Latency.P99, res.Latency.Max, c.pipeline, lat)
+	var sum cluster.Snapshot
+	for _, r := range routers {
+		s := r.Snapshot()
+		sum.Refreshes += s.Refreshes
+		sum.Replication.RepairsApplied += s.Replication.RepairsApplied
+		sum.Replication.RepairsStale += s.Replication.RepairsStale
+		sum.StaleHints += s.StaleHints
+		sum.LeaseGrants += s.LeaseGrants
+		sum.LeaseLost += s.LeaseLost
+		sum.LeaseWaits += s.LeaseWaits
+		sum.Near.Hits += s.Near.Hits
+		sum.Near.Expired += s.Near.Expired
+		sum.Near.Evicts += s.Near.Evicts
+		sum.Near.Len += s.Near.Len
+	}
 	fmt.Printf("  client:     hits=%d misses=%d (miss ratio %.4f) sets=%d repairs=%d stale=%d refreshes=%d corrupt=%d\n",
-		res.Hits, res.Misses, res.MissRatio(), res.Sets, res.Repairs, res.StaleRepairs, res.Refreshes, res.Corrupt)
+		res.Hits, res.Misses, res.MissRatio(), res.Sets, sum.Replication.RepairsApplied, sum.Replication.RepairsStale, sum.Refreshes, res.Corrupt)
 	fmt.Printf("  memory:     %.2f allocs/op, gc-pause %v (harness process)\n",
 		res.AllocsPerOp, res.GCPause.Round(time.Microsecond))
 	if c.leases || c.nearSlots > 0 {
 		fmt.Printf("  leases:     nearhits=%d stalehints=%d grants=%d lost=%d waits=%d\n",
-			res.NearHits, res.StaleHints, res.LeaseGrants, res.LeaseLost, res.LeaseWaits)
+			sum.Near.Hits, sum.StaleHints, sum.LeaseGrants, sum.LeaseLost, sum.LeaseWaits)
 	}
 	if c.nearSlots > 0 {
 		// Hits are the leases: line's nearhits; print what it lacks.
-		var expired, evicts uint64
-		var resident int
-		for _, r := range routers {
-			st := r.NearCacheStats()
-			expired, evicts, resident = expired+st.Expired, evicts+st.Evicts, resident+st.Len
-		}
 		fmt.Printf("  near:       expired=%d evicts=%d resident=%d (summed over %d routers)\n",
-			expired, evicts, resident, len(routers))
+			sum.Near.Expired, sum.Near.Evicts, sum.Near.Len, len(routers))
 	}
 
 	// Hot keys are recorded regardless of sampling; spans and the trace
@@ -477,7 +490,7 @@ func histDelta(a, b *telemetry.HistogramSnapshot) *telemetry.HistogramSnapshot {
 func printBalance(ctl *cluster.Client, before, after map[string]*wire.Metrics) {
 	const samples = 1 << 16
 	share, replicas := ctl.OwnerSample(samples, 42)
-	fmt.Printf("  balance at topology epoch %d:\n", ctl.Epoch())
+	fmt.Printf("  balance at topology epoch %d:\n", ctl.Snapshot().Epoch)
 	fmt.Printf("  %-22s %7s %12s %12s %10s %8s %10s\n", "node", "share%", "Δhits", "Δmisses", "Δrepairs", "Δstale", "len")
 	for _, m := range ctl.Nodes() {
 		if before[m] == nil || after[m] == nil {

@@ -274,7 +274,7 @@ func actTwo() {
 	close(tr.stop)
 	<-tr.done
 
-	rep := ctl.Replication()
+	rep := ctl.Snapshot().Replication
 	fmt.Printf("\nreplication: fallback hits=%d, repairs scheduled=%d applied=%d dropped=%d\n",
 		rep.FallbackHits, rep.RepairsScheduled, rep.RepairsApplied, rep.RepairsDropped)
 	ms, err := ctl.MetricsAll(wire.MetricsCounters)
@@ -315,11 +315,11 @@ func actThree() {
 	tr := startTraffic(ctl, keys)
 
 	ratio, qps := tr.window(700 * time.Millisecond)
-	fmt.Printf("steady state:       hit ratio %.3f at %.0f GET/s  (epoch %d)\n", ratio, qps, ctl.Epoch())
+	fmt.Printf("steady state:       hit ratio %.3f at %.0f GET/s  (epoch %d)\n", ratio, qps, ctl.Snapshot().Epoch)
 
 	addr4, srv4 := startNode(24)
 	servers = append(servers, srv4)
-	rep0 := ctl.Replication()
+	rep0 := ctl.Snapshot().Replication
 	w, err := ctl.AddNode(addr4)
 	if err != nil {
 		log.Fatal(err)
@@ -331,7 +331,7 @@ func actThree() {
 	fmt.Printf("  warm-up done:     %d keys streamed, %d copied in, %d vanished mid-copy, %d superseded by newer writes (err=%v)\n",
 		ws.Streamed, ws.Copied, ws.Vanished, ws.Stale, ws.Err)
 	ratio, qps = tr.window(700 * time.Millisecond)
-	fmt.Printf("  after:            hit ratio %.3f at %.0f GET/s  (epoch %d)\n", ratio, qps, ctl.Epoch())
+	fmt.Printf("  after:            hit ratio %.3f at %.0f GET/s  (epoch %d)\n", ratio, qps, ctl.Snapshot().Epoch)
 	shares(ctl)
 
 	close(tr.stop)
@@ -343,7 +343,7 @@ func actThree() {
 	for i := range sweep {
 		sweep[i] = uint64(keys[i%len(keys)])
 	}
-	fb0 := ctl.Replication().FallbackHits - rep0.FallbackHits
+	fb0 := ctl.Snapshot().Replication.FallbackHits - rep0.FallbackHits
 	misses := 0
 	if err := ctl.GetBatch(sweep, func(_ int, hit bool, _ []byte) {
 		if !hit {
@@ -352,7 +352,7 @@ func actThree() {
 	}); err != nil {
 		log.Fatal(err)
 	}
-	fb := ctl.Replication().FallbackHits - rep0.FallbackHits - fb0
+	fb := ctl.Snapshot().Replication.FallbackHits - rep0.FallbackHits - fb0
 	fmt.Printf("\npost-warm-up sweep of %d reads: %d misses, %d replica fallbacks — the join cost user reads ≈ nothing.\n",
 		len(sweep), misses, fb)
 }

@@ -150,7 +150,7 @@ func (c *Client) AntiEntropySweep() (repaired int, err error) {
 		}
 		applied, stale, _, cerr := copyRecs(conns[route.src], dst, recs)
 		c.aeRepairs.Add(uint64(applied))
-		c.aeStale.Add(uint64(stale))
+		c.staleRepairs.Add(uint64(stale))
 		repaired += applied
 		if cerr != nil && err == nil {
 			err = fmt.Errorf("cluster: anti-entropy repairing %s from %s: %w", route.dst, route.src, cerr)
@@ -158,24 +158,4 @@ func (c *Client) AntiEntropySweep() (repaired int, err error) {
 	}
 	c.aeSweeps.Add(1)
 	return repaired, err
-}
-
-// AntiEntropyCounters is the router's sweep tally; see
-// Client.AntiEntropy.
-type AntiEntropyCounters struct {
-	// Sweeps counts completed sweep passes (including ones that found
-	// nothing to repair). Repairs counts records conditionally written to
-	// a lagging owner and applied; Stale counts repair writes the owner
-	// rejected because it already held something strictly newer — for a
-	// maintenance copy, success by other means.
-	Sweeps, Repairs, Stale uint64
-}
-
-// AntiEntropy returns the anti-entropy sweep counters.
-func (c *Client) AntiEntropy() AntiEntropyCounters {
-	return AntiEntropyCounters{
-		Sweeps:  c.aeSweeps.Load(),
-		Repairs: c.aeRepairs.Load(),
-		Stale:   c.aeStale.Load(),
-	}
 }

@@ -112,12 +112,12 @@ func TestChurnSelfHealExperiment(t *testing.T) {
 			// for the handoff tally so the background repair path has decided.
 			deadline := time.Now().Add(10 * time.Second)
 			for {
-				h := c.Handoff()
-				if int(h.Sent+h.Failed) >= victimOwned {
+				h := c.Snapshot().Replication
+				if int(h.HintsSent+h.HintsFailed) >= victimOwned {
 					break
 				}
 				if time.Now().After(deadline) {
-					t.Fatalf("handoff decided %d of %d victim-owned writes", h.Sent+h.Failed, victimOwned)
+					t.Fatalf("handoff decided %d of %d victim-owned writes", h.HintsSent+h.HintsFailed, victimOwned)
 				}
 				time.Sleep(2 * time.Millisecond)
 			}

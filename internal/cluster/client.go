@@ -193,23 +193,19 @@ type Client struct {
 	grants  map[uint64]*leaseGrant
 	grantsN atomic.Int64
 
-	nearHits    atomic.Uint64 // GETs served from the near-cache
 	staleHints  atomic.Uint64 // zero-token LEASE responses served as stale hits
 	leaseGrants atomic.Uint64 // fill leases granted to this client
 	leaseLost   atomic.Uint64 // fills refused LEASE_LOST
 	leaseWaits  atomic.Uint64 // keys that waited on another caller's fill
 
-	// Hinted handoff and anti-entropy (wire v8, antientropy.go). hintsSent
-	// counts writes parked on a live member for a dead owner after the
-	// direct write failed; hintsFailed counts handoffs that found no live
-	// member to park on (the write is then only recoverable by
-	// anti-entropy). aeStop/aeDone bracket the background sweep goroutine
+	// Hinted handoff and anti-entropy (wire v8, antientropy.go); their
+	// counters are ReplicationCounters' HintsSent, HintsFailed, Sweeps and
+	// SweepRepairs. aeStop/aeDone bracket the background sweep goroutine
 	// Options.AntiEntropy starts.
 	hintsSent   atomic.Uint64
 	hintsFailed atomic.Uint64
 	aeSweeps    atomic.Uint64
 	aeRepairs   atomic.Uint64
-	aeStale     atomic.Uint64
 	aeStarted   bool // set once in Dial, before any use
 	aeStop      chan struct{}
 	aeDone      chan struct{}
@@ -882,20 +878,6 @@ func (c *Client) hintHandoff(target string, key uint64, tomb bool, ver uint64, v
 	return false
 }
 
-// HandoffCounters is the router's hinted-handoff tally; see
-// Client.Handoff.
-type HandoffCounters struct {
-	// Sent counts writes parked on a live member for an unreachable owner;
-	// Failed counts handoffs no live member would accept (recoverable only
-	// by anti-entropy).
-	Sent, Failed uint64
-}
-
-// Handoff returns the hinted-handoff counters.
-func (c *Client) Handoff() HandoffCounters {
-	return HandoffCounters{Sent: c.hintsSent.Load(), Failed: c.hintsFailed.Load()}
-}
-
 // RehashAll asks every member to begin an online incremental rehash — the
 // intra-node half of the rebalancing story; the ring handles the inter-node
 // half.
@@ -920,6 +902,7 @@ type NodeCounters struct {
 }
 
 // Counters returns the per-member routing counters, keyed by address.
+// bench/ reads it; it goes once bench/ reads Snapshot.
 func (c *Client) Counters() map[string]NodeCounters {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -932,4 +915,39 @@ func (c *Client) Counters() map[string]NodeCounters {
 		}
 	}
 	return out
+}
+
+// Snapshot is everything the router counts; see Client.Snapshot.
+type Snapshot struct {
+	// Epoch is the topology epoch of the router's current view; Refreshes
+	// counts the views it adopted after piggybacked staleness detection.
+	Epoch, Refreshes uint64
+	// Replication is the fallback, repair, handoff and sweep tally.
+	Replication ReplicationCounters
+	// Members holds the per-member routing counters, keyed by address.
+	Members map[string]NodeCounters
+	// Lease tallies (wire v7): zero-token stale hints served as hits, fill
+	// leases granted to this client, fills refused LEASE_LOST, and keys
+	// that waited on another caller's fill (locally or by polling).
+	StaleHints, LeaseGrants, LeaseLost, LeaseWaits uint64
+	// Near is the near-cache's tally; all zeros when it is disabled.
+	Near NearCacheCounters
+}
+
+// Snapshot returns the router's counters. Each field is loaded on its
+// own, not at one instant, so under traffic two fields may disagree; once
+// the router is quiescent or closed they are final. It may be called
+// after Close.
+func (c *Client) Snapshot() Snapshot {
+	return Snapshot{
+		Epoch:       c.curEpoch.Load(),
+		Refreshes:   c.refreshes.Load(),
+		Replication: c.Replication(),
+		Members:     c.Counters(),
+		StaleHints:  c.staleHints.Load(),
+		LeaseGrants: c.leaseGrants.Load(),
+		LeaseLost:   c.leaseLost.Load(),
+		LeaseWaits:  c.leaseWaits.Load(),
+		Near:        c.near.snapshot(),
+	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -292,5 +293,73 @@ func TestOpenLoopCoordinatedOmissionSafety(t *testing.T) {
 	if open.Latency.P99 < 2*closed.Latency.P99 {
 		t.Errorf("open-loop p99 %v does not diverge from closed-loop p99 %v under a stall",
 			open.Latency.P99, closed.Latency.P99)
+	}
+}
+
+// TestSnapshotMatchesAccessors drives a replicated router with leases and
+// a near-cache through a fallback read, its repair and a near-cache hit,
+// then checks that at quiescence Snapshot agrees with the three accessors
+// bench/ still reads, and that a closed router's Snapshot returns the
+// final counts without blocking.
+func TestSnapshotMatchesAccessors(t *testing.T) {
+	addrs := startCluster(t, 3, 4096, 16)
+	c, err := Dial(addrs, Options{Replicas: 2, Leases: true, NearCache: NearCacheOptions{Slots: 64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+
+	// Only the backup owner holds the key, so the read misses on the
+	// primary (taking a fill lease), falls back, and repairs the primary.
+	const key = uint64(42)
+	backup, err := wire.Dial(c.Owners(key)[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backup.Close()
+	if _, err := backup.Set(key, []byte("backup-only")); err != nil {
+		t.Fatal(err)
+	}
+	if _, hit, err := c.Get(key); err != nil || !hit {
+		t.Fatalf("fallback GET: hit=%v err=%v", hit, err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Snapshot().Replication.RepairsApplied == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the fallback's repair was not applied within deadline")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, hit, err := c.Get(key); err != nil || !hit {
+		t.Fatalf("near-cache GET: hit=%v err=%v", hit, err)
+	}
+
+	s := c.Snapshot()
+	if s.Epoch == 0 || s.Replication.FallbackHits == 0 || s.LeaseGrants == 0 || s.Near.Hits == 0 || s.Near.Len == 0 {
+		t.Fatalf("snapshot %+v: want an epoch, a fallback hit, a lease grant and a near-cache hit", s)
+	}
+	if rep := c.Replication(); s.Replication != rep {
+		t.Errorf("Snapshot().Replication = %+v, Replication() = %+v", s.Replication, rep)
+	}
+	if m := c.Counters(); !reflect.DeepEqual(s.Members, m) {
+		t.Errorf("Snapshot().Members = %v, Counters() = %v", s.Members, m)
+	}
+	nh, sh, lg, ll, lw := c.LeaseCounters()
+	if got, want := [5]uint64{nh, sh, lg, ll, lw}, [5]uint64{s.Near.Hits, s.StaleHints, s.LeaseGrants, s.LeaseLost, s.LeaseWaits}; got != want {
+		t.Errorf("LeaseCounters() = %v, Snapshot's = %v", got, want)
+	}
+
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	final := make(chan Snapshot, 1)
+	go func() { final <- c.Snapshot() }()
+	select {
+	case f := <-final:
+		if !reflect.DeepEqual(f, s) {
+			t.Errorf("Snapshot after Close = %+v, want the quiescent %+v", f, s)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Snapshot blocked on a closed router")
 	}
 }

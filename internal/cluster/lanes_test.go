@@ -300,7 +300,7 @@ func TestRouterConcurrentBatches(t *testing.T) {
 				}(g)
 			}
 			wg.Wait()
-			for addr, n := range c.Counters() {
+			for addr, n := range c.Snapshot().Members {
 				if n.Redials != 0 {
 					t.Errorf("member %s: %d redials without a fault", addr, n.Redials)
 				}
@@ -374,13 +374,13 @@ func TestRouterConcurrentBatchesLaneFault(t *testing.T) {
 		t.Fatalf("the fault never fired (armed=%v, dials %v)", armed, d.dials)
 	}
 	var redials uint64
-	for _, n := range c.Counters() {
+	for _, n := range c.Snapshot().Members {
 		redials += n.Redials
 	}
 	if redials != 1 {
 		t.Errorf("%d redials after one injected lane failure, want 1", redials)
 	}
-	if fb := c.Replication().FallbackHits; fb != 0 {
+	if fb := c.Snapshot().Replication.FallbackHits; fb != 0 {
 		t.Errorf("%d fallback hits: the failed sub-batch was not replayed in its own lane", fb)
 	}
 }

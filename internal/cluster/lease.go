@@ -124,7 +124,6 @@ func (c *Client) serveNear(keys []uint64, idxs []int, visit func(i int, hit bool
 	rest := idxs[:0]
 	for _, i := range idxs {
 		if val, _, ok := c.near.lookup(keys[i], now); ok {
-			c.nearHits.Add(1)
 			visit(i, true, val)
 			continue
 		}
@@ -167,7 +166,6 @@ func (c *Client) waitLocalGrants(keys []uint64, idxs []int, visit func(i int, hi
 			t.Stop()
 		}
 		if val, _, ok := c.near.lookup(keys[i], time.Now()); ok {
-			c.nearHits.Add(1)
 			visit(i, true, val)
 			continue
 		}
@@ -202,20 +200,10 @@ func (c *Client) pollWaiters(sc *batchScratch, keys []uint64, bt batchTrace, rf 
 	return nil
 }
 
-// LeaseCounters returns the router's lease/near-cache tallies — GETs
-// served from the near-cache, zero-token stale hints served as hits,
-// fill leases granted to this client, fills refused as LEASE_LOST, and
-// keys that waited on another caller's fill (locally or by polling). It
-// implements load.LeaseReporter.
+// LeaseCounters returns the near-cache hits and the lease tallies of
+// Snapshot, in that order. bench/ reads it; it goes once bench/ reads
+// Snapshot.
 func (c *Client) LeaseCounters() (nearHits, staleHints, grants, lost, waits uint64) {
-	return c.nearHits.Load(), c.staleHints.Load(), c.leaseGrants.Load(), c.leaseLost.Load(), c.leaseWaits.Load()
-}
-
-// NearCacheStats returns the near-cache's counters; all zero when the
-// near-cache is disabled.
-func (c *Client) NearCacheStats() NearCacheCounters {
-	if c.near == nil {
-		return NearCacheCounters{}
-	}
-	return c.near.snapshot()
+	s := c.Snapshot()
+	return s.Near.Hits, s.StaleHints, s.LeaseGrants, s.LeaseLost, s.LeaseWaits
 }

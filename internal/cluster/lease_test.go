@@ -253,8 +253,8 @@ func TestLeaseFillDiscardedWhenLost(t *testing.T) {
 }
 
 func leaseTally(c *Client) (nearHits, staleHints, lost, waits uint64) {
-	nh, sh, _, ll, lw := c.LeaseCounters()
-	return nh, sh, ll, lw
+	s := c.Snapshot()
+	return s.Near.Hits, s.StaleHints, s.LeaseLost, s.LeaseWaits
 }
 
 // seqPayload encodes a worker-visible sequence number into a payload and
@@ -390,9 +390,10 @@ func TestNearCacheNoResurrectionAfterDel(t *testing.T) {
 	}
 }
 
-// TestLoadHarnessCollectsLeaseCounters wires a leased/near-cached cluster
-// client through the load harness and asserts the LeaseReporter tallies
-// surface in the Result — a hot workload must show near-cache absorption.
+// TestLoadHarnessCollectsLeaseCounters drives leased/near-cached routers
+// through the load harness and sums Snapshot over the routers its Dial
+// handed out, read after Run has closed them — a hot workload must show
+// near-cache absorption and a lease-bounded storm.
 func TestLoadHarnessCollectsLeaseCounters(t *testing.T) {
 	addrs := startCluster(t, 3, 4096, 16)
 	opts := Options{Leases: true, NearCache: NearCacheOptions{Slots: 512}}
@@ -402,8 +403,20 @@ func TestLoadHarnessCollectsLeaseCounters(t *testing.T) {
 	for i := range keys {
 		keys[i] = 7
 	}
+	var (
+		mu      sync.Mutex
+		routers []*Client
+	)
 	res, err := load.Run(load.Config{
-		Dial:        func() (load.Conn, error) { return Dial(addrs, opts) },
+		Dial: func() (load.Conn, error) {
+			c, err := Dial(addrs, opts)
+			if err == nil {
+				mu.Lock()
+				routers = append(routers, c)
+				mu.Unlock()
+			}
+			return c, err
+		},
 		Conns:       2,
 		Keys:        keys,
 		Pipeline:    16,
@@ -413,13 +426,18 @@ func TestLoadHarnessCollectsLeaseCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NearHits == 0 {
-		t.Fatalf("hot single-key run reported 0 near-cache hits (grants=%d waits=%d)", res.LeaseGrants, res.LeaseWaits)
+	var nearHits, grants, waits uint64
+	for _, c := range routers {
+		s := c.Snapshot()
+		nearHits, grants, waits = nearHits+s.Near.Hits, grants+s.LeaseGrants, waits+s.LeaseWaits
 	}
-	if res.LeaseGrants == 0 {
+	if nearHits == 0 {
+		t.Fatalf("hot single-key run reported 0 near-cache hits (grants=%d waits=%d)", grants, waits)
+	}
+	if grants == 0 {
 		t.Fatal("read-through run reported 0 lease grants")
 	}
-	if res.Misses > res.LeaseGrants+res.LeaseWaits {
-		t.Fatalf("misses=%d exceed grants+waits=%d: the storm was not lease-bounded", res.Misses, res.LeaseGrants+res.LeaseWaits)
+	if uint64(res.Misses) > grants+waits {
+		t.Fatalf("misses=%d exceed grants+waits=%d: the storm was not lease-bounded", res.Misses, grants+waits)
 	}
 }

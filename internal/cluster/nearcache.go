@@ -199,8 +199,7 @@ func (n *nearCache) evictLocked() {
 	}
 }
 
-// NearCacheCounters is the near-cache's serving tally; see
-// Client.NearCacheStats.
+// NearCacheCounters is the near-cache's serving tally; see Snapshot.Near.
 type NearCacheCounters struct {
 	// Hits and Misses count lookup outcomes; Expired is the part of
 	// Misses that found a resident entry past its deadline. Stores counts
@@ -211,7 +210,11 @@ type NearCacheCounters struct {
 	Len int
 }
 
+// snapshot reads the tally; a nil (disabled) near-cache reads as zeros.
 func (n *nearCache) snapshot() NearCacheCounters {
+	if n == nil {
+		return NearCacheCounters{}
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return NearCacheCounters{

@@ -53,8 +53,7 @@ func BenchmarkNearCacheZombies(b *testing.B) {
 		}
 	}
 
-	before := c.NearCacheStats()
-	nearBefore, _, _, _, _ := c.LeaseCounters()
+	before := c.Snapshot().Near
 	b.ReportAllocs()
 	b.ResetTimer()
 	var wg sync.WaitGroup
@@ -92,10 +91,9 @@ func BenchmarkNearCacheZombies(b *testing.B) {
 	wg.Wait()
 	b.StopTimer()
 
-	after := c.NearCacheStats()
-	nearAfter, _, _, _, _ := c.LeaseCounters()
+	after := c.Snapshot().Near
 	gets := float64(b.N)
-	b.ReportMetric(float64(nearAfter-nearBefore)/gets, "near_share")
+	b.ReportMetric(float64(after.Hits-before.Hits)/gets, "near_share")
 	b.ReportMetric(float64(after.Expired-before.Expired)/gets, "expired/op")
 	b.ReportMetric(float64(after.Evicts-before.Evicts)/gets, "evicts/op")
 }

@@ -96,12 +96,12 @@ func TestNearCacheServesAfterReplicatedSet(t *testing.T) {
 	}
 	time.Sleep(2 * ttl)
 	for i := 0; i < 2; i++ {
-		before := c.NearCacheStats().Hits
+		before := c.Snapshot().Near.Hits
 		if _, hit, err := c.Get(key); err != nil || !hit {
 			t.Fatalf("GET %d after the TTL: hit=%v err=%v", i+1, hit, err)
 		}
-		if i == 1 && c.NearCacheStats().Hits != before+1 {
-			t.Fatalf("second GET after the TTL was not a near hit (%+v): the primary's older-version answer did not renew the entry", c.NearCacheStats())
+		if i == 1 && c.Snapshot().Near.Hits != before+1 {
+			t.Fatalf("second GET after the TTL was not a near hit (%+v): the primary's older-version answer did not renew the entry", c.Snapshot().Near)
 		}
 	}
 }

@@ -46,7 +46,7 @@ type repairTask struct {
 }
 
 // ReplicationCounters is the router's replication telemetry; see
-// Client.Replication.
+// Snapshot.Replication.
 type ReplicationCounters struct {
 	// FallbackHits counts GETs served by a non-primary replica after
 	// earlier owners missed or were unreachable — each one is a read that
@@ -65,10 +65,20 @@ type ReplicationCounters struct {
 	// because it already held a strictly newer value — lost-update races
 	// the version check won.
 	RepairsStale uint64
+	// HintsSent counts writes parked on a live member for an unreachable
+	// owner (hinted handoff, wire v8); HintsFailed counts handoffs no live
+	// member would accept, recoverable only by anti-entropy.
+	HintsSent, HintsFailed uint64
+	// Sweeps counts completed anti-entropy passes, including ones that
+	// found nothing to repair; SweepRepairs counts the records they
+	// copied to a lagging owner and it stored.
+	Sweeps, SweepRepairs uint64
 }
 
-// Replication returns the cluster-wide replication telemetry. All zeros on
-// an unreplicated client.
+// Replication returns the replication telemetry. Fallback hits and read
+// repairs need R > 1; the stale and sweep counts also cover warm-up,
+// migration and anti-entropy, which run at any R. bench/ reads it; it
+// goes once bench/ reads Snapshot.
 func (c *Client) Replication() ReplicationCounters {
 	return ReplicationCounters{
 		FallbackHits:     c.fallbackHits.Load(),
@@ -76,17 +86,12 @@ func (c *Client) Replication() ReplicationCounters {
 		RepairsApplied:   c.repairsApplied.Load(),
 		RepairsDropped:   c.repairsDropped.Load(),
 		RepairsStale:     c.staleRepairs.Load(),
+		HintsSent:        c.hintsSent.Load(),
+		HintsFailed:      c.hintsFailed.Load(),
+		Sweeps:           c.aeSweeps.Load(),
+		SweepRepairs:     c.aeRepairs.Load(),
 	}
 }
-
-// RepairsDone reports completed background repair writes; it implements
-// load.RepairReporter so the harness can price replication's maintenance
-// traffic.
-func (c *Client) RepairsDone() uint64 { return c.repairsApplied.Load() }
-
-// StaleRepairs reports this router's maintenance copies rejected by their
-// destination as version-stale; it implements load.StaleReporter.
-func (c *Client) StaleRepairs() uint64 { return c.staleRepairs.Load() }
 
 // scheduleRepair queues a background PUT of key=val, observed at ver,
 // at addrs. Caller holds c.mu (either side); val may alias a connection

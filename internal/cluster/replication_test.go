@@ -115,17 +115,17 @@ func TestReadRepair(t *testing.T) {
 
 	// The server applies the repair before the router hears the ack, so give
 	// the counter the same deadline the value had.
-	for ctl.Replication().RepairsApplied == 0 && time.Now().Before(deadline) {
+	for ctl.Snapshot().Replication.RepairsApplied == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	rep := ctl.Replication()
+	rep := ctl.Snapshot().Replication
 	if rep.FallbackHits == 0 {
 		t.Error("no fallback hits counted")
 	}
 	if rep.RepairsScheduled == 0 || rep.RepairsApplied == 0 {
 		t.Errorf("repair counters = %+v; want scheduled and applied ≥ 1", rep)
 	}
-	if got := ctl.Counters()[owners[0]].Repairs; got == 0 {
+	if got := ctl.Snapshot().Members[owners[0]].Repairs; got == 0 {
 		t.Errorf("router counted %d repairs on primary %s, want ≥ 1", got, owners[0])
 	}
 
@@ -266,7 +266,7 @@ func memberFault(t *testing.T, opts Options, crash bool) {
 		if _, err := read(keys); err != nil {
 			t.Fatalf("sweep after restart: %v", err)
 		}
-		if ctl.Counters()[victim].Redials == 0 {
+		if ctl.Snapshot().Members[victim].Redials == 0 {
 			t.Error("router reported no redials after a member restart")
 		}
 		return
@@ -341,7 +341,7 @@ func memberFault(t *testing.T, opts Options, crash bool) {
 	if hits, err := read(keys); err != nil || hits != nkeys {
 		t.Errorf("after the crash: %d of %d keys hit, err %v", hits, nkeys, err)
 	}
-	if rep := ctl.Replication(); rep.FallbackHits == 0 {
+	if rep := ctl.Snapshot().Replication; rep.FallbackHits == 0 {
 		t.Error("no fallback hits counted; the crash should have exercised replica fallback")
 	}
 
@@ -490,7 +490,7 @@ func TestRepairCannotReinstateOldValue(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	var rep ReplicationCounters
 	for {
-		rep = ctl.Replication()
+		rep = ctl.Snapshot().Replication
 		if rep.RepairsScheduled > 0 &&
 			rep.RepairsScheduled == rep.RepairsApplied+rep.RepairsStale+rep.RepairsDropped {
 			break

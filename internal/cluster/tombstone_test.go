@@ -3,7 +3,9 @@ package cluster
 import (
 	"fmt"
 	"net"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -218,12 +220,12 @@ func TestCrashWriteRejoinHintReplay(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		h := c.Handoff()
-		if int(h.Sent) >= len(victimKeys) {
+		h := c.Snapshot().Replication
+		if int(h.HintsSent) >= len(victimKeys) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("handoff sent %d of %d victim-owned writes within deadline", h.Sent, len(victimKeys))
+			t.Fatalf("handoff sent %d of %d victim-owned writes within deadline", h.HintsSent, len(victimKeys))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -372,13 +374,87 @@ func TestAntiEntropySweepConvergesBothDirections(t *testing.T) {
 		t.Error("node0 holds no tombstone for the deleted key after the sweep")
 	}
 
-	ae := c.AntiEntropy()
-	if ae.Sweeps == 0 || ae.Repairs == 0 {
+	ae := c.Snapshot().Replication
+	if ae.Sweeps == 0 || ae.SweepRepairs == 0 {
 		t.Errorf("anti-entropy counters = %+v; want a recorded sweep with repairs", ae)
 	}
 
 	// A second sweep finds nothing to do: the state is a fixed point.
 	if again, err := c.AntiEntropySweep(); err != nil || again != 0 {
 		t.Errorf("second sweep repaired %d, err %v; want converged 0", again, err)
+	}
+}
+
+// TestAntiEntropyStaleCopyCounted makes a sweep's copy lose to a newer
+// write: between the sweep's KEYS snapshot of the destination and its
+// copy, a user SET lands there directly. The destination refuses the
+// older copy, and the refusal counts in RepairsStale with every other
+// maintenance write a destination rejected as version-stale.
+func TestAntiEntropyStaleCopyCounted(t *testing.T) {
+	addrs := startCluster(t, 2, 4096, 16)
+	sort.Strings(addrs)
+	// The sweep snapshots members in sorted order, so dst's KEYS has
+	// answered by the time the sweep dials src.
+	dst, src := addrs[0], addrs[1]
+	const key = uint64(30)
+
+	var armed atomic.Bool
+	hookErr := make(chan error, 1)
+	dial := func(addr string) (*wire.Client, error) {
+		if addr == src && armed.CompareAndSwap(true, false) {
+			hookErr <- func() error {
+				d, err := wire.Dial(dst)
+				if err != nil {
+					return err
+				}
+				defer d.Close()
+				_, err = d.Set(key, []byte("newer"))
+				return err
+			}()
+		}
+		return wire.Dial(addr)
+	}
+	c, err := Dial(addrs, Options{Replicas: 2, Dial: dial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	s, err := wire.Dial(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Set(key, []byte("older")); err != nil {
+		t.Fatal(err)
+	}
+
+	before := c.Snapshot().Replication
+	armed.Store(true)
+	if _, err := c.AntiEntropySweep(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-hookErr:
+		if err != nil {
+			t.Fatal(err)
+		}
+	default:
+		t.Fatal("the sweep never dialed the source; no write raced its copy")
+	}
+	after := c.Snapshot().Replication
+	if after.RepairsStale != before.RepairsStale+1 {
+		t.Errorf("RepairsStale %d → %d; want the refused sweep copy counted once", before.RepairsStale, after.RepairsStale)
+	}
+	if after.Sweeps != before.Sweeps+1 || after.SweepRepairs != before.SweepRepairs {
+		t.Errorf("sweep counters %+v → %+v; want one sweep and no applied copy", before, after)
+	}
+	d, err := wire.Dial(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if v, hit, err := d.Get(key); err != nil || !hit || string(v) != "newer" {
+		t.Fatalf("dst GET %d = %q hit=%v err=%v; want the newer user write", key, v, hit, err)
 	}
 }

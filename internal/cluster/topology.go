@@ -305,14 +305,6 @@ func (c *Client) pushTopologyLocked(skip map[string]bool) {
 	}
 }
 
-// Epoch returns the topology epoch of the router's current view.
-func (c *Client) Epoch() uint64 { return c.curEpoch.Load() }
-
-// TopologyRefreshes reports how many times the router refreshed its view
-// after piggybacked staleness detection; it implements
-// load.TopologyReporter.
-func (c *Client) TopologyRefreshes() uint64 { return c.refreshes.Load() }
-
 // resolveSeeds turns a bootstrap seed list into a member list and starting
 // epoch: each seed's MEMBERS view is probed over a short-lived connection,
 // and the member list comes from the highest-epoch view any seed reports —

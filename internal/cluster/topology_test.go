@@ -66,8 +66,8 @@ func TestSeedConvergenceSmoke(t *testing.T) {
 	if got := ctl.Nodes(); !sameMembers(got, addrs) {
 		t.Fatalf("bootstrap from %s routed to %v, want all of %v", addrs[2], got, addrs)
 	}
-	if ctl.Epoch() != want.Epoch {
-		t.Errorf("bootstrap epoch = %d, want %d", ctl.Epoch(), want.Epoch)
+	if ctl.Snapshot().Epoch != want.Epoch {
+		t.Errorf("bootstrap epoch = %d, want %d", ctl.Snapshot().Epoch, want.Epoch)
 	}
 }
 
@@ -82,7 +82,7 @@ func TestSubsetDialDoesNotRewriteMembership(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer full.Close()
-	epoch := full.Epoch()
+	epoch := full.Snapshot().Epoch
 
 	sub, err := Dial(addrs[:2], Options{})
 	if err != nil {
@@ -110,8 +110,8 @@ func TestSubsetDialDoesNotRewriteMembership(t *testing.T) {
 	if err := full.Set(1, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if full.Epoch() != epoch || !sameMembers(full.Nodes(), addrs) {
-		t.Errorf("full router at %v epoch %d; the subset Dial must not have moved it", full.Nodes(), full.Epoch())
+	if full.Snapshot().Epoch != epoch || !sameMembers(full.Nodes(), addrs) {
+		t.Errorf("full router at %v epoch %d; the subset Dial must not have moved it", full.Nodes(), full.Snapshot().Epoch)
 	}
 }
 
@@ -255,7 +255,7 @@ func TestPushTieEscalates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
-	base := ctl.Epoch()
+	base := ctl.Snapshot().Epoch
 
 	// A rival router's partial push: member 0 now holds epoch base+1 with
 	// a phantom member this router will never list.
@@ -277,7 +277,7 @@ func TestPushTieEscalates(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := append(append([]string(nil), addrs...), newAddr)
-	if got := ctl.Epoch(); got <= base+1 {
+	if got := ctl.Snapshot().Epoch; got <= base+1 {
 		t.Errorf("router epoch = %d after a tie at %d; want escalation above it", got, base+1)
 	}
 	for _, a := range want {
@@ -290,8 +290,8 @@ func TestPushTieEscalates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tp.Epoch != ctl.Epoch() || !sameMembers(tp.Members, want) {
-			t.Errorf("member %s holds %+v, want epoch %d members %v", a, tp, ctl.Epoch(), want)
+		if tp.Epoch != ctl.Snapshot().Epoch || !sameMembers(tp.Members, want) {
+			t.Errorf("member %s holds %+v, want epoch %d members %v", a, tp, ctl.Snapshot().Epoch, want)
 		}
 	}
 }
@@ -307,7 +307,7 @@ func TestPushLosesToNewerView(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
-	base := ctl.Epoch()
+	base := ctl.Snapshot().Epoch
 
 	// The cluster has moved two epochs ahead of this router behind its back.
 	direct, err := wire.Dial(addrs[0])
@@ -325,7 +325,7 @@ func TestPushLosesToNewerView(t *testing.T) {
 	if _, err := ctl.AddNode(newAddr); err != nil {
 		t.Fatal(err)
 	}
-	if got := ctl.Epoch(); got != base+2 {
+	if got := ctl.Snapshot().Epoch; got != base+2 {
 		t.Errorf("router epoch = %d, want the newer view's %d adopted", got, base+2)
 	}
 	if got := ctl.Nodes(); !sameMembers(got, addrs) {
@@ -405,7 +405,7 @@ func TestBootstrapRouterConverges(t *testing.T) {
 		keys := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 		for !sameMembers(follower.Nodes(), want) {
 			if time.Now().After(deadline) {
-				t.Fatalf("follower stuck at %v (epoch %d), want %v", follower.Nodes(), follower.Epoch(), want)
+				t.Fatalf("follower stuck at %v (epoch %d), want %v", follower.Nodes(), follower.Snapshot().Epoch, want)
 			}
 			if err := follower.GetBatch(keys, func(int, bool, []byte) {}); err != nil {
 				t.Fatal(err)
@@ -418,10 +418,10 @@ func TestBootstrapRouterConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	converge(append(append([]string(nil), addrs...), newAddr))
-	if follower.Epoch() != admin.Epoch() {
-		t.Errorf("epochs diverge after AddNode: follower %d, admin %d", follower.Epoch(), admin.Epoch())
+	if follower.Snapshot().Epoch != admin.Snapshot().Epoch {
+		t.Errorf("epochs diverge after AddNode: follower %d, admin %d", follower.Snapshot().Epoch, admin.Snapshot().Epoch)
 	}
-	if follower.TopologyRefreshes() == 0 {
+	if follower.Snapshot().Refreshes == 0 {
 		t.Error("follower converged without a counted topology refresh")
 	}
 
@@ -429,8 +429,8 @@ func TestBootstrapRouterConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	converge(addrs)
-	if follower.Epoch() != admin.Epoch() {
-		t.Errorf("epochs diverge after RemoveNode: follower %d, admin %d", follower.Epoch(), admin.Epoch())
+	if follower.Snapshot().Epoch != admin.Snapshot().Epoch {
+		t.Errorf("epochs diverge after RemoveNode: follower %d, admin %d", follower.Snapshot().Epoch, admin.Snapshot().Epoch)
 	}
 }
 
@@ -482,7 +482,7 @@ func TestWarmupKillsFallbacks(t *testing.T) {
 		t.Fatalf("newcomer %s holds no keys after warm-up", newAddr)
 	}
 
-	rep0 := ctl.Replication()
+	rep0 := ctl.Snapshot().Replication
 	misses := 0
 	if err := ctl.GetBatch(keys, func(_ int, hit bool, _ []byte) {
 		if !hit {
@@ -494,7 +494,7 @@ func TestWarmupKillsFallbacks(t *testing.T) {
 	if misses != 0 {
 		t.Errorf("%d misses sweeping %d keys after warm-up; want 0", misses, nkeys)
 	}
-	if fb := ctl.Replication().FallbackHits - rep0.FallbackHits; fb != 0 {
+	if fb := ctl.Snapshot().Replication.FallbackHits - rep0.FallbackHits; fb != 0 {
 		t.Errorf("%d fallback reads in the post-warm-up sweep; warm-up should have filled every new primary", fb)
 	}
 }
@@ -690,7 +690,7 @@ func TestRemoveNodeCrashedMemberR1(t *testing.T) {
 	}
 	defer ctl.Close()
 
-	epoch := ctl.Epoch()
+	epoch := ctl.Snapshot().Epoch
 	if err := srv0.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -700,8 +700,8 @@ func TestRemoveNodeCrashedMemberR1(t *testing.T) {
 	if got := ctl.Nodes(); len(got) != 2 {
 		t.Fatalf("membership = %v after failed RemoveNode, want both members kept", got)
 	}
-	if ctl.Epoch() != epoch {
-		t.Errorf("epoch moved from %d to %d on a failed RemoveNode", epoch, ctl.Epoch())
+	if ctl.Snapshot().Epoch != epoch {
+		t.Errorf("epoch moved from %d to %d on a failed RemoveNode", epoch, ctl.Snapshot().Epoch)
 	}
 }
 
@@ -732,7 +732,7 @@ func TestRefreshNotBlockedByDeadMember(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
-	base := ctl.Epoch()
+	base := ctl.Snapshot().Epoch
 
 	// Keys primarily owned by the members that stay alive, plus at least
 	// one on node 0 so traffic piggybacks the epoch bump below.
@@ -804,15 +804,15 @@ func TestRefreshNotBlockedByDeadMember(t *testing.T) {
 		t.Fatal("the refresh-triggering batch never returned after the dial failed")
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for ctl.Epoch() != base+1 {
+	for ctl.Snapshot().Epoch != base+1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("router epoch = %d, want %d adopted after the refresh", ctl.Epoch(), base+1)
+			t.Fatalf("router epoch = %d, want %d adopted after the refresh", ctl.Snapshot().Epoch, base+1)
 		}
 		if err := ctl.GetBatch(liveKeys, func(int, bool, []byte) {}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if ctl.TopologyRefreshes() == 0 {
+	if ctl.Snapshot().Refreshes == 0 {
 		t.Error("no refresh counted despite the adopted epoch")
 	}
 }

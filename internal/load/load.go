@@ -1,7 +1,9 @@
 // Package load is the load harness for the cached server and its clustered
 // form: N connections, each driven by one worker goroutine, replay a key
 // stream against the service and measure throughput, latency percentiles
-// and the client-observed miss ratio. It has two modes.
+// and the client-observed miss ratio. It measures the traffic it drives
+// and nothing else; a router's own counters are the router's to report.
+// It has two modes.
 //
 // Closed loop (the default): each worker keeps at most one batch in flight —
 // it sends a pipeline of GETs, waits for all responses, issues read-through
@@ -37,7 +39,10 @@ import (
 
 // Conn is one harness connection. Both wire.Client (one node) and
 // cluster.Client (consistent-hash routed, optionally replicated) satisfy
-// it.
+// it. The harness reads nothing from a Conn but its responses: a caller
+// that wants a router's counters keeps the routers its Dial hands out and
+// reads their Snapshot after Run returns, when every worker has closed
+// its connection.
 type Conn interface {
 	// GetBatch pipelines one GET per key and reports each response through
 	// visit; the value passed to visit may alias a connection buffer valid
@@ -46,45 +51,6 @@ type Conn interface {
 	// SetBatch pipelines one SET per key with value(i) producing payloads.
 	SetBatch(keys []uint64, value func(i int) []byte) error
 	Close() error
-}
-
-// RepairReporter is optionally implemented by a Conn (cluster.Client does)
-// to report the background read-repair writes it performed. The harness
-// sums the counts into Result.Repairs after each worker's connection
-// closes, so a replicated run's reported throughput can be priced against
-// the maintenance traffic it generated.
-type RepairReporter interface {
-	// RepairsDone returns the number of completed repair writes.
-	RepairsDone() uint64
-}
-
-// TopologyReporter is optionally implemented by a Conn (cluster.Client
-// does) to report how many times it refreshed its cluster view after
-// detecting, via the epochs piggybacked on its responses, that membership
-// had changed underneath it. The harness sums the counts into
-// Result.Refreshes, so a run that straddled a membership change shows it.
-type TopologyReporter interface {
-	// TopologyRefreshes returns the number of adopted topology refreshes.
-	TopologyRefreshes() uint64
-}
-
-// StaleReporter is optionally implemented by a Conn (cluster.Client does)
-// to report maintenance writes a destination rejected as version-stale —
-// lost-update races the protocol's version check won. The harness sums
-// the counts into Result.StaleRepairs.
-type StaleReporter interface {
-	// StaleRepairs returns the number of version-stale rejections observed.
-	StaleRepairs() uint64
-}
-
-// LeaseReporter is optionally implemented by a Conn (cluster.Client does)
-// to report its lease/near-cache tallies (wire v7): GETs served from the
-// in-process near-cache, zero-token stale hints served as hits, fill
-// leases granted, fills refused LEASE_LOST, and keys that waited on
-// another caller's fill. The harness sums the counts into Result, so a
-// storm run shows how much of the herd the lease machinery absorbed.
-type LeaseReporter interface {
-	LeaseCounters() (nearHits, staleHints, grants, lost, waits uint64)
 }
 
 // Config describes one load run.
@@ -136,32 +102,7 @@ type Result struct {
 	Misses  int
 	Sets    int
 	Corrupt int
-	// Repairs counts background read-repair writes performed by connections
-	// that implement RepairReporter (replicated cluster clients); 0
-	// otherwise. Repair traffic rides alongside the measured ops — it is
-	// replication's maintenance cost, not user throughput.
-	Repairs int
-	// Refreshes counts topology refreshes performed by connections that
-	// implement TopologyReporter (cluster clients); 0 otherwise. A nonzero
-	// count means the cluster's membership changed mid-run and the
-	// router(s) converged on their own.
-	Refreshes int
-	// StaleRepairs counts maintenance writes rejected as version-stale,
-	// reported by connections that implement StaleReporter; 0 otherwise.
-	// Each one is a lost-update race the versioned-write check won.
-	StaleRepairs int
-	// Lease/near-cache tallies, from connections implementing
-	// LeaseReporter (wire v7); all 0 otherwise. NearHits are GETs that
-	// never left the client process; StaleHints were served the key's
-	// last known value while a fill was in flight; LeaseGrants/LeaseLost
-	// count fills this run won and lost; LeaseWaits count keys that
-	// deferred to another caller's fill.
-	NearHits    int
-	StaleHints  int
-	LeaseGrants int
-	LeaseLost   int
-	LeaseWaits  int
-	Elapsed     time.Duration
+	Elapsed time.Duration
 	// Throughput is GET operations per second.
 	Throughput float64
 	// AllocsPerOp is the process-wide heap allocation count per GET during
@@ -248,10 +189,9 @@ func VerifyPayload(key uint64, v []byte) bool {
 func payloadFill(key uint64) byte { return byte(key>>3) | 1 }
 
 type workerResult struct {
-	ops, hits, misses, sets, corrupt, repairs, refreshes, stale int
-	nearHits, staleHints, leaseGrants, leaseLost, leaseWaits    int
-	latencies                                                   []time.Duration
-	err                                                         error
+	ops, hits, misses, sets, corrupt int
+	latencies                        []time.Duration
+	err                              error
 }
 
 // Validate checks the configuration without running it.
@@ -358,14 +298,6 @@ func Run(cfg Config) (Result, error) {
 		agg.Misses += r.misses
 		agg.Sets += r.sets
 		agg.Corrupt += r.corrupt
-		agg.Repairs += r.repairs
-		agg.Refreshes += r.refreshes
-		agg.StaleRepairs += r.stale
-		agg.NearHits += r.nearHits
-		agg.StaleHints += r.staleHints
-		agg.LeaseGrants += r.leaseGrants
-		agg.LeaseLost += r.leaseLost
-		agg.LeaseWaits += r.leaseWaits
 		samples = append(samples, r.latencies...)
 	}
 	agg.Elapsed = elapsed
@@ -386,25 +318,7 @@ func runWorker(cfg Config, dial func() (Conn, error), keys trace.Sequence, depth
 		res.err = fmt.Errorf("load: dial: %w", err)
 		return res
 	}
-	// Read the repair count only after Close: a replicated client stops its
-	// repair worker there, so the count no longer moves.
-	defer func() {
-		conn.Close()
-		if rr, ok := conn.(RepairReporter); ok {
-			res.repairs = int(rr.RepairsDone())
-		}
-		if tr, ok := conn.(TopologyReporter); ok {
-			res.refreshes = int(tr.TopologyRefreshes())
-		}
-		if sr, ok := conn.(StaleReporter); ok {
-			res.stale = int(sr.StaleRepairs())
-		}
-		if lr, ok := conn.(LeaseReporter); ok {
-			nh, sh, lg, ll, lw := lr.LeaseCounters()
-			res.nearHits, res.staleHints = int(nh), int(sh)
-			res.leaseGrants, res.leaseLost, res.leaseWaits = int(lg), int(ll), int(lw)
-		}
-	}()
+	defer conn.Close()
 
 	// Open-loop pacing: this worker owes one batch every interval, on a
 	// fixed schedule anchored at the shared start time. The schedule never
