@@ -42,10 +42,10 @@
 // in the aggregate line.
 //
 // With -bootstrap the -addrs list is treated as seeds only: the actual
-// membership is discovered from the highest-epoch MEMBERS view any seed
-// reports, so pointing at a single member of an established cluster is
-// enough to drive all of it. The balance table is stamped with the
-// topology epoch the run ended at, and the client line reports how many
+// membership is discovered from the highest-epoch view any seed reports
+// to a TOPOLOGY read, so pointing at a single member of an established
+// cluster is enough to drive all of it. The balance table is stamped with
+// the topology epoch the run ended at, and the client line reports how many
 // topology refreshes the routers performed mid-run (nonzero means the
 // membership changed underneath the run and the routers converged on
 // their own).
@@ -128,7 +128,7 @@ func defineFlags(fs *flag.FlagSet) *config {
 	c := &config{}
 	fs.IntVar(&c.spawn, "spawn", 0, "spawn this many in-process nodes on loopback")
 	fs.StringVar(&c.addrs, "addrs", "", "comma-separated addresses of running cached nodes (alternative to -spawn)")
-	fs.BoolVar(&c.boot, "bootstrap", false, "treat -addrs as seeds: discover the membership via MEMBERS")
+	fs.BoolVar(&c.boot, "bootstrap", false, "treat -addrs as seeds: discover the membership via TOPOLOGY reads")
 	fs.IntVar(&c.vnodes, "vnodes", 0, "virtual nodes per member on the ring (0 = default)")
 	fs.IntVar(&c.replicas, "replicas", 0, "owners per key R (0 or 1 = unreplicated)")
 	fs.IntVar(&c.quorum, "write-quorum", 0, "owners that must ack a SET, W of R (0 = all R)")
@@ -557,8 +557,8 @@ func buildMembers(spawn int, addrs string, k, alpha int, seed uint64) ([]string,
 
 // validateFlags rejects nonsensical parameters with a clear error before
 // any node is spawned — including the replication configuration against
-// the member count; the harness flags are checked by
-// load.ValidateHarnessFlags.
+// the member count. load.Config.Validate re-checks the subset of the
+// harness flags that reaches load.Run.
 func validateFlags(c *config) error {
 	switch {
 	case c.spawn < 0:
@@ -599,7 +599,27 @@ func validateFlags(c *config) error {
 			return err
 		}
 	}
-	return load.ValidateHarnessFlags(c.conns, c.ops, c.pipeline, c.valSize, c.universe, c.open, c.rate, c.duration)
+	switch {
+	case c.conns <= 0:
+		return fmt.Errorf("-conns %d: connection count must be positive", c.conns)
+	case c.ops <= 0:
+		return fmt.Errorf("-ops %d: operation count must be positive", c.ops)
+	case c.pipeline < 0:
+		return fmt.Errorf("-pipeline %d: batch depth must not be negative", c.pipeline)
+	case c.valSize < 8:
+		return fmt.Errorf("-valsize %d: payloads carry an 8-byte key prefix; need at least 8", c.valSize)
+	case c.universe <= 0:
+		return fmt.Errorf("-universe %d: universe size must be positive", c.universe)
+	case c.duration < 0:
+		return fmt.Errorf("-duration %v: duration must not be negative", c.duration)
+	case c.open && c.rate <= 0:
+		return fmt.Errorf("-open requires -rate > 0 (got %g)", c.rate)
+	case !c.open && c.rate != 0:
+		return fmt.Errorf("-rate is only meaningful with -open")
+	case !c.open && c.duration != 0:
+		return fmt.Errorf("-duration is only meaningful with -open")
+	}
+	return nil
 }
 
 func fatal(err error) {

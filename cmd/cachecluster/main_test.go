@@ -36,6 +36,13 @@ func TestValidateFlags(t *testing.T) {
 		{[]string{"-spawn", "2", "-replicas", "3"}, "replica"},
 		{[]string{"-spawn", "2", "-conns", "0"}, "-conns"},
 		{[]string{"-spawn", "2", "-rate", "1000"}, "-rate"},
+		{[]string{"-spawn", "2", "-ops", "0"}, "-ops 0"},
+		{[]string{"-spawn", "2", "-pipeline", "-1"}, "-pipeline -1"},
+		{[]string{"-spawn", "2", "-valsize", "4"}, "-valsize 4"},
+		{[]string{"-spawn", "2", "-universe", "0"}, "-universe 0"},
+		{[]string{"-spawn", "2", "-open", "-rate", "1000", "-duration", "-1s"}, "-duration -1s"},
+		{[]string{"-spawn", "2", "-open"}, "-open requires -rate"},
+		{[]string{"-spawn", "2", "-duration", "1s"}, "-duration is only meaningful"},
 	} {
 		fs := flag.NewFlagSet("cachecluster", flag.ContinueOnError)
 		c := defineFlags(fs)

@@ -129,11 +129,11 @@ func main() {
 	}
 	if *join == "" {
 		// A standalone node is its own one-member topology, which is what
-		// makes it usable as the first seed of a growing cluster. Installed
-		// before the listener starts accepting, so a peer joining the
-		// instant we come up can never have its founding push stomped by
-		// this self-seed.
-		srv.SetTopology(wire.Topology{Epoch: 0, Members: []string{self}})
+		// makes it usable as the first seed of a growing cluster. Offered
+		// before the listener starts accepting, to a server that holds no
+		// view, so it is adopted, and a peer joining the instant we come up
+		// can never have its founding push stomped by this self-seed.
+		srv.OfferTopology(wire.Topology{Members: []string{self}})
 	}
 	log.Printf("cached: serving k=%d α=%d (%d buckets) on %s",
 		*k, *alpha, cache.NumBuckets(), *addr)

@@ -129,17 +129,21 @@ func demoOnlineRehash() {
 		log.Fatal(err)
 	}
 	defer ctl.Close()
-	pre, _ := ctl.Stats(false)
+	m, err := ctl.Metrics(wire.MetricsCounters)
+	if err != nil {
+		log.Fatal(err)
+	}
+	pre := m.Stats()
 	if err := ctl.Rehash(); err != nil {
 		log.Fatal(err)
 	}
 	start := time.Now()
 	for {
-		st, err := ctl.Stats(false)
+		m, err := ctl.Metrics(wire.MetricsCounters)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if !st.Migrating {
+		if st := m.Stats(); !st.Migrating {
 			fmt.Printf("  rehash of %d resident entries completed in %v under live traffic\n",
 				pre.Len, time.Since(start).Round(time.Millisecond))
 			fmt.Printf("  flush evictions: %d, server kept serving: Δgets=%d\n",

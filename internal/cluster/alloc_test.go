@@ -113,9 +113,8 @@ func TestRouterSetBatchAllocs(t *testing.T) {
 	}
 }
 
-// TestLeaseRedialUsesConfiguredDialer pins the Options.Dial plumbing — and
-// with it Options.DialTimeout, which Dial folds into the default dialer —
-// on the lease replay path: when a leased batch loses its connection and
+// TestLeaseRedialUsesConfiguredDialer pins the Options.Dial plumbing on
+// the lease replay path: when a leased batch loses its connection and
 // replays through a redial, that redial must go through the configured
 // dialer, not the package default.
 func TestLeaseRedialUsesConfiguredDialer(t *testing.T) {

@@ -27,21 +27,19 @@ type Options struct {
 	// stale until read repair catches them.
 	WriteQuorum int
 	// Bootstrap treats the dialed addresses as seeds rather than the
-	// membership: the member list comes from the highest-epoch MEMBERS
-	// view any seed reports, so a single address of an established
-	// cluster is enough to route to all of it.
+	// membership: the member list comes from the highest-epoch view any
+	// seed reports to a TOPOLOGY read, so a single address of an
+	// established cluster is enough to route to all of it.
 	Bootstrap bool
 	// DisableWarmup turns off the proactive replica warm-up AddNode
 	// otherwise starts; the newcomer's share then refills lazily through
 	// read-through misses and read repair instead.
 	DisableWarmup bool
-	// DialTimeout bounds member connection establishment when Dial is nil;
-	// 0 means wire.DefaultDialTimeout. A black-holed member address then
-	// costs a bounded wait instead of parking warm-up, join, refresh or a
-	// routed batch in the kernel's connect retry cycle. Ignored when Dial
-	// is set — a custom dialer owns its own timeout policy.
-	DialTimeout time.Duration
-	// Dial overrides the member connection factory (default wire.Dial).
+	// Dial overrides the member connection factory (default wire.Dial,
+	// which bounds connection establishment by wire.DefaultDialTimeout, so
+	// a black-holed member address costs a bounded wait instead of parking
+	// warm-up, join, refresh or a routed batch in the kernel's connect
+	// retry cycle).
 	Dial DialFunc
 	// TraceSample enables end-to-end request tracing (wire v6): every
 	// N-th batch (or single-key operation) is stamped with a sampled
@@ -86,8 +84,8 @@ type Options struct {
 // Client routes cache traffic across a cluster of cached nodes. It is
 // built from two explicit layers: a topology layer (topology.go) — the
 // consistent-hash ring plus the epoch-versioned member list, kept
-// converged with the cluster through piggybacked epoch checks, MEMBERS
-// refreshes and TOPOLOGY pushes — and a transport layer (transport.go),
+// converged with the cluster through piggybacked epoch checks, TOPOLOGY
+// reads and TOPOLOGY pushes — and a transport layer (transport.go),
 // a few pipelined wire connections (lanes) per member, each dialed on
 // first use. Keys map to members through the ring and METRICS/REHASH fan out
 // to every member.
@@ -142,7 +140,7 @@ type Client struct {
 	// curEpoch mirrors epoch and staleEpoch records the highest epoch seen
 	// in any response above it, so the hot path detects staleness with two
 	// atomic loads; refreshes counts adopted refreshes. refreshing is the
-	// single-flight latch of refreshTopology: the MEMBERS fetches run with
+	// single-flight latch of refreshTopology: the TOPOLOGY reads run with
 	// c.mu released, and the latch keeps concurrent callers from piling a
 	// fetch fan-out per batch onto a cluster that just changed.
 	curEpoch   atomic.Uint64
@@ -216,19 +214,15 @@ type Client struct {
 // membership: every address is dialed eagerly and, unless the members
 // already hold exactly this view, a bumped topology is pushed at them so
 // later clients can bootstrap from any one of them. With Options.Bootstrap
-// the addresses are seeds: the membership is discovered through MEMBERS
-// and one live seed suffices.
+// the addresses are seeds: the membership is discovered through TOPOLOGY
+// reads and one live seed suffices.
 func Dial(addrs []string, opts Options) (*Client, error) {
 	if err := Validate(opts.VNodes, addrs); err != nil {
 		return nil, err
 	}
 	dial := opts.Dial
 	if dial == nil {
-		if d := opts.DialTimeout; d > 0 {
-			dial = func(addr string) (*wire.Client, error) { return wire.DialTimeout(addr, d) }
-		} else {
-			dial = wire.Dial
-		}
+		dial = wire.Dial
 	}
 	members := addrs
 	var epoch uint64
@@ -286,7 +280,7 @@ func Dial(addrs []string, opts Options) (*Client, error) {
 		c.nodes[a] = nc
 	}
 	if !opts.Bootstrap {
-		// Probe each member's MEMBERS view through the pooled connection
+		// Read each member's TOPOLOGY view through the pooled connection
 		// just dialed (no second handshake) to settle the starting epoch:
 		// adopt the members' epoch when they already hold exactly this
 		// view, else advance past every reported epoch and push.
@@ -295,12 +289,12 @@ func Dial(addrs []string, opts Options) (*Client, error) {
 			var t wire.Topology
 			err := c.nodes[a].do(dial, func(cl *wire.Client) error {
 				var err error
-				t, err = cl.Members()
+				t, err = cl.Topology(wire.Topology{})
 				return err
 			})
 			if err != nil {
 				c.Close()
-				return nil, fmt.Errorf("cluster: MEMBERS %s: %w", a, err)
+				return nil, fmt.Errorf("cluster: TOPOLOGY %s: %w", a, err)
 			}
 			views[a] = t
 		}
@@ -421,14 +415,6 @@ func (c *Client) Owners(key uint64) []string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.ring.OwnersFor(key, c.effReplicas())
-}
-
-// RingSample returns a snapshot of the primary-ownership shares over n
-// sampled keys; see Ring.Sample.
-func (c *Client) RingSample(n int, seed uint64) map[string]int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.ring.Sample(n, seed)
 }
 
 // OwnerSample returns each member's replica-set slot count over n sampled

@@ -24,10 +24,10 @@
 //
 // Membership itself is epoch-versioned and self-converging: every server
 // stores the latest topology pushed at it, stamps its epoch into every
-// response, and serves it back via MEMBERS — so a router bootstraps from
-// one seed address (Options.Bootstrap), detects membership changes by the
-// epochs piggybacked on its normal traffic, and refreshes without polling
-// or operator fan-out. AddNode additionally warms the newcomer up by
+// response, and serves it back to an empty TOPOLOGY offer — so a router
+// bootstraps from one seed address (Options.Bootstrap), detects membership
+// changes by the epochs piggybacked on its normal traffic, and refreshes
+// without polling or operator fan-out. AddNode additionally warms the newcomer up by
 // streaming its share out of the existing owners (chunked KEYS +
 // repair-SETs), killing the post-join miss burst. See ARCHITECTURE.md for
 // the full replication, topology and wire-protocol story.

@@ -15,11 +15,11 @@ import (
 // RemoveNode, a joining cached via Join) bumps the epoch and pushes the
 // new topology to every member; every response any server sends carries
 // its current epoch, so a router detects staleness by comparing response
-// epochs against its own and refreshes via MEMBERS only when behind. The
-// net effect is the cluster-level analogue of the paper's incremental
-// rehash discipline applied to membership itself: changes propagate
-// incrementally, piggybacked on normal traffic, with no operator fan-out
-// and no polling.
+// epochs against its own and refreshes via a TOPOLOGY read (an empty
+// offer) only when behind. The net effect is the cluster-level analogue
+// of the paper's incremental rehash discipline applied to membership
+// itself: changes propagate incrementally, piggybacked on normal traffic,
+// with no operator fan-out and no polling.
 //
 // Conflict resolution is last-writer-wins on the epoch: two routers
 // changing membership concurrently can race, the higher epoch prevails,
@@ -162,12 +162,12 @@ func (c *Client) maybeRefresh() {
 	}
 }
 
-// refreshTopology fetches MEMBERS from the current members, adopts the
-// highest-epoch view found if it is newer than the held one, and pushes
-// the adopted view back out so members that missed the original push
-// converge too.
+// refreshTopology reads the current members' views (TOPOLOGY reads),
+// adopts the highest-epoch view found if it is newer than the held one,
+// and pushes the adopted view back out so members that missed the
+// original push converge too.
 //
-// The MEMBERS fetches run with c.mu *released*: holding the exclusive lock
+// The TOPOLOGY reads run with c.mu *released*: holding the exclusive lock
 // across network I/O would park every routed batch behind each member's
 // dial — a single dead member used to stall all traffic for a connect
 // timeout per refresh attempt. Instead the member snapshot is taken under
@@ -177,8 +177,8 @@ func (c *Client) maybeRefresh() {
 // the lock is re-taken only to adopt and push the winning view. Traffic
 // keeps flowing on the stale view in the meantime, which is exactly the
 // documented cache-not-consensus tradeoff. A member removed concurrently
-// with the fetch may be asked for MEMBERS one last time; harmless, it is a
-// read.
+// with the fetch may be asked for its view one last time; harmless, it is
+// a read.
 func (c *Client) refreshTopology() {
 	if !c.refreshing.CompareAndSwap(false, true) {
 		return // a refresh is already in flight; route on the current view
@@ -203,7 +203,7 @@ func (c *Client) refreshTopology() {
 		var t wire.Topology
 		err := nc.do(c.dial, func(cl *wire.Client) error {
 			var err error
-			t, err = cl.Members()
+			t, err = cl.Topology(wire.Topology{})
 			return err
 		})
 		if err != nil {
@@ -280,7 +280,7 @@ func (c *Client) pushTopologyLocked(skip map[string]bool) {
 			var held wire.Topology
 			err := c.nodes[addr].do(c.dial, func(cl *wire.Client) error {
 				var err error
-				held, err = cl.PushTopology(t)
+				held, err = cl.Topology(t)
 				return err
 			})
 			if err != nil || len(held.Members) == 0 {
@@ -306,13 +306,14 @@ func (c *Client) pushTopologyLocked(skip map[string]bool) {
 }
 
 // resolveSeeds turns a bootstrap seed list into a member list and starting
-// epoch: each seed's MEMBERS view is probed over a short-lived connection,
-// and the member list comes from the highest-epoch view any seed reports —
-// so one live address of an established cluster is enough to route to all
-// of it. When every reachable seed is fresh (knows no topology), the
-// reachable seeds themselves become the founding members and push tells
-// Dial to install that view; a seed whose dial failed is never enrolled —
-// it would own a share of the ring while provably unreachable.
+// epoch: each seed's view is read (an empty TOPOLOGY offer) over a
+// short-lived connection, and the member list comes from the
+// highest-epoch view any seed reports — so one live address of an
+// established cluster is enough to route to all of it. When every
+// reachable seed is fresh (knows no topology), the reachable seeds
+// themselves become the founding members and push tells Dial to install
+// that view; a seed whose dial failed is never enrolled — it would own a
+// share of the ring while provably unreachable.
 func resolveSeeds(addrs []string, dial DialFunc) (members []string, epoch uint64, push bool, err error) {
 	reachable := make(map[string]bool, len(addrs))
 	var maxEpoch uint64
@@ -322,7 +323,7 @@ func resolveSeeds(addrs []string, dial DialFunc) (members []string, epoch uint64
 		if err != nil {
 			continue // any one live seed suffices
 		}
-		t, merr := cl.Members()
+		t, merr := cl.Topology(wire.Topology{})
 		cl.Close()
 		if merr != nil {
 			continue
@@ -440,10 +441,10 @@ func Join(seed, self string, dial DialFunc) (t wire.Topology, skipped []string, 
 	if err != nil {
 		return wire.Topology{}, nil, fmt.Errorf("cluster: join seed %s: %w", seed, err)
 	}
-	base, err := cl.Members()
+	base, err := cl.Topology(wire.Topology{})
 	cl.Close()
 	if err != nil {
-		return wire.Topology{}, nil, fmt.Errorf("cluster: MEMBERS %s: %w", seed, err)
+		return wire.Topology{}, nil, fmt.Errorf("cluster: TOPOLOGY %s: %w", seed, err)
 	}
 	for attempt := 0; attempt < 3; attempt++ {
 		t := wire.Topology{Epoch: base.Epoch, Members: append([]string(nil), base.Members...)}
@@ -463,7 +464,7 @@ func Join(seed, self string, dial DialFunc) (t wire.Topology, skipped []string, 
 			var held wire.Topology
 			mcl, err := dial(m)
 			if err == nil {
-				held, err = mcl.PushTopology(t)
+				held, err = mcl.Topology(t)
 				mcl.Close()
 			}
 			if err != nil {

@@ -22,7 +22,7 @@ func TestSeedConvergenceSmoke(t *testing.T) {
 	addrs := make([]string, 3)
 	addr0, srv0 := startNodeWithServer(t, 1024, 16, 1)
 	addrs[0] = addr0
-	srv0.SetTopology(wire.Topology{Epoch: 0, Members: []string{addr0}})
+	srv0.OfferTopology(wire.Topology{Epoch: 0, Members: []string{addr0}})
 	for i := 1; i < 3; i++ {
 		addrs[i], _ = startNodeWithServer(t, 1024, 16, uint64(i+1))
 		if _, _, err := Join(addrs[0], addrs[i], nil); err != nil {
@@ -36,7 +36,7 @@ func TestSeedConvergenceSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tp, err := cl.Members()
+		tp, err := cl.Topology(wire.Topology{})
 		cl.Close()
 		if err != nil {
 			t.Fatalf("MEMBERS %s: %v", a, err)
@@ -97,7 +97,7 @@ func TestSubsetDialDoesNotRewriteMembership(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tp, err := cl.Members()
+		tp, err := cl.Topology(wire.Topology{})
 		cl.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -121,7 +121,7 @@ func TestSubsetDialDoesNotRewriteMembership(t *testing.T) {
 // on top of the winner's view instead of reporting success while orphaned.
 func TestJoinRetriesLostRace(t *testing.T) {
 	seedAddr, seedSrv := startNodeWithServer(t, 1024, 16, 1)
-	seedSrv.SetTopology(wire.Topology{Epoch: 0, Members: []string{seedAddr}})
+	seedSrv.OfferTopology(wire.Topology{Epoch: 0, Members: []string{seedAddr}})
 	selfAddr, _ := startNodeWithServer(t, 1024, 16, 2)
 
 	// The dial hook injects a rival join's push exactly between this
@@ -137,7 +137,7 @@ func TestJoinRetriesLostRace(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
-				if _, err := cl.PushTopology(rival); err != nil {
+				if _, err := cl.Topology(rival); err != nil {
 					return nil, err
 				}
 				cl.Close()
@@ -164,7 +164,7 @@ func TestJoinRetriesLostRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	held, err := cl.Members()
+	held, err := cl.Topology(wire.Topology{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestPushTieEscalates(t *testing.T) {
 		t.Fatal(err)
 	}
 	rival := append(append([]string(nil), addrs...), "phantom:1")
-	if _, err := direct.PushTopology(wire.Topology{Epoch: base + 1, Members: rival}); err != nil {
+	if _, err := direct.Topology(wire.Topology{Epoch: base + 1, Members: rival}); err != nil {
 		t.Fatal(err)
 	}
 	direct.Close()
@@ -285,7 +285,7 @@ func TestPushTieEscalates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tp, err := cl.Members()
+		tp, err := cl.Topology(wire.Topology{})
 		cl.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -314,7 +314,7 @@ func TestPushLosesToNewerView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := direct.PushTopology(wire.Topology{Epoch: base + 2, Members: addrs}); err != nil {
+	if _, err := direct.Topology(wire.Topology{Epoch: base + 2, Members: addrs}); err != nil {
 		t.Fatal(err)
 	}
 	direct.Close()
@@ -760,7 +760,7 @@ func TestRefreshNotBlockedByDeadMember(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := direct.PushTopology(wire.Topology{Epoch: base + 1, Members: addrs}); err != nil {
+	if _, err := direct.Topology(wire.Topology{Epoch: base + 1, Members: addrs}); err != nil {
 		t.Fatal(err)
 	}
 	direct.Close()
@@ -822,7 +822,7 @@ func TestRefreshNotBlockedByDeadMember(t *testing.T) {
 // list, and kept in the topology (it may only be temporarily down).
 func TestJoinSkipsDeadMember(t *testing.T) {
 	addr0, srv0 := startNodeWithServer(t, 1024, 16, 1)
-	srv0.SetTopology(wire.Topology{Epoch: 0, Members: []string{addr0}})
+	srv0.OfferTopology(wire.Topology{Epoch: 0, Members: []string{addr0}})
 	addr1, _ := startNodeWithServer(t, 1024, 16, 2)
 	if _, skipped, err := Join(addr0, addr1, nil); err != nil || len(skipped) != 0 {
 		t.Fatalf("healthy join = skipped %v, err %v", skipped, err)
@@ -852,7 +852,7 @@ func TestJoinSkipsDeadMember(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		held, err := cl.Members()
+		held, err := cl.Topology(wire.Topology{})
 		cl.Close()
 		if err != nil {
 			t.Fatal(err)

@@ -217,34 +217,6 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// ValidateHarnessFlags rejects nonsensical harness command-line parameters
-// with flag-style error messages for cmd/cachecluster; keeping them here
-// keeps the rules from drifting. Config.Validate re-checks the subset that
-// reaches Run.
-func ValidateHarnessFlags(conns, ops, pipeline, valSize, universe int, open bool, rate float64, duration time.Duration) error {
-	switch {
-	case conns <= 0:
-		return fmt.Errorf("-conns %d: connection count must be positive", conns)
-	case ops <= 0:
-		return fmt.Errorf("-ops %d: operation count must be positive", ops)
-	case pipeline < 0:
-		return fmt.Errorf("-pipeline %d: batch depth must not be negative", pipeline)
-	case valSize < 8:
-		return fmt.Errorf("-valsize %d: payloads carry an 8-byte key prefix; need at least 8", valSize)
-	case universe <= 0:
-		return fmt.Errorf("-universe %d: universe size must be positive", universe)
-	case duration < 0:
-		return fmt.Errorf("-duration %v: duration must not be negative", duration)
-	case open && rate <= 0:
-		return fmt.Errorf("-open requires -rate > 0 (got %g)", rate)
-	case !open && rate != 0:
-		return fmt.Errorf("-rate is only meaningful with -open")
-	case !open && duration != 0:
-		return fmt.Errorf("-duration is only meaningful with -open")
-	}
-	return nil
-}
-
 // Run executes the configured load and reports aggregate results.
 func Run(cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {

@@ -25,9 +25,9 @@
 // The server also holds the node's view of the cluster topology: a member
 // list stamped with a monotonically increasing epoch, pushed at it by the
 // cluster router or a joining peer (TOPOLOGY) and served back to anyone
-// who asks (MEMBERS). Every response carries the current epoch, so routers
-// piggyback staleness detection on ordinary traffic and refresh only when
-// the epoch moves. The server itself never routes — topology is data it
+// who asks (a TOPOLOGY offer with no members). Every response carries the
+// current epoch, so routers piggyback staleness detection on ordinary
+// traffic and refresh only when the epoch moves. The server itself never routes — topology is data it
 // stores and spreads, which is what lets a client bootstrap a whole
 // cluster view from one seed address.
 package server
@@ -288,32 +288,16 @@ func (s *Server) SetSlowOpThreshold(d time.Duration) { s.slowThreshold.Store(int
 // streams without millions of residents.
 func (s *Server) SetKeysChunk(n int) { s.keysChunk.Store(int64(n)) }
 
-// Topology returns the server's current cluster view. A server that was
-// never told one reports epoch 0 and no members.
-func (s *Server) Topology() wire.Topology {
-	s.topoMu.Lock()
-	defer s.topoMu.Unlock()
-	return wire.Topology{Epoch: s.epoch.Load(), Members: append([]string(nil), s.members...)}
-}
-
-// SetTopology unconditionally installs t as the server's cluster view;
-// cmd/cached uses it to seed a standalone node with its own address. Peers
-// pushing over the wire go through the adoption rule instead (OfferTopology).
-func (s *Server) SetTopology(t wire.Topology) {
-	s.topoMu.Lock()
-	defer s.topoMu.Unlock()
-	s.members = append([]string(nil), t.Members...)
-	s.epoch.Store(t.Epoch)
-}
-
-// OfferTopology applies the wire adoption rule to a pushed topology: adopt
-// it when it is strictly newer than the held view, or when no view is held
-// yet; otherwise keep the current one. Offers with no members are never
-// adopted — holding a bare epoch over an empty member list would let a
-// later, lower epoch "win" and roll the monotonic epoch backwards. It
-// returns the view the server holds after the offer, which the TOPOLOGY
-// response reports so a losing pusher learns the newer topology in the
-// same round trip.
+// OfferTopology is the server's one topology operation. It applies the
+// wire adoption rule to an offered topology: adopt it when it is strictly
+// newer than the held view, or when no view is held yet; otherwise keep
+// the current one. Offers with no members are never adopted — holding a
+// bare epoch over an empty member list would let a later, lower epoch
+// "win" and roll the monotonic epoch backwards — so an empty offer is a
+// read. It returns the view the server holds after the offer, which the
+// TOPOLOGY response reports so a losing offerer learns the newer topology
+// in the same round trip. cmd/cached seeds a standalone node by offering
+// its own address before it accepts connections.
 func (s *Server) OfferTopology(t wire.Topology) wire.Topology {
 	s.topoMu.Lock()
 	defer s.topoMu.Unlock()
@@ -783,8 +767,6 @@ func (s *Server) apply(req *wire.Request, resp *wire.Response) (displaced bool) 
 	case wire.OpRehash:
 		s.cache.Rehash()
 		resp.Status = wire.StatusOK
-	case wire.OpMembers:
-		resp.Status, resp.Topology = wire.StatusMembers, s.Topology()
 	case wire.OpTopology:
 		resp.Status, resp.Topology = wire.StatusMembers, s.OfferTopology(req.Topology)
 	case wire.OpMetrics:

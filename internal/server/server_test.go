@@ -129,7 +129,8 @@ func TestBasicOps(t *testing.T) {
 
 // TestTopologyAdoption pins the server-side adoption rule: a fresh server
 // adopts any offer, a newer epoch wins, an older or equal one is kept out,
-// and every response stamps the current epoch.
+// an empty offer reads the held view without changing it, and every
+// response stamps the current epoch.
 func TestTopologyAdoption(t *testing.T) {
 	_, addr := startServer(t, concurrent.Config{Capacity: 64, Alpha: 4, Seed: 1})
 	c, err := wire.Dial(addr)
@@ -138,21 +139,23 @@ func TestTopologyAdoption(t *testing.T) {
 	}
 	defer c.Close()
 
-	if tp, err := c.Members(); err != nil || tp.Epoch != 0 || len(tp.Members) != 0 {
-		t.Fatalf("fresh server Members() = %+v, %v; want empty epoch-0 view", tp, err)
+	for i := 0; i < 2; i++ {
+		if tp, err := c.Topology(wire.Topology{}); err != nil || tp.Epoch != 0 || len(tp.Members) != 0 {
+			t.Fatalf("fresh server read %d = %+v, %v; want empty epoch-0 view", i, tp, err)
+		}
 	}
 	// Fresh server adopts an epoch-0 push (it holds nothing).
-	tp, err := c.PushTopology(wire.Topology{Epoch: 0, Members: []string{"a:1"}})
+	tp, err := c.Topology(wire.Topology{Epoch: 0, Members: []string{"a:1"}})
 	if err != nil || tp.Epoch != 0 || len(tp.Members) != 1 {
 		t.Fatalf("founding push returned %+v, %v", tp, err)
 	}
 	// Equal epoch with members held: rejected.
-	tp, err = c.PushTopology(wire.Topology{Epoch: 0, Members: []string{"b:1"}})
+	tp, err = c.Topology(wire.Topology{Epoch: 0, Members: []string{"b:1"}})
 	if err != nil || len(tp.Members) != 1 || tp.Members[0] != "a:1" {
 		t.Fatalf("equal-epoch push returned %+v, %v; want the held view kept", tp, err)
 	}
 	// Newer epoch: adopted, and subsequent responses carry it.
-	tp, err = c.PushTopology(wire.Topology{Epoch: 5, Members: []string{"a:1", "b:1"}})
+	tp, err = c.Topology(wire.Topology{Epoch: 5, Members: []string{"a:1", "b:1"}})
 	if err != nil || tp.Epoch != 5 || len(tp.Members) != 2 {
 		t.Fatalf("newer push returned %+v, %v", tp, err)
 	}
@@ -163,19 +166,26 @@ func TestTopologyAdoption(t *testing.T) {
 		t.Errorf("GET response epoch = %d, want 5", e)
 	}
 	// Older epoch: rejected, the response reports the newer held view.
-	tp, err = c.PushTopology(wire.Topology{Epoch: 4, Members: []string{"z:1"}})
+	tp, err = c.Topology(wire.Topology{Epoch: 4, Members: []string{"z:1"}})
 	if err != nil || tp.Epoch != 5 {
 		t.Fatalf("stale push returned %+v, %v; want the epoch-5 view kept", tp, err)
 	}
-	// An empty push is a protocol error at both ends: the client refuses
-	// to encode it, and the adoption rule ignores it — adopting a bare
-	// high epoch over no members would let a later lower epoch roll the
-	// monotonic epoch backwards.
-	if _, err := c.PushTopology(wire.Topology{Epoch: 99}); err == nil {
-		t.Error("client encoded an empty TOPOLOGY push")
+	// An empty offer reads the epoch-5 view and leaves it as it was.
+	for i := 0; i < 2; i++ {
+		tp, err = c.Topology(wire.Topology{})
+		if err != nil || tp.Epoch != 5 || strings.Join(tp.Members, ",") != "a:1,b:1" {
+			t.Fatalf("read %d of the epoch-5 view returned %+v, %v", i, tp, err)
+		}
+	}
+	// An empty offer at a nonzero epoch is a protocol error at both ends:
+	// the client refuses to encode it, and the adoption rule ignores it —
+	// adopting a bare high epoch over no members would let a later lower
+	// epoch roll the monotonic epoch backwards.
+	if _, err := c.Topology(wire.Topology{Epoch: 99}); err == nil {
+		t.Error("client encoded an empty TOPOLOGY offer at epoch 99")
 	}
 	srv, _ := startServer(t, concurrent.Config{Capacity: 64, Alpha: 4, Seed: 2})
-	srv.SetTopology(wire.Topology{Epoch: 5, Members: []string{"a:1"}})
+	srv.OfferTopology(wire.Topology{Epoch: 5, Members: []string{"a:1"}})
 	if got := srv.OfferTopology(wire.Topology{Epoch: 99}); got.Epoch != 5 || len(got.Members) != 1 {
 		t.Errorf("empty offer at epoch 99 returned %+v; want the held view kept", got)
 	}

@@ -205,23 +205,39 @@ func TestHintQueueAndReplay(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	// The tombstone hint must be resident on the target as a delete record.
-	recs, err := tc.Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	foundTomb := false
-	for _, rec := range recs {
-		if rec.Key == 2 && rec.Tombstone && rec.Version == 200 {
-			foundTomb = true
+	// It rides the same PutBatch as the value, one PUT behind it, so the
+	// target may answer the GET above before it has applied the tombstone.
+	for {
+		recs, err := tc.Keys()
+		if err != nil {
+			t.Fatal(err)
 		}
+		foundTomb := false
+		for _, rec := range recs {
+			if rec.Key == 2 && rec.Tombstone && rec.Version == 200 {
+				foundTomb = true
+			}
+		}
+		if foundTomb {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replayed tombstone missing from target KEYS: %v", recs)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
-	if !foundTomb {
-		t.Fatalf("replayed tombstone missing from target KEYS: %v", recs)
-	}
-
-	hst, err := c.Stats(false)
-	if err != nil {
-		t.Fatal(err)
+	// The target holds both records once PutBatch was answered, but the
+	// holder counts the replay only after PutBatch returns: poll it under
+	// the same deadline.
+	var hst *wire.Stats
+	for {
+		if hst, err = c.Stats(false); err != nil {
+			t.Fatal(err)
+		}
+		if hst.HintsReplayed >= 2 || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 	if hst.HintsQueued != 2 || hst.HintsReplayed != 2 {
 		t.Errorf("holder hints queued/replayed = %d/%d, want 2/2", hst.HintsQueued, hst.HintsReplayed)

@@ -283,7 +283,9 @@ func (c *Client) Del(key uint64) (present bool, version uint64, err error) {
 }
 
 // Stats fetches the server's counters as one METRICS round trip; detail
-// adds each bucket's occupancy (the OCCUPANCY section).
+// adds each bucket's occupancy (the OCCUPANCY section). Its one non-test
+// caller is the standing benchmark (bench/); everything else reads
+// Metrics(MetricsCounters).Stats(). It goes when bench/ does the same.
 func (c *Client) Stats(detail bool) (*Stats, error) {
 	flags := MetricsCounters
 	if detail {
@@ -359,26 +361,14 @@ func (c *Client) KeysStream(visit func(chunk []KeyRec) error) error {
 	}
 }
 
-// Members fetches the server's current cluster topology: its member list
-// and epoch. A server that was never told a topology reports epoch 0 and
-// no members.
-func (c *Client) Members() (Topology, error) {
-	resp, err := c.roundTrip(&Request{Op: OpMembers})
-	if err != nil {
-		return Topology{}, err
-	}
-	if resp.Status != StatusMembers {
-		return Topology{}, fmt.Errorf("wire: unexpected MEMBERS response %v", resp.Status)
-	}
-	return resp.Topology, nil
-}
-
-// PushTopology offers t to the server, which adopts it only if it is
-// strictly newer than the topology it holds (or if it holds none). The
-// returned topology is the server's view after the push — equal to t when
-// it was adopted, the server's newer view when the push lost the race.
-func (c *Client) PushTopology(t Topology) (Topology, error) {
-	resp, err := c.roundTrip(&Request{Op: OpTopology, Topology: t})
+// Topology offers a topology to the server, which adopts it only if it
+// is strictly newer than the topology it holds (or if it holds none), and
+// returns the server's view after the offer — equal to offer when it was
+// adopted, the server's newer view when the offer lost the race. An empty
+// offer (Topology{}) is a read: a server that was never told a topology
+// reports epoch 0 and no members.
+func (c *Client) Topology(offer Topology) (Topology, error) {
+	resp, err := c.roundTrip(&Request{Op: OpTopology, Topology: offer})
 	if err != nil {
 		return Topology{}, err
 	}

@@ -257,8 +257,8 @@ func TestClientKeysStreamVisitError(t *testing.T) {
 	}
 }
 
-// TestClientMembersAndPush covers the MEMBERS fetch and TOPOLOGY push round
-// trips.
+// TestClientMembersAndPush covers the TOPOLOGY round trip both ways: an
+// empty offer reads the held view, a populated one is offered for adoption.
 func TestClientMembersAndPush(t *testing.T) {
 	held := Topology{Epoch: 3, Members: []string{"a:1", "b:1"}}
 	addr := fakeServer(t, func(conn net.Conn) {
@@ -272,10 +272,7 @@ func TestClientMembersAndPush(t *testing.T) {
 			if err != nil {
 				return
 			}
-			switch req.Op {
-			case OpMembers:
-				w.WriteResponse(Response{Status: StatusMembers, Epoch: held.Epoch, Topology: held})
-			case OpTopology:
+			if req.Op == OpTopology {
 				if req.Topology.Epoch > held.Epoch {
 					held = req.Topology
 				}
@@ -290,17 +287,17 @@ func TestClientMembersAndPush(t *testing.T) {
 	}
 	defer c.Close()
 
-	got, err := c.Members()
+	got, err := c.Topology(Topology{})
 	if err != nil || got.Epoch != 3 || len(got.Members) != 2 {
-		t.Fatalf("Members() = %+v, %v", got, err)
+		t.Fatalf("Topology(Topology{}) = %+v, %v", got, err)
 	}
 	// A stale push loses: the server's newer view comes back.
-	after, err := c.PushTopology(Topology{Epoch: 2, Members: []string{"z:1"}})
+	after, err := c.Topology(Topology{Epoch: 2, Members: []string{"z:1"}})
 	if err != nil || after.Epoch != 3 {
 		t.Fatalf("stale push returned %+v, %v; want the held epoch-3 view", after, err)
 	}
 	// A newer push wins.
-	after, err = c.PushTopology(Topology{Epoch: 4, Members: []string{"a:1", "b:1", "c:1"}})
+	after, err = c.Topology(Topology{Epoch: 4, Members: []string{"a:1", "b:1", "c:1"}})
 	if err != nil || after.Epoch != 4 || len(after.Members) != 3 {
 		t.Fatalf("newer push returned %+v, %v; want it adopted", after, err)
 	}

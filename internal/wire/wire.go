@@ -10,7 +10,7 @@
 // with a 8-byte client preamble:
 //
 //	magic   [4]byte  "SACW" (Set-Associative Cache Wire)
-//	version uint32   11
+//	version uint32   12
 //
 // after which both directions carry length-prefixed frames:
 //
@@ -43,8 +43,8 @@
 //	                                             {key, version, tombstone}
 //	                                             records; a frame with count 0
 //	                                             terminates
-//	MEMBERS                                    → Members topology payload
-//	TOPOLOGY topology payload                  → Members (the view after apply)
+//	TOPOLOGY topology payload                  → Members (the view after apply;
+//	                                             an empty offer is a read)
 //	METRICS  flags byte                        → Metrics payload (see Metrics)
 //
 // A record is the store's own {key, version, tombstone} — the 17 bytes of
@@ -74,8 +74,8 @@
 // replays it to the target as a PUT once it answers again.
 //
 // The other protocol features, by the revision that introduced them:
-// every response carries the server's topology epoch, MEMBERS/TOPOLOGY
-// move member lists, and KEYS streams in bounded chunk frames (v3);
+// every response carries the server's topology epoch, TOPOLOGY moves
+// member lists, and KEYS streams in bounded chunk frames (v3);
 // values are versioned (v4); METRICS exports the server's flight recorder
 // (v5); requests may carry a trace context, and METRICS gained the TRACES
 // and HOTKEYS sections (v6); GETL and the LEASE/LEASE_LOST statuses (v7);
@@ -90,6 +90,9 @@
 // Version 11 removed the STATS op: its counters are METRICS counters
 // numbered after CONNS (Stats is their typed view) and its per-shard
 // detail is the OCCUPANCY section; opcode and status 4 stay unassigned.
+// Version 12 removed MEMBERS: a TOPOLOGY offer with no members (epoch 0)
+// reads the held view; opcode 7 stays unassigned, status 7 keeps the name
+// of its payload.
 // Peers of other versions are rejected at the preamble.
 package wire
 
@@ -123,7 +126,7 @@ const (
 	// Version is the protocol revision; the preamble carries it and servers
 	// reject mismatches, so a bump needs no compatibility path. The package
 	// comment and ARCHITECTURE.md list what each revision changed.
-	Version = 11
+	Version = 12
 	// MaxFrame bounds a frame body; it caps both value sizes and the damage
 	// a corrupt length prefix can do.
 	MaxFrame = 16 << 20
@@ -139,9 +142,10 @@ const (
 )
 
 // Topology is a cluster member list stamped with a monotonically increasing
-// epoch. Servers hold one (pushed by routers or joining peers via the
-// TOPOLOGY op, served back via MEMBERS) and stamp its epoch into every
-// response, which is how clients detect membership changes without polling.
+// epoch. Servers hold one (offered by routers or joining peers via the
+// TOPOLOGY op, which answers with the view held after the offer) and
+// stamp its epoch into every response, which is how clients detect
+// membership changes without polling.
 // A server adopts a pushed topology only when it is strictly newer than the
 // one it holds (or when it holds none), so stale pushes cannot roll the
 // cluster view backwards.
@@ -289,7 +293,7 @@ const (
 	_ // 4 was STATS until v11; never reassigned
 	OpRehash
 	OpKeys
-	OpMembers
+	_ // 7 was MEMBERS until v12; never reassigned
 	OpTopology
 	OpMetrics
 	// OpGetLease (GETL, v7) is GET with lease semantics on a miss: a
@@ -327,7 +331,7 @@ const OpLast = opEnd - 1
 // name, and TestSpecOpcodes requires an ARCHITECTURE.md row for each.
 var opNames = [opEnd]string{
 	OpGet: "GET", OpSet: "SET", OpDel: "DEL", OpRehash: "REHASH",
-	OpKeys: "KEYS", OpMembers: "MEMBERS", OpTopology: "TOPOLOGY", OpMetrics: "METRICS",
+	OpKeys: "KEYS", OpTopology: "TOPOLOGY", OpMetrics: "METRICS",
 	OpGetLease: "GETL", OpHint: "HINT", OpFill: "FILL", OpPut: "PUT",
 }
 
@@ -430,7 +434,8 @@ type Request struct {
 	// Target is the intended owner address of a HINT: the member the
 	// record could not reach and should be replayed to.
 	Target string
-	// Topology is the payload of a TOPOLOGY push.
+	// Topology is the payload of a TOPOLOGY offer; an empty one (no
+	// members, epoch 0) reads the server's view.
 	Topology Topology
 	// MetricsFlags selects the payload sections of a METRICS request; it
 	// must name at least one section.
@@ -478,7 +483,8 @@ type Response struct {
 	// tombstone} records since v8; an empty Keys frame terminates the
 	// stream.
 	Keys []KeyRec
-	// Topology is the payload of a MEMBERS response.
+	// Topology is the payload of a MEMBERS response: the view a server
+	// holds after a TOPOLOGY offer.
 	Topology Topology
 	// Metrics is the payload of a METRICS response.
 	Metrics *Metrics
@@ -788,7 +794,7 @@ func (w *Writer) writeRequest(req *Request) error {
 		w.chunk = append(w.chunk, req.Target...)
 		w.chunk, err = appendRecord(w.chunk, req)
 		value = req.Value
-	case OpRehash, OpKeys, OpMembers:
+	case OpRehash, OpKeys:
 	case OpMetrics:
 		if err := req.MetricsFlags.validate(); err != nil {
 			return w.abortFrame(off, err)
@@ -798,8 +804,8 @@ func (w *Writer) writeRequest(req *Request) error {
 		if err := req.Topology.Validate(); err != nil {
 			return w.abortFrame(off, err)
 		}
-		if len(req.Topology.Members) == 0 {
-			return w.abortFrame(off, fmt.Errorf("wire: TOPOLOGY push with no members"))
+		if len(req.Topology.Members) == 0 && req.Topology.Epoch != 0 {
+			return w.abortFrame(off, fmt.Errorf("wire: TOPOLOGY offer with no members at epoch %d", req.Topology.Epoch))
 		}
 		w.chunk = appendTopology(w.chunk, req.Topology)
 	default:
@@ -1082,7 +1088,7 @@ func (r *Reader) ReadRequest() (*Request, error) {
 		if err = parseRecord(body[al:], req); err != nil {
 			return nil, err
 		}
-	case OpRehash, OpKeys, OpMembers:
+	case OpRehash, OpKeys:
 		if len(body) != 0 {
 			return nil, fmt.Errorf("wire: %v body %d bytes, want 0", req.Op, len(body))
 		}
@@ -1099,13 +1105,13 @@ func (r *Reader) ReadRequest() (*Request, error) {
 		if err != nil {
 			return nil, err
 		}
-		// An empty MEMBERS response is legitimate (a fresh server knows no
-		// topology), but an empty *push* is not: adopting it would leave
+		// An offer with no members is a read and carries epoch 0. A bare
+		// nonzero epoch over no members is refused: adopting it would leave
 		// the receiver holding a high epoch over no members, from which
 		// any later epoch could "win" — a rollback of the monotonic-epoch
 		// invariant through one malformed frame.
-		if len(t.Members) == 0 {
-			return nil, fmt.Errorf("wire: TOPOLOGY push with no members")
+		if len(t.Members) == 0 && t.Epoch != 0 {
+			return nil, fmt.Errorf("wire: TOPOLOGY offer with no members at epoch %d", t.Epoch)
 		}
 		req.Topology = t
 	default:

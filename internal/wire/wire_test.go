@@ -3,9 +3,11 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,7 +33,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpHint, Target: "n", Key: 15, Version: 10, Tombstone: true},
 		{Op: OpDel, Key: 1 << 60},
 		{Op: OpRehash},
-		{Op: OpMembers},
+		{Op: OpTopology}, // the empty offer: a read
 		{Op: OpTopology, Topology: Topology{Epoch: 7, Members: []string{"a:1", "b:2"}}},
 		// v6 traced requests: context rides between the opcode byte and the
 		// op fields, sampled or not, on reads and maintenance writes alike.
@@ -68,7 +70,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		if !bytes.Equal(got.Value, want.Value) {
 			t.Fatalf("request %d value = %q, want %q", i, got.Value, want.Value)
 		}
-		if !reflect.DeepEqual(got.Topology.Members, want.Topology.Members) || got.Topology.Epoch != want.Topology.Epoch {
+		if !slices.Equal(got.Topology.Members, want.Topology.Members) || got.Topology.Epoch != want.Topology.Epoch {
 			t.Fatalf("request %d topology = %+v, want %+v", i, got.Topology, want.Topology)
 		}
 	}
@@ -205,12 +207,18 @@ func TestMalformedRequestRejected(t *testing.T) {
 	if _, err := frame([]byte{byte(OpHint), 9, 'a'}).ReadRequest(); err == nil {
 		t.Fatal("HINT with a truncated target accepted")
 	}
-	// Opcode 4 (STATS until v11) stays unassigned, on both ends.
-	if _, err := frame([]byte{4, 0}).ReadRequest(); err == nil {
-		t.Fatal("request with the retired opcode 4 accepted")
-	}
-	if err := NewWriter(io.Discard).WriteRequest(Request{Op: 4}); err == nil {
-		t.Fatal("encoder accepted the retired opcode 4")
+	// Opcodes 4 (STATS until v11) and 7 (MEMBERS until v12) stay
+	// unassigned, on both ends.
+	for _, op := range []byte{4, 7} {
+		if _, err := frame([]byte{op, 0}).ReadRequest(); err == nil {
+			t.Fatalf("request with the retired opcode %d accepted", op)
+		}
+		if _, err := frame([]byte{op}).ReadRequest(); err == nil {
+			t.Fatalf("empty-bodied request with the retired opcode %d accepted", op)
+		}
+		if err := NewWriter(io.Discard).WriteRequest(Request{Op: Op(op)}); err == nil {
+			t.Fatalf("encoder accepted the retired opcode %d", op)
+		}
 	}
 	// A traced frame whose body ends inside the trace context.
 	body := []byte{byte(OpGet) | OpFlagTraced, 1, 2, 3}
@@ -250,6 +258,62 @@ func TestMalformedRequestRejected(t *testing.T) {
 	}
 	if err := w.WriteRequest(Request{Op: OpGet, Traced: true, Trace: TraceContext{ID: testTraceID(1), Flags: 0x80}}); err == nil {
 		t.Fatal("encoder accepted undefined trace flag bits")
+	}
+}
+
+// TestTopologyOffer pins the TOPOLOGY rule at both ends: an offer with no
+// members is a read and carries epoch 0; a bare nonzero epoch over no
+// members is refused by the encoder and by ReadRequest alike, so one frame
+// cannot plant a high epoch with nothing behind it.
+func TestTopologyOffer(t *testing.T) {
+	// frame hand-builds a TOPOLOGY request, bypassing the encoder.
+	frame := func(epoch uint64, members ...string) []byte {
+		body := appendTopology([]byte{byte(OpTopology)}, Topology{Epoch: epoch, Members: members})
+		return append(binary.LittleEndian.AppendUint32(nil, uint32(len(body))), body...)
+	}
+	cases := []struct {
+		name    string
+		epoch   uint64
+		members []string
+		ok      bool
+	}{
+		{"read", 0, nil, true},
+		{"founding offer", 0, []string{"a:1"}, true},
+		{"newer offer", 5, []string{"a:1", "b:1"}, true},
+		{"empty offer at epoch 1", 1, nil, false},
+		{"empty offer at epoch 99", 99, nil, false},
+	}
+	for _, c := range cases {
+		raw := frame(c.epoch, c.members...)
+		req, err := NewReader(bytes.NewReader(raw)).ReadRequest()
+		if (err == nil) != c.ok {
+			t.Fatalf("%s: ReadRequest err = %v, want ok=%v", c.name, err, c.ok)
+		}
+		var out bytes.Buffer
+		w := NewWriter(&out)
+		werr := w.WriteRequest(Request{Op: OpTopology, Topology: Topology{Epoch: c.epoch, Members: c.members}})
+		if (werr == nil) != c.ok {
+			t.Fatalf("%s: encoder err = %v, want ok=%v", c.name, werr, c.ok)
+		}
+		if !c.ok {
+			continue
+		}
+		if req.Topology.Epoch != c.epoch || !slices.Equal(req.Topology.Members, c.members) {
+			t.Errorf("%s: decoded %+v", c.name, req.Topology)
+		}
+		// The decoded request re-encodes to the bytes that arrived, and
+		// the encoder's own frame is those bytes too.
+		var again bytes.Buffer
+		w2 := NewWriter(&again)
+		if err := w2.WriteRequest(*req); err != nil {
+			t.Fatalf("%s: re-encoding the decoded offer: %v", c.name, err)
+		}
+		if err := errors.Join(w.Flush(), w2.Flush()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), raw) || !bytes.Equal(out.Bytes(), raw) {
+			t.Errorf("%s: frame %x re-encodes to %x, encodes to %x", c.name, raw, again.Bytes(), out.Bytes())
+		}
 	}
 }
 
