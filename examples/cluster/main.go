@@ -7,12 +7,13 @@
 // Act one (unreplicated) demonstrates the two halves of the analogy:
 //
 //   - AddNode under live traffic: the ring reassigns ~1/(n+1) of the key
-//     space to the newcomer, those keys miss and refill through the
-//     read-through path — a visible but bounded hit-ratio dip, the
-//     cluster's version of the misses a fresh intra-node hash pays during
-//     an incremental rehash.
+//     space to the newcomer — the cluster's version of the misses a fresh
+//     intra-node hash pays during an incremental rehash — and the
+//     background warm-up copies that share into the newcomer while
+//     traffic flows, so only the reads that beat the copy miss and refill
+//     through the read-through path.
 //   - RemoveNode under live traffic: the departing node's residents are
-//     drained and re-SET on their new owners before its connection closes,
+//     drained and PUT on their new owners before its connection closes,
 //     so the hit ratio barely moves — bounded key movement with no silent
 //     loss, every key moved or accounted for by an eviction counter.
 //
@@ -22,13 +23,12 @@
 // fallback path while background read repair regenerates lost copies. The
 // price appears alongside: double the resident memory and write fan-out.
 //
-// Act three (replicas=2 again) shows proactive warm-up erasing act one's
-// dip: AddNode streams the newcomer's share out of the existing owners
-// (chunked KEYS + repair-SETs) on dedicated connections while live traffic
-// flows, and once the warm-up completes a full sweep reads every key
-// without fallbacks — the newcomer serves its share from the first
-// request. Act one disables warm-up (cluster.Options.DisableWarmup) on
-// purpose, to show the burst that warm-up exists to kill.
+// Act three (replicas=2 again) shows warm-up where replicas make it
+// matter most: AddNode streams the newcomer's share out of the existing
+// owners (chunked KEYS + PUTs, each key's newest record once) on dedicated
+// connections while live traffic flows, and once the warm-up completes a
+// full sweep reads every key without fallbacks — the newcomer serves its
+// share from the first request.
 //
 // Act four is the observability sequel: one member is secretly stuck in
 // back-to-back rehashes (the paper's own slow path: every one flushes the
@@ -149,9 +149,8 @@ func main() {
 	actFour()
 }
 
-// actOne is the original unreplicated membership walkthrough. Warm-up is
-// disabled so the post-join miss burst — the thing act three kills — is
-// visible.
+// actOne is the original unreplicated membership walkthrough: a warmed
+// join, then a drained removal.
 func actOne() {
 	var servers []*server.Server
 	var addrs []string
@@ -166,7 +165,7 @@ func actOne() {
 		}
 	}()
 
-	ctl, err := cluster.Dial(addrs, cluster.Options{DisableWarmup: true})
+	ctl, err := cluster.Dial(addrs, cluster.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -183,14 +182,17 @@ func actOne() {
 
 	addr4, srv4 := startNode(4)
 	servers = append(servers, srv4)
-	if _, err := ctl.AddNode(addr4); err != nil {
+	w, err := ctl.AddNode(addr4)
+	if err != nil {
 		log.Fatal(err)
 	}
 	ratio, qps = tr.window(250 * time.Millisecond)
 	fmt.Printf("\nAddNode(%s) under live traffic:\n", addr4)
-	fmt.Printf("  just after:       hit ratio %.3f at %.0f GET/s  (reassigned keys miss and refill)\n", ratio, qps)
+	fmt.Printf("  just after:       hit ratio %.3f at %.0f GET/s  (warm-up copies the reassigned keys; reads that beat it miss and refill)\n", ratio, qps)
+	ws := w.Wait()
+	fmt.Printf("  warm-up done:     %d copied in, %d superseded by newer writes (err=%v)\n", ws.Copied, ws.Stale, ws.Err)
 	ratio, qps = tr.window(700 * time.Millisecond)
-	fmt.Printf("  after refill:     hit ratio %.3f at %.0f GET/s\n", ratio, qps)
+	fmt.Printf("  after:            hit ratio %.3f at %.0f GET/s\n", ratio, qps)
 	shares(ctl)
 
 	moved, dropped, err := ctl.RemoveNode(addrs[0])

@@ -31,10 +31,6 @@ type Options struct {
 	// seed reports to a TOPOLOGY read, so a single address of an
 	// established cluster is enough to route to all of it.
 	Bootstrap bool
-	// DisableWarmup turns off the proactive replica warm-up AddNode
-	// otherwise starts; the newcomer's share then refills lazily through
-	// read-through misses and read repair instead.
-	DisableWarmup bool
 	// Dial overrides the member connection factory (default wire.Dial,
 	// which bounds connection establishment by wire.DefaultDialTimeout, so
 	// a black-holed member address costs a bounded wait instead of parking
@@ -128,9 +124,8 @@ type Options struct {
 type Client struct {
 	dial     DialFunc
 	vnodes   int
-	replicas int  // R; ≤1 means unreplicated
-	quorum   int  // W; 0 means R
-	noWarmup bool // Options.DisableWarmup
+	replicas int // R; ≤1 means unreplicated
+	quorum   int // W; 0 means R
 
 	mu    sync.RWMutex // guards ring, nodes and epoch; write side = membership changes
 	ring  *Ring
@@ -162,12 +157,12 @@ type Client struct {
 	traceSeed    uint64
 	traceCounter atomic.Uint64
 
-	// Warm-up bookkeeping: the dedicated connections of in-flight warm-ups
-	// (so Close can interrupt their streams) and a WaitGroup Close waits on
-	// so no warm-up goroutine outlives the client.
-	warmupMu    sync.Mutex
-	warmupConns map[*wire.Client]struct{}
-	warmupWG    sync.WaitGroup
+	// Reconcile bookkeeping (reconcile.go): the dedicated connections of
+	// in-flight passes, so Close can cut their streams, and a WaitGroup
+	// Close waits on so no warm-up goroutine outlives the client.
+	passMu    sync.Mutex
+	passConns map[*wire.Client]struct{}
+	warmupWG  sync.WaitGroup
 
 	// Read-repair machinery: detected-stale replicas are queued here and a
 	// single background goroutine re-writes them as PUTs.
@@ -196,7 +191,7 @@ type Client struct {
 	leaseLost   atomic.Uint64 // fills refused LEASE_LOST
 	leaseWaits  atomic.Uint64 // keys that waited on another caller's fill
 
-	// Hinted handoff and anti-entropy (wire v8, antientropy.go); their
+	// Hinted handoff and anti-entropy (wire v8, reconcile.go); their
 	// counters are ReplicationCounters' HintsSent, HintsFailed, Sweeps and
 	// SweepRepairs. aeStop/aeDone bracket the background sweep goroutine
 	// Options.AntiEntropy starts.
@@ -242,7 +237,6 @@ func Dial(addrs []string, opts Options) (*Client, error) {
 		vnodes:      opts.VNodes,
 		replicas:    opts.Replicas,
 		quorum:      opts.WriteQuorum,
-		noWarmup:    opts.DisableWarmup,
 		traceSample: opts.TraceSample,
 		leases:      opts.Leases,
 		near:        newNearCache(opts.NearCache),
@@ -250,7 +244,7 @@ func Dial(addrs []string, opts Options) (*Client, error) {
 		ring:        NewRing(opts.VNodes, members...),
 		epoch:       epoch,
 		nodes:       make(map[string]*nodeConn, len(members)),
-		warmupConns: make(map[*wire.Client]struct{}),
+		passConns:   make(map[*wire.Client]struct{}),
 		repairCh:    make(chan repairTask, repairQueueDepth),
 		repairDone:  make(chan struct{}),
 		aeStop:      make(chan struct{}),
@@ -311,25 +305,25 @@ func Dial(addrs []string, opts Options) (*Client, error) {
 	return c, nil
 }
 
-// Close stops the read-repair worker, interrupts and waits out any
-// in-flight warm-up, and tears down every member connection.
+// Close stops the read-repair worker, cuts any in-flight reconcile pass
+// (warm-up, drain or sweep) and waits out warm-ups, and tears down every
+// member connection.
 func (c *Client) Close() error {
 	c.closed.Store(true)
-	// Stop the anti-entropy sweeper first: a sweep mid-flight exits at its
-	// next dial or chunk boundary once the flag is up, and the wait below
-	// guarantees none outlives this call.
+	// Once the flag is up no reconcile pass can dial a dedicated
+	// connection, and closing the open ones aborts passes mid-flight (a
+	// sweep, a warm-up, a drain); they finish through their error paths.
+	// The anti-entropy loop is then stopped and awaited, and the WaitGroup
+	// at the bottom guarantees no warm-up outlives this call.
 	c.aeStopOnce.Do(func() { close(c.aeStop) })
+	c.passMu.Lock()
+	for cl := range c.passConns {
+		cl.Close()
+	}
+	c.passMu.Unlock()
 	if c.aeStarted {
 		<-c.aeDone
 	}
-	// Closing the dedicated connections aborts warm-up streams mid-flight;
-	// the goroutines then exit through their error paths and the WaitGroup
-	// at the bottom guarantees none outlives this call.
-	c.warmupMu.Lock()
-	for cl := range c.warmupConns {
-		cl.Close()
-	}
-	c.warmupMu.Unlock()
 	c.mu.Lock()
 	wait := false
 	if !c.repairClosed {
@@ -880,9 +874,10 @@ func (c *Client) RehashAll() error {
 }
 
 // NodeCounters is the router's per-member traffic tally. Repairs counts
-// background read-repair, migration and warm-up SETs written to the
-// member, kept separate from Sets so replica maintenance never reads as
-// user write traffic.
+// the maintenance PUTs the member stored: read repairs and the copies of
+// every reconcile pass (warm-up, the R = 1 drain and the anti-entropy
+// sweep). It is kept apart from Sets so replica maintenance never reads
+// as user write traffic.
 type NodeCounters struct {
 	Gets, Hits, Misses, Sets, Dels, Redials, Repairs uint64
 }

@@ -200,7 +200,7 @@ func TestRemoveNodeUnderLiveTraffic(t *testing.T) {
 	}
 	// Keys can vanish only through the migration's drop count or an
 	// eviction some counter accounts for: survivor evictions during the
-	// re-SETs, or victim evictions before the snapshot (covered by the
+	// copies, or victim evictions before the snapshot (covered by the
 	// before-stats). Victim evictions between snapshot and removal are
 	// impossible under GET-only traffic.
 	accounted := dropped

@@ -60,8 +60,9 @@ type ReplicationCounters struct {
 	RepairsApplied uint64
 	// RepairsDropped counts repairs shed because the queue was full.
 	RepairsDropped uint64
-	// RepairsStale counts maintenance writes (read repair, warm-up,
-	// migration, anti-entropy) a destination rejected as version-stale
+	// RepairsStale counts maintenance writes (read repair and every
+	// reconcile pass: warm-up, migration, anti-entropy) a destination
+	// rejected as version-stale
 	// because it already held a strictly newer value — lost-update races
 	// the version check won.
 	RepairsStale uint64
@@ -76,9 +77,9 @@ type ReplicationCounters struct {
 }
 
 // Replication returns the replication telemetry. Fallback hits and read
-// repairs need R > 1; the stale and sweep counts also cover warm-up,
-// migration and anti-entropy, which run at any R. bench/ reads it; it
-// goes once bench/ reads Snapshot.
+// repairs need R > 1; the stale count also covers warm-up and migration,
+// and the sweep counts the anti-entropy sweep, which run at any R. bench/
+// reads it; it goes once bench/ reads Snapshot.
 func (c *Client) Replication() ReplicationCounters {
 	return ReplicationCounters{
 		FallbackHits:     c.fallbackHits.Load(),

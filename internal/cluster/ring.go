@@ -27,10 +27,12 @@
 // response, and serves it back to an empty TOPOLOGY offer — so a router
 // bootstraps from one seed address (Options.Bootstrap), detects membership
 // changes by the epochs piggybacked on its normal traffic, and refreshes
-// without polling or operator fan-out. AddNode additionally warms the newcomer up by
-// streaming its share out of the existing owners (chunked KEYS +
-// repair-SETs), killing the post-join miss burst. See ARCHITECTURE.md for
-// the full replication, topology and wire-protocol story.
+// without polling or operator fan-out. AddNode additionally warms the
+// newcomer up by streaming its share out of the existing owners (chunked
+// KEYS + PUTs), killing the post-join miss burst. That warm-up, the R = 1
+// drain and the anti-entropy sweep are one reconcile pass
+// (reconcile.go). See ARCHITECTURE.md for the full replication, topology
+// and wire-protocol story.
 package cluster
 
 import (

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -456,5 +457,60 @@ func TestAntiEntropyStaleCopyCounted(t *testing.T) {
 	defer d.Close()
 	if v, hit, err := d.Get(key); err != nil || !hit || string(v) != "newer" {
 		t.Fatalf("dst GET %d = %q hit=%v err=%v; want the newer user write", key, v, hit, err)
+	}
+}
+
+// TestAntiEntropySweepReportsDeadMember pins the sweep's failure rule: a
+// member it cannot reach counts as failed and is named in the returned
+// error, and the sweep still repairs the members it can reach.
+func TestAntiEntropySweepReportsDeadMember(t *testing.T) {
+	addrs := make([]string, 3)
+	servers := make([]*server.Server, 3)
+	for i := range addrs {
+		addrs[i], servers[i] = startNodeWithServer(t, 4096, 16, uint64(i+1))
+	}
+	c, err := Dial(addrs, Options{Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// A value only one of a key's two surviving owners holds.
+	dead := addrs[2]
+	key := uint64(1)
+	for contains(c.Owners(key), dead) {
+		key++
+	}
+	owners := c.Owners(key)
+	d0, err := wire.Dial(owners[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d0.Close()
+	if _, err := d0.Set(key, []byte("only-here")); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := servers[2].Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Snapshot().Replication
+	repaired, err := c.AntiEntropySweep()
+	if err == nil || !strings.Contains(err.Error(), dead) {
+		t.Fatalf("sweep with %s down returned err %v; want an error naming it", dead, err)
+	}
+	if repaired != 1 {
+		t.Errorf("sweep repaired %d records, want 1 (the surviving pair's one divergence)", repaired)
+	}
+	d1, err := wire.Dial(owners[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d1.Close()
+	if v, hit, err := d1.Get(key); err != nil || !hit || string(v) != "only-here" {
+		t.Fatalf("%s GET %d = %q hit=%v err=%v; want the swept-in value", owners[1], key, v, hit, err)
+	}
+	if after := c.Snapshot().Replication; after.Sweeps != before.Sweeps+1 || after.SweepRepairs != before.SweepRepairs+1 {
+		t.Errorf("sweep counters %+v → %+v; want one sweep with one repair", before, after)
 	}
 }

@@ -28,117 +28,6 @@ import (
 // repairs, never lost acknowledged data beyond what the R/W quorum
 // already permits.
 
-// copyChunk bounds how many records copyRecs moves per pipelined round
-// trip, keeping peak buffering (chunk × value size) modest.
-const copyChunk = 256
-
-// chunkScratch is the reusable buffer set for readChunkValues: the
-// per-chunk vals/vers/hits slices plus a byte arena the copied values pack
-// into. One scratch serves a whole copyRecs call, so after the first few
-// chunks grow it to the working set's chunk footprint the copy loop stops
-// allocating per chunk. Everything readChunkValues returns aliases the
-// scratch and is overwritten by the next call on it.
-type chunkScratch struct {
-	vals [][]byte
-	vers []uint64
-	hits []int
-	offs [][2]int // per-index [start,end) into data, fixed up after the batch
-	data []byte
-}
-
-// reset sizes the scratch for an n-key chunk, clearing the previous
-// chunk's state.
-func (sc *chunkScratch) reset(n int) {
-	sc.vals = resize(sc.vals, n)
-	sc.vers = resize(sc.vers, n)
-	sc.offs = resize(sc.offs, n)
-	sc.hits = sc.hits[:0]
-	sc.data = sc.data[:0]
-}
-
-// readChunkValues reads one chunk of keys from cl in a pipelined batch,
-// returning copies of the surviving values, the versions they were
-// observed at, and the chunk indices that hit: the value-copy rule
-// (connection buffers alias) and the survivors-versus-vanished split live
-// here. The observed versions are what copyRecs' subsequent PUTs carry:
-// a copy can never overwrite a value
-// newer than the one it actually read. The returned slices live in sc and
-// are valid only until the next call on the same scratch; the copies pack
-// into sc's arena, recorded as offsets during the batch and sliced out
-// afterwards because the arena may move while it grows.
-func readChunkValues(cl *wire.Client, chunk []uint64, sc *chunkScratch) (vals [][]byte, vers []uint64, hits []int, err error) {
-	sc.reset(len(chunk))
-	err = cl.GetBatchVersions(chunk, func(i int, h bool, ver uint64, v []byte) {
-		if h {
-			start := len(sc.data)
-			sc.data = append(sc.data, v...)
-			sc.offs[i] = [2]int{start, len(sc.data)}
-			sc.vers[i] = ver
-			sc.hits = append(sc.hits, i)
-		}
-	})
-	for _, i := range sc.hits {
-		o := sc.offs[i]
-		sc.vals[i] = sc.data[o[0]:o[1]]
-	}
-	return sc.vals, sc.vers, sc.hits, err
-}
-
-// copyRecs is the one bulk maintenance primitive: it moves the listed
-// records from src to dst as PUTs, copyChunk at a time. Warm-up, the R = 1 migration drain
-// and the anti-entropy repair phase all copy through it. A tombstone is
-// written straight from its record — no value to read, so src may be nil
-// when recs holds nothing else. A live record's value is re-read from src
-// first and written at the version it is stored under now, which may be
-// newer than the listed one: a copy can never supersede anything newer
-// than what it actually read, and every PUT is answered after it was
-// applied, so the counts mean settled at dst.
-//
-// applied counts writes dst stored. stale counts writes it refused
-// because it already held something strictly newer — for a maintenance
-// copy that is success by other means: the record is there, fresher than
-// the copy. vanished counts live records src no longer served — evicted,
-// or deleted, between listing and read; whatever replaced them is the
-// next listing's business. A nil error means applied+stale+vanished ==
-// len(recs); on an error the counts cover the chunks completed.
-func copyRecs(src, dst *wire.Client, recs []wire.KeyRec) (applied, stale, vanished int, err error) {
-	var (
-		sc   chunkScratch
-		keys []uint64      // the chunk's live keys, to read from src
-		out  []wire.KeyRec // what the chunk writes to dst ...
-		vals [][]byte      // ... and each record's value (nil for a tombstone)
-	)
-	for len(recs) > 0 {
-		chunk := recs[:min(len(recs), copyChunk)]
-		recs = recs[len(chunk):]
-		keys, out, vals = keys[:0], out[:0], vals[:0]
-		for _, rec := range chunk {
-			if rec.Tombstone {
-				out, vals = append(out, rec), append(vals, nil)
-			} else {
-				keys = append(keys, rec.Key)
-			}
-		}
-		if len(keys) > 0 {
-			read, vers, hits, err := readChunkValues(src, keys, &sc)
-			if err != nil {
-				return applied, stale, vanished, fmt.Errorf("reading values: %w", err)
-			}
-			vanished += len(keys) - len(hits)
-			for _, i := range hits {
-				out = append(out, wire.KeyRec{Key: keys[i], Version: vers[i]})
-				vals = append(vals, read[i])
-			}
-		}
-		a, st, err := dst.PutBatch(out, func(i int) []byte { return vals[i] })
-		applied, stale = applied+a, stale+st
-		if err != nil {
-			return applied, stale, vanished, fmt.Errorf("writing records: %w", err)
-		}
-	}
-	return applied, stale, vanished, nil
-}
-
 // observeEpoch records a topology epoch seen in a response. An epoch above
 // the router's own marks the view stale; the next operation refreshes it.
 func (c *Client) observeEpoch(e uint64) {
@@ -489,32 +378,6 @@ func Join(seed, self string, dial DialFunc) (t wire.Topology, skipped []string, 
 	return wire.Topology{}, nil, fmt.Errorf("cluster: join of %s kept losing topology races; retry", self)
 }
 
-// WarmupStats summarizes one proactive warm-up run.
-type WarmupStats struct {
-	// Streamed counts resident keys enumerated across all source members.
-	Streamed int
-	// Copied counts values repair-SET into the newcomer.
-	Copied int
-	// Vanished counts wanted keys that were evicted between the KEYS
-	// snapshot and the read — accounted-for losses, exactly like
-	// migration's dropped count.
-	Vanished int
-	// Stale counts copies the newcomer rejected as version-stale: it
-	// already held a strictly newer value for the key (a user SET raced
-	// the warm-up and won, as it must). Like Vanished these are accounted,
-	// not lost — the data is on the newcomer, fresher than the copy.
-	Stale int
-	// Tombstones counts deletion records propagated to the newcomer —
-	// copied straight from the KEYS stream (no value read), so the
-	// newcomer learns every delete before it could accept an older copy.
-	Tombstones int
-	// Failed counts source members that could not be fully streamed or
-	// copied; their share of the newcomer's keys refills lazily instead.
-	Failed int
-	// Err is the first error encountered (nil when Failed is 0).
-	Err error
-}
-
 // Warmup is the handle AddNode returns for its background warm-up; Wait
 // blocks until the newcomer's share has been streamed in (or the attempt
 // gave up) and reports what happened.
@@ -529,133 +392,18 @@ func (w *Warmup) Wait() WarmupStats {
 	return w.stats
 }
 
-// warmupDial opens a dedicated warm-up connection and registers it so
-// Close can interrupt the stream it carries; warmupRelease is its paired
-// teardown.
-func (c *Client) warmupDial(addr string) (*wire.Client, error) {
-	cl, err := c.dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	c.warmupMu.Lock()
-	if c.closed.Load() {
-		c.warmupMu.Unlock()
-		cl.Close()
-		return nil, fmt.Errorf("cluster: client closed")
-	}
-	c.warmupConns[cl] = struct{}{}
-	c.warmupMu.Unlock()
-	return cl, nil
-}
-
-func (c *Client) warmupRelease(cl *wire.Client) {
-	c.warmupMu.Lock()
-	delete(c.warmupConns, cl)
-	c.warmupMu.Unlock()
-	cl.Close()
-}
-
-// runWarmup streams the newcomer's share of each source member's residents
-// into the newcomer. It runs on dedicated connections, so live traffic on
-// the router's pooled connections proceeds untouched; the only shared
-// state it takes is a read-lock per chunk to consult the ring. Close
-// interrupts it by closing those connections and waits for it to exit.
-func (c *Client) runWarmup(w *Warmup, newcomer string, sources []string, rf int) {
-	defer c.warmupWG.Done()
-	defer close(w.done)
-	dst, err := c.warmupDial(newcomer)
-	if err != nil {
-		w.stats.Failed = len(sources)
-		w.stats.Err = err
-		return
-	}
-	defer c.warmupRelease(dst)
-	for _, src := range sources {
-		if c.closed.Load() {
-			return
-		}
-		if err := c.warmFromSource(w, dst, newcomer, src, rf); err != nil {
-			if c.closed.Load() {
-				return // an interrupt, not a source failure
-			}
-			w.stats.Failed++
-			if w.stats.Err == nil {
-				w.stats.Err = err
-			}
-		}
-	}
-}
-
-// warmFromSource enumerates one source member via the chunked KEYS stream,
-// keeps the records whose post-join owner set includes the newcomer, and
-// copies them over with copyRecs — deletion records first, so the newcomer
-// learns every delete before it could serve an older copy.
-func (c *Client) warmFromSource(w *Warmup, dst *wire.Client, newcomer, src string, rf int) error {
-	srcCl, err := c.warmupDial(src)
-	if err != nil {
-		return fmt.Errorf("cluster: warm-up dial %s: %w", src, err)
-	}
-	defer c.warmupRelease(srcCl)
-
-	var live, tombs []wire.KeyRec
-	err = srcCl.KeysStream(func(chunk []wire.KeyRec) error {
-		w.stats.Streamed += len(chunk)
-		c.mu.RLock()
-		for _, rec := range chunk {
-			if !contains(c.ring.OwnersFor(rec.Key, rf), newcomer) {
-				continue
-			}
-			if rec.Tombstone {
-				tombs = append(tombs, rec)
-			} else {
-				live = append(live, rec)
-			}
-		}
-		c.mu.RUnlock()
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("cluster: warm-up KEYS %s: %w", src, err)
-	}
-
-	// Close interrupts the copy by closing both connections: the next read
-	// or write errors out and runWarmup recognises the interrupt.
-	buried, stale, _, err := copyRecs(srcCl, dst, tombs)
-	var copied, vanished int
-	if err == nil {
-		var staleLive int
-		copied, staleLive, vanished, err = copyRecs(srcCl, dst, live)
-		stale += staleLive
-	}
-	w.stats.Tombstones += buried
-	w.stats.Copied += copied
-	w.stats.Vanished += vanished
-	w.stats.Stale += stale
-	c.staleRepairs.Add(uint64(stale))
-	c.mu.RLock()
-	nc := c.nodes[newcomer]
-	c.mu.RUnlock()
-	if nc != nil {
-		nc.repairs.Add(uint64(copied))
-	}
-	if err != nil {
-		return fmt.Errorf("cluster: warm-up copying %s to %s: %w", src, newcomer, err)
-	}
-	return nil
-}
-
 // AddNode joins a new member: its connection is dialed eagerly (failing
 // fast on a bad address), the ring is extended, the topology epoch bumps,
 // and the new view is pushed to every member — so other routers and future
 // seed-bootstrapped clients converge without being told. Consistent
 // hashing bounds the reassigned share to roughly 1/(n+1) of the key space.
 //
-// Unless Options.DisableWarmup is set, AddNode also starts a proactive
-// warm-up in the background: the newcomer's share is streamed out of the
-// existing members via chunked KEYS and repair-SET into it on dedicated
-// connections, so the post-join miss/fallback burst is paid by the
-// maintenance path instead of by user reads. The returned Warmup reports
-// completion; callers that don't care may ignore it.
+// AddNode also starts a warm-up in the background: a reconcile pass of
+// every member into the newcomer, which copies the newcomer's share to it
+// as PUTs on dedicated connections, each key's newest record once. The
+// post-join miss/fallback burst is thereby paid by the maintenance path
+// instead of by user reads. The returned Warmup reports completion;
+// callers that don't care may ignore it.
 func (c *Client) AddNode(addr string) (*Warmup, error) {
 	c.mu.Lock()
 	// The closed check and the warm-up WaitGroup increment both happen
@@ -681,41 +429,35 @@ func (c *Client) AddNode(addr string) (*Warmup, error) {
 	c.epoch++
 	c.curEpoch.Store(c.epoch)
 	c.pushTopologyLocked(nil)
-	var sources []string
-	for _, m := range c.ring.Nodes() {
-		if m != addr {
-			sources = append(sources, m)
-		}
-	}
-	rf := c.effReplicas()
-	w := &Warmup{done: make(chan struct{})}
-	warm := !c.noWarmup && len(sources) > 0
-	if warm {
-		c.warmupWG.Add(1)
-	}
+	v := c.viewLocked()
+	c.warmupWG.Add(1)
 	c.mu.Unlock()
 
-	if !warm {
-		close(w.done)
-		return w, nil
-	}
-	go c.runWarmup(w, addr, sources, rf)
+	w := &Warmup{done: make(chan struct{})}
+	go func() {
+		defer c.warmupWG.Done()
+		defer close(w.done)
+		w.stats = c.reconcile(v, v.ring.Nodes(), []string{addr})
+	}()
 	return w, nil
 }
 
 // RemoveNode retires a member and bumps the topology epoch, pushing the
 // shrunk view to every survivor so routers and peers converge on their own.
 //
-// Unreplicated (R = 1), it first migrates the departing node's residents
-// to their new owners: the cluster-level analogue of the paper's
-// incremental rehash, where no entry is lost except by accounted eviction.
-// The resident set is enumerated through the chunked KEYS stream, so a
-// node with many millions of residents drains in bounded frames, and
-// copied owner by owner with copyRecs — tombstones included, so a key's
-// new owner keeps refusing resurrection until the tombstone is reaped.
-// moved counts entries re-stored on their new owner (which may evict there — the
-// destination's eviction counters account for it); dropped counts entries
-// that vanished between the key snapshot and the drain.
+// Unreplicated (R = 1), it first drains the departing node into the
+// survivors: a reconcile pass with the departing node as the one source,
+// planned against the post-removal ring. Its residents stream through the
+// chunked KEYS stream, so a node with many millions of them drains in
+// bounded frames, and tombstones move too, so a key's new owner keeps
+// refusing resurrection until the tombstone is reaped. moved counts
+// entries settled on their new owner, copied or refused there as stale
+// because it already held something newer (a copy may evict there; the
+// destination's eviction counters account for it). dropped counts entries
+// that vanished between the key snapshot and the copy. If the drain fails
+// — a member unreachable, or Close cutting its connections — RemoveNode
+// returns the error and keeps the member, since removing it would orphan
+// its undrained residents outside both counts; the epoch does not move.
 //
 // With R > 1 the drain is unnecessary and RemoveNode becomes cheap: every
 // resident of the departing node also lives on R-1 surviving owners, so
@@ -736,74 +478,20 @@ func (c *Client) RemoveNode(addr string) (moved, dropped int, err error) {
 	if c.ring.NumNodes() == 1 {
 		return 0, 0, fmt.Errorf("cluster: cannot remove the last member %s", addr)
 	}
-	if c.effReplicas() > 1 {
-		nc.dropAll()
-		delete(c.nodes, addr)
+	if c.effReplicas() == 1 {
 		c.ring.Remove(addr)
-		c.epoch++
-		c.curEpoch.Store(c.epoch)
-		c.pushTopologyLocked(nil)
-		return 0, 0, nil
-	}
-
-	var recs []wire.KeyRec
-	if err := nc.do(c.dial, func(cl *wire.Client) error {
-		var err error
-		recs, err = cl.Keys()
-		return err
-	}); err != nil {
-		return 0, 0, fmt.Errorf("cluster: KEYS %s: %w", addr, err)
-	}
-	// Reroute first so owners are computed against the post-removal ring,
-	// then drain the departing member owner by owner. If the drain fails
-	// the member is restored: leaving it removed would orphan its
-	// undrained residents outside both the moved and dropped counts. Only
-	// a completed drain bumps and pushes the epoch.
-	c.ring.Remove(addr)
-	drained := false
-	defer func() {
-		if drained {
-			nc.dropAll()
-			delete(c.nodes, addr)
-			c.epoch++
-			c.curEpoch.Store(c.epoch)
-			c.pushTopologyLocked(nil)
-		} else {
+		st := c.reconcile(view{ring: c.ring, rf: 1, nodes: c.nodes}, []string{addr}, c.ring.Nodes())
+		moved, dropped = st.Copied+st.Stale, st.Vanished
+		if st.Err != nil {
 			c.ring.Add(addr)
+			return moved, dropped, fmt.Errorf("cluster: draining %s: %w", addr, st.Err)
 		}
-	}()
-
-	byOwner := make(map[*nodeConn][]wire.KeyRec)
-	for _, rec := range recs {
-		owner, _ := c.ring.Node(rec.Key)
-		byOwner[c.nodes[owner]] = append(byOwner[c.nodes[owner]], rec)
 	}
-	for dst, share := range byOwner {
-		// One lane of the departing member and one of the destination for
-		// the copy (c.mu excludes every batch, so the order is free). A
-		// retry after a redial of either re-copies the whole share; the
-		// writes are conditional on their versions, so the replay is
-		// idempotent and the counts of the attempt that completed are the
-		// ones kept.
-		var applied, stale, vanished int
-		err := nc.do(c.dial, func(src *wire.Client) error {
-			return dst.do(c.dial, func(cl *wire.Client) error {
-				var err error
-				applied, stale, vanished, err = copyRecs(src, cl, share)
-				return err
-			})
-		})
-		if err != nil {
-			return moved, dropped, fmt.Errorf("cluster: migrating %s to %s: %w", addr, dst.addr, err)
-		}
-		dst.repairs.Add(uint64(applied))
-		c.staleRepairs.Add(uint64(stale))
-		// A stale rejection counts as moved: the destination proved it
-		// holds something strictly newer for the key, so the resident is
-		// settled there — just not by this copy.
-		moved += applied + stale
-		dropped += vanished
-	}
-	drained = true
+	nc.dropAll()
+	delete(c.nodes, addr)
+	c.ring.Remove(addr)
+	c.epoch++
+	c.curEpoch.Store(c.epoch)
+	c.pushTopologyLocked(nil)
 	return moved, dropped, nil
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -39,7 +40,7 @@ func TestSeedConvergenceSmoke(t *testing.T) {
 		tp, err := cl.Topology(wire.Topology{})
 		cl.Close()
 		if err != nil {
-			t.Fatalf("MEMBERS %s: %v", a, err)
+			t.Fatalf("TOPOLOGY %s: %v", a, err)
 		}
 		views = append(views, tp)
 	}
@@ -116,7 +117,7 @@ func TestSubsetDialDoesNotRewriteMembership(t *testing.T) {
 }
 
 // TestJoinRetriesLostRace: a Join whose push loses an equal-epoch race
-// (another join landed between its MEMBERS fetch and its push) must detect
+// (another join landed between its TOPOLOGY read and its push) must detect
 // the loss from the push response — the held view lacks self — and retry
 // on top of the winner's view instead of reporting success while orphaned.
 func TestJoinRetriesLostRace(t *testing.T) {
@@ -125,7 +126,7 @@ func TestJoinRetriesLostRace(t *testing.T) {
 	selfAddr, _ := startNodeWithServer(t, 1024, 16, 2)
 
 	// The dial hook injects a rival join's push exactly between this
-	// join's MEMBERS fetch (first seed dial) and its own push (second
+	// join's TOPOLOGY read (first seed dial) and its own push (second
 	// seed dial) — the same-epoch tie piggybacking can never surface.
 	rival := wire.Topology{Epoch: 1, Members: []string{seedAddr, "phantom:1"}}
 	seedDials := 0
@@ -250,7 +251,7 @@ func TestAddNodeAfterCloseRefused(t *testing.T) {
 // strictly newest view instead of diverging forever.
 func TestPushTieEscalates(t *testing.T) {
 	addrs := startCluster(t, 2, 1024, 16)
-	ctl, err := Dial(addrs, Options{DisableWarmup: true})
+	ctl, err := Dial(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +303,7 @@ func TestPushTieEscalates(t *testing.T) {
 // view the cluster has moved past.
 func TestPushLosesToNewerView(t *testing.T) {
 	addrs := startCluster(t, 2, 1024, 16)
-	ctl, err := Dial(addrs, Options{DisableWarmup: true})
+	ctl, err := Dial(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,7 @@ func TestPushLosesToNewerView(t *testing.T) {
 
 // TestCloseInterruptsWarmup: Close on a client with an in-flight warm-up
 // must interrupt it and not return until the warm-up goroutine exited —
-// no stray repair-SETs or leaked connections after Close.
+// no stray PUTs or leaked connections after Close.
 func TestCloseInterruptsWarmup(t *testing.T) {
 	const nkeys = 3000
 	addr0, srv0 := startNodeWithServer(t, 8192, 64, 1)
@@ -378,10 +379,10 @@ func TestCloseInterruptsWarmup(t *testing.T) {
 // membership: a router bootstrapped from a single seed follows
 // AddNode/RemoveNode performed by a *different* router, with no manual
 // ring edits — staleness is detected via the epochs piggybacked on its
-// own traffic and healed by a MEMBERS refresh.
+// own traffic and healed by a TOPOLOGY refresh.
 func TestBootstrapRouterConverges(t *testing.T) {
 	addrs := startCluster(t, 3, 4096, 16)
-	admin, err := Dial(addrs, Options{DisableWarmup: true})
+	admin, err := Dial(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,6 +497,97 @@ func TestWarmupKillsFallbacks(t *testing.T) {
 	}
 	if fb := ctl.Snapshot().Replication.FallbackHits - rep0.FallbackHits; fb != 0 {
 		t.Errorf("%d fallback reads in the post-warm-up sweep; warm-up should have filled every new primary", fb)
+	}
+}
+
+// TestWarmupWritesShareOnce pins what a warm-up writes: every key whose
+// post-join owner set includes the newcomer reaches it exactly once — the
+// newest record any member holds — not once per old owner. Owners stamp
+// their own versions, so a per-owner copy would land twice.
+func TestWarmupWritesShareOnce(t *testing.T) {
+	const nkeys = 1500
+	addrs := startCluster(t, 3, 8192, 64)
+	ctl, err := Dial(addrs, Options{Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	keys := preload(t, ctl, nkeys)
+
+	newAddr := startNode(t, 8192, 64, 7)
+	w, err := ctl.AddNode(newAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := w.Wait()
+	if ws.Err != nil || ws.Failed != 0 {
+		t.Fatalf("warm-up failed: %+v", ws)
+	}
+	share := 0
+	for _, k := range keys {
+		if contains(ctl.Owners(k), newAddr) {
+			share++
+		}
+	}
+	if share == 0 {
+		t.Fatal("the newcomer owns none of the keys; the ring is degenerate")
+	}
+	if got := ws.Copied + ws.Stale + ws.Vanished; got != share {
+		t.Errorf("warm-up wrote %d records (copied %d, stale %d, vanished %d) for a %d-key share; want each share key once",
+			got, ws.Copied, ws.Stale, ws.Vanished, share)
+	}
+}
+
+// TestCloseInterruptsDrain: Close during an R = 1 drain cuts the drain's
+// dedicated connections, so RemoveNode fails and keeps both members and
+// the epoch, and Close still leaves no connection open. The dial hook
+// starts Close when the drain dials its destination, after the departing
+// member's KEYS stream was read, and lets that dial finish only once
+// Close is under way.
+func TestCloseInterruptsDrain(t *testing.T) {
+	addr0, _ := startNodeWithServer(t, 4096, 16, 1)
+	addr1, _ := startNodeWithServer(t, 4096, 16, 2)
+	baseline := runtime.NumGoroutine()
+
+	var ctl *Client
+	var armed atomic.Bool
+	closed := make(chan error, 1)
+	dial := func(addr string) (*wire.Client, error) {
+		if addr == addr1 && armed.CompareAndSwap(true, false) {
+			go func() { closed <- ctl.Close() }()
+			for !ctl.closed.Load() {
+				runtime.Gosched()
+			}
+		}
+		return wire.Dial(addr)
+	}
+	ctl, err := Dial([]string{addr0, addr1}, Options{Dial: dial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	preload(t, ctl, 500)
+	epoch := ctl.Snapshot().Epoch
+
+	armed.Store(true)
+	if _, _, err := ctl.RemoveNode(addr0); err == nil {
+		t.Fatal("RemoveNode succeeded although Close cut its drain")
+	}
+	if got := ctl.Nodes(); !sameMembers(got, []string{addr0, addr1}) {
+		t.Errorf("membership = %v after an interrupted drain, want both members kept", got)
+	}
+	if got := ctl.Snapshot().Epoch; got != epoch {
+		t.Errorf("epoch moved from %d to %d on an interrupted drain", epoch, got)
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) && runtime.NumGoroutine() > baseline {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines after Close, %d before Dial\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
 	}
 }
 
