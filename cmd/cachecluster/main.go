@@ -67,7 +67,7 @@
 // wire at all; -near-ttl bounds its staleness budget. The run report adds
 // a "leases:" line (client-side tallies), a "near:" line (what the
 // workers' near-caches hold, summed: lookups that found an entry past its
-// deadline, clock evictions, resident entries) and a "srv leases:" line
+// deadline, evictions, resident entries) and a "srv leases:" line
 // (the members' grant/expiry/stale-serve counters).
 //
 // The default mode is closed-loop (offered load adapts to server latency;

@@ -1,8 +1,11 @@
 package cluster
 
 import (
-	"sync"
+	"sync/atomic"
 	"time"
+
+	"repro/internal/concurrent"
+	"repro/internal/telemetry"
 )
 
 // DefaultNearCacheTTL bounds how long a near-cache entry serves reads
@@ -22,36 +25,39 @@ const DefaultNearCacheTTL = 100 * time.Millisecond
 // versions one client observes for a key are monotonic even with the
 // near-cache interposed.
 type NearCacheOptions struct {
-	// Slots bounds resident entries; ≤ 0 disables the near-cache.
+	// Slots bounds resident entries; ≤ 0 disables the near-cache. The
+	// entries live in sets of min(Slots, 16), so Slots is rounded down to
+	// a multiple of 16 when it exceeds 16 (1000 holds 992).
 	Slots int
 	// TTL bounds how long an entry serves reads without revalidation;
 	// 0 means DefaultNearCacheTTL.
 	TTL time.Duration
 }
 
-// nearEntry is one cached value: the payload (an owned copy), the version
-// it was stored under, its serve deadline, and the clock reference bit.
+// nearAlpha is the near-cache's set size. Below 2¹⁶ slots it exceeds
+// log₂ k, the side of the paper's threshold where set-associative LRU
+// misses like fully associative LRU.
+const nearAlpha = 16
+
+// nearEntry is one cached value: the payload (an owned copy) and the
+// version it was stored under, both fixed once the entry is stored, and
+// its serve deadline. A revalidation moves the deadline under the bucket
+// lock while lookups read it after releasing that lock, hence the atomic.
 type nearEntry struct {
 	val     []byte
 	ver     uint64
-	expires time.Time
-	used    bool
+	expires atomic.Int64 // nanoseconds since nearCache.epoch
 }
 
-// nearCache is the bounded version-aware cache behind NearCacheOptions.
-// Eviction is CLOCK over a ring of resident keys — one bit per entry, no
-// per-access list surgery. Values are replaced, never mutated, so a
-// slice handed out under the lock stays valid after release.
+// nearCache is the bounded version-aware cache behind NearCacheOptions:
+// a concurrent.Cache, the store every node runs, holding *nearEntry, so a
+// lookup locks only its key's set. Its hash is seeded per router.
 type nearCache struct {
 	ttl   time.Duration
-	slots int
+	epoch time.Time // deadlines count from here, on the monotonic clock
+	c     *concurrent.Cache
 
-	mu      sync.Mutex
-	entries map[uint64]*nearEntry
-	ring    []uint64 // resident keys, swept by the clock hand
-	hand    int
-
-	hits, misses, expired, stores, evicts uint64 // under mu; see snapshot
+	expired, stores atomic.Uint64 // see snapshot
 }
 
 func newNearCache(o NearCacheOptions) *nearCache {
@@ -62,141 +68,79 @@ func newNearCache(o NearCacheOptions) *nearCache {
 	if ttl <= 0 {
 		ttl = DefaultNearCacheTTL
 	}
-	return &nearCache{
-		ttl:     ttl,
-		slots:   o.Slots,
-		entries: make(map[uint64]*nearEntry, o.Slots),
-		ring:    make([]uint64, 0, o.Slots),
+	alpha := min(o.Slots, nearAlpha)
+	// A clock-drawn seed, like the trace seed, gives each router its own
+	// hash: the paper's bounds hold for a hash drawn independently of the
+	// requests.
+	now := time.Now()
+	seed := telemetry.HashKey(uint64(now.UnixNano()))
+	c, err := concurrent.New(concurrent.Config{Capacity: o.Slots / alpha * alpha, Alpha: alpha, Seed: seed})
+	if err != nil {
+		panic(err) // unreachable: alpha divides the capacity
 	}
+	return &nearCache{ttl: ttl, epoch: now, c: c}
 }
 
 // lookup serves key locally when a live (unexpired) entry exists.
 func (n *nearCache) lookup(key uint64, now time.Time) ([]byte, uint64, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	e := n.entries[key]
-	if e == nil || now.After(e.expires) {
-		n.misses++
-		if e != nil {
-			n.expired++
-		}
+	v, ok := n.c.Get(key)
+	if !ok {
 		return nil, 0, false
 	}
-	e.used = true
-	n.hits++
+	e := v.(*nearEntry)
+	if int64(now.Sub(n.epoch)) > e.expires.Load() {
+		n.expired.Add(1)
+		return nil, 0, false
+	}
 	return e.val, e.ver, true
 }
 
-// storeLocked caches val (copied) at ver unless a strictly newer version
-// is already resident — an older value never overwrites a newer one, the
-// invariant that keeps observed versions monotonic. An equal version
-// refreshes the serve deadline.
-func (n *nearCache) storeLocked(key, ver uint64, val []byte, now time.Time) {
-	e := n.entries[key]
-	if e != nil {
-		if ver < e.ver {
-			return
-		}
-		if ver > e.ver {
-			e.ver = ver
-			e.val = append([]byte(nil), val...)
-		}
-		e.expires = now.Add(n.ttl)
-		e.used = true
-		n.stores++
-		return
-	}
-	if len(n.entries) >= n.slots {
-		n.evictLocked()
-	}
-	n.entries[key] = &nearEntry{
-		val:     append([]byte(nil), val...),
-		ver:     ver,
-		expires: now.Add(n.ttl),
-		used:    true,
-	}
-	n.ring = append(n.ring, key)
-	n.stores++
-}
-
-// store is storeLocked behind the lock.
-func (n *nearCache) store(key, ver uint64, val []byte, now time.Time) {
-	n.mu.Lock()
-	n.storeLocked(key, ver, val, now)
-	n.mu.Unlock()
-}
-
-// reconcile merges a read's response (ver, val) for key with the resident
-// entry and returns the fresher of the two — what the caller should
-// deliver. A response at or below the resident version cannot replace
-// the entry under version order, so the resident value is served and its
-// TTL restarts: the TTL counts from the last such revalidation. An older
+// reconcile merges a response (ver, val) for key — a read's answer or a
+// write's acknowledged version — with the resident entry, keeps the
+// fresher of the two and restarts its deadline, and returns it: what the
+// caller should deliver. A response at or below the resident version
+// cannot replace the entry under version order, and it proves the
+// resident is the newest this client knows, so the resident's TTL
+// restarts: the TTL counts from the last such revalidation. An older
 // answer is the norm after a plain replicated SET, whose owners each
-// stamp their own version. Any other response is cached and served.
-// Either way the caller delivers a value at least as new as anything
-// this client has observed for the key.
+// stamp their own version. Any other response is cached (copied) and
+// served. Either way the caller delivers a value at least as new as
+// anything this client has observed for the key.
 func (n *nearCache) reconcile(key, ver uint64, val []byte, now time.Time) ([]byte, uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if e := n.entries[key]; e != nil && e.ver >= ver {
-		e.expires = now.Add(n.ttl)
-		e.used = true
-		n.stores++
-		return e.val, e.ver
-	}
-	n.storeLocked(key, ver, val, now)
-	return n.entries[key].val, ver
+	deadline := int64(now.Add(n.ttl).Sub(n.epoch))
+	var kept *nearEntry
+	n.c.Update(key, func(old interface{}, ok bool) (interface{}, bool) {
+		if e, _ := old.(*nearEntry); ok && e.ver >= ver {
+			kept = e
+		} else {
+			kept = &nearEntry{val: append([]byte(nil), val...), ver: ver}
+		}
+		kept.expires.Store(deadline)
+		return kept, true
+	})
+	n.stores.Add(1)
+	return kept.val, kept.ver
+}
+
+// store is reconcile for a write, whose caller already holds the value.
+func (n *nearCache) store(key, ver uint64, val []byte, now time.Time) {
+	n.reconcile(key, ver, val, now)
 }
 
 // remove drops key's entry (a DEL, or a lost lease naming a fresher
-// version this client has not seen). The ring slot is reclaimed lazily by
-// the clock sweep.
+// version this client has not seen).
 func (n *nearCache) remove(key uint64) {
-	n.mu.Lock()
-	delete(n.entries, key)
-	n.mu.Unlock()
+	n.c.Delete(key)
 }
 
 // tombstone applies a remotely-learned delete (v8): drop key's entry iff
 // the resident version is at or below the tombstone's. This is the same
-// version-monotonic admit rule as storeLocked, inverted — a delete at ver
+// version-monotonic admit rule as reconcile, inverted — a delete at ver
 // supersedes any value ≤ ver, while an entry strictly newer than the
 // tombstone proves a later write already superseded the delete and must
-// keep serving. The ring slot is reclaimed lazily by the clock sweep.
+// keep serving.
 func (n *nearCache) tombstone(key, ver uint64) {
-	n.mu.Lock()
-	if e := n.entries[key]; e != nil && e.ver <= ver {
-		delete(n.entries, key)
-	}
-	n.mu.Unlock()
-}
-
-// evictLocked frees one slot: the clock hand sweeps the ring, clearing
-// reference bits and evicting the first entry found unreferenced since
-// its last sweep. Ring slots whose entries were removed out-of-band are
-// compacted in passing.
-func (n *nearCache) evictLocked() {
-	for len(n.ring) > 0 {
-		if n.hand >= len(n.ring) {
-			n.hand = 0
-		}
-		k := n.ring[n.hand]
-		e := n.entries[k]
-		switch {
-		case e == nil: // removed out-of-band; reclaim the slot
-			n.ring[n.hand] = n.ring[len(n.ring)-1]
-			n.ring = n.ring[:len(n.ring)-1]
-		case e.used:
-			e.used = false
-			n.hand++
-		default:
-			delete(n.entries, k)
-			n.ring[n.hand] = n.ring[len(n.ring)-1]
-			n.ring = n.ring[:len(n.ring)-1]
-			n.evicts++
-			return
-		}
-	}
+	n.c.DeleteIf(key, func(v interface{}) bool { return v.(*nearEntry).ver <= ver })
 }
 
 // NearCacheCounters is the near-cache's serving tally; see Snapshot.Near.
@@ -204,21 +148,24 @@ type NearCacheCounters struct {
 	// Hits and Misses count lookup outcomes; Expired is the part of
 	// Misses that found a resident entry past its deadline. Stores counts
 	// values cached, replaced or revalidated; Evicts counts entries
-	// displaced by the clock.
+	// displaced by their set's LRU.
 	Hits, Misses, Expired, Stores, Evicts uint64
 	// Len is the current resident entry count.
 	Len int
 }
 
 // snapshot reads the tally; a nil (disabled) near-cache reads as zeros.
+// An expired lookup is a hit to the store, so it moves from Hits to
+// Misses here. Expired is read first: every lookup it counts has already
+// counted its hit, so Hits cannot underflow.
 func (n *nearCache) snapshot() NearCacheCounters {
 	if n == nil {
 		return NearCacheCounters{}
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	expired := n.expired.Load()
+	s := n.c.Snapshot()
 	return NearCacheCounters{
-		Hits: n.hits, Misses: n.misses, Expired: n.expired,
-		Stores: n.stores, Evicts: n.evicts, Len: len(n.entries),
+		Hits: s.Hits - expired, Misses: s.Misses + expired, Expired: expired,
+		Stores: n.stores.Load(), Evicts: s.Evictions, Len: s.Len,
 	}
 }

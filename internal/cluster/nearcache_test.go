@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -174,6 +175,116 @@ func TestNearCacheReadOnlyClientKeepsNewestOnFallback(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		if v, hit, err := reader.Get(key); err != nil || !hit || string(v) != "new" {
 			t.Fatalf("read %d after the primary crashed = (%q, %v, %v), want %q, never the replica's older value", i+1, v, hit, err, "new")
+		}
+	}
+}
+
+// TestNearCacheMatchesModel replays a seeded random mix of store,
+// reconcile, lookup, remove and tombstone against a plain map that
+// implements the documented rules: the fresher record is kept and its
+// deadline restarts, a lookup serves until (and including) the deadline,
+// and a tombstone drops an entry at or below its version. 64 keys in
+// 1024 slots leave no room for an eviction, and versions drawn from 1–6
+// make older, equal and newer answers all common.
+func TestNearCacheMatchesModel(t *testing.T) {
+	const (
+		ops, keys, ttl = 10000, 64, 10 * time.Millisecond
+	)
+	type entry struct {
+		val     string
+		ver     uint64
+		expires time.Time
+	}
+	n := newNearCache(NearCacheOptions{Slots: 1024, TTL: ttl})
+	model := make(map[uint64]entry)
+	var want NearCacheCounters
+	lookups := uint64(0)
+	rng := rand.New(rand.NewSource(1))
+	now := time.Unix(1000, 0)
+	for op := 0; op < ops; op++ {
+		now = now.Add(time.Duration(rng.Intn(2)) * 100 * time.Microsecond)
+		key, ver := uint64(rng.Intn(keys)), uint64(1+rng.Intn(6))
+		val := fmt.Sprint("op-", op)
+		switch r := rng.Intn(10); {
+		case r < 4: // store or reconcile
+			e, ok := model[key]
+			if !ok || e.ver < ver {
+				e = entry{val: val, ver: ver}
+			}
+			e.expires = now.Add(ttl)
+			model[key] = e
+			want.Stores++
+			if r == 0 {
+				n.store(key, ver, []byte(val), now)
+				continue
+			}
+			if got, gotVer := n.reconcile(key, ver, []byte(val), now); string(got) != e.val || gotVer != e.ver {
+				t.Fatalf("op %d: reconcile(%d, v%d) = (%q, v%d), want (%q, v%d)", op, key, ver, got, gotVer, e.val, e.ver)
+			}
+		case r < 8: // lookup, up to 1.5 TTLs ahead of the clock
+			at := now.Add(time.Duration(rng.Intn(16)) * time.Millisecond)
+			lookups++
+			e, ok := model[key]
+			live := ok && !at.After(e.expires)
+			switch {
+			case live:
+				want.Hits++
+			case ok:
+				want.Misses++
+				want.Expired++
+			default:
+				want.Misses++
+			}
+			got, gotVer, hit := n.lookup(key, at)
+			if hit != live || (live && (string(got) != e.val || gotVer != e.ver)) {
+				t.Fatalf("op %d: lookup(%d) = (%q, v%d, %v), want (%q, v%d, %v)", op, key, got, gotVer, hit, e.val, e.ver, live)
+			}
+		case r < 9:
+			delete(model, key)
+			n.remove(key)
+		default:
+			if e, ok := model[key]; ok && e.ver <= ver {
+				delete(model, key)
+			}
+			n.tombstone(key, ver)
+		}
+	}
+	want.Len = len(model)
+	got := n.snapshot()
+	if got != want {
+		t.Fatalf("counters %+v, want %+v", got, want)
+	}
+	if got.Hits+got.Misses != lookups || got.Expired > got.Misses {
+		t.Fatalf("counters %+v after %d lookups: each is a hit or a miss, and an expired one is a miss", got, lookups)
+	}
+}
+
+// TestNearCacheSizingAndEviction pins the derived geometry: sets of
+// min(Slots, 16), Slots rounded down to a whole number of sets. Each
+// insert past a full set evicts one entry, and the victim is its set's
+// least recently used: a key read between every two inserts stays.
+func TestNearCacheSizingAndEviction(t *testing.T) {
+	now := time.Unix(1000, 0)
+	for _, tc := range []struct{ slots, resident int }{{1, 1}, {8, 8}, {17, 16}, {1000, 992}, {1024, 1024}} {
+		n := newNearCache(NearCacheOptions{Slots: tc.slots, TTL: time.Hour})
+		const hot = 0
+		n.store(hot, 1, []byte("hot"), now)
+		stores := 1
+		for k := uint64(1); k <= uint64(4*tc.slots); k++ {
+			n.store(k, 1, []byte("cold"), now)
+			stores++
+			// One slot holds only the newest insert; otherwise the
+			// hot key, read after every insert, is never its set's LRU.
+			if _, _, ok := n.lookup(hot, now); tc.slots > 1 && !ok {
+				t.Fatalf("Slots=%d: the hot key was evicted by insert %d", tc.slots, k)
+			}
+		}
+		st := n.snapshot()
+		if st.Len > tc.resident {
+			t.Errorf("Slots=%d: %d resident, want at most %d", tc.slots, st.Len, tc.resident)
+		}
+		if st.Evicts != uint64(stores-st.Len) {
+			t.Errorf("Slots=%d: %d evictions after %d stores with %d resident, want %d", tc.slots, st.Evicts, stores, st.Len, stores-st.Len)
 		}
 	}
 }

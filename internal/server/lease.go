@@ -74,14 +74,12 @@ func (s *Server) leaseMiss(key uint64) wire.Response {
 	if ls.token != 0 && now.After(ls.expires) {
 		ls.token = 0
 		s.leasesExpired.Add(1)
-		s.leaseLive.Add(-1)
 	}
 	if ls.token == 0 {
 		s.leaseTokens++
 		ls.token = s.leaseTokens
 		ls.expires = now.Add(ttl)
 		s.leasesGranted.Add(1)
-		s.leaseLive.Add(1)
 		return wire.Response{Status: wire.StatusLease, LeaseToken: ls.token, LeaseTTL: ttl}
 	}
 	remaining := ls.expires.Sub(now)
@@ -124,11 +122,9 @@ func (s *Server) leaseFill(token uint64, rec record) wire.Response {
 	if now.After(ls.expires) {
 		ls.token = 0
 		s.leasesExpired.Add(1)
-		s.leaseLive.Add(-1)
 		return wire.Response{Status: wire.StatusLeaseLost, Version: ls.staleVer}
 	}
 	ls.token = 0
-	s.leaseLive.Add(-1)
 	// leaseMu is held: write never re-enters the lease table, and the
 	// stale copy is updated here rather than through supersedeLease.
 	applied, ver, evicted, _ := s.write(ifNoValue, rec)
@@ -151,10 +147,7 @@ func (s *Server) invalidateLease(key, ver uint64, val []byte) {
 	if ls == nil {
 		return
 	}
-	if ls.token != 0 {
-		ls.token = 0
-		s.leaseLive.Add(-1)
-	}
+	ls.token = 0
 	if ver >= ls.staleVer {
 		ls.staleVer, ls.staleVal = ver, val
 	}
@@ -171,9 +164,6 @@ func (s *Server) dropLease(key uint64) {
 	ls := s.leases[key]
 	if ls == nil {
 		return
-	}
-	if ls.token != 0 {
-		s.leaseLive.Add(-1)
 	}
 	delete(s.leases, key)
 	s.leaseEntries.Store(int64(len(s.leases)))
@@ -192,7 +182,6 @@ func (s *Server) evictLeaseLocked(now time.Time) {
 		if ls.token == 0 || now.After(ls.expires) {
 			if ls.token != 0 {
 				s.leasesExpired.Add(1)
-				s.leaseLive.Add(-1)
 			}
 			delete(s.leases, k)
 			return
@@ -206,7 +195,6 @@ func (s *Server) evictLeaseLocked(now time.Time) {
 	}
 	if found {
 		s.leasesExpired.Add(1)
-		s.leaseLive.Add(-1)
 		delete(s.leases, fallback)
 	}
 }

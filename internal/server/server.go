@@ -166,14 +166,13 @@ type Server struct {
 	slowThreshold atomic.Int64 // nanoseconds; ≤0 disables the slow-op log
 
 	// Lease table (protocol v7, see lease.go): per-key fill-lease state
-	// under its own mutex. leaseLive (outstanding tokens) and leaseEntries
-	// (table size) are mirrored in atomics so the write hot paths
-	// can skip the mutex entirely while no lease exists — a workload that
-	// never sends GETL pays one atomic load per write, nothing more.
+	// under its own mutex. leaseEntries mirrors the table size in an
+	// atomic so the write hot paths can skip the mutex entirely while the
+	// table is empty — a workload that never sends GETL pays one atomic
+	// load per write, nothing more.
 	leaseMu       sync.Mutex
 	leases        map[uint64]*lease
 	leaseTokens   uint64 // last token issued; ++ under leaseMu, so never 0
-	leaseLive     atomic.Int64
 	leaseEntries  atomic.Int64
 	leaseTTL      atomic.Int64 // nanoseconds
 	leasesGranted atomic.Uint64
