@@ -153,7 +153,7 @@ func defineFlags(fs *flag.FlagSet) *config {
 	fs.Float64Var(&c.rate, "rate", 0, "intended aggregate GET rate in ops/sec (open-loop mode, required)")
 	fs.DurationVar(&c.duration, "duration", 0, "stop issuing after this long (open-loop mode; 0 = when ops are exhausted)")
 	fs.IntVar(&c.traceSample, "trace-sample", 0, "stamp every Nth batch per worker with a sampled trace context (0 = tracing off)")
-	fs.BoolVar(&c.leases, "leases", false, "lease/singleflight misses (wire v7 GETL): one fill per cold key cluster-wide, concurrent missers wait or eat a stale hint")
+	fs.BoolVar(&c.leases, "leases", false, "lease/singleflight misses (wire v7 GETL): one fill per cold key cluster-wide, concurrent missers wait for it")
 	fs.IntVar(&c.nearSlots, "near-slots", 0, "per-worker near-cache slots (0 = off): serve repeat reads in-process, version-invalidated")
 	fs.DurationVar(&c.nearTTL, "near-ttl", 0, "near-cache entry TTL (0 = default); the staleness budget granted to the client edge")
 	fs.DurationVar(&c.antiEntropy, "anti-entropy", 0, "background anti-entropy sweep period (wire v8, 0 = off): compare replica record sets and repair divergence, tombstones included")
@@ -271,7 +271,6 @@ func main() {
 		sum.Refreshes += s.Refreshes
 		sum.Replication.RepairsApplied += s.Replication.RepairsApplied
 		sum.Replication.RepairsStale += s.Replication.RepairsStale
-		sum.StaleHints += s.StaleHints
 		sum.LeaseGrants += s.LeaseGrants
 		sum.LeaseLost += s.LeaseLost
 		sum.LeaseWaits += s.LeaseWaits
@@ -285,8 +284,8 @@ func main() {
 	fmt.Printf("  memory:     %.2f allocs/op, gc-pause %v (harness process)\n",
 		res.AllocsPerOp, res.GCPause.Round(time.Microsecond))
 	if c.leases || c.nearSlots > 0 {
-		fmt.Printf("  leases:     nearhits=%d stalehints=%d grants=%d lost=%d waits=%d\n",
-			sum.Near.Hits, sum.StaleHints, sum.LeaseGrants, sum.LeaseLost, sum.LeaseWaits)
+		fmt.Printf("  leases:     nearhits=%d grants=%d lost=%d waits=%d\n",
+			sum.Near.Hits, sum.LeaseGrants, sum.LeaseLost, sum.LeaseWaits)
 	}
 	if c.nearSlots > 0 {
 		// Hits are the leases: line's nearhits; print what it lacks.
@@ -309,9 +308,9 @@ func main() {
 	fmt.Printf("  aggregate:  len=%d/%d evictions=%d conflict=%d flush=%d sets=%d repairs=%d stale=%d rehashes=%d migrating=%v pending=%d\n",
 		agg.Len, agg.Capacity, agg.Evictions, agg.ConflictEvictions, agg.FlushEvictions,
 		agg.Sets, agg.RepairSets, agg.StaleRepairs, agg.Rehashes, agg.Migrating, agg.Pending)
-	if agg.LeasesGranted+agg.LeasesExpired+agg.StaleServes > 0 {
-		fmt.Printf("  srv leases: granted=%d expired=%d staleserves=%d (summed over cluster)\n",
-			agg.LeasesGranted, agg.LeasesExpired, agg.StaleServes)
+	if agg.LeasesGranted+agg.LeasesExpired > 0 {
+		fmt.Printf("  srv leases: granted=%d expired=%d (summed over cluster)\n",
+			agg.LeasesGranted, agg.LeasesExpired)
 	}
 	printHotKeys(aggM)
 	if c.traceSample > 0 {

@@ -48,9 +48,8 @@ type Options struct {
 	TraceSample int
 	// Leases opts into the v7 lease/singleflight miss path: the client's
 	// GETs go out as GETL, a miss hands exactly one caller (cluster-wide)
-	// a fill lease, and concurrent missers briefly wait for that fill or
-	// are served the key's last known value flagged stale, instead of
-	// stampeding the origin.
+	// a fill lease, and concurrent missers briefly wait for that fill
+	// instead of stampeding the origin.
 	//
 	// Leases assume read-through usage — the memcached lease model: a SET
 	// of a key this client was granted a lease for is sent as the lease
@@ -186,7 +185,6 @@ type Client struct {
 	grants  map[uint64]*leaseGrant
 	grantsN atomic.Int64
 
-	staleHints  atomic.Uint64 // zero-token LEASE responses served as stale hits
 	leaseGrants atomic.Uint64 // fill leases granted to this client
 	leaseLost   atomic.Uint64 // fills refused LEASE_LOST
 	leaseWaits  atomic.Uint64 // keys that waited on another caller's fill
@@ -535,10 +533,6 @@ func (c *Client) readRounds(sc *batchScratch, keys []uint64, bt batchTrace, rf, 
 		case st == wire.StatusLease && resp.LeaseToken != 0:
 			s.nc.misses.Add(1)
 			c.recordGrant(key, resp.LeaseToken, resp.LeaseTTL)
-		case st == wire.StatusLease && resp.Stale:
-			s.nc.misses.Add(1)
-			c.staleHints.Add(1)
-			hit = true
 		case st == wire.StatusLease:
 			s.nc.misses.Add(1)
 			sc.waiters = append(sc.waiters, i)
@@ -907,10 +901,10 @@ type Snapshot struct {
 	Replication ReplicationCounters
 	// Members holds the per-member routing counters, keyed by address.
 	Members map[string]NodeCounters
-	// Lease tallies (wire v7): zero-token stale hints served as hits, fill
-	// leases granted to this client, fills refused LEASE_LOST, and keys
-	// that waited on another caller's fill (locally or by polling).
-	StaleHints, LeaseGrants, LeaseLost, LeaseWaits uint64
+	// Lease tallies (wire v7): fill leases granted to this client, fills
+	// refused LEASE_LOST, and keys that waited on another caller's fill
+	// (locally or by polling).
+	LeaseGrants, LeaseLost, LeaseWaits uint64
 	// Near is the near-cache's tally; all zeros when it is disabled.
 	Near NearCacheCounters
 }
@@ -925,7 +919,6 @@ func (c *Client) Snapshot() Snapshot {
 		Refreshes:   c.refreshes.Load(),
 		Replication: c.Replication(),
 		Members:     c.Counters(),
-		StaleHints:  c.staleHints.Load(),
 		LeaseGrants: c.leaseGrants.Load(),
 		LeaseLost:   c.leaseLost.Load(),
 		LeaseWaits:  c.leaseWaits.Load(),

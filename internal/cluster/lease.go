@@ -7,8 +7,8 @@ import "time"
 // router-level singleflight that keeps one process from duplicating a
 // fill it already owns, and the poll that resolves keys whose fill
 // someone else holds. The near-cache (nearcache.go) is its edge: lease
-// and stale-hint reads land there, version-reconciled, so a hot key's
-// storm is absorbed locally instead of at the key's primary owner.
+// reads land there, version-reconciled, so a hot key's storm is absorbed
+// locally instead of at the key's primary owner.
 
 // maxGrants bounds the outstanding-grant table; at the cap, an expired
 // grant (or, failing a cheap scan, an arbitrary one) is dropped — its
@@ -201,9 +201,9 @@ func (c *Client) pollWaiters(sc *batchScratch, keys []uint64, bt batchTrace, rf 
 }
 
 // LeaseCounters returns the near-cache hits and the lease tallies of
-// Snapshot, in that order. bench/ reads it; it goes once bench/ reads
-// Snapshot.
+// Snapshot, in that order; staleHints is always 0, since wire v13 has no
+// stale hint. bench/ reads it; it goes once bench/ reads Snapshot.
 func (c *Client) LeaseCounters() (nearHits, staleHints, grants, lost, waits uint64) {
 	s := c.Snapshot()
-	return s.Near.Hits, s.StaleHints, s.LeaseGrants, s.LeaseLost, s.LeaseWaits
+	return s.Near.Hits, 0, s.LeaseGrants, s.LeaseLost, s.LeaseWaits
 }

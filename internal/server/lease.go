@@ -1,44 +1,52 @@
 package server
 
 import (
+	"sync/atomic"
 	"time"
 
 	"repro/internal/wire"
 )
 
 // DefaultLeaseTTL is how long a GETL miss's fill lease stays outstanding.
-// A lease bounds how long concurrent missers wait (or eat stale hints)
-// for a holder that died mid-load, so it should sit just above the
-// slowest plausible origin load; 2s is generous for a cache-fill RPC
-// while still bounding a wedged holder's blast radius. Override with
-// SetLeaseTTL (cached -lease-ttl).
+// A lease bounds how long concurrent missers wait for a holder that died
+// mid-load, so it should sit just above the slowest plausible origin
+// load; 2s is generous for a cache-fill RPC while still bounding a wedged
+// holder's blast radius. Override with SetLeaseTTL (cached -lease-ttl).
 const DefaultLeaseTTL = 2 * time.Second
 
-// maxLeases bounds the lease table. The table holds one entry per key
-// that ever missed through GETL (entries persist to retain stale-hint
-// copies), and each entry may pin a value copy, so the bound caps both
-// memory and the per-op cost of the single table mutex. At the cap, a
-// new miss evicts a spent or expired entry — or, failing a cheap scan,
-// an arbitrary live one, whose fill then answers LEASE_LOST (safe: a
-// lost lease is always a refusal the holder must tolerate anyway).
-const maxLeases = 4096
+// fillLease is a key's outstanding fill lease. It lives in the key's store
+// record (entry.lease), and only a record with no value carries one: a
+// placeholder for an absent key or a tombstone. So the key's bucket lock
+// orders grants, fills and every other write of the key, and a write that
+// stores a record ends the lease by replacing it. token and expires never
+// change once the record is stored.
+type fillLease struct {
+	token   uint64
+	expires int64 // wall-clock nanoseconds
+	// lapsed is set by whichever of the holder's late FILL and the next
+	// grant first finds the lease expired, so LEASES_EXPIRED counts it once.
+	lapsed atomic.Bool
+}
 
-// lease is the per-key lease state: the outstanding fill token (0 when
-// none) with its deadline, plus the last value the lease machinery saw
-// for the key — the stale hint zero-token LEASE responses serve so a
-// storm of missers gets *something* without stampeding the origin.
-//
-// The invariant the table maintains: a lease is granted only on a miss,
-// and its fill applies only while the key still has no versioned value.
-// Any write that lands in between either kills the token here
-// (supersedeLease) or leaves a nonzero version the fill's conditional
-// store refuses — so at most one fill lands per lease, and never over
-// fresher state.
-type lease struct {
-	token    uint64
-	expires  time.Time
-	staleVer uint64
-	staleVal []byte
+// leaseRecord is a lease record and its lease in one allocation.
+type leaseRecord struct {
+	entry
+	lease fillLease
+}
+
+// newLeaseRecord returns a record at ver and born (a placeholder when both
+// are 0, else the tombstone they describe) carrying a fresh lease.
+func newLeaseRecord(ver uint64, born int64, token uint64, expires int64) *entry {
+	r := &leaseRecord{entry: entry{ver: ver, born: born}, lease: fillLease{token: token, expires: expires}}
+	r.entry.lease = &r.lease
+	return &r.entry
+}
+
+// countExpired counts l in LEASES_EXPIRED unless it was counted already.
+func (s *Server) countExpired(l *fillLease) {
+	if l != nil && l.lapsed.CompareAndSwap(false, true) {
+		s.leasesExpired.Add(1)
+	}
 }
 
 // SetLeaseTTL configures how long GETL fill leases stay outstanding; d ≤ 0
@@ -50,151 +58,39 @@ func (s *Server) SetLeaseTTL(d time.Duration) {
 	s.leaseTTL.Store(int64(d))
 }
 
-// leaseMiss answers a GETL whose key is not resident: grant the fill
-// lease if nobody holds it (or the holder's expired), otherwise report
-// the holder's remaining TTL — with the key's stale copy when one is
-// retained, so the misser is served a possibly superseded value instead
-// of joining the stampede.
-func (s *Server) leaseMiss(key uint64) wire.Response {
-	now := time.Now()
-	ttl := time.Duration(s.leaseTTL.Load())
-	s.leaseMu.Lock()
-	defer s.leaseMu.Unlock()
-	ls := s.leases[key]
-	if ls == nil {
-		if s.leases == nil {
-			s.leases = make(map[uint64]*lease)
-		} else if len(s.leases) >= maxLeases {
-			s.evictLeaseLocked(now)
+// getLease answers a GETL whose Get found no live value, deciding under the
+// key's bucket lock: a value that landed since is a HIT, an unexpired lease
+// is a wait with its remaining TTL, and otherwise this caller is granted a
+// fresh lease. It reports whether storing the lease record displaced a
+// resident.
+func (s *Server) getLease(key uint64, resp *wire.Response) (displaced bool) {
+	// fn must stay a pure function of its argument, so the token and the
+	// clock are read before Update.
+	token := s.leaseTokens.Add(1)
+	now := time.Now().UnixNano()
+	ttl := s.leaseTTL.Load()
+	var cur *entry
+	granted, _, displaced := s.cache.Update(key, func(old interface{}, _ bool) (interface{}, bool) {
+		cur, _ = old.(*entry)
+		switch {
+		case cur == nil:
+			return newLeaseRecord(0, 0, token, now+ttl), true
+		case cur.live() || cur.lease != nil && now < cur.lease.expires:
+			return nil, false
 		}
-		ls = &lease{}
-		s.leases[key] = ls
-		s.leaseEntries.Store(int64(len(s.leases)))
-	}
-	if ls.token != 0 && now.After(ls.expires) {
-		ls.token = 0
-		s.leasesExpired.Add(1)
-	}
-	if ls.token == 0 {
-		s.leaseTokens++
-		ls.token = s.leaseTokens
-		ls.expires = now.Add(ttl)
+		return newLeaseRecord(cur.ver, cur.born, token, now+ttl), true
+	})
+	switch {
+	case granted:
+		if cur != nil {
+			s.countExpired(cur.lease)
+		}
 		s.leasesGranted.Add(1)
-		return wire.Response{Status: wire.StatusLease, LeaseToken: ls.token, LeaseTTL: ttl}
+		resp.Status, resp.LeaseToken, resp.LeaseTTL = wire.StatusLease, token, time.Duration(ttl)
+	case cur.live():
+		resp.Status, resp.Value, resp.Version = wire.StatusHit, cur.val, cur.ver
+	default:
+		resp.Status, resp.LeaseTTL = wire.StatusLease, max(time.Duration(cur.lease.expires-now), time.Millisecond)
 	}
-	remaining := ls.expires.Sub(now)
-	if remaining < time.Millisecond {
-		remaining = time.Millisecond
-	}
-	if ls.staleVal != nil {
-		s.staleServes.Add(1)
-		// staleVal is immutable once retained (fills and invalidations
-		// replace the slice, never write through it), so handing it to the
-		// response encoder outside the lock is safe.
-		return wire.Response{
-			Status: wire.StatusLease, LeaseTTL: remaining,
-			Stale: true, Version: ls.staleVer, Value: ls.staleVal,
-		}
-	}
-	return wire.Response{Status: wire.StatusLease, LeaseTTL: remaining}
-}
-
-// leaseFill applies a FILL: the fill lands only while the carried token is
-// the key's outstanding lease and the key still has no versioned value
-// (see the lease invariant above). rec's value must already be a copy the
-// server owns.
-func (s *Server) leaseFill(token uint64, rec record) wire.Response {
-	now := time.Now()
-	s.leaseMu.Lock()
-	defer s.leaseMu.Unlock()
-	ls := s.leases[rec.Key]
-	if ls == nil {
-		// The winning version is unknown without re-reading the cache
-		// (which would skew its hit/miss counters); 0 says "unknown".
-		return wire.Response{Status: wire.StatusLeaseLost}
-	}
-	if ls.token != token {
-		// Superseded: a newer write killed this token (its version is the
-		// retained stale copy's, when one exists), or a newer lease was
-		// granted after this one expired.
-		return wire.Response{Status: wire.StatusLeaseLost, Version: ls.staleVer}
-	}
-	if now.After(ls.expires) {
-		ls.token = 0
-		s.leasesExpired.Add(1)
-		return wire.Response{Status: wire.StatusLeaseLost, Version: ls.staleVer}
-	}
-	ls.token = 0
-	// leaseMu is held: write never re-enters the lease table, and the
-	// stale copy is updated here rather than through supersedeLease.
-	applied, ver, evicted, _ := s.write(ifNoValue, rec)
-	if !applied {
-		return wire.Response{Status: wire.StatusLeaseLost, Version: ver}
-	}
-	ls.staleVer, ls.staleVal = ver, rec.val
-	return wire.Response{Status: wire.StatusOK, Evicted: evicted, Version: ver}
-}
-
-// invalidateLease is supersedeLease's value half: an applied SET or PUT
-// supersedes whatever fill is in flight, so kill the key's outstanding
-// token (its fill will answer LEASE_LOST) and refresh the stale copy.
-// Gated by the caller on leaseEntries, so workloads that never GETL pay
-// nothing.
-func (s *Server) invalidateLease(key, ver uint64, val []byte) {
-	s.leaseMu.Lock()
-	defer s.leaseMu.Unlock()
-	ls := s.leases[key]
-	if ls == nil {
-		return
-	}
-	ls.token = 0
-	if ver >= ls.staleVer {
-		ls.staleVer, ls.staleVal = ver, val
-	}
-}
-
-// dropLease is the delete hook: remove the key's lease entry entirely —
-// token and stale copy — so neither an in-flight fill nor a later stale
-// hint can resurrect the deleted value. DEL calls it *before* its
-// tombstone store, an applied tombstone PUT after (supersedeLease). Gated
-// by the caller on leaseEntries.
-func (s *Server) dropLease(key uint64) {
-	s.leaseMu.Lock()
-	defer s.leaseMu.Unlock()
-	ls := s.leases[key]
-	if ls == nil {
-		return
-	}
-	delete(s.leases, key)
-	s.leaseEntries.Store(int64(len(s.leases)))
-}
-
-// evictLeaseLocked makes room in the full lease table: a short scan
-// (map iteration order is effectively random) drops the first spent or
-// expired entry it sees, falling back to an arbitrary live one — whose
-// holder simply loses its lease, the refusal every holder must already
-// tolerate. Called with leaseMu held.
-func (s *Server) evictLeaseLocked(now time.Time) {
-	var fallback uint64
-	found := false
-	scanned := 0
-	for k, ls := range s.leases {
-		if ls.token == 0 || now.After(ls.expires) {
-			if ls.token != 0 {
-				s.leasesExpired.Add(1)
-			}
-			delete(s.leases, k)
-			return
-		}
-		if !found {
-			fallback, found = k, true
-		}
-		if scanned++; scanned >= 8 {
-			break
-		}
-	}
-	if found {
-		s.leasesExpired.Add(1)
-		delete(s.leases, fallback)
-	}
+	return displaced
 }

@@ -30,7 +30,7 @@ func TestLeaseGrantFillServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ls.Hit || ls.Token == 0 || ls.Stale {
+	if ls.Hit || ls.Token == 0 {
 		t.Fatalf("first GETL = %+v, want a fill grant", ls)
 	}
 	if ls.TTL <= 0 {
@@ -42,7 +42,7 @@ func TestLeaseGrantFillServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if waiter.Hit || waiter.Token != 0 || waiter.Stale {
+	if waiter.Hit || waiter.Token != 0 {
 		t.Fatalf("concurrent GETL = %+v, want a bare zero-token wait", waiter)
 	}
 
@@ -71,64 +71,70 @@ func TestLeaseGrantFillServe(t *testing.T) {
 	}
 }
 
-// TestLeaseStaleHint evicts a filled key out of a tiny cache and asserts
-// the lease table still serves the last known value as a stale hint to
-// the storm while a new holder reloads: zero token, stale flag, old
-// version and value.
-func TestLeaseStaleHint(t *testing.T) {
-	_, addr := startServer(t, concurrent.Config{Capacity: 4, Alpha: 4, Seed: 1})
-	c, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	const key = uint64(5)
-	ls, err := c.GetLease(key)
-	if err != nil || ls.Token == 0 {
-		t.Fatalf("grant: %+v err=%v", ls, err)
-	}
-	if ok, _, err := c.Fill(key, ls.Token, []byte("v1")); err != nil || !ok {
-		t.Fatalf("fill: ok=%v err=%v", ok, err)
-	}
-
-	// Flood the 4-slot cache until the key is evicted (no interleaved GETs
-	// of the key — a hit would re-promote it in LRU order).
-	for i := uint64(100); i < 108; i++ {
-		if _, err := c.Set(i, []byte("filler")); err != nil {
+// TestLeaseOneGrantPerFill races six clients' GETLs on each of 400 fresh
+// keys: the client granted the lease fills the key, the others re-ask
+// until they read it. Exactly one grant per key may happen — a GETL that
+// missed just before the fill landed must see the value, not win a second
+// lease.
+func TestLeaseOneGrantPerFill(t *testing.T) {
+	srv, addr := startServer(t, concurrent.Config{Capacity: 1 << 14, Alpha: 16, Seed: 1})
+	const clients, keys = 6, 400
+	var grants [keys]atomic.Int32
+	var wg sync.WaitGroup
+	errc := make(chan error, clients)
+	for w := 0; w < clients; w++ {
+		c, err := wire.Dial(addr)
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer c.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < keys; k++ {
+				key := uint64(1000 + k)
+				for {
+					ls, err := c.GetLease(key)
+					if err != nil {
+						errc <- err
+						return
+					}
+					if ls.Hit {
+						break
+					}
+					if ls.Token == 0 {
+						time.Sleep(20 * time.Microsecond)
+						continue
+					}
+					grants[k].Add(1)
+					if _, _, err := c.Fill(key, ls.Token, []byte("v")); err != nil {
+						errc <- err
+						return
+					}
+				}
+			}
+		}()
 	}
-	if _, hit, err := c.Get(key); err != nil {
+	wg.Wait()
+	close(errc)
+	for err := range errc {
 		t.Fatal(err)
-	} else if hit {
-		t.Fatal("key survived 8 sets into a 4-slot cache")
 	}
-
-	// First misser after the eviction is granted the reload...
-	reload, err := c.GetLease(key)
-	if err != nil || reload.Token == 0 {
-		t.Fatalf("reload grant: %+v err=%v", reload, err)
+	extra := 0
+	for k := range grants {
+		extra += int(grants[k].Load()) - 1
 	}
-	// ...and the storm behind it eats the stale hint instead of waiting.
-	hint, err := c.GetLease(key)
-	if err != nil {
-		t.Fatal(err)
+	if extra != 0 {
+		t.Errorf("%d extra grants over %d keys, want one grant per key", extra, keys)
 	}
-	if hint.Token != 0 || !hint.Stale || string(hint.Value) != "v1" || hint.Version == 0 {
-		t.Fatalf("storm GETL = %+v, want stale hint carrying v1", hint)
-	}
-	st, err := c.Stats(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.StaleServes != 1 {
-		t.Fatalf("stats staleServes=%d, want 1", st.StaleServes)
+	if st := srv.stats(); st.LeasesGranted != keys {
+		t.Errorf("LEASES_GRANTED = %d, want %d", st.LeasesGranted, keys)
 	}
 }
 
 // TestLeaseExpiredFillRefused pins expiry: a fill arriving after the
-// lease TTL answers LEASE_LOST and stores nothing.
+// lease TTL answers LEASE_LOST and stores nothing, and the expired lease
+// counts once.
 func TestLeaseExpiredFillRefused(t *testing.T) {
 	srv, addr := startServer(t, concurrent.Config{Capacity: 64, Alpha: 4, Seed: 1})
 	srv.SetLeaseTTL(5 * time.Millisecond)
@@ -154,12 +160,17 @@ func TestLeaseExpiredFillRefused(t *testing.T) {
 	if _, hit, err := c.Get(key); err != nil || hit {
 		t.Fatalf("GET after refused fill: hit=%v err=%v — the late fill stored anyway", hit, err)
 	}
+	// The next GETL is granted over the expired lease, which the late fill
+	// already counted: one expiry, not two.
+	if ls, err := c.GetLease(key); err != nil || ls.Token == 0 {
+		t.Fatalf("GETL after expiry = %+v, %v; want a fresh grant", ls, err)
+	}
 	st, err := c.Stats(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.LeasesExpired == 0 {
-		t.Fatal("stats counted no expired leases")
+	if st.LeasesExpired != 1 || st.LeasesGranted != 2 {
+		t.Fatalf("stats expired=%d granted=%d, want 1/2", st.LeasesExpired, st.LeasesGranted)
 	}
 }
 
@@ -198,10 +209,10 @@ func TestLeaseFillLosesToUserSet(t *testing.T) {
 	}
 }
 
-// TestLeaseFillAfterDelRefused pins DEL's resurrection guard: deleting a
-// key drops its lease entry wholesale, so an in-flight fill answers
-// LEASE_LOST and the key stays deleted — and no stale hint of it
-// survives either.
+// TestLeaseFillAfterDelRefused pins DEL's resurrection guard: the
+// tombstone replaces the key's leased record, so an in-flight fill
+// answers LEASE_LOST and the key stays deleted; the next GETL is a fresh
+// grant over the tombstone.
 func TestLeaseFillAfterDelRefused(t *testing.T) {
 	_, addr := startServer(t, concurrent.Config{Capacity: 64, Alpha: 4, Seed: 1})
 	c, err := wire.Dial(addr)
@@ -232,15 +243,15 @@ func TestLeaseFillAfterDelRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next.Token == 0 || next.Stale {
-		t.Fatalf("GETL after DEL = %+v, want a fresh grant with no stale hint", next)
+	if next.Token == 0 {
+		t.Fatalf("GETL after DEL = %+v, want a fresh grant", next)
 	}
 }
 
 // TestLeaseStressNeverOverwritesUserWrite is the -race storm: holders
 // that dawdle past a tiny lease TTL race their fills against user SETs
 // and concurrent GETLs on a small key space. The pinned invariant is the
-// lease table's reason to exist: once ANY user SET of a key has
+// lease's reason to exist: once ANY user SET of a key has
 // completed, no fill may overwrite it — a read must never again return a
 // fill payload for that key.
 func TestLeaseStressNeverOverwritesUserWrite(t *testing.T) {

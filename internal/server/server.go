@@ -91,7 +91,9 @@ const DefaultSlowOpThreshold = 10 * time.Millisecond
 // verbatim, so a record keeps its origin version as maintenance copies it
 // between nodes. DEL is just SET's rule producing a tombstone, and a PUT
 // of a tombstone record is how a delete replicates — deletes compete in
-// the same version order as every other write.
+// the same version order as every other write. A record with no value may
+// also carry a fill lease (lease.go): a placeholder for an absent key
+// (version 0) or a tombstone.
 type entry struct {
 	ver uint64
 	// born is zero for a live value; for a tombstone it is the wall-clock
@@ -99,12 +101,17 @@ type entry struct {
 	// clock (val is nil). It is creation time on *this node* — a tombstone
 	// copied by maintenance gets a fresh born, so its TTL restarts, which
 	// only ever delays reaping, never loses the deletion.
-	born int64
-	val  []byte
+	born  int64
+	val   []byte
+	lease *fillLease
 }
 
 // tomb reports whether the record is a tombstone.
 func (e *entry) tomb() bool { return e.born != 0 }
+
+// live reports whether the record holds a value: not a tombstone and not a
+// lease placeholder.
+func (e *entry) live() bool { return e.born == 0 && e.lease == nil }
 
 // record is a maintenance record as the server holds one outside the
 // cache — in the hint queue — and hands one to write: the wire's {key,
@@ -165,19 +172,12 @@ type Server struct {
 	slowLog       *telemetry.SlowLog
 	slowThreshold atomic.Int64 // nanoseconds; ≤0 disables the slow-op log
 
-	// Lease table (protocol v7, see lease.go): per-key fill-lease state
-	// under its own mutex. leaseEntries mirrors the table size in an
-	// atomic so the write hot paths can skip the mutex entirely while the
-	// table is empty — a workload that never sends GETL pays one atomic
-	// load per write, nothing more.
-	leaseMu       sync.Mutex
-	leases        map[uint64]*lease
-	leaseTokens   uint64 // last token issued; ++ under leaseMu, so never 0
-	leaseEntries  atomic.Int64
-	leaseTTL      atomic.Int64 // nanoseconds
+	// Fill leases (protocol v7, see lease.go) live in the store records;
+	// the server keeps only the token source, the TTL and two counters.
+	leaseTokens   atomic.Uint64 // last token issued, so never 0
+	leaseTTL      atomic.Int64  // nanoseconds
 	leasesGranted atomic.Uint64
 	leasesExpired atomic.Uint64
-	staleServes   atomic.Uint64
 
 	// Tombstone state (protocol v8). tombstones approximates the live
 	// tombstone count (a policy eviction of a tombstone is invisible here,
@@ -657,12 +657,10 @@ func (s *Server) MetricsSnapshot(flags wire.MetricsFlags) *wire.Metrics {
 func (s *Server) streamKeys(w *wire.Writer) error {
 	recs := make([]wire.KeyRec, 0, s.cache.Len())
 	s.cache.Entries(func(key uint64, v interface{}) {
-		rec := wire.KeyRec{Key: key}
-		if e, ok := v.(*entry); ok {
-			rec.Version = e.ver
-			rec.Tombstone = e.tomb()
+		// A lease placeholder is no record of the key: it is absent.
+		if e, ok := v.(*entry); ok && (e.live() || e.tomb()) {
+			recs = append(recs, wire.KeyRec{Key: key, Version: e.ver, Tombstone: e.tomb()})
 		}
-		recs = append(recs, rec)
 	})
 	chunk := int(s.keysChunk.Load())
 	if chunk <= 0 {
@@ -690,74 +688,54 @@ func (s *Server) apply(req *wire.Request, resp *wire.Response) (displaced bool) 
 	switch req.Op {
 	case wire.OpGet, wire.OpGetLease:
 		v, ok := s.cache.Get(req.Key)
-		if ok {
-			switch e := v.(type) {
-			case *entry:
-				if !e.tomb() {
-					resp.Status, resp.Value, resp.Version = wire.StatusHit, e.val, e.ver
-					return false
-				}
-				// A tombstone is a resident record of an absence: reads see a
-				// miss (and may take a fresh fill lease — a post-delete load
-				// from the origin is a legitimate new write, it is only
-				// pre-delete copies the tombstone exists to block).
-			case []byte:
-				// Values stored by in-process embedders sharing the cache carry
-				// no version; serve them at version 0 so any versioned write
-				// supersedes them.
-				resp.Status, resp.Value = wire.StatusHit, e
-				return false
-			default:
-				resp.Status = wire.StatusError
-				resp.Err = fmt.Sprintf("non-wire value of type %T cached under key %d", v, req.Key)
-				return false
-			}
-		}
-		if req.Op == wire.OpGetLease {
-			*resp = s.leaseMiss(req.Key)
-		} else {
+		e, isEntry := v.(*entry)
+		switch {
+		case ok && !isEntry:
+			resp.Status = wire.StatusError
+			resp.Err = fmt.Sprintf("non-wire value of type %T cached under key %d", v, req.Key)
+		case ok && e.live():
+			resp.Status, resp.Value, resp.Version = wire.StatusHit, e.val, e.ver
+		case req.Op == wire.OpGetLease:
+			// A tombstone is a resident record of an absence: reads see a
+			// miss, and GETL may take a fresh fill lease over it — a
+			// post-delete load from the origin is a legitimate new write, it
+			// is only pre-delete copies the tombstone exists to block.
+			return s.getLease(req.Key, resp)
+		default:
 			resp.Status = wire.StatusMiss
 		}
 		return false
 	case wire.OpSet:
 		s.sets.Add(1)
-		rec := ownRecord(req)
-		_, ver, evicted, _ := s.write(assign, rec)
-		s.supersedeLease(rec, ver)
+		_, ver, evicted, _ := s.write(assign, ownRecord(req), 0)
 		resp.Status, resp.Evicted, resp.Version = wire.StatusOK, evicted, ver
 		return evicted
 	case wire.OpFill:
 		s.sets.Add(1)
-		*resp = s.leaseFill(req.LeaseToken, ownRecord(req))
-		return resp.Evicted
+		applied, ver, evicted, _ := s.write(ifLeased, ownRecord(req), req.LeaseToken)
+		if !applied {
+			resp.Status, resp.Version = wire.StatusLeaseLost, ver
+			return false
+		}
+		resp.Status, resp.Evicted, resp.Version = wire.StatusOK, evicted, ver
+		return evicted
 	case wire.OpPut:
 		s.repairSets.Add(1)
-		rec := ownRecord(req)
-		applied, ver, evicted, _ := s.write(ifNewer, rec)
+		applied, ver, evicted, _ := s.write(ifNewer, ownRecord(req), 0)
 		if !applied {
 			s.staleRepairs.Add(1)
 			resp.Status, resp.Version = wire.StatusVersionStale, ver
 			return false
 		}
-		s.supersedeLease(rec, ver)
 		resp.Status, resp.Evicted, resp.Version = wire.StatusOK, evicted, ver
 		return evicted
 	case wire.OpDel:
-		// Drop the key's lease state *before* the tombstone store: killing
-		// the outstanding token first means no fill that observed the
-		// pre-delete world can land after the delete, and the retained
-		// stale copy can never be hinted again. (A lease granted *after*
-		// the tombstone is a fresh post-delete load and is allowed to
-		// overwrite it — see the ifNoValue rule.)
-		if s.leaseEntries.Load() > 0 {
-			s.dropLease(req.Key)
-		}
 		// DEL always answers OK; Evicted reports whether a live value was
 		// present. The tombstone is written even when the key was absent
 		// here: this replica may simply be the one that missed the write,
 		// and the tombstone is what stops anti-entropy from copying the
 		// value back from a replica that has it.
-		_, ver, evicted, live := s.write(assign, record{KeyRec: wire.KeyRec{Key: req.Key, Tombstone: true}})
+		_, ver, evicted, live := s.write(assign, record{KeyRec: wire.KeyRec{Key: req.Key, Tombstone: true}}, 0)
 		resp.Status, resp.Evicted, resp.Version = wire.StatusOK, live, ver
 		return evicted
 	case wire.OpHint:
@@ -777,7 +755,8 @@ func (s *Server) apply(req *wire.Request, resp *wire.Response) (displaced bool) 
 }
 
 // writeRule is the one thing that differs between the server's writes:
-// whether the record is stored, and under which version.
+// whether the record is stored, and under which version. Storing replaces
+// the key's record, so every write ends the key's fill lease.
 type writeRule int
 
 const (
@@ -791,38 +770,37 @@ const (
 	// obeys it like a value: replicated deletes lose to anything newer,
 	// exactly like replicated writes.
 	ifNewer
-	// ifNoValue (FILL) stores under assign's version, but only while the
-	// key has no live versioned value — it was absent (or a tombstone)
-	// when the lease was granted, and any write since would have left a
-	// nonzero version (or killed the token first). A resident tombstone
-	// does not refuse the fill: the lease it fills was granted *after* the
-	// delete (DEL drops the key's lease entry before its tombstone lands),
-	// so the fill is a fresh post-delete origin load, stored above the
-	// tombstone's version so it wins replication everywhere the tombstone
-	// went.
-	ifNoValue
+	// ifLeased (FILL) stores under assign's version, but only while the
+	// record still carries the unexpired lease the fill's token names: any
+	// write since the grant replaced the record, and with it the lease. A
+	// leased tombstone does not refuse the fill: its lease was granted
+	// after the delete, so the fill is a fresh post-delete origin load,
+	// stored above the tombstone's version so it wins replication
+	// everywhere the tombstone went.
+	ifLeased
 )
 
 // write applies one record to the cache under rule, as a single atomic
 // read-check-write under the owning bucket's lock
 // (concurrent.Cache.Update), so no concurrent write can interleave
-// between the version comparison and the overwrite. It reports whether
-// the record was stored, the version the key holds afterwards (the
-// winning one on a refusal), whether storing displaced a resident, and
-// whether the key held a live (non-tombstone) value before. It never
-// touches the lease table, so leaseFill may call it with leaseMu held.
-func (s *Server) write(rule writeRule, rec record) (applied bool, ver uint64, evicted, live bool) {
+// between the version comparison and the overwrite. token is the lease a
+// FILL names (ifLeased only). It reports whether the record was stored,
+// the version the key holds afterwards (the winning one on a refusal),
+// whether storing displaced a resident, and whether the key held a live
+// value before.
+func (s *Server) write(rule writeRule, rec record, token uint64) (applied bool, ver uint64, evicted, live bool) {
 	now := time.Now().UnixNano()
 	var wasTomb bool
+	var lease *fillLease
 	applied, _, evicted = s.cache.Update(rec.Key, func(old interface{}, present bool) (interface{}, bool) {
 		var cur uint64
-		wasTomb, live = false, present
+		wasTomb, live, lease = false, present, nil
 		if e, ok := old.(*entry); ok {
-			cur, wasTomb, live = e.ver, e.tomb(), !e.tomb()
+			cur, wasTomb, live, lease = e.ver, e.tomb(), e.live(), e.lease
 		}
 		switch {
 		case rule == ifNewer && present && rec.Version <= cur,
-			rule == ifNoValue && live && cur != 0:
+			rule == ifLeased && (lease == nil || lease.token != token || now >= lease.expires):
 			ver = cur
 			return nil, false
 		case rule == ifNewer:
@@ -836,27 +814,13 @@ func (s *Server) write(rule writeRule, rec record) (applied bool, ver uint64, ev
 		return &entry{ver: ver, val: rec.val}, true
 	})
 	if !applied {
+		if rule == ifLeased && lease != nil && lease.token == token {
+			s.countExpired(lease) // the fill's own lease, refused only for lateness
+		}
 		return false, ver, false, live
 	}
 	s.noteTombstoneFlip(rec.Tombstone, wasTomb)
 	return true, ver, evicted, live
-}
-
-// supersedeLease is the lease hook of an applied SET or PUT: the write
-// supersedes any fill lease in flight for the key, so kill its token and
-// refresh the retained stale copy (lease.go) — or, for an applied
-// tombstone, drop the entry outright (delete semantics: nothing the table
-// retains may outlive the deletion). The atomic gate keeps lease-free
-// workloads off the table mutex.
-func (s *Server) supersedeLease(rec record, ver uint64) {
-	if s.leaseEntries.Load() == 0 {
-		return
-	}
-	if rec.Tombstone {
-		s.dropLease(rec.Key)
-	} else {
-		s.invalidateLease(rec.Key, ver, rec.val)
-	}
 }
 
 // noteTombstoneFlip maintains the tombstone gauge across an applied write
@@ -1112,7 +1076,6 @@ func (s *Server) stats() *wire.Stats {
 		StaleRepairs:      s.staleRepairs.Load(),
 		LeasesGranted:     s.leasesGranted.Load(),
 		LeasesExpired:     s.leasesExpired.Load(),
-		StaleServes:       s.staleServes.Load(),
 		TombstonesReaped:  s.tombstonesReaped.Load(),
 		HintsQueued:       s.hintsQueued.Load(),
 		HintsReplayed:     s.hintsReplayed.Load(),

@@ -243,6 +243,8 @@ func TestKeysStreamChunks(t *testing.T) {
 
 // TestKeysSnapshot checks the KEYS op returns exactly the resident
 // records — live keys plus, since v8, a tombstone record per deleted key.
+// A lease record is no record of an absent key, so a grant adds nothing,
+// and a leased tombstone still streams as a tombstone.
 func TestKeysSnapshot(t *testing.T) {
 	// α = 64 slots per bucket: 40 inserts can never overflow a bucket, so
 	// the expected key set is exact.
@@ -264,6 +266,11 @@ func TestKeysSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	delete(want, 100)
+	for _, k := range []uint64{100, 200} {
+		if ls, err := c.GetLease(k); err != nil || ls.Token == 0 {
+			t.Fatalf("GETL %d = %+v, %v; want a grant", k, ls, err)
+		}
+	}
 
 	recs, err := c.Keys()
 	if err != nil {

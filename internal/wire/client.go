@@ -216,18 +216,13 @@ type Lease struct {
 	// TTL is how long the lease (own or, for a zero-token response, the
 	// current holder's) remains outstanding.
 	TTL time.Duration
-	// Stale marks a zero-token response carrying the last value the lease
-	// machinery saw for the key in Version/Value — possibly superseded.
-	Stale bool
-	// Version and Value are set on a Hit or a Stale hint; Value is a copy,
-	// safe to retain.
+	// Version and Value are set on a Hit; Value is a copy, safe to retain.
 	Version uint64
 	Value   []byte
 }
 
 // GetLease issues one GETL round trip: GET with lease semantics on a
-// miss. See Lease for the three outcomes (hit, grant, zero-token
-// wait/stale-hint).
+// miss. See Lease for the three outcomes (hit, grant, zero-token wait).
 func (c *Client) GetLease(key uint64) (Lease, error) {
 	resp, err := c.roundTrip(&Request{Op: OpGetLease, Key: key})
 	if err != nil {
@@ -236,8 +231,6 @@ func (c *Client) GetLease(key uint64) (Lease, error) {
 	switch {
 	case resp.Status == StatusHit:
 		return Lease{Hit: true, Version: resp.Version, Value: append([]byte(nil), resp.Value...)}, nil
-	case resp.Status == StatusLease && resp.Stale:
-		return Lease{TTL: resp.LeaseTTL, Stale: true, Version: resp.Version, Value: append([]byte(nil), resp.Value...)}, nil
 	case resp.Status == StatusLease:
 		return Lease{Token: resp.LeaseToken, TTL: resp.LeaseTTL}, nil
 	default:
@@ -248,8 +241,8 @@ func (c *Client) GetLease(key uint64) (Lease, error) {
 // Fill issues one FILL round trip: the write half of GetLease, carrying
 // the token a grant handed this caller. It reports whether the fill landed
 // and the version the server holds after the call — the fill's new version
-// when it applied, the stored winning version (0 when the key is absent or
-// unknown) when the lease was lost. A lost lease is a successful no-op:
+// when it applied, the stored winning version (0 when the key is absent)
+// when the lease was lost. A lost lease is a successful no-op:
 // someone fresher already owns the key's state.
 func (c *Client) Fill(key, token uint64, value []byte) (filled bool, stored uint64, err error) {
 	resp, err := c.roundTrip(&Request{Op: OpFill, Key: key, LeaseToken: token, Value: value})

@@ -13,9 +13,11 @@ import (
 // frames that re-encode to exactly the bytes that arrived, so no two byte
 // strings mean the same thing and nothing a decoder lets in is something
 // the encoder would refuse to send. The seed corpus under testdata/fuzz
-// holds one well-formed and one truncated frame per opcode and status;
-// the FuzzReadRequest/MEMBERS seeds are v11 frames of opcode 7, retired
-// in v12 (its truncation is an empty body), which the decoder must refuse.
+// holds one well-formed and one truncated frame per opcode and status.
+// Some seeds are retired shapes the decoder must refuse: the
+// FuzzReadRequest/MEMBERS seeds are v11 frames of opcode 7, retired in v12
+// (its truncation is an empty body), and the FuzzReadResponse/LEASE-stale
+// seeds are v12 stale-hint LEASE bodies, retired in v13.
 
 // frameOf returns the first frame of b — length prefix and body — which
 // is what a decoder that accepted b consumed.

@@ -46,14 +46,12 @@ func TestLeaseRequestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLeaseResponseRoundTrip pins the three LEASE payload shapes — grant,
-// bare wait, stale hint — and the LEASE_LOST refusal.
+// TestLeaseResponseRoundTrip pins the two LEASE payload shapes — grant
+// and wait — and the LEASE_LOST refusal.
 func TestLeaseResponseRoundTrip(t *testing.T) {
 	resps := []Response{
 		{Status: StatusLease, Epoch: 3, LeaseToken: 99, LeaseTTL: 2 * time.Second}, // grant
-		{Status: StatusLease, Epoch: 3, LeaseTTL: 150 * time.Millisecond},          // bare wait
-		{Status: StatusLease, Epoch: 4, LeaseTTL: time.Second, Stale: true, Version: 1 << 40, Value: []byte("stale copy")},
-		{Status: StatusLease, Epoch: 4, LeaseTTL: time.Second, Stale: true, Version: 7, Value: nil}, // empty stale value is legal
+		{Status: StatusLease, Epoch: 3, LeaseTTL: 150 * time.Millisecond},          // wait
 		{Status: StatusLeaseLost, Epoch: 5, Version: 1 << 41},
 		{Status: StatusLeaseLost, Epoch: 5}, // winning version unknown
 	}
@@ -74,7 +72,7 @@ func TestLeaseResponseRoundTrip(t *testing.T) {
 			t.Fatalf("read %d: %v", i, err)
 		}
 		if got.Status != want.Status || got.Epoch != want.Epoch || got.LeaseToken != want.LeaseToken ||
-			got.Stale != want.Stale || got.Version != want.Version {
+			got.Version != want.Version {
 			t.Fatalf("response %d = %+v, want %+v", i, got, want)
 		}
 		if got.Status == StatusLease && got.LeaseTTL != want.LeaseTTL {
@@ -125,8 +123,9 @@ func TestMalformedLeaseRequestRejected(t *testing.T) {
 }
 
 // TestMalformedLeaseResponseRejected pins the client-side refusal of
-// every ill-formed LEASE and LEASE_LOST payload: zero TTLs, undefined
-// stale bytes, grants carrying stale hints, and wrong lengths.
+// every ill-formed LEASE and LEASE_LOST payload: zero TTLs and wrong
+// lengths, the retired v12 shapes (a stale byte, a stale hint) among
+// them.
 func TestMalformedLeaseResponseRejected(t *testing.T) {
 	// leaseFrame builds a raw LEASE response frame from its payload parts.
 	leaseFrame := func(token uint64, ttlMs uint32, tail ...byte) *Reader {
@@ -147,26 +146,17 @@ func TestMalformedLeaseResponseRejected(t *testing.T) {
 		tail = binary.LittleEndian.AppendUint64(tail, ver)
 		return append(tail, val...)
 	}
-	if _, err := leaseFrame(7, 0, 0).ReadResponse(); err == nil {
+	if _, err := leaseFrame(7, 0).ReadResponse(); err == nil {
 		t.Fatal("LEASE with a zero TTL accepted")
 	}
-	if _, err := leaseFrame(7, 100, 2).ReadResponse(); err == nil {
-		t.Fatal("LEASE with stale byte 2 accepted")
+	if _, err := leaseFrame(7, 100, 0).ReadResponse(); err == nil {
+		t.Fatal("LEASE with a v12 stale byte accepted")
 	}
-	if _, err := leaseFrame(7, 100, 0, 'x').ReadResponse(); err == nil {
-		t.Fatal("bare LEASE with trailing bytes accepted")
+	if _, err := leaseFrame(0, 100, staleTail(9, "v")...).ReadResponse(); err == nil {
+		t.Fatal("LEASE carrying a v12 stale hint accepted")
 	}
-	if _, err := leaseFrame(7, 100, staleTail(9, "v")...).ReadResponse(); err == nil {
-		t.Fatal("LEASE grant carrying a stale hint accepted")
-	}
-	if _, err := leaseFrame(0, 100, 1, 1, 2, 3).ReadResponse(); err == nil {
-		t.Fatal("stale LEASE with a truncated hint version accepted")
-	}
-	if _, err := leaseFrame(0, 100).ReadResponse(); err == nil {
-		t.Fatal("LEASE body shorter than token+ttl+stale accepted")
-	}
-	if _, err := leaseFrame(0, 100, staleTail(9, "ok")...).ReadResponse(); err != nil {
-		t.Fatalf("well-formed stale hint rejected: %v", err)
+	if _, err := leaseFrame(0, 100).ReadResponse(); err != nil {
+		t.Fatalf("well-formed wait rejected: %v", err)
 	}
 
 	// LEASE_LOST must carry exactly the winning version.
@@ -186,13 +176,6 @@ func TestMalformedLeaseResponseRejected(t *testing.T) {
 	}
 	if _, err := lostFrame(make([]byte, 9)...).ReadResponse(); err == nil {
 		t.Fatal("oversize LEASE_LOST accepted")
-	}
-
-	// The encoder refuses a grant that carries a stale hint.
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.WriteResponse(Response{Status: StatusLease, LeaseToken: 7, LeaseTTL: time.Second, Stale: true, Version: 1, Value: []byte("v")}); err == nil {
-		t.Fatal("encoder accepted a LEASE grant with a stale hint")
 	}
 }
 

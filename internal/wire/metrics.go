@@ -123,10 +123,6 @@ type Stats struct {
 	// LeasesExpired counts leases that timed out unfilled; their fills, if
 	// they ever arrive, answer LEASE_LOST.
 	LeasesExpired uint64
-	// StaleServes counts zero-token LEASE responses that carried a stale
-	// hint — missers served a possibly superseded value instead of joining
-	// the stampede.
-	StaleServes uint64
 	// Tombstones is the number of tombstone records currently resident —
 	// versioned deletes still within their reap TTL. A gauge, not a
 	// counter.
@@ -177,7 +173,6 @@ var counterFields = [...]struct {
 	{"STALE_REPAIRS", func(s *Stats) *uint64 { return &s.StaleRepairs }},
 	{"LEASES_GRANTED", func(s *Stats) *uint64 { return &s.LeasesGranted }},
 	{"LEASES_EXPIRED", func(s *Stats) *uint64 { return &s.LeasesExpired }},
-	{"STALE_SERVES", func(s *Stats) *uint64 { return &s.StaleServes }},
 	{"TOMBSTONES", func(s *Stats) *uint64 { return &s.Tombstones }},
 	{"TOMBSTONES_REAPED", func(s *Stats) *uint64 { return &s.TombstonesReaped }},
 	{"HINTS_QUEUED", func(s *Stats) *uint64 { return &s.HintsQueued }},

@@ -431,10 +431,10 @@ func TestSpecTraceContext(t *testing.T) {
 	}
 }
 
-// TestSpecLeasePayload pins the v7 lease protocol's normative text: the
-// lease payload table (field order and types), the token/stale exclusion
-// rule, the fixed 13-byte bare length, the LEASE_LOST body, and the
-// lease invariant section the conditional fill rests on.
+// TestSpecLeasePayload pins the lease protocol's normative text: the
+// lease payload table (field order and types), its fixed 12-byte length,
+// the LEASE_LOST body, and the lease invariant section the conditional
+// fill rests on.
 func TestSpecLeasePayload(t *testing.T) {
 	doc := specDoc(t)
 	section := specSection(t, doc, "### Lease payload")
@@ -447,7 +447,7 @@ func TestSpecLeasePayload(t *testing.T) {
 		}
 		fields = append(fields, r[1]+":"+r[2])
 	}
-	want := []string{"Token:uint64", "TTLms:uint32", "Stale:byte", "Version:uint64", "Value:bytes"}
+	want := []string{"Token:uint64", "TTLms:uint32"}
 	if len(fields) != len(want) {
 		t.Fatalf("spec lease payload lists %v, want %v", fields, want)
 	}
@@ -456,16 +456,13 @@ func TestSpecLeasePayload(t *testing.T) {
 			t.Errorf("spec lease payload field %d = %q, want %q", i+1, fields[i], want[i])
 		}
 	}
-	if !regexp.MustCompile(`(?i)nonzero Token never travels with Stale\s*=\s*1`).MatchString(section) {
-		t.Error("spec must state the grant/stale exclusion: a nonzero token never travels with a stale copy")
-	}
-	if !regexp.MustCompile(`(?i)exactly 13 bytes after the epoch`).MatchString(section) {
-		t.Error("spec must state the fixed 13-byte length of a bare (Stale = 0) lease payload")
+	if !regexp.MustCompile(`(?i)exactly 12 bytes after the epoch`).MatchString(section) {
+		t.Error("spec must state the fixed 12-byte length of the lease payload")
 	}
 
 	statuses := specSection(t, doc, "### Response statuses")
-	if !regexp.MustCompile(`LEASE_LOST\s*\|\s*11\s*\|\s*winning version uint64 \(0 = unknown\)\s*\|\s*FILL\s*\|`).MatchString(statuses) {
-		t.Error("spec LEASE_LOST row must document the winning-version body with 0 = unknown, replying to FILL")
+	if !regexp.MustCompile(`LEASE_LOST\s*\|\s*11\s*\|\s*winning version uint64 \(0 = absent\)\s*\|\s*FILL\s*\|`).MatchString(statuses) {
+		t.Error("spec LEASE_LOST row must document the winning-version body with 0 = absent, replying to FILL")
 	}
 	if !regexp.MustCompile(`(?is)FILL\s+carrying a zero token is rejected`).MatchString(specSection(t, doc, "### Request opcodes")) {
 		t.Error("spec must state that a FILL with a zero token is rejected")
@@ -473,11 +470,12 @@ func TestSpecLeasePayload(t *testing.T) {
 
 	inv := specSection(t, doc, "### Lease invariant")
 	for _, sentence := range []string{
-		`(?i)granted \*\*only on a miss\*\*`,
-		`(?i)only while.*?token is still the key's\s+outstanding lease`,
-		`(?i)no versioned value`,
+		`(?i)lease lives in\s+the key's store record`,
+		`(?i)granted \*\*only on a miss\*\*, decided under the bucket lock`,
+		`(?is)only while.*?record still carries the\s+unexpired lease its token names`,
+		`(?is)ends the lease by\s+construction`,
 		`(?is)one fill lands per lease`,
-		`(?i)DEL drops the key's lease entry`,
+		`(?is)no\s+stale copy`,
 	} {
 		if !regexp.MustCompile(sentence).MatchString(inv) {
 			t.Errorf("spec lease invariant section must match %q", sentence)

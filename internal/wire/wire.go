@@ -10,7 +10,7 @@
 // with a 8-byte client preamble:
 //
 //	magic   [4]byte  "SACW" (Set-Associative Cache Wire)
-//	version uint32   12
+//	version uint32   13
 //
 // after which both directions carry length-prefixed frames:
 //
@@ -30,7 +30,7 @@
 //
 //	GET      key uint64                        → Hit version, value | Miss
 //	GETL     key uint64                        → Hit version, value |
-//	                                             Lease token, TTL [, stale hint]
+//	                                             Lease token, TTL
 //	SET      key uint64, value                 → OK evicted, version
 //	FILL     key uint64, token uint64, value   → OK evicted, version |
 //	                                             LeaseLost stored version
@@ -57,10 +57,10 @@
 //     version max(wall-clock ns, stored+1), so a user write is strictly
 //     newer than everything the node ever held for the key.
 //   - FILL is the write half of GETL: it carries the nonzero token a LEASE
-//     grant handed this caller and lands only while that exact lease is
-//     outstanding and the key still has no live versioned value. A fill
-//     that lost its lease answers LEASE_LOST with the stored version (0
-//     when unknown) and changes nothing.
+//     grant handed this caller and lands only while the key's record still
+//     carries that exact unexpired lease; any write of the key ends it. A
+//     fill that lost its lease answers LEASE_LOST with the stored version
+//     (0 when the key is absent) and changes nothing.
 //   - PUT is a maintenance write — read repair, warm-up, migration, hint
 //     replay, anti-entropy: the record a copy of the key was observed at,
 //     stored verbatim iff its version is strictly newer than the stored
@@ -92,7 +92,9 @@
 // detail is the OCCUPANCY section; opcode and status 4 stay unassigned.
 // Version 12 removed MEMBERS: a TOPOLOGY offer with no members (epoch 0)
 // reads the held view; opcode 7 stays unassigned, status 7 keeps the name
-// of its payload.
+// of its payload. Version 13 removed the stale hint: the server decides a
+// lease in the key's store record, so a LEASE body is exactly token and
+// TTL, and the STALE_SERVES counter is gone.
 // Peers of other versions are rejected at the preamble.
 package wire
 
@@ -126,7 +128,7 @@ const (
 	// Version is the protocol revision; the preamble carries it and servers
 	// reject mismatches, so a bump needs no compatibility path. The package
 	// comment and ARCHITECTURE.md list what each revision changed.
-	Version = 12
+	Version = 13
 	// MaxFrame bounds a frame body; it caps both value sizes and the damage
 	// a corrupt length prefix can do.
 	MaxFrame = 16 << 20
@@ -299,8 +301,7 @@ const (
 	// OpGetLease (GETL, v7) is GET with lease semantics on a miss: a
 	// resident key answers HIT exactly like GET, a miss answers LEASE —
 	// granting this caller the fill token, or telling it someone else
-	// already holds it (optionally with a stale hint). The body is the
-	// same 8-byte key as GET.
+	// already holds it. The body is the same 8-byte key as GET.
 	OpGetLease
 	// OpHint (HINT, v8) hands the receiving server a hinted-handoff
 	// record whose intended owner — the target address in the body — was
@@ -311,9 +312,8 @@ const (
 	OpHint
 	// OpFill (FILL, v9) is a lease fill, the write half of GETL: the body
 	// carries the nonzero token a LEASE grant handed this caller, and the
-	// server stores the value only while that lease is outstanding and
-	// the key has no live versioned value. The response is OK or
-	// LEASE_LOST.
+	// server stores the value only while that lease is outstanding. The
+	// response is OK or LEASE_LOST.
 	OpFill
 	// OpPut (PUT, v9) is a maintenance write: a record — a value or a
 	// tombstone at the version its writer observed — stored verbatim iff
@@ -369,17 +369,13 @@ const (
 	// StatusLease answers a GETL miss (v7). A nonzero token grants this
 	// caller the lease: it alone should load the origin and fill the key
 	// with a FILL carrying the token, within the TTL. A zero
-	// token means another caller already holds the lease; the body then
-	// either carries a stale hint — the last value the lease machinery saw
-	// for the key, with its version, flagged stale — or nothing, in which
-	// case the caller should back off briefly and retry while the holder
-	// fills.
+	// token means another caller already holds the lease: the caller
+	// should back off briefly and retry while the holder fills.
 	StatusLease
 	// StatusLeaseLost rejects a FILL whose lease is no longer
-	// outstanding — expired, invalidated by a concurrent write or DEL, or
-	// superseded — or whose key changed version since the grant. The body
-	// reports the stored version (0 when the key is absent or the version
-	// is unknown). Like VERSION_STALE it is a refusal, not a failure: the
+	// outstanding: it expired, or a write or an eviction replaced the
+	// key's record since the grant. The body reports the stored version
+	// (0 when the key is absent). Like VERSION_STALE it is a refusal, not a failure: the
 	// invariant the protocol wants — at most one fill lands per lease, and
 	// never over fresher state — held.
 	StatusLeaseLost
@@ -495,10 +491,6 @@ type Response struct {
 	// current holder's lease) remains outstanding; the wire carries it as
 	// whole milliseconds, at least 1.
 	LeaseTTL time.Duration
-	// Stale marks a zero-token LEASE that carries a stale hint: Version and
-	// Value then hold the last value the lease machinery saw for the key —
-	// possibly superseded, served so missers need not stampede the origin.
-	Stale bool
 	// Err is the message of an error response.
 	Err string
 }
@@ -862,9 +854,6 @@ func (w *Writer) Respond(resp *Response) error {
 	case StatusVersionStale:
 		w.chunk = binary.LittleEndian.AppendUint64(w.chunk, resp.Version)
 	case StatusLease:
-		if resp.LeaseToken != 0 && resp.Stale {
-			return w.abortFrame(off, fmt.Errorf("wire: LEASE grant cannot carry a stale hint"))
-		}
 		w.chunk = binary.LittleEndian.AppendUint64(w.chunk, resp.LeaseToken)
 		ms := resp.LeaseTTL.Milliseconds()
 		if ms < 1 {
@@ -873,11 +862,6 @@ func (w *Writer) Respond(resp *Response) error {
 			ms = math.MaxUint32
 		}
 		w.chunk = binary.LittleEndian.AppendUint32(w.chunk, uint32(ms))
-		w.chunk = append(w.chunk, boolByte(resp.Stale))
-		if resp.Stale {
-			w.chunk = binary.LittleEndian.AppendUint64(w.chunk, resp.Version)
-			w.chunk = append(w.chunk, resp.Value...)
-		}
 	case StatusLeaseLost:
 		w.chunk = binary.LittleEndian.AppendUint64(w.chunk, resp.Version)
 	case StatusError:
@@ -1159,8 +1143,8 @@ func (r *Reader) ReadResponse() (*Response, error) {
 		}
 		resp.Version = binary.LittleEndian.Uint64(body)
 	case StatusLease:
-		if len(body) < 13 {
-			return nil, fmt.Errorf("wire: LEASE body %d bytes, want ≥13 (token + ttl + stale)", len(body))
+		if len(body) != 12 {
+			return nil, fmt.Errorf("wire: LEASE body %d bytes, want 12 (token + ttl)", len(body))
 		}
 		resp.LeaseToken = binary.LittleEndian.Uint64(body)
 		ms := binary.LittleEndian.Uint32(body[8:])
@@ -1168,22 +1152,6 @@ func (r *Reader) ReadResponse() (*Response, error) {
 			return nil, fmt.Errorf("wire: LEASE with a zero TTL")
 		}
 		resp.LeaseTTL = time.Duration(ms) * time.Millisecond
-		if resp.Stale, err = parseBool(body[12], "LEASE stale"); err != nil {
-			return nil, err
-		}
-		switch {
-		case !resp.Stale:
-			if len(body) != 13 {
-				return nil, fmt.Errorf("wire: LEASE body %d bytes, want 13 without a stale hint", len(body))
-			}
-		case resp.LeaseToken != 0:
-			return nil, fmt.Errorf("wire: LEASE grant cannot carry a stale hint")
-		case len(body) < 21:
-			return nil, fmt.Errorf("wire: stale LEASE body %d bytes, want ≥21 (hint version)", len(body))
-		default:
-			resp.Version = binary.LittleEndian.Uint64(body[13:])
-			resp.Value = body[21:]
-		}
 	case StatusLeaseLost:
 		if len(body) != 8 {
 			return nil, fmt.Errorf("wire: LEASE_LOST body %d bytes, want 8", len(body))
