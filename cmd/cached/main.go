@@ -71,7 +71,6 @@ func main() {
 		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof and a /metrics JSON snapshot on this address (off when empty)")
 		slowThresh = flag.Duration("slow-op-threshold", server.DefaultSlowOpThreshold, "ops at least this slow enter the slow-op ring (0 disables the ring)")
 		leaseTTL   = flag.Duration("lease-ttl", server.DefaultLeaseTTL, "how long a GETL fill lease stays outstanding (wire v7); keep just above the slowest origin load")
-		tombTTL    = flag.Duration("tombstone-ttl", server.DefaultTombstoneTTL, "how long a deleted key's tombstone blocks resurrection (wire v8); keep ~10x the cluster anti-entropy period")
 		hintBudget = flag.Int("hint-budget", server.DefaultHintBudget, "byte budget for queued hinted-handoff records (wire v8); oldest dropped when over")
 		hintReplay = flag.Duration("hint-replay", server.DefaultHintReplay, "how often queued hints are replayed to their recovered target (wire v8)")
 	)
@@ -100,7 +99,6 @@ func main() {
 	srv := server.New(cache)
 	srv.SetSlowOpThreshold(*slowThresh)
 	srv.SetLeaseTTL(*leaseTTL)
-	srv.SetTombstoneTTL(*tombTTL)
 	if *hintBudget < 0 {
 		fatal(fmt.Errorf("-hint-budget %d: byte budget must not be negative", *hintBudget))
 	}

@@ -450,7 +450,7 @@ func (c *Client) AddNode(addr string) (*Warmup, error) {
 // planned against the post-removal ring. Its residents stream through the
 // chunked KEYS stream, so a node with many millions of them drains in
 // bounded frames, and tombstones move too, so a key's new owner keeps
-// refusing resurrection until the tombstone is reaped. moved counts
+// refusing resurrection until its set evicts the tombstone. moved counts
 // entries settled on their new owner, copied or refused there as stale
 // because it already held something newer (a copy may evict there; the
 // destination's eviction counters account for it). dropped counts entries

@@ -560,9 +560,9 @@ func (c *Cache) Entries(visit func(key uint64, v interface{})) {
 // owning bucket's lock, returns true. The read-check-delete is one critical
 // section — the conditional mirror of Update — so a concurrent write cannot
 // land between fn's decision and the removal. It reports whether a delete
-// happened; an absent key never invokes fn. This is the primitive behind
-// tombstone reaping: "delete this tombstone unless someone revived the key
-// since I scanned it" must be atomic or the reap races a reviving write.
+// happened; an absent key never invokes fn. The cluster's near-cache
+// invalidates by version floor with it: "drop this entry unless it is
+// newer than the delete" must be atomic or the drop races a newer write.
 func (c *Cache) DeleteIf(key uint64, fn func(v interface{}) bool) bool {
 	item := trace.Item(key)
 	a := c.enter(item)

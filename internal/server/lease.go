@@ -34,10 +34,10 @@ type leaseRecord struct {
 	lease fillLease
 }
 
-// newLeaseRecord returns a record at ver and born (a placeholder when both
-// are 0, else the tombstone they describe) carrying a fresh lease.
-func newLeaseRecord(ver uint64, born int64, token uint64, expires int64) *entry {
-	r := &leaseRecord{entry: entry{ver: ver, born: born}, lease: fillLease{token: token, expires: expires}}
+// newLeaseRecord returns a record at ver (a placeholder at version 0, else
+// the tombstone tomb marks) carrying a fresh lease.
+func newLeaseRecord(ver uint64, tomb bool, token uint64, expires int64) *entry {
+	r := &leaseRecord{entry: entry{ver: ver, tomb: tomb}, lease: fillLease{token: token, expires: expires}}
 	r.entry.lease = &r.lease
 	return &r.entry
 }
@@ -74,11 +74,11 @@ func (s *Server) getLease(key uint64, resp *wire.Response) (displaced bool) {
 		cur, _ = old.(*entry)
 		switch {
 		case cur == nil:
-			return newLeaseRecord(0, 0, token, now+ttl), true
+			return newLeaseRecord(0, false, token, now+ttl), true
 		case cur.live() || cur.lease != nil && now < cur.lease.expires:
 			return nil, false
 		}
-		return newLeaseRecord(cur.ver, cur.born, token, now+ttl), true
+		return newLeaseRecord(cur.ver, cur.tomb, token, now+ttl), true
 	})
 	switch {
 	case granted:

@@ -76,8 +76,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if st.Hits+st.Misses != gets || st.Sets != sets || st.Tombstones != dels || st.Capacity != 256 || st.Buckets != 64 {
 		t.Errorf("counter view = %+v, want %d GETs, %d SETs, %d tombstones over 64 buckets", st, gets, sets, dels)
 	}
-	if len(m.Counters) != 24 || wire.CounterName(m.Counters[23].ID) != "MIGRATING" {
-		t.Errorf("server sent %d counters, want all 24 through MIGRATING", len(m.Counters))
+	if len(m.Counters) != 23 || wire.CounterName(m.Counters[22].ID) != "MIGRATING" {
+		t.Errorf("server sent %d counters, want all 23 through MIGRATING", len(m.Counters))
 	}
 	if len(st.Occupancy) != int(st.Buckets) {
 		t.Errorf("%d occupancies for %d buckets", len(st.Occupancy), st.Buckets)

@@ -46,19 +46,6 @@ import (
 	"repro/internal/wire"
 )
 
-// DefaultTombstoneTTL is how long a tombstone outlives the DEL that made
-// it before the reaper removes it. The TTL bounds the window in which a
-// lagging replica (or a replayed hint) could still carry the deleted key's
-// old value: once every repair path has had TTL to run, the tombstone has
-// nothing left to suppress. The default is ~10× the cluster's default
-// anti-entropy period, so several full sweeps complete before any
-// tombstone is reaped. Override with SetTombstoneTTL.
-const DefaultTombstoneTTL = 5 * time.Minute
-
-// DefaultTombstoneSweep is how often the background reaper scans for
-// expired tombstones once any tombstone exists.
-const DefaultTombstoneSweep = 30 * time.Second
-
 // DefaultHintBudget bounds the bytes a node will hold in queued hints
 // (HINT op) for dead peers. At the budget the oldest hint is dropped —
 // safe, because hints are an optimization over anti-entropy, which
@@ -80,9 +67,11 @@ const DefaultHintReplay = 2 * time.Second
 const DefaultSlowOpThreshold = 10 * time.Millisecond
 
 // entry is the unified record the server stores in the cache: the payload
-// plus a monotonically increasing per-key version, or — when born is
-// nonzero — a tombstone: the versioned fact that the key was deleted, kept
-// so no older copy of the value can be reinstated by delayed maintenance.
+// plus a monotonically increasing per-key version, or — when tomb is set —
+// a tombstone: the versioned fact that the key was deleted, kept so no
+// older copy of the value can be reinstated by delayed maintenance. A
+// tombstone takes a slot like any record and leaves the way every record
+// does, when its set's LRU policy evicts it.
 // Which version a write stores under is its rule (see write): SET and DEL
 // assign max(wall-clock nanos, stored+1) — per-key monotonic by
 // construction, and wall-clock anchored so versions assigned on different
@@ -95,23 +84,15 @@ const DefaultSlowOpThreshold = 10 * time.Millisecond
 // also carry a fill lease (lease.go): a placeholder for an absent key
 // (version 0) or a tombstone.
 type entry struct {
-	ver uint64
-	// born is zero for a live value; for a tombstone it is the wall-clock
-	// nanosecond the tombstone was created here, which starts the reap TTL
-	// clock (val is nil). It is creation time on *this node* — a tombstone
-	// copied by maintenance gets a fresh born, so its TTL restarts, which
-	// only ever delays reaping, never loses the deletion.
-	born  int64
-	val   []byte
+	ver   uint64
+	val   []byte // nil for a tombstone
 	lease *fillLease
+	tomb  bool
 }
-
-// tomb reports whether the record is a tombstone.
-func (e *entry) tomb() bool { return e.born != 0 }
 
 // live reports whether the record holds a value: not a tombstone and not a
 // lease placeholder.
-func (e *entry) live() bool { return e.born == 0 && e.lease == nil }
+func (e *entry) live() bool { return !e.tomb && e.lease == nil }
 
 // record is a maintenance record as the server holds one outside the
 // cache — in the hint queue — and hands one to write: the wire's {key,
@@ -157,8 +138,7 @@ type Server struct {
 	// tests shrink it to exercise multi-chunk streams cheaply.
 	keysChunk atomic.Int64
 
-	// stop is closed by Close; the background goroutines (tombstone
-	// reaper, hint replayer) exit on it.
+	// stop is closed by Close; the background hint replayer exits on it.
 	stop chan struct{}
 
 	// Flight recorder (protocol v5). opHists holds one service-time
@@ -178,19 +158,6 @@ type Server struct {
 	leaseTTL      atomic.Int64  // nanoseconds
 	leasesGranted atomic.Uint64
 	leasesExpired atomic.Uint64
-
-	// Tombstone state (protocol v8). tombstones approximates the live
-	// tombstone count (a policy eviction of a tombstone is invisible here,
-	// so the gauge can read high until the next reap scan resyncs it);
-	// tombstonesReaped counts TTL expiries the reaper removed. The reaper
-	// goroutine starts lazily on the first tombstone and stops with the
-	// server.
-	tombstones       atomic.Int64
-	tombstonesReaped atomic.Uint64
-	tombstoneTTL     atomic.Int64 // nanoseconds
-	reapOnce         sync.Once
-	reapStarted      atomic.Bool
-	reapDone         chan struct{}
 
 	// Hinted-handoff state (protocol v8): writes a router could not land
 	// on a dead owner, parked here by a live peer (HINT op) and replayed —
@@ -233,7 +200,6 @@ func New(cache *concurrent.Cache) *Server {
 		cache:    cache,
 		conns:    make(map[net.Conn]struct{}),
 		stop:     make(chan struct{}),
-		reapDone: make(chan struct{}),
 		hintDone: make(chan struct{}),
 		hintDial: wire.Dial,
 		slowLog:  telemetry.NewSlowLog(0),
@@ -244,18 +210,8 @@ func New(cache *concurrent.Cache) *Server {
 	}
 	s.slowThreshold.Store(int64(DefaultSlowOpThreshold))
 	s.leaseTTL.Store(int64(DefaultLeaseTTL))
-	s.tombstoneTTL.Store(int64(DefaultTombstoneTTL))
 	s.hintInterval.Store(int64(DefaultHintReplay))
 	return s
-}
-
-// SetTombstoneTTL configures how long tombstones survive before the
-// reaper removes them; d ≤ 0 restores DefaultTombstoneTTL.
-func (s *Server) SetTombstoneTTL(d time.Duration) {
-	if d <= 0 {
-		d = DefaultTombstoneTTL
-	}
-	s.tombstoneTTL.Store(int64(d))
 }
 
 // SetHintBudget configures the byte budget for queued hints (n == 0
@@ -365,8 +321,7 @@ func (s *Server) Addr() net.Addr {
 }
 
 // Close stops accepting, closes all live connections, and waits for their
-// handlers — and the tombstone reaper and hint replayer, if either ever
-// started — to finish.
+// handlers — and the hint replayer, if it ever started — to finish.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -385,9 +340,6 @@ func (s *Server) Close() error {
 	}
 	s.wg.Wait()
 	close(s.stop)
-	if s.reapStarted.Load() {
-		<-s.reapDone
-	}
 	if s.hintStarted.Load() {
 		<-s.hintDone
 	}
@@ -658,8 +610,8 @@ func (s *Server) streamKeys(w *wire.Writer) error {
 	recs := make([]wire.KeyRec, 0, s.cache.Len())
 	s.cache.Entries(func(key uint64, v interface{}) {
 		// A lease placeholder is no record of the key: it is absent.
-		if e, ok := v.(*entry); ok && (e.live() || e.tomb()) {
-			recs = append(recs, wire.KeyRec{Key: key, Version: e.ver, Tombstone: e.tomb()})
+		if e, ok := v.(*entry); ok && (e.live() || e.tomb) {
+			recs = append(recs, wire.KeyRec{Key: key, Version: e.ver, Tombstone: e.tomb})
 		}
 	})
 	chunk := int(s.keysChunk.Load())
@@ -790,13 +742,12 @@ const (
 // value before.
 func (s *Server) write(rule writeRule, rec record, token uint64) (applied bool, ver uint64, evicted, live bool) {
 	now := time.Now().UnixNano()
-	var wasTomb bool
 	var lease *fillLease
 	applied, _, evicted = s.cache.Update(rec.Key, func(old interface{}, present bool) (interface{}, bool) {
 		var cur uint64
-		wasTomb, live, lease = false, present, nil
+		live, lease = present, nil
 		if e, ok := old.(*entry); ok {
-			cur, wasTomb, live, lease = e.ver, e.tomb(), e.live(), e.lease
+			cur, live, lease = e.ver, e.live(), e.lease
 		}
 		switch {
 		case rule == ifNewer && present && rec.Version <= cur,
@@ -808,10 +759,7 @@ func (s *Server) write(rule writeRule, rec record, token uint64) (applied bool, 
 		default:
 			ver = max(uint64(now), cur+1)
 		}
-		if rec.Tombstone {
-			return &entry{ver: ver, born: now}, true
-		}
-		return &entry{ver: ver, val: rec.val}, true
+		return &entry{ver: ver, val: rec.val, tomb: rec.Tombstone}, true
 	})
 	if !applied {
 		if rule == ifLeased && lease != nil && lease.token == token {
@@ -819,82 +767,7 @@ func (s *Server) write(rule writeRule, rec record, token uint64) (applied bool, 
 		}
 		return false, ver, false, live
 	}
-	s.noteTombstoneFlip(rec.Tombstone, wasTomb)
 	return true, ver, evicted, live
-}
-
-// noteTombstoneFlip maintains the tombstone gauge across an applied write
-// and lazily starts the reaper the first time a tombstone exists.
-func (s *Server) noteTombstoneFlip(isTomb, wasTomb bool) {
-	if isTomb == wasTomb {
-		return
-	}
-	if isTomb {
-		s.tombstones.Add(1)
-		s.startReaper()
-	} else {
-		s.tombstones.Add(-1)
-	}
-}
-
-// startReaper launches the background tombstone reaper (once).
-func (s *Server) startReaper() {
-	s.reapOnce.Do(func() {
-		s.reapStarted.Store(true)
-		go func() {
-			defer close(s.reapDone)
-			t := time.NewTicker(DefaultTombstoneSweep)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					s.ReapTombstones()
-				case <-s.stop:
-					return
-				}
-			}
-		}()
-	})
-}
-
-// ReapTombstones removes every tombstone older than the tombstone TTL and
-// returns how many it reaped. The scan snapshots expired keys bucket by
-// bucket, then removes each with a conditional delete that re-checks the
-// record under the bucket lock — a key revived (or re-deleted, restarting
-// its TTL) between scan and delete is left alone. The sweep also resyncs
-// the tombstone gauge, which can drift high when cache policy evicts a
-// tombstone wholesale. Runs on the background ticker; exported so tests
-// and operators can force a deterministic sweep.
-func (s *Server) ReapTombstones() int {
-	ttl := time.Duration(s.tombstoneTTL.Load())
-	cut := time.Now().Add(-ttl).UnixNano()
-	var expired []uint64
-	live := int64(0)
-	s.cache.Entries(func(key uint64, v interface{}) {
-		if e, ok := v.(*entry); ok && e.tomb() {
-			if e.born <= cut {
-				expired = append(expired, key)
-			} else {
-				live++
-			}
-		}
-	})
-	n := 0
-	for _, key := range expired {
-		if s.cache.DeleteIf(key, func(v interface{}) bool {
-			e, ok := v.(*entry)
-			return ok && e.tomb() && e.born <= cut
-		}) {
-			n++
-		}
-	}
-	if n > 0 {
-		s.tombstonesReaped.Add(uint64(n))
-	}
-	// Resync rather than decrement: the scan counted what is actually
-	// resident, which silently repairs any drift from policy evictions.
-	s.tombstones.Store(live + int64(len(expired)-n))
-	return n
 }
 
 // hint is one parked record awaiting a dead owner's return: the target
@@ -1076,13 +949,17 @@ func (s *Server) stats() *wire.Stats {
 		StaleRepairs:      s.staleRepairs.Load(),
 		LeasesGranted:     s.leasesGranted.Load(),
 		LeasesExpired:     s.leasesExpired.Load(),
-		TombstonesReaped:  s.tombstonesReaped.Load(),
 		HintsQueued:       s.hintsQueued.Load(),
 		HintsReplayed:     s.hintsReplayed.Load(),
 		Migrating:         snap.Migrating,
 	}
-	if t := s.tombstones.Load(); t > 0 {
-		st.Tombstones = uint64(t)
-	}
+	// TOMBSTONES is counted, not kept: a tombstone leaves by eviction,
+	// which no write path sees, so the gauge walks the residents. The walk
+	// locks each bucket once, as Snapshot above already did.
+	s.cache.Entries(func(_ uint64, v interface{}) {
+		if e, ok := v.(*entry); ok && e.tomb {
+			st.Tombstones++
+		}
+	})
 	return st
 }

@@ -885,11 +885,10 @@ func TestVersionedRepairStress(t *testing.T) {
 
 // TestServerCloseLeavesNothingBehind counts goroutines, the server-side
 // twin of the router's TestCloseLeavesNothingBehind: with client
-// connections still open, a tombstone resident (the reaper is running) and
-// a hint parked for an unreachable target (the replayer is running and
-// redialing), Close must take the process back to its pre-New goroutine
-// count — every connection handler, both background workers and the
-// accept loop.
+// connections still open, a tombstone resident and a hint parked for an
+// unreachable target (the replayer is running and redialing), Close must
+// take the process back to its pre-New goroutine count — every connection
+// handler, the background worker and the accept loop.
 func TestServerCloseLeavesNothingBehind(t *testing.T) {
 	// An address nothing listens on, so the replayer keeps its hint.
 	dead, err := net.Listen("tcp", "127.0.0.1:0")
@@ -927,7 +926,7 @@ func TestServerCloseLeavesNothingBehind(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Close waits for the handlers and both workers; only the accept loop
+	// Close waits for the handlers and the worker; only the accept loop
 	// (started by this test's helper) may still be returning.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) && runtime.NumGoroutine() > baseline {

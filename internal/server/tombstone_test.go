@@ -124,38 +124,45 @@ func TestTombstoneValueWriteOver(t *testing.T) {
 	_ = srv
 }
 
-// TestTombstoneReaper: past its TTL a tombstone is retired by the
-// background reaper — the key disappears from the KEYS stream and the
-// reaped count surfaces in the counters.
-func TestTombstoneReaper(t *testing.T) {
-	srv, addr := startServer(t, concurrent.Config{Capacity: 64, Alpha: 4, Seed: 1})
-	srv.SetTombstoneTTL(time.Millisecond)
+// TestTombstoneLeavesByEviction: a tombstone takes a slot like any record
+// and leaves the way every record does, when its set's LRU policy evicts
+// it. One set of four: a DEL, then four SETs of other keys, push the
+// tombstone out — KEYS no longer carries it and the TOMBSTONES gauge,
+// counted at read, says so.
+func TestTombstoneLeavesByEviction(t *testing.T) {
+	_, addr := startServer(t, concurrent.Config{Capacity: 4, Alpha: 4, Seed: 1})
 	c, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	if _, _, err := c.Del(11); err != nil {
+	if _, _, err := c.Del(1); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond)
-	if n := srv.ReapTombstones(); n != 1 {
-		t.Fatalf("ReapTombstones = %d, want 1", n)
+	if st, err := c.Stats(false); err != nil || st.Tombstones != 1 {
+		t.Fatalf("gauge after DEL = %+v, %v; want 1 tombstone", st, err)
+	}
+	for key := uint64(2); key <= 5; key++ {
+		if _, err := c.Set(key, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
 	}
 	recs, err := c.Keys()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 0 {
-		t.Fatalf("KEYS after reap = %v, want empty", recs)
+	for _, rec := range recs {
+		if rec.Tombstone {
+			t.Errorf("KEYS still carries tombstone %+v after its set filled", rec)
+		}
 	}
 	st, err := c.Stats(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Tombstones != 0 || st.TombstonesReaped != 1 {
-		t.Errorf("gauge/reaped = %d/%d, want 0/1", st.Tombstones, st.TombstonesReaped)
+	if st.Tombstones != 0 || st.Len != 4 || st.Evictions != 1 {
+		t.Errorf("tombstones/len/evictions = %d/%d/%d, want 0/4/1", st.Tombstones, st.Len, st.Evictions)
 	}
 }
 

@@ -16,8 +16,10 @@ import (
 // holds one well-formed and one truncated frame per opcode and status.
 // Some seeds are retired shapes the decoder must refuse: the
 // FuzzReadRequest/MEMBERS seeds are v11 frames of opcode 7, retired in v12
-// (its truncation is an empty body), and the FuzzReadResponse/LEASE-stale
-// seeds are v12 stale-hint LEASE bodies, retired in v13.
+// (its truncation is an empty body), the FuzzReadResponse/LEASE-stale
+// seeds are v12 stale-hint LEASE bodies, retired in v13, and
+// FuzzReadResponse/METRICS-counters-v13 is a v13 counter section of 24
+// counters, the reaped-tombstone count among them, retired in v14.
 
 // frameOf returns the first frame of b — length prefix and body — which
 // is what a decoder that accepted b consumed.

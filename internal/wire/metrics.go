@@ -124,12 +124,9 @@ type Stats struct {
 	// they ever arrive, answer LEASE_LOST.
 	LeasesExpired uint64
 	// Tombstones is the number of tombstone records currently resident —
-	// versioned deletes still within their reap TTL. A gauge, not a
-	// counter.
+	// versioned deletes their set has not yet evicted. A gauge, not a
+	// counter, counted exactly when read.
 	Tombstones uint64
-	// TombstonesReaped counts tombstones removed by the reaper after
-	// outliving their TTL.
-	TombstonesReaped uint64
 	// HintsQueued counts hinted-handoff records accepted via HINT (v8) —
 	// writes to an unreachable owner parked on this server for replay.
 	HintsQueued uint64
@@ -174,7 +171,6 @@ var counterFields = [...]struct {
 	{"LEASES_GRANTED", func(s *Stats) *uint64 { return &s.LeasesGranted }},
 	{"LEASES_EXPIRED", func(s *Stats) *uint64 { return &s.LeasesExpired }},
 	{"TOMBSTONES", func(s *Stats) *uint64 { return &s.Tombstones }},
-	{"TOMBSTONES_REAPED", func(s *Stats) *uint64 { return &s.TombstonesReaped }},
 	{"HINTS_QUEUED", func(s *Stats) *uint64 { return &s.HintsQueued }},
 	{"HINTS_REPLAYED", func(s *Stats) *uint64 { return &s.HintsReplayed }},
 	{"MIGRATING", nil},

@@ -157,7 +157,7 @@ func TestSpecTombstones(t *testing.T) {
 		`(?i)maintenance write can never resurrect a deleted key`,
 		`(?i)delete propagates like a write`,
 		`(?i)lease path cannot resurrect`,
-		`(?i)tombstones are transient`,
+		`(?i)a tombstone lives until its set evicts it`,
 		`(?i)bounded by the anti-entropy period`,
 	} {
 		if !regexp.MustCompile(sentence).MatchString(inv) {

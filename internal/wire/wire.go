@@ -68,8 +68,9 @@
 //     refusals are successes by other means: fresher state already won.
 //
 // DEL is SET's rule storing a tombstone — the versioned fact that the key
-// was deleted, reaped after a TTL — and a PUT whose record is a tombstone
-// is how replicas learn a delete, so no older live copy can ever win.
+// was deleted, resident until its set evicts it — and a PUT whose record
+// is a tombstone is how replicas learn a delete, so no older live copy can
+// ever win.
 // HINT parks a record for an unreachable owner on a live member, which
 // replays it to the target as a PUT once it answers again.
 //
@@ -94,7 +95,9 @@
 // reads the held view; opcode 7 stays unassigned, status 7 keeps the name
 // of its payload. Version 13 removed the stale hint: the server decides a
 // lease in the key's store record, so a LEASE body is exactly token and
-// TTL, and the STALE_SERVES counter is gone.
+// TTL, and the STALE_SERVES counter is gone. Version 14 removed the
+// reaped-tombstone counter: a tombstone leaves by eviction, like every
+// record, so nothing reaps it.
 // Peers of other versions are rejected at the preamble.
 package wire
 
@@ -128,7 +131,7 @@ const (
 	// Version is the protocol revision; the preamble carries it and servers
 	// reject mismatches, so a bump needs no compatibility path. The package
 	// comment and ARCHITECTURE.md list what each revision changed.
-	Version = 13
+	Version = 14
 	// MaxFrame bounds a frame body; it caps both value sizes and the damage
 	// a corrupt length prefix can do.
 	MaxFrame = 16 << 20
@@ -445,7 +448,7 @@ type Request struct {
 
 // KeyRec is one record of a KEYS stream frame (v8): a resident key, the
 // version it is stored under, and whether the record is a tombstone — a
-// versioned delete still within its reap TTL. Tombstones travel in the
+// versioned delete its set has not yet evicted. Tombstones travel in the
 // stream so replica comparison (anti-entropy, warm-up, migration) sees
 // deletes with the same one-pass scan it sees values, instead of
 // mistaking a deleted key for a missing one.
