@@ -59,8 +59,7 @@
 //
 // With -leases every worker's GETs go out as GETL (wire v7): a miss hands
 // exactly one caller cluster-wide a fill lease and concurrent missers
-// briefly wait for that fill or are served the key's last known value
-// flagged stale, so a cold or invalidated hot key costs O(1) origin
+// briefly wait for that fill, so a cold or invalidated hot key costs O(1) origin
 // loads instead of one per storming client. -near-slots N adds a bounded
 // per-worker near-cache, version-invalidated by the piggybacked per-key
 // versions, which absorbs a hot key's repeat reads before they reach the
@@ -68,7 +67,7 @@
 // a "leases:" line (client-side tallies), a "near:" line (what the
 // workers' near-caches hold, summed: lookups that found an entry past its
 // deadline, evictions, resident entries) and a "srv leases:" line
-// (the members' grant/expiry/stale-serve counters).
+// (the members' grant/expiry counters).
 //
 // The default mode is closed-loop (offered load adapts to server latency;
 // right for "how fast can it go"). With -open -rate R the harness uses the

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/concurrent"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -176,14 +177,10 @@ type Client struct {
 
 	// Lease/near-cache machinery (wire v7, lease.go/nearcache.go). grants
 	// holds the fill leases this client was granted and has not yet
-	// resolved; grantsN mirrors len(grants) so hot paths skip the mutex
-	// when no grant is outstanding. near is nil unless Options.NearCache
-	// enabled it.
-	leases  bool
-	near    *nearCache
-	grantMu sync.Mutex
-	grants  map[uint64]*leaseGrant
-	grantsN atomic.Int64
+	// resolved, each *leaseGrant under its key; it is nil unless
+	// Options.Leases, and near is nil unless Options.NearCache enabled it.
+	grants *concurrent.Cache
+	near   *nearCache
 
 	leaseGrants atomic.Uint64 // fill leases granted to this client
 	leaseLost   atomic.Uint64 // fills refused LEASE_LOST
@@ -236,7 +233,6 @@ func Dial(addrs []string, opts Options) (*Client, error) {
 		replicas:    opts.Replicas,
 		quorum:      opts.WriteQuorum,
 		traceSample: opts.TraceSample,
-		leases:      opts.Leases,
 		near:        newNearCache(opts.NearCache),
 		traceSeed:   telemetry.HashKey(uint64(time.Now().UnixNano())) | 1,
 		ring:        NewRing(opts.VNodes, members...),
@@ -249,6 +245,9 @@ func Dial(addrs []string, opts Options) (*Client, error) {
 		aeDone:      make(chan struct{}),
 	}
 	c.curEpoch.Store(epoch)
+	if opts.Leases {
+		c.grants = routerStore(grantSlots)
+	}
 	// The repair worker starts before the member dials so that the error
 	// path below can Close (which waits for the worker) without hanging.
 	go c.repairLoop()
@@ -521,12 +520,10 @@ func (c *Client) readRounds(sc *batchScratch, keys []uint64, bt batchTrace, rf, 
 				c.fallbackHits.Add(1)
 				c.scheduleRepair(key, resp.Version, resp.Value, sc.flaggedAddrs(i, rf), bt)
 			}
-			if c.grantsN.Load() > 0 {
-				// Resident after all (or about to be, through the repair
-				// above): a stray grant must not turn a later user SET of
-				// the key into a discardable fill.
-				c.finishGrant(key)
-			}
+			// Resident after all (or about to be, through the repair
+			// above): a stray grant must not turn a later user SET of the
+			// key into a discardable fill.
+			c.finishGrant(key)
 			hit = true
 		case st == wire.StatusMiss:
 			s.nc.misses.Add(1)
@@ -557,7 +554,7 @@ func (c *Client) readRounds(sc *batchScratch, keys []uint64, bt batchTrace, rf, 
 	}
 
 	for j := 0; j < rounds && len(sc.pending) > 0; j++ {
-		lease, last = c.leases && j == 0, j == rounds-1
+		lease, last = c.grants != nil && j == 0, j == rounds-1
 		for _, i := range sc.pending {
 			sc.add(i*rf + j)
 		}
@@ -654,14 +651,11 @@ func (c *Client) SetBatch(keys []uint64, value func(i int) []byte) error {
 	// the repair and the near-cache below all take the same bytes, which
 	// the zero-copy rule already keeps unmodified until the flush.
 	sc.vals = resize(sc.vals, len(keys))
-	held := c.grantsN.Load() > 0
 	for i, k := range keys {
 		sc.vals[i] = value(i)
 		fan := rf
-		if held {
-			if sc.grants[i] = c.takeGrant(k); sc.grants[i] != nil {
-				fan = 1
-			}
+		if sc.grants[i] = c.takeGrant(k); sc.grants[i] != nil {
+			fan = 1
 		}
 		for j := 0; j < fan; j++ {
 			sc.add(i*rf + j)
@@ -775,9 +769,7 @@ func (c *Client) Del(key uint64) (bool, error) {
 	if c.near != nil {
 		c.near.remove(key)
 	}
-	if c.grantsN.Load() > 0 {
-		c.finishGrant(key)
-	}
+	c.finishGrant(key)
 	for slot := 0; slot < rf; slot++ {
 		sc.add(slot)
 	}

@@ -2,19 +2,13 @@ package cluster
 
 import "time"
 
-// This file is the client half of the v7 lease protocol: the grant table
+// This file is the client half of the v7 lease protocol: the grant store
 // and the steps leases add to the batch pipelines of client.go — the
 // router-level singleflight that keeps one process from duplicating a
 // fill it already owns, and the poll that resolves keys whose fill
 // someone else holds. The near-cache (nearcache.go) is its edge: lease
 // reads land there, version-reconciled, so a hot key's storm is absorbed
 // locally instead of at the key's primary owner.
-
-// maxGrants bounds the outstanding-grant table; at the cap, an expired
-// grant (or, failing a cheap scan, an arbitrary one) is dropped — its
-// fill then simply never happens and the server-side lease expires on its
-// own, which every lease holder must tolerate anyway.
-const maxGrants = 4096
 
 // Bounds for waiting on someone else's fill. A local wait (a sibling
 // goroutine of this client holds the grant) blocks on the grant's done
@@ -40,43 +34,45 @@ type leaseGrant struct {
 	done    chan struct{}
 }
 
+// grantSlots sizes the grant store: 256 sets of nearAlpha ≥ log₂ 4096.
+// An evicted grant's fill goes out as a plain SET, and a sibling waiting
+// on it gives up at leaseLocalWait, since nobody closes its done channel.
+const grantSlots = 4096
+
 // recordGrant registers a LEASE grant for key, superseding (and waking
 // the waiters of) any previous grant.
 func (c *Client) recordGrant(key, token uint64, ttl time.Duration) {
 	g := &leaseGrant{token: token, expires: time.Now().Add(ttl), done: make(chan struct{})}
-	c.grantMu.Lock()
-	if c.grants == nil {
-		c.grants = make(map[uint64]*leaseGrant)
-	}
-	if old := c.grants[key]; old != nil {
+	var old *leaseGrant
+	c.grants.Update(key, func(v interface{}, _ bool) (interface{}, bool) {
+		old, _ = v.(*leaseGrant)
+		return g, true
+	})
+	if old != nil {
 		close(old.done)
-	} else if len(c.grants) >= maxGrants {
-		c.evictGrantsLocked()
 	}
-	c.grants[key] = g
-	c.grantsN.Store(int64(len(c.grants)))
-	c.grantMu.Unlock()
 	c.leaseGrants.Add(1)
 }
 
 // takeGrant removes and returns key's outstanding grant, if any; the
-// caller then owns closing done once the fill resolves.
-func (c *Client) takeGrant(key uint64) *leaseGrant {
-	c.grantMu.Lock()
-	defer c.grantMu.Unlock()
-	g := c.grants[key]
-	if g != nil {
-		delete(c.grants, key)
-		c.grantsN.Store(int64(len(c.grants)))
+// caller then owns closing done once the fill resolves. Without leases
+// there is none.
+func (c *Client) takeGrant(key uint64) (g *leaseGrant) {
+	if c.grants == nil {
+		return nil
 	}
+	c.grants.DeleteIf(key, func(v interface{}) bool {
+		g = v.(*leaseGrant)
+		return true
+	})
 	return g
 }
 
 // peekGrant returns key's outstanding grant without removing it.
 func (c *Client) peekGrant(key uint64) *leaseGrant {
-	c.grantMu.Lock()
-	defer c.grantMu.Unlock()
-	return c.grants[key]
+	v, _ := c.grants.Get(key)
+	g, _ := v.(*leaseGrant)
+	return g
 }
 
 // finishGrant discards key's grant — the key turned out resident, or was
@@ -84,33 +80,6 @@ func (c *Client) peekGrant(key uint64) *leaseGrant {
 func (c *Client) finishGrant(key uint64) {
 	if g := c.takeGrant(key); g != nil {
 		close(g.done)
-	}
-}
-
-// evictGrantsLocked makes room in the full grant table: a short scan
-// drops the first expired grant, falling back to an arbitrary one.
-// Called with grantMu held.
-func (c *Client) evictGrantsLocked() {
-	now := time.Now()
-	scanned := 0
-	var fallback uint64
-	found := false
-	for k, g := range c.grants {
-		if now.After(g.expires) {
-			close(g.done)
-			delete(c.grants, k)
-			return
-		}
-		if !found {
-			fallback, found = k, true
-		}
-		if scanned++; scanned >= 8 {
-			break
-		}
-	}
-	if found {
-		close(c.grants[fallback].done)
-		delete(c.grants, fallback)
 	}
 }
 
@@ -141,7 +110,7 @@ func (c *Client) serveNear(keys []uint64, idxs []int, visit func(i int, hit bool
 // and, through the RWMutex's writer queue, every membership change and
 // every reader behind it — for that many timeouts back to back.
 func (c *Client) waitLocalGrants(keys []uint64, idxs []int, visit func(i int, hit bool, value []byte)) []int {
-	if c.near == nil || c.grantsN.Load() == 0 {
+	if c.near == nil || c.grants == nil {
 		return idxs
 	}
 	deadline := time.Now().Add(leaseLocalWait)

@@ -210,6 +210,63 @@ func TestLocalGrantWaitSharesOneDeadline(t *testing.T) {
 	}
 }
 
+// TestGrantStoreBounded holds three times the grant store's capacity in
+// grants. The store stays within its capacity, every grant past it is an
+// LRU eviction, and a local waiter parked on a grant the store then
+// evicts (whose done channel nobody closes) still resolves within
+// leaseLocalWait, as an unresolved key.
+func TestGrantStoreBounded(t *testing.T) {
+	addrs := startCluster(t, 1, 4096, 16)
+	c, err := Dial(addrs, Options{Leases: true, NearCache: NearCacheOptions{Slots: 64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const parked = uint64(0xB0B0)
+	c.recordGrant(parked, 1, time.Minute) // a sibling's fill that never lands
+	type result struct {
+		rest []int
+		took time.Duration
+	}
+	waited := make(chan result, 1)
+	go func() {
+		start := time.Now()
+		rest := c.waitLocalGrants([]uint64{parked}, []int{0}, func(int, bool, []byte) {
+			t.Error("the parked key was served; nothing ever stored it")
+		})
+		waited <- result{rest, time.Since(start)}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); c.leaseWaits.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the waiter never parked on the grant")
+		}
+	}
+
+	const n = 3 * grantSlots
+	for i := uint64(1); i <= n; i++ {
+		c.recordGrant(parked+i, i+1, time.Minute)
+	}
+	if s := c.grants.Snapshot(); s.Capacity != grantSlots || s.Len > grantSlots || uint64(s.Len)+s.Evictions != n+1 {
+		t.Errorf("grant store holds %d of capacity %d after %d grants and %d evictions, want at most %d and every grant resident or evicted",
+			s.Len, s.Capacity, n+1, s.Evictions, grantSlots)
+	}
+	if g := c.peekGrant(parked); g != nil {
+		t.Fatalf("the parked grant survived %d newer grants in a %d-slot store", n, grantSlots)
+	}
+	if got := c.Snapshot().LeaseGrants; got != n+1 {
+		t.Errorf("LeaseGrants = %d, want %d", got, n+1)
+	}
+	r := <-waited
+	t.Logf("waiter on the evicted grant resolved in %v", r.took)
+	if len(r.rest) != 1 || r.rest[0] != 0 {
+		t.Errorf("waiter returned %v, want the parked key unresolved", r.rest)
+	}
+	if slack := 250 * time.Millisecond; r.took > leaseLocalWait+slack {
+		t.Errorf("waiter on an evicted grant took %v, want at most leaseLocalWait (%v) plus %v", r.took, leaseLocalWait, slack)
+	}
+}
+
 // TestLeaseFillDiscardedWhenLost pins the documented read-through
 // contract: a SET arriving while the key's lease was superseded by a
 // fresher write is discarded as a successful no-op — the fresher value

@@ -68,17 +68,21 @@ func newNearCache(o NearCacheOptions) *nearCache {
 	if ttl <= 0 {
 		ttl = DefaultNearCacheTTL
 	}
-	alpha := min(o.Slots, nearAlpha)
-	// A clock-drawn seed, like the trace seed, gives each router its own
-	// hash: the paper's bounds hold for a hash drawn independently of the
-	// requests.
-	now := time.Now()
-	seed := telemetry.HashKey(uint64(now.UnixNano()))
-	c, err := concurrent.New(concurrent.Config{Capacity: o.Slots / alpha * alpha, Alpha: alpha, Seed: seed})
+	return &nearCache{ttl: ttl, epoch: time.Now(), c: routerStore(o.Slots)}
+}
+
+// routerStore is the store behind the near-cache and the grant store: at
+// most slots entries in sets of min(slots, nearAlpha). A clock-drawn seed,
+// like the trace seed, gives each router its own hash: the paper's bounds
+// hold for a hash drawn independently of the requests.
+func routerStore(slots int) *concurrent.Cache {
+	alpha := min(slots, nearAlpha)
+	seed := telemetry.HashKey(uint64(time.Now().UnixNano()))
+	c, err := concurrent.New(concurrent.Config{Capacity: slots / alpha * alpha, Alpha: alpha, Seed: seed})
 	if err != nil {
 		panic(err) // unreachable: alpha divides the capacity
 	}
-	return &nearCache{ttl: ttl, epoch: now, c: c}
+	return c
 }
 
 // lookup serves key locally when a live (unexpired) entry exists.

@@ -67,18 +67,22 @@ func E1Threshold(cfg Config) *E1Result {
 			}
 			workload = strided
 		}
-		overflows := 0
 		vals := sim.RunTrials(trials, cfg.Seed+uint64(alpha), func(_ int, seed uint64) float64 {
 			sa := core.MustNewSetAssoc(core.SetAssocConfig{
 				Capacity: k, Alpha: alpha, Factory: lruFactory(), Seed: seed,
 				NewHasher: newHasher,
 			})
 			st := core.RunSequence(sa, workload)
-			if st.Misses > faCost {
-				overflows++
-			}
 			return float64(st.Misses) / float64(faCost)
 		})
+		// Trials run concurrently, so overflows are counted from the
+		// ratios afterwards: ratio > 1 exactly when Misses > faCost.
+		overflows := 0
+		for _, v := range vals {
+			if v > 1 {
+				overflows++
+			}
+		}
 		return E1Row{
 			Alpha:        alpha,
 			ExcessFactor: stats.Of(vals),

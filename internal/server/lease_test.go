@@ -75,11 +75,13 @@ func TestLeaseGrantFillServe(t *testing.T) {
 // keys: the client granted the lease fills the key, the others re-ask
 // until they read it. Exactly one grant per key may happen — a GETL that
 // missed just before the fill landed must see the value, not win a second
-// lease.
+// lease. HITS counts the one HIT each client read per key: a re-ask that
+// found the lease record answered a wait, which is neither HIT nor MISS.
 func TestLeaseOneGrantPerFill(t *testing.T) {
 	srv, addr := startServer(t, concurrent.Config{Capacity: 1 << 14, Alpha: 16, Seed: 1})
 	const clients, keys = 6, 400
 	var grants [keys]atomic.Int32
+	var waits atomic.Int64
 	var wg sync.WaitGroup
 	errc := make(chan error, clients)
 	for w := 0; w < clients; w++ {
@@ -103,6 +105,7 @@ func TestLeaseOneGrantPerFill(t *testing.T) {
 						break
 					}
 					if ls.Token == 0 {
+						waits.Add(1)
 						time.Sleep(20 * time.Microsecond)
 						continue
 					}
@@ -127,9 +130,14 @@ func TestLeaseOneGrantPerFill(t *testing.T) {
 	if extra != 0 {
 		t.Errorf("%d extra grants over %d keys, want one grant per key", extra, keys)
 	}
-	if st := srv.stats(); st.LeasesGranted != keys {
+	st := srv.stats()
+	if st.LeasesGranted != keys {
 		t.Errorf("LEASES_GRANTED = %d, want %d", st.LeasesGranted, keys)
 	}
+	if st.Hits != clients*keys || st.Misses != 0 {
+		t.Errorf("HITS/MISSES = %d/%d after %d waits, want %d/0: one HIT per client and key", st.Hits, st.Misses, waits.Load(), clients*keys)
+	}
+	t.Logf("%d re-asks answered a wait", waits.Load())
 }
 
 // TestLeaseExpiredFillRefused pins expiry: a fill arriving after the

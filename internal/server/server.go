@@ -127,6 +127,10 @@ type Server struct {
 	sets         atomic.Uint64
 	repairSets   atomic.Uint64
 	staleRepairs atomic.Uint64
+	// hits and misses count the HIT and MISS answers GET and GETL gave,
+	// added per connection at each flush (answers); the store's own
+	// lookup counts also see tombstones and lease records.
+	hits, misses atomic.Uint64
 
 	// Topology state: the member list under topoMu, the epoch mirrored in
 	// an atomic so every response handler can stamp it without locking.
@@ -379,7 +383,9 @@ func (s *Server) handleConn(conn net.Conn, seq uint64) {
 		// next request was already buffered behind it then.
 		end    int64
 		queued bool
+		told   answers
 	)
+	defer s.addAnswers(&told)
 	for {
 		req, err := r.ReadRequest()
 		if err != nil {
@@ -416,6 +422,7 @@ func (s *Server) handleConn(conn net.Conn, seq uint64) {
 			}
 		} else {
 			displaced = s.apply(req, &resp)
+			told.count(resp.Status)
 			resp.Epoch = s.epoch.Load()
 			if err := w.Respond(&resp); err != nil {
 				return
@@ -426,11 +433,40 @@ func (s *Server) handleConn(conn net.Conn, seq uint64) {
 		// Pipelining: only pay the syscall when the client has no more
 		// requests already buffered.
 		if queued = r.Buffered() > 0; !queued {
+			s.addAnswers(&told)
 			if err := w.Flush(); err != nil {
 				return
 			}
 		}
 	}
+}
+
+// answers tallies one connection's HIT and MISS answers since its last
+// flush. Adding them to the server's counters once per flush, before the
+// flush that ends the batch, keeps a shared atomic write off every GET
+// and the counters exact for a client that has its batch's answers.
+type answers struct{ hits, misses uint64 }
+
+// count tallies one response by its status; only GET and GETL answer HIT
+// or MISS, and a GETL grant or wait (LEASE) is neither.
+func (a *answers) count(st wire.Status) {
+	switch st {
+	case wire.StatusHit:
+		a.hits++
+	case wire.StatusMiss:
+		a.misses++
+	}
+}
+
+// addAnswers moves a connection's tally into HITS and MISSES.
+func (s *Server) addAnswers(a *answers) {
+	if a.hits > 0 {
+		s.hits.Add(a.hits)
+	}
+	if a.misses > 0 {
+		s.misses.Add(a.misses)
+	}
+	*a = answers{}
 }
 
 // monoBase anchors monoNow. time.Since on a Time that carries a
@@ -934,8 +970,8 @@ func (s *Server) stats() *wire.Stats {
 		BytesOut:          s.bytesOut.Load(),
 		SlowOps:           s.slowLog.Total(),
 		Conns:             s.connsAccepted.Load(),
-		Hits:              snap.Hits,
-		Misses:            snap.Misses,
+		Hits:              s.hits.Load(),
+		Misses:            s.misses.Load(),
 		Evictions:         snap.Evictions,
 		ConflictEvictions: snap.ConflictEvictions,
 		FlushEvictions:    snap.FlushEvictions,

@@ -166,6 +166,38 @@ func TestTombstoneLeavesByEviction(t *testing.T) {
 	}
 }
 
+// TestTombstoneReadsCountAsMisses pins what HITS and MISSES count: the
+// answers clients were told. A GET that finds a tombstone is a store hit
+// but answers MISS, so SET, DEL and 100 GETs read HITS 0 and MISSES 100.
+func TestTombstoneReadsCountAsMisses(t *testing.T) {
+	_, addr := startServer(t, concurrent.Config{Capacity: 64, Alpha: 4, Seed: 1})
+	c, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const key = uint64(9)
+	if _, err := c.Set(key, []byte("gone soon")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Del(key); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, hit, err := c.Get(key); err != nil || hit {
+			t.Fatalf("GET %d of the deleted key = hit %v, %v; want a miss", i, hit, err)
+		}
+	}
+	st, err := c.Stats(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Hits != 0 || st.Misses != 100 {
+		t.Errorf("HITS/MISSES = %d/%d after 100 GETs of a tombstone, want 0/100", st.Hits, st.Misses)
+	}
+}
+
 // TestHintQueueAndReplay: a hint queued on one server is replayed to its
 // target as a conditional versioned write once the replayer runs —
 // values and tombstones both — and the counters record it.
