@@ -45,9 +45,11 @@ func TestChurnSelfHealExperiment(t *testing.T) {
 
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
-			// Three nodes whose caches outlive their servers, so the victim
-			// can rejoin holding exactly what it held when it dropped out —
-			// a partition, not a disk loss.
+			// Three nodes. The victim rejoins holding exactly what it held
+			// when it dropped out — a partition, not a disk loss. A closed
+			// server empties its store, so its records are carried across:
+			// listed before it drops out and PUT back at their own versions
+			// when it rejoins (see carry).
 			caches := make([]*concurrent.Cache, 3)
 			srvs := make([]*server.Server, 3)
 			addrs := make([]string, 3)
@@ -87,6 +89,7 @@ func TestChurnSelfHealExperiment(t *testing.T) {
 
 			// Partition: node 1 drops; deletes and updates proceed at W=1.
 			victim := addrs[1]
+			restore := carry(t, victim)
 			srvs[1].Close()
 			for k := uint64(1); k <= doomed; k++ {
 				if _, err := c.Del(k); err != nil {
@@ -126,6 +129,7 @@ func TestChurnSelfHealExperiment(t *testing.T) {
 			// deleted and updated key the victim owns.
 			rejoin := time.Now()
 			boot(1, victim)
+			restore()
 
 			// divergence counts the victim's wrong records: a deleted key it
 			// still holds live, or an updated key it still holds at v1.
@@ -211,5 +215,43 @@ func TestChurnSelfHealExperiment(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// carry lists every record the node at addr holds, with its value, and
+// returns a function that PUTs them back to the node at addr at their own
+// versions. A PUT loses to anything newer the node took meanwhile, as the
+// record it stands for would have.
+func carry(t *testing.T, addr string) (restore func()) {
+	t.Helper()
+	cl, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	recs, err := cl.Keys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]uint64, len(recs))
+	for i, r := range recs {
+		keys[i] = r.Key
+	}
+	vals := make([][]byte, len(recs))
+	if err := cl.GetBatch(keys, func(i int, hit bool, v []byte) {
+		vals[i] = append([]byte(nil), v...)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return func() {
+		t.Helper()
+		cl, err := wire.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		if _, _, err := cl.PutBatch(recs, func(i int) []byte { return vals[i] }); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -95,7 +95,7 @@ func (b *bucket) touch(i int32) {
 // reused in place and the victim reported.
 func (b *bucket) insert(item trace.Item, val interface{}) (victim trace.Item, evicted bool) {
 	i := b.n
-	if int(i) == len(b.keys) {
+	if b.full() {
 		i, victim, evicted = b.tail, b.keys[b.tail], true
 		b.vacate(i)
 	} else {
@@ -108,6 +108,10 @@ func (b *bucket) insert(item trace.Item, val interface{}) (victim trace.Item, ev
 	b.pushFront(i)
 	return victim, evicted
 }
+
+// full reports whether every slot is in use, so that an insert evicts the
+// tail.
+func (b *bucket) full() bool { return int(b.n) == len(b.keys) }
 
 // remove deletes the resident in slot i, reporting whether it was awaiting
 // remap. The last used slot moves into i, so slot numbers do not survive a

@@ -91,6 +91,10 @@ type Cache struct {
 	// occupancy tracks the total entry count so evictions can be classified
 	// as conflict (free slots existed elsewhere) without a global lock.
 	occupancy atomic.Int64
+
+	// release, when set, is told of every value the cache stops holding
+	// (see SetRelease).
+	release func(v interface{})
 }
 
 // hasherPair is one immutable snapshot of the live indexing function(s).
@@ -267,6 +271,34 @@ func (a access) find(item trace.Item) (*bucket, int32) {
 // migration a hit on a not-yet-remapped item moves it to its new bucket, and
 // a miss force-evicts up to MigrationPerMiss old residents (Section 6.1).
 func (c *Cache) Get(key uint64) (interface{}, bool) {
+	a, v, ok := c.lookup(key)
+	if !ok {
+		return nil, false
+	}
+	c.leave(a, false)
+	return v, true
+}
+
+// View is Get for a value that may be read only under its set's lock: on a
+// hit it calls fn with the value before the lock is released, and reports
+// whether it did. Recency and the hit and miss counts move exactly as under
+// Get. fn must not call back into the cache; a value whose owner recycles
+// it on release (SetRelease) is valid only until fn returns.
+func (c *Cache) View(key uint64, fn func(v interface{})) bool {
+	a, v, ok := c.lookup(key)
+	if !ok {
+		return false
+	}
+	fn(v)
+	c.leave(a, false)
+	return true
+}
+
+// lookup is the shared part of Get and View. A miss is counted and its
+// locks released; a hit is counted and touched — moved to its new bucket
+// when it still awaits remap, which may evict from there (Section 6.1) —
+// and returned with the locks still held, for the caller to leave.
+func (c *Cache) lookup(key uint64) (access, interface{}, bool) {
 	item := trace.Item(key)
 	a := c.enter(item)
 	b, i := a.find(item)
@@ -279,20 +311,18 @@ func (c *Cache) Get(key uint64) (interface{}, bool) {
 			// goroutine per period crossing; Rehash serializes internally.
 			go c.Rehash()
 		}
-		return nil, false
+		return a, nil, false
 	}
 	v := b.vals[i]
 	if b == a.bn {
 		c.touchLocked(b, i)
 	} else {
-		// Hit on a non-remapped item: move it to its new bucket, which may
-		// evict from there (Section 6.1).
+		// A move, not a release: the value stays in the cache.
 		c.removeLocked(b, i)
 		c.storeLocked(a.bn, none, item, v)
 	}
 	a.bn.hits++
-	c.leave(a, false)
-	return v, true
+	return a, v, true
 }
 
 // Put caches value under key, evicting from the target bucket if needed.
@@ -311,7 +341,8 @@ func (c *Cache) touchLocked(b *bucket, i int32) {
 	b.touch(i)
 }
 
-// removeLocked removes the resident in slot i of b. Caller holds b.mu.
+// removeLocked removes the resident in slot i of b without releasing its
+// value: the caller moves or releases it. Caller holds b.mu.
 func (c *Cache) removeLocked(b *bucket, i int32) {
 	if b.remove(i) {
 		c.pending.Add(-1)
@@ -319,16 +350,45 @@ func (c *Cache) removeLocked(b *bucket, i int32) {
 	c.occupancy.Add(-1)
 }
 
+// dropLocked removes the resident in slot i of b and releases its value.
+// Caller holds b.mu.
+func (c *Cache) dropLocked(b *bucket, i int32) {
+	c.releaseLocked(b.vals[i])
+	c.removeLocked(b, i)
+}
+
+// releaseLocked hands v, which the cache no longer holds, to the release
+// function, if one is installed. Caller holds the lock of v's bucket.
+func (c *Cache) releaseLocked(v interface{}) {
+	if c.release != nil {
+		c.release(v)
+	}
+}
+
+// SetRelease installs fn as the cache's release function: it is called
+// once for every value the cache stops holding — overwritten, evicted by
+// an insert, force-evicted by a migration or deleted — and never for a
+// value a migration moves to its new bucket. Storing a value over itself
+// releases it. fn runs under the lock of the value's bucket, so a value
+// it recycles is never read after it: a reader holds the same lock
+// (View). fn must be cheap, must not block and must not call back into
+// the cache. Install it before the cache is shared; nil removes it.
+func (c *Cache) SetRelease(fn func(v interface{})) { c.release = fn }
+
 // storeLocked stores item→value in bucket b, whose mutex the caller holds,
 // handling eviction bookkeeping; i is item's slot in b, or none. It returns
 // the victim, if the insert evicted one.
 func (c *Cache) storeLocked(b *bucket, i int32, item trace.Item, value interface{}) (victim trace.Item, didEvict bool) {
 	if i != none {
+		c.releaseLocked(b.vals[i])
 		b.vals[i] = value
 		c.touchLocked(b, i)
 		return 0, false
 	}
 	nOld := b.nOld
+	if b.full() {
+		c.releaseLocked(b.vals[b.tail]) // the insert's victim
+	}
 	victim, didEvict = b.insert(item, value)
 	if !didEvict {
 		c.occupancy.Add(1)
@@ -384,7 +444,7 @@ func (c *Cache) Update(key uint64, fn func(old interface{}, present bool) (inter
 		if b != a.bn {
 			// Overwrite of a non-remapped item: drop the stale resident and
 			// store fresh in the new bucket.
-			c.removeLocked(b, i)
+			c.dropLocked(b, i)
 			i = none
 		}
 		victim, evicted = c.storeLocked(a.bn, i, item, v)
@@ -434,7 +494,7 @@ func (c *Cache) Rehash() {
 			b := &c.buckets[i]
 			b.mu.Lock()
 			for s := b.nextOld(); s != none; s = b.nextOld() {
-				c.removeLocked(b, s)
+				c.dropLocked(b, s)
 				c.flushEvictions.Add(1)
 			}
 			b.mu.Unlock()
@@ -487,7 +547,7 @@ func (c *Cache) migrateSteps() {
 		b := &c.buckets[i]
 		b.mu.Lock()
 		if s := b.nextOld(); s != none {
-			c.removeLocked(b, s)
+			c.dropLocked(b, s)
 			c.flushEvictions.Add(1)
 			done++
 		}
@@ -569,7 +629,7 @@ func (c *Cache) DeleteIf(key uint64, fn func(v interface{}) bool) bool {
 	b, i := a.find(item)
 	ok := i != none && fn(b.vals[i])
 	if ok {
-		c.removeLocked(b, i)
+		c.dropLocked(b, i)
 	}
 	c.leave(a, false)
 	return ok

@@ -27,6 +27,14 @@ type model struct {
 	cursor       int
 	pending, occ int
 	snap         Snapshot // the counters, maintained exactly as documented
+	// released lists the values the cache stops holding, as SetRelease
+	// documents; rel counts them by cause, and moves counts the values a
+	// hit moved to their new bucket, which are not released.
+	released []interface{}
+	rel      struct{ overwrites, evictions, forced, deletes int }
+	moves    int
+	// migrations counts the migrations that drained, each a full rehash.
+	migrations int
 }
 
 type modelBucket struct {
@@ -72,8 +80,15 @@ func (b *modelBucket) request(x trace.Item) (hit bool, victim trace.Item, evicte
 	return hit, victim, evicted
 }
 
-// drop removes resident x of b, which is not an eviction.
+// drop removes resident x of b, which is not an eviction, and releases its
+// value.
 func (m *model) drop(b *modelBucket, x trace.Item) {
+	m.released = append(m.released, b.vals[x])
+	m.remove(b, x)
+}
+
+// remove is drop for a value that stays in the cache: a move.
+func (m *model) remove(b *modelBucket, x trace.Item) {
 	b.pol.Delete(x)
 	b.forget(x)
 	delete(b.vals, x)
@@ -94,7 +109,13 @@ func (m *model) clearOld(b *modelBucket, x trace.Item) {
 func (m *model) store(b *modelBucket, x trace.Item, v interface{}) (victim trace.Item, evicted bool) {
 	m.clearOld(b, x)
 	hit, victim, evicted := b.request(x)
+	if hit {
+		m.released = append(m.released, b.vals[x])
+		m.rel.overwrites++
+	}
 	if evicted {
+		m.released = append(m.released, b.vals[victim])
+		m.rel.evictions++
 		delete(b.vals, victim)
 		m.clearOld(b, victim)
 		m.snap.Evictions++
@@ -128,6 +149,7 @@ func (m *model) where(x trace.Item) (bn, at *modelBucket) {
 func (m *model) finish() {
 	if m.old != nil && m.pending == 0 {
 		m.old = nil
+		m.migrations++
 	}
 }
 
@@ -147,8 +169,9 @@ func (m *model) get(x trace.Item) (interface{}, bool) {
 		m.clearOld(bn, x)
 		bn.request(x)
 	} else {
-		m.drop(at, x)
+		m.remove(at, x)
 		m.store(bn, x, v)
+		m.moves++
 	}
 	return v, true
 }
@@ -159,6 +182,7 @@ func (m *model) forcedEvictions() {
 		for i := len(b.rec) - 1; i >= 0; i-- {
 			if _, ok := b.old[b.rec[i]]; ok {
 				m.drop(b, b.rec[i])
+				m.rel.forced++
 				m.snap.FlushEvictions++
 				done++
 				break
@@ -183,6 +207,7 @@ func (m *model) update(x trace.Item, fn func(interface{}, bool) (interface{}, bo
 	}
 	if at != nil && at != bn {
 		m.drop(at, x)
+		m.rel.overwrites++
 	}
 	victim, evicted = m.store(bn, x, v)
 	return true, victim, evicted
@@ -195,6 +220,7 @@ func (m *model) deleteIf(x trace.Item, fn func(interface{}) bool) bool {
 		return false
 	}
 	m.drop(at, x)
+	m.rel.deletes++
 	return true
 }
 
@@ -204,6 +230,7 @@ func (m *model) rehash() {
 			b := &m.buckets[i]
 			for x := range b.old {
 				m.drop(b, x)
+				m.rel.forced++
 				m.snap.FlushEvictions++
 			}
 		}
@@ -338,13 +365,15 @@ func TestDifferentialModel(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				runDifferential(t, c, newModel(cfg), seed)
+				runDifferential(t, c, newModel(cfg), seed, nil)
 			}
 		})
 	}
 }
 
-func runDifferential(t *testing.T, c *Cache, m *model, seed uint64) {
+// runDifferential drives one seeded stream through c and m; after, when
+// set, runs after every step's comparison, with the step's description.
+func runDifferential(t *testing.T, c *Cache, m *model, seed uint64, after func(step string) error) {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	// Sized so that between two rehashes the cache refills and evicts, and
 	// that some rehashes land while the previous migration is still
@@ -388,6 +417,11 @@ func runDifferential(t *testing.T, c *Cache, m *model, seed uint64) {
 		}
 		if err := m.checkAgainst(c); err != nil {
 			t.Fatalf("seed %d step %d key %d (%s): %v", seed, step, key, got, err)
+		}
+		if after != nil {
+			if err := after(got); err != nil {
+				t.Fatalf("seed %d step %d key %d (%s): %v", seed, step, key, got, err)
+			}
 		}
 	}
 	if m.snap.Rehashes < 2 || m.snap.FlushEvictions == 0 || m.snap.Evictions == 0 || m.snap.Hits == 0 {

@@ -50,8 +50,8 @@ func benchClient(tb testing.TB) *wire.Client {
 // zero-copy read; plain Get adds exactly the one documented copy; a
 // 16-deep GetBatch on the direct client is allocation-free per batch (the
 // router's batches are TestRouterGetBatchAllocs's), also when every value
-// is 4 KiB and so travels as its own zero-copy segment of the server's
-// vectored write.
+// is 4 KiB, which the server copies into its frame buffer under the set
+// lock.
 func TestGetRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates per operation; alloc gate runs without -race")
@@ -237,10 +237,11 @@ func shareOfGetP50(t *testing.T, what string, budget float64, cost func(b *testi
 	}
 }
 
-// TestSetRoundTripAllocs pins the SET round trip at the server's two
-// inherent allocations — the copy that retains the value and the entry
-// header — with zero on the client side, also for a 4 KiB value, which
-// the client sends as its own zero-copy segment of a vectored write.
+// TestSetRoundTripAllocs pins the SET round trip at the server's one
+// inherent allocation, the entry header — the value is copied into an
+// arena buffer the overwritten record released — with zero on the client
+// side, also for a 4 KiB value, which the client sends as its own
+// zero-copy segment of a vectored write.
 func TestSetRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates per operation; alloc gate runs without -race")
@@ -256,17 +257,18 @@ func TestSetRoundTripAllocs(t *testing.T) {
 		for i := 0; i < 128; i++ {
 			set()
 		}
-		if allocs := testing.AllocsPerRun(400, set); allocs > 2.1 {
-			t.Errorf("%d B SET round trip allocates %.2f objects/op, want ≤2 (server copy-to-retain + entry)", size, allocs)
+		if allocs := testing.AllocsPerRun(400, set); allocs > 1.1 {
+			t.Errorf("%d B SET round trip allocates %.2f objects/op, want ≤1 (the server's entry)", size, allocs)
 		}
 	}
 }
 
-// TestSharedValueAliasingRace exercises the zero-copy value contract under
+// TestSharedValueAliasingRace exercises the value ownership rules under
 // the race detector: one connection reads a large key through GetShared
-// (the server sends such HIT values as zero-copy segments referencing the
-// stored entry) while another connection overwrites the same key. Stored
-// values are immutable — a SET stores a fresh copy — so the reader must
+// while another connection overwrites the same key. A stored value lives
+// in its server's arena and is read only under its set's lock — the HIT
+// is copied into the frame buffer there, and an overwritten value's
+// buffer goes back to the arena under the same lock — so the reader must
 // never observe a torn value and the race detector must stay quiet. The
 // writer also re-fills its value buffer between SETs, exercising the
 // client-side rule that a zero-copy SET value is released at Flush.

@@ -1,0 +1,8 @@
+//go:build !unix || race
+
+package server
+
+// newChunk allocates one chunk on the Go heap: the source where there is
+// no mmap, and under the race detector, which sees only Go-allocated
+// memory, so that -race checks the arena's buffer hand-offs too.
+func newChunk() []byte { return make([]byte, chunkSize) }

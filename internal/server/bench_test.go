@@ -20,7 +20,11 @@ import (
 // requests HashKey and the weighted sketch Record — over a seeded Zipf
 // key stream as wide as TestObserveShareOfGetP50's pass.
 func BenchmarkObserve(b *testing.B) {
-	srv := New(nil) // observe touches only the flight recorder
+	cache, err := concurrent.New(concurrent.Config{Capacity: 16, Alpha: 16, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := New(cache) // observe touches only the flight recorder
 	keys := workload.Zipf{Universe: 2 * shareK, S: 0.99, Shuffle: true}.Generate(1<<16, 2)
 	req, resp := wire.Request{Op: wire.OpGet}, wire.Response{Status: wire.StatusHit}
 	smp := telemetry.NewSampler(1)

@@ -58,12 +58,14 @@ func (s *Server) SetLeaseTTL(d time.Duration) {
 	s.leaseTTL.Store(int64(d))
 }
 
-// getLease answers a GETL whose Get found no live value, deciding under the
-// key's bucket lock: a value that landed since is a HIT, an unexpired lease
-// is a wait with its remaining TTL, and otherwise this caller is granted a
-// fresh lease. It reports whether storing the lease record displaced a
-// resident.
-func (s *Server) getLease(key uint64, resp *wire.Response) (displaced bool) {
+// getLease answers a GETL whose read found no live value, deciding under
+// the key's bucket lock: an unexpired lease is a wait with its remaining
+// TTL, and otherwise this caller is granted a fresh lease. A value that
+// landed since the read is not answered here, since its bytes may be read
+// only under the lock: getLease reports answered false, and the caller
+// reads again. It also reports whether storing the lease record displaced
+// a resident.
+func (s *Server) getLease(key uint64, resp *wire.Response) (displaced, answered bool) {
 	// fn must stay a pure function of its argument, so the token and the
 	// clock are read before Update.
 	token := s.leaseTokens.Add(1)
@@ -84,13 +86,16 @@ func (s *Server) getLease(key uint64, resp *wire.Response) (displaced bool) {
 	case granted:
 		if cur != nil {
 			s.countExpired(cur.lease)
+			if cur.tomb {
+				s.tombstones.Add(1) // the lease record keeps the tombstone
+			}
 		}
 		s.leasesGranted.Add(1)
 		resp.Status, resp.LeaseToken, resp.LeaseTTL = wire.StatusLease, token, time.Duration(ttl)
 	case cur.live():
-		resp.Status, resp.Value, resp.Version = wire.StatusHit, cur.val, cur.ver
+		return false, false
 	default:
 		resp.Status, resp.LeaseTTL = wire.StatusLease, max(time.Duration(cur.lease.expires-now), time.Millisecond)
 	}
-	return displaced
+	return displaced, true
 }

@@ -84,8 +84,11 @@ const DefaultSlowOpThreshold = 10 * time.Millisecond
 // also carry a fill lease (lease.go): a placeholder for an absent key
 // (version 0) or a tombstone.
 type entry struct {
-	ver   uint64
-	val   []byte // nil for a tombstone
+	ver uint64
+	// val is an arena buffer (arena.go), nil for a tombstone, read only
+	// under its set's lock: the store releases it to the arena under that
+	// lock when the record leaves, and the arena hands it to the next write.
+	val   []byte
 	lease *fillLease
 	tomb  bool
 }
@@ -103,19 +106,21 @@ type record struct {
 }
 
 // ownRecord lifts req's record out of the request: the value aliases the
-// reader's buffers and is copied before it escapes into the cache or the
-// hint queue. (SET and FILL requests make a record with no version:
+// reader's buffers and is copied into val, len(req.Value) bytes the
+// caller owns — an arena buffer for a write to the store, a heap slice for
+// the hint queue. (SET and FILL requests make a record with no version:
 // their rule assigns one.)
-func ownRecord(req *wire.Request) record {
-	return record{
-		KeyRec: wire.KeyRec{Key: req.Key, Version: req.Version, Tombstone: req.Tombstone},
-		val:    append([]byte(nil), req.Value...),
-	}
+func ownRecord(req *wire.Request, val []byte) record {
+	copy(val, req.Value)
+	return record{KeyRec: wire.KeyRec{Key: req.Key, Version: req.Version, Tombstone: req.Tombstone}, val: val}
 }
 
 // Server serves a concurrent.Cache over TCP.
 type Server struct {
 	cache *concurrent.Cache
+	// arena holds every stored value; the cache's release function gives a
+	// record's buffer back (release).
+	arena arena
 
 	// sets and repairSets split write traffic by operation: user writes
 	// (SET, FILL) versus replica maintenance (PUT: read repair, warm-up,
@@ -163,6 +168,12 @@ type Server struct {
 	leasesGranted atomic.Uint64
 	leasesExpired atomic.Uint64
 
+	// tombstones is the TOMBSTONES gauge: up when a write stores a
+	// tombstone record, down when the store releases one. A release can
+	// run before the write that stored the record counts it, so it may dip
+	// below zero for a moment; stats reads it clamped.
+	tombstones atomic.Int64
+
 	// Hinted-handoff state (protocol v8): writes a router could not land
 	// on a dead owner, parked here by a live peer (HINT op) and replayed —
 	// as PUTs — when the owner answers again. One
@@ -197,8 +208,12 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// New wraps cache in a server. The cache may be shared with in-process
-// users; the server adds no locking of its own beyond the cache's.
+// New wraps cache in a server and installs the server's release function
+// on it (concurrent.Cache.SetRelease), so values the cache lets go of
+// return to the server's arena. The cache may be shared with in-process
+// users, whose values the release function ignores; it must not be handed
+// to a second server. The server adds no locking of its own beyond the
+// cache's.
 func New(cache *concurrent.Cache) *Server {
 	s := &Server{
 		cache:    cache,
@@ -215,7 +230,25 @@ func New(cache *concurrent.Cache) *Server {
 	s.slowThreshold.Store(int64(DefaultSlowOpThreshold))
 	s.leaseTTL.Store(int64(DefaultLeaseTTL))
 	s.hintInterval.Store(int64(DefaultHintReplay))
+	cache.SetRelease(s.release)
 	return s
+}
+
+// isEntry reports whether v is one of the server's records.
+func isEntry(v interface{}) bool { _, ok := v.(*entry); return ok }
+
+// release is the store's release function, called under the set lock of
+// a record the store no longer holds: the record leaves the TOMBSTONES
+// gauge and its value buffer returns to the arena.
+func (s *Server) release(v interface{}) {
+	e, ok := v.(*entry)
+	if !ok {
+		return
+	}
+	if e.tomb {
+		s.tombstones.Add(-1)
+	}
+	s.arena.free(e.val)
 }
 
 // SetHintBudget configures the byte budget for queued hints (n == 0
@@ -325,7 +358,10 @@ func (s *Server) Addr() net.Addr {
 }
 
 // Close stops accepting, closes all live connections, and waits for their
-// handlers — and the hint replayer, if it ever started — to finish.
+// handlers — and the hint replayer, if it ever started — to finish. Then
+// it deletes its records from the cache, which releases them, and returns
+// the arena's chunks to the process-wide pool, so no resident value
+// aliases a chunk the next server carves. In-process users' values stay.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -347,6 +383,10 @@ func (s *Server) Close() error {
 	if s.hintStarted.Load() {
 		<-s.hintDone
 	}
+	for _, key := range s.cache.Keys() {
+		s.cache.DeleteIf(key, isEntry)
+	}
+	s.arena.close()
 	return err
 }
 
@@ -421,12 +461,11 @@ func (s *Server) handleConn(conn net.Conn, seq uint64) {
 				return
 			}
 		} else {
-			displaced = s.apply(req, &resp)
-			told.count(resp.Status)
-			resp.Epoch = s.epoch.Load()
-			if err := w.Respond(&resp); err != nil {
+			var err error
+			if displaced, err = s.apply(req, &resp, w); err != nil {
 				return
 			}
+			told.count(resp.Status)
 		}
 		end = monoNow()
 		s.observe(&smp, req, &resp, displaced, time.Duration(end-start))
@@ -668,39 +707,71 @@ func (s *Server) streamKeys(w *wire.Writer) error {
 	return w.WriteResponse(wire.Response{Status: wire.StatusKeys, Epoch: s.epoch.Load()})
 }
 
-// apply executes one request against the cache, answering in resp, which
-// the caller passes zeroed. It reports whether the request's write
-// displaced a resident: the EVICT hot-key class's event, which a DEL's
-// response does not carry (its Evicted means a live value was present).
-func (s *Server) apply(req *wire.Request, resp *wire.Response) (displaced bool) {
-	switch req.Op {
-	case wire.OpGet, wire.OpGetLease:
-		v, ok := s.cache.Get(req.Key)
-		e, isEntry := v.(*entry)
+// apply executes one request against the cache and answers it on w,
+// building the answer in resp, which the caller passes zeroed. It reports
+// whether the request's write displaced a resident: the EVICT hot-key
+// class's event, which a DEL's response does not carry (its Evicted means
+// a live value was present).
+func (s *Server) apply(req *wire.Request, resp *wire.Response, w *wire.Writer) (displaced bool, err error) {
+	if req.Op == wire.OpGet || req.Op == wire.OpGetLease {
+		return s.get(req, resp, w)
+	}
+	displaced = s.exec(req, resp)
+	resp.Epoch = s.epoch.Load()
+	return displaced, w.Respond(resp)
+}
+
+// get answers a GET or GETL on w. A HIT is encoded inside View, while the
+// key's set lock keeps the stored value in place, so the answer copies
+// the stored bytes once, into w's frame buffer.
+func (s *Server) get(req *wire.Request, resp *wire.Response, w *wire.Writer) (displaced bool, err error) {
+	for {
+		sent := false
+		s.cache.View(req.Key, func(v interface{}) {
+			switch e, ok := v.(*entry); {
+			case !ok:
+				resp.Status = wire.StatusError
+				resp.Err = fmt.Sprintf("non-wire value of type %T cached under key %d", v, req.Key)
+			case e.live():
+				resp.Status, resp.Value, resp.Version = wire.StatusHit, e.val, e.ver
+				resp.Epoch = s.epoch.Load()
+				err, sent = w.Respond(resp), true
+				resp.Value = nil // the bytes are the store's again once the lock goes
+			}
+		})
 		switch {
-		case ok && !isEntry:
-			resp.Status = wire.StatusError
-			resp.Err = fmt.Sprintf("non-wire value of type %T cached under key %d", v, req.Key)
-		case ok && e.live():
-			resp.Status, resp.Value, resp.Version = wire.StatusHit, e.val, e.ver
-		case req.Op == wire.OpGetLease:
+		case sent:
+			return false, err
+		case resp.Status == wire.StatusError:
+		case req.Op == wire.OpGet:
+			resp.Status = wire.StatusMiss
+		default:
 			// A tombstone is a resident record of an absence: reads see a
 			// miss, and GETL may take a fresh fill lease over it — a
 			// post-delete load from the origin is a legitimate new write, it
 			// is only pre-delete copies the tombstone exists to block.
-			return s.getLease(req.Key, resp)
-		default:
-			resp.Status = wire.StatusMiss
+			var answered bool
+			if displaced, answered = s.getLease(req.Key, resp); !answered {
+				continue // a value landed since View: read it
+			}
 		}
-		return false
+		resp.Epoch = s.epoch.Load()
+		return displaced, w.Respond(resp)
+	}
+}
+
+// exec executes one request other than GET and GETL against the cache,
+// answering in resp, and reports what apply does.
+func (s *Server) exec(req *wire.Request, resp *wire.Response) (displaced bool) {
+	switch req.Op {
 	case wire.OpSet:
 		s.sets.Add(1)
-		_, ver, evicted, _ := s.write(assign, ownRecord(req), 0)
+		_, ver, evicted, _ := s.write(assign, ownRecord(req, s.arena.alloc(len(req.Value))), 0)
 		resp.Status, resp.Evicted, resp.Version = wire.StatusOK, evicted, ver
 		return evicted
 	case wire.OpFill:
 		s.sets.Add(1)
-		applied, ver, evicted, _ := s.write(ifLeased, ownRecord(req), req.LeaseToken)
+		applied, ver, evicted, _ := s.write(ifLeased, ownRecord(req, s.arena.alloc(len(req.Value))), req.LeaseToken)
 		if !applied {
 			resp.Status, resp.Version = wire.StatusLeaseLost, ver
 			return false
@@ -709,7 +780,7 @@ func (s *Server) apply(req *wire.Request, resp *wire.Response) (displaced bool) 
 		return evicted
 	case wire.OpPut:
 		s.repairSets.Add(1)
-		applied, ver, evicted, _ := s.write(ifNewer, ownRecord(req), 0)
+		applied, ver, evicted, _ := s.write(ifNewer, ownRecord(req, s.arena.alloc(len(req.Value))), 0)
 		if !applied {
 			s.staleRepairs.Add(1)
 			resp.Status, resp.Version = wire.StatusVersionStale, ver
@@ -727,7 +798,7 @@ func (s *Server) apply(req *wire.Request, resp *wire.Response) (displaced bool) 
 		resp.Status, resp.Evicted, resp.Version = wire.StatusOK, live, ver
 		return evicted
 	case wire.OpHint:
-		s.queueHint(hint{target: req.Target, rec: ownRecord(req)})
+		s.queueHint(hint{target: req.Target, rec: ownRecord(req, make([]byte, len(req.Value)))})
 		resp.Status = wire.StatusOK
 	case wire.OpRehash:
 		s.cache.Rehash()
@@ -775,7 +846,8 @@ const (
 // FILL names (ifLeased only). It reports whether the record was stored,
 // the version the key holds afterwards (the winning one on a refusal),
 // whether storing displaced a resident, and whether the key held a live
-// value before.
+// value before. A refused record's value returns to the arena; a stored
+// one belongs to the store.
 func (s *Server) write(rule writeRule, rec record, token uint64) (applied bool, ver uint64, evicted, live bool) {
 	now := time.Now().UnixNano()
 	var lease *fillLease
@@ -798,10 +870,14 @@ func (s *Server) write(rule writeRule, rec record, token uint64) (applied bool, 
 		return &entry{ver: ver, val: rec.val, tomb: rec.Tombstone}, true
 	})
 	if !applied {
+		s.arena.free(rec.val)
 		if rule == ifLeased && lease != nil && lease.token == token {
 			s.countExpired(lease) // the fill's own lease, refused only for lateness
 		}
 		return false, ver, false, live
+	}
+	if rec.Tombstone {
+		s.tombstones.Add(1)
 	}
 	return true, ver, evicted, live
 }
@@ -965,7 +1041,7 @@ func (s *Server) HintBacklog() (n, bytes int) {
 // stats gathers every METRICS counter.
 func (s *Server) stats() *wire.Stats {
 	snap := s.cache.Snapshot()
-	st := &wire.Stats{
+	return &wire.Stats{
 		BytesIn:           s.bytesIn.Load(),
 		BytesOut:          s.bytesOut.Load(),
 		SlowOps:           s.slowLog.Total(),
@@ -988,14 +1064,6 @@ func (s *Server) stats() *wire.Stats {
 		HintsQueued:       s.hintsQueued.Load(),
 		HintsReplayed:     s.hintsReplayed.Load(),
 		Migrating:         snap.Migrating,
+		Tombstones:        uint64(max(s.tombstones.Load(), 0)),
 	}
-	// TOMBSTONES is counted, not kept: a tombstone leaves by eviction,
-	// which no write path sees, so the gauge walks the residents. The walk
-	// locks each bucket once, as Snapshot above already did.
-	s.cache.Entries(func(_ uint64, v interface{}) {
-		if e, ok := v.(*entry); ok && e.tomb {
-			st.Tombstones++
-		}
-	})
-	return st
 }

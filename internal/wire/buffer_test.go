@@ -136,10 +136,11 @@ func TestCodecScratchShrinks(t *testing.T) {
 	}
 }
 
-// TestZeroCopyValueRoundTrip: values at and above zeroCopyMin travel as
-// their own flush segment with the frame length counting them as external
-// bytes — the frames must still decode byte-identically on the other end,
-// interleaved with copied (small) values in the same flush.
+// TestZeroCopyValueRoundTrip: request values at and above zeroCopyMin
+// travel as their own flush segment with the frame length counting them as
+// external bytes — the frames must still decode byte-identically on the
+// other end, interleaved with copied (small) values and a large HIT, which
+// is always copied, in the same flush.
 func TestZeroCopyValueRoundTrip(t *testing.T) {
 	bigVal := make([]byte, zeroCopyMin+3)
 	for i := range bigVal {
@@ -173,7 +174,7 @@ func TestZeroCopyValueRoundTrip(t *testing.T) {
 	}
 	resp, err := r.ReadResponse()
 	if err != nil || resp.Status != StatusHit || resp.Version != 9 || !bytes.Equal(resp.Value, bigVal) {
-		t.Fatalf("zero-copy HIT decoded %v ver=%d len=%d err=%v",
+		t.Fatalf("large HIT decoded %v ver=%d len=%d err=%v",
 			resp.Status, resp.Version, len(resp.Value), err)
 	}
 }

@@ -589,9 +589,10 @@ const (
 	// periodic KEYS/METRICS poll doesn't thrash the allocation.
 	codecIdleFrames = 64
 	// zeroCopyMin is the value length from which WriteRequest (any op
-	// carrying a value) and WriteResponse (HIT) stop copying the value into the frame buffer
-	// and instead send it as its own vectored-write segment. Below it the
-	// memcpy is cheaper than an extra iovec entry.
+	// carrying a value) stops copying the value into the frame buffer and
+	// instead sends it as its own vectored-write segment. Below it the
+	// memcpy is cheaper than an extra iovec entry. Responses always copy:
+	// a server's stored value may be read only under its set's lock.
 	zeroCopyMin = 4 << 10
 )
 
@@ -608,12 +609,13 @@ type BuffersWriter interface {
 // Writer encodes frames into an owned buffer and sends a whole flush in
 // one (vectored) write. It is not safe for concurrent use.
 //
-// Values at least zeroCopyMin long passed to WriteRequest or
-// WriteResponse (HIT) are not copied: the slice is referenced until the
-// next Flush, so the caller must not modify its contents in between.
-// Both servers (immutable stored values) and clients (values held across
-// the enqueue→Flush window of one batch) satisfy this naturally; see the
-// "Buffer ownership and aliasing" section of ARCHITECTURE.md.
+// Values at least zeroCopyMin long passed to WriteRequest are not copied:
+// the slice is referenced until the next Flush, so the caller must not
+// modify its contents in between. Clients (values held across the
+// enqueue→Flush window of one batch) satisfy this naturally. A HIT value
+// passed to WriteResponse is copied into the frame buffer before the call
+// returns; see the "Buffer ownership and aliasing" section of
+// ARCHITECTURE.md.
 //
 // A flush error is sticky: the buffered frames (possibly half-sent) are
 // discarded, and every later call returns the same error, so a partial
@@ -826,9 +828,9 @@ func (w *Writer) writeRequest(req *Request) error {
 
 // WriteResponse encodes one response frame (buffered; call Flush to send).
 // Every response carries resp.Epoch — the server's topology epoch — right
-// after the status byte. A HIT Value at least zeroCopyMin long is
-// referenced, not copied, and must stay unmodified until Flush — which a
-// server whose stored values are immutable satisfies by construction.
+// after the status byte. A HIT Value is copied into the frame buffer, so
+// the caller may reuse its bytes once the call returns: the server encodes
+// a HIT while its set's lock keeps the stored value in place.
 func (w *Writer) WriteResponse(resp Response) error { return w.Respond(&resp) }
 
 // Respond is WriteResponse for a Response the caller keeps: the server's
@@ -841,15 +843,10 @@ func (w *Writer) Respond(resp *Response) error {
 	off := w.beginFrame()
 	w.chunk = append(w.chunk, byte(resp.Status))
 	w.chunk = binary.LittleEndian.AppendUint64(w.chunk, resp.Epoch)
-	external := 0
 	switch resp.Status {
 	case StatusHit:
 		w.chunk = binary.LittleEndian.AppendUint64(w.chunk, resp.Version)
-		if len(resp.Value) >= zeroCopyMin {
-			external = len(resp.Value)
-		} else {
-			w.chunk = append(w.chunk, resp.Value...)
-		}
+		w.chunk = append(w.chunk, resp.Value...)
 	case StatusMiss:
 	case StatusOK:
 		w.chunk = append(w.chunk, boolByte(resp.Evicted))
@@ -890,13 +887,7 @@ func (w *Writer) Respond(resp *Response) error {
 	default:
 		return w.abortFrame(off, fmt.Errorf("wire: unknown response status %v", resp.Status))
 	}
-	if err := w.endFrame(off, external); err != nil {
-		return err
-	}
-	if external > 0 {
-		w.sealValue(resp.Value)
-	}
-	return nil
+	return w.endFrame(off, 0)
 }
 
 // Reader decodes frames from a buffered stream. It is not safe for
