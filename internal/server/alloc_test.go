@@ -237,10 +237,10 @@ func shareOfGetP50(t *testing.T, what string, budget float64, cost func(b *testi
 	}
 }
 
-// TestSetRoundTripAllocs pins the SET round trip at the server's one
-// inherent allocation, the entry header — the value is copied into an
-// arena buffer the overwritten record released — with zero on the client
-// side, also for a 4 KiB value, which the client sends as its own
+// TestSetRoundTripAllocs pins the SET round trip at zero allocations: the
+// server copies the value into an arena record, the one the overwritten
+// record released, and stores a handle to it, and the client allocates
+// nothing either, also for a 4 KiB value, which it sends as its own
 // zero-copy segment of a vectored write.
 func TestSetRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
@@ -257,8 +257,8 @@ func TestSetRoundTripAllocs(t *testing.T) {
 		for i := 0; i < 128; i++ {
 			set()
 		}
-		if allocs := testing.AllocsPerRun(400, set); allocs > 1.1 {
-			t.Errorf("%d B SET round trip allocates %.2f objects/op, want ≤1 (the server's entry)", size, allocs)
+		if allocs := testing.AllocsPerRun(400, set); allocs > 0.1 {
+			t.Errorf("%d B SET round trip allocates %.2f objects/op, want 0", size, allocs)
 		}
 	}
 }
@@ -340,8 +340,8 @@ func BenchmarkGetRoundTrip(b *testing.B) {
 }
 
 // BenchmarkSetRoundTrip measures one unpipelined SET over loopback. The
-// server retains the value, so one copy alloc per op is inherent on its
-// side; the client side must not add any.
+// server copies the value into an arena record, so neither side
+// allocates.
 func BenchmarkSetRoundTrip(b *testing.B) {
 	c := benchClient(b)
 	val := wirePayload(64)

@@ -12,57 +12,70 @@ import (
 	"repro/internal/wire"
 )
 
-// TestArena pins the slab arena: its classes round 64 B, 1 KiB and 4 KiB
-// exactly and waste at most a quarter of any value from 64 B to the
-// largest class; a freed buffer is the next one its class hands out; a
-// value above the largest class is a heap slice the arena neither maps
-// for nor keeps; and chunks of closed arenas are carved again, so five
-// open/fill/close cycles map no more than the first did.
+// TestArena pins the slab arena: a record holding a 64 B, 1 KiB or 4 KiB
+// value fits its class exactly, and no record of a value from 64 B to the
+// largest class wastes over a quarter of its length; free finds each
+// record's class from its address, so records of three classes freed
+// together return one to each class; a freed record is the next one its
+// class hands out; a value above the largest class is a heap record the
+// arena neither maps for nor keeps; and chunks of closed arenas are carved
+// again, so five open/fill/close cycles map no more than the first did.
 func TestArena(t *testing.T) {
 	for c := 1; c < numClasses; c++ {
 		if classSizes[c] <= classSizes[c-1] {
 			t.Fatalf("class %d is %d B, not above class %d's %d B", c, classSizes[c], c-1, classSizes[c-1])
 		}
 	}
-	if classSizes[0] != minClass || classSizes[numClasses-1] != maxClass {
-		t.Fatalf("classes span %d..%d B, want %d..%d", classSizes[0], classSizes[numClasses-1], minClass, maxClass)
+	if classSizes[0] != hdrSize+minClass || classSizes[numClasses-1] != hdrSize+maxClass {
+		t.Fatalf("classes span %d..%d B, want %d..%d", classSizes[0], classSizes[numClasses-1], hdrSize+minClass, hdrSize+maxClass)
 	}
 	for _, n := range []int{64, 1 << 10, 4 << 10} {
-		if got := classSizes[classOf(n)]; got != n {
-			t.Errorf("a %d B value takes a %d B buffer, want an exact fit", n, got)
+		if got := classSizes[classOf(n)]; got != hdrSize+n {
+			t.Errorf("a record of a %d B value takes a %d B buffer, want an exact fit (%d B)", n, got, hdrSize+n)
 		}
 	}
-	for n := 1; n <= maxClass; n++ {
+	for n := 0; n <= maxClass; n++ {
 		c := classOf(n)
-		size := classSizes[c]
-		if size < n || c > 0 && classSizes[c-1] >= n {
-			t.Fatalf("classOf(%d) = %d (%d B), not the smallest class that holds it", n, c, size)
+		size, rec := classSizes[c], hdrSize+n
+		if size < rec || c > 0 && classSizes[c-1] >= rec {
+			t.Fatalf("classOf(%d) = %d (%d B), not the smallest class that holds its %d B record", n, c, size, rec)
 		}
-		if n >= minClass && 4*(size-n) > n {
-			t.Fatalf("a %d B value takes a %d B buffer: %.1f%% waste, over 25%%", n, size, 100*float64(size-n)/float64(n))
+		if n >= minClass && 4*(size-rec) > rec {
+			t.Fatalf("a %d B record takes a %d B buffer: %.1f%% waste, over 25%%", rec, size, 100*float64(size-rec)/float64(rec))
 		}
 	}
 
 	var a arena
-	buf := a.alloc(100)
-	if len(buf) != 100 || cap(buf) != 112 {
-		t.Fatalf("alloc(100): len %d cap %d, want 100 and the 112 B class", len(buf), cap(buf))
+	var recs []*valRec
+	for _, n := range []int{64, 1 << 10, 4 << 10} {
+		r := a.alloc(n)
+		if r.ver != 0 || len(r.value()) != n {
+			t.Fatalf("alloc(%d): version %d, %d B value", n, r.ver, len(r.value()))
+		}
+		for i := range r.value() {
+			r.value()[i] = byte(n)
+		}
+		recs = append(recs, r)
 	}
-	first := &buf[0]
-	a.free(buf)
-	if again := a.alloc(97); &again[0] != first {
-		t.Errorf("a freed buffer was not the next one its class handed out")
+	for _, r := range recs {
+		a.free(r)
+	}
+	for c := range a.classes {
+		want := 0
+		if c == classOf(64) || c == classOf(1<<10) || c == classOf(4<<10) {
+			want = 1
+		}
+		if n := len(a.classes[c].free); n != want {
+			t.Errorf("class %d (%d B) holds %d free records, want %d", c, classSizes[c], n, want)
+		}
+	}
+	if again := a.alloc(1000); again != recs[1] {
+		t.Errorf("a freed record was not the next one its class handed out")
 	}
 	mapped := mappedBytes.Load()
 	big := a.alloc(maxClass + 1)
-	if len(big) != maxClass+1 || mappedBytes.Load() != mapped {
-		t.Errorf("alloc(maxClass+1): len %d, mapped %d → %d B; want a heap slice and no chunk", len(big), mapped, mappedBytes.Load())
-	}
-	a.free(big)
-	for c := range a.classes {
-		if n := len(a.classes[c].free); n != 0 {
-			t.Errorf("class %d keeps %d free buffers after a heap slice was freed", c, n)
-		}
+	if _, ok := big.stored().(*bigRec); !ok || len(big.value()) != maxClass+1 || mappedBytes.Load() != mapped {
+		t.Errorf("alloc(maxClass+1): stored as %T, %d B, mapped %d → %d B; want a heap record and no chunk", big.stored(), len(big.value()), mapped, mappedBytes.Load())
 	}
 	a.close()
 
@@ -74,8 +87,8 @@ func TestArena(t *testing.T) {
 			if i%5 == 4 && i > 100 {
 				continue // a few of the largest class: several chunks, not hundreds
 			}
-			buf := a.alloc(n)
-			buf[0], buf[n-1] = byte(cycle), byte(i)
+			v := a.alloc(n).value()
+			v[0], v[n-1] = byte(cycle), byte(i)
 		}
 		if len(a.chunks) == 0 {
 			t.Fatal("filled an arena without a chunk")

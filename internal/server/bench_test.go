@@ -2,7 +2,9 @@ package server
 
 import (
 	"fmt"
+	"math/rand"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -39,6 +41,43 @@ func BenchmarkObserve(b *testing.B) {
 		end = monoNow()
 		srv.observe(&smp, &req, &resp, false, time.Duration(end-start))
 	}
+}
+
+// BenchmarkSetEvict prices a SET that evicts: k = 32768 at α = 16, 1 KiB
+// values over a key set eight times k, so seven SETs in eight insert into a
+// full set and release its LRU victim, and the eighth releases the record
+// it overwrites. Two goroutines call exec, the request path without the
+// wire, each on its own key stream.
+func BenchmarkSetEvict(b *testing.B) {
+	const k, keys = 1 << 15, 8 << 15
+	cache, err := concurrent.New(concurrent.Config{Capacity: k, Alpha: 16, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := New(cache)
+	defer srv.Close()
+	val := wirePayload(1 << 10)
+	set := func(key uint64) {
+		req, resp := wire.Request{Op: wire.OpSet, Key: key, Value: val}, wire.Response{}
+		srv.exec(&req, &resp)
+	}
+	for key := uint64(0); key < 2*k; key++ {
+		set(key) // fill every set, so the timed SETs evict
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := g; i < b.N; i += 2 {
+				set(uint64(rng.Intn(keys)))
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // BenchmarkMonoNow prices the one clock read per request that

@@ -15,12 +15,14 @@ import (
 const DefaultLeaseTTL = 2 * time.Second
 
 // fillLease is a key's outstanding fill lease. It lives in the key's store
-// record (entry.lease), and only a record with no value carries one: a
-// placeholder for an absent key or a tombstone. So the key's bucket lock
-// orders grants, fills and every other write of the key, and a write that
-// stores a record ends the lease by replacing it. token and expires never
-// change once the record is stored.
+// record, and only a record with no value carries one: it is itself the
+// record, a placeholder for an absent key (version 0) or, as a
+// *leasedTomb, a tombstone at ver. So the key's bucket lock orders grants,
+// fills and every other write of the key, and a write that stores a
+// record ends the lease by replacing it. No field but lapsed changes once
+// the record is stored.
 type fillLease struct {
+	ver     uint64
 	token   uint64
 	expires int64 // wall-clock nanoseconds
 	// lapsed is set by whichever of the holder's late FILL and the next
@@ -28,18 +30,16 @@ type fillLease struct {
 	lapsed atomic.Bool
 }
 
-// leaseRecord is a lease record and its lease in one allocation.
-type leaseRecord struct {
-	entry
-	lease fillLease
-}
+// leasedTomb is a tombstone record carrying a fill lease.
+type leasedTomb fillLease
 
-// newLeaseRecord returns a record at ver (a placeholder at version 0, else
-// the tombstone tomb marks) carrying a fresh lease.
-func newLeaseRecord(ver uint64, tomb bool, token uint64, expires int64) *entry {
-	r := &leaseRecord{entry: entry{ver: ver, tomb: tomb}, lease: fillLease{token: token, expires: expires}}
-	r.entry.lease = &r.lease
-	return &r.entry
+// newLeaseRecord returns a record carrying a fresh lease: the tombstone at
+// ver if tomb, else a placeholder.
+func newLeaseRecord(ver uint64, tomb bool, token uint64, expires int64) interface{} {
+	if tomb {
+		return &leasedTomb{ver: ver, token: token, expires: expires}
+	}
+	return &fillLease{token: token, expires: expires}
 }
 
 // countExpired counts l in LEASES_EXPIRED unless it was counted already.
@@ -71,28 +71,29 @@ func (s *Server) getLease(key uint64, resp *wire.Response) (displaced, answered 
 	token := s.leaseTokens.Add(1)
 	now := time.Now().UnixNano()
 	ttl := s.leaseTTL.Load()
-	var cur *entry
+	// cur is copied out of the record under the lock: once Update returns,
+	// the record may be released and its buffer reused.
+	var cur recView
 	granted, _, displaced := s.cache.Update(key, func(old interface{}, _ bool) (interface{}, bool) {
-		cur, _ = old.(*entry)
+		var ok bool
+		cur, ok = viewOf(old)
 		switch {
-		case cur == nil:
+		case !ok:
 			return newLeaseRecord(0, false, token, now+ttl), true
-		case cur.live() || cur.lease != nil && now < cur.lease.expires:
+		case cur.live || cur.lease != nil && now < cur.lease.expires:
 			return nil, false
 		}
 		return newLeaseRecord(cur.ver, cur.tomb, token, now+ttl), true
 	})
 	switch {
 	case granted:
-		if cur != nil {
-			s.countExpired(cur.lease)
-			if cur.tomb {
-				s.tombstones.Add(1) // the lease record keeps the tombstone
-			}
+		s.countExpired(cur.lease)
+		if cur.tomb {
+			s.tombstones.Add(1) // the lease record keeps the tombstone
 		}
 		s.leasesGranted.Add(1)
 		resp.Status, resp.LeaseToken, resp.LeaseTTL = wire.StatusLease, token, time.Duration(ttl)
-	case cur.live():
+	case cur.live:
 		return false, false
 	default:
 		resp.Status, resp.LeaseTTL = wire.StatusLease, max(time.Duration(cur.lease.expires-now), time.Millisecond)

@@ -330,3 +330,82 @@ func TestLeaseStressNeverOverwritesUserWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGetLeaseRacesWrites races lease decisions against SETs, FILLs and
+// DELs on a store of one 4-slot set over eight keys, from four goroutines
+// calling the server in process, so getLease often finds a value, and
+// every record is soon evicted or overwritten and its buffer handed to the
+// next write. getLease must read a record only under the set lock: a read
+// after Update returns races the write that reuses the buffer, which
+// -race reports. Every value read must be its own key's payload, and
+// TOMBSTONES must equal the tombstones resident when the traffic stops,
+// through tombstone writes, leases over tombstones and evictions.
+func TestGetLeaseRacesWrites(t *testing.T) {
+	cache, err := concurrent.New(concurrent.Config{Capacity: 4, Alpha: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(cache)
+	defer srv.Close()
+	srv.SetLeaseTTL(time.Microsecond) // leases lapse, so decisions repeat
+	const workers, keys = 4, 8
+	iters := 100000
+	if raceEnabled {
+		iters = 20000
+	}
+	var wg sync.WaitGroup
+	errc := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			nonce := uint64(w) << 32
+			for i := 0; i < iters; i++ {
+				key := uint64(rng.Intn(keys))
+				nonce++
+				var resp wire.Response
+				switch op := rng.Intn(100); {
+				case op < 50:
+					if _, answered := srv.getLease(key, &resp); answered && resp.LeaseToken != 0 && rng.Intn(2) == 0 {
+						token := resp.LeaseToken
+						resp = wire.Response{}
+						srv.exec(&wire.Request{Op: wire.OpFill, Key: key, LeaseToken: token, Value: stressPayload(key, nonce)}, &resp)
+					}
+				case op < 80:
+					srv.exec(&wire.Request{Op: wire.OpSet, Key: key, Value: stressPayload(key, nonce)}, &resp)
+				case op < 90:
+					srv.exec(&wire.Request{Op: wire.OpDel, Key: key}, &resp)
+				default:
+					var err error
+					srv.cache.View(key, func(v interface{}) {
+						if r, _ := viewOf(v); r.live {
+							err = checkStress(key, r.val)
+						}
+					})
+					if err != nil {
+						errc <- err
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	var resident int64
+	cache.Entries(func(_ uint64, v interface{}) {
+		if r, _ := viewOf(v); r.tomb {
+			resident++
+		}
+	})
+	if got := srv.tombstones.Load(); got != resident {
+		t.Fatalf("TOMBSTONES gauge %d, but %d tombstones are resident", got, resident)
+	}
+	if st := srv.stats(); st.LeasesGranted == 0 || st.LeasesExpired == 0 || st.Evictions == 0 {
+		t.Fatalf("%d grants, %d expired and %d evictions: the race was not run", st.LeasesGranted, st.LeasesExpired, st.Evictions)
+	}
+}

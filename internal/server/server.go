@@ -66,12 +66,12 @@ const DefaultHintReplay = 2 * time.Second
 // -slow-op-threshold).
 const DefaultSlowOpThreshold = 10 * time.Millisecond
 
-// entry is the unified record the server stores in the cache: the payload
-// plus a monotonically increasing per-key version, or — when tomb is set —
-// a tombstone: the versioned fact that the key was deleted, kept so no
-// older copy of the value can be reinstated by delayed maintenance. A
-// tombstone takes a slot like any record and leaves the way every record
-// does, when its set's LRU policy evicts it.
+// A stored record is what the server keeps in the cache under a key: a
+// value with a monotonically increasing per-key version, or a tombstone:
+// the versioned fact that the key was deleted, kept so no older copy of
+// the value can be reinstated by delayed maintenance. A tombstone takes a
+// slot like any record and leaves the way every record does, when its
+// set's LRU policy evicts it.
 // Which version a write stores under is its rule (see write): SET and DEL
 // assign max(wall-clock nanos, stored+1) — per-key monotonic by
 // construction, and wall-clock anchored so versions assigned on different
@@ -83,43 +83,73 @@ const DefaultSlowOpThreshold = 10 * time.Millisecond
 // the same version order as every other write. A record with no value may
 // also carry a fill lease (lease.go): a placeholder for an absent key
 // (version 0) or a tombstone.
-type entry struct {
-	ver uint64
-	// val is an arena buffer (arena.go), nil for a tombstone, read only
-	// under its set's lock: the store releases it to the arena under that
-	// lock when the record leaves, and the arena hands it to the next write.
-	val   []byte
-	lease *fillLease
-	tomb  bool
+//
+// A record is one of five types, told apart by its Go type alone, so the
+// store's release reads no line of the record it lets go:
+//   - *valRec, a value in the server's arena (arena.go);
+//   - *bigRec, a value over the arena's largest class, on the heap;
+//   - *tombstone, a tombstone;
+//   - *leasedTomb, a tombstone carrying a fill lease (lease.go);
+//   - *fillLease, a lease placeholder for an absent key.
+//
+// The heap types hold no pointers, so the collector never scans them and
+// a DEL's tombstone comes from the tiny allocator. A record is read only
+// under its set's lock: the store releases an arena record under that
+// lock when it leaves, and the arena hands it to the next write.
+
+// tombstone is a tombstone record.
+type tombstone struct{ ver uint64 }
+
+// recView is what a stored record says, copied out under its set's lock;
+// val aliases the record and dies with the lock.
+type recView struct {
+	ver        uint64
+	val        []byte
+	live, tomb bool
+	lease      *fillLease
 }
 
-// live reports whether the record holds a value: not a tombstone and not a
-// lease placeholder.
-func (e *entry) live() bool { return !e.tomb && e.lease == nil }
+// viewOf reads the stored record v, under its set's lock. It reports false
+// for a value that is not one of the server's records.
+func viewOf(v interface{}) (recView, bool) {
+	switch r := v.(type) {
+	case *valRec:
+		return recView{ver: r.ver, val: r.value(), live: true}, true
+	case *bigRec:
+		return recView{ver: r.ver, val: (*valRec)(r).value(), live: true}, true
+	case *tombstone:
+		return recView{ver: r.ver, tomb: true}, true
+	case *leasedTomb:
+		return recView{ver: r.ver, tomb: true, lease: (*fillLease)(r)}, true
+	case *fillLease:
+		return recView{lease: r}, true
+	}
+	return recView{}, false
+}
 
-// record is a maintenance record as the server holds one outside the
-// cache — in the hint queue — and hands one to write: the wire's {key,
-// version, tombstone} plus a value the server owns.
+// newValue copies req's value into a record of the server's arena; a
+// tombstone has none.
+func (s *Server) newValue(req *wire.Request) *valRec {
+	if req.Tombstone {
+		return nil
+	}
+	r := s.arena.alloc(len(req.Value))
+	copy(r.value(), req.Value)
+	return r
+}
+
+// record is a maintenance record as the server holds one in the hint
+// queue: the wire's {key, version, tombstone} plus a value the server owns.
 type record struct {
 	wire.KeyRec
 	val []byte
 }
 
-// ownRecord lifts req's record out of the request: the value aliases the
-// reader's buffers and is copied into val, len(req.Value) bytes the
-// caller owns — an arena buffer for a write to the store, a heap slice for
-// the hint queue. (SET and FILL requests make a record with no version:
-// their rule assigns one.)
-func ownRecord(req *wire.Request, val []byte) record {
-	copy(val, req.Value)
-	return record{KeyRec: wire.KeyRec{Key: req.Key, Version: req.Version, Tombstone: req.Tombstone}, val: val}
-}
-
 // Server serves a concurrent.Cache over TCP.
 type Server struct {
 	cache *concurrent.Cache
-	// arena holds every stored value; the cache's release function gives a
-	// record's buffer back (release).
+	// arena holds every stored value record; the cache's release function
+	// gives one back (release).
 	arena arena
 
 	// sets and repairSets split write traffic by operation: user writes
@@ -234,21 +264,20 @@ func New(cache *concurrent.Cache) *Server {
 	return s
 }
 
-// isEntry reports whether v is one of the server's records.
-func isEntry(v interface{}) bool { _, ok := v.(*entry); return ok }
+// isRecord reports whether v is one of the server's records.
+func isRecord(v interface{}) bool { _, ok := viewOf(v); return ok }
 
 // release is the store's release function, called under the set lock of
-// a record the store no longer holds: the record leaves the TOMBSTONES
-// gauge and its value buffer returns to the arena.
+// a record the store no longer holds: an arena record returns to the
+// arena, and a tombstone leaves the TOMBSTONES gauge. It decides by the
+// record's type and reads none of its bytes.
 func (s *Server) release(v interface{}) {
-	e, ok := v.(*entry)
-	if !ok {
-		return
-	}
-	if e.tomb {
+	switch r := v.(type) {
+	case *valRec:
+		s.arena.free(r)
+	case *tombstone, *leasedTomb:
 		s.tombstones.Add(-1)
 	}
-	s.arena.free(e.val)
 }
 
 // SetHintBudget configures the byte budget for queued hints (n == 0
@@ -384,7 +413,7 @@ func (s *Server) Close() error {
 		<-s.hintDone
 	}
 	for _, key := range s.cache.Keys() {
-		s.cache.DeleteIf(key, isEntry)
+		s.cache.DeleteIf(key, isRecord)
 	}
 	s.arena.close()
 	return err
@@ -685,8 +714,8 @@ func (s *Server) streamKeys(w *wire.Writer) error {
 	recs := make([]wire.KeyRec, 0, s.cache.Len())
 	s.cache.Entries(func(key uint64, v interface{}) {
 		// A lease placeholder is no record of the key: it is absent.
-		if e, ok := v.(*entry); ok && (e.live() || e.tomb) {
-			recs = append(recs, wire.KeyRec{Key: key, Version: e.ver, Tombstone: e.tomb})
+		if r, ok := viewOf(v); ok && (r.live || r.tomb) {
+			recs = append(recs, wire.KeyRec{Key: key, Version: r.ver, Tombstone: r.tomb})
 		}
 	})
 	chunk := int(s.keysChunk.Load())
@@ -722,18 +751,18 @@ func (s *Server) apply(req *wire.Request, resp *wire.Response, w *wire.Writer) (
 }
 
 // get answers a GET or GETL on w. A HIT is encoded inside View, while the
-// key's set lock keeps the stored value in place, so the answer copies
+// key's set lock keeps the stored record in place, so the answer copies
 // the stored bytes once, into w's frame buffer.
 func (s *Server) get(req *wire.Request, resp *wire.Response, w *wire.Writer) (displaced bool, err error) {
 	for {
 		sent := false
 		s.cache.View(req.Key, func(v interface{}) {
-			switch e, ok := v.(*entry); {
+			switch r, ok := viewOf(v); {
 			case !ok:
 				resp.Status = wire.StatusError
 				resp.Err = fmt.Sprintf("non-wire value of type %T cached under key %d", v, req.Key)
-			case e.live():
-				resp.Status, resp.Value, resp.Version = wire.StatusHit, e.val, e.ver
+			case r.live:
+				resp.Status, resp.Value, resp.Version = wire.StatusHit, r.val, r.ver
 				resp.Epoch = s.epoch.Load()
 				err, sent = w.Respond(resp), true
 				resp.Value = nil // the bytes are the store's again once the lock goes
@@ -766,12 +795,12 @@ func (s *Server) exec(req *wire.Request, resp *wire.Response) (displaced bool) {
 	switch req.Op {
 	case wire.OpSet:
 		s.sets.Add(1)
-		_, ver, evicted, _ := s.write(assign, ownRecord(req, s.arena.alloc(len(req.Value))), 0)
+		_, ver, evicted, _ := s.write(assign, req.Key, 0, s.newValue(req), 0)
 		resp.Status, resp.Evicted, resp.Version = wire.StatusOK, evicted, ver
 		return evicted
 	case wire.OpFill:
 		s.sets.Add(1)
-		applied, ver, evicted, _ := s.write(ifLeased, ownRecord(req, s.arena.alloc(len(req.Value))), req.LeaseToken)
+		applied, ver, evicted, _ := s.write(ifLeased, req.Key, 0, s.newValue(req), req.LeaseToken)
 		if !applied {
 			resp.Status, resp.Version = wire.StatusLeaseLost, ver
 			return false
@@ -780,7 +809,7 @@ func (s *Server) exec(req *wire.Request, resp *wire.Response) (displaced bool) {
 		return evicted
 	case wire.OpPut:
 		s.repairSets.Add(1)
-		applied, ver, evicted, _ := s.write(ifNewer, ownRecord(req, s.arena.alloc(len(req.Value))), 0)
+		applied, ver, evicted, _ := s.write(ifNewer, req.Key, req.Version, s.newValue(req), 0)
 		if !applied {
 			s.staleRepairs.Add(1)
 			resp.Status, resp.Version = wire.StatusVersionStale, ver
@@ -794,11 +823,13 @@ func (s *Server) exec(req *wire.Request, resp *wire.Response) (displaced bool) {
 		// here: this replica may simply be the one that missed the write,
 		// and the tombstone is what stops anti-entropy from copying the
 		// value back from a replica that has it.
-		_, ver, evicted, live := s.write(assign, record{KeyRec: wire.KeyRec{Key: req.Key, Tombstone: true}}, 0)
+		_, ver, evicted, live := s.write(assign, req.Key, 0, nil, 0)
 		resp.Status, resp.Evicted, resp.Version = wire.StatusOK, live, ver
 		return evicted
 	case wire.OpHint:
-		s.queueHint(hint{target: req.Target, rec: ownRecord(req, make([]byte, len(req.Value)))})
+		rec := record{KeyRec: wire.KeyRec{Key: req.Key, Version: req.Version, Tombstone: req.Tombstone}, val: make([]byte, len(req.Value))}
+		copy(rec.val, req.Value)
+		s.queueHint(hint{target: req.Target, rec: rec})
 		resp.Status = wire.StatusOK
 	case wire.OpRehash:
 		s.cache.Rehash()
@@ -842,41 +873,48 @@ const (
 // write applies one record to the cache under rule, as a single atomic
 // read-check-write under the owning bucket's lock
 // (concurrent.Cache.Update), so no concurrent write can interleave
-// between the version comparison and the overwrite. token is the lease a
-// FILL names (ifLeased only). It reports whether the record was stored,
-// the version the key holds afterwards (the winning one on a refusal),
-// whether storing displaced a resident, and whether the key held a live
-// value before. A refused record's value returns to the arena; a stored
-// one belongs to the store.
-func (s *Server) write(rule writeRule, rec record, token uint64) (applied bool, ver uint64, evicted, live bool) {
+// between the version comparison and the overwrite. val is the record's
+// value, nil for a tombstone; version is the one a PUT carries (ifNewer
+// only) and token the lease a FILL names (ifLeased only). It reports
+// whether the record was stored, the version the key holds afterwards
+// (the winning one on a refusal), whether storing displaced a resident,
+// and whether the key held a live value before. A refused record returns
+// to the arena; a stored one belongs to the store.
+func (s *Server) write(rule writeRule, key, version uint64, val *valRec, token uint64) (applied bool, ver uint64, evicted, live bool) {
 	now := time.Now().UnixNano()
-	var lease *fillLease
-	applied, _, evicted = s.cache.Update(rec.Key, func(old interface{}, present bool) (interface{}, bool) {
-		var cur uint64
-		live, lease = present, nil
-		if e, ok := old.(*entry); ok {
-			cur, live, lease = e.ver, e.live(), e.lease
-		}
+	var lapsed *fillLease // the fill's own lease, if refused only for lateness
+	applied, _, evicted = s.cache.Update(key, func(old interface{}, present bool) (interface{}, bool) {
+		cur, ok := viewOf(old)
+		live, lapsed = present && (cur.live || !ok), nil
 		switch {
-		case rule == ifNewer && present && rec.Version <= cur,
-			rule == ifLeased && (lease == nil || lease.token != token || now >= lease.expires):
-			ver = cur
+		case rule == ifNewer && present && version <= cur.ver:
+			ver = cur.ver
+			return nil, false
+		case rule == ifLeased && (cur.lease == nil || cur.lease.token != token || now >= cur.lease.expires):
+			if cur.lease != nil && cur.lease.token == token {
+				lapsed = cur.lease
+			}
+			ver = cur.ver
 			return nil, false
 		case rule == ifNewer:
-			ver = rec.Version
+			ver = version
 		default:
-			ver = max(uint64(now), cur+1)
+			ver = max(uint64(now), cur.ver+1)
 		}
-		return &entry{ver: ver, val: rec.val, tomb: rec.Tombstone}, true
+		if val == nil {
+			return &tombstone{ver: ver}, true
+		}
+		val.ver = ver
+		return val.stored(), true
 	})
 	if !applied {
-		s.arena.free(rec.val)
-		if rule == ifLeased && lease != nil && lease.token == token {
-			s.countExpired(lease) // the fill's own lease, refused only for lateness
+		if val != nil {
+			s.release(val.stored())
 		}
+		s.countExpired(lapsed)
 		return false, ver, false, live
 	}
-	if rec.Tombstone {
+	if val == nil {
 		s.tombstones.Add(1)
 	}
 	return true, ver, evicted, live
