@@ -5,8 +5,7 @@
 // Usage:
 //
 //	cached -addr :7070 -k 65536 -alpha 16
-//	cached -addr :7070 -k 65536 -alpha 16 -rehash-every 1048576
-//	cached -addr :7070 -k 65536 -alpha 16 -rehash-auto -rehash-conflicts 4096
+//	cached -addr :7070 -k 65536 -alpha 16 -rehash-auto
 //	cached -addr :7071 -advertise host2:7071 -join host1:7070
 //	cached -addr :7070 -debug-addr localhost:6060
 //
@@ -20,14 +19,11 @@
 // dialable as-is (e.g. loopback testing). Without -join the daemon seeds
 // its own topology with just itself, making it usable as the first seed.
 //
-// With -rehash-every N the daemon applies the paper's Section 6 schedule:
-// every N misses it draws a fresh indexing hash and migrates incrementally
-// under live traffic. -rehash-auto derives N from the capacity using the
-// paper's poly(k) guidance (k·⌈log₂ k⌉ misses; see
-// concurrent.DefaultEveryMisses), and -rehash-conflicts M adds the adaptive
-// trigger: rehash every M conflict evictions, so an adversarially exploited
-// hash is redrawn long before the miss-count schedule would fire. Clients
-// can also force a rehash with the REHASH opcode (cachecluster -rehash).
+// With -rehash-auto the daemon applies the paper's Section 6 schedule:
+// every k·⌈log₂ k⌉ misses (the paper's poly(k) guidance; see
+// concurrent.DefaultEveryMisses) it draws a fresh indexing hash and
+// migrates incrementally under live traffic. Clients can also force a
+// rehash with the REHASH opcode (cachecluster -rehash).
 // METRICS exposes the hit/miss/conflict counters and, on request, each
 // bucket's occupancy.
 //
@@ -64,9 +60,7 @@ func main() {
 		k          = flag.Int("k", 1<<16, "total cache capacity")
 		alpha      = flag.Int("alpha", 16, "set size α (must divide k); the paper proves α = ω(log k) matches full associativity and α = o(log k) does not, and the default sits at the threshold, log₂ 65536 = 16")
 		seed       = flag.Uint64("seed", 1, "hash seed")
-		rehashEv   = flag.Uint64("rehash-every", 0, "start an online incremental rehash every N misses (0 disables)")
-		rehashAuto = flag.Bool("rehash-auto", false, "derive the rehash-every period from k (k·⌈log₂k⌉ misses, the paper's poly(k) guidance)")
-		rehashConf = flag.Uint64("rehash-conflicts", 0, "additionally rehash every N conflict evictions (adaptive trigger, 0 disables)")
+		rehashAuto = flag.Bool("rehash-auto", false, "start an online incremental rehash every k·⌈log₂k⌉ misses (the paper's poly(k) schedule)")
 		migPerMiss = flag.Int("migrate-per-miss", 1, "forced migrations per miss during a rehash")
 		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof and a /metrics JSON snapshot on this address (off when empty)")
 		slowThresh = flag.Duration("slow-op-threshold", server.DefaultSlowOpThreshold, "ops at least this slow enter the slow-op ring (0 disables the ring)")
@@ -76,21 +70,17 @@ func main() {
 	)
 	flag.Parse()
 
-	every := *rehashEv
+	var every uint64
 	if *rehashAuto {
-		if every != 0 {
-			fatal(fmt.Errorf("-rehash-auto and -rehash-every are mutually exclusive"))
-		}
 		every = concurrent.DefaultEveryMisses(*k)
 		log.Printf("cached: auto rehash schedule: every %d misses", every)
 	}
 	cache, err := concurrent.New(concurrent.Config{
-		Capacity:             *k,
-		Alpha:                *alpha,
-		Seed:                 *seed,
-		RehashEveryMisses:    every,
-		RehashEveryConflicts: *rehashConf,
-		MigrationPerMiss:     *migPerMiss,
+		Capacity:          *k,
+		Alpha:             *alpha,
+		Seed:              *seed,
+		RehashEveryMisses: every,
+		MigrationPerMiss:  *migPerMiss,
 	})
 	if err != nil {
 		fatal(err)

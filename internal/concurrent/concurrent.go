@@ -75,19 +75,16 @@ type Cache struct {
 	// sweepCursor is the next bucket index the forced-eviction sweep visits.
 	sweepCursor atomic.Int64
 
-	rehashEveryMisses    uint64
-	rehashEveryConflicts uint64
-	migrationPerMiss     int
+	rehashEveryMisses uint64
+	migrationPerMiss  int
 
 	// Hits, misses, evictions and conflict evictions are counted per bucket
-	// and summed on demand. misses and conflictEvictions count cache-wide
-	// too, but only while RehashEveryMisses / RehashEveryConflicts is set:
-	// each drives its schedule off an exact total, and without a schedule
-	// nobody pays for a write every core shares.
-	misses            atomic.Uint64
-	conflictEvictions atomic.Uint64
-	flushEvictions    atomic.Uint64
-	rehashes          atomic.Uint64
+	// and summed on demand. misses counts cache-wide too, but only while
+	// RehashEveryMisses is set: the schedule runs off an exact total, and
+	// without one nobody pays for a write every core shares.
+	misses         atomic.Uint64
+	flushEvictions atomic.Uint64
+	rehashes       atomic.Uint64
 	// occupancy tracks the total entry count so evictions can be classified
 	// as conflict (free slots existed elsewhere) without a global lock.
 	occupancy atomic.Int64
@@ -121,16 +118,9 @@ type Config struct {
 	// every RehashEveryMisses Get misses — the paper's "rehash every poly(k)
 	// misses" schedule (Section 6), which keeps the cache competitive on
 	// arbitrarily long request sequences. DefaultEveryMisses derives the
-	// paper-guided value from the capacity.
+	// paper-guided value from the capacity. It is the only automatic
+	// trigger; Rehash starts a rehash by hand.
 	RehashEveryMisses uint64
-	// RehashEveryConflicts, when nonzero, additionally starts a rehash every
-	// RehashEveryConflicts conflict evictions (evictions that happened while
-	// free slots existed elsewhere). Conflict evictions are exactly the
-	// currency in which an unlucky — or adversarially exploited — hash
-	// function pays, so this is an adaptive trigger: a well-hashed workload
-	// almost never trips it, while a Theorem 4 cycler does so long before
-	// the miss-count schedule would.
-	RehashEveryConflicts uint64
 	// MigrationPerMiss bounds the forced evictions of not-yet-remapped items
 	// performed per miss during a migration; zero means 1 (the gentlest
 	// schedule the paper allows).
@@ -147,12 +137,11 @@ func New(cfg Config) (*Cache, error) {
 	}
 	n := cfg.Capacity / cfg.Alpha
 	c := &Cache{
-		buckets:              make([]bucket, n),
-		seeds:                hashfn.NewSeedSequence(cfg.Seed),
-		alpha:                cfg.Alpha,
-		rehashEveryMisses:    cfg.RehashEveryMisses,
-		rehashEveryConflicts: cfg.RehashEveryConflicts,
-		migrationPerMiss:     cfg.MigrationPerMiss,
+		buckets:           make([]bucket, n),
+		seeds:             hashfn.NewSeedSequence(cfg.Seed),
+		alpha:             cfg.Alpha,
+		rehashEveryMisses: cfg.RehashEveryMisses,
+		migrationPerMiss:  cfg.MigrationPerMiss,
 	}
 	if c.migrationPerMiss <= 0 {
 		c.migrationPerMiss = 1
@@ -400,12 +389,6 @@ func (c *Cache) storeLocked(b *bucket, i int32, item trace.Item, value interface
 	// eviction — the associativity restriction, not capacity, caused it.
 	if didEvict && c.occupancy.Load() < int64(c.Capacity()) {
 		b.conflictEvictions++
-		if c.rehashEveryConflicts > 0 && c.conflictEvictions.Add(1)%c.rehashEveryConflicts == 0 {
-			// Adaptive schedule: a burst of conflict evictions means the
-			// current hash is being exploited; redraw it. Asynchronous
-			// for the same reason as the miss-count trigger.
-			go c.Rehash()
-		}
 	}
 	// An evicted tail may have been awaiting remap.
 	if b.nOld != nOld {

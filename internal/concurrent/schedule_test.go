@@ -1,9 +1,6 @@
 package concurrent
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestDefaultEveryMisses(t *testing.T) {
 	cases := []struct {
@@ -19,34 +16,6 @@ func TestDefaultEveryMisses(t *testing.T) {
 	for _, c := range cases {
 		if got := DefaultEveryMisses(c.k); got != c.want {
 			t.Errorf("DefaultEveryMisses(%d) = %d, want %d", c.k, got, c.want)
-		}
-	}
-}
-
-// TestConflictTriggeredRehash drives a tiny direct-mapped cache with
-// colliding inserts and checks that the adaptive schedule fires off the
-// conflict-eviction counter, not the miss counter.
-func TestConflictTriggeredRehash(t *testing.T) {
-	c, err := New(Config{Capacity: 8, Alpha: 1, Seed: 1, RehashEveryConflicts: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pure Put traffic: misses stay at zero, so only the conflict trigger
-	// can start a rehash. With 8 direct-mapped buckets and a universe of
-	// 64, collisions are immediate and plentiful.
-	deadline := time.Now().Add(5 * time.Second)
-	for i := uint64(0); ; i++ {
-		c.Put(i%64, i)
-		snap := c.Snapshot()
-		if snap.Rehashes > 0 {
-			if snap.Hits+snap.Misses != 0 {
-				t.Fatalf("unexpected Get traffic: %d hits, %d misses", snap.Hits, snap.Misses)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no rehash after %d puts, %d conflict evictions",
-				i+1, snap.ConflictEvictions)
 		}
 	}
 }

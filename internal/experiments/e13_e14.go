@@ -4,15 +4,19 @@ import (
 	"fmt"
 
 	"repro/internal/adversary"
+	"repro/internal/concurrent"
 	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// E13Row is one (schedule, length) point of the rehash-schedule comparison.
+// E13Row is one (stream, schedule, length) point of the rehash-schedule
+// comparison.
 type E13Row struct {
+	Stream   string
 	Schedule string
 	Reps     int
 	Ratio    stats.Summary // cost vs fully associative LRU at k'
@@ -24,7 +28,9 @@ type E13Row struct {
 // set forever gives the schedule infinitely many chances to redraw a bad
 // hash, and every full flush forces the whole working set to re-miss. The
 // miss-count schedule settles: once a good hash is found, misses (and hence
-// rehashes) stop.
+// rehashes) stop. The store rows replay the fixed-set streams, and one
+// Theorem 4 stream at α = 4, through concurrent.Cache, the service's store,
+// under cached's two schedules: a fixed hash and -rehash-auto.
 type E13Result struct {
 	K      int
 	Alpha  int
@@ -50,6 +56,26 @@ func E13AccessRehash(cfg Config) *E13Result {
 		{"every 2k misses (paper)", core.RehashConfig{Mode: core.RehashFullFlush, EveryMisses: uint64(2 * k)}},
 		{"every 2k accesses (broken)", core.RehashConfig{Mode: core.RehashFullFlush, EveryAccesses: uint64(2 * k)}},
 	}
+	// store adds the rows of one stream replayed through concurrent.Cache,
+	// on the same trial seeds for both schedules.
+	store := func(stream string, a int, seq trace.Sequence, baseline float64, reps int, master uint64) {
+		for _, sch := range []struct {
+			name  string
+			every uint64
+		}{
+			{storeFixed, 0},
+			{storeAuto, concurrent.DefaultEveryMisses(k)},
+		} {
+			out := sim.RunTrialsVec(trials, master, 2, func(_ int, seed uint64) []float64 {
+				misses, rehashes := replayStore(k, a, sch.every, seed, seq)
+				return []float64{float64(misses) / baseline, float64(rehashes)}
+			})
+			res.Rows = append(res.Rows, E13Row{
+				Stream: stream, Schedule: sch.name, Reps: reps,
+				Ratio: stats.Of(out[0]), Rehashes: stats.Of(out[1]),
+			})
+		}
+	}
 	for _, reps := range []int{cfg.pick(16, 32), cfg.pick(64, 128), cfg.pick(128, 512)} {
 		attack := adversary.FixedSet{K: k, Delta: delta, Reps: reps}
 		seq := attack.Build()
@@ -64,12 +90,39 @@ func E13AccessRehash(cfg Config) *E13Result {
 				return []float64{float64(st.Misses) / baseline, float64(st.Rehashes)}
 			})
 			res.Rows = append(res.Rows, E13Row{
-				Schedule: sch.name, Reps: reps,
+				Stream: "fixed set", Schedule: sch.name, Reps: reps,
 				Ratio: stats.Of(out[0]), Rehashes: stats.Of(out[1]),
 			})
 		}
+		store("fixed set", alpha, seq, baseline, reps, cfg.Seed+uint64(reps)<<3)
 	}
+	th4 := adversary.Theorem4{K: k, Delta: delta, Sets: 16, Reps: cfg.pick(32, 64)}
+	store("theorem 4, α=4, s=16", 4, th4.Build(), float64(th4.Sets*th4.KPrime()), th4.Reps, cfg.Seed+1)
 	return res
+}
+
+// The store rows' schedules: cached without a rehash flag, and with
+// -rehash-auto (RehashEveryMisses = DefaultEveryMisses(k)).
+const (
+	storeFixed = "store, fixed hash"
+	storeAuto  = "store, -rehash-auto"
+)
+
+// replayStore runs seq read-through (Get, then Put on a miss) through a
+// concurrent.Cache rehashing every `every` misses (never when 0) and
+// returns its misses and rehashes.
+func replayStore(k, alpha int, every, seed uint64, seq trace.Sequence) (misses, rehashes uint64) {
+	c, err := concurrent.New(concurrent.Config{Capacity: k, Alpha: alpha, Seed: seed, RehashEveryMisses: every})
+	if err != nil {
+		panic(err)
+	}
+	for _, it := range seq {
+		if _, ok := c.Get(uint64(it)); !ok {
+			c.Put(uint64(it), nil)
+		}
+	}
+	s := c.Snapshot()
+	return s.Misses, s.Rehashes
 }
 
 // RatioFor returns the mean ratio for a (schedule, reps) cell.
@@ -85,14 +138,17 @@ func (r *E13Result) RatioFor(schedule string, reps int) (float64, bool) {
 // Table renders the schedule comparison.
 func (r *E13Result) Table() *stats.Table {
 	t := stats.NewTable(
-		fmt.Sprintf("E13: rehash schedules under the fixed-set replay attack (k=%d, α=%d, δ=%.2f)",
+		fmt.Sprintf("E13: rehash schedules under replay attacks (k=%d, α=%d on the fixed set, δ=%.2f)",
 			r.K, r.Alpha, r.Delta),
-		"schedule", "passes", "cost ratio vs LRU_k'", "±95%", "rehashes")
+		"stream", "schedule", "passes", "cost ratio vs LRU_k'", "±95%", "rehashes")
 	t.Note = "Paper (§6 remark): rehashing every N accesses lets the adversary replay one fixed set\n" +
 		"forever — each flush re-misses the whole working set, so the ratio grows with the passes.\n" +
-		"Rehashing every N misses settles after finitely many redraws."
+		"Rehashing every N misses settles after finitely many redraws.\n" +
+		"Store rows replay read-through in concurrent.Cache under cached's two schedules (none,\n" +
+		"-rehash-auto: every k·⌈log₂k⌉ misses). The store starts each rehash on its own goroutine,\n" +
+		"so these rows average over seeds rather than replay bit for bit."
 	for _, row := range r.Rows {
-		t.AddRowf(row.Schedule, row.Reps, row.Ratio.Mean, row.Ratio.CI95, row.Rehashes.Mean)
+		t.AddRowf(row.Stream, row.Schedule, row.Reps, row.Ratio.Mean, row.Ratio.CI95, row.Rehashes.Mean)
 	}
 	return t
 }

@@ -273,6 +273,35 @@ func TestE13ScheduleShape(t *testing.T) {
 	}
 }
 
+// TestE13StoreAutoNotBroken holds cached's -rehash-auto schedule to the
+// fixed hash on every store stream: its mean ratio may be at most 5% worse.
+// A period far below k's (16 misses), which keeps redrawing a hash that
+// already serves the fixed set, fails it.
+func TestE13StoreAutoNotBroken(t *testing.T) {
+	type cell struct {
+		stream string
+		reps   int
+	}
+	fixed := map[cell]float64{}
+	auto := map[cell]float64{}
+	for _, row := range E13AccessRehash(QuickConfig()).Rows {
+		switch row.Schedule {
+		case storeFixed:
+			fixed[cell{row.Stream, row.Reps}] = row.Ratio.Mean
+		case storeAuto:
+			auto[cell{row.Stream, row.Reps}] = row.Ratio.Mean
+		}
+	}
+	if len(fixed) != 4 || len(auto) != len(fixed) {
+		t.Fatalf("want 4 store streams under both schedules, got %d fixed and %d auto", len(fixed), len(auto))
+	}
+	for c, f := range fixed {
+		if a := auto[c]; a > 1.05*f {
+			t.Errorf("%s, %d passes: -rehash-auto ratio %.3f is more than 5%% above the fixed hash's %.3f", c.stream, c.reps, a, f)
+		}
+	}
+}
+
 func TestE14LRU2Wins(t *testing.T) {
 	res := E14LRU2(QuickConfig())
 	lru, ok1 := res.MissRatioFor(policy.LRUKind)
