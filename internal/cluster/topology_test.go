@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"runtime"
@@ -709,63 +710,82 @@ func TestCopyRecs(t *testing.T) {
 
 // TestMigrationStreamsMultipleChunks pins the chunked-KEYS migration
 // contract: retiring a node whose resident set spans many stream chunks
-// moves or accounts for every key.
+// moves or accounts for every key. Both inputs move more than copyChunk
+// records, so the copy runs several rounds, each reusing the scratch the
+// previous round's values were held in; the 4 KiB values are also sent
+// by reference (zeroCopyMin). Every value the survivor serves must be the
+// one written, byte for byte.
 func TestMigrationStreamsMultipleChunks(t *testing.T) {
-	const nkeys = 2000
-	addr0, srv0 := startNodeWithServer(t, 8192, 64, 1)
-	addr1, srv1 := startNodeWithServer(t, 8192, 64, 2)
-	// 64 keys per KEYS frame: the victim's residents (≈ nkeys/2) stream in
-	// well over a dozen frames.
-	srv0.SetKeysChunk(64)
-	srv1.SetKeysChunk(64)
-	addrs := []string{addr0, addr1}
+	for _, tc := range []struct {
+		name        string
+		nkeys, size int
+	}{
+		{"32B", 2000, 32},
+		{"4KiB", 1200, 4 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr0, srv0 := startNodeWithServer(t, 8192, 64, 1)
+			addr1, srv1 := startNodeWithServer(t, 8192, 64, 2)
+			// 64 keys per KEYS frame: the victim's residents (≈ nkeys/2)
+			// stream in well over a dozen frames.
+			srv0.SetKeysChunk(64)
+			srv1.SetKeysChunk(64)
+			addrs := []string{addr0, addr1}
 
-	ctl, err := Dial(addrs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctl.Close()
+			ctl, err := Dial(addrs, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ctl.Close()
 
-	keys := make([]uint64, nkeys)
-	for i := range keys {
-		keys[i] = uint64(i) + 1
-	}
-	if err := ctl.SetBatch(keys, func(i int) []byte { return load.Payload(keys[i], 32) }); err != nil {
-		t.Fatal(err)
-	}
+			keys := make([]uint64, tc.nkeys)
+			for i := range keys {
+				keys[i] = uint64(i) + 1
+			}
+			if err := ctl.SetBatch(keys, func(i int) []byte { return load.Payload(keys[i], tc.size) }); err != nil {
+				t.Fatal(err)
+			}
 
-	before, err := statsAll(ctl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	residents := int(before[addr0].Len)
-	if residents <= 64 {
-		t.Fatalf("victim holds %d keys; need more than one 64-key chunk for this test to mean anything", residents)
-	}
+			before, err := statsAll(ctl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			residents := int(before[addr0].Len)
+			if residents <= 64 {
+				t.Fatalf("victim holds %d keys; need more than one 64-key chunk for this test to mean anything", residents)
+			}
 
-	moved, dropped, err := ctl.RemoveNode(addr0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved+dropped != residents {
-		t.Errorf("migration accounted for %d+%d keys, victim held %d", moved, dropped, residents)
-	}
+			moved, dropped, err := ctl.RemoveNode(addr0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if moved+dropped != residents {
+				t.Errorf("migration accounted for %d+%d keys, victim held %d", moved, dropped, residents)
+			}
+			if moved <= copyChunk {
+				t.Fatalf("moved %d keys, want more than copyChunk (%d) for at least two copy rounds", moved, copyChunk)
+			}
 
-	present := 0
-	if err := ctl.GetBatch(keys, func(_ int, hit bool, v []byte) {
-		if hit {
-			present++
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	after, err := statsAll(ctl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	accounted := dropped + int(after[addr1].Evictions-before[addr1].Evictions)
-	if absent := nkeys - present; absent > accounted {
-		t.Errorf("%d keys lost but only %d accounted for (moved=%d dropped=%d)", absent, accounted, moved, dropped)
+			present := 0
+			if err := ctl.GetBatch(keys, func(i int, hit bool, v []byte) {
+				if hit {
+					present++
+					if want := load.Payload(keys[i], tc.size); !bytes.Equal(v, want) {
+						t.Errorf("key %d serves %d bytes that differ from the %d written", keys[i], len(v), len(want))
+					}
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			after, err := statsAll(ctl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			accounted := dropped + int(after[addr1].Evictions-before[addr1].Evictions)
+			if absent := tc.nkeys - present; absent > accounted {
+				t.Errorf("%d keys lost but only %d accounted for (moved=%d dropped=%d)", absent, accounted, moved, dropped)
+			}
+		})
 	}
 }
 

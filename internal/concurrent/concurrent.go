@@ -640,8 +640,11 @@ type Snapshot struct {
 	// Evictions counts the LRU evictions caused by insertions.
 	Evictions uint64
 	// ConflictEvictions is the subset of Evictions that happened while the
-	// cache as a whole still had free slots: pure associativity conflicts,
-	// the paper's Theorem 4 currency.
+	// cache as a whole still had free slots: associativity conflicts, the
+	// paper's Theorem 4 currency. The free slots include those a rehash's
+	// forced evictions (FlushEvictions) left, so a full cache under a fixed
+	// hash adds none, but the refill after a rehash counts each set
+	// overflow until the cache is full again.
 	ConflictEvictions uint64
 	// FlushEvictions counts forced evictions performed by rehash migrations.
 	FlushEvictions uint64

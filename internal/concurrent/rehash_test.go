@@ -252,3 +252,51 @@ func TestConcurrentRehashStress(t *testing.T) {
 		t.Fatalf("occupancy counter %d != recount %d", c.occupancy.Load(), got)
 	}
 }
+
+// TestConflictEvictionsAfterRehash pins what ConflictEvictions counts: an
+// eviction while the cache has a free slot anywhere, and a rehash's forced
+// evictions leave such slots. Under a fixed hash a full cache adds no
+// conflict evictions however many further misses insert; after Rehash and
+// a drained migration, the refill's set overflows count until the cache
+// is full again.
+func TestConflictEvictionsAfterRehash(t *testing.T) {
+	c, err := New(Config{Capacity: 256, Alpha: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := uint64(0)
+	for ; c.Len() < c.Capacity(); key++ {
+		if key == 1<<16 {
+			t.Fatalf("cache holds %d of %d after %d inserts", c.Len(), c.Capacity(), key)
+		}
+		c.Put(key, key)
+	}
+	full := c.Snapshot()
+	for end := key + 4096; key < end; key++ {
+		c.Put(key, key)
+	}
+	if s := c.Snapshot(); s.Evictions == full.Evictions || s.ConflictEvictions != full.ConflictEvictions {
+		t.Fatalf("full cache, fixed hash: %d evictions, %d of them conflicts; want some, none conflicts",
+			s.Evictions-full.Evictions, s.ConflictEvictions-full.ConflictEvictions)
+	}
+
+	c.Rehash()
+	for i := 0; c.Migrating(); i++ {
+		if i == 1<<16 {
+			t.Fatalf("migration still pending %d after %d misses", c.PendingMigration(), i)
+		}
+		c.Get(1<<40 + uint64(i)) // a miss retires pending entries
+	}
+	drained := c.Snapshot()
+	if drained.FlushEvictions == 0 || drained.Len >= drained.Capacity {
+		t.Fatalf("drained migration: %d flush evictions, %d of %d slots held; want some, fewer than all",
+			drained.FlushEvictions, drained.Len, drained.Capacity)
+	}
+	for end := key + 4096; key < end; key++ {
+		c.Put(key, key)
+	}
+	if s := c.Snapshot(); s.ConflictEvictions == drained.ConflictEvictions {
+		t.Fatalf("refill after a rehash: %d evictions and no conflict evictions; the free slots the flush left should count",
+			s.Evictions-drained.Evictions)
+	}
+}

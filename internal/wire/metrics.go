@@ -104,9 +104,12 @@ type Stats struct {
 	// (CounterBytesIn … CounterConns).
 	BytesIn, BytesOut, SlowOps, Conns uint64
 
-	Hits              uint64
-	Misses            uint64
-	Evictions         uint64
+	Hits      uint64
+	Misses    uint64
+	Evictions uint64
+	// ConflictEvictions counts evictions made while the cache had a free
+	// slot elsewhere. The free slots include those FlushEvictions left,
+	// so the refill after a rehash counts its set overflows here.
 	ConflictEvictions uint64
 	FlushEvictions    uint64
 	Rehashes          uint64
