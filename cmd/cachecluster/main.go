@@ -76,7 +76,7 @@
 // online REHASH out to every member before the run.
 //
 // With -trace-sample N every worker stamps every N-th of its batches
-// with a sampled trace context (wire v6): each member records a span per
+// with a trace ID (wire v6): each member records a span per
 // hop it served, and after the run the harness joins the slowest traced
 // slow op's spans across nodes — the cross-node path of one sampled
 // request. Independently of sampling, every run ends with the cluster-wide
@@ -151,7 +151,7 @@ func defineFlags(fs *flag.FlagSet) *config {
 	fs.BoolVar(&c.open, "open", false, "open-loop mode: rate-paced arrivals, coordinated-omission-safe percentiles")
 	fs.Float64Var(&c.rate, "rate", 0, "intended aggregate GET rate in ops/sec (open-loop mode, required)")
 	fs.DurationVar(&c.duration, "duration", 0, "stop issuing after this long (open-loop mode; 0 = when ops are exhausted)")
-	fs.IntVar(&c.traceSample, "trace-sample", 0, "stamp every Nth batch per worker with a sampled trace context (0 = tracing off)")
+	fs.IntVar(&c.traceSample, "trace-sample", 0, "stamp every Nth batch per worker with a trace ID (0 = tracing off)")
 	fs.BoolVar(&c.leases, "leases", false, "lease/singleflight misses (wire v7 GETL): one fill per cold key cluster-wide, concurrent missers wait for it")
 	fs.IntVar(&c.nearSlots, "near-slots", 0, "per-worker near-cache slots (0 = off): serve repeat reads in-process, version-invalidated")
 	fs.DurationVar(&c.nearTTL, "near-ttl", 0, "near-cache entry TTL (0 = default); the staleness budget granted to the client edge")

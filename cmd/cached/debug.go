@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/server"
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -44,22 +45,34 @@ type debugHist struct {
 	MaxBkt time.Duration `json:"max_bucket_ns"`
 }
 
-type debugSlowOp struct {
+// debugRecord is one flight-recorder record, the one shape of the
+// slow_ops and traces lists; trace_id is omitted on an untraced slow op.
+type debugRecord struct {
 	Op       string `json:"op"`
+	Status   string `json:"status"`
+	TraceID  string `json:"trace_id,omitempty"`
 	KeyHash  uint64 `json:"key_hash"`
 	Duration int64  `json:"duration_ns"`
 	Version  uint64 `json:"version"`
 	Unix     uint64 `json:"unix_nanos"`
-	TraceID  string `json:"trace_id,omitempty"`
 }
 
-type debugSpan struct {
-	Op       string `json:"op"`
-	Status   string `json:"status"`
-	TraceID  string `json:"trace_id"`
-	KeyHash  uint64 `json:"key_hash"`
-	Duration int64  `json:"duration_ns"`
-	Unix     uint64 `json:"unix_nanos"`
+func debugRecords(recs []telemetry.Span) []debugRecord {
+	out := make([]debugRecord, len(recs))
+	for i, r := range recs {
+		out[i] = debugRecord{
+			Op:       wire.Op(r.Op).String(),
+			Status:   wire.Status(r.Status).String(),
+			KeyHash:  r.KeyHash,
+			Duration: int64(r.DurationNanos),
+			Version:  r.Version,
+			Unix:     r.UnixNanos,
+		}
+		if !r.TraceID.IsZero() {
+			out[i].TraceID = r.TraceID.String()
+		}
+	}
+	return out
 }
 
 type debugHotKey struct {
@@ -86,30 +99,6 @@ func debugMetrics(srv *server.Server) map[string]any {
 	for _, c := range m.Counters {
 		counters[wire.CounterName(c.ID)] = c.Value
 	}
-	slow := make([]debugSlowOp, len(m.SlowOps))
-	for i, r := range m.SlowOps {
-		slow[i] = debugSlowOp{
-			Op:       wire.Op(r.Op).String(),
-			KeyHash:  r.KeyHash,
-			Duration: int64(r.DurationNanos),
-			Version:  r.Version,
-			Unix:     r.UnixNanos,
-		}
-		if !r.TraceID.IsZero() {
-			slow[i].TraceID = r.TraceID.String()
-		}
-	}
-	spans := make([]debugSpan, len(m.Spans))
-	for i, sp := range m.Spans {
-		spans[i] = debugSpan{
-			Op:       wire.Op(sp.Op).String(),
-			Status:   wire.Status(sp.Status).String(),
-			TraceID:  sp.TraceID.String(),
-			KeyHash:  sp.KeyHash,
-			Duration: int64(sp.DurationNanos),
-			Unix:     sp.UnixNanos,
-		}
-	}
 	// Hot keys: the top 10 per class is what an operator scans; the full
 	// sketch stays on the wire op.
 	hot := make(map[string][]debugHotKey, len(m.HotKeys))
@@ -124,8 +113,8 @@ func debugMetrics(srv *server.Server) map[string]any {
 	return map[string]any{
 		"hists":    hists,
 		"counters": counters,
-		"slow_ops": slow,
-		"traces":   spans,
+		"slow_ops": debugRecords(m.SlowOps),
+		"traces":   debugRecords(m.Spans),
 		"hot_keys": hot,
 	}
 }

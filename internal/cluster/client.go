@@ -39,11 +39,11 @@ type Options struct {
 	// retry cycle).
 	Dial DialFunc
 	// TraceSample enables end-to-end request tracing (wire v6): every
-	// N-th batch (or single-key operation) is stamped with a sampled
-	// trace context that rides the whole fan-out — every sub-batch,
-	// every fallback round, every quorum write, and any background
-	// repair the operation schedules — so the member-side span rings can
-	// be joined on the trace ID into the request's cluster-wide path.
+	// N-th batch (or single-key operation) is stamped with a trace ID
+	// that rides the whole fan-out — every sub-batch, every fallback
+	// round, every quorum write, and any background repair the operation
+	// schedules — so the member-side span rings can be joined on the
+	// trace ID into the request's cluster-wide path.
 	// 0 disables tracing entirely: no request carries trace bytes and
 	// the member-side cost is zero.
 	TraceSample int
@@ -151,8 +151,8 @@ type Client struct {
 	staleRepairs atomic.Uint64
 
 	// Tracing (Options.TraceSample): every traceSample-th batch is minted
-	// a sampled trace context from the per-client seed and the batch
-	// counter — unique without coordination, nonzero by construction.
+	// a trace ID from the per-client seed and the batch counter — unique
+	// without coordination, nonzero by construction.
 	traceSample  int
 	traceSeed    uint64
 	traceCounter atomic.Uint64
@@ -347,25 +347,24 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// nextTrace decides whether the next batch is traced and mints its
-// context: the trace ID packs the per-client seed (nonzero by
-// construction, so the ID can never be the all-zero protocol error)
-// with a scramble of the batch counter, unique across clients without
+// nextTrace decides whether the next batch is traced and mints its trace
+// ID, zero when it is not. The batch stamps the ID on every request of
+// every sub-batch and on the repairs it schedules: fan-out is one logical
+// request, so it is one trace. The ID packs the per-client seed (nonzero
+// by construction, so a traced batch never carries the zero ID) with a
+// scramble of the batch counter, unique across clients without
 // coordination. Minting is two atomics on the untraced path.
-func (c *Client) nextTrace() batchTrace {
+func (c *Client) nextTrace() (id telemetry.TraceID) {
 	if c.traceSample <= 0 {
-		return batchTrace{}
+		return id
 	}
 	n := c.traceCounter.Add(1)
 	if n%uint64(c.traceSample) != 0 {
-		return batchTrace{}
+		return id
 	}
-	var bt batchTrace
-	bt.traced = true
-	bt.tc.Flags = wire.TraceFlagSampled
-	binary.LittleEndian.PutUint64(bt.tc.ID[:8], c.traceSeed)
-	binary.LittleEndian.PutUint64(bt.tc.ID[8:], telemetry.HashKey(c.traceSeed^n))
-	return bt
+	binary.LittleEndian.PutUint64(id[:8], c.traceSeed)
+	binary.LittleEndian.PutUint64(id[8:], telemetry.HashKey(c.traceSeed^n))
+	return id
 }
 
 // Nodes returns the current members in sorted order.
@@ -454,7 +453,7 @@ func (c *Client) route(sc *batchScratch, keys []uint64, idxs []int, rf int) erro
 // (pollWaiters).
 func (c *Client) GetBatch(keys []uint64, visit func(i int, hit bool, value []byte)) error {
 	c.maybeRefresh()
-	bt := c.nextTrace()
+	trace := c.nextTrace()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	sc := getBatchScratch()
@@ -474,10 +473,10 @@ func (c *Client) GetBatch(keys []uint64, visit func(i int, hit bool, value []byt
 		return err
 	}
 	sc.waiters = sc.waiters[:0]
-	if err := c.readRounds(sc, keys, bt, rf, rf, visit); err != nil {
+	if err := c.readRounds(sc, keys, trace, rf, rf, visit); err != nil {
 		return err
 	}
-	return c.pollWaiters(sc, keys, bt, rf, visit)
+	return c.pollWaiters(sc, keys, trace, rf, visit)
 }
 
 // readRounds resolves the key indices in sc.pending in up to rounds
@@ -495,7 +494,7 @@ func (c *Client) GetBatch(keys []uint64, visit func(i int, hit bool, value []byt
 // else count as unreadable. An unreachable owner is never flagged — it
 // may be dead, and aiming repairs at a corpse would grind the repair
 // worker on failed dials. Caller holds c.mu.RLock.
-func (c *Client) readRounds(sc *batchScratch, keys []uint64, bt batchTrace, rf, rounds int, visit func(i int, hit bool, value []byte)) error {
+func (c *Client) readRounds(sc *batchScratch, keys []uint64, trace telemetry.TraceID, rf, rounds int, visit func(i int, hit bool, value []byte)) error {
 	var (
 		lease, last bool
 		unresolved  int
@@ -506,7 +505,7 @@ func (c *Client) readRounds(sc *batchScratch, keys []uint64, bt batchTrace, rf, 
 		if lease {
 			op = wire.OpGetLease
 		}
-		return cl.Enqueue(bt.stamp(wire.Request{Op: op, Key: keys[slot/rf]}))
+		return cl.Enqueue(wire.Request{Op: op, Key: keys[slot/rf], Trace: trace})
 	}
 	recv := func(s *subBatch, slot int, resp *wire.Response) error {
 		i := slot / rf
@@ -518,7 +517,7 @@ func (c *Client) readRounds(sc *batchScratch, keys []uint64, bt batchTrace, rf, 
 			s.nc.hits.Add(1)
 			if slot%rf > 0 {
 				c.fallbackHits.Add(1)
-				c.scheduleRepair(key, resp.Version, resp.Value, sc.flaggedAddrs(i, rf), bt)
+				c.scheduleRepair(key, resp.Version, resp.Value, sc.flaggedAddrs(i, rf), trace)
 			}
 			// Resident after all (or about to be, through the repair
 			// above): a stray grant must not turn a later user SET of the
@@ -638,7 +637,7 @@ func (sc *batchScratch) ack(i int, ver uint64) {
 // won — the read-through contract Options.Leases documents.
 func (c *Client) SetBatch(keys []uint64, value func(i int) []byte) error {
 	c.maybeRefresh()
-	bt := c.nextTrace()
+	trace := c.nextTrace()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	sc := getBatchScratch()
@@ -664,11 +663,11 @@ func (c *Client) SetBatch(keys []uint64, value func(i int) []byte) error {
 
 	send := func(cl *wire.Client, slot int) error {
 		i := slot / rf
-		req := wire.Request{Op: wire.OpSet, Key: keys[i], Value: sc.vals[i]}
+		req := wire.Request{Op: wire.OpSet, Key: keys[i], Value: sc.vals[i], Trace: trace}
 		if g := sc.grants[i]; g != nil {
 			req.Op, req.LeaseToken = wire.OpFill, g.token
 		}
-		return cl.Enqueue(bt.stamp(req))
+		return cl.Enqueue(req)
 	}
 	recv := func(s *subBatch, slot int, resp *wire.Response) error {
 		i := slot / rf
@@ -712,7 +711,7 @@ func (c *Client) SetBatch(keys []uint64, value func(i int) []byte) error {
 			continue // a lost fill: nothing to propagate or cache
 		}
 		if owed := sc.flaggedAddrs(i, rf); len(owed) > 0 {
-			c.scheduleRepair(k, sc.vers[i], sc.vals[i], owed, bt)
+			c.scheduleRepair(k, sc.vers[i], sc.vals[i], owed, trace)
 		}
 		if c.near != nil {
 			c.near.store(k, sc.vers[i], sc.vals[i], time.Now())
@@ -753,7 +752,7 @@ func (c *Client) Set(key uint64, value []byte) error {
 // of durable.
 func (c *Client) Del(key uint64) (bool, error) {
 	c.maybeRefresh()
-	bt := c.nextTrace()
+	trace := c.nextTrace()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	sc := getBatchScratch()
@@ -776,7 +775,7 @@ func (c *Client) Del(key uint64) (bool, error) {
 	present := false
 	lastErr := c.writeRound(sc,
 		func(cl *wire.Client, _ int) error {
-			return cl.Enqueue(bt.stamp(wire.Request{Op: wire.OpDel, Key: key}))
+			return cl.Enqueue(wire.Request{Op: wire.OpDel, Key: key, Trace: trace})
 		},
 		func(s *subBatch, _ int, resp *wire.Response) error {
 			if resp.Status != wire.StatusOK {
@@ -796,7 +795,8 @@ func (c *Client) Del(key uint64) (bool, error) {
 	// full anti-entropy period.
 	for slot := 0; slot < rf; slot++ {
 		if sc.flagged[slot] {
-			c.hintHandoff(sc.owners[slot].addr, key, true, sc.vers[0], nil)
+			target := sc.owners[slot].addr
+			c.hintHandoff(c.hintCandidates(target, key), target, key, true, sc.vers[0], nil)
 		}
 	}
 	if c.near != nil {
@@ -805,43 +805,48 @@ func (c *Client) Del(key uint64) (bool, error) {
 	return present, nil
 }
 
+// hintCandidates lists the members a hint for target's copy of key may
+// be parked on, in preference order: the key's other owners first — they
+// are the nodes a rejoining target's replica set already converges with
+// — then every other member. Caller holds c.mu (either side).
+func (c *Client) hintCandidates(target string, key uint64) []*nodeConn {
+	addrs := c.ring.OwnersFor(key, c.effReplicas())
+	for _, addr := range c.ring.Nodes() {
+		if !contains(addrs, addr) {
+			addrs = append(addrs, addr)
+		}
+	}
+	var ncs []*nodeConn
+	for _, addr := range addrs {
+		if nc := c.nodes[addr]; nc != nil && addr != target {
+			ncs = append(ncs, nc)
+		}
+	}
+	return ncs
+}
+
 // hintHandoff parks a versioned write (tombstone or value) intended for
-// dead target on the first live member that accepts it, preferring the
-// key's other owners — they are the nodes a rejoining target's replica
-// set already converges with. Caller holds c.mu (either side). Returns
-// whether a member accepted the hint.
-func (c *Client) hintHandoff(target string, key uint64, tomb bool, ver uint64, val []byte) bool {
+// dead target on the first of candidates (hintCandidates) that accepts
+// it. It needs no lock, and the repair worker calls it without one: each
+// attempt may dial a member and waits out a HINT round trip.
+func (c *Client) hintHandoff(candidates []*nodeConn, target string, key uint64, tomb bool, ver uint64, val []byte) {
 	if ver == 0 {
 		// No version observed (the write never landed anywhere we heard
 		// back from): nothing safe to hint — a zero version is a protocol
 		// error and anti-entropy will reconcile whatever state exists.
 		c.hintsFailed.Add(1)
-		return false
+		return
 	}
-	candidates := c.ring.OwnersFor(key, c.effReplicas())
-	for _, addr := range c.ring.Nodes() {
-		if !contains(candidates, addr) {
-			candidates = append(candidates, addr)
-		}
-	}
-	for _, addr := range candidates {
-		if addr == target {
-			continue
-		}
-		nc := c.nodes[addr]
-		if nc == nil {
-			continue
-		}
+	for _, nc := range candidates {
 		err := nc.do(c.dial, func(cl *wire.Client) error {
 			return cl.Hint(target, key, tomb, ver, val)
 		})
 		if err == nil {
 			c.hintsSent.Add(1)
-			return true
+			return
 		}
 	}
 	c.hintsFailed.Add(1)
-	return false
 }
 
 // RehashAll asks every member to begin an online incremental rehash — the

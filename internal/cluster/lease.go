@@ -1,6 +1,10 @@
 package cluster
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/telemetry"
+)
 
 // This file is the client half of the v7 lease protocol: the grant store
 // and the steps leases add to the batch pipelines of client.go — the
@@ -149,7 +153,7 @@ func (c *Client) waitLocalGrants(keys []uint64, idxs []int, visit func(i int, hi
 // lands, and past leaseWaitCap resolve what is left as plain misses; the
 // caller's read-through then GETLs again and typically inherits the
 // expired lease. Caller holds c.mu.RLock.
-func (c *Client) pollWaiters(sc *batchScratch, keys []uint64, bt batchTrace, rf int, visit func(i int, hit bool, value []byte)) error {
+func (c *Client) pollWaiters(sc *batchScratch, keys []uint64, trace telemetry.TraceID, rf int, visit func(i int, hit bool, value []byte)) error {
 	c.leaseWaits.Add(uint64(len(sc.waiters)))
 	deadline := time.Now().Add(leaseWaitCap)
 	for backoff := leaseWaitBackoff; len(sc.waiters) > 0; backoff = min(2*backoff, leaseWaitBackoffMax) {
@@ -162,7 +166,7 @@ func (c *Client) pollWaiters(sc *batchScratch, keys []uint64, bt batchTrace, rf 
 			}
 			return nil
 		}
-		if err := c.readRounds(sc, keys, bt, rf, 1, visit); err != nil {
+		if err := c.readRounds(sc, keys, trace, rf, 1, visit); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,9 @@
 package cluster
 
-import "repro/internal/wire"
+import (
+	"repro/internal/telemetry"
+	"repro/internal/wire"
+)
 
 // This file is the background half of R-way replication: the bounded
 // read-repair queue the batch pipelines (client.go) feed and the worker
@@ -38,11 +41,11 @@ type repairTask struct {
 	val   []byte
 	addrs []string
 
-	// bt carries the originating batch's trace context across the queue:
-	// a repair caused by a sampled read or write is itself traced, so the
+	// trace carries the originating batch's trace ID across the queue: a
+	// repair caused by a traced read or write is itself traced, so the
 	// owner that receives it records a span under the same trace ID — the
 	// last hop of the request's cluster-wide path.
-	bt batchTrace
+	trace telemetry.TraceID
 }
 
 // ReplicationCounters is the router's replication telemetry; see
@@ -97,7 +100,7 @@ func (c *Client) Replication() ReplicationCounters {
 // scheduleRepair queues a background PUT of key=val, observed at ver,
 // at addrs. Caller holds c.mu (either side); val may alias a connection
 // buffer and is copied here.
-func (c *Client) scheduleRepair(key, ver uint64, val []byte, addrs []string, bt batchTrace) {
+func (c *Client) scheduleRepair(key, ver uint64, val []byte, addrs []string, trace telemetry.TraceID) {
 	if c.repairClosed || len(addrs) == 0 {
 		return
 	}
@@ -106,7 +109,7 @@ func (c *Client) scheduleRepair(key, ver uint64, val []byte, addrs []string, bt 
 		ver:   ver,
 		val:   append([]byte(nil), val...),
 		addrs: append([]string(nil), addrs...),
-		bt:    bt,
+		trace: trace,
 	}
 	c.repairsScheduled.Add(1)
 	select {
@@ -133,13 +136,14 @@ func (c *Client) repairLoop() {
 // fallback-detected stale replica) converges on rejoin without waiting
 // for the next read of the key.
 //
-// c.mu is held only for the membership lookup, never across the network
-// write: a repair dialing a slow or dead node must not block a pending
-// membership change — and, through the RWMutex's writer queue, every other
-// read and write on the client — for a connect timeout. The price is that
-// a member removed concurrently with the lookup may receive one final
-// repair write, which is harmless: it is a PUT to a node already out of
-// the ring.
+// c.mu is held only for the membership lookups, never across a network
+// write — the PUT or the HINT standing in for it: a repair dialing a slow
+// or dead node, or waiting on a hint's round trip, must not block a
+// pending membership change — and, through the RWMutex's writer queue,
+// every other read and write on the client — for a connect timeout. The
+// price is that a member removed concurrently with a lookup may receive
+// one final repair PUT or hint, which is harmless: both are
+// version-checked writes to a node already out of the ring.
 func (c *Client) applyRepair(t repairTask) {
 	for _, addr := range t.addrs {
 		c.mu.RLock()
@@ -158,16 +162,18 @@ func (c *Client) applyRepair(t repairTask) {
 		// ran.
 		var applied bool
 		err := nc.do(c.dial, func(cl *wire.Client) (err error) {
-			applied, _, err = cl.Put(t.bt.stamp(wire.Request{Key: t.key, Version: t.ver, Value: t.val}))
+			applied, _, err = cl.Put(wire.Request{Key: t.key, Version: t.ver, Value: t.val, Trace: t.trace})
 			return err
 		})
 		switch {
 		case err != nil:
 			c.mu.RLock()
-			if !c.repairClosed {
-				c.hintHandoff(addr, t.key, false, t.ver, t.val)
-			}
+			closed, candidates := c.repairClosed, c.hintCandidates(addr, t.key)
 			c.mu.RUnlock()
+			if closed {
+				return
+			}
+			c.hintHandoff(candidates, addr, t.key, false, t.ver, t.val)
 		case applied:
 			nc.repairs.Add(1)
 			c.repairsApplied.Add(1)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -537,5 +538,84 @@ func TestRepairCannotReinstateOldValue(t *testing.T) {
 	}
 	if v, hit, err := ctl.Get(key); err != nil || !hit || string(v) != "new" {
 		t.Fatalf("final read = %q, %v, %v; want the user SET to survive the delayed repair", v, hit, err)
+	}
+}
+
+// hintGateConn holds each write whose first frame is a HINT until gate
+// closes, after signalling held: a hint whose receiving member answers
+// slowly.
+type hintGateConn struct {
+	net.Conn
+	held chan<- struct{}
+	gate <-chan struct{}
+}
+
+func (g hintGateConn) Write(p []byte) (int, error) {
+	frame := bytes.TrimPrefix(p, binary.LittleEndian.AppendUint32([]byte(wire.Magic), wire.Version))
+	if len(frame) > 4 && frame[4]&^wire.OpFlagTraced == byte(wire.OpHint) {
+		select {
+		case g.held <- struct{}{}:
+		default:
+		}
+		<-g.gate
+	}
+	return g.Conn.Write(p)
+}
+
+// TestRepairHintDoesNotHoldRouterLock crashes one owner of a key at R = 2,
+// W = 1 and writes the key. The write's repair PUT to the dead owner
+// fails, so the repair worker parks the write as a HINT on the other
+// owner — and that HINT is held in flight. While it is, the router's lock
+// must be free: a membership change, and every batch queued behind it,
+// must not wait on a repair's network round trip.
+func TestRepairHintDoesNotHoldRouterLock(t *testing.T) {
+	var addrs []string
+	srvs := make(map[string]*server.Server)
+	for seed := uint64(1); seed <= 3; seed++ {
+		addr, srv := startNodeWithServer(t, 1024, 16, seed)
+		addrs, srvs[addr] = append(addrs, addr), srv
+	}
+	held := make(chan struct{}, 1)
+	gate := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	dial := func(addr string) (*wire.Client, error) {
+		conn, err := net.DialTimeout("tcp", addr, time.Second)
+		if err != nil {
+			return nil, err
+		}
+		return wire.NewClient(hintGateConn{Conn: conn, held: held, gate: gate})
+	}
+	ctl, err := Dial(addrs, Options{Replicas: 2, WriteQuorum: 1, Dial: dial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	defer release() // before Close, which waits for the repair worker
+
+	const key = 7
+	if err := srvs[ctl.Owners(key)[1]].Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.SetBatch([]uint64{key}, func(int) []byte { return []byte("v") }); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the repair never sent a HINT for the dead owner")
+	}
+	if !ctl.mu.TryLock() {
+		t.Fatal("the repair worker holds the router lock across its HINT round trip")
+	}
+	ctl.mu.Unlock()
+
+	release()
+	deadline := time.Now().Add(5 * time.Second)
+	for ctl.Snapshot().Replication.HintsSent == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the released HINT never landed")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

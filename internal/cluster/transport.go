@@ -133,22 +133,6 @@ func (nc *nodeConn) dropAll() {
 	}
 }
 
-// batchTrace is one batch's trace context. The zero value means untraced:
-// the requests go out in their v5-identical form with no trace bytes. A
-// traced batch stamps the same context on every request of every
-// sub-batch — fan-out is one logical request, so it is one trace.
-type batchTrace struct {
-	tc     wire.TraceContext
-	traced bool
-}
-
-// stamp returns req carrying the batch's trace context (none when the
-// batch is untraced) — the one place a request of a batch acquires it.
-func (bt batchTrace) stamp(req wire.Request) wire.Request {
-	req.Trace, req.Traced = bt.tc, bt.traced
-	return req
-}
-
 // subBatch is the slice of one fan-out round bound for a single member.
 type subBatch struct {
 	nc        *nodeConn

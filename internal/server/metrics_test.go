@@ -213,17 +213,17 @@ func TestSlowOpLog(t *testing.T) {
 
 	// Disabling the threshold stops the ring from growing.
 	srv.SetSlowOpThreshold(0)
-	before := srv.slowLog.Total()
+	before := srv.slow.Total()
 	if _, _, err := c.Get(key); err != nil {
 		t.Fatal(err)
 	}
-	if srv.slowLog.Total() != before {
+	if srv.slow.Total() != before {
 		t.Error("slow-op ring grew with the threshold disabled")
 	}
 }
 
 // TestSpansAndHotKeys drives a mix of traced and untraced traffic at a
-// server and checks the v6 flight-recorder additions: only sampled
+// server and checks the v6 flight-recorder additions: only traced
 // requests land in the span ring (with op, status, key hash, and the
 // propagated trace ID) — a maintenance PUT sent on a trace's behalf
 // included — and the sampled hot-key sketches rank a planted hot key
@@ -238,34 +238,27 @@ func TestSpansAndHotKeys(t *testing.T) {
 	defer c.Close()
 
 	const hotKey = 42
-	tc := wire.TraceContext{Flags: wire.TraceFlagSampled}
-	tc.ID[0] = 0xAB
+	trace := telemetry.TraceID{0xAB}
 	gets, sets := make(map[uint64]uint64), make(map[uint64]uint64)
 
-	// One sampled traced GET, one traced-but-unsampled GET, the sampled
-	// trace's read repair (a PUT on another key), and piles of untraced
-	// GETs and SETs skewed at the hot key.
+	// One traced GET, the trace's read repair (a PUT on another key), and
+	// piles of untraced GETs and SETs skewed at the hot key.
 	if _, err := c.Set(hotKey, []byte("hot")); err != nil {
 		t.Fatal(err)
 	}
 	sets[telemetry.HashKey(hotKey)]++
-	if err := c.Enqueue(wire.Request{Op: wire.OpGet, Key: hotKey, Trace: tc, Traced: true}); err != nil {
+	if err := c.Enqueue(wire.Request{Op: wire.OpGet, Key: hotKey, Trace: trace}); err != nil {
 		t.Fatal(err)
 	}
-	unsampled := wire.TraceContext{}
-	unsampled.ID[0] = 0xCD
-	if err := c.Enqueue(wire.Request{Op: wire.OpGet, Key: hotKey, Trace: unsampled, Traced: true}); err != nil {
-		t.Fatal(err)
-	}
-	gets[telemetry.HashKey(hotKey)] += 2
+	gets[telemetry.HashKey(hotKey)]++
 	const repairedKey = 123
-	if err := c.Enqueue(wire.Request{Op: wire.OpPut, Key: repairedKey, Version: 7, Trace: tc, Traced: true, Value: []byte("r")}); err != nil {
+	if err := c.Enqueue(wire.Request{Op: wire.OpPut, Key: repairedKey, Version: 7, Trace: trace, Value: []byte("r")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 2; i++ {
 		if _, err := c.ReadResponse(); err != nil {
 			t.Fatal(err)
 		}
@@ -296,11 +289,11 @@ func TestSpansAndHotKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(m.Spans) != 2 {
-		t.Fatalf("span ring holds %d spans, want exactly the two sampled requests", len(m.Spans))
+		t.Fatalf("span ring holds %d spans, want exactly the two traced requests", len(m.Spans))
 	}
 	for _, sp := range m.Spans {
-		if sp.TraceID != telemetry.TraceID(tc.ID) {
-			t.Errorf("span trace ID = %s, want %s", sp.TraceID, telemetry.TraceID(tc.ID))
+		if sp.TraceID != trace {
+			t.Errorf("span trace ID = %s, want %s", sp.TraceID, trace)
 		}
 	}
 	if put := m.Spans[1]; put.Op != byte(wire.OpPut) || put.Status != byte(wire.StatusOK) ||
@@ -353,6 +346,49 @@ func checkHotClass(t *testing.T, class string, got telemetry.TopKSnapshot, exact
 	}
 }
 
+// TestTracedSlowOpIsOneRecord pins that a request both traced and slow
+// leaves one record: its entry in the slow ring and its entry in the span
+// ring are equal field for field, wall-clock time and trace ID included.
+func TestTracedSlowOpIsOneRecord(t *testing.T) {
+	srv, addr := startServer(t, concurrent.Config{Capacity: 64, Alpha: 4, Seed: 1})
+	c, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	srv.SetSlowOpThreshold(0) // the untraced SET stays out of both rings
+	if _, err := c.Set(3, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	srv.SetSlowOpThreshold(time.Nanosecond) // everything qualifies
+	trace := telemetry.TraceID{0x5A, 15: 0xA5}
+	if err := c.Enqueue(wire.Request{Op: wire.OpGet, Key: 3, Trace: trace}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ReadResponse(); err != nil {
+		t.Fatal(err)
+	}
+	srv.SetSlowOpThreshold(0) // the METRICS read below stays out of the ring
+	m, err := c.Metrics(wire.MetricsSlowOps | wire.MetricsTraces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.SlowOps) != 1 || len(m.Spans) != 1 {
+		t.Fatalf("slow ring holds %d records and span ring %d, want 1 and 1", len(m.SlowOps), len(m.Spans))
+	}
+	slow, span := m.SlowOps[0], m.Spans[0]
+	if slow != span {
+		t.Errorf("slow-ring record %+v differs from span-ring record %+v", slow, span)
+	}
+	if span.TraceID != trace || span.Op != byte(wire.OpGet) || span.Status != byte(wire.StatusHit) ||
+		span.KeyHash != telemetry.HashKey(3) || span.Version == 0 || span.DurationNanos == 0 || span.UnixNanos == 0 {
+		t.Errorf("record = %+v, want a traced GET hit of key 3 with its version and timing", span)
+	}
+}
+
 // TestSlowOpTraceJoin pins the join the debugging walkthrough relies
 // on: a traced request that crosses the slow threshold leaves a slow-op
 // record carrying its trace ID, while untraced slow ops carry zero.
@@ -365,9 +401,8 @@ func TestSlowOpTraceJoin(t *testing.T) {
 	}
 	defer c.Close()
 
-	tc := wire.TraceContext{Flags: wire.TraceFlagSampled}
-	tc.ID[5] = 0x77
-	if err := c.Enqueue(wire.Request{Op: wire.OpSet, Key: 9, Trace: tc, Traced: true, Value: []byte("v")}); err != nil {
+	trace := telemetry.TraceID{5: 0x77}
+	if err := c.Enqueue(wire.Request{Op: wire.OpSet, Key: 9, Trace: trace, Value: []byte("v")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
@@ -387,7 +422,7 @@ func TestSlowOpTraceJoin(t *testing.T) {
 	var traced, untraced bool
 	for _, r := range m.SlowOps {
 		switch {
-		case r.Op == byte(wire.OpSet) && r.TraceID == telemetry.TraceID(tc.ID):
+		case r.Op == byte(wire.OpSet) && r.TraceID == trace:
 			traced = true
 		case r.Op == byte(wire.OpGet) && r.TraceID.IsZero():
 			untraced = true

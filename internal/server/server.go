@@ -188,8 +188,8 @@ type Server struct {
 	bytesIn       telemetry.Counter
 	bytesOut      telemetry.Counter
 	connsAccepted telemetry.Counter
-	slowLog       *telemetry.SlowLog
-	slowThreshold atomic.Int64 // nanoseconds; ≤0 disables the slow-op log
+	slow          *telemetry.SpanRing // requests over slowThreshold
+	slowThreshold atomic.Int64        // nanoseconds; ≤0 disables the slow ring
 
 	// Fill leases (protocol v7, see lease.go) live in the store records;
 	// the server keeps only the token source, the TTL and two counters.
@@ -223,7 +223,7 @@ type Server struct {
 	hintDial      func(addr string) (*wire.Client, error)
 
 	// Tracing and hot-key attribution (protocol v6). spans retains one
-	// record per *sampled* traced request; hotKeys holds one always-on
+	// record per traced request; hotKeys holds one always-on
 	// space-saving sketch per traffic class, indexed by the wire hot-key
 	// class byte, fed a 1-in-telemetry.SampleWeight sample of the requests
 	// (see observe). Both record allocation-free, like the rest of the
@@ -251,8 +251,8 @@ func New(cache *concurrent.Cache) *Server {
 		stop:     make(chan struct{}),
 		hintDone: make(chan struct{}),
 		hintDial: wire.Dial,
-		slowLog:  telemetry.NewSlowLog(0),
-		spans:    telemetry.NewSpanRing(0),
+		slow:     telemetry.NewSpanRing(telemetry.SlowRingSize),
+		spans:    telemetry.NewSpanRing(telemetry.SpanRingSize),
 	}
 	for class := wire.HotGet; class <= wire.HotEvict; class++ {
 		s.hotKeys[class] = telemetry.NewTopK(0)
@@ -599,10 +599,11 @@ func (cw countingWriter) WriteBuffers(v *net.Buffers) (int64, error) {
 // takes feeds its key into its op class's hot-key sketch — and, when its
 // write displaced a resident, into the EVICT class's — with weight
 // telemetry.SampleWeight, so the sketches estimate true counts within
-// telemetry.SampleSlack. A traced, sampled request leaves a span; one over
-// the slow threshold leaves a slow-op record carrying the trace ID
-// (all-zero when untraced). The key is hashed only for those three, so
-// the common request pays one histogram add and one sampler decrement.
+// telemetry.SampleSlack. A traced request, or one over the slow threshold,
+// leaves one record, read off one wall clock, in the span ring if traced
+// and in the slow ring if slow; a traced slow request leaves the same
+// record in both. The key is hashed only for those three, so the common
+// request pays one histogram add and one sampler decrement.
 func (s *Server) observe(smp *telemetry.Sampler, req *wire.Request, resp *wire.Response, displaced bool, d time.Duration) {
 	op := int(req.Op)
 	if op <= 0 || op >= len(s.opHists) {
@@ -610,7 +611,7 @@ func (s *Server) observe(smp *telemetry.Sampler, req *wire.Request, resp *wire.R
 	}
 	s.opHists[op].Record(d)
 	sampled := smp.Take()
-	traced := req.Traced && req.Trace.Sampled()
+	traced := !req.Trace.IsZero()
 	thr := s.slowThreshold.Load()
 	slow := thr > 0 && int64(d) >= thr
 	if !sampled && !traced && !slow {
@@ -642,27 +643,24 @@ func (s *Server) observe(smp *telemetry.Sampler, req *wire.Request, resp *wire.R
 			s.hotKeys[wire.HotEvict].Record(kh, telemetry.SampleWeight)
 		}
 	}
-	if traced {
-		s.spans.Append(telemetry.Span{
-			Op:            byte(req.Op),
-			Status:        byte(resp.Status),
-			TraceID:       req.Trace.ID,
-			KeyHash:       kh,
-			DurationNanos: uint64(d),
-			UnixNanos:     uint64(time.Now().UnixNano()),
-		})
-	}
-	if !slow {
+	if !traced && !slow {
 		return
 	}
-	s.slowLog.Append(telemetry.SlowOp{
+	rec := telemetry.Span{
 		Op:            byte(req.Op),
+		Status:        byte(resp.Status),
+		TraceID:       req.Trace,
 		KeyHash:       kh,
 		DurationNanos: uint64(d),
 		Version:       resp.Version,
 		UnixNanos:     uint64(time.Now().UnixNano()),
-		TraceID:       req.Trace.ID,
-	})
+	}
+	if traced {
+		s.spans.Append(rec)
+	}
+	if slow {
+		s.slow.Append(rec)
+	}
 }
 
 // MetricsSnapshot assembles the flight-recorder sections selected by
@@ -681,7 +679,7 @@ func (s *Server) MetricsSnapshot(flags wire.MetricsFlags) *wire.Metrics {
 		m.Counters = s.stats().Counters()
 	}
 	if flags&wire.MetricsSlowOps != 0 {
-		m.SlowOps = s.slowLog.Snapshot()
+		m.SlowOps = s.slow.Snapshot()
 	}
 	if flags&wire.MetricsTraces != 0 {
 		m.Spans = s.spans.Snapshot()
@@ -1082,7 +1080,7 @@ func (s *Server) stats() *wire.Stats {
 	return &wire.Stats{
 		BytesIn:           s.bytesIn.Load(),
 		BytesOut:          s.bytesOut.Load(),
-		SlowOps:           s.slowLog.Total(),
+		SlowOps:           s.slow.Total(),
 		Conns:             s.connsAccepted.Load(),
 		Hits:              s.hits.Load(),
 		Misses:            s.misses.Load(),

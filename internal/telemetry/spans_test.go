@@ -5,37 +5,53 @@ import (
 	"testing"
 )
 
-// TestSpanRing pins ring semantics: partial fill, wrap, oldest-first
-// snapshots, total counting, default sizing.
+// TestSlowLogRing pins ring semantics for the slow ring: its capacity,
+// fed slow-op records (versioned, mostly untraced).
+func TestSlowLogRing(t *testing.T) {
+	checkRing(t, SlowRingSize, func(i int) Span {
+		return Span{Op: byte(i), DurationNanos: uint64(i), Version: uint64(i)}
+	})
+}
+
+// TestSpanRing pins ring semantics for the span ring: its capacity, fed
+// traced-request records.
 func TestSpanRing(t *testing.T) {
-	r := NewSpanRing(4)
+	checkRing(t, SpanRingSize, func(i int) Span {
+		return Span{Op: byte(i), Status: 1, TraceID: TraceID{byte(i)}, KeyHash: uint64(i)}
+	})
+}
+
+// checkRing drives a ring of the given capacity through partial fill and
+// wrap, checking oldest-first snapshots and total counting; rec(i) is the
+// i-th record appended.
+func checkRing(t *testing.T, size int, rec func(i int) Span) {
+	t.Helper()
+	r := NewSpanRing(size)
 	if got := r.Snapshot(); len(got) != 0 {
 		t.Fatalf("fresh ring holds %d spans", len(got))
 	}
 	for i := 1; i <= 3; i++ {
-		r.Append(Span{Op: byte(i)})
+		r.Append(rec(i))
 	}
 	got := r.Snapshot()
-	if len(got) != 3 || got[0].Op != 1 || got[2].Op != 3 {
+	if len(got) != 3 || got[0] != rec(1) || got[2] != rec(3) {
 		t.Fatalf("partial ring snapshot = %+v", got)
 	}
-	for i := 4; i <= 10; i++ {
-		r.Append(Span{Op: byte(i)})
+	n := size + 6 // wrap the ring
+	for i := 4; i <= n; i++ {
+		r.Append(rec(i))
 	}
 	got = r.Snapshot()
-	if len(got) != 4 {
-		t.Fatalf("full ring holds %d, want 4", len(got))
+	if len(got) != size || r.Cap() != size {
+		t.Fatalf("full ring holds %d of cap %d, want %d", len(got), r.Cap(), size)
 	}
-	for i, s := range got {
-		if want := byte(7 + i); s.Op != want {
-			t.Fatalf("ring[%d].Op = %d, want %d", i, s.Op, want)
+	for i, s := range got { // the newest size records, oldest first
+		if want := rec(n - size + 1 + i); s != want {
+			t.Fatalf("ring[%d] = %+v, want %+v", i, s, want)
 		}
 	}
-	if r.Total() != 10 {
-		t.Fatalf("Total = %d, want 10", r.Total())
-	}
-	if NewSpanRing(0).Cap() != DefaultSpanRingSize {
-		t.Fatal("NewSpanRing(0) must default the capacity")
+	if r.Total() != uint64(n) {
+		t.Fatalf("Total = %d, want %d", r.Total(), n)
 	}
 }
 
@@ -81,12 +97,15 @@ func TestSpanRingRace(t *testing.T) {
 	}
 }
 
-// TestSpanRingZeroAllocs: sampled-span recording must not allocate.
+// TestSpanRingZeroAllocs: recording must not allocate, at either ring
+// size.
 func TestSpanRingZeroAllocs(t *testing.T) {
-	r := NewSpanRing(64)
-	s := Span{Op: 1, TraceID: TraceID{1, 2, 3}, KeyHash: 9, DurationNanos: 100}
-	if n := testing.AllocsPerRun(1000, func() { r.Append(s) }); n != 0 {
-		t.Fatalf("SpanRing.Append allocates %.1f/op, want 0", n)
+	s := Span{Op: 1, TraceID: TraceID{1, 2, 3}, KeyHash: 9, DurationNanos: 100, Version: 7}
+	for _, size := range []int{SlowRingSize, SpanRingSize} {
+		r := NewSpanRing(size)
+		if n := testing.AllocsPerRun(1000, func() { r.Append(s) }); n != 0 {
+			t.Fatalf("SpanRing(%d).Append allocates %.1f/op, want 0", size, n)
+		}
 	}
 }
 

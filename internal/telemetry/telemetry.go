@@ -1,7 +1,7 @@
 // Package telemetry is the server-side flight recorder: allocation-free,
 // atomics-only primitives for recording what a hot request path did —
-// log-bucketed latency histograms, monotonic counters, and a
-// ring-buffered slow-op log — cheap enough to run always-on in the cached
+// log-bucketed latency histograms, monotonic counters, and a ring of
+// request records (Span) — cheap enough to run always-on in the cached
 // request loop.
 //
 // The design constraints, in order:
@@ -22,7 +22,7 @@
 //     1/SubBuckets (6.25%) — accurate enough to tell a 100µs p99 from a
 //     10ms one, which is the job.
 //
-// The recording side (Histogram, Counter, SlowLog) is written
+// The recording side (Histogram, Counter, SpanRing) is written
 // against concurrent writers; the snapshot side is weakly consistent (a
 // snapshot taken during concurrent recording may tear between buckets) but
 // every count lands in exactly one bucket, so nothing is lost or double
@@ -32,7 +32,6 @@ package telemetry
 import (
 	"math"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -197,96 +196,13 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
 
-// SlowOp is one flight-recorder entry: an operation whose service time
-// crossed the slow threshold. The key is retained as a scrambled hash
-// (HashKey), not verbatim — enough to correlate repeat offenders without
-// the log exposing raw keys.
-type SlowOp struct {
-	// Op is the wire opcode byte of the slow operation.
-	Op byte
-	// KeyHash is HashKey of the operation's key (0 for keyless ops).
-	KeyHash uint64
-	// DurationNanos is the measured service time.
-	DurationNanos uint64
-	// Version is the value version involved (stored version of a GET hit,
-	// assigned version of a SET; 0 otherwise).
-	Version uint64
-	// UnixNanos is the wall-clock completion time.
-	UnixNanos uint64
-	// TraceID is the originating request's trace ID when the slow op was
-	// traced (wire v6 trace context); all-zero otherwise. It is what joins
-	// a slow op on one node to the cluster-side spans that caused it.
-	TraceID TraceID
-}
-
-// Duration returns the service time as a time.Duration.
-func (o SlowOp) Duration() time.Duration { return time.Duration(o.DurationNanos) }
-
-// HashKey scrambles a cache key for the slow-op log (SplitMix64 finalizer:
-// bijective, so distinct keys stay distinguishable, but not invertible by
-// eyeball). Loggers use it so the flight recorder never spells raw keys.
+// HashKey scrambles a cache key for the flight recorder (SplitMix64
+// finalizer: bijective, so distinct keys stay distinguishable, but not
+// invertible by eyeball). Loggers use it so the flight recorder never
+// spells raw keys.
 func HashKey(key uint64) uint64 {
 	z := key + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// DefaultSlowLogSize is the ring capacity of a SlowLog built by NewSlowLog
-// when asked for size 0.
-const DefaultSlowLogSize = 256
-
-// SlowLog is a fixed-size ring buffer of SlowOp records: the newest
-// records win, the total is counted monotonically, and Append performs no
-// allocation. Appends are expected to be rare (only ops over the slow
-// threshold land here), so a mutex — not the histogram's lock-free path —
-// protects the ring.
-type SlowLog struct {
-	mu    sync.Mutex
-	recs  []SlowOp
-	next  int // ring write position
-	full  bool
-	total atomic.Uint64
-}
-
-// NewSlowLog builds a ring of the given capacity (DefaultSlowLogSize when
-// size ≤ 0).
-func NewSlowLog(size int) *SlowLog {
-	if size <= 0 {
-		size = DefaultSlowLogSize
-	}
-	return &SlowLog{recs: make([]SlowOp, size)}
-}
-
-// Append records one slow op, overwriting the oldest once the ring is
-// full.
-func (l *SlowLog) Append(r SlowOp) {
-	l.mu.Lock()
-	l.recs[l.next] = r
-	l.next++
-	if l.next == len(l.recs) {
-		l.next = 0
-		l.full = true
-	}
-	l.mu.Unlock()
-	l.total.Add(1)
-}
-
-// Total returns the number of records ever appended (the ring holds only
-// the newest len ≤ cap of them).
-func (l *SlowLog) Total() uint64 { return l.total.Load() }
-
-// Cap returns the ring capacity.
-func (l *SlowLog) Cap() int { return len(l.recs) }
-
-// Snapshot returns the retained records, oldest first.
-func (l *SlowLog) Snapshot() []SlowOp {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.full {
-		return append([]SlowOp(nil), l.recs[:l.next]...)
-	}
-	out := make([]SlowOp, 0, len(l.recs))
-	out = append(out, l.recs[l.next:]...)
-	return append(out, l.recs[:l.next]...)
 }

@@ -220,38 +220,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestSlowLogRing(t *testing.T) {
-	l := NewSlowLog(4)
-	if got := l.Snapshot(); len(got) != 0 {
-		t.Fatalf("fresh log holds %d records", len(got))
-	}
-	for i := 1; i <= 3; i++ {
-		l.Append(SlowOp{Op: byte(i), DurationNanos: uint64(i)})
-	}
-	got := l.Snapshot()
-	if len(got) != 3 || got[0].Op != 1 || got[2].Op != 3 {
-		t.Fatalf("partial ring snapshot = %+v", got)
-	}
-	for i := 4; i <= 10; i++ { // wrap the ring
-		l.Append(SlowOp{Op: byte(i), DurationNanos: uint64(i)})
-	}
-	got = l.Snapshot()
-	if len(got) != 4 {
-		t.Fatalf("full ring holds %d records, want 4", len(got))
-	}
-	for i, r := range got { // newest 4, oldest first: ops 7,8,9,10
-		if want := byte(7 + i); r.Op != want {
-			t.Fatalf("ring[%d].Op = %d, want %d", i, r.Op, want)
-		}
-	}
-	if l.Total() != 10 {
-		t.Fatalf("Total = %d, want 10", l.Total())
-	}
-	if NewSlowLog(0).Cap() != DefaultSlowLogSize {
-		t.Fatal("NewSlowLog(0) must default the capacity")
-	}
-}
-
 func TestHashKey(t *testing.T) {
 	seen := map[uint64]bool{}
 	for k := uint64(0); k < 1000; k++ {
@@ -276,9 +244,5 @@ func TestRecordZeroAllocs(t *testing.T) {
 	var c Counter
 	if n := testing.AllocsPerRun(1000, func() { c.Add(1) }); n != 0 {
 		t.Fatalf("Counter.Add allocates %.1f/op, want 0", n)
-	}
-	l := NewSlowLog(64)
-	if n := testing.AllocsPerRun(1000, func() { l.Append(SlowOp{Op: 1}) }); n != 0 {
-		t.Fatalf("SlowLog.Append allocates %.1f/op, want 0", n)
 	}
 }

@@ -24,7 +24,7 @@ const DefaultDialTimeout = 3 * time.Second
 // responses in order with ReadResponse (GetBatch, SetBatch and PutBatch
 // are that loop for one operation). What varies within an operation is a
 // field of the Request, never another method: a trace context is
-// Request.Trace/Traced.
+// Request.Trace.
 type Client struct {
 	conn io.ReadWriteCloser
 	r    *Reader

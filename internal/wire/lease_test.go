@@ -12,11 +12,11 @@ import (
 func TestLeaseRequestRoundTrip(t *testing.T) {
 	reqs := []Request{
 		{Op: OpGetLease, Key: 42},
-		{Op: OpGetLease, Key: 1 << 60, Traced: true, Trace: TraceContext{ID: testTraceID(9), Flags: TraceFlagSampled}},
+		{Op: OpGetLease, Key: 1 << 60, Trace: testTraceID(9)},
 		{Op: OpFill, Key: 7, LeaseToken: 1, Value: []byte("fill")},
 		{Op: OpFill, Key: 8, LeaseToken: 1 << 63, Value: nil}, // empty fill is legal
 		{Op: OpFill, Key: 9, LeaseToken: 3, Value: []byte("traced fill"),
-			Traced: true, Trace: TraceContext{ID: testTraceID(10), Flags: TraceFlagSampled}},
+			Trace: testTraceID(10)},
 	}
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -37,8 +37,8 @@ func TestLeaseRequestRoundTrip(t *testing.T) {
 		if got.Op != want.Op || got.Key != want.Key || got.LeaseToken != want.LeaseToken {
 			t.Fatalf("request %d = %+v, want %+v", i, got, want)
 		}
-		if got.Traced != want.Traced || got.Trace != want.Trace {
-			t.Fatalf("request %d trace = %v/%+v, want %v/%+v", i, got.Traced, got.Trace, want.Traced, want.Trace)
+		if got.Trace != want.Trace {
+			t.Fatalf("request %d trace = %s, want %s", i, got.Trace, want.Trace)
 		}
 		if !bytes.Equal(got.Value, want.Value) {
 			t.Fatalf("request %d value = %q, want %q", i, got.Value, want.Value)

@@ -36,8 +36,8 @@ const (
 	MetricsCounters MetricsFlags = 1 << 1
 	// MetricsSlowOps selects the slow-op ring contents, oldest first.
 	MetricsSlowOps MetricsFlags = 1 << 2
-	// MetricsTraces selects the sampled-span ring (v6), oldest first:
-	// one record per sampled traced request the server observed.
+	// MetricsTraces selects the span ring (v6), oldest first: one record
+	// per traced request the server observed.
 	MetricsTraces MetricsFlags = 1 << 3
 	// MetricsHotKeys selects the per-op-class hot-key sketches (v6):
 	// space-saving top-K summaries of which (scrambled) keys each op
@@ -216,27 +216,22 @@ func (s Stats) MissRatio() float64 {
 
 // MaxSlowOps bounds the slow-op section of one METRICS response; it caps
 // the damage a corrupt count field can do and comfortably exceeds any
-// real ring (telemetry.DefaultSlowLogSize is 256).
+// real ring (telemetry.SlowRingSize is 256).
 const MaxSlowOps = 4096
 
 // MaxSpans bounds the TRACES section of one METRICS response; it
-// comfortably exceeds any real ring (telemetry.DefaultSpanRingSize is
-// 1024).
+// comfortably exceeds any real ring (telemetry.SpanRingSize is 1024).
 const MaxSpans = 8192
 
 // MaxHotKeys bounds one class of the HOTKEYS section; it comfortably
 // exceeds any real sketch (telemetry.DefaultTopKCapacity is 512).
 const MaxHotKeys = 8192
 
-// spanRecLen is the encoded size of one TRACES record: op and status
-// bytes, 16-byte trace ID, then key hash, duration and completion time as
-// uint64s.
-const spanRecLen = 1 + 1 + 16 + 8 + 8 + 8
-
-// slowOpRecLen is the encoded size of one slow-op record: the op byte,
-// key hash, duration, version and completion time, then (v6) the 16-byte
-// trace ID.
-const slowOpRecLen = 1 + 8 + 8 + 8 + 8 + 16
+// recordLen is the encoded size of one flight-recorder record, the one
+// layout of the slow-op and TRACES sections: op and status bytes, the
+// 16-byte trace ID, then key hash, duration, version and completion time
+// as uint64s.
+const recordLen = 1 + 1 + 16 + 8 + 8 + 8 + 8
 
 // Hot-key class IDs: which op class a HOTKEYS sketch counts.
 const (
@@ -301,9 +296,11 @@ type Metrics struct {
 	Hists []OpHist
 	// Counters are the scalar counters, in ascending ID order.
 	Counters []MetricCounter
-	// SlowOps is the retained slow-op ring, oldest first.
-	SlowOps []telemetry.SlowOp
-	// Spans is the retained sampled-span ring, oldest first (TRACES).
+	// SlowOps is the retained slow ring, oldest first; a record carries
+	// the trace ID of a slow request that was traced, all-zero otherwise.
+	SlowOps []telemetry.Span
+	// Spans is the retained span ring, oldest first (TRACES); every record
+	// carries a nonzero trace ID.
 	Spans []telemetry.Span
 	// HotKeys are the per-class hot-key sketches, in ascending class ID
 	// order (HOTKEYS).
@@ -401,34 +398,15 @@ func appendMetrics(body []byte, m *Metrics) ([]byte, error) {
 			body = binary.LittleEndian.AppendUint64(body, c.Value)
 		}
 	}
+	var err error
 	if m.Flags&MetricsSlowOps != 0 {
-		if len(m.SlowOps) > MaxSlowOps {
-			return nil, fmt.Errorf("wire: METRICS slow-op section %d records, max %d", len(m.SlowOps), MaxSlowOps)
-		}
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(m.SlowOps)))
-		for _, r := range m.SlowOps {
-			body = append(body, r.Op)
-			body = binary.LittleEndian.AppendUint64(body, r.KeyHash)
-			body = binary.LittleEndian.AppendUint64(body, r.DurationNanos)
-			body = binary.LittleEndian.AppendUint64(body, r.Version)
-			body = binary.LittleEndian.AppendUint64(body, r.UnixNanos)
-			body = append(body, r.TraceID[:]...)
+		if body, err = appendRecords(body, "slow-op", m.SlowOps, MaxSlowOps, false); err != nil {
+			return nil, err
 		}
 	}
 	if m.Flags&MetricsTraces != 0 {
-		if len(m.Spans) > MaxSpans {
-			return nil, fmt.Errorf("wire: METRICS trace section %d spans, max %d", len(m.Spans), MaxSpans)
-		}
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(m.Spans)))
-		for _, s := range m.Spans {
-			if s.TraceID.IsZero() {
-				return nil, fmt.Errorf("wire: METRICS span with a zero trace ID")
-			}
-			body = append(body, s.Op, s.Status)
-			body = append(body, s.TraceID[:]...)
-			body = binary.LittleEndian.AppendUint64(body, s.KeyHash)
-			body = binary.LittleEndian.AppendUint64(body, s.DurationNanos)
-			body = binary.LittleEndian.AppendUint64(body, s.UnixNanos)
+		if body, err = appendRecords(body, "trace", m.Spans, MaxSpans, true); err != nil {
+			return nil, err
 		}
 	}
 	if m.Flags&MetricsHotKeys != 0 {
@@ -460,6 +438,30 @@ func appendMetrics(body []byte, m *Metrics) ([]byte, error) {
 		for _, n := range m.Occupancy {
 			body = binary.LittleEndian.AppendUint64(body, n)
 		}
+	}
+	return body, nil
+}
+
+// appendRecords encodes one flight-recorder section — the slow-op or the
+// TRACES section — as a uint32 count, then each record in the one
+// recordLen layout. traced is the TRACES rule: every record there carries
+// a nonzero trace ID, while a slow op may carry one or not.
+func appendRecords(body []byte, section string, recs []telemetry.Span, limit int, traced bool) ([]byte, error) {
+	if len(recs) > limit {
+		return nil, fmt.Errorf("wire: METRICS %s section %d records, max %d", section, len(recs), limit)
+	}
+	body = binary.LittleEndian.AppendUint32(body, uint32(len(recs)))
+	for i := range recs {
+		r := &recs[i]
+		if traced && r.TraceID.IsZero() {
+			return nil, fmt.Errorf("wire: METRICS %s record with a zero trace ID", section)
+		}
+		body = append(body, r.Op, r.Status)
+		body = append(body, r.TraceID[:]...)
+		body = binary.LittleEndian.AppendUint64(body, r.KeyHash)
+		body = binary.LittleEndian.AppendUint64(body, r.DurationNanos)
+		body = binary.LittleEndian.AppendUint64(body, r.Version)
+		body = binary.LittleEndian.AppendUint64(body, r.UnixNanos)
 	}
 	return body, nil
 }
@@ -559,54 +561,43 @@ func parseMetrics(body []byte) (*Metrics, error) {
 			body = body[9:]
 		}
 	}
-	if m.Flags&MetricsSlowOps != 0 {
-		ns, err := u32("slow-op")
+	// records decodes a flight-recorder section in appendRecords' form.
+	records := func(section string, limit int, traced bool) ([]telemetry.Span, error) {
+		n, err := u32(section)
 		if err != nil {
 			return nil, err
 		}
-		if ns > MaxSlowOps {
-			return nil, fmt.Errorf("wire: METRICS claims %d slow ops, max %d", ns, MaxSlowOps)
+		if n > limit {
+			return nil, fmt.Errorf("wire: METRICS claims %d %s records, max %d", n, section, limit)
 		}
-		if len(body) < slowOpRecLen*ns {
-			return nil, fmt.Errorf("wire: METRICS slow-op records truncated")
+		if len(body) < recordLen*n {
+			return nil, fmt.Errorf("wire: METRICS %s records truncated", section)
 		}
-		m.SlowOps = make([]telemetry.SlowOp, ns)
-		for i := range m.SlowOps {
-			m.SlowOps[i] = telemetry.SlowOp{
-				Op:            body[0],
-				KeyHash:       binary.LittleEndian.Uint64(body[1:]),
-				DurationNanos: binary.LittleEndian.Uint64(body[9:]),
-				Version:       binary.LittleEndian.Uint64(body[17:]),
-				UnixNanos:     binary.LittleEndian.Uint64(body[25:]),
+		recs := make([]telemetry.Span, n)
+		for i := range recs {
+			r := &recs[i]
+			r.Op, r.Status = body[0], body[1]
+			copy(r.TraceID[:], body[2:])
+			r.KeyHash = binary.LittleEndian.Uint64(body[18:])
+			r.DurationNanos = binary.LittleEndian.Uint64(body[26:])
+			r.Version = binary.LittleEndian.Uint64(body[34:])
+			r.UnixNanos = binary.LittleEndian.Uint64(body[42:])
+			if traced && r.TraceID.IsZero() {
+				return nil, fmt.Errorf("wire: METRICS %s record %d has a zero trace ID", section, i)
 			}
-			copy(m.SlowOps[i].TraceID[:], body[33:])
-			body = body[slowOpRecLen:]
+			body = body[recordLen:]
+		}
+		return recs, nil
+	}
+	var err error
+	if m.Flags&MetricsSlowOps != 0 {
+		if m.SlowOps, err = records("slow-op", MaxSlowOps, false); err != nil {
+			return nil, err
 		}
 	}
 	if m.Flags&MetricsTraces != 0 {
-		ns, err := u32("trace")
-		if err != nil {
+		if m.Spans, err = records("trace", MaxSpans, true); err != nil {
 			return nil, err
-		}
-		if ns > MaxSpans {
-			return nil, fmt.Errorf("wire: METRICS claims %d spans, max %d", ns, MaxSpans)
-		}
-		if len(body) < spanRecLen*ns {
-			return nil, fmt.Errorf("wire: METRICS span records truncated")
-		}
-		m.Spans = make([]telemetry.Span, ns)
-		for i := range m.Spans {
-			s := &m.Spans[i]
-			s.Op = body[0]
-			s.Status = body[1]
-			copy(s.TraceID[:], body[2:])
-			s.KeyHash = binary.LittleEndian.Uint64(body[18:])
-			s.DurationNanos = binary.LittleEndian.Uint64(body[26:])
-			s.UnixNanos = binary.LittleEndian.Uint64(body[34:])
-			if s.TraceID.IsZero() {
-				return nil, fmt.Errorf("wire: METRICS span %d has a zero trace ID", i)
-			}
-			body = body[spanRecLen:]
 		}
 	}
 	if m.Flags&MetricsHotKeys != 0 {

@@ -31,13 +31,13 @@ func sampleMetrics() *Metrics {
 			Rehashes: 1, Pending: 7, Len: 90, Capacity: 128, Buckets: 16,
 			RepairSets: 12, StaleRepairs: 2, HintsReplayed: 4, Migrating: true,
 		}).Counters(),
-		SlowOps: []telemetry.SlowOp{
-			{Op: byte(OpGet), KeyHash: telemetry.HashKey(42), DurationNanos: 5e6, Version: 3, UnixNanos: 1700000000e9, TraceID: testTraceID(9)},
-			{Op: byte(OpSet), KeyHash: telemetry.HashKey(7), DurationNanos: 9e6, Version: 8, UnixNanos: 1700000001e9}, // untraced: zero ID
+		SlowOps: []telemetry.Span{
+			{Op: byte(OpGet), Status: byte(StatusHit), TraceID: testTraceID(9), KeyHash: telemetry.HashKey(42), DurationNanos: 5e6, Version: 3, UnixNanos: 1700000000e9},
+			{Op: byte(OpSet), Status: byte(StatusOK), KeyHash: telemetry.HashKey(7), DurationNanos: 9e6, Version: 8, UnixNanos: 1700000001e9}, // untraced: zero ID
 		},
 		Spans: []telemetry.Span{
-			{Op: byte(OpGet), Status: byte(StatusHit), TraceID: testTraceID(9), KeyHash: telemetry.HashKey(42), DurationNanos: 5e6, UnixNanos: 1700000000e9},
-			{Op: byte(OpSet), Status: byte(StatusOK), TraceID: testTraceID(9), KeyHash: telemetry.HashKey(42), DurationNanos: 1e3, UnixNanos: 1700000002e9},
+			{Op: byte(OpGet), Status: byte(StatusHit), TraceID: testTraceID(9), KeyHash: telemetry.HashKey(42), DurationNanos: 5e6, Version: 3, UnixNanos: 1700000000e9},
+			{Op: byte(OpSet), Status: byte(StatusOK), TraceID: testTraceID(9), KeyHash: telemetry.HashKey(42), DurationNanos: 1e3, Version: 4, UnixNanos: 1700000002e9},
 		},
 		HotKeys: []HotKeyClass{
 			{Class: HotGet, Keys: telemetry.TopKSnapshot{
@@ -278,7 +278,7 @@ func TestMetricsPayloadRejected(t *testing.T) {
 	reject("undefined counter ID", mut)
 
 	// Slow-op count larger than the delivered records.
-	rawS := encode(&Metrics{Flags: MetricsSlowOps, SlowOps: []telemetry.SlowOp{{Op: 1}}})
+	rawS := encode(&Metrics{Flags: MetricsSlowOps, SlowOps: []telemetry.Span{{Op: 1}}})
 	mut = append([]byte(nil), rawS...)
 	binary.LittleEndian.PutUint32(mut[payload+1:], 2)
 	// The frame length no longer matches; fix it so only the section count lies.
@@ -290,7 +290,7 @@ func TestMetricsPayloadRejected(t *testing.T) {
 	reject("slow-op count over MaxSlowOps", mut)
 
 	// Encoder must refuse an oversized ring outright.
-	if _, err := appendMetrics(nil, &Metrics{Flags: MetricsSlowOps, SlowOps: make([]telemetry.SlowOp, MaxSlowOps+1)}); err == nil {
+	if _, err := appendMetrics(nil, &Metrics{Flags: MetricsSlowOps, SlowOps: make([]telemetry.Span, MaxSlowOps+1)}); err == nil {
 		t.Error("encoder accepted an oversize slow-op section")
 	}
 

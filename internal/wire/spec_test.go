@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"regexp"
@@ -308,42 +310,29 @@ func TestSpecMetricsPayload(t *testing.T) {
 		t.Errorf("spec must state MaxHotKeys = %d", MaxHotKeys)
 	}
 
-	// Slow-op record field order, matched against the table rows after
-	// SlowOpCount.
-	rows := regexp.MustCompile(`(?m)^\|\s*(\w+)\s*\|\s*(\w+)\s*\|\s*per record`).FindAllStringSubmatch(section, -1)
+	// Flight-recorder record field order, the one layout of the slow-op
+	// and trace sections (rows marked "per record"), and its encoded size.
+	rows := regexp.MustCompile(`(?m)^\|\s*(\w+)\s*\|\s*\[?\d*\]?(\w+)\s*\|\s*per record`).FindAllStringSubmatch(section, -1)
 	var fields []string
 	for _, r := range rows {
 		fields = append(fields, r[1]+":"+r[2])
 	}
-	want := []string{"Op:byte", "KeyHash:uint64", "DurationNanos:uint64", "Version:uint64", "UnixNanos:uint64", "TraceID:bytes"}
+	want := []string{"Op:byte", "Status:byte", "TraceID:byte", "KeyHash:uint64", "DurationNanos:uint64", "Version:uint64", "UnixNanos:uint64"}
 	if len(fields) != len(want) {
-		t.Fatalf("spec slow-op record lists %v, want %v", fields, want)
+		t.Fatalf("spec record lists %v, want %v", fields, want)
 	}
 	for i := range want {
 		if fields[i] != want[i] {
-			t.Errorf("spec slow-op record field %d = %q, want %q", i+1, fields[i], want[i])
+			t.Errorf("spec record field %d = %q, want %q", i+1, fields[i], want[i])
 		}
+	}
+	if !strings.Contains(section, strconv.Itoa(recordLen)+" bytes") {
+		t.Errorf("spec must state the %d-byte record length", recordLen)
 	}
 
 	// Per-op histogram IDs are the opcode bytes; the spec states the range.
 	if want := fmt.Sprintf("GET = 1 … %v = %d", OpLast, int(OpLast)); !strings.Contains(section, want) {
 		t.Errorf("spec must state per-op histogram IDs %s", want)
-	}
-
-	// Span record field order (rows marked "per span").
-	spanRows := regexp.MustCompile(`(?m)^\|\s*(\w+)\s*\|\s*\[?\d*\]?(\w+)\s*\|\s*per span`).FindAllStringSubmatch(section, -1)
-	fields = fields[:0]
-	for _, r := range spanRows {
-		fields = append(fields, r[1]+":"+r[2])
-	}
-	want = []string{"Op:byte", "Status:byte", "TraceID:byte", "KeyHash:uint64", "DurationNanos:uint64", "UnixNanos:uint64"}
-	if len(fields) != len(want) {
-		t.Fatalf("spec span record lists %v, want %v", fields, want)
-	}
-	for i := range want {
-		if fields[i] != want[i] {
-			t.Errorf("spec span record field %d = %q, want %q", i+1, fields[i], want[i])
-		}
 	}
 
 	// Hot-key entry field order (rows marked "per entry") and class IDs.
@@ -391,8 +380,10 @@ func TestSpecStatsPayload(t *testing.T) {
 	}
 }
 
-// TestSpecTraceContext pins the v6 trace-context layout: the TRACED
-// opcode bit, the context length, and the SAMPLED trace flag.
+// TestSpecTraceContext pins the trace-context layout: the TRACED opcode
+// bit and the 16-byte trace ID (v15), and that a traced frame is its
+// untraced form with the bit set and the ID inserted after the opcode
+// byte.
 func TestSpecTraceContext(t *testing.T) {
 	section := specSection(t, specDoc(t), "### Trace context")
 
@@ -404,27 +395,36 @@ func TestSpecTraceContext(t *testing.T) {
 		t.Errorf("spec TRACED = 0x%s, implementation %#02x", row[1], OpFlagTraced)
 	}
 
-	row = regexp.MustCompile(`\|\s*SAMPLED\s*\|\s*0x([0-9a-fA-F]+)\s*\|`).FindStringSubmatch(section)
-	if row == nil {
-		t.Fatal("spec lacks the SAMPLED trace-flag row")
+	// The context is the TraceID alone; the spec states its length and
+	// lists it as the one field.
+	idLen := len(Request{}.Trace)
+	if !strings.Contains(section, strconv.Itoa(idLen)+"-byte") {
+		t.Errorf("spec must state the %d-byte trace-context length", idLen)
 	}
-	if bit, err := strconv.ParseUint(row[1], 16, 8); err != nil || TraceFlags(bit) != TraceFlagSampled {
-		t.Errorf("spec SAMPLED = 0x%s, implementation %#02x", row[1], byte(TraceFlagSampled))
-	}
-	if traceFlagsDefined != TraceFlagSampled {
-		t.Error("traceFlagsDefined grew; document the new flag bit in ARCHITECTURE.md and extend this test")
+	fields := regexp.MustCompile(`(?m)^\|\s*(\w+)\s*\|\s*(\[\d+\]byte|byte|uint\d+)\s*\|`).FindAllStringSubmatch(section, -1)
+	if len(fields) != 1 || fields[0][1] != "TraceID" || fields[0][2] != "[16]byte" {
+		t.Errorf("spec trace context lists %v, want the one TraceID [16]byte field", fields)
 	}
 
-	// The context is TraceID [16]byte + TraceFlags byte = 17 bytes; the
-	// spec states the length and both fields.
-	if !strings.Contains(section, strconv.Itoa(TraceContextLen)+"-byte") {
-		t.Errorf("spec must state the %d-byte trace-context length", TraceContextLen)
+	encode := func(req Request) []byte {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		if err := w.WriteRequest(req); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	if !regexp.MustCompile(`\|\s*TraceID\s*\|\s*\[16\]byte\s*\|`).MatchString(section) {
-		t.Error("spec must list the TraceID [16]byte field")
-	}
-	if !regexp.MustCompile(`\|\s*TraceFlags\s*\|\s*byte\s*\|`).MatchString(section) {
-		t.Error("spec must list the TraceFlags byte field")
+	id := testTraceID(7)
+	plain := encode(Request{Op: OpGet, Key: 42})
+	want := binary.LittleEndian.AppendUint32(nil, uint32(len(plain)-4+idLen))
+	want = append(want, plain[4]|OpFlagTraced)
+	want = append(want, id[:]...)
+	want = append(want, plain[5:]...)
+	if got := encode(Request{Op: OpGet, Key: 42, Trace: id}); !bytes.Equal(got, want) {
+		t.Errorf("traced GET = %x, want its untraced form with the TRACED bit and the ID: %x", got, want)
 	}
 	if !regexp.MustCompile(`(?i)all-zero is a protocol error`).MatchString(section) {
 		t.Error("spec must state that an all-zero trace ID is a protocol error")

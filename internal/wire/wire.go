@@ -10,7 +10,7 @@
 // with a 8-byte client preamble:
 //
 //	magic   [4]byte  "SACW" (Set-Associative Cache Wire)
-//	version uint32   13
+//	version uint32   15
 //
 // after which both directions carry length-prefixed frames:
 //
@@ -19,12 +19,12 @@
 //
 // A request body is an opcode byte followed by opcode-specific fields; the
 // opcode byte's high bit (OpFlagTraced) is a frame flag marking a trace
-// context — 16-byte trace ID plus a trace-flag byte — inserted between the
-// opcode byte and the opcode fields, so untraced requests pay zero extra
-// bytes. A response body is a status byte, the server's topology epoch
-// (uint64), then status-specific fields. Responses are returned in request
-// order, so clients may pipeline: write any number of request frames
-// before reading the matching responses. The server flushes its write
+// context — the request's 16-byte trace ID — inserted between the opcode
+// byte and the opcode fields, so untraced requests pay zero extra bytes.
+// A response body is a status byte, the server's topology epoch (uint64),
+// then status-specific fields. Responses are returned in request order,
+// so clients may pipeline: write any number of request frames before
+// reading the matching responses. The server flushes its write
 // buffer whenever it runs out of buffered requests, making batched round
 // trips cheap.
 //
@@ -97,7 +97,10 @@
 // lease in the key's store record, so a LEASE body is exactly token and
 // TTL, and the STALE_SERVES counter is gone. Version 14 removed the
 // reaped-tombstone counter: a tombstone leaves by eviction, like every
-// record, so nothing reaps it.
+// record, so nothing reaps it. Version 15 removed the trace-flag byte,
+// whose one flag (SAMPLED) every minted context set: a trace context is
+// its 16-byte ID, and a request is traced exactly when it carries one.
+// The slow-op and TRACES sections of METRICS share one 50-byte record.
 // Peers of other versions are rejected at the preamble.
 package wire
 
@@ -131,7 +134,7 @@ const (
 	// Version is the protocol revision; the preamble carries it and servers
 	// reject mismatches, so a bump needs no compatibility path. The package
 	// comment and ARCHITECTURE.md list what each revision changed.
-	Version = 14
+	Version = 15
 	// MaxFrame bounds a frame body; it caps both value sizes and the damage
 	// a corrupt length prefix can do.
 	MaxFrame = 16 << 20
@@ -231,56 +234,12 @@ func parseTopology(body []byte) (Topology, error) {
 }
 
 // OpFlagTraced is the frame flag on the request opcode byte (its high
-// bit) marking that a TraceContext — TraceContextLen bytes — follows the
-// opcode byte before the opcode-specific fields. The low 7 bits stay the
-// opcode proper, and untraced requests are byte-identical to v5 frames:
-// tracing costs nothing unless a request opts in.
+// bit) marking that the request's 16-byte trace ID follows the opcode
+// byte before the opcode-specific fields; a traced frame whose ID is zero
+// is a protocol error. The low 7 bits stay the opcode proper, and
+// untraced requests are byte-identical to v5 frames: tracing costs
+// nothing unless a request opts in.
 const OpFlagTraced byte = 0x80
-
-// TraceContextLen is the encoded size of a trace context: the 16-byte
-// trace ID followed by the trace-flag byte.
-const TraceContextLen = 17
-
-// TraceFlags is the flag byte of a trace context; it is a bit set.
-type TraceFlags byte
-
-// The defined trace-context flags. Both ends reject undefined bits so
-// the remaining bits stay available for future revisions.
-const (
-	// TraceFlagSampled asks servers on the request's path to record a
-	// span for it (telemetry.SpanRing, readable via the METRICS TRACES
-	// section). A context without the bit still propagates — downstream
-	// writes it causes keep the ID — but records nothing.
-	TraceFlagSampled TraceFlags = 1 << 0
-
-	// traceFlagsDefined masks the bits a conforming frame may set.
-	traceFlagsDefined = TraceFlagSampled
-)
-
-// TraceContext is the per-request trace identity carried by v6 frames:
-// minted once by the cluster router, then attached to every wire request
-// the original request fans out into — including the read repairs the
-// router sends after the response went out.
-type TraceContext struct {
-	// ID is the 16-byte trace identifier; a conforming frame never
-	// carries a zero ID.
-	ID telemetry.TraceID
-	// Flags is the trace-flag byte (TraceFlagSampled et al.).
-	Flags TraceFlags
-}
-
-// Sampled reports whether the context asks servers to record spans.
-func (tc TraceContext) Sampled() bool { return tc.Flags&TraceFlagSampled != 0 }
-
-func (tc TraceContext) validate() error {
-	if tc.ID.IsZero() {
-		return fmt.Errorf("wire: trace context with a zero trace ID")
-	}
-	if tc.Flags&^traceFlagsDefined != 0 {
-		return fmt.Errorf("wire: trace flags %#02x has undefined bits", byte(tc.Flags))
-	}
-	return nil
-}
 
 // Op is a request opcode.
 type Op byte
@@ -439,11 +398,12 @@ type Request struct {
 	// MetricsFlags selects the payload sections of a METRICS request; it
 	// must name at least one section.
 	MetricsFlags MetricsFlags
-	// Trace is the request's trace context; meaningful only when Traced.
-	Trace TraceContext
-	// Traced reports whether the frame carries a trace context
-	// (OpFlagTraced was set on the opcode byte).
-	Traced bool
+	// Trace is the request's trace ID, minted once by the cluster router
+	// and stamped on every wire request the original request fans out
+	// into — including the read repairs the router sends after the
+	// response went out. A request is traced exactly when it is nonzero:
+	// the frame then sets OpFlagTraced and carries the ID.
+	Trace telemetry.TraceID
 }
 
 // KeyRec is one record of a KEYS stream frame (v8): a resident key, the
@@ -751,15 +711,11 @@ func (w *Writer) writeRequest(req *Request) error {
 		return w.err
 	}
 	off := w.beginFrame()
-	if req.Traced {
-		if err := req.Trace.validate(); err != nil {
-			return w.abortFrame(off, err)
-		}
-		w.chunk = append(w.chunk, byte(req.Op)|OpFlagTraced)
-		w.chunk = append(w.chunk, req.Trace.ID[:]...)
-		w.chunk = append(w.chunk, byte(req.Trace.Flags))
-	} else {
+	if req.Trace.IsZero() {
 		w.chunk = append(w.chunk, byte(req.Op))
+	} else {
+		w.chunk = append(w.chunk, byte(req.Op)|OpFlagTraced)
+		w.chunk = append(w.chunk, req.Trace[:]...)
 	}
 	var (
 		value []byte // the frame's trailing value field, for the ops that have one
@@ -1019,16 +975,14 @@ func (r *Reader) ReadRequest() (*Request, error) {
 	req := &r.req
 	*req = Request{Op: Op(body[0] &^ OpFlagTraced)}
 	if body[0]&OpFlagTraced != 0 {
-		if len(body) < 1+TraceContextLen {
-			return nil, fmt.Errorf("wire: traced %v frame %d bytes, too short for a trace context", req.Op, len(body))
+		if len(body) < 1+len(req.Trace) {
+			return nil, fmt.Errorf("wire: traced %v frame %d bytes, too short for a trace ID", req.Op, len(body))
 		}
-		copy(req.Trace.ID[:], body[1:])
-		req.Trace.Flags = TraceFlags(body[1+len(req.Trace.ID)])
-		if err := req.Trace.validate(); err != nil {
-			return nil, err
+		copy(req.Trace[:], body[1:])
+		if req.Trace.IsZero() {
+			return nil, fmt.Errorf("wire: traced %v frame with a zero trace ID", req.Op)
 		}
-		req.Traced = true
-		body = body[1+TraceContextLen:]
+		body = body[1+len(req.Trace):]
 	} else {
 		body = body[1:]
 	}

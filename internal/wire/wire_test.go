@@ -35,14 +35,12 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpRehash},
 		{Op: OpTopology}, // the empty offer: a read
 		{Op: OpTopology, Topology: Topology{Epoch: 7, Members: []string{"a:1", "b:2"}}},
-		// v6 traced requests: context rides between the opcode byte and the
-		// op fields, sampled or not, on reads and maintenance writes alike.
-		{Op: OpGet, Key: 42, Traced: true, Trace: TraceContext{ID: testTraceID(1), Flags: TraceFlagSampled}},
-		{Op: OpGet, Key: 43, Traced: true, Trace: TraceContext{ID: testTraceID(2)}}, // propagated, unsampled
-		{Op: OpSet, Key: 44, Value: []byte("traced"), Traced: true, Trace: TraceContext{ID: testTraceID(3), Flags: TraceFlagSampled}},
-		{Op: OpPut, Key: 45, Version: 9,
-			Value: []byte("traced repair"), Traced: true, Trace: TraceContext{ID: testTraceID(4), Flags: TraceFlagSampled}},
-		{Op: OpDel, Key: 46, Traced: true, Trace: TraceContext{ID: testTraceID(5), Flags: TraceFlagSampled}},
+		// Traced requests: the trace ID rides between the opcode byte and
+		// the op fields, on reads and maintenance writes alike.
+		{Op: OpGet, Key: 42, Trace: testTraceID(1)},
+		{Op: OpSet, Key: 44, Value: []byte("traced"), Trace: testTraceID(3)},
+		{Op: OpPut, Key: 45, Version: 9, Value: []byte("traced repair"), Trace: testTraceID(4)},
+		{Op: OpDel, Key: 46, Trace: testTraceID(5)},
 	}
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -64,8 +62,8 @@ func TestRequestRoundTrip(t *testing.T) {
 			got.Tombstone != want.Tombstone || got.Target != want.Target {
 			t.Fatalf("request %d = %+v, want %+v", i, got, want)
 		}
-		if got.Traced != want.Traced || got.Trace != want.Trace {
-			t.Fatalf("request %d trace = %v/%+v, want %v/%+v", i, got.Traced, got.Trace, want.Traced, want.Trace)
+		if got.Trace != want.Trace {
+			t.Fatalf("request %d trace = %s, want %s", i, got.Trace, want.Trace)
 		}
 		if !bytes.Equal(got.Value, want.Value) {
 			t.Fatalf("request %d value = %q, want %q", i, got.Value, want.Value)
@@ -220,24 +218,16 @@ func TestMalformedRequestRejected(t *testing.T) {
 			t.Fatalf("encoder accepted the retired opcode %d", op)
 		}
 	}
-	// A traced frame whose body ends inside the trace context.
+	// A traced frame whose body ends inside the trace ID.
 	body := []byte{byte(OpGet) | OpFlagTraced, 1, 2, 3}
 	if _, err := frame(body).ReadRequest(); err == nil {
-		t.Fatal("traced GET with a truncated trace context accepted")
+		t.Fatal("traced GET with a truncated trace ID accepted")
 	}
-	// A trace context with a zero trace ID is a bug, not a frame.
-	body = append([]byte{byte(OpGet) | OpFlagTraced}, make([]byte, TraceContextLen)...)
+	// A traced frame with a zero trace ID is a bug, not a frame.
+	body = append([]byte{byte(OpGet) | OpFlagTraced}, make([]byte, len(Request{}.Trace))...)
 	body = append(body, make([]byte, 8)...) // key
 	if _, err := frame(body).ReadRequest(); err == nil {
 		t.Fatal("traced GET with a zero trace ID accepted")
-	}
-	// Undefined trace-flag bits must be rejected.
-	body = append([]byte{byte(OpGet) | OpFlagTraced}, 0xAB)
-	body = append(body, make([]byte, 15)...) // rest of the ID
-	body = append(body, 0x80)                // undefined trace flag bit
-	body = append(body, make([]byte, 8)...)  // key
-	if _, err := frame(body).ReadRequest(); err == nil {
-		t.Fatal("trace context with undefined flag bits accepted")
 	}
 	// The encoder refuses the same ill-formed requests.
 	var buf bytes.Buffer
@@ -252,12 +242,6 @@ func TestMalformedRequestRejected(t *testing.T) {
 		if err := w.WriteRequest(req); err == nil {
 			t.Fatalf("encoder accepted %+v", req)
 		}
-	}
-	if err := w.WriteRequest(Request{Op: OpGet, Traced: true}); err == nil {
-		t.Fatal("encoder accepted a zero trace ID")
-	}
-	if err := w.WriteRequest(Request{Op: OpGet, Traced: true, Trace: TraceContext{ID: testTraceID(1), Flags: 0x80}}); err == nil {
-		t.Fatal("encoder accepted undefined trace flag bits")
 	}
 }
 
