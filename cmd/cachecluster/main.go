@@ -1,6 +1,6 @@
 // Command cachecluster is the load driver for cached: keys route to member
-// nodes through a consistent-hash ring (internal/cluster) and each node is
-// an independent α-way set-associative cache, so the paper's intra-node α
+// nodes by rendezvous hashing (internal/cluster) and each node is an
+// independent α-way set-associative cache, so the paper's intra-node α
 // tradeoff composes with inter-node balance. One member is simply a 1-node
 // ring, which is how a single daemon is driven.
 //
@@ -10,7 +10,7 @@
 // 4 adversarial cycler) or a recorded .satr trace through the routing
 // client, and reports aggregate throughput/latency plus a per-node table:
 // replica-set ownership share, each node's own counter deltas and its
-// repair-write count — the direct check that consistent hashing spreads
+// repair-write count — the direct check that rendezvous hashing spreads
 // both keys and load, and, for one member, that the server's Δhits/Δmisses
 // equal the client's hits/misses. A "server:" line merges every member's
 // METRICS histograms (wire v5) into run-only GET/SET service-time p50/p99,
@@ -112,7 +112,7 @@ import (
 
 // config is the parsed command line.
 type config struct {
-	spawn, vnodes, replicas, quorum, k, alpha    int
+	spawn, replicas, quorum, k, alpha            int
 	addrs, wl, traceIn                           string
 	boot, readThru, verify, rehash, open, leases bool
 	seed                                         uint64
@@ -128,7 +128,6 @@ func defineFlags(fs *flag.FlagSet) *config {
 	fs.IntVar(&c.spawn, "spawn", 0, "spawn this many in-process nodes on loopback")
 	fs.StringVar(&c.addrs, "addrs", "", "comma-separated addresses of running cached nodes (alternative to -spawn)")
 	fs.BoolVar(&c.boot, "bootstrap", false, "treat -addrs as seeds: discover the membership via TOPOLOGY reads")
-	fs.IntVar(&c.vnodes, "vnodes", 0, "virtual nodes per member on the ring (0 = default)")
 	fs.IntVar(&c.replicas, "replicas", 0, "owners per key R (0 or 1 = unreplicated)")
 	fs.IntVar(&c.quorum, "write-quorum", 0, "owners that must ack a SET, W of R (0 = all R)")
 	fs.IntVar(&c.k, "k", 1<<16, "per-node cache capacity (spawned nodes)")
@@ -176,7 +175,7 @@ func main() {
 	// up front (validateFlags); under -bootstrap the membership is only
 	// known after discovery, so cluster.Dial re-checks it there.
 	opts := cluster.Options{
-		VNodes: c.vnodes, Replicas: c.replicas, WriteQuorum: c.quorum, Bootstrap: c.boot,
+		Replicas: c.replicas, WriteQuorum: c.quorum, Bootstrap: c.boot,
 		TraceSample: c.traceSample, Leases: c.leases,
 		NearCache:   cluster.NearCacheOptions{Slots: c.nearSlots, TTL: c.nearTTL},
 		AntiEntropy: c.antiEntropy,
@@ -567,8 +566,6 @@ func validateFlags(c *config) error {
 		return fmt.Errorf("-spawn and -addrs are mutually exclusive")
 	case c.boot && c.addrs == "":
 		return fmt.Errorf("-bootstrap needs seed addresses: -addrs a[,b,...]")
-	case c.vnodes < 0:
-		return fmt.Errorf("-vnodes %d: virtual node count must not be negative", c.vnodes)
 	case c.traceSample < 0:
 		return fmt.Errorf("-trace-sample %d: sampling interval must not be negative", c.traceSample)
 	case c.nearSlots < 0:

@@ -23,7 +23,6 @@ func TestValidateFlags(t *testing.T) {
 		{[]string{"-spawn", "-1"}, "-spawn"},
 		{[]string{"-spawn", "2", "-addrs", "h1:7070"}, "mutually exclusive"},
 		{[]string{"-spawn", "2", "-bootstrap"}, "-bootstrap"},
-		{[]string{"-spawn", "2", "-vnodes", "-1"}, "-vnodes"},
 		{[]string{"-spawn", "2", "-trace-sample", "-1"}, "-trace-sample"},
 		{[]string{"-spawn", "2", "-near-slots", "-1"}, "-near-slots"},
 		{[]string{"-spawn", "2", "-near-ttl", "-1s"}, "-near-ttl"},

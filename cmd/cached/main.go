@@ -61,7 +61,6 @@ func main() {
 		alpha      = flag.Int("alpha", 16, "set size α (must divide k); the paper proves α = ω(log k) matches full associativity and α = o(log k) does not, and the default sits at the threshold, log₂ 65536 = 16")
 		seed       = flag.Uint64("seed", 1, "hash seed")
 		rehashAuto = flag.Bool("rehash-auto", false, "start an online incremental rehash every k·⌈log₂k⌉ misses (the paper's poly(k) schedule)")
-		migPerMiss = flag.Int("migrate-per-miss", 1, "forced migrations per miss during a rehash")
 		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof and a /metrics JSON snapshot on this address (off when empty)")
 		slowThresh = flag.Duration("slow-op-threshold", server.DefaultSlowOpThreshold, "ops at least this slow enter the slow-op ring (0 disables the ring)")
 		leaseTTL   = flag.Duration("lease-ttl", server.DefaultLeaseTTL, "how long a GETL fill lease stays outstanding (wire v7); keep just above the slowest origin load")
@@ -80,7 +79,6 @@ func main() {
 		Alpha:             *alpha,
 		Seed:              *seed,
 		RehashEveryMisses: every,
-		MigrationPerMiss:  *migPerMiss,
 	})
 	if err != nil {
 		fatal(err)

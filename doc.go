@@ -52,14 +52,14 @@
 // to end, making both sides of the threshold tradeoff (lock contention vs
 // conflict misses) measurable over the wire.
 //
-// The service also scales horizontally. internal/cluster puts a
-// consistent-hash ring (virtual nodes) in front of any number of cached
-// nodes and routes through pipelined connections to each member
-// (cmd/cachecluster, examples/cluster). The ring is the rehash story one
-// level up: where a single node redraws its intra-node hash and migrates
-// bucket contents incrementally, the cluster redraws its inter-node key
-// placement on membership change, and consistent hashing bounds the
-// movement to ~1/n of the key space — with RemoveNode draining the
+// The service also scales horizontally. internal/cluster places keys on
+// any number of cached nodes by rendezvous hashing and routes through
+// pipelined connections to each member (cmd/cachecluster,
+// examples/cluster). The placement is the rehash story one level up:
+// where a single node redraws its intra-node hash and migrates bucket
+// contents incrementally, the cluster redraws its inter-node key
+// placement on membership change, and rendezvous hashing bounds the
+// movement to ~R/n of the key space — with RemoveNode draining the
 // departing node's residents to their new owners under live traffic, every
 // key moved or accounted for by an eviction counter, just as the
 // incremental rehash accounts for its forced evictions.

@@ -1,5 +1,5 @@
 // The cluster example is the walkthrough of the cluster-level rehash
-// analogy and its replicated sequel: cached nodes behind a consistent-hash
+// analogy and its replicated sequel: cached nodes behind a rendezvous-hashed
 // ring, live zipf traffic flowing through one routing client, and
 // membership changes — including an outright node crash — happening
 // underneath it.

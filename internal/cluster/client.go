@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,10 +15,8 @@ import (
 
 // Options configures a Client.
 type Options struct {
-	// VNodes is the virtual-node count per member; 0 means DefaultVNodes.
-	VNodes int
-	// Replicas is R, the number of distinct owners per key (the ring's
-	// first R members clockwise from the key's hash). 0 or 1 disables
+	// Replicas is R, the number of distinct owners per key (the R members
+	// scoring highest for the key; see Ring). 0 or 1 disables
 	// replication. R multiplies resident memory and write fan-out to buy
 	// availability: any single owner can serve a read, so R-1 node losses
 	// are survivable without losing a read.
@@ -79,15 +78,15 @@ type Options struct {
 
 // Client routes cache traffic across a cluster of cached nodes. It is
 // built from two explicit layers: a topology layer (topology.go) — the
-// consistent-hash ring plus the epoch-versioned member list, kept
+// rendezvous-hashed ring plus the epoch-versioned member list, kept
 // converged with the cluster through piggybacked epoch checks, TOPOLOGY
 // reads and TOPOLOGY pushes — and a transport layer (transport.go),
 // a few pipelined wire connections (lanes) per member, each dialed on
 // first use. Keys map to members through the ring and METRICS/REHASH fan out
 // to every member.
 //
-// Every key has R owners (Options.Replicas; the ring's first R distinct
-// members, one when unreplicated), and every batch operation is built
+// Every key has R owners (Options.Replicas; the R members scoring highest
+// for it, one when unreplicated), and every batch operation is built
 // from the same fan-out round: split the keys by owner, flush every
 // member's pipeline, then drain, so a round costs one round trip however
 // many members it spans. GetBatch runs up to R rounds, asking each
@@ -123,7 +122,6 @@ type Options struct {
 // duration, which is what makes RemoveNode's migration accounting exact.
 type Client struct {
 	dial     DialFunc
-	vnodes   int
 	replicas int // R; ≤1 means unreplicated
 	quorum   int // W; 0 means R
 
@@ -207,7 +205,7 @@ type Client struct {
 // the addresses are seeds: the membership is discovered through TOPOLOGY
 // reads and one live seed suffices.
 func Dial(addrs []string, opts Options) (*Client, error) {
-	if err := Validate(opts.VNodes, addrs); err != nil {
+	if err := Validate(addrs); err != nil {
 		return nil, err
 	}
 	dial := opts.Dial
@@ -229,13 +227,12 @@ func Dial(addrs []string, opts Options) (*Client, error) {
 	}
 	c := &Client{
 		dial:        dial,
-		vnodes:      opts.VNodes,
 		replicas:    opts.Replicas,
 		quorum:      opts.WriteQuorum,
 		traceSample: opts.TraceSample,
 		near:        newNearCache(opts.NearCache),
 		traceSeed:   telemetry.HashKey(uint64(time.Now().UnixNano())) | 1,
-		ring:        NewRing(opts.VNodes, members...),
+		ring:        NewRing(0, members...),
 		epoch:       epoch,
 		nodes:       make(map[string]*nodeConn, len(members)),
 		passConns:   make(map[*wire.Client]struct{}),
@@ -812,7 +809,7 @@ func (c *Client) Del(key uint64) (bool, error) {
 func (c *Client) hintCandidates(target string, key uint64) []*nodeConn {
 	addrs := c.ring.OwnersFor(key, c.effReplicas())
 	for _, addr := range c.ring.Nodes() {
-		if !contains(addrs, addr) {
+		if !slices.Contains(addrs, addr) {
 			addrs = append(addrs, addr)
 		}
 	}

@@ -73,7 +73,7 @@ type view struct {
 // viewLocked copies the router's view for a pass that runs without c.mu.
 // Caller holds c.mu (either side).
 func (c *Client) viewLocked() view {
-	return view{ring: NewRing(c.vnodes, c.ring.Nodes()...), rf: c.effReplicas(), nodes: maps.Clone(c.nodes)}
+	return view{ring: NewRing(0, c.ring.Nodes()...), rf: c.effReplicas(), nodes: maps.Clone(c.nodes)}
 }
 
 // snapRec is one source's record of a key in a reconcile snapshot; src
@@ -100,7 +100,7 @@ func (c *Client) reconcile(v view, sources, targets []string) (st WarmupStats) {
 	// source; the targets that are not sources follow.
 	addrs := slices.Clone(sources)
 	for _, t := range targets {
-		if !contains(addrs, t) {
+		if !slices.Contains(addrs, t) {
 			addrs = append(addrs, t)
 		}
 	}
@@ -142,7 +142,7 @@ func (c *Client) reconcile(v view, sources, targets []string) (st WarmupStats) {
 			st.Streamed += len(chunk)
 			for _, rec := range chunk {
 				owners = v.ring.appendOwners(owners[:0], rec.Key, v.rf)
-				if slices.ContainsFunc(owners, func(o string) bool { return contains(targets, o) }) {
+				if slices.ContainsFunc(owners, func(o string) bool { return slices.Contains(targets, o) }) {
 					snap = append(snap, snapRec{rec.Key, rec.Version, rec.Tombstone, int32(i)})
 				}
 			}
@@ -208,7 +208,7 @@ func (c *Client) reconcile(v view, sources, targets []string) (st WarmupStats) {
 		}
 		for _, o := range v.ring.appendOwners(owners[:0], win.key, v.rf) {
 			dst := slices.Index(addrs, o)
-			if !contains(targets, o) || conns[dst] == nil ||
+			if !slices.Contains(targets, o) || conns[dst] == nil ||
 				slices.ContainsFunc(run, func(h snapRec) bool { return int(h.src) == dst && h.version == win.version }) {
 				continue
 			}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -402,7 +403,7 @@ func TestWriteQuorum(t *testing.T) {
 	var key uint64
 	found := false
 	for k := uint64(1); k < 10_000; k++ {
-		if contains(strict.Owners(k), dead) {
+		if slices.Contains(strict.Owners(k), dead) {
 			key, found = k, true
 			break
 		}

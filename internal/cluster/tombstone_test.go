@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -478,7 +479,7 @@ func TestAntiEntropySweepReportsDeadMember(t *testing.T) {
 	// A value only one of a key's two surviving owners holds.
 	dead := addrs[2]
 	key := uint64(1)
-	for contains(c.Owners(key), dead) {
+	for slices.Contains(c.Owners(key), dead) {
 		key++
 	}
 	owners := c.Owners(key)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/wire"
 )
@@ -137,7 +138,7 @@ func (c *Client) adoptLocked(t wire.Topology) {
 	for _, nc := range old {
 		nc.dropAll()
 	}
-	c.ring = NewRing(c.vnodes, t.Members...)
+	c.ring = NewRing(0, t.Members...)
 	c.epoch = t.Epoch
 	c.curEpoch.Store(t.Epoch)
 }
@@ -342,7 +343,7 @@ func Join(seed, self string, dial DialFunc) (t wire.Topology, skipped []string, 
 			// members.
 			t.Members = []string{seed}
 		}
-		if !contains(t.Members, self) {
+		if !slices.Contains(t.Members, self) {
 			t.Members = append(t.Members, self)
 			t.Epoch++
 		}
@@ -363,7 +364,7 @@ func Join(seed, self string, dial DialFunc) (t wire.Topology, skipped []string, 
 				skipped = append(skipped, m)
 				continue
 			}
-			if held.Epoch >= t.Epoch && !contains(held.Members, self) {
+			if held.Epoch >= t.Epoch && !slices.Contains(held.Members, self) {
 				lost = true
 				if held.Epoch >= winner.Epoch {
 					winner = held

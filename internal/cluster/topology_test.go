@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -152,10 +153,10 @@ func TestJoinRetriesLostRace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Join after a lost race: %v", err)
 	}
-	if !contains(got.Members, selfAddr) {
+	if !slices.Contains(got.Members, selfAddr) {
 		t.Fatalf("joined view %v lacks self %s", got.Members, selfAddr)
 	}
-	if !contains(got.Members, "phantom:1") {
+	if !slices.Contains(got.Members, "phantom:1") {
 		t.Fatalf("joined view %v dropped the race winner's member; retry must build on the winning view", got.Members)
 	}
 	if got.Epoch != 2 {
@@ -526,7 +527,7 @@ func TestWarmupWritesShareOnce(t *testing.T) {
 	}
 	share := 0
 	for _, k := range keys {
-		if contains(ctl.Owners(k), newAddr) {
+		if slices.Contains(ctl.Owners(k), newAddr) {
 			share++
 		}
 	}
@@ -955,7 +956,7 @@ func TestJoinSkipsDeadMember(t *testing.T) {
 	if len(skipped) != 1 || skipped[0] != addr2 {
 		t.Errorf("skipped = %v, want exactly the dead member %s", skipped, addr2)
 	}
-	if !contains(top.Members, addr3) || !contains(top.Members, addr2) {
+	if !slices.Contains(top.Members, addr3) || !slices.Contains(top.Members, addr2) {
 		t.Errorf("joined view %v must contain self %s and keep the (possibly only briefly) dead %s", top.Members, addr3, addr2)
 	}
 	// The reachable members hold the new view.

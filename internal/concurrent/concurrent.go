@@ -76,7 +76,6 @@ type Cache struct {
 	sweepCursor atomic.Int64
 
 	rehashEveryMisses uint64
-	migrationPerMiss  int
 
 	// Hits, misses, evictions and conflict evictions are counted per bucket
 	// and summed on demand. misses counts cache-wide too, but only while
@@ -121,10 +120,6 @@ type Config struct {
 	// paper-guided value from the capacity. It is the only automatic
 	// trigger; Rehash starts a rehash by hand.
 	RehashEveryMisses uint64
-	// MigrationPerMiss bounds the forced evictions of not-yet-remapped items
-	// performed per miss during a migration; zero means 1 (the gentlest
-	// schedule the paper allows).
-	MigrationPerMiss int
 }
 
 // New builds a concurrent cache.
@@ -141,10 +136,6 @@ func New(cfg Config) (*Cache, error) {
 		seeds:             hashfn.NewSeedSequence(cfg.Seed),
 		alpha:             cfg.Alpha,
 		rehashEveryMisses: cfg.RehashEveryMisses,
-		migrationPerMiss:  cfg.MigrationPerMiss,
-	}
-	if c.migrationPerMiss <= 0 {
-		c.migrationPerMiss = 1
 	}
 	c.pair.Store(&hasherPair{hasher: hashfn.NewRandom(c.seeds.Next(), n)})
 	// One array per slot column for the whole cache; bucket i owns the
@@ -237,7 +228,7 @@ func (c *Cache) leave(a access, missed bool) {
 		return
 	}
 	if missed && a.migrating {
-		c.migrateSteps()
+		c.migrateStep()
 	}
 	c.rehashMu.RUnlock()
 	c.maybeFinishMigration()
@@ -258,7 +249,7 @@ func (a access) find(item trace.Item) (*bucket, int32) {
 
 // Get returns the value cached under key, if any, updating recency. During a
 // migration a hit on a not-yet-remapped item moves it to its new bucket, and
-// a miss force-evicts up to MigrationPerMiss old residents (Section 6.1).
+// a miss force-evicts one old resident (Section 6.1).
 func (c *Cache) Get(key uint64) (interface{}, bool) {
 	a, v, ok := c.lookup(key)
 	if !ok {
@@ -517,12 +508,13 @@ func (c *Cache) Rehash() {
 	c.migrating.Store(true)
 }
 
-// migrateSteps force-evicts up to migrationPerMiss not-yet-remapped items,
-// sweeping buckets in order and each bucket from its least recently used
-// resident. Caller holds rehashMu.RLock and no bucket locks.
-func (c *Cache) migrateSteps() {
+// migrateStep force-evicts one not-yet-remapped item, the gentlest
+// per-miss schedule the paper allows (Section 6.1), sweeping buckets in
+// order and each bucket from its least recently used resident. Caller
+// holds rehashMu.RLock and no bucket locks.
+func (c *Cache) migrateStep() {
 	n := int64(len(c.buckets))
-	for done := 0; done < c.migrationPerMiss; {
+	for evicted := false; !evicted; {
 		i := c.sweepCursor.Load()
 		if i >= n {
 			return
@@ -532,7 +524,7 @@ func (c *Cache) migrateSteps() {
 		if s := b.nextOld(); s != none {
 			c.dropLocked(b, s)
 			c.flushEvictions.Add(1)
-			done++
+			evicted = true
 		}
 		drained := b.nOld == 0
 		b.mu.Unlock()

@@ -23,7 +23,6 @@ type model struct {
 	seeds        *hashfn.SeedSequence
 	hasher, old  *hashfn.Random
 	capacity     int
-	perMiss      int
 	cursor       int
 	pending, occ int
 	snap         Snapshot // the counters, maintained exactly as documented
@@ -50,7 +49,6 @@ func newModel(cfg Config) *model {
 		buckets:  make([]modelBucket, n),
 		seeds:    hashfn.NewSeedSequence(cfg.Seed),
 		capacity: cfg.Capacity,
-		perMiss:  max(cfg.MigrationPerMiss, 1),
 	}
 	m.hasher = hashfn.NewRandom(m.seeds.Next(), n)
 	for i := range m.buckets {
@@ -159,7 +157,7 @@ func (m *model) get(x trace.Item) (interface{}, bool) {
 	if at == nil {
 		m.snap.Misses++
 		if m.old != nil {
-			m.forcedEvictions()
+			m.forcedEviction()
 		}
 		return nil, false
 	}
@@ -176,15 +174,15 @@ func (m *model) get(x trace.Item) (interface{}, bool) {
 	return v, true
 }
 
-func (m *model) forcedEvictions() {
-	for done := 0; done < m.perMiss && m.cursor < len(m.buckets); {
+func (m *model) forcedEviction() {
+	for evicted := false; !evicted && m.cursor < len(m.buckets); {
 		b := &m.buckets[m.cursor]
 		for i := len(b.rec) - 1; i >= 0; i-- {
 			if _, ok := b.old[b.rec[i]]; ok {
 				m.drop(b, b.rec[i])
 				m.rel.forced++
 				m.snap.FlushEvictions++
-				done++
+				evicted = true
 				break
 			}
 		}
@@ -360,7 +358,7 @@ func TestDifferentialModel(t *testing.T) {
 				seeds = 1 // single-threaded: nothing for the detector, ten times the wall clock
 			}
 			for seed := uint64(1); seed <= seeds; seed++ {
-				cfg := Config{Capacity: r.capacity, Alpha: r.alpha, Seed: seed, MigrationPerMiss: int(seed)}
+				cfg := Config{Capacity: r.capacity, Alpha: r.alpha, Seed: seed}
 				c, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)

@@ -181,7 +181,7 @@ func TestCounterConservation(t *testing.T) {
 // hammer the cache; run with -race. Invariants: counters conserve, the
 // migration always drains, and occupancy never exceeds capacity.
 func TestConcurrentRehashStress(t *testing.T) {
-	c, err := New(Config{Capacity: 512, Alpha: 8, Seed: 23, MigrationPerMiss: 2})
+	c, err := New(Config{Capacity: 512, Alpha: 8, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}

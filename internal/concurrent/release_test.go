@@ -21,7 +21,7 @@ func TestReleaseModel(t *testing.T) {
 		{scanMax + 1, 4 * (scanMax + 1)},
 	} {
 		t.Run(fmt.Sprintf("alpha=%d/k=%d", r.alpha, r.capacity), func(t *testing.T) {
-			cfg := Config{Capacity: r.capacity, Alpha: r.alpha, Seed: 7, MigrationPerMiss: 2}
+			cfg := Config{Capacity: r.capacity, Alpha: r.alpha, Seed: 7}
 			c, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)

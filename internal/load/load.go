@@ -38,7 +38,7 @@ import (
 )
 
 // Conn is one harness connection. Both wire.Client (one node) and
-// cluster.Client (consistent-hash routed, optionally replicated) satisfy
+// cluster.Client (rendezvous routed, optionally replicated) satisfy
 // it. The harness reads nothing from a Conn but its responses: a caller
 // that wants a router's counters keeps the routers its Dial hands out and
 // reads their Snapshot after Run returns, when every worker has closed
