@@ -34,9 +34,16 @@
 // at /metrics. It is off by default and separate from the cache port; the
 // wire-level equivalent is the METRICS opcode. -slow-op-threshold tunes
 // which ops enter the slow-op ring (default 10ms, 0 disables).
+//
+// The set hash's seed is secret unless -seed names one: -seed 0, the
+// default, draws it from crypto/rand and logs only that it is random. The
+// paper's bounds hold against an adversary that cannot see the hash; a
+// client that knows it can make every GET of a small working set miss.
 package main
 
 import (
+	"crypto/rand"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"log"
@@ -59,7 +66,7 @@ func main() {
 		join       = flag.String("join", "", "seed address of an existing member: fetch its topology, add self, push to all members")
 		k          = flag.Int("k", 1<<16, "total cache capacity")
 		alpha      = flag.Int("alpha", 16, "set size α (must divide k); the paper proves α = ω(log k) matches full associativity and α = o(log k) does not, and the default sits at the threshold, log₂ 65536 = 16")
-		seed       = flag.Uint64("seed", 1, "hash seed")
+		seed       = flag.Uint64("seed", 0, "hash seed; 0 draws a secret one from crypto/rand")
 		rehashAuto = flag.Bool("rehash-auto", false, "start an online incremental rehash every k·⌈log₂k⌉ misses (the paper's poly(k) schedule)")
 		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof and a /metrics JSON snapshot on this address (off when empty)")
 		slowThresh = flag.Duration("slow-op-threshold", server.DefaultSlowOpThreshold, "ops at least this slow enter the slow-op ring (0 disables the ring)")
@@ -74,10 +81,13 @@ func main() {
 		every = concurrent.DefaultEveryMisses(*k)
 		log.Printf("cached: auto rehash schedule: every %d misses", every)
 	}
+	if *seed == 0 {
+		log.Printf("cached: hash seed: random")
+	}
 	cache, err := concurrent.New(concurrent.Config{
 		Capacity:          *k,
 		Alpha:             *alpha,
-		Seed:              *seed,
+		Seed:              hashSeed(*seed),
 		RehashEveryMisses: every,
 	})
 	if err != nil {
@@ -150,6 +160,17 @@ func main() {
 	snap := cache.Snapshot()
 	log.Printf("cached: final stats: hits=%d misses=%d (ratio %.4f) evictions=%d conflict=%d rehashes=%d",
 		snap.Hits, snap.Misses, snap.MissRatio(), snap.Evictions, snap.ConflictEvictions, snap.Rehashes)
+}
+
+// hashSeed returns seed, or for 0 one drawn from crypto/rand. Every
+// later rehash seed derives from it, so they stay secret too.
+func hashSeed(seed uint64) uint64 {
+	if seed != 0 {
+		return seed
+	}
+	var b [8]byte
+	rand.Read(b[:]) // never fails since Go 1.24
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 func fatal(err error) {

@@ -65,17 +65,17 @@
 // incremental rehash accounts for its forced evictions.
 //
 // Keyspaces can be replicated: with cluster.Options{Replicas: R} every key
-// lives on the ring's first R distinct owners, SETs fan out to all R (a
-// configurable write quorum W must acknowledge), GETs fall back through
-// the replica set on a miss or node failure, and stale replicas are
-// re-written in the background (read repair, its own wire operation so
-// servers count it apart from user traffic). A node crash then loses no reads —
-// surviving owners keep serving, and RemoveNode retires the corpse
-// without contacting it. R buys that availability at the price of R×
-// resident memory and write fan-out, the cluster-level analogue of the
-// paper's redundancy-versus-cost tradeoff. The load harness
-// (internal/load) drives either topology in closed-loop mode or in an
-// open-loop rate-paced mode whose latency percentiles are measured from
+// lives on its R highest-scoring members (rendezvous hashing), SETs fan
+// out to all R (a configurable write quorum W must acknowledge), GETs fall
+// back through the replica set on a miss or node failure, and stale
+// replicas are re-written in the background (read repair, its own wire
+// operation so servers count it apart from user traffic). A node crash
+// then loses no reads — surviving owners keep serving, and RemoveNode
+// retires the corpse without contacting it. R buys that availability at
+// the price of R× resident memory and write fan-out, the cluster-level
+// analogue of the paper's redundancy-versus-cost tradeoff. The load
+// harness (internal/load) drives either topology in closed-loop mode or in
+// an open-loop rate-paced mode whose latency percentiles are measured from
 // intended send times, making them coordinated-omission-safe; it also
 // reports the repair writes a replicated run generated.
 //

@@ -431,7 +431,7 @@ func (s *Server) handleConn(conn net.Conn, seq uint64) {
 	}()
 
 	s.connsAccepted.Add(1)
-	r := wire.NewReaderSize(countingReader{conn, &s.bytesIn}, connReadBufSize)
+	r := wire.NewReader(countingReader{conn, &s.bytesIn})
 	w := wire.NewWriter(countingWriter{conn, &s.bytesOut})
 	if err := r.ReadPreamble(); err != nil {
 		if errors.Is(err, wire.ErrVersionMismatch) {
@@ -544,16 +544,6 @@ var monoBase = time.Now()
 
 // monoNow returns monotonic nanoseconds since monoBase.
 func monoNow() int64 { return int64(time.Since(monoBase)) }
-
-// connReadBufSize sizes each connection's wire.Reader stream buffer.
-// Chosen from measurement, not defaults (PR 9 / hypotheses/H3): request
-// frames are tiny (a GET is 13 bytes framed), so what matters is how
-// many pipelined requests one read syscall drains. 64 KiB holds ~4500
-// GET frames or a ~1000-deep batch of 64-byte SETs — comfortably above
-// the deepest pipeline the harnesses drive — and costs 64 KiB per
-// connection, which at the accept rates this server sees is noise next
-// to the cache itself.
-const connReadBufSize = 64 << 10
 
 // countingReader and countingWriter sit between the connection and the
 // wire codecs, feeding the BYTES_IN/BYTES_OUT counters. They count per

@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -12,6 +14,12 @@ import (
 // copies a larger one into its scratch body. These tests hold the two
 // paths to one behaviour: the same decoded frames, the same errors, and a
 // Buffered count that never includes the frame just decoded.
+
+// newReaderSize is NewReader with a small stream buffer, so frames cross
+// the buffer's edge at a few dozen bytes instead of at 64 KiB.
+func newReaderSize(r io.Reader, size int) *Reader {
+	return &Reader{br: bufio.NewReaderSize(r, size)}
+}
 
 // encodeSets returns one SET frame per value, in order.
 func encodeSets(t *testing.T, vals [][]byte) []byte {
@@ -43,7 +51,7 @@ func TestReaderFrameSizesAcrossBuffer(t *testing.T) {
 		}
 		vals = append(vals, v)
 	}
-	r := NewReaderSize(bytes.NewReader(encodeSets(t, vals)), size)
+	r := newReaderSize(bytes.NewReader(encodeSets(t, vals)), size)
 	for i, want := range vals {
 		req, err := r.ReadRequest()
 		if err != nil {
@@ -68,7 +76,7 @@ func TestReaderTruncatedFrame(t *testing.T) {
 		for cut := 0; cut < len(stream); cut++ {
 			done := make(chan error, 1)
 			go func() {
-				_, err := NewReaderSize(bytes.NewReader(stream[:cut]), 64).ReadRequest()
+				_, err := newReaderSize(bytes.NewReader(stream[:cut]), 64).ReadRequest()
 				done <- err
 			}()
 			select {
@@ -103,5 +111,60 @@ func TestReaderBufferedExcludesHeldFrame(t *testing.T) {
 		if got := r.Buffered(); got != rest {
 			t.Fatalf("after frame %d: Buffered %d, want %d", i, got, rest)
 		}
+	}
+}
+
+// countingConn is an in-memory connection: writes are dropped, and each
+// Read returns everything left of src that fits, so reads counts exactly
+// how many syscalls a socket holding the whole batch would take.
+type countingConn struct {
+	src   bytes.Reader
+	reads int
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	c.reads++
+	return c.src.Read(p)
+}
+func (c *countingConn) Write(p []byte) (int, error) { return len(p), nil }
+func (c *countingConn) Close() error                { return nil }
+
+// TestClientReadsBatchInOneRead is the read budget of a pipelined batch:
+// a client consumes 16 HITs of 1 KiB with one Read, and of 4 KiB (66 KB
+// in all, just over the stream buffer) with two.
+func TestClientReadsBatchInOneRead(t *testing.T) {
+	for _, tc := range []struct{ valLen, reads int }{{1 << 10, 1}, {4 << 10, 2}} {
+		t.Run(fmt.Sprintf("%dB", tc.valLen), func(t *testing.T) {
+			keys := make([]uint64, 16)
+			var stream bytes.Buffer
+			w := NewWriter(&stream)
+			for i := range keys {
+				keys[i] = uint64(i)
+				val := bytes.Repeat([]byte{byte(i)}, tc.valLen)
+				if err := w.WriteResponse(Response{Status: StatusHit, Version: 1, Value: val}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			conn := &countingConn{}
+			conn.src.Reset(stream.Bytes())
+			c, err := NewClient(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = c.GetBatch(keys, func(i int, hit bool, value []byte) {
+				if !hit || len(value) != tc.valLen || value[0] != byte(i) || value[tc.valLen-1] != byte(i) {
+					t.Errorf("key %d: hit=%v, %d-byte value, want its own %d bytes", i, hit, len(value), tc.valLen)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if conn.reads != tc.reads {
+				t.Errorf("16 HITs of %d B (%d B of frames) took %d Reads, want %d", tc.valLen, stream.Len(), conn.reads, tc.reads)
+			}
+		})
 	}
 }
