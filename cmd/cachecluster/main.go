@@ -28,7 +28,6 @@
 //	cachecluster -addrs :7070 -workload zipf -universe 200000 -ops 1000000 -conns 8
 //	cachecluster -addrs :7070 -workload adversarial -ops 500000 -conns 4
 //	cachecluster -addrs :7070 -trace workload.satr -ops 1000000
-//	cachecluster -addrs :7070 -rehash            # online rehash, migrating under the run
 //	cachecluster -spawn 4 -open -rate 200000 -duration 30s
 //	cachecluster -spawn 3 -replicas 2 -write-quorum 1 -workload zipf
 //	cachecluster -addrs h1:7070 -bootstrap -workload zipf
@@ -72,8 +71,7 @@
 // The default mode is closed-loop (offered load adapts to server latency;
 // right for "how fast can it go"). With -open -rate R the harness uses the
 // open-loop rate-paced schedule with coordinated-omission-safe percentiles
-// (right for "what is p99 at R ops/s"; see internal/load). -rehash fans an
-// online REHASH out to every member before the run.
+// (right for "what is p99 at R ops/s"; see internal/load).
 //
 // With -trace-sample N every worker stamps every N-th of its batches
 // with a trace ID (wire v6): each member records a span per
@@ -112,14 +110,14 @@ import (
 
 // config is the parsed command line.
 type config struct {
-	spawn, replicas, quorum, k, alpha            int
-	addrs, wl, traceIn                           string
-	boot, readThru, verify, rehash, open, leases bool
-	seed                                         uint64
-	conns, ops, pipeline, valSize, universe      int
-	zipfS, advDelta, rate                        float64
-	advSets, advReps, traceSample, nearSlots     int
-	duration, nearTTL, antiEntropy               time.Duration
+	spawn, replicas, quorum, k, alpha        int
+	addrs, wl, traceIn                       string
+	boot, readThru, verify, open, leases     bool
+	seed                                     uint64
+	conns, ops, pipeline, valSize, universe  int
+	zipfS, advDelta, rate                    float64
+	advSets, advReps, traceSample, nearSlots int
+	duration, nearTTL, antiEntropy           time.Duration
 }
 
 // defineFlags registers every flag on fs and returns the config they fill.
@@ -146,7 +144,6 @@ func defineFlags(fs *flag.FlagSet) *config {
 	fs.StringVar(&c.traceIn, "trace", "", "replay a .satr trace instead of a generator")
 	fs.BoolVar(&c.readThru, "readthrough", true, "SET every missed key (read-through)")
 	fs.BoolVar(&c.verify, "verify", true, "verify hit payloads carry their key")
-	fs.BoolVar(&c.rehash, "rehash", false, "fan REHASH out to all members before the run")
 	fs.BoolVar(&c.open, "open", false, "open-loop mode: rate-paced arrivals, coordinated-omission-safe percentiles")
 	fs.Float64Var(&c.rate, "rate", 0, "intended aggregate GET rate in ops/sec (open-loop mode, required)")
 	fs.DurationVar(&c.duration, "duration", 0, "stop issuing after this long (open-loop mode; 0 = when ops are exhausted)")
@@ -185,12 +182,6 @@ func main() {
 		fatal(err)
 	}
 	defer ctl.Close()
-	if c.rehash {
-		if err := ctl.RehashAll(); err != nil {
-			fatal(err)
-		}
-		fmt.Println("online rehash requested on all members")
-	}
 	// Baseline, so the balance table and the server-side percentiles
 	// printed below cover this run only, not whatever the daemons served
 	// before (counters and histogram buckets are monotone, so before/after

@@ -16,7 +16,7 @@ func TestValidateFlags(t *testing.T) {
 		want string
 	}{
 		{[]string{"-spawn", "2"}, ""},
-		{[]string{"-addrs", "127.0.0.1:7070", "-workload", "adversarial", "-rehash"}, ""},
+		{[]string{"-addrs", "127.0.0.1:7070", "-workload", "adversarial"}, ""},
 		{[]string{"-spawn", "3", "-replicas", "2", "-trace", "w.satr", "-trace-sample", "8"}, ""},
 		{[]string{"-addrs", "h1:7070", "-bootstrap", "-replicas", "3"}, ""},
 		{nil, "-spawn N or -addrs"},
@@ -60,15 +60,22 @@ func TestValidateFlags(t *testing.T) {
 	}
 }
 
-// TestPolicyFlagRetired holds the spawned stores to their one replacement
-// policy: -policy is not a flag, so a command line that asks for another
-// fails to parse instead of being quietly ignored.
+// TestPolicyFlagRetired holds the command line to the flags it still has.
+// A retired flag fails to parse instead of being quietly ignored: -policy,
+// because the spawned stores have one replacement policy, and -rehash,
+// because a node rehashes on its own miss-count schedule only (wire v16
+// has no REHASH).
 func TestPolicyFlagRetired(t *testing.T) {
-	fs := flag.NewFlagSet("cachecluster", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	defineFlags(fs)
-	err := fs.Parse([]string{"-spawn", "2", "-policy", "clock"})
-	if err == nil || !strings.Contains(err.Error(), "not defined: -policy") {
-		t.Fatalf("-policy clock: parse error %v, want an undefined flag", err)
+	for _, args := range [][]string{
+		{"-policy", "clock"},
+		{"-rehash"},
+	} {
+		fs := flag.NewFlagSet("cachecluster", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		defineFlags(fs)
+		err := fs.Parse(append([]string{"-spawn", "2"}, args...))
+		if err == nil || !strings.Contains(err.Error(), "not defined: "+args[0]) {
+			t.Errorf("%v: parse error %v, want an undefined flag", args, err)
+		}
 	}
 }

@@ -22,8 +22,8 @@
 // With -rehash-auto the daemon applies the paper's Section 6 schedule:
 // every k·⌈log₂ k⌉ misses (the paper's poly(k) guidance; see
 // concurrent.DefaultEveryMisses) it draws a fresh indexing hash and
-// migrates incrementally under live traffic. Clients can also force a
-// rehash with the REHASH opcode (cachecluster -rehash).
+// migrates incrementally under live traffic. The schedule is the only
+// trigger: no request starts a rehash (wire v16 has no REHASH).
 // METRICS exposes the hit/miss/conflict counters and, on request, each
 // bucket's occupancy.
 //

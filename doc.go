@@ -39,7 +39,7 @@
 //
 // The motivating use case is also built out to a real service boundary: a
 // networked sharded cache. internal/wire defines a compact length-prefixed
-// binary protocol (GET/SET/DEL/REHASH/METRICS, batched pipelining);
+// binary protocol (GET/SET/DEL/METRICS, batched pipelining);
 // internal/server serves a concurrent.Cache over TCP; cmd/cached is the
 // daemon and cmd/cachecluster the closed-loop load driver, driven by
 // internal/workload generators or recorded traces via internal/load. The

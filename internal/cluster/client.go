@@ -82,8 +82,8 @@ type Options struct {
 // converged with the cluster through piggybacked epoch checks, TOPOLOGY
 // reads and TOPOLOGY pushes — and a transport layer (transport.go),
 // a few pipelined wire connections (lanes) per member, each dialed on
-// first use. Keys map to members through the ring and METRICS/REHASH fan out
-// to every member.
+// first use. Keys map to members through the ring and METRICS fans out to
+// every member.
 //
 // Every key has R owners (Options.Replicas; the R members scoring highest
 // for it, one when unreplicated), and every batch operation is built
@@ -844,21 +844,6 @@ func (c *Client) hintHandoff(candidates []*nodeConn, target string, key uint64, 
 		}
 	}
 	c.hintsFailed.Add(1)
-}
-
-// RehashAll asks every member to begin an online incremental rehash — the
-// intra-node half of the rebalancing story; the ring handles the inter-node
-// half.
-func (c *Client) RehashAll() error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, addr := range c.ring.Nodes() {
-		err := c.nodes[addr].do(c.dial, func(cl *wire.Client) error { return cl.Rehash() })
-		if err != nil {
-			return fmt.Errorf("cluster: REHASH %s: %w", addr, err)
-		}
-	}
-	return nil
 }
 
 // NodeCounters is the router's per-member traffic tally. Repairs counts

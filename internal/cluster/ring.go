@@ -1,7 +1,7 @@
 // Package cluster scales the cached service horizontally: rendezvous
 // hashing maps keys to member nodes, and Client routes requests over a few
 // lazily dialled pipelined wire connections (lanes) per member, fanning
-// METRICS/REHASH out to all members.
+// METRICS out to all members.
 //
 // The ring is the cluster-level analogue of the paper's online rehash. A
 // single node redraws its *intra-node* hash and migrates bucket contents

@@ -9,9 +9,11 @@
 // buckets → less contention, but more conflict misses) is measurable from
 // the outside with cmd/cachecluster.
 //
-// An online REHASH can be requested over the wire at any time; it uses the
-// cache's incremental migration (Section 6.1 of the paper), so live traffic
-// continues while items drain from the old hash function to the new one.
+// A node rehashes on its own miss-count schedule only
+// (concurrent.Config.RehashEveryMisses, cached -rehash-auto); no request
+// starts one. A rehash uses the cache's incremental migration (Section 6.1
+// of the paper), so live traffic continues while items drain from the old
+// hash function to the new one.
 //
 // Every stored value carries a monotonically increasing per-key version
 // (protocol v4). User SETs assign versions and always win; maintenance
@@ -818,9 +820,6 @@ func (s *Server) exec(req *wire.Request, resp *wire.Response) (displaced bool) {
 		rec := record{KeyRec: wire.KeyRec{Key: req.Key, Version: req.Version, Tombstone: req.Tombstone}, val: make([]byte, len(req.Value))}
 		copy(rec.val, req.Value)
 		s.queueHint(hint{target: req.Target, rec: rec})
-		resp.Status = wire.StatusOK
-	case wire.OpRehash:
-		s.cache.Rehash()
 		resp.Status = wire.StatusOK
 	case wire.OpTopology:
 		resp.Status, resp.Topology = wire.StatusMembers, s.OfferTopology(req.Topology)

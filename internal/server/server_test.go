@@ -122,8 +122,37 @@ func TestBasicOps(t *testing.T) {
 			t.Fatalf("bucket %d occupancy = %d on the wire, %d in the store", i, st.Occupancy[i], sh.Len)
 		}
 	}
-	if err := c.Rehash(); err != nil {
+
+	// REHASHES counts the rehashes the node's own miss-count schedule
+	// starts, the counter's only source: a store that rehashes every 8
+	// misses reads at least 1 after 8 GET misses over the wire. The
+	// schedule starts each rehash on its own goroutine, hence the poll.
+	const every = 8
+	_, addr = startServer(t, concurrent.Config{Capacity: 64, Alpha: 4, Seed: 1, RehashEveryMisses: every})
+	sc, err := wire.Dial(addr)
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer sc.Close()
+	for key := uint64(0); key < every; key++ {
+		if _, ok, err := sc.Get(key); err != nil || ok {
+			t.Fatalf("Get(%d) on an empty cache = %v, %v", key, ok, err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		st, err := sc.Stats(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Misses != every {
+			t.Fatalf("MISSES = %d, want %d", st.Misses, every)
+		}
+		if st.Rehashes >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("REHASHES = 0 after %d misses on a store that rehashes every %d", every, every)
+		}
 	}
 }
 
@@ -381,13 +410,17 @@ func TestEndToEndStatsMatch(t *testing.T) {
 	}
 }
 
-// TestOnlineRehashUnderLoad triggers a REHASH while concurrent connections
-// hammer the server and asserts (a) the migration completes under live
-// traffic and (b) no entry is lost beyond those the eviction counters
-// account for.
+// TestOnlineRehashUnderLoad starts a rehash of the served cache while
+// concurrent connections hammer the server and asserts (a) the migration
+// completes under live traffic and (b) no entry is lost beyond those the
+// eviction counters account for.
 func TestOnlineRehashUnderLoad(t *testing.T) {
 	const k, universe = 1024, 800
-	_, addr := startServer(t, concurrent.Config{Capacity: k, Alpha: 8, Seed: 3})
+	cache, err := concurrent.New(concurrent.Config{Capacity: k, Alpha: 8, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr := serveCache(t, cache)
 
 	ctl, err := wire.Dial(addr)
 	if err != nil {
@@ -422,9 +455,7 @@ func TestOnlineRehashUnderLoad(t *testing.T) {
 
 	// Let traffic start, then rehash online.
 	time.Sleep(10 * time.Millisecond)
-	if err := ctl.Rehash(); err != nil {
-		t.Fatal(err)
-	}
+	cache.Rehash()
 
 	// The migration must finish while traffic is still flowing.
 	deadline := time.After(30 * time.Second)
@@ -938,10 +969,11 @@ func TestServerCloseLeavesNothingBehind(t *testing.T) {
 	}
 }
 
-// TestOldClientVersionError is the cross-version smoke: a v3 client
-// connecting to a v4 server must read the documented version error on its
-// first response — the ERROR frame layout is stable across revisions —
-// rather than hanging on a silently closed connection.
+// TestOldClientVersionError is the cross-version smoke: a client one
+// revision behind (v15, which still had REHASH, against this v16 server)
+// must read the documented version error on its first response — the
+// ERROR frame layout is stable across revisions — rather than hanging on
+// a silently closed connection.
 func TestOldClientVersionError(t *testing.T) {
 	_, addr := startServer(t, concurrent.Config{Capacity: 64, Alpha: 4, Seed: 1})
 	conn, err := net.Dial("tcp", addr)
@@ -953,7 +985,8 @@ func TestOldClientVersionError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A version-3 preamble, byte for byte what an old client sends.
+	// The previous revision's preamble, byte for byte what an old client
+	// sends.
 	pre := []byte(wire.Magic)
 	pre = binary.LittleEndian.AppendUint32(pre, wire.Version-1)
 	if _, err := conn.Write(pre); err != nil {
@@ -967,8 +1000,9 @@ func TestOldClientVersionError(t *testing.T) {
 	if resp.Status != wire.StatusError {
 		t.Fatalf("old client got %v, want ERROR", resp.Status)
 	}
-	if !strings.Contains(resp.Err, "unsupported protocol version") {
-		t.Fatalf("error message %q does not name the version mismatch", resp.Err)
+	want := fmt.Sprintf("unsupported protocol version %d (this end speaks %d)", wire.Version-1, wire.Version)
+	if !strings.Contains(resp.Err, want) {
+		t.Fatalf("error message %q does not name both revisions (want %q)", resp.Err, want)
 	}
 }
 

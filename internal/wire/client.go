@@ -472,15 +472,3 @@ func (c *Client) PutBatch(recs []KeyRec, value func(i int) []byte) (applied, sta
 	}
 	return applied, stale, nil
 }
-
-// Rehash asks the server to begin an online incremental rehash.
-func (c *Client) Rehash() error {
-	resp, err := c.roundTrip(&Request{Op: OpRehash})
-	if err != nil {
-		return err
-	}
-	if resp.Status != StatusOK {
-		return fmt.Errorf("wire: unexpected REHASH response %v", resp.Status)
-	}
-	return nil
-}

@@ -16,15 +16,17 @@ import (
 // holds one well-formed and one truncated frame per opcode and status.
 // Some seeds are retired shapes the decoder must refuse: the
 // FuzzReadRequest/MEMBERS seeds are v11 frames of opcode 7, retired in v12
-// (its truncation is an empty body), the FuzzReadResponse/LEASE-stale
+// (its truncation is an empty body), the FuzzReadRequest/REHASH seeds are
+// v15 frames of opcode 5, plain and traced, retired in v16 (its
+// truncation is an empty body too), the FuzzReadResponse/LEASE-stale
 // seeds are v12 stale-hint LEASE bodies, retired in v13,
 // FuzzReadResponse/METRICS-counters-v13 is a v13 counter section of 24
 // counters, the reaped-tombstone count among them, retired in v14, and
 // two v14 shapes are retired in v15: FuzzReadRequest/GET-traced-v14 is a
 // GET whose trace context ends in the trace-flag byte, and
 // FuzzReadResponse/METRICS-v14 carries slow-op and span records in their
-// two v14 layouts. Every other -traced request seed is a v15 frame with
-// a 16-byte context.
+// two v14 layouts. Every other -traced request seed carries a 16-byte
+// context, the v15 and v16 layout.
 
 // frameOf returns the first frame of b — length prefix and body — which
 // is what a decoder that accepted b consumed.

@@ -89,12 +89,12 @@ func TestSpecPreambleAndLimits(t *testing.T) {
 func TestSpecOpcodes(t *testing.T) {
 	codes := tableCodes(specSection(t, specDoc(t), "### Request opcodes"))
 	// Every defined opcode up to OpLast — the range telemetry is sized
-	// and validated by — must be documented; 4 (STATS until v11) and 7
-	// (MEMBERS until v12) stay unassigned.
+	// and validated by — must be documented; 4 (STATS until v11), 5
+	// (REHASH until v15) and 7 (MEMBERS until v12) stay unassigned.
 	defined := 0
 	for op := OpGet; op <= OpLast; op++ {
 		if !op.defined() {
-			if op != 4 && op != 7 {
+			if op != 4 && op != 5 && op != 7 {
 				t.Errorf("opcode %d has no name in opNames", int(op))
 			}
 			continue
@@ -104,8 +104,8 @@ func TestSpecOpcodes(t *testing.T) {
 			t.Errorf("spec %s = %d (listed=%v), implementation %d", op, got, ok, int(op))
 		}
 	}
-	if len(codes) != defined || defined != 11 {
-		t.Errorf("spec lists %d opcodes, implementation defines %d, want 11", len(codes), defined)
+	if len(codes) != defined || defined != 10 {
+		t.Errorf("spec lists %d opcodes, implementation defines %d, want 10", len(codes), defined)
 	}
 }
 

@@ -10,7 +10,7 @@
 // with a 8-byte client preamble:
 //
 //	magic   [4]byte  "SACW" (Set-Associative Cache Wire)
-//	version uint32   15
+//	version uint32   16
 //
 // after which both directions carry length-prefixed frames:
 //
@@ -38,7 +38,6 @@
 //	                                             VersionStale stored version
 //	DEL      key uint64                        → OK evicted, version
 //	HINT     target addr, record               → OK
-//	REHASH                                     → OK
 //	KEYS                                       → stream of Keys frames of
 //	                                             {key, version, tombstone}
 //	                                             records; a frame with count 0
@@ -101,6 +100,8 @@
 // whose one flag (SAMPLED) every minted context set: a trace context is
 // its 16-byte ID, and a request is traced exactly when it carries one.
 // The slow-op and TRACES sections of METRICS share one 50-byte record.
+// Version 16 removed REHASH: a node rehashes on its own miss-count
+// schedule only; opcode 5 stays unassigned.
 // Peers of other versions are rejected at the preamble.
 package wire
 
@@ -134,7 +135,7 @@ const (
 	// Version is the protocol revision; the preamble carries it and servers
 	// reject mismatches, so a bump needs no compatibility path. The package
 	// comment and ARCHITECTURE.md list what each revision changed.
-	Version = 15
+	Version = 16
 	// MaxFrame bounds a frame body; it caps both value sizes and the damage
 	// a corrupt length prefix can do.
 	MaxFrame = 16 << 20
@@ -255,7 +256,7 @@ const (
 	OpSet
 	OpDel
 	_ // 4 was STATS until v11; never reassigned
-	OpRehash
+	_ // 5 was REHASH until v15; never reassigned
 	OpKeys
 	_ // 7 was MEMBERS until v12; never reassigned
 	OpTopology
@@ -292,9 +293,9 @@ const OpLast = opEnd - 1
 // opNames is indexed by opcode; an opcode is defined exactly when it has a
 // name, and TestSpecOpcodes requires an ARCHITECTURE.md row for each.
 var opNames = [opEnd]string{
-	OpGet: "GET", OpSet: "SET", OpDel: "DEL", OpRehash: "REHASH",
-	OpKeys: "KEYS", OpTopology: "TOPOLOGY", OpMetrics: "METRICS",
-	OpGetLease: "GETL", OpHint: "HINT", OpFill: "FILL", OpPut: "PUT",
+	OpGet: "GET", OpSet: "SET", OpDel: "DEL", OpKeys: "KEYS",
+	OpTopology: "TOPOLOGY", OpMetrics: "METRICS", OpGetLease: "GETL",
+	OpHint: "HINT", OpFill: "FILL", OpPut: "PUT",
 }
 
 // defined reports whether o is an opcode of this protocol revision.
@@ -432,8 +433,8 @@ type Response struct {
 	// Version is the stored value version: in a HIT it is the version of
 	// the value returned, in an OK replying to an applied write (SET, FILL,
 	// PUT, DEL) it is the version the record was stored under (0 replying
-	// to REHASH or HINT), and in a VERSION_STALE or
-	// LEASE_LOST it is the version that won.
+	// to HINT), and in a VERSION_STALE or LEASE_LOST it is the version
+	// that won.
 	Version uint64
 	// Evicted reports whether a write displaced an entry — or, replying to
 	// DEL, whether a live value was present.
@@ -749,7 +750,7 @@ func (w *Writer) writeRequest(req *Request) error {
 		w.chunk = append(w.chunk, req.Target...)
 		w.chunk, err = appendRecord(w.chunk, req)
 		value = req.Value
-	case OpRehash, OpKeys:
+	case OpKeys:
 	case OpMetrics:
 		if err := req.MetricsFlags.validate(); err != nil {
 			return w.abortFrame(off, err)
@@ -1017,7 +1018,7 @@ func (r *Reader) ReadRequest() (*Request, error) {
 		if err = parseRecord(body[al:], req); err != nil {
 			return nil, err
 		}
-	case OpRehash, OpKeys:
+	case OpKeys:
 		if len(body) != 0 {
 			return nil, fmt.Errorf("wire: %v body %d bytes, want 0", req.Op, len(body))
 		}

@@ -32,7 +32,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpHint, Target: "10.0.0.7:7070", Key: 14, Version: 9, Value: []byte("parked")},
 		{Op: OpHint, Target: "n", Key: 15, Version: 10, Tombstone: true},
 		{Op: OpDel, Key: 1 << 60},
-		{Op: OpRehash},
+		{Op: OpKeys},
 		{Op: OpTopology}, // the empty offer: a read
 		{Op: OpTopology, Topology: Topology{Epoch: 7, Members: []string{"a:1", "b:2"}}},
 		// Traced requests: the trace ID rides between the opcode byte and
@@ -83,7 +83,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		{Status: StatusHit, Epoch: 5, Version: 1 << 40, Value: []byte("versioned payload")},
 		{Status: StatusMiss, Epoch: 1 << 50},
 		{Status: StatusOK, Evicted: true},
-		{Status: StatusOK, Evicted: false, Epoch: 9}, // REHASH's or HINT's: version 0
+		{Status: StatusOK, Evicted: false, Epoch: 9}, // HINT's: version 0
 		{Status: StatusOK, Evicted: true, Epoch: 9, Version: 12345},
 		{Status: StatusVersionStale, Epoch: 2, Version: 1 << 41},
 		{Status: StatusError, Err: "boom", Epoch: 4},
@@ -205,9 +205,9 @@ func TestMalformedRequestRejected(t *testing.T) {
 	if _, err := frame([]byte{byte(OpHint), 9, 'a'}).ReadRequest(); err == nil {
 		t.Fatal("HINT with a truncated target accepted")
 	}
-	// Opcodes 4 (STATS until v11) and 7 (MEMBERS until v12) stay
-	// unassigned, on both ends.
-	for _, op := range []byte{4, 7} {
+	// Opcodes 4 (STATS until v11), 5 (REHASH until v15) and 7 (MEMBERS
+	// until v12) stay unassigned, on both ends.
+	for _, op := range []byte{4, 5, 7} {
 		if _, err := frame([]byte{op, 0}).ReadRequest(); err == nil {
 			t.Fatalf("request with the retired opcode %d accepted", op)
 		}
